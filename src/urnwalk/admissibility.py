@@ -14,7 +14,7 @@ makes the path products of :func:`path_product` well defined per endpoint.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import math
 from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Sequence
@@ -25,6 +25,18 @@ from .errors import DimensionMismatchError
 from .laws import Counts, ReinforcementLaw, as_counts
 
 DEFAULT_TOLERANCE = 1e-10
+
+
+def validate_tolerance(tolerance: float) -> float:
+    """Return ``tolerance`` if it is a finite number >= 0, else raise ValueError.
+
+    A NaN tolerance makes every ``gap > tolerance`` comparison false and an
+    infinite one accepts every gap, so either would turn a scan into a
+    false PASS; a negative one flags exact results.
+    """
+    if not (math.isfinite(tolerance) and tolerance >= 0):
+        raise ValueError(f"tolerance must be finite and >= 0, got {tolerance!r}")
+    return tolerance
 
 
 @dataclass(frozen=True)
@@ -109,32 +121,22 @@ def check_admissible(
     law: ReinforcementLaw,
     box_size: int,
     tolerance: float = DEFAULT_TOLERANCE,
-    threads: int | None = None,
 ) -> AdmissibilityReport:
     """Scan every elementary square with corner in {0..box_size-1}^d.
 
     Certification is box-local: nothing is claimed beyond the scanned box.
-    ``threads`` partitions the scan; evaluation is pure so any partition
-    yields the same report.
+    ``tolerance`` must be finite and >= 0.
     """
+    validate_tolerance(tolerance)
     if box_size < 1:
         raise ValueError("box_size must be >= 1")
     d = law.dimension
-    pairs = list(combinations(range(d), 2))
-    points = [p for p in product(range(box_size), repeat=d)]
     if d < 2:
         # a 1-dimensional lattice has no squares; trivially closed
         return AdmissibilityReport(True, (), box_size, tolerance)
-    if threads and threads > 1:
-        chunks = [points[k::threads] for k in range(threads)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = pool.map(
-                lambda ch: _scan_chunk(law, ch, pairs, tolerance), chunks
-            )
-        violations = [v for part in parts for v in part]
-        violations.sort(key=lambda v: (v.counts, v.i, v.j))
-    else:
-        violations = _scan_chunk(law, points, pairs, tolerance)
+    pairs = list(combinations(range(d), 2))
+    points = list(product(range(box_size), repeat=d))
+    violations = _scan_chunk(law, points, pairs, tolerance)
     return AdmissibilityReport(
         admissible=not violations,
         violations=tuple(violations),

@@ -25,14 +25,13 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
 from scipy.stats import chi2 as chi2_dist
 
-from .admissibility import check_admissible
+from .admissibility import check_admissible, validate_tolerance
 from .config import (
     config_hash,
     env_from_spec,
@@ -52,6 +51,7 @@ from .equivalence import (
 from .errors import (
     ConfigError,
     EnumerationGuardError,
+    MomentOrderError,
     NotAdmissibleError,
     UrnwalkError,
 )
@@ -141,7 +141,11 @@ def _operation(cfg: Mapping) -> Mapping:
 
 
 def _tolerance(cfg: Mapping) -> float:
-    return float(_operation(cfg).get("tolerance", DEFAULT_TOLERANCE))
+    raw = _operation(cfg).get("tolerance", DEFAULT_TOLERANCE)
+    try:
+        return validate_tolerance(float(raw))
+    except (TypeError, ValueError):
+        raise ConfigError(f"tolerance must be a finite number >= 0, got {raw!r}") from None
 
 
 def _meta(cfg: Mapping, command: str, **extra: Any) -> dict:
@@ -174,7 +178,7 @@ def cmd_check_admissibility(cfg: dict, args: argparse.Namespace) -> int:
     law = law_from_spec(cfg["law"], cfg.get("dimension"))
     op = _operation(cfg)
     box = int(op.get("box", 6))
-    report = check_admissible(law, box, _tolerance(cfg), threads=args.threads)
+    report = check_admissible(law, box, _tolerance(cfg))
     out, fmt = _output_target(cfg, "check-admissibility")
     meta = _meta(cfg, "check-admissibility", report={
         "admissible": report.admissible,
@@ -228,8 +232,11 @@ def cmd_verify_moments(cfg: dict, args: argparse.Namespace) -> int:
         print(f"not admissible: {exc}", file=sys.stderr)
         return EXIT_PROPERTY
     for index, value in _parse_corruption(getattr(args, "corrupt_entry", None)):
-        table = table.with_value(index, value)
-    hs = hildebrandt_schoenberg_check(table, tolerance, threads=args.threads)
+        try:
+            table = table.with_value(index, value)
+        except (MomentOrderError, ValueError) as exc:
+            raise ConfigError(f"--corrupt-entry {index}={value}: {exc}") from None
+    hs = hildebrandt_schoenberg_check(table, tolerance)
     masses = [
         {"degree": n, "deviation": abs(simplex_mass(table, n) - 1.0)}
         for n in range(order + 1)
@@ -501,8 +508,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="override the output path")
         p.add_argument("--format", choices=("csv", "json"), default=None,
                        help="override the output format")
-        p.add_argument("--threads", type=int, default=os.cpu_count(),
-                       help="worker threads for box/positivity scans")
+        p.add_argument("--threads", type=int, default=None,
+                       help="ignored; kept so existing command lines parse")
         p.add_argument("--tolerance", type=float, default=None,
                        help="override operation.tolerance")
         if name == "verify-moments":

@@ -9,20 +9,31 @@ sequence is the moment family of a probability measure on the unit cube iff
 ``(-1)^{|h|} Delta^h(v)(k) >= 0`` for all h, k), and evaluates the
 multinomial-weighted slice sums whose value 1 certifies that the measure
 lives on the probability simplex.
+
+The positivity scan puts the table into a dense ``(order+1)^d`` array and
+walks the difference multi-indices ``h`` depth first, so each ``Delta^h``
+comes from its parent ``Delta^{h-e_i}`` by one difference along axis i.  A
+scale tensor built the same way with a sum in place of the difference
+equals the sum of |terms| of the inclusion-exclusion expansion (the table's
+values are positive) and sets the noise floor.  Only the tensors on the
+current DFS path are alive: at most two arrays of ``(order+1)^d`` floats
+per level.  :func:`finite_difference` and :func:`_scan_pairs` expand each
+pair by inclusion-exclusion instead and serve as the independent oracle
+for the scan.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
 from scipy.special import gammaln
 
-from .admissibility import path_product
+from .admissibility import path_product, validate_tolerance
 from .errors import MomentOrderError, NotAdmissibleError
 from .laws import Counts, ReinforcementLaw, as_counts
 
@@ -100,11 +111,21 @@ class MomentTable:
         return self.linear_values[as_counts(counts)]
 
     def with_value(self, counts: Sequence[int], value: float) -> "MomentTable":
-        """Copy with one entry overwritten (test hook for corrupt tables)."""
-        if value <= 0:
-            raise ValueError("moment values must be positive")
+        """Copy with one entry overwritten (test hook for corrupt tables).
+
+        The index must lie in the table's ball and the value must be finite
+        and positive, so the overwrite always lands in the scanned table.
+        """
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"moment values must be finite and positive, got {value!r}")
+        index = as_counts(counts)
+        if len(index) != self.dimension or sum(index) > self.order:
+            raise MomentOrderError(
+                f"index {index} is outside the degree-{self.order} ball in dimension "
+                f"{self.dimension}"
+            )
         values = dict(self.log_values)
-        values[as_counts(counts)] = math.log(value)
+        values[index] = math.log(value)
         return MomentTable(self.dimension, self.order, values)
 
     def to_rows(self) -> list[tuple[Counts, float]]:
@@ -233,31 +254,74 @@ def _scan_pairs(
     return best, worst
 
 
+def _scan_dense(table: MomentTable) -> tuple[float, tuple[Counts, Counts]]:
+    """Minimum clamped signed difference over ``|h| + |k| <= order``, and where.
+
+    Visits each h once, depth first, incrementing axes in non-decreasing
+    order.  At a node with ``|h| = n`` the arrays hold ``Delta^h(v)(k)`` and
+    its scale for ``k_j <= order - n``; entries with ``|k| > order - n``
+    are masked out.  Ties go to the first (h, k) in graded-lex order, as in
+    :func:`_scan_pairs`.
+    """
+    d, order = table.dimension, table.order
+    indices = ball_indices(d, order)
+    shape = (order + 1,) * d
+    values = np.zeros(shape)
+    rank = np.zeros(shape, dtype=np.int64)
+    for r, k in enumerate(indices):
+        values[k] = table.linear_values[k]
+        rank[k] = r
+    degree = np.indices(shape).sum(axis=0)
+    floor = NOISE_FLOOR_FACTOR * math.ulp(1.0)
+    best = (math.inf, 0, 0)  # (signed value, rank of h, rank of k)
+
+    def visit(h: list[int], first_axis: int, diff: np.ndarray, scale: np.ndarray) -> None:
+        nonlocal best
+        n = sum(h)
+        box = (slice(order - n + 1),) * d
+        signed = diff if n % 2 == 0 else -diff
+        signed = np.where(np.abs(signed) < floor * scale, 0.0, signed)
+        signed = np.where(degree[box] <= order - n, signed, np.inf)
+        low = float(signed.min())
+        if low <= best[0]:
+            best = min(best, (low, int(rank[tuple(h)]), int(rank[box][signed == low].min())))
+        if n == order:
+            return
+        inner = (slice(order - n),) * d
+        for i in range(first_axis, d):
+            shifted = inner[:i] + (slice(1, order - n + 1),) + inner[i + 1 :]
+            h[i] += 1
+            visit(h, i, diff[shifted] - diff[inner], scale[shifted] + scale[inner])
+            h[i] -= 1
+
+    visit([0] * d, 0, values, values)
+    _, h_rank, k_rank = best
+    return best[0], (indices[h_rank], indices[k_rank])
+
+
 def hildebrandt_schoenberg_check(
     table: MomentTable,
     tolerance: float = DEFAULT_TOLERANCE,
-    threads: int | None = None,
 ) -> HSReport:
     """Scan ``(-1)^{|h|} Delta^h(v)(k)`` over all ``|h| + |k| <= order``.
 
     Passes when the minimum signed difference is >= -tolerance; the report
-    records the most negative value and where it occurred.  Signed values
-    within the cancellation noise floor are clamped to zero rather than
-    reported as violations.
+    records the most negative value and where it occurred (the first pair
+    in graded-lex order of h, then k, on ties).  Signed values below
+    ``NOISE_FLOOR_FACTOR * eps * scale``, where scale is the sum of |terms|
+    of the inclusion-exclusion expansion, are clamped to zero rather than
+    reported as violations.  ``tolerance`` must be finite and >= 0.
+
+    Algorithm: the table goes into a dense ``(order+1)^d`` array and the
+    multi-indices h are walked depth first, each ``Delta^h`` taken from its
+    parent ``Delta^{h-e_i}`` by one difference along axis i, with a scale
+    array carried alongside by sums.  Memory is at most two arrays of
+    ``(order+1)^d`` floats per DFS level, at most ``order + 1`` levels.
+    :func:`finite_difference` and :func:`_scan_pairs` are the independent
+    inclusion-exclusion oracle for this scan.
     """
-    d = table.dimension
-    pairs = [
-        (h, k)
-        for h in ball_indices(d, table.order)
-        for k in ball_indices(d, table.order - sum(h))
-    ]
-    if threads and threads > 1:
-        chunks = [pairs[i::threads] for i in range(threads)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda ch: _scan_pairs(table, ch), chunks))
-        best, worst = min(results, key=lambda r: r[0])
-    else:
-        best, worst = _scan_pairs(table, pairs)
+    validate_tolerance(tolerance)
+    best, worst = _scan_dense(table)
     return HSReport(
         passed=best >= -tolerance,
         max_negativity=best,

@@ -84,11 +84,10 @@ class TestCheckAdmissible:
         assert violation.lhs == pytest.approx(math.log(0.05), rel=1e-12)
         assert violation.rhs == pytest.approx(math.log(0.25), rel=1e-12)
 
-    def test_threads_agree_with_sequential(self):
-        law = DirichletLaw([0.5, 1.5, 2.5])
-        seq = check_admissible(law, 4)
-        par = check_admissible(law, 4, threads=4)
-        assert seq == par
+    @pytest.mark.parametrize("tolerance", [math.nan, math.inf, -math.inf, -1.0])
+    def test_rejects_invalid_tolerance(self, tolerance):
+        with pytest.raises(ValueError, match="tolerance"):
+            check_admissible(tabulated_witness(), 1, tolerance)
 
     def test_report_serializes(self):
         import json

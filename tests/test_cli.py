@@ -76,6 +76,42 @@ class TestCheckAdmissibility:
         )
         assert main(["check-admissibility", "--config", cfg]) == 3
 
+    @pytest.mark.parametrize("tolerance", ["nan", "inf"])
+    def test_non_finite_tolerance_is_a_config_error(self, tmp_path, tolerance):
+        # a NaN or infinite tolerance would certify the counterexample
+        cfg = write_config(
+            tmp_path,
+            {"law": WITNESS_LAW, "operation": {"box": 1}, "output": {"path": str(tmp_path / "r.json")}},
+        )
+        assert main(["check-admissibility", "--config", cfg, "--tolerance", tolerance]) == 2
+        assert not (tmp_path / "r.json").exists()
+
+    def test_negative_tolerance_is_a_config_error(self, tmp_path):
+        # a negative tolerance would flag every square of an admissible law
+        cfg = write_config(
+            tmp_path,
+            {"law": POLYA_LAW, "operation": {"box": 3}, "output": {"path": str(tmp_path / "r.json")}},
+        )
+        assert main(["check-admissibility", "--config", cfg, "--tolerance", "-1"]) == 2
+
+    def test_config_file_tolerance_is_validated(self, tmp_path):
+        cfg = write_config(
+            tmp_path,
+            {
+                "law": WITNESS_LAW,
+                "operation": {"box": 1, "tolerance": float("nan")},
+                "output": {"path": str(tmp_path / "r.json")},
+            },
+        )
+        assert main(["check-admissibility", "--config", cfg]) == 2
+
+    def test_threads_flag_is_accepted(self, tmp_path):
+        cfg = write_config(
+            tmp_path,
+            {"law": POLYA_LAW, "operation": {"box": 3}, "output": {"path": str(tmp_path / "r.json")}},
+        )
+        assert main(["check-admissibility", "--config", cfg, "--threads", "4"]) == 0
+
 
 class TestVerifyMoments:
     def test_urn_law_passes(self, tmp_path):
@@ -108,6 +144,25 @@ class TestVerifyMoments:
         assert code == 1
         payload = json.loads((tmp_path / "m.json").read_text())
         assert payload["hs_report"]["passed"] is False
+
+    def test_infinite_tolerance_is_a_config_error(self, tmp_path):
+        # an infinite tolerance would certify the corrupted table
+        cfg = write_config(
+            tmp_path,
+            {"law": POLYA_LAW, "operation": {"order": 6}, "output": {"path": str(tmp_path / "m.json")}},
+        )
+        code = main(["verify-moments", "--config", cfg, "--tolerance", "inf",
+                     "--corrupt-entry", "1,0=1.5"])
+        assert code == 2
+
+    @pytest.mark.parametrize("entry", ["9,9=1.5", "1,0,0=1.5", "1,0=-2", "1,0=nan", "1,0=inf"])
+    def test_corruption_hook_rejects_entries_it_cannot_apply(self, tmp_path, entry):
+        cfg = write_config(
+            tmp_path,
+            {"law": POLYA_LAW, "operation": {"order": 6}, "output": {"path": str(tmp_path / "m.json")}},
+        )
+        assert main(["verify-moments", "--config", cfg, "--corrupt-entry", entry]) == 2
+        assert not (tmp_path / "m.json").exists()
 
     def test_witness_cites_path_independence(self, tmp_path, capsys):
         cfg = write_config(

@@ -21,7 +21,7 @@ from urnwalk import (
     simplex_mass,
     tabulated_witness,
 )
-from urnwalk.moments import ball_indices, slice_indices
+from urnwalk.moments import MomentTable, _scan_pairs, ball_indices, slice_indices
 
 
 def iterated_difference(table, h, k):
@@ -147,10 +147,11 @@ class TestPositivityScan:
         assert finite_difference(corrupted, (1, 0), (0, 0)) == pytest.approx(0.5)
         assert report.max_negativity <= -0.5
 
-    def test_threads_agree_with_sequential(self, uniform_urn_table):
-        seq = hildebrandt_schoenberg_check(uniform_urn_table)
-        par = hildebrandt_schoenberg_check(uniform_urn_table, threads=4)
-        assert seq == par
+    @pytest.mark.parametrize("tolerance", [math.nan, math.inf, -math.inf, -1.0])
+    def test_rejects_invalid_tolerance(self, uniform_urn_table, tolerance):
+        corrupted = uniform_urn_table.with_value((1, 0), 1.5)
+        with pytest.raises(ValueError, match="tolerance"):
+            hildebrandt_schoenberg_check(corrupted, tolerance)
 
     def test_report_serializes(self, uniform_urn_table):
         import json
@@ -158,6 +159,60 @@ class TestPositivityScan:
         payload = json.loads(json.dumps(hildebrandt_schoenberg_check(uniform_urn_table).to_dict()))
         assert payload["passed"] is True
         assert payload["order_checked"] == 8
+
+
+def assert_scan_matches_oracle(table):
+    """The dense scan agrees with the inclusion-exclusion scan over every pair."""
+    d, order = table.dimension, table.order
+    pairs = [(h, k) for h in ball_indices(d, order) for k in ball_indices(d, order - sum(h))]
+    ref, _ = _scan_pairs(table, pairs)
+    report = hildebrandt_schoenberg_check(table)
+    bound = 1e-12 * max(1.0, abs(ref))
+    assert report.passed == (ref >= -report.tolerance)
+    assert abs(report.max_negativity - ref) <= bound
+    # the reported pair attains the minimum under the oracle's own expansion
+    at_worst, _ = _scan_pairs(table, [report.worst_case])
+    assert abs(at_worst - report.max_negativity) <= bound
+
+
+class TestDenseScanOracle:
+    def test_builtin_laws_at_acceptance_orders(self, law_map):
+        for name, law in law_map.items():
+            table = build_moment_table(law, 10 if law.dimension <= 3 else 8)
+            assert_scan_matches_oracle(table)
+
+    def test_one_dimensional_tables(self):
+        # uniform measure on [0, 1]: v_k = 1 / (k + 1)
+        table = MomentTable(1, 9, {(k,): -math.log(k + 1) for k in range(10)})
+        assert_scan_matches_oracle(table)
+        assert hildebrandt_schoenberg_check(table).passed
+        corrupted = table.with_value((3,), 0.3)
+        assert_scan_matches_oracle(corrupted)
+        assert not hildebrandt_schoenberg_check(corrupted).passed
+
+    def test_order_zero_table(self, law_map):
+        table = build_moment_table(law_map["polya_1_2_3_4"], 0)
+        assert_scan_matches_oracle(table)
+        report = hildebrandt_schoenberg_check(table)
+        assert report.max_negativity == 1.0
+        assert report.worst_case == ((0, 0, 0, 0), (0, 0, 0, 0))
+
+    def test_ties_go_to_the_first_pair_in_graded_lex_order(self):
+        # a constant table: every difference with h != 0 is exactly zero
+        table = MomentTable(2, 4, {k: 0.0 for k in ball_indices(2, 4)})
+        report = hildebrandt_schoenberg_check(table)
+        assert report.max_negativity == 0.0
+        assert report.worst_case == ((0, 1), (0, 0))
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_single_corrupted_entry(self, law_map, data):
+        law = data.draw(st.sampled_from([law_map["polya_1_1"], law_map["polya_h_h_2"]]))
+        order = 6 if law.dimension == 2 else 5
+        table = build_moment_table(law, order)
+        index = data.draw(st.sampled_from(ball_indices(law.dimension, order)[1:]))
+        value = data.draw(st.floats(min_value=0.0, max_value=2.0, exclude_min=True))
+        assert_scan_matches_oracle(table.with_value(index, value))
 
 
 class TestSimplexMass:
@@ -207,3 +262,9 @@ def test_moment_table_round_trips_environment_moments(env_map):
 def test_with_value_requires_positive_entries(uniform_urn_table):
     with pytest.raises(ValueError):
         uniform_urn_table.with_value((1, 0), 0.0)
+
+
+@pytest.mark.parametrize("index", [(9, 9), (5, 4), (1, 0, 0), (1,)])
+def test_with_value_rejects_indices_outside_the_ball(uniform_urn_table, index):
+    with pytest.raises(MomentOrderError):
+        uniform_urn_table.with_value(index, 0.5)
