@@ -29,8 +29,6 @@ import sys
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
-from scipy.stats import chi2 as chi2_dist
-
 from .admissibility import check_admissible, validate_tolerance
 from .config import (
     config_hash,
@@ -407,7 +405,10 @@ def cmd_compare(cfg: dict, args: argparse.Namespace) -> int:
     drawn = [run_reinforced(graph, laws, x0, steps, make_stream(seed, i)) for i in range(samples)]
     report = compare_empirical(drawn, annealed)
     statistic, dof = report.chi_square
-    threshold = float(chi2_dist.ppf(quantile, dof)) if dof > 0 else 0.0
+    # imported here: scipy.stats takes most of a second to import, and only this mode uses it
+    from scipy.stats import chi2
+
+    threshold = float(chi2.ppf(quantile, dof)) if dof > 0 else 0.0
     passed = statistic <= threshold if dof > 0 else statistic == 0.0
     meta = _meta(
         cfg,

@@ -23,32 +23,25 @@ import math
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
+from scipy.special import gammaln
 
 from .errors import DimensionMismatchError, EvaluationError
 from .laws import (
     Counts,
     ReinforcementLaw,
+    RisingPolynomial,
     SimplexPoint,
     as_counts,
+    check_alpha,
+    draw_index,
     log_rising_factorial,
-    log_rising_polynomial,
+    log_sum_exp,
+    row_sums,
     validate_polynomial_coefficients,
 )
 
 #: Resampling limit when a normalized gamma draw underflows to zero.
 _MAX_REDRAWS = 100
-
-
-def _draw_index(weights: np.ndarray, rng: np.random.Generator) -> int:
-    """Inverse-CDF categorical draw using a single uniform variate."""
-    u = rng.random()
-    acc = 0.0
-    for i, w in enumerate(weights):
-        acc += w
-        if u < acc:
-            return i
-    return len(weights) - 1
 
 
 class VertexEnvLaw:
@@ -84,11 +77,7 @@ class DirichletEnv(VertexEnvLaw):
     """Dirichlet law with parameter vector alpha (all entries positive)."""
 
     def __init__(self, alpha: Sequence[float]):
-        arr = np.asarray(alpha, dtype=float)
-        if arr.ndim != 1 or arr.size == 0:
-            raise ValueError("alpha must be a non-empty vector")
-        if not np.all(arr > 0):
-            raise ValueError("alpha entries must be strictly positive")
+        arr = check_alpha(alpha)
         self.alpha = tuple(float(a) for a in arr)
         self.dimension = arr.size
         self._alpha_arr = arr
@@ -135,11 +124,7 @@ class PolynomialDirichletEnv(VertexEnvLaw):
         degree: int,
         coefficients: Mapping[Sequence[int], float],
     ):
-        arr = np.asarray(alpha, dtype=float)
-        if arr.ndim != 1 or arr.size == 0:
-            raise ValueError("alpha must be a non-empty vector")
-        if not np.all(arr > 0):
-            raise ValueError("alpha entries must be strictly positive")
+        arr = check_alpha(alpha)
         self.alpha = tuple(float(a) for a in arr)
         self.dimension = arr.size
         self.degree = int(degree)
@@ -148,18 +133,12 @@ class PolynomialDirichletEnv(VertexEnvLaw):
         )
         self._alpha_arr = arr
         self._alpha_total = float(arr.sum())
-        self._log_poly_alpha = log_rising_polynomial(self.coefficients, arr)
+        self._poly = RisingPolynomial(self.coefficients)
+        self._log_poly_alpha = self._poly.log_value(arr)
         # mixture over monomials: weight_k proportional to a_k * prod Gamma(alpha_i + k_i)
-        indices = [k for k, a in self.coefficients.items() if a > 0]
-        log_w = np.array(
-            [
-                math.log(self.coefficients[k])
-                + sum(gammaln(self.alpha[i] + k[i]) for i in range(self.dimension))
-                for k in indices
-            ]
-        )
-        self._mixture_indices = indices
-        self._mixture_probs = np.exp(log_w - logsumexp(log_w))
+        log_w = self._poly.log_coefficients + row_sums(gammaln(arr + self._poly.exponents))
+        self._mixture_probs = np.exp(log_w - log_sum_exp(log_w))
+        self._components = [DirichletEnv(arr + k) for k in self._poly.exponents]
 
     def log_mixed_moment(self, counts: Sequence[int]) -> float:
         c = self._check_counts(counts)
@@ -167,16 +146,14 @@ class PolynomialDirichletEnv(VertexEnvLaw):
         shifted = self._alpha_arr + np.asarray(c, dtype=float)
         return (
             sum(log_rising_factorial(self.alpha[i], k) for i, k in enumerate(c))
-            + log_rising_polynomial(self.coefficients, shifted)
+            + self._poly.log_value(shifted)
             - self._log_poly_alpha
             + log_rising_factorial(self._alpha_total, self.degree)
             - log_rising_factorial(self._alpha_total, self.degree + total)
         )
 
     def sample(self, rng: np.random.Generator) -> SimplexPoint:
-        m = self._mixture_indices[_draw_index(self._mixture_probs, rng)]
-        component = DirichletEnv(self._alpha_arr + np.asarray(m, dtype=float))
-        return component.sample(rng)
+        return self._components[draw_index(self._mixture_probs, rng)].sample(rng)
 
     def __repr__(self) -> str:
         return (
@@ -235,10 +212,10 @@ class EmpiricalEnv(VertexEnvLaw):
     def log_mixed_moment(self, counts: Sequence[int]) -> float:
         c = self._check_counts(counts)
         terms = self._log_weights + self._log_points @ np.asarray(c, dtype=float)
-        return float(logsumexp(terms))
+        return log_sum_exp(terms)
 
     def sample(self, rng: np.random.Generator) -> SimplexPoint:
-        return self.atoms[_draw_index(self._weights, rng)][1]
+        return self.atoms[draw_index(self._weights, rng)][1]
 
     def __repr__(self) -> str:
         return f"EmpiricalEnv(atoms={[(w, p.weights) for w, p in self.atoms]})"
@@ -267,6 +244,9 @@ class EnvMomentLaw(ReinforcementLaw):
 
     def log_weights(self, counts: Sequence[int]) -> np.ndarray:
         c = self._check_counts(counts)
+        if self.dimension == 1:
+            # the only move is forced; a moment ratio would leave rounding error
+            return np.zeros(1)
         base = self._log_moment(c)
         out = np.empty(self.dimension)
         for i in range(self.dimension):

@@ -22,10 +22,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Sequence
 
-from scipy.special import logsumexp
-
 from .errors import EnumerationGuardError
-from .laws import Counts, ReinforcementLaw
+from .laws import Counts, ReinforcementLaw, log_sum_exp
 from .environment import VertexEnvLaw
 from .moments import MomentTable, build_moment_table
 from .walk import Graph, Trajectory
@@ -126,7 +124,7 @@ def reinforced_path_logprob(
             at_x[i] -= 1
 
     descend(0, 0.0)
-    return float(logsumexp(complete))
+    return log_sum_exp(complete)
 
 
 def annealed_path_logprob(
@@ -168,7 +166,7 @@ def annealed_path_logprob(
             at_x[i] -= 1
 
     descend(0)
-    return float(logsumexp(complete))
+    return log_sum_exp(complete)
 
 
 def _count_index_paths(graph: Graph, x0: int, steps: int) -> int:
@@ -214,7 +212,7 @@ def enumerate_reinforced(
 
     descend(0, 0.0)
     return PathDistribution(
-        x0, steps, {t: float(logsumexp(lps)) for t, lps in acc.items()}
+        x0, steps, {t: log_sum_exp(lps) for t, lps in acc.items()}
     )
 
 
@@ -254,7 +252,7 @@ def enumerate_annealed(
 
     descend(0)
     return PathDistribution(
-        x0, steps, {t: float(logsumexp(lps)) for t, lps in acc.items()}
+        x0, steps, {t: log_sum_exp(lps) for t, lps in acc.items()}
     )
 
 

@@ -24,7 +24,7 @@ from itertools import product
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
+from scipy.special import gammaln
 
 from .errors import DimensionMismatchError, EvaluationError, TableDomainError
 
@@ -88,6 +88,37 @@ def as_counts(values: Sequence[int]) -> Counts:
             raise ValueError(f"counts must be non-negative integers, got {v!r}")
         out.append(iv)
     return tuple(out)
+
+
+def check_alpha(alpha: Sequence[float]) -> np.ndarray:
+    """Validate a Dirichlet parameter vector and return it as a float array.
+
+    Entries must be finite and strictly positive, and so must their total,
+    which every family divides by.
+    """
+    arr = np.asarray(alpha, dtype=float)
+    if arr.ndim != 1 or arr.size == 0:
+        raise ValueError("alpha must be a non-empty vector")
+    if not np.all(arr > 0):
+        raise ValueError("alpha entries must be strictly positive")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("alpha entries must be finite")
+    with np.errstate(over="ignore"):
+        total = float(arr.sum())
+    if not math.isfinite(total):
+        raise ValueError("alpha total overflows")
+    return arr
+
+
+def draw_index(weights: Sequence[float], rng: np.random.Generator) -> int:
+    """Inverse-CDF categorical draw using a single uniform variate."""
+    u = rng.random()
+    acc = 0.0
+    for i, w in enumerate(weights):
+        acc += w
+        if u < acc:
+            return i
+    return len(weights) - 1
 
 
 def rising_factorial(y: float, k: int) -> float:
@@ -169,31 +200,82 @@ def validate_polynomial_coefficients(
     return dict(sorted(cleaned.items()))
 
 
+def log_sum_exp(values: Sequence[float] | np.ndarray) -> float:
+    """``log(sum(exp(values)))``, returning the same bits as ``scipy.special.logsumexp``.
+
+    The shifted algorithm of Blanchard, Higham and Higham (2021), "Accurately
+    computing the log-sum-exp and softmax functions", in scipy's order of
+    operations and with the same numpy ufuncs, minus scipy's array-API
+    dispatch (tens of microseconds a call).  The maximum and its ties are
+    split off the sum; the rest is shifted, exponentiated and summed.
+    """
+    if len(values) == 1:
+        v = float(values[0])
+        if math.isfinite(v):
+            # scipy's log1p(0) + log(1) + v; the 0.0 turns -0.0 into 0.0 as it does
+            return 0.0 + v
+    a = np.asarray(values, dtype=float)
+    if a.size == 0:
+        return -math.inf
+    a_max = a.max()
+    if not math.isfinite(a_max):
+        # nan propagates; +inf dominates; all entries -inf sum to zero
+        return float(a_max)
+    ties = a == a_max
+    count = np.float64(np.count_nonzero(ties))
+    s = np.exp(np.where(ties, -np.inf, a) - a_max).sum() / count
+    return float(np.log1p(s) + np.log(count) + a_max)
+
+
+def row_sums(table: np.ndarray) -> np.ndarray:
+    """Sum each row left to right, the order of the builtin ``sum``."""
+    out = table[:, 0]
+    for j in range(1, table.shape[1]):
+        out = out + table[:, j]
+    return out
+
+
+class RisingPolynomial:
+    """``y -> log sum_k a_k prod_i rising_factorial(y_i, k_i)``, tabulated once.
+
+    Holds the exponents of the monomials with positive coefficients as a
+    (monomials x d) array and their log-coefficients, so one evaluation is
+    one vectorised log-gamma difference and one :func:`log_sum_exp`.
+    """
+
+    def __init__(self, coefficients: Mapping[Counts, float]):
+        positive = [(index, coeff) for index, coeff in coefficients.items() if coeff != 0.0]
+        if not positive:
+            raise EvaluationError("polynomial has no positive coefficients")
+        dims = {len(index) for index, _ in positive}
+        if len(dims) != 1:
+            raise DimensionMismatchError("polynomial indices disagree on dimension")
+        self.dimension = dims.pop()
+        self.exponents = np.array([index for index, _ in positive], dtype=float)
+        self.log_coefficients = np.array([math.log(coeff) for _, coeff in positive])
+
+    def log_value(self, y: np.ndarray) -> float:
+        """Log of the polynomial at strictly positive arguments ``y``."""
+        if len(y) != self.dimension:
+            raise DimensionMismatchError(
+                f"polynomial of dimension {self.dimension} incompatible with "
+                f"argument of dimension {len(y)}"
+            )
+        factors = gammaln(y + self.exponents) - gammaln(y)
+        value = log_sum_exp(self.log_coefficients + row_sums(factors))
+        if not math.isfinite(value):
+            raise EvaluationError("polynomial evaluation underflowed")
+        return value
+
+
 def log_rising_polynomial(
     coefficients: Mapping[Counts, float], y: Sequence[float]
 ) -> float:
     """Log of ``sum_k a_k prod_i rising_factorial(y_i, k_i)`` for positive y."""
-    ys = [float(v) for v in y]
-    if any(v <= 0 for v in ys):
+    ys = np.array(y, dtype=float)
+    if np.any(ys <= 0):
         raise ValueError("polynomial arguments must be strictly positive")
-    terms = []
-    for index, coeff in coefficients.items():
-        if coeff == 0.0:
-            continue
-        if len(index) != len(ys):
-            raise DimensionMismatchError(
-                f"index {index} incompatible with argument of dimension {len(ys)}"
-            )
-        terms.append(
-            math.log(coeff)
-            + sum(log_rising_factorial(ys[i], k) for i, k in enumerate(index))
-        )
-    if not terms:
-        raise EvaluationError("polynomial has no positive coefficients")
-    value = float(logsumexp(terms))
-    if not math.isfinite(value):
-        raise EvaluationError("polynomial evaluation underflowed")
-    return value
+    return RisingPolynomial(coefficients).log_value(ys)
 
 
 def rising_polynomial(coefficients: Mapping[Counts, float], y: Sequence[float]) -> float:
@@ -248,11 +330,7 @@ class DirichletLaw(ReinforcementLaw):
     """Polya urn rule: move i gets probability (alpha_i + p_i) / sum(alpha + p)."""
 
     def __init__(self, alpha: Sequence[float]):
-        arr = np.asarray(alpha, dtype=float)
-        if arr.ndim != 1 or arr.size == 0:
-            raise ValueError("alpha must be a non-empty vector")
-        if not np.all(arr > 0):
-            raise ValueError("alpha entries must be strictly positive")
+        arr = check_alpha(alpha)
         self.alpha = tuple(float(a) for a in arr)
         self.dimension = arr.size
         self._alpha_arr = arr
@@ -289,11 +367,7 @@ class PolynomialDirichletLaw(ReinforcementLaw):
         degree: int,
         coefficients: Mapping[Sequence[int], float],
     ):
-        arr = np.asarray(alpha, dtype=float)
-        if arr.ndim != 1 or arr.size == 0:
-            raise ValueError("alpha must be a non-empty vector")
-        if not np.all(arr > 0):
-            raise ValueError("alpha entries must be strictly positive")
+        arr = check_alpha(alpha)
         self.alpha = tuple(float(a) for a in arr)
         self.dimension = arr.size
         self.degree = int(degree)
@@ -302,6 +376,7 @@ class PolynomialDirichletLaw(ReinforcementLaw):
         )
         self._alpha_arr = arr
         self._alpha_total = float(arr.sum())
+        self._poly = RisingPolynomial(self.coefficients)
         self._log_poly_cache: dict[Counts, float] = {}
 
     def _log_poly(self, counts: Counts) -> float:
@@ -309,12 +384,15 @@ class PolynomialDirichletLaw(ReinforcementLaw):
         cached = self._log_poly_cache.get(counts)
         if cached is None:
             y = self._alpha_arr + np.asarray(counts, dtype=float)
-            cached = log_rising_polynomial(self.coefficients, y)
+            cached = self._poly.log_value(y)
             self._log_poly_cache[counts] = cached
         return cached
 
     def log_weights(self, counts: Sequence[int]) -> np.ndarray:
         c = self._check_counts(counts)
+        if self.dimension == 1:
+            # the only move is forced; the ratio formula would leave rounding error
+            return np.zeros(1)
         base = self._log_poly(c)
         total = self._alpha_total + sum(c) + self.degree
         out = np.empty(self.dimension)

@@ -24,7 +24,7 @@ import numpy as np
 
 from .environment import VertexEnvLaw
 from .errors import DimensionMismatchError
-from .laws import Counts, ReinforcementLaw, SimplexPoint
+from .laws import Counts, ReinforcementLaw, SimplexPoint, draw_index
 
 Trajectory = tuple[int, ...]
 
@@ -146,16 +146,6 @@ def spawn_streams(seed: int, count: int) -> list[np.random.Generator]:
     return [make_stream(seed, i) for i in range(count)]
 
 
-def _draw_move(weights: Sequence[float], rng: np.random.Generator) -> int:
-    u = rng.random()
-    acc = 0.0
-    for i, w in enumerate(weights):
-        acc += w
-        if u < acc:
-            return i
-    return len(weights) - 1
-
-
 def step_reinforced(
     graph: Graph,
     laws: Mapping[int, ReinforcementLaw],
@@ -171,7 +161,7 @@ def step_reinforced(
         )
     counts = state.counts_at(x, graph.degree(x))
     point = law.weights(tuple(counts))
-    move = _draw_move(point.weights, rng)
+    move = draw_index(point.weights, rng)
     counts[move] += 1
     state.vertex = graph.neighbors[x][move]
     return move
@@ -202,7 +192,7 @@ def step_quenched(
         point = assignment[x]
     except KeyError:
         raise DimensionMismatchError(f"environment assignment misses vertex {x}") from None
-    return _draw_move(point.weights, rng)
+    return draw_index(point.weights, rng)
 
 
 def run_quenched(

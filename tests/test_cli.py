@@ -1,6 +1,9 @@
 """Command-line behavior: exit codes, outputs, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -455,3 +458,96 @@ class TestDeriveAndRecover:
             },
         )
         assert main(["recover-moments", "--config", cfg]) == 1
+
+
+def one_move_polynomial(alpha: float, degree: int) -> dict:
+    return {
+        "family": "polynomial_dirichlet",
+        "alpha": [alpha],
+        "degree": degree,
+        "coefficients": [{"index": [degree], "value": 2.0}],
+    }
+
+
+POLY_CENTER = {
+    "family": "polynomial_dirichlet",
+    "alpha": [1.0, 2.0],
+    "degree": 1,
+    "coefficients": [{"index": [1, 0], "value": 1.0}],
+}
+
+
+class TestOneMovePolynomialVertices:
+    """A one-move vertex is a point mass whatever its spec; rounding must not reject it."""
+
+    def test_simulate_with_polynomial_law_leaves(self, tmp_path):
+        out = tmp_path / "t.json"
+        cfg = write_config(
+            tmp_path,
+            {
+                "graph": STAR_GRAPH,
+                "laws": {"default": one_move_polynomial(0.7, 2), "per_vertex": {"0": POLY_CENTER}},
+                "seed": 5,
+                "operation": {"mode": "reinforced", "steps": 40, "trajectories": 20},
+                "output": {"path": str(out)},
+            },
+        )
+        assert main(["simulate", "--config", cfg]) == 0
+        payload = json.loads(out.read_text())
+        assert len(payload["trajectories"]) == 20
+
+    def test_empirical_compare_with_polynomial_env_leaves(self, tmp_path):
+        cfg = write_config(
+            tmp_path,
+            {
+                "graph": STAR_GRAPH,
+                "envs": {"default": one_move_polynomial(1.3, 1), "per_vertex": {"0": POLY_CENTER}},
+                "seed": 5,
+                "operation": {"mode": "empirical", "steps": 6, "samples": 500},
+                "output": {"path": str(tmp_path / "c.json")},
+            },
+        )
+        assert main(["compare", "--config", cfg]) == 0
+
+
+class TestAlphaValidation:
+    def test_infinite_law_alpha_is_a_config_error(self, tmp_path):
+        cfg = write_config(
+            tmp_path,
+            {
+                "graph": STAR_GRAPH,
+                "laws": {
+                    "default": {"family": "uniform"},
+                    "per_vertex": {"0": {"family": "dirichlet", "alpha": [float("inf"), 1.0]}},
+                },
+                "seed": 3,
+                "operation": {"mode": "reinforced", "steps": 5, "trajectories": 2},
+                "output": {"path": str(tmp_path / "t.json")},
+            },
+        )
+        assert main(["simulate", "--config", cfg]) == 2
+
+    def test_overflowing_env_alpha_total_is_a_config_error(self, tmp_path):
+        cfg = write_config(
+            tmp_path,
+            {
+                "graph": STAR_GRAPH,
+                "envs": {
+                    "default": {"family": "point_mass", "weights": [1.0]},
+                    "per_vertex": {"0": {"family": "dirichlet", "alpha": [1e308, 1e308]}},
+                },
+                "operation": {"mode": "exact", "steps": 4},
+                "output": {"path": str(tmp_path / "c.json")},
+            },
+        )
+        assert main(["compare", "--config", cfg]) == 2
+
+
+def test_importing_the_cli_leaves_scipy_stats_unloaded():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    probe = "import sys, urnwalk.cli; print('scipy.stats' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "False"

@@ -22,7 +22,7 @@ from urnwalk import (
     rising_factorial,
     rising_polynomial,
 )
-from urnwalk.environment import PolynomialDirichletEnv
+from urnwalk.environment import DirichletEnv, PolynomialDirichletEnv
 
 
 class TestSimplexPoint:
@@ -218,3 +218,35 @@ def test_all_builtin_laws_output_simplex_points(law_map):
 def test_uniform_law_is_constant():
     law = UniformLaw(4)
     assert law.weights((3, 0, 2, 9)).weights == pytest.approx((0.25,) * 4)
+
+
+class TestAlphaCheck:
+    FAMILIES = [
+        DirichletLaw,
+        lambda a: PolynomialDirichletLaw(a, 1, {(1,) + (0,) * (len(a) - 1): 1.0}),
+        DirichletEnv,
+        lambda a: PolynomialDirichletEnv(a, 1, {(1,) + (0,) * (len(a) - 1): 1.0}),
+    ]
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize(
+        "alpha",
+        [[], [1.0, 0.0], [1.0, -2.0], [math.nan, 1.0], [math.inf, 1.0], [1e308, 1e308]],
+    )
+    def test_every_family_rejects_bad_alpha(self, family, alpha):
+        with pytest.raises(ValueError, match="alpha"):
+            family(alpha)
+
+
+class TestOneMoveLaws:
+    @pytest.mark.parametrize("alpha", [0.7, 1.3, 2.9])
+    @pytest.mark.parametrize("degree", [1, 2, 3])
+    def test_polynomial_laws_give_the_forced_move(self, alpha, degree):
+        coefficients = {(degree,): 1.0}
+        for law in (
+            PolynomialDirichletLaw([alpha], degree, coefficients),
+            law_from_env(PolynomialDirichletEnv([alpha], degree, coefficients)),
+        ):
+            for p in range(12):
+                assert law.log_weights((p,)).tolist() == [0.0]
+                assert law.weights((p,)).weights == (1.0,)
