@@ -83,7 +83,6 @@ from .walk import (
     run_reinforced,
     sample_environment,
     segment_graph,
-    spawn_streams,
     star_graph,
     step_quenched,
     step_reinforced,

@@ -32,6 +32,7 @@ from typing import Any, Mapping, Sequence
 from .admissibility import check_admissible, validate_tolerance
 from .config import (
     config_hash,
+    config_int,
     env_from_spec,
     graph_from_spec,
     law_from_spec,
@@ -138,6 +139,17 @@ def _operation(cfg: Mapping) -> Mapping:
     return op
 
 
+def _op_int(cfg: Mapping, key: str, default: int) -> int:
+    return config_int(_operation(cfg).get(key, default), f"operation.{key}")
+
+
+def _dimension(cfg: Mapping) -> int | None:
+    """The optional top-level ``dimension`` a law is checked against."""
+    if "dimension" not in cfg:
+        return None
+    return config_int(cfg["dimension"], "dimension")
+
+
 def _tolerance(cfg: Mapping) -> float:
     raw = _operation(cfg).get("tolerance", DEFAULT_TOLERANCE)
     try:
@@ -158,13 +170,13 @@ def _require_seed(cfg: Mapping, command: str) -> int:
     if "seed" not in cfg:
         raise ConfigError(f"{command}: sampling requires a seed (config 'seed' or --seed)")
     seed = cfg["seed"]
-    if not isinstance(seed, int) or seed < 0 or seed >= 2**64:
+    if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2**64:
         raise ConfigError(f"seed must be an unsigned 64-bit integer, got {seed!r}")
     return seed
 
 
 def _start_vertex(cfg: Mapping, graph) -> int:
-    x0 = int(_operation(cfg).get("start", 0))
+    x0 = _op_int(cfg, "start", 0)
     if not (0 <= x0 < graph.vertex_count):
         raise ConfigError(f"start vertex {x0} not in graph")
     return x0
@@ -173,9 +185,8 @@ def _start_vertex(cfg: Mapping, graph) -> int:
 def cmd_check_admissibility(cfg: dict, args: argparse.Namespace) -> int:
     if "law" not in cfg:
         raise ConfigError("check-admissibility needs a 'law' section")
-    law = law_from_spec(cfg["law"], cfg.get("dimension"))
-    op = _operation(cfg)
-    box = int(op.get("box", 6))
+    law = law_from_spec(cfg["law"], _dimension(cfg))
+    box = _op_int(cfg, "box", 6)
     report = check_admissible(law, box, _tolerance(cfg))
     out, fmt = _output_target(cfg, "check-admissibility")
     meta = _meta(cfg, "check-admissibility", report={
@@ -220,9 +231,8 @@ def _parse_corruption(entries: Sequence[str] | None) -> list[tuple[tuple[int, ..
 def cmd_verify_moments(cfg: dict, args: argparse.Namespace) -> int:
     if "law" not in cfg:
         raise ConfigError("verify-moments needs a 'law' section")
-    law = law_from_spec(cfg["law"], cfg.get("dimension"))
-    op = _operation(cfg)
-    order = int(op.get("order", 8))
+    law = law_from_spec(cfg["law"], _dimension(cfg))
+    order = _op_int(cfg, "order", 8)
     tolerance = _tolerance(cfg)
     try:
         table = recover_env_moments(law, order)
@@ -293,7 +303,7 @@ def _resolve_assignment(cfg: Mapping, graph, command: str) -> tuple[dict, dict]:
                 f"{command}: quenched mode needs an inline 'assignment' or envs plus "
                 "operation.env_seed to sample-and-freeze"
             )
-        env_seed = int(op["env_seed"])
+        env_seed = config_int(op["env_seed"], "operation.env_seed")
         envs = resolve_per_vertex(graph, cfg["envs"], env_from_spec, "envs")
         assignment = sample_environment(graph, envs, make_stream(env_seed))
         meta_extra["assignment_source"] = "sampled"
@@ -314,10 +324,10 @@ def cmd_simulate(cfg: dict, args: argparse.Namespace) -> int:
     mode = op.get("mode")
     if mode not in ("reinforced", "quenched", "annealed"):
         raise ConfigError(f"simulate: operation.mode must be reinforced|quenched|annealed, got {mode!r}")
-    steps = int(op.get("steps", 0))
+    steps = _op_int(cfg, "steps", 0)
     if steps < 0:
         raise ConfigError("operation.steps must be >= 0")
-    count = int(op.get("trajectories", 1))
+    count = _op_int(cfg, "trajectories", 1)
     if count < 1:
         raise ConfigError("operation.trajectories must be >= 1")
     x0 = _start_vertex(cfg, graph)
@@ -362,9 +372,9 @@ def cmd_compare(cfg: dict, args: argparse.Namespace) -> int:
         laws = {x: law_from_env(env) for x, env in envs.items()}
     op = _operation(cfg)
     mode = op.get("mode", "exact")
-    steps = int(op.get("steps", 4))
+    steps = _op_int(cfg, "steps", 4)
     x0 = _start_vertex(cfg, graph)
-    max_paths = int(op.get("max_paths", 10**6))
+    max_paths = _op_int(cfg, "max_paths", 10**6)
     tolerance = _tolerance(cfg)
     out, fmt = _output_target(cfg, "compare")
 
@@ -400,7 +410,7 @@ def cmd_compare(cfg: dict, args: argparse.Namespace) -> int:
     if mode != "empirical":
         raise ConfigError(f"compare: operation.mode must be 'exact' or 'empirical', got {mode!r}")
     seed = _require_seed(cfg, "compare")
-    samples = int(op.get("samples", 10**5))
+    samples = _op_int(cfg, "samples", 10**5)
     quantile = float(op.get("quantile", 0.999))
     drawn = [run_reinforced(graph, laws, x0, steps, make_stream(seed, i)) for i in range(samples)]
     report = compare_empirical(drawn, annealed)
@@ -443,8 +453,7 @@ def cmd_derive_law(cfg: dict, args: argparse.Namespace) -> int:
         raise ConfigError("derive-law needs an 'env' section")
     env = env_from_spec(cfg["env"])
     law = law_from_env(env)
-    op = _operation(cfg)
-    box = int(op.get("box", 6))
+    box = _op_int(cfg, "box", 6)
     from itertools import product as iproduct
 
     rows = []
@@ -468,9 +477,8 @@ def cmd_derive_law(cfg: dict, args: argparse.Namespace) -> int:
 def cmd_recover_moments(cfg: dict, args: argparse.Namespace) -> int:
     if "law" not in cfg:
         raise ConfigError("recover-moments needs a 'law' section")
-    law = law_from_spec(cfg["law"], cfg.get("dimension"))
-    op = _operation(cfg)
-    order = int(op.get("order", 8))
+    law = law_from_spec(cfg["law"], _dimension(cfg))
+    order = _op_int(cfg, "order", 8)
     try:
         table = recover_env_moments(law, order)
     except NotAdmissibleError as exc:

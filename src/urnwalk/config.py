@@ -91,6 +91,19 @@ def _require(spec: Mapping, key: str, context: str) -> Any:
     return spec[key]
 
 
+def config_int(value: Any, name: str) -> int:
+    """An integer config field: an int, or a float with an integral value.
+
+    Rejects bools (a subclass of int), fractional or non-finite floats and
+    strings, which ``int()`` would accept or silently truncate.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if isinstance(value, float) and not value.is_integer():
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _coefficients_from_spec(entries: Any, context: str) -> dict[tuple[int, ...], float]:
     if not isinstance(entries, list) or not entries:
         raise ConfigError(f"{context}: coefficients must be a non-empty array")

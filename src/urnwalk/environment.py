@@ -37,6 +37,7 @@ from .laws import (
     log_rising_factorial,
     log_sum_exp,
     row_sums,
+    sum_as_numpy,
     validate_polynomial_coefficients,
 )
 
@@ -90,10 +91,14 @@ class DirichletEnv(VertexEnvLaw):
 
     def sample(self, rng: np.random.Generator) -> SimplexPoint:
         for _ in range(_MAX_REDRAWS):
-            gammas = rng.gamma(shape=self._alpha_arr)
-            total = gammas.sum()
-            if total > 0 and np.all(gammas / total > 0):
-                return SimplexPoint(tuple(gammas / total))
+            # the draws of rng.gamma(shape=alpha), whose scale 1.0 multiplies exactly,
+            # without its second argument check
+            draws = rng.standard_gamma(self._alpha_arr).tolist()
+            total = sum_as_numpy(draws)
+            if total > 0:
+                point = tuple([g / total for g in draws])
+                if all(w > 0 for w in point):
+                    return SimplexPoint(point)
         raise EvaluationError("gamma sampling kept underflowing to zero")
 
     def __repr__(self) -> str:
@@ -153,7 +158,7 @@ class PolynomialDirichletEnv(VertexEnvLaw):
         )
 
     def sample(self, rng: np.random.Generator) -> SimplexPoint:
-        return self._components[draw_index(self._mixture_probs, rng)].sample(rng)
+        return self._components[draw_index(self._mixture_probs, rng.random())].sample(rng)
 
     def __repr__(self) -> str:
         return (
@@ -215,7 +220,7 @@ class EmpiricalEnv(VertexEnvLaw):
         return log_sum_exp(terms)
 
     def sample(self, rng: np.random.Generator) -> SimplexPoint:
-        return self.atoms[draw_index(self._weights, rng)][1]
+        return self.atoms[draw_index(self._weights, rng.random())][1]
 
     def __repr__(self) -> str:
         return f"EmpiricalEnv(atoms={[(w, p.weights) for w, p in self.atoms]})"
@@ -243,7 +248,9 @@ class EnvMomentLaw(ReinforcementLaw):
         return cached
 
     def log_weights(self, counts: Sequence[int]) -> np.ndarray:
-        c = self._check_counts(counts)
+        return self._log_weights(self._check_counts(counts))
+
+    def _log_weights(self, c: Counts) -> np.ndarray:
         if self.dimension == 1:
             # the only move is forced; a moment ratio would leave rounding error
             return np.zeros(1)

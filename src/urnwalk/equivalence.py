@@ -238,7 +238,8 @@ def enumerate_annealed(
 
     def descend(depth: int) -> None:
         if depth == steps:
-            logp = math.fsum(moment(x, tuple(c)) for x, c in counts.items())
+            # counts is shared across branches: skip vertices only other paths left
+            logp = math.fsum(moment(x, tuple(c)) for x, c in counts.items() if any(c))
             acc.setdefault(tuple(path), []).append(logp)
             return
         x = path[-1]

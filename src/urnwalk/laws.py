@@ -20,7 +20,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 from itertools import product
+from operator import add
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
@@ -37,30 +39,42 @@ MIN_WEIGHT = 1e-300
 Counts = tuple[int, ...]
 
 
+def check_simplex(ws: tuple[float, ...]) -> tuple[float, ...]:
+    """Return ``ws`` if it is a probability vector with strictly positive coordinates.
+
+    ``ws`` must be non-empty, sum to 1 within :data:`SIMPLEX_SUM_TOL`, and
+    each weight must lie in ``[MIN_WEIGHT, 1]``; NaN fails the lower bound.
+    Raises ``ValueError`` otherwise.  Callers pass builtin floats.
+    """
+    if not ws:
+        raise ValueError("simplex point needs at least one coordinate")
+    total = math.fsum(ws)
+    if abs(total - 1.0) > SIMPLEX_SUM_TOL:
+        raise ValueError(f"weights sum to {total!r}, not 1")
+    for w in ws:
+        if not (w >= MIN_WEIGHT):
+            raise ValueError(f"weight {w!r} is not strictly positive")
+        if w > 1.0:
+            raise ValueError(f"weight {w!r} exceeds 1")
+    return ws
+
+
 @dataclass(frozen=True)
 class SimplexPoint:
     """A probability vector with strictly positive coordinates.
 
     Every weight must lie in ``(0, 1]`` (at least :data:`MIN_WEIGHT`) and the
     weights must sum to 1 within :data:`SIMPLEX_SUM_TOL`.  For dimension 1 the
-    single weight is exactly 1.
+    single weight is exactly 1.  See :func:`check_simplex`.
     """
 
     weights: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if not self.weights:
-            raise ValueError("simplex point needs at least one coordinate")
         # normalize numpy scalars so downstream serialization sees builtins
-        object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
-        total = math.fsum(self.weights)
-        if abs(total - 1.0) > SIMPLEX_SUM_TOL:
-            raise ValueError(f"weights sum to {total!r}, not 1")
-        for w in self.weights:
-            if not (w >= MIN_WEIGHT):
-                raise ValueError(f"weight {w!r} is not strictly positive")
-            if w > 1.0:
-                raise ValueError(f"weight {w!r} exceeds 1")
+        object.__setattr__(
+            self, "weights", check_simplex(tuple(float(w) for w in self.weights))
+        )
 
     @property
     def dim(self) -> int:
@@ -110,15 +124,28 @@ def check_alpha(alpha: Sequence[float]) -> np.ndarray:
     return arr
 
 
-def draw_index(weights: Sequence[float], rng: np.random.Generator) -> int:
-    """Inverse-CDF categorical draw using a single uniform variate."""
-    u = rng.random()
+def draw_index(weights: Sequence[float], u: float) -> int:
+    """Inverse-CDF categorical draw from one uniform variate ``u`` in [0, 1)."""
     acc = 0.0
     for i, w in enumerate(weights):
         acc += w
         if u < acc:
             return i
     return len(weights) - 1
+
+
+#: From this length on numpy's ``sum`` adds in pairwise blocks; below it, left to right.
+PAIRWISE_SUM_MIN = 8
+
+
+def sum_as_numpy(values: list[float]) -> float:
+    """``np.sum(values)`` bit for bit, without building an array for short lists.
+
+    Not the builtin ``sum``: from Python 3.12 on it compensates rounding.
+    """
+    if len(values) < PAIRWISE_SUM_MIN:
+        return reduce(add, values)
+    return float(np.sum(values))
 
 
 def rising_factorial(y: float, k: int) -> float:
@@ -288,7 +315,9 @@ class ReinforcementLaw:
 
     Laws are immutable after construction and evaluation is pure, so a single
     instance may be shared freely across threads.  Subclasses implement
-    :meth:`log_weights`.
+    :meth:`log_weights`; the built-in families also override
+    :meth:`_log_weights` or :meth:`_simplex`, which take counts the caller
+    has already validated (the walk's own).
     """
 
     dimension: int
@@ -304,9 +333,17 @@ class ReinforcementLaw:
     def log_weights(self, counts: Sequence[int]) -> np.ndarray:
         raise NotImplementedError
 
+    def _log_weights(self, c: Counts) -> np.ndarray:
+        """Log-weights at validated counts ``c``."""
+        return self.log_weights(c)
+
+    def _simplex(self, c: Counts) -> tuple[float, ...]:
+        """Weights at validated counts ``c``, passed through :func:`check_simplex`."""
+        return check_simplex(tuple(np.exp(self._log_weights(c)).tolist()))
+
     def weights(self, counts: Sequence[int]) -> SimplexPoint:
         """Evaluate the law; validates the output is a proper simplex point."""
-        return SimplexPoint(tuple(np.exp(self.log_weights(counts))))
+        return SimplexPoint(self._simplex(self._check_counts(counts)))
 
 
 class UniformLaw(ReinforcementLaw):
@@ -317,10 +354,14 @@ class UniformLaw(ReinforcementLaw):
             raise ValueError("dimension must be >= 1")
         self.dimension = dimension
         self._log = np.full(dimension, -math.log(dimension))
+        self._weights = check_simplex(tuple(np.exp(self._log).tolist()))
 
     def log_weights(self, counts: Sequence[int]) -> np.ndarray:
         self._check_counts(counts)
         return self._log.copy()
+
+    def _simplex(self, c: Counts) -> tuple[float, ...]:
+        return self._weights
 
     def __repr__(self) -> str:
         return f"UniformLaw(dimension={self.dimension})"
@@ -335,10 +376,15 @@ class DirichletLaw(ReinforcementLaw):
         self.dimension = arr.size
         self._alpha_arr = arr
 
+    # the same as the inherited method; defined on the class because
+    # perfbench/worker.py traces DirichletLaw.weights by name
     def weights(self, counts: Sequence[int]) -> SimplexPoint:
-        c = self._check_counts(counts)
-        shifted = self._alpha_arr + np.asarray(c, dtype=float)
-        return SimplexPoint(tuple(shifted / shifted.sum()))
+        return SimplexPoint(self._simplex(self._check_counts(counts)))
+
+    def _simplex(self, c: Counts) -> tuple[float, ...]:
+        shifted = list(map(add, self.alpha, c))
+        total = sum_as_numpy(shifted)
+        return check_simplex(tuple([s / total for s in shifted]))
 
     def log_weights(self, counts: Sequence[int]) -> np.ndarray:
         c = self._check_counts(counts)
@@ -389,7 +435,9 @@ class PolynomialDirichletLaw(ReinforcementLaw):
         return cached
 
     def log_weights(self, counts: Sequence[int]) -> np.ndarray:
-        c = self._check_counts(counts)
+        return self._log_weights(self._check_counts(counts))
+
+    def _log_weights(self, c: Counts) -> np.ndarray:
         if self.dimension == 1:
             # the only move is forced; the ratio formula would leave rounding error
             return np.zeros(1)
@@ -449,8 +497,7 @@ class TabulatedLaw(ReinforcementLaw):
                 raise ValueError(f"table is missing entry for counts {key}")
         self.table = entries
 
-    def weights(self, counts: Sequence[int]) -> SimplexPoint:
-        c = self._check_counts(counts)
+    def _point(self, c: Counts) -> SimplexPoint:
         if any(v > self.box_size for v in c):
             if self.fallback == "reject":
                 raise TableDomainError(
@@ -458,6 +505,12 @@ class TabulatedLaw(ReinforcementLaw):
                 )
             c = tuple(min(v, self.box_size) for v in c)
         return self.table[c]
+
+    def weights(self, counts: Sequence[int]) -> SimplexPoint:
+        return self._point(self._check_counts(counts))
+
+    def _simplex(self, c: Counts) -> tuple[float, ...]:
+        return self._point(c).weights
 
     def log_weights(self, counts: Sequence[int]) -> np.ndarray:
         return self.weights(counts).log_weights()

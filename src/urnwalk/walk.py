@@ -9,16 +9,19 @@ chain in a fixed assignment of transition vectors; the annealed walk draws
 a fresh assignment from the per-vertex environment laws and then runs the
 quenched walk in it.
 
-All sampling takes an explicit ``numpy.random.Generator``.  Categorical
-draws use a single uniform variate and inverse CDF over the ordered
-neighbor list, so runs are reproducible bit-for-bit for a fixed seed.
+All sampling takes an explicit ``numpy.random.Generator``, one per
+trajectory.  Each step uses one uniform variate and inverse CDF over the
+ordered neighbor list.  The runs draw their step uniforms from the
+trajectory's stream in blocks of :data:`UNIFORM_BLOCK`; a block holds the
+same numbers as that many one-at-a-time draws, so runs are reproducible
+bit-for-bit for a fixed seed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -27,6 +30,9 @@ from .errors import DimensionMismatchError
 from .laws import Counts, ReinforcementLaw, SimplexPoint, draw_index
 
 Trajectory = tuple[int, ...]
+
+#: Step uniforms drawn from the generator at once: few calls, bounded memory.
+UNIFORM_BLOCK = 4096
 
 #: A fixed environment: one transition vector per vertex.
 EnvironmentAssignment = Mapping[int, SimplexPoint]
@@ -123,17 +129,16 @@ def grid_graph(rows: int, cols: int) -> Graph:
 
 @dataclass
 class WalkState:
-    """Mutable per-trajectory state: position plus per-vertex move counts."""
+    """Mutable per-trajectory state: position plus per-vertex move counts.
+
+    Counts given at construction are validated when the walk first steps
+    from their vertex; counts the walk creates start at zero.
+    """
 
     vertex: int
     counts: dict[int, list[int]] = field(default_factory=dict)
-
-    def counts_at(self, x: int, degree: int) -> list[int]:
-        existing = self.counts.get(x)
-        if existing is None:
-            existing = [0] * degree
-            self.counts[x] = existing
-        return existing
+    #: vertices whose law and counts have been checked against the graph
+    entered: set[int] = field(default_factory=set, init=False, repr=False, compare=False)
 
 
 def make_stream(seed: int, stream: int = 0) -> np.random.Generator:
@@ -141,27 +146,45 @@ def make_stream(seed: int, stream: int = 0) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(stream,)))
 
 
-def spawn_streams(seed: int, count: int) -> list[np.random.Generator]:
-    """One disjoint generator per trajectory index, derived from one seed."""
-    return [make_stream(seed, i) for i in range(count)]
+def _uniforms(rng: np.random.Generator, count: int) -> Iterator[float]:
+    """``count`` uniforms from ``rng``, the same as ``count`` calls of ``rng.random()``."""
+    for start in range(0, count, UNIFORM_BLOCK):
+        yield from rng.random(min(UNIFORM_BLOCK, count - start)).tolist()
+
+
+def _enter(
+    graph: Graph, laws: Mapping[int, ReinforcementLaw], state: WalkState, x: int
+) -> None:
+    """Check the law at x against its degree and set up the counts at x."""
+    law = laws[x]
+    degree = graph.degree(x)
+    if law.dimension != degree:
+        raise DimensionMismatchError(
+            f"law at vertex {x} has dimension {law.dimension}, degree is {degree}"
+        )
+    given = state.counts.get(x)
+    if given is None:
+        state.counts[x] = [0] * degree
+    else:
+        given[:] = law._check_counts(given)
+    state.entered.add(x)
 
 
 def step_reinforced(
     graph: Graph,
     laws: Mapping[int, ReinforcementLaw],
     state: WalkState,
-    rng: np.random.Generator,
+    u: float,
 ) -> int:
-    """Draw one reinforced move; updates counts and position, returns the move index."""
+    """Take one reinforced move with uniform ``u``; updates counts and position.
+
+    Returns the move index.
+    """
     x = state.vertex
-    law = laws[x]
-    if law.dimension != graph.degree(x):
-        raise DimensionMismatchError(
-            f"law at vertex {x} has dimension {law.dimension}, degree is {graph.degree(x)}"
-        )
-    counts = state.counts_at(x, graph.degree(x))
-    point = law.weights(tuple(counts))
-    move = draw_index(point.weights, rng)
+    if x not in state.entered:
+        _enter(graph, laws, state, x)
+    counts = state.counts[x]
+    move = draw_index(laws[x]._simplex(tuple(counts)), u)
     counts[move] += 1
     state.vertex = graph.neighbors[x][move]
     return move
@@ -178,21 +201,19 @@ def run_reinforced(
     _check_start(graph, x0)
     state = WalkState(vertex=x0)
     path = [x0]
-    for _ in range(steps):
-        step_reinforced(graph, laws, state, rng)
+    for u in _uniforms(rng, steps):
+        step_reinforced(graph, laws, state, u)
         path.append(state.vertex)
     return tuple(path)
 
 
-def step_quenched(
-    assignment: EnvironmentAssignment, x: int, rng: np.random.Generator
-) -> int:
-    """Draw one move index from the fixed transition vector at x."""
+def step_quenched(assignment: EnvironmentAssignment, x: int, u: float) -> int:
+    """Draw one move index at x from its fixed transition vector with uniform ``u``."""
     try:
         point = assignment[x]
     except KeyError:
         raise DimensionMismatchError(f"environment assignment misses vertex {x}") from None
-    return draw_index(point.weights, rng)
+    return draw_index(point.weights, u)
 
 
 def run_quenched(
@@ -207,8 +228,8 @@ def run_quenched(
     _check_assignment(graph, assignment)
     path = [x0]
     x = x0
-    for _ in range(steps):
-        move = step_quenched(assignment, x, rng)
+    for u in _uniforms(rng, steps):
+        move = step_quenched(assignment, x, u)
         x = graph.neighbors[x][move]
         path.append(x)
     return tuple(path)

@@ -543,6 +543,64 @@ class TestAlphaValidation:
         assert main(["compare", "--config", cfg]) == 2
 
 
+_SIMULATE_OP = {"mode": "reinforced", "steps": 3, "trajectories": 2, "start": 0}
+INTEGER_FIELD_CASES = {
+    # field: (command, config, where the field goes: "operation" or the top level)
+    "steps": ("simulate", {"graph": STAR_GRAPH, "laws": STAR_LAWS, "seed": 1,
+                           "operation": _SIMULATE_OP}, "operation"),
+    "trajectories": ("simulate", {"graph": STAR_GRAPH, "laws": STAR_LAWS, "seed": 1,
+                                  "operation": _SIMULATE_OP}, "operation"),
+    "start": ("simulate", {"graph": STAR_GRAPH, "laws": STAR_LAWS, "seed": 1,
+                           "operation": _SIMULATE_OP}, "operation"),
+    "env_seed": ("simulate", {"graph": STAR_GRAPH, "envs": STAR_ENVS, "seed": 1,
+                              "operation": {**_SIMULATE_OP, "mode": "quenched", "env_seed": 1}},
+                 "operation"),
+    "samples": ("compare", {"graph": STAR_GRAPH, "envs": STAR_ENVS, "seed": 1,
+                            "operation": {"mode": "empirical", "steps": 2, "samples": 200}},
+                "operation"),
+    "max_paths": ("compare", {"graph": STAR_GRAPH, "envs": STAR_ENVS,
+                              "operation": {"mode": "exact", "steps": 2, "max_paths": 100}},
+                  "operation"),
+    "box": ("check-admissibility", {"law": POLYA_LAW, "operation": {"box": 2}}, "operation"),
+    "order": ("verify-moments", {"law": POLYA_LAW, "operation": {"order": 2}}, "operation"),
+    # a uniform law takes its dimension from this field, so true became UniformLaw(1)
+    "dimension": ("check-admissibility", {"law": {"family": "uniform"}, "dimension": 2,
+                                          "operation": {"box": 2}}, "top"),
+}
+
+
+class TestIntegerFields:
+    """Integer fields take ints or integral floats; int() would accept true and truncate 2.5."""
+
+    @staticmethod
+    def _run(tmp_path, field, value):
+        command, payload, where = INTEGER_FIELD_CASES[field]
+        payload = json.loads(json.dumps(payload))
+        target = payload["operation"] if where == "operation" else payload
+        if value is not None:
+            target[field] = value
+        payload["output"] = {"path": str(tmp_path / "o.json")}
+        return main([command, "--config", write_config(tmp_path, payload)])
+
+    @pytest.mark.parametrize("field", sorted(INTEGER_FIELD_CASES))
+    @pytest.mark.parametrize("value", [True, 2.5, "2"])
+    def test_bad_values_are_config_errors(self, tmp_path, capsys, field, value):
+        assert self._run(tmp_path, field, value) == 2
+        assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field", sorted(INTEGER_FIELD_CASES))
+    def test_integral_floats_are_accepted(self, tmp_path, field):
+        command, payload, where = INTEGER_FIELD_CASES[field]
+        target = payload["operation"] if where == "operation" else payload
+        assert self._run(tmp_path, field, float(target.get(field, 2))) == 0
+
+    def test_boolean_seed_is_a_config_error(self, tmp_path, capsys):
+        payload = {**INTEGER_FIELD_CASES["steps"][1], "seed": True,
+                   "output": {"path": str(tmp_path / "o.json")}}
+        assert main(["simulate", "--config", write_config(tmp_path, payload)]) == 2
+        assert "seed" in capsys.readouterr().err
+
+
 def test_importing_the_cli_leaves_scipy_stats_unloaded():
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": src}

@@ -1,4 +1,5 @@
-"""Log-space arithmetic against its oracles, bit for bit, and pinned trajectories.
+"""Log-space arithmetic and Dirichlet normalisation against their oracles, bit for bit,
+and pinned trajectories.
 
 ``log_sum_exp`` must return the same bits as ``scipy.special.logsumexp``, and
 the tabulated rising-factorial polynomial the same bits as the per-term
@@ -9,6 +10,7 @@ The per-term oracle adds its factors with the builtin ``sum``, which is
 plain left-to-right addition on Python 3.11, the version CI runs.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -32,15 +34,29 @@ from urnwalk.equivalence import (
     enumerate_reinforced,
     reinforced_path_logprob,
 )
+from urnwalk.errors import EvaluationError
 from urnwalk.laws import (
     DirichletLaw,
     PolynomialDirichletLaw,
+    SimplexPoint,
+    TabulatedLaw,
+    UniformLaw,
     degree_multi_indices,
     log_rising_factorial,
     log_rising_polynomial,
     log_sum_exp,
+    sum_as_numpy,
 )
-from urnwalk.walk import Graph, cycle_graph, make_stream, run_annealed, run_reinforced, star_graph
+from urnwalk.walk import (
+    Graph,
+    cycle_graph,
+    make_stream,
+    run_annealed,
+    run_quenched,
+    run_reinforced,
+    sample_environment,
+    star_graph,
+)
 
 
 def same_bits(a: float, b: float) -> bool:
@@ -190,6 +206,16 @@ _CYCLE = cycle_graph(5)
 _LEAF_LAWS = {x: DirichletLaw([1.5]) for x in (1, 2, 3)}
 _LEAF_ENVS = {x: PointMassEnv((1.0,)) for x in (1, 2, 3)}
 _EMPIRICAL_2D = EmpiricalEnv([(0.25, (0.2, 0.8)), (0.75, (0.6, 0.4))])
+_TRIANGLE = cycle_graph(3)
+_TABLE_BOX_1 = {(0, 0): (0.5, 0.5), (1, 0): (0.8, 0.2), (0, 1): (0.3, 0.7), (1, 1): (0.6, 0.4)}
+_CLAMPED = TabulatedLaw(1, {k: SimplexPoint(v) for k, v in _TABLE_BOX_1.items()}, fallback="clamp")
+_CYCLE_ENVS = {x: DirichletEnv([0.8, 1.6]) for x in range(5)}
+_FROZEN = sample_environment(_CYCLE, _CYCLE_ENVS, make_stream(77))
+# nine moves at the centre: the weights and the environment draws normalise by numpy's pairwise sum
+_STAR_9 = star_graph(9)
+_ALPHA_9 = [0.6, 1.1, 2.3, 0.9, 1.7, 0.5, 3.1, 1.3, 0.8]
+_LEAF_9_LAWS = {x: DirichletLaw([1.5]) for x in range(1, 10)}
+_LEAF_9_ENVS = {x: PointMassEnv((1.0,)) for x in range(1, 10)}
 
 GOLDEN_CASES = {
     "poly_law_star": (
@@ -229,6 +255,56 @@ GOLDEN_CASES = {
          [0, 4, 3, 4, 3, 4, 3, 2, 3, 2, 3, 2, 3],
          [0, 1, 0, 1, 0, 4, 0, 4, 0, 4, 3, 4, 0]],
     ),
+    "dirichlet_law_cycle": (
+        run_reinforced, _CYCLE, {x: DirichletLaw([0.7, 1.9]) for x in range(5)},
+        [[0, 4, 0, 1, 2, 1, 2, 3, 4, 0, 4, 0, 4],
+         [0, 1, 2, 3, 4, 0, 4, 0, 1, 2, 3, 4, 0],
+         [0, 4, 0, 1, 2, 1, 2, 1, 2, 1, 0, 1, 0]],
+    ),
+    "uniform_law_cycle": (
+        run_reinforced, _CYCLE, {x: UniformLaw(2) for x in range(5)},
+        [[0, 4, 3, 4, 0, 4, 0, 1, 2, 1, 0, 1, 0],
+         [0, 1, 2, 3, 2, 3, 2, 1, 2, 1, 2, 1, 0],
+         [0, 4, 0, 1, 2, 1, 0, 4, 3, 2, 1, 2, 1]],
+    ),
+    "tabulated_clamp_triangle": (
+        run_reinforced, _TRIANGLE, {x: _CLAMPED for x in range(3)},
+        [[0, 2, 1, 2, 1, 0, 2, 0, 2, 1, 0, 2, 1],
+         [0, 1, 2, 0, 1, 2, 1, 2, 0, 1, 2, 1, 2],
+         [0, 2, 0, 1, 2, 1, 2, 1, 0, 2, 1, 2, 1]],
+    ),
+    "annealed_dirichlet_cycle": (
+        run_annealed, _CYCLE, _CYCLE_ENVS,
+        [[0, 1, 2, 3, 2, 3, 4, 0, 1, 2, 1, 2, 3],
+         [0, 1, 2, 3, 2, 1, 2, 1, 2, 3, 2, 3, 2],
+         [0, 4, 0, 1, 2, 3, 4, 3, 4, 0, 1, 2, 3]],
+    ),
+    "quenched_frozen_cycle": (
+        run_quenched, _CYCLE, _FROZEN,
+        [[0, 1, 0, 1, 2, 3, 4, 0, 1, 2, 3, 4, 3],
+         [0, 1, 2, 3, 4, 3, 2, 3, 4, 3, 4, 3, 4],
+         [0, 1, 2, 3, 4, 3, 4, 3, 4, 3, 2, 3, 2]],
+    ),
+    "dirichlet_law_star9": (
+        run_reinforced, _STAR_9, {0: DirichletLaw(_ALPHA_9), **_LEAF_9_LAWS},
+        [[0, 1, 0, 8, 0, 1, 0, 8, 0, 5, 0, 7, 0],
+         [0, 6, 0, 7, 0, 7, 0, 6, 0, 6, 0, 4, 0],
+         [0, 1, 0, 9, 0, 3, 0, 1, 0, 3, 0, 7, 0]],
+    ),
+    "annealed_dirichlet_star9": (
+        run_annealed, _STAR_9, {0: DirichletEnv(_ALPHA_9), **_LEAF_9_ENVS},
+        [[0, 7, 0, 4, 0, 3, 0, 8, 0, 9, 0, 2, 0],
+         [0, 3, 0, 8, 0, 7, 0, 2, 0, 1, 0, 9, 0],
+         [0, 3, 0, 5, 0, 3, 0, 9, 0, 7, 0, 5, 0]],
+    ),
+}
+
+#: SHA-256 of the comma-joined 10,000-step trajectory of stream 0 of seed 20261018;
+#: the walk crosses two boundaries of the blocks its uniforms are drawn in.
+GOLDEN_LONG_WALKS = {
+    "dirichlet_law_cycle": "bbd5739c372bdd6862e3cfabbca94b212f3157675edee9e5c31eabab6ad75504",
+    "annealed_dirichlet_cycle": "0ca4bf9f2da2df8ae08150100b17177956d71c1851a29b626a549b542b561eeb",
+    "dirichlet_law_star9": "9870ef7d932bf92b1deb12891cdc718d9abebd540bf2abed88a80229928e6664",
 }
 
 
@@ -239,11 +315,79 @@ def test_golden_trajectories(name):
     assert got == expected
 
 
+@pytest.mark.parametrize("name", sorted(GOLDEN_LONG_WALKS))
+def test_golden_long_walks(name):
+    run, graph, maps, _ = GOLDEN_CASES[name]
+    trajectory = run(graph, maps, 0, 10_000, make_stream(20261018, 0))
+    digest = hashlib.sha256(",".join(map(str, trajectory)).encode()).hexdigest()
+    assert digest == GOLDEN_LONG_WALKS[name]
+
+
+# --- plain-Python normalisation against numpy's, bit for bit ---------------------
+
+_DIRICHLET_CASES = st.integers(1, 10).flatmap(
+    lambda d: st.tuples(
+        st.lists(st.floats(min_value=1e-3, max_value=1e3), min_size=d, max_size=d),
+        st.lists(st.integers(0, 10**6), min_size=d, max_size=d),
+    )
+)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_DIRICHLET_CASES)
+def test_dirichlet_weights_match_numpy_bitwise(case):
+    alpha, counts = case
+    shifted = np.asarray(alpha) + np.asarray(counts, dtype=float)
+    want = tuple((shifted / shifted.sum()).tolist())
+    assert DirichletLaw(alpha).weights(counts).weights == want
+
+
+def numpy_dirichlet_sample(alpha, rng) -> tuple[float, ...]:
+    """``DirichletEnv.sample`` normalising with numpy, redraw rule and checks included."""
+    shape = np.asarray(alpha)
+    for _ in range(100):
+        gammas = rng.gamma(shape=shape)
+        total = gammas.sum()
+        if total > 0 and np.all(gammas / total > 0):
+            return SimplexPoint(tuple(gammas / total)).weights
+    raise EvaluationError("gamma sampling kept underflowing to zero")
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (ValueError, EvaluationError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.lists(st.floats(min_value=1e-3, max_value=1e3), min_size=1, max_size=10),
+    st.integers(0, 2**32 - 1),
+)
+def test_dirichlet_env_sample_matches_numpy_bitwise(alpha, seed):
+    # tiny alpha draws zero or subnormal gammas, which exercise the redraw and the checks
+    want = outcome(numpy_dirichlet_sample, alpha, make_stream(seed))
+    assert outcome(lambda: DirichletEnv(alpha).sample(make_stream(seed)).weights) == want
+
+
+@settings(max_examples=1000, deadline=None)
+@given(
+    st.lists(
+        st.one_of(st.floats(min_value=0.0, max_value=1e6), st.floats(min_value=0.0, max_value=1e-300)),
+        min_size=1, max_size=10,
+    )
+)
+def test_sum_as_numpy_matches_numpy_bitwise(values):
+    assert same_bits(sum_as_numpy(values), float(np.sum(values)))
+
+
 # --- enumeration against the per-path oracle on scipy's logsumexp -------------------
 
 _MULTI = Graph(((1, 1, 2), (0,), (0,)))
 _EMPIRICAL_3D = EmpiricalEnv([(0.25, (0.2, 0.3, 0.5)), (0.75, (0.6, 0.3, 0.1))])
 _ONE_MOVE = {1: DirichletEnv([1.0]), 2: PointMassEnv((1.0,))}
+_COMPLETE_4 = Graph(((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2)))
 
 ENUMERATION_CASES = {
     "multigraph_polynomial": (
@@ -260,6 +404,13 @@ ENUMERATION_CASES = {
         _STAR,
         {0: PolynomialDirichletLaw(**POLY_QUADRATIC_3D), **_LEAF_LAWS},
         {0: PolynomialDirichletEnv(**POLY_QUADRATIC_3D), **_LEAF_ENVS},
+    ),
+    # the empirical moment at zero counts is 5.55e-17, not 0: a vertex that only
+    # other branches entered must not add it to a path's mass
+    "complete_empirical": (
+        _COMPLETE_4,
+        {x: EnvMomentLaw(_EMPIRICAL_3D) for x in range(4)},
+        {x: _EMPIRICAL_3D for x in range(4)},
     ),
 }
 

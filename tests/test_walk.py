@@ -3,12 +3,15 @@
 import numpy as np
 import pytest
 
+from urnwalk import walk
 from urnwalk import (
     DimensionMismatchError,
     DirichletEnv,
     DirichletLaw,
+    EnvMomentLaw,
     Graph,
     PointMassEnv,
+    ReinforcementLaw,
     SimplexPoint,
     UniformLaw,
     WalkState,
@@ -68,7 +71,7 @@ class TestReinforcedWalk:
         g = segment_graph(2)
         laws = {0: UniformLaw(1), 1: UniformLaw(1)}
         state = WalkState(vertex=0)
-        move = step_reinforced(g, laws, state, rng)
+        move = step_reinforced(g, laws, state, rng.random())
         assert move == 0
         assert state.vertex == 1
         assert state.counts[0] == [1]
@@ -90,7 +93,7 @@ class TestReinforcedWalk:
         n = 100_000
         for i in range(n):
             state = WalkState(vertex=0, counts={0: [2, 0]})
-            move = step_reinforced(g, laws, state, make_stream(5, i))
+            move = step_reinforced(g, laws, state, make_stream(5, i).random())
             hits += move == 0
         assert abs(hits / n - 0.75) < 0.0045
 
@@ -110,7 +113,7 @@ class TestReinforcedWalk:
         rng = make_stream(7, 0)
         path = [0]
         for _ in range(40):
-            step_reinforced(g, laws, state, rng)
+            step_reinforced(g, laws, state, rng.random())
             path.append(state.vertex)
         replayed = transition_counts(g, path)
         assert replayed == {x: tuple(c) for x, c in state.counts.items()}
@@ -121,11 +124,44 @@ class TestReinforcedWalk:
         with pytest.raises(DimensionMismatchError):
             run_reinforced(g, laws, 0, 1, rng)
 
+    @pytest.mark.parametrize(
+        "given, error",
+        [([1, 0, 0], DimensionMismatchError), ([-1, 0], ValueError), ([0.5, 0], ValueError)],
+    )
+    def test_given_counts_are_validated(self, given, error):
+        g = star_graph(2)
+        laws = {0: DirichletLaw([1.0, 1.0]), 1: UniformLaw(1), 2: UniformLaw(1)}
+        with pytest.raises(error):
+            step_reinforced(g, laws, WalkState(vertex=0, counts={0: given}), 0.5)
+
+    def test_law_defining_only_log_weights_drives_the_walk(self):
+        class Halves(ReinforcementLaw):
+            dimension = 2
+
+            def log_weights(self, counts):
+                self._check_counts(counts)
+                return np.log([0.5, 0.5])
+
+        g = cycle_graph(3)
+        t = run_reinforced(g, {x: Halves() for x in range(3)}, 0, 20, make_stream(4))
+        assert t == run_reinforced(g, {x: UniformLaw(2) for x in range(3)}, 0, 20, make_stream(4))
+
+    def test_weights_are_checked_on_every_step(self):
+        # the induced law drifts off the simplex at large counts; the walk must stop there
+        g = star_graph(2)
+        laws = {0: EnvMomentLaw(DirichletEnv([0.5, 0.5])), 1: UniformLaw(1), 2: UniformLaw(1)}
+        state = WalkState(vertex=0, counts={0: [0, 521]})
+        step_reinforced(g, laws, state, 0.99)
+        assert state.counts[0] == [0, 522]
+        state.vertex = 0
+        with pytest.raises(ValueError, match="sum"):
+            step_reinforced(g, laws, state, 0.5)
+
 
 class TestQuenchedWalk:
     def test_effectively_forced_assignment(self, rng):
         assignment = {0: SimplexPoint((1e-300, 1.0))}
-        assert all(step_quenched(assignment, 0, rng) == 1 for _ in range(1000))
+        assert all(step_quenched(assignment, 0, rng.random()) == 1 for _ in range(1000))
 
     def test_degree_one_vertex_always_moves_home(self, rng):
         g = star_graph(2)
@@ -142,7 +178,7 @@ class TestQuenchedWalk:
         hits = 0
         rng = make_stream(17, 0)
         for _ in range(100_000):
-            hits += step_quenched(assignment, 0, rng) == 1
+            hits += step_quenched(assignment, 0, rng.random()) == 1
         assert abs(hits / 100_000 - 0.75) < 0.0045
 
     def test_missing_vertex(self, rng):
@@ -205,3 +241,28 @@ def test_streams_are_disjoint():
     a = make_stream(5, 0).random(4).tolist()
     b = make_stream(5, 1).random(4).tolist()
     assert a != b
+
+
+def test_runs_take_every_step_through_the_module_step_functions(monkeypatch):
+    calls = {"step_reinforced": 0, "step_quenched": 0}
+
+    def counting(name):
+        original = getattr(walk, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(walk, name, counting(name))
+    g = cycle_graph(4)
+    steps = walk.UNIFORM_BLOCK + 7
+    walk.run_reinforced(g, {x: DirichletLaw([1.0, 1.0]) for x in range(4)}, 0, steps, make_stream(1))
+    assert calls == {"step_reinforced": steps, "step_quenched": 0}
+    point = SimplexPoint((0.5, 0.5))
+    walk.run_quenched(g, {x: point for x in range(4)}, 0, steps, make_stream(2))
+    assert calls == {"step_reinforced": steps, "step_quenched": steps}
+    walk.run_annealed(g, {x: DirichletEnv([1.0, 1.0]) for x in range(4)}, 0, steps, make_stream(3))
+    assert calls == {"step_reinforced": steps, "step_quenched": 2 * steps}
