@@ -26,6 +26,8 @@ import argparse
 import csv
 import json
 import sys
+from collections import Counter
+from itertools import product
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
@@ -139,8 +141,8 @@ def _operation(cfg: Mapping) -> Mapping:
     return op
 
 
-def _op_int(cfg: Mapping, key: str, default: int) -> int:
-    return config_int(_operation(cfg).get(key, default), f"operation.{key}")
+def _op_int(cfg: Mapping, key: str, default: int, minimum: int | None = None) -> int:
+    return config_int(_operation(cfg).get(key, default), f"operation.{key}", minimum)
 
 
 def _dimension(cfg: Mapping) -> int | None:
@@ -156,6 +158,14 @@ def _tolerance(cfg: Mapping) -> float:
         return validate_tolerance(float(raw))
     except (TypeError, ValueError):
         raise ConfigError(f"tolerance must be a finite number >= 0, got {raw!r}") from None
+
+
+def _quantile(op: Mapping) -> float:
+    """The chi-square quantile of empirical compare: a finite number in (0, 1)."""
+    raw = op.get("quantile", 0.999)
+    if isinstance(raw, bool) or not isinstance(raw, (int, float)) or not 0.0 < raw < 1.0:
+        raise ConfigError(f"operation.quantile must be a number in (0, 1), got {raw!r}")
+    return float(raw)
 
 
 def _meta(cfg: Mapping, command: str, **extra: Any) -> dict:
@@ -186,7 +196,7 @@ def cmd_check_admissibility(cfg: dict, args: argparse.Namespace) -> int:
     if "law" not in cfg:
         raise ConfigError("check-admissibility needs a 'law' section")
     law = law_from_spec(cfg["law"], _dimension(cfg))
-    box = _op_int(cfg, "box", 6)
+    box = _op_int(cfg, "box", 6, minimum=1)
     report = check_admissible(law, box, _tolerance(cfg))
     out, fmt = _output_target(cfg, "check-admissibility")
     meta = _meta(cfg, "check-admissibility", report={
@@ -232,7 +242,7 @@ def cmd_verify_moments(cfg: dict, args: argparse.Namespace) -> int:
     if "law" not in cfg:
         raise ConfigError("verify-moments needs a 'law' section")
     law = law_from_spec(cfg["law"], _dimension(cfg))
-    order = _op_int(cfg, "order", 8)
+    order = _op_int(cfg, "order", 8, minimum=0)
     tolerance = _tolerance(cfg)
     try:
         table = recover_env_moments(law, order)
@@ -303,7 +313,7 @@ def _resolve_assignment(cfg: Mapping, graph, command: str) -> tuple[dict, dict]:
                 f"{command}: quenched mode needs an inline 'assignment' or envs plus "
                 "operation.env_seed to sample-and-freeze"
             )
-        env_seed = config_int(op["env_seed"], "operation.env_seed")
+        env_seed = config_int(op["env_seed"], "operation.env_seed", minimum=0)
         envs = resolve_per_vertex(graph, cfg["envs"], env_from_spec, "envs")
         assignment = sample_environment(graph, envs, make_stream(env_seed))
         meta_extra["assignment_source"] = "sampled"
@@ -324,12 +334,8 @@ def cmd_simulate(cfg: dict, args: argparse.Namespace) -> int:
     mode = op.get("mode")
     if mode not in ("reinforced", "quenched", "annealed"):
         raise ConfigError(f"simulate: operation.mode must be reinforced|quenched|annealed, got {mode!r}")
-    steps = _op_int(cfg, "steps", 0)
-    if steps < 0:
-        raise ConfigError("operation.steps must be >= 0")
-    count = _op_int(cfg, "trajectories", 1)
-    if count < 1:
-        raise ConfigError("operation.trajectories must be >= 1")
+    steps = _op_int(cfg, "steps", 0, minimum=0)
+    count = _op_int(cfg, "trajectories", 1, minimum=1)
     x0 = _start_vertex(cfg, graph)
     seed = _require_seed(cfg, "simulate")
 
@@ -372,10 +378,16 @@ def cmd_compare(cfg: dict, args: argparse.Namespace) -> int:
         laws = {x: law_from_env(env) for x, env in envs.items()}
     op = _operation(cfg)
     mode = op.get("mode", "exact")
-    steps = _op_int(cfg, "steps", 4)
+    if mode not in ("exact", "empirical"):
+        raise ConfigError(f"compare: operation.mode must be 'exact' or 'empirical', got {mode!r}")
+    steps = _op_int(cfg, "steps", 4, minimum=0)
     x0 = _start_vertex(cfg, graph)
-    max_paths = _op_int(cfg, "max_paths", 10**6)
+    max_paths = _op_int(cfg, "max_paths", 10**6, minimum=1)
     tolerance = _tolerance(cfg)
+    if mode == "empirical":
+        seed = _require_seed(cfg, "compare")
+        samples = _op_int(cfg, "samples", 10**5, minimum=100)
+        quantile = _quantile(op)
     out, fmt = _output_target(cfg, "compare")
 
     annealed = enumerate_annealed(graph, envs, x0, steps, max_paths)
@@ -407,13 +419,10 @@ def cmd_compare(cfg: dict, args: argparse.Namespace) -> int:
         )
         return EXIT_PASS if passed else EXIT_PROPERTY
 
-    if mode != "empirical":
-        raise ConfigError(f"compare: operation.mode must be 'exact' or 'empirical', got {mode!r}")
-    seed = _require_seed(cfg, "compare")
-    samples = _op_int(cfg, "samples", 10**5)
-    quantile = float(op.get("quantile", 0.999))
-    drawn = [run_reinforced(graph, laws, x0, steps, make_stream(seed, i)) for i in range(samples)]
-    report = compare_empirical(drawn, annealed)
+    observed = Counter(
+        run_reinforced(graph, laws, x0, steps, make_stream(seed, i)) for i in range(samples)
+    )
+    report = compare_empirical(observed, annealed)
     statistic, dof = report.chi_square
     # imported here: scipy.stats takes most of a second to import, and only this mode uses it
     from scipy.stats import chi2
@@ -432,9 +441,6 @@ def cmd_compare(cfg: dict, args: argparse.Namespace) -> int:
         passed=passed,
     )
     header = ["path", "annealed", "observed"]
-    from collections import Counter
-
-    observed = Counter(drawn)
     rows = [
         ["-".join(str(v) for v in t), annealed.probabilities[t], observed.get(t, 0)]
         for t in sorted(annealed.probabilities)
@@ -453,11 +459,9 @@ def cmd_derive_law(cfg: dict, args: argparse.Namespace) -> int:
         raise ConfigError("derive-law needs an 'env' section")
     env = env_from_spec(cfg["env"])
     law = law_from_env(env)
-    box = _op_int(cfg, "box", 6)
-    from itertools import product as iproduct
-
+    box = _op_int(cfg, "box", 6, minimum=0)
     rows = []
-    for p in iproduct(range(box + 1), repeat=env.dimension):
+    for p in product(range(box + 1), repeat=env.dimension):
         point = law.weights(p)
         rows.append(list(p) + list(point.weights))
     out, fmt = _output_target(cfg, "derive-law")
@@ -478,7 +482,7 @@ def cmd_recover_moments(cfg: dict, args: argparse.Namespace) -> int:
     if "law" not in cfg:
         raise ConfigError("recover-moments needs a 'law' section")
     law = law_from_spec(cfg["law"], _dimension(cfg))
-    order = _op_int(cfg, "order", 8)
+    order = _op_int(cfg, "order", 8, minimum=0)
     try:
         table = recover_env_moments(law, order)
     except NotAdmissibleError as exc:

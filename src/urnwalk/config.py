@@ -91,16 +91,19 @@ def _require(spec: Mapping, key: str, context: str) -> Any:
     return spec[key]
 
 
-def config_int(value: Any, name: str) -> int:
+def config_int(value: Any, name: str, minimum: int | None = None) -> int:
     """An integer config field: an int, or a float with an integral value.
 
     Rejects bools (a subclass of int), fractional or non-finite floats and
-    strings, which ``int()`` would accept or silently truncate.
+    strings, which ``int()`` would accept or silently truncate, and values
+    below ``minimum`` when one is given.
     """
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
     if isinstance(value, float) and not value.is_integer():
         raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ConfigError(f"{name} must be >= {minimum}, got {value!r}")
     return int(value)
 
 

@@ -1,17 +1,15 @@
 """Exact and statistical comparison of reinforced and annealed walk laws.
 
-The reinforced probability of a trajectory is the product of reinforcement
-weights with counts updated along the way.  The annealed probability is the
-product over vertices of the environment's mixed moment at that vertex's
-final move counts (environments are independent across vertices, so the
-average factorizes).  Both are computed here from first principles, the
-full distribution over length-T trajectories is enumerated exactly on desk
-scale graphs, and sampled trajectories can be tested against an exact
-reference with total variation and a pooled chi-square statistic.
-
-Trajectories are vertex sequences; on multigraphs a step may be realized by
-several parallel moves, in which case the probability sums over all
-consistent move-index sequences.
+Both exact laws come from one depth-first traversal of the move tree over
+per-vertex move counts shared by all branches, with one of two scorers:
+``_Reinforced`` adds the law's log weight of each move at the counts so far;
+``_Annealed`` adds nothing per move and at a leaf sums each vertex's memoised
+log mixed moment at its final counts (environments are independent across
+vertices, so the average factorizes).  The whole tree gives the law of the
+length-T trajectories; the moves realizing one vertex sequence, summed over
+parallel moves on multigraphs, give that trajectory's probability.  Sampled
+trajectories are tested against an exact reference by total variation and a
+pooled chi-square statistic.
 """
 
 from __future__ import annotations
@@ -21,6 +19,8 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Sequence
+
+import numpy as np
 
 from .errors import EnumerationGuardError
 from .laws import Counts, ReinforcementLaw, log_sum_exp
@@ -94,6 +94,78 @@ def _validate_trajectory(graph: Graph, trajectory: Sequence[int]) -> None:
             raise ValueError(f"trajectory step {x}->{y} is not a graph edge")
 
 
+class _Reinforced:
+    """Scorer of the reinforced walk: the step rule's log weights, added per move."""
+
+    def __init__(self, laws: Mapping[int, ReinforcementLaw]) -> None:
+        self.laws = laws
+
+    def step(self, x: int, at_x: list[int]) -> list[float]:
+        return np.asarray(self.laws[x].log_weights(tuple(at_x)), dtype=float).tolist()
+
+    def leaf(self, logp: float, counts: Mapping[int, list[int]]) -> float:
+        return logp
+
+
+class _Annealed:
+    """Scorer of the annealed walk: nothing per move, the mixed moments at the leaf."""
+
+    def __init__(self, envs: Mapping[int, VertexEnvLaw]) -> None:
+        self.envs = envs
+        self.memo: dict[tuple[int, Counts], float] = {}
+
+    def step(self, x: int, at_x: list[int]) -> list[float]:
+        return [0.0] * len(at_x)
+
+    def leaf(self, logp: float, counts: Mapping[int, list[int]]) -> float:
+        # counts is shared across branches: skip vertices only other paths left
+        return math.fsum(self._moment(x, tuple(c)) for x, c in counts.items() if any(c))
+
+    def _moment(self, x: int, c: Counts) -> float:
+        if (x, c) not in self.memo:
+            self.memo[x, c] = self.envs[x].log_mixed_moment(c)
+        return self.memo[x, c]
+
+
+def _enumerate(
+    graph: Graph, x0: int, steps: int, scorer: _Reinforced | _Annealed,
+    follow: Sequence[int] | None = None,
+) -> dict[Trajectory, list[float]]:
+    """Scorer leaf values of all move-index sequences of length ``steps`` from x0,
+    per trajectory in traversal order; with ``follow``, of those realizing it."""
+    acc: dict[Trajectory, list[float]] = {}
+    counts: dict[int, list[int]] = {}
+    path = [x0]
+    step, leaf = scorer.step, scorer.leaf
+
+    def descend(depth: int, logp: float) -> None:
+        if depth == steps:
+            acc.setdefault(tuple(path), []).append(leaf(logp, counts))
+            return
+        x = path[-1]
+        at_x = counts.setdefault(x, [0] * graph.degree(x))
+        log_w = step(x, at_x)
+        targets = graph.neighbors[x]
+        moves = graph.move_indices(x, follow[depth + 1]) if follow else range(len(targets))
+        for i in moves:
+            at_x[i] += 1
+            path.append(targets[i])
+            descend(depth + 1, logp + log_w[i])
+            path.pop()
+            at_x[i] -= 1
+
+    descend(0, 0.0)
+    return acc
+
+
+def _path_logprob(
+    graph: Graph, trajectory: Sequence[int], scorer: _Reinforced | _Annealed
+) -> float:
+    _validate_trajectory(graph, trajectory)
+    traj = tuple(trajectory)
+    return log_sum_exp(_enumerate(graph, traj[0], len(traj) - 1, scorer, traj)[traj])
+
+
 def reinforced_path_logprob(
     graph: Graph,
     laws: Mapping[int, ReinforcementLaw],
@@ -104,27 +176,7 @@ def reinforced_path_logprob(
     Sums over all move-index sequences consistent with the vertex sequence
     (one sequence unless the graph has parallel moves).
     """
-    _validate_trajectory(graph, trajectory)
-    traj = tuple(trajectory)
-    if len(traj) == 1:
-        return 0.0
-    counts: dict[int, list[int]] = {}
-    complete: list[float] = []
-
-    def descend(t: int, logp: float) -> None:
-        if t == len(traj) - 1:
-            complete.append(logp)
-            return
-        x, y = traj[t], traj[t + 1]
-        at_x = counts.setdefault(x, [0] * graph.degree(x))
-        log_w = laws[x].log_weights(tuple(at_x))
-        for i in graph.move_indices(x, y):
-            at_x[i] += 1
-            descend(t + 1, logp + float(log_w[i]))
-            at_x[i] -= 1
-
-    descend(0, 0.0)
-    return log_sum_exp(complete)
+    return _path_logprob(graph, trajectory, _Reinforced(laws))
 
 
 def annealed_path_logprob(
@@ -138,49 +190,19 @@ def annealed_path_logprob(
     over vertices of the environment's mixed moment at the accumulated move
     counts; parallel-move ambiguity again sums over index sequences.
     """
-    _validate_trajectory(graph, trajectory)
-    traj = tuple(trajectory)
-    if len(traj) == 1:
-        return 0.0
-    counts: dict[int, list[int]] = {}
-    complete: list[float] = []
-    memo: dict[tuple[int, Counts], float] = {}
-
-    def moment(x: int, c: Counts) -> float:
-        key = (x, c)
-        if key not in memo:
-            memo[key] = envs[x].log_mixed_moment(c)
-        return memo[key]
-
-    def descend(t: int) -> None:
-        if t == len(traj) - 1:
-            complete.append(
-                math.fsum(moment(x, tuple(c)) for x, c in counts.items())
-            )
-            return
-        x, y = traj[t], traj[t + 1]
-        at_x = counts.setdefault(x, [0] * graph.degree(x))
-        for i in graph.move_indices(x, y):
-            at_x[i] += 1
-            descend(t + 1)
-            at_x[i] -= 1
-
-    descend(0)
-    return log_sum_exp(complete)
+    return _path_logprob(graph, trajectory, _Annealed(envs))
 
 
 def _count_index_paths(graph: Graph, x0: int, steps: int) -> int:
     """Exact number of move-index sequences of the given length from x0."""
     weights = {x0: 1}
-    total = 0
     for _ in range(steps):
         nxt: dict[int, int] = {}
         for x, mult in weights.items():
             for y in graph.neighbors[x]:
                 nxt[y] = nxt.get(y, 0) + mult
         weights = nxt
-    total = sum(weights.values())
-    return total
+    return sum(weights.values())
 
 
 def enumerate_reinforced(
@@ -192,28 +214,8 @@ def enumerate_reinforced(
 ) -> PathDistribution:
     """Exact law of the length-T reinforced walk by move-tree traversal."""
     _check_enumeration(graph, x0, steps, max_paths)
-    acc: dict[Trajectory, list[float]] = {}
-    counts: dict[int, list[int]] = {}
-    path = [x0]
-
-    def descend(depth: int, logp: float) -> None:
-        if depth == steps:
-            acc.setdefault(tuple(path), []).append(logp)
-            return
-        x = path[-1]
-        at_x = counts.setdefault(x, [0] * graph.degree(x))
-        log_w = laws[x].log_weights(tuple(at_x))
-        for i, y in enumerate(graph.neighbors[x]):
-            at_x[i] += 1
-            path.append(y)
-            descend(depth + 1, logp + float(log_w[i]))
-            path.pop()
-            at_x[i] -= 1
-
-    descend(0, 0.0)
-    return PathDistribution(
-        x0, steps, {t: log_sum_exp(lps) for t, lps in acc.items()}
-    )
+    acc = _enumerate(graph, x0, steps, _Reinforced(laws))
+    return PathDistribution(x0, steps, {t: log_sum_exp(lps) for t, lps in acc.items()})
 
 
 def enumerate_annealed(
@@ -225,36 +227,8 @@ def enumerate_annealed(
 ) -> PathDistribution:
     """Exact law of the length-T annealed walk from per-vertex mixed moments."""
     _check_enumeration(graph, x0, steps, max_paths)
-    acc: dict[Trajectory, list[float]] = {}
-    counts: dict[int, list[int]] = {}
-    path = [x0]
-    memo: dict[tuple[int, Counts], float] = {}
-
-    def moment(x: int, c: Counts) -> float:
-        key = (x, c)
-        if key not in memo:
-            memo[key] = envs[x].log_mixed_moment(c)
-        return memo[key]
-
-    def descend(depth: int) -> None:
-        if depth == steps:
-            # counts is shared across branches: skip vertices only other paths left
-            logp = math.fsum(moment(x, tuple(c)) for x, c in counts.items() if any(c))
-            acc.setdefault(tuple(path), []).append(logp)
-            return
-        x = path[-1]
-        at_x = counts.setdefault(x, [0] * graph.degree(x))
-        for i, y in enumerate(graph.neighbors[x]):
-            at_x[i] += 1
-            path.append(y)
-            descend(depth + 1)
-            path.pop()
-            at_x[i] -= 1
-
-    descend(0)
-    return PathDistribution(
-        x0, steps, {t: log_sum_exp(lps) for t, lps in acc.items()}
-    )
+    acc = _enumerate(graph, x0, steps, _Annealed(envs))
+    return PathDistribution(x0, steps, {t: log_sum_exp(lps) for t, lps in acc.items()})
 
 
 def _check_enumeration(graph: Graph, x0: int, steps: int, max_paths: int) -> None:
@@ -285,20 +259,20 @@ def compare_distributions(
 
 
 def compare_empirical(
-    samples: Sequence[Trajectory],
+    samples: Sequence[Trajectory] | Counter[Trajectory],
     reference: PathDistribution,
     pool_threshold: float = 5.0,
 ) -> ComparisonReport:
-    """Goodness of fit of sampled trajectories against an exact reference.
+    """Goodness of fit of sampled trajectories, or their Counter, against an exact reference.
 
     Pearson chi-square with all cells of expected count below
     ``pool_threshold`` pooled into one, plus the empirical total variation
     over the reference support.  Samples must live on that support.
     """
-    n = len(samples)
+    observed = samples if isinstance(samples, Counter) else Counter(samples)
+    n = sum(observed.values())
     if n < 100:
         raise ValueError(f"need at least 100 samples, got {n}")
-    observed = Counter(samples)
     stray = set(observed) - set(reference.log_probs)
     if stray:
         raise ValueError(f"samples contain trajectories outside the reference support: {sorted(stray)[:3]}")

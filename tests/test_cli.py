@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, outputs, determinism."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -30,6 +31,11 @@ STAR_LAWS = {
 STAR_ENVS = {
     "default": {"family": "point_mass", "weights": [1.0]},
     "per_vertex": {"0": {"family": "dirichlet", "alpha": [1.0, 1.0]}},
+}
+STAR_3_GRAPH = {"generator": "star", "leaves": 3}
+STAR_3_ENVS = {
+    "default": {"family": "point_mass", "weights": [1.0]},
+    "per_vertex": {"0": {"family": "dirichlet", "alpha": [1.0, 1.0, 1.0]}},
 }
 
 
@@ -417,6 +423,37 @@ class TestCompare:
         assert lines[1].startswith("0-1-0,")
 
 
+    def test_bad_mode_is_a_config_error_before_enumerating(self, tmp_path, capsys):
+        # 3^40 move sequences: the guard would fire first if the mode were read late
+        cfg = write_config(
+            tmp_path,
+            {
+                "graph": STAR_3_GRAPH,
+                "envs": STAR_3_ENVS,
+                "operation": {"mode": "exct", "steps": 40},
+                "output": {"path": str(tmp_path / "c.json")},
+            },
+        )
+        assert main(["compare", "--config", cfg]) == 2
+        assert "operation.mode" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, value", [("samples", 50), ("quantile", 2.0)])
+    def test_empirical_fields_are_checked_before_enumerating(self, tmp_path, capsys, field, value):
+        operation = {"mode": "empirical", "steps": 40, "samples": 200, field: value}
+        cfg = write_config(
+            tmp_path,
+            {
+                "graph": STAR_3_GRAPH,
+                "envs": STAR_3_ENVS,
+                "seed": 1,
+                "operation": operation,
+                "output": {"path": str(tmp_path / "c.json")},
+            },
+        )
+        assert main(["compare", "--config", cfg]) == 2
+        assert f"operation.{field}" in capsys.readouterr().err
+
+
 class TestDeriveAndRecover:
     def test_derive_law_table(self, tmp_path):
         out = tmp_path / "law.csv"
@@ -568,6 +605,23 @@ INTEGER_FIELD_CASES = {
                                           "operation": {"box": 2}}, "top"),
 }
 
+_EXACT_COMPARE = {"graph": STAR_GRAPH, "envs": STAR_ENVS,
+                  "operation": {"mode": "exact", "steps": 2, "max_paths": 100}}
+RANGE_CASES = [
+    # (command, config, field, smallest accepted value)
+    ("check-admissibility", {"law": POLYA_LAW, "operation": {"box": 2}}, "box", 1),
+    ("derive-law", {"env": {"family": "dirichlet", "alpha": [1.0, 2.0]},
+                    "operation": {"box": 2}}, "box", 0),
+    ("verify-moments", {"law": POLYA_LAW, "operation": {"order": 2}}, "order", 0),
+    ("recover-moments", {"law": POLYA_LAW, "operation": {"order": 2}}, "order", 0),
+    ("simulate", INTEGER_FIELD_CASES["steps"][1], "steps", 0),
+    ("simulate", INTEGER_FIELD_CASES["trajectories"][1], "trajectories", 1),
+    ("simulate", INTEGER_FIELD_CASES["env_seed"][1], "env_seed", 0),
+    ("compare", _EXACT_COMPARE, "steps", 0),
+    ("compare", _EXACT_COMPARE, "max_paths", 1),
+    ("compare", INTEGER_FIELD_CASES["samples"][1], "samples", 100),
+]
+
 
 class TestIntegerFields:
     """Integer fields take ints or integral floats; int() would accept true and truncate 2.5."""
@@ -594,11 +648,60 @@ class TestIntegerFields:
         target = payload["operation"] if where == "operation" else payload
         assert self._run(tmp_path, field, float(target.get(field, 2))) == 0
 
+    @staticmethod
+    def _run_range_case(tmp_path, case, value):
+        command, payload, field, _ = case
+        payload = json.loads(json.dumps(payload))
+        payload["operation"][field] = value
+        payload["output"] = {"path": str(tmp_path / "o.json")}
+        return main([command, "--config", write_config(tmp_path, payload)])
+
+    @pytest.mark.parametrize("case", RANGE_CASES, ids=lambda c: f"{c[0]}-{c[2]}")
+    def test_values_below_the_minimum_are_config_errors(self, tmp_path, capsys, case):
+        # derive-law would iterate an empty range for box -1 and write an empty table
+        assert self._run_range_case(tmp_path, case, case[3] - 1) == 2
+        err = capsys.readouterr().err
+        assert f"operation.{case[2]} must be >= {case[3]}" in err
+
+    @pytest.mark.parametrize("case", RANGE_CASES, ids=lambda c: f"{c[0]}-{c[2]}")
+    def test_the_minimum_is_accepted(self, tmp_path, case):
+        # max_paths 1 is a valid budget that two steps exceed: the guard, not a config error
+        assert self._run_range_case(tmp_path, case, case[3]) != 2
+
     def test_boolean_seed_is_a_config_error(self, tmp_path, capsys):
         payload = {**INTEGER_FIELD_CASES["steps"][1], "seed": True,
                    "output": {"path": str(tmp_path / "o.json")}}
         assert main(["simulate", "--config", write_config(tmp_path, payload)]) == 2
         assert "seed" in capsys.readouterr().err
+
+
+class TestQuantile:
+    """operation.quantile of empirical compare must be a finite number in (0, 1)."""
+
+    @staticmethod
+    def _run(tmp_path, quantile):
+        # a uniform law at the centre is not induced by the Dirichlet(1,1,1) environment
+        cfg = write_config(
+            tmp_path,
+            {
+                "graph": STAR_3_GRAPH,
+                "laws": {"default": {"family": "uniform"}},
+                "envs": STAR_3_ENVS,
+                "seed": 3,
+                "operation": {"mode": "empirical", "steps": 4, "samples": 2000,
+                              "quantile": quantile},
+                "output": {"path": str(tmp_path / "c.json")},
+            },
+        )
+        return main(["compare", "--config", cfg])
+
+    @pytest.mark.parametrize("quantile", [1, 1.0, 2.0, 0.0, -0.5, math.nan, math.inf, True, "0.9"])
+    def test_bad_quantiles_are_config_errors(self, tmp_path, capsys, quantile):
+        assert self._run(tmp_path, quantile) == 2
+        assert "operation.quantile" in capsys.readouterr().err
+
+    def test_a_mismatched_law_fails_at_a_valid_quantile(self, tmp_path):
+        assert self._run(tmp_path, 0.999) == 1
 
 
 def test_importing_the_cli_leaves_scipy_stats_unloaded():

@@ -11,6 +11,7 @@ plain left-to-right addition on Python 3.11, the version CI runs.
 """
 
 import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -425,3 +426,64 @@ def test_enumeration_matches_per_path_oracle_bitwise(name, monkeypatch):
         assert same_bits(lp, reinforced_path_logprob(graph, laws, t)), t
     for t, lp in annealed.log_probs.items():
         assert same_bits(lp, annealed_path_logprob(graph, envs, t)), t
+
+
+# --- enumeration and per-path laws against a brute-force oracle ---------------------
+#
+# The oracle shares no code with equivalence: it lists move-index sequences with
+# itertools.product in lexicographic order, which is the traversal's depth-first
+# order, applies the step rule and the moment product to each, and adds up the
+# sequences of one trajectory with scipy's logsumexp.
+
+
+def brute_force_sequences(graph, x0, steps):
+    """(trajectory, [(vertex, counts there before the move, move)], final counts) of
+    every move-index sequence of length ``steps`` from x0, in lexicographic order."""
+    width = max(len(row) for row in graph.neighbors)
+    for moves in itertools.product(range(width), repeat=steps):
+        path, taken, counts = [x0], [], {}
+        for i in moves:
+            x = path[-1]
+            if i >= len(graph.neighbors[x]):
+                break
+            at_x = counts.setdefault(x, [0] * len(graph.neighbors[x]))
+            taken.append((x, tuple(at_x), i))
+            at_x[i] += 1
+            path.append(graph.neighbors[x][i])
+        else:
+            yield tuple(path), taken, counts
+
+
+def oracle_reinforced(graph, laws, x0, steps):
+    acc = {}
+    for path, taken, _ in brute_force_sequences(graph, x0, steps):
+        logp = 0.0
+        for x, c, i in taken:
+            logp = logp + float(laws[x].log_weights(c)[i])
+        acc.setdefault(path, []).append(logp)
+    return {t: scipy_lse(lps) for t, lps in acc.items()}
+
+
+def oracle_annealed(graph, envs, x0, steps):
+    acc = {}
+    for path, _, counts in brute_force_sequences(graph, x0, steps):
+        # every vertex in counts was left at least once by this sequence
+        logp = math.fsum(envs[x].log_mixed_moment(tuple(c)) for x, c in counts.items())
+        acc.setdefault(path, []).append(logp)
+    return {t: scipy_lse(lps) for t, lps in acc.items()}
+
+
+@pytest.mark.parametrize("steps", range(7))
+@pytest.mark.parametrize("name", sorted(ENUMERATION_CASES))
+def test_enumeration_and_path_laws_match_brute_force_oracle_bitwise(name, steps):
+    graph, laws, envs = ENUMERATION_CASES[name]
+    for enumerate_law, path_logprob, oracle, spec in (
+        (enumerate_reinforced, reinforced_path_logprob, oracle_reinforced, laws),
+        (enumerate_annealed, annealed_path_logprob, oracle_annealed, envs),
+    ):
+        expected = oracle(graph, spec, 0, steps)
+        law = enumerate_law(graph, spec, 0, steps)
+        assert set(law.log_probs) == set(expected)
+        for t, lp in expected.items():
+            assert same_bits(law.log_probs[t], lp), (enumerate_law.__name__, t)
+            assert same_bits(path_logprob(graph, spec, t), lp), (path_logprob.__name__, t)
