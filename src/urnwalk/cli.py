@@ -15,9 +15,11 @@ Subcommands wire config files to the library:
                              from an admissible law.
 
 Exit codes: 0 pass, 1 property fails, 2 config error, 3 evaluation error,
-4 resource guard.  Outputs embed the SHA-256 of the effective config and
-never include timestamps, so a rerun with the same config and seed is
-byte-identical.
+4 resource guard.  The guards are exact ``compare``'s ``operation.max_paths``
+and ``derive-law``'s limit of :data:`MAX_DERIVE_ROWS` count vectors in the
+box, checked before anything is evaluated.  Outputs embed the SHA-256 of the
+effective config and never include timestamps, so a rerun with the same
+config and seed is byte-identical.
 """
 
 from __future__ import annotations
@@ -27,9 +29,10 @@ import csv
 import json
 import sys
 from collections import Counter
-from itertools import product
 from pathlib import Path
 from typing import Any, Mapping, Sequence
+
+import numpy as np
 
 from .admissibility import check_admissible, validate_tolerance
 from .config import (
@@ -56,7 +59,7 @@ from .errors import (
     NotAdmissibleError,
     UrnwalkError,
 )
-from .laws import SimplexPoint
+from .laws import SimplexPoint, check_simplex
 from .moments import hildebrandt_schoenberg_check, simplex_mass
 from .walk import (
     make_stream,
@@ -73,6 +76,9 @@ EXIT_EVALUATION = 3
 EXIT_GUARD = 4
 
 DEFAULT_TOLERANCE = 1e-10
+
+#: Most count vectors derive-law tabulates, the default ``max_paths`` of exact compare.
+MAX_DERIVE_ROWS = 10**6
 
 
 def _write_json(path: Path, payload: Any) -> None:
@@ -460,11 +466,18 @@ def cmd_derive_law(cfg: dict, args: argparse.Namespace) -> int:
     env = env_from_spec(cfg["env"])
     law = law_from_env(env)
     box = _op_int(cfg, "box", 6, minimum=0)
-    rows = []
-    for p in product(range(box + 1), repeat=env.dimension):
-        point = law.weights(p)
-        rows.append(list(p) + list(point.weights))
     out, fmt = _output_target(cfg, "derive-law")
+    size = (box + 1) ** env.dimension
+    if size > MAX_DERIVE_ROWS:
+        raise EnumerationGuardError(
+            f"derive-law: box {box} in dimension {env.dimension} has {size} count vectors, "
+            f"more than the limit of {MAX_DERIVE_ROWS}"
+        )
+    # every count vector of the box, in lexicographic order
+    counts = np.indices((box + 1,) * env.dimension).reshape(env.dimension, -1).T
+    rows = counts.tolist()
+    for row, weights in zip(rows, np.exp(law.log_weights_batch(counts)).tolist()):
+        row.extend(check_simplex(tuple(weights)))
     meta = _meta(cfg, "derive-law", box=box, dimension=env.dimension)
     header = [f"p_{i + 1}" for i in range(env.dimension)] + [
         f"v_{i + 1}" for i in range(env.dimension)

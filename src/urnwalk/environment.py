@@ -20,6 +20,8 @@ Families
 from __future__ import annotations
 
 import math
+from functools import reduce
+from operator import add
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -27,14 +29,17 @@ from scipy.special import gammaln
 
 from .errors import DimensionMismatchError, EvaluationError
 from .laws import (
+    BATCH_ELEMENTS,
     Counts,
     ReinforcementLaw,
     RisingPolynomial,
     SimplexPoint,
     as_counts,
+    batch_counts,
     check_alpha,
     draw_index,
     log_rising_factorial,
+    log_rising_factorials,
     log_sum_exp,
     row_sums,
     sum_as_numpy,
@@ -66,6 +71,15 @@ class VertexEnvLaw:
         """Log of E[prod_i omega_i^{k_i}]; 0 at k = 0."""
         raise NotImplementedError
 
+    def log_mixed_moments(self, counts: np.ndarray) -> np.ndarray:
+        """:meth:`log_mixed_moment` of each row of an ``[N, d]`` count array.
+
+        Bit for bit the per-point value of every row.  This class loops over
+        the rows; the density families override it with one array pass.
+        """
+        rows = batch_counts(counts, self.dimension).tolist()
+        return np.array([self.log_mixed_moment(row) for row in rows], dtype=float)
+
     def mixed_moment(self, counts: Sequence[int]) -> float:
         return math.exp(self.log_mixed_moment(counts))
 
@@ -86,8 +100,15 @@ class DirichletEnv(VertexEnvLaw):
 
     def log_mixed_moment(self, counts: Sequence[int]) -> float:
         c = self._check_counts(counts)
-        num = sum(log_rising_factorial(self.alpha[i], k) for i, k in enumerate(c))
+        # left to right, as log_mixed_moments adds its columns (the builtin sum
+        # compensates rounding from Python 3.12 on)
+        num = reduce(add, map(log_rising_factorial, self.alpha, c))
         return num - log_rising_factorial(self._alpha_total, sum(c))
+
+    def log_mixed_moments(self, counts: np.ndarray) -> np.ndarray:
+        c = batch_counts(counts, self.dimension)
+        num = row_sums(log_rising_factorials(self._alpha_arr, c))
+        return num - log_rising_factorials(self._alpha_total, c.sum(axis=1))
 
     def sample(self, rng: np.random.Generator) -> SimplexPoint:
         for _ in range(_MAX_REDRAWS):
@@ -150,11 +171,21 @@ class PolynomialDirichletEnv(VertexEnvLaw):
         total = sum(c)
         shifted = self._alpha_arr + np.asarray(c, dtype=float)
         return (
-            sum(log_rising_factorial(self.alpha[i], k) for i, k in enumerate(c))
+            reduce(add, map(log_rising_factorial, self.alpha, c))
             + self._poly.log_value(shifted)
             - self._log_poly_alpha
             + log_rising_factorial(self._alpha_total, self.degree)
             - log_rising_factorial(self._alpha_total, self.degree + total)
+        )
+
+    def log_mixed_moments(self, counts: np.ndarray) -> np.ndarray:
+        c = batch_counts(counts, self.dimension)
+        return (
+            row_sums(log_rising_factorials(self._alpha_arr, c))
+            + self._poly.log_values(self._alpha_arr + c)
+            - self._log_poly_alpha
+            + log_rising_factorial(self._alpha_total, self.degree)
+            - log_rising_factorials(self._alpha_total, self.degree + c.sum(axis=1))
         )
 
     def sample(self, rng: np.random.Generator) -> SimplexPoint:
@@ -261,8 +292,41 @@ class EnvMomentLaw(ReinforcementLaw):
             out[i] = self._log_moment(bumped) - base
         return out
 
+    def log_weights_batch(self, counts: np.ndarray) -> np.ndarray:
+        """One :meth:`VertexEnvLaw.log_mixed_moments` call per block of rows.
+
+        Each block's moments are taken once per distinct count vector among
+        the rows and their bumps ``c + e_i``; move i gets ``m(c + e_i) - m(c)``.
+        """
+        c = batch_counts(counts, self.dimension)
+        n, d = c.shape
+        if d == 1:
+            return np.zeros((n, 1))
+        out = np.empty((n, d))
+        # stack[0] is the block itself and stack[1 + i] the block bumped along axis i
+        shifts = np.concatenate([np.zeros((1, d), dtype=np.int64), np.eye(d, dtype=np.int64)])
+        block = max(1, BATCH_ELEMENTS // (d * (d + 1)))
+        for start in range(0, n, block):
+            stack = c[None, start : start + block] + shifts[:, None, :]
+            points, where = _distinct_rows(stack.reshape(-1, d))
+            log_m = self.env.log_mixed_moments(points)[where].reshape(d + 1, -1)
+            out[start : start + block] = (log_m[1:] - log_m[0]).T
+        return out
+
     def __repr__(self) -> str:
         return f"EnvMomentLaw(env={self.env!r})"
+
+
+def _distinct_rows(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of a count table, and for each row the index of its copy."""
+    try:
+        # one integer per row: its flat index in the box spanned by the rows
+        keys = np.ravel_multi_index(points.T, points.max(axis=0) + 1)
+    except ValueError:
+        # that box has more cells than an int64 index reaches: keep every row
+        return points, np.arange(len(points))
+    _, first, where = np.unique(keys, return_index=True, return_inverse=True)
+    return points[first], where
 
 
 def law_from_env(env: VertexEnvLaw) -> ReinforcementLaw:

@@ -14,6 +14,17 @@ strictly positive probability vector over the ``d`` moves.  Built-in families:
 Probabilities are exposed both linearly (:meth:`ReinforcementLaw.weights`)
 and in log space (:meth:`ReinforcementLaw.log_weights`); long products
 downstream are always accumulated in log space.
+
+Tables over many count vectors (the box of ``derive-law``, one degree of
+the moment table) use :meth:`ReinforcementLaw.log_weights_batch`, which
+takes an ``[N, d]`` array of counts and returns the ``[N, d]`` log weights
+in one array pass.  Its contract is bitwise: row ``r`` has exactly the bits
+of the per-point log weights at ``counts[r]``.  A family gets an array path
+only where every float operation can be kept: the same ufuncs on the same
+operands in the same order, columns added left to right as the scalar code
+adds them, and ``math.log`` kept per entry where the scalar code calls
+``math.log``, since numpy's ``log`` may round differently.  Every other law
+falls back to one per-point evaluation per row.
 """
 
 from __future__ import annotations
@@ -91,6 +102,24 @@ class SimplexPoint:
 
     def __iter__(self) -> Iterator[float]:
         return iter(self.weights)
+
+
+#: Floats in one intermediate array of a batch evaluation; larger batches go in blocks.
+BATCH_ELEMENTS = 1 << 15
+
+
+def batch_counts(counts: np.ndarray | Sequence[Sequence[int]], dimension: int) -> np.ndarray:
+    """Check an ``[N, d]`` table of non-negative integer counts; return it as int64."""
+    arr = np.asarray(counts)
+    if arr.size == 0:
+        arr = arr.astype(np.int64).reshape(-1, dimension)
+    if arr.ndim != 2 or arr.shape[1] != dimension:
+        raise DimensionMismatchError(
+            f"counts of shape {arr.shape} do not form rows of dimension {dimension}"
+        )
+    if arr.dtype.kind not in "iu" or (arr.size and arr.min() < 0):
+        raise ValueError("counts must be non-negative integers")
+    return arr.astype(np.int64, copy=False)
 
 
 def as_counts(values: Sequence[int]) -> Counts:
@@ -179,6 +208,12 @@ def log_rising_factorial(y: float, k: int) -> float:
     return float(gammaln(y + k) - gammaln(y))
 
 
+def log_rising_factorials(y: float | np.ndarray, k: np.ndarray) -> np.ndarray:
+    """:func:`log_rising_factorial` entrywise over broadcast positive ``y`` and counts ``k``."""
+    with np.errstate(invalid="ignore"):
+        return np.where(k == 0, 0.0, gammaln(y + k) - gammaln(y))
+
+
 def degree_multi_indices(dimension: int, degree: int) -> list[Counts]:
     """All multi-indices of the given total degree, in lexicographic order."""
     if dimension < 1:
@@ -254,11 +289,28 @@ def log_sum_exp(values: Sequence[float] | np.ndarray) -> float:
     return float(np.log1p(s) + np.log(count) + a_max)
 
 
+def log_sum_exp_rows(table: np.ndarray) -> np.ndarray:
+    """:func:`log_sum_exp` of each row of a 2-D array, with the same bits per row.
+
+    The same ufuncs in the same order, applied to whole columns: row maxima,
+    tie counts, ``exp`` of the shifted rest summed along the row, divided by
+    the ties, then ``log1p(s) + log(ties) + max``.  A row whose maximum is not
+    finite gives that maximum, as the scalar function does.
+    """
+    a_max = table.max(axis=1)
+    ties = table == a_max[:, None]
+    count = np.count_nonzero(ties, axis=1).astype(float)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        s = np.exp(np.where(ties, -np.inf, table) - a_max[:, None]).sum(axis=1) / count
+        out = np.log1p(s) + np.log(count) + a_max
+    return np.where(np.isfinite(a_max), out, a_max)
+
+
 def row_sums(table: np.ndarray) -> np.ndarray:
-    """Sum each row left to right, the order of the builtin ``sum``."""
-    out = table[:, 0]
-    for j in range(1, table.shape[1]):
-        out = out + table[:, j]
+    """Sum along the last axis left to right, the order of the builtin ``sum``."""
+    out = table[..., 0]
+    for j in range(1, table.shape[-1]):
+        out = out + table[..., j]
     return out
 
 
@@ -294,6 +346,25 @@ class RisingPolynomial:
             raise EvaluationError("polynomial evaluation underflowed")
         return value
 
+    def log_values(self, y: np.ndarray) -> np.ndarray:
+        """:meth:`log_value` of each row of ``y`` (``[N, d]``), with the same bits per row."""
+        if y.ndim != 2 or y.shape[1] != self.dimension:
+            raise DimensionMismatchError(
+                f"polynomial of dimension {self.dimension} incompatible with "
+                f"arguments of shape {y.shape}"
+            )
+        out = np.empty(len(y))
+        block = max(1, BATCH_ELEMENTS // self.exponents.size)
+        for start in range(0, len(y), block):
+            rows = y[start : start + block, None, :]
+            factors = gammaln(rows + self.exponents) - gammaln(rows)
+            out[start : start + block] = log_sum_exp_rows(
+                self.log_coefficients + row_sums(factors)
+            )
+        if not np.all(np.isfinite(out)):
+            raise EvaluationError("polynomial evaluation underflowed")
+        return out
+
 
 def log_rising_polynomial(
     coefficients: Mapping[Counts, float], y: Sequence[float]
@@ -318,6 +389,11 @@ class ReinforcementLaw:
     :meth:`log_weights`; the built-in families also override
     :meth:`_log_weights` or :meth:`_simplex`, which take counts the caller
     has already validated (the walk's own).
+
+    :meth:`log_weights_batch` evaluates many count vectors at once.  Row
+    ``r`` of its result has the bits of ``_log_weights(counts[r])``; this
+    class loops over the rows, and a family overrides it only with an array
+    path that keeps those bits.
     """
 
     dimension: int
@@ -336,6 +412,18 @@ class ReinforcementLaw:
     def _log_weights(self, c: Counts) -> np.ndarray:
         """Log-weights at validated counts ``c``."""
         return self.log_weights(c)
+
+    def log_weights_batch(self, counts: np.ndarray) -> np.ndarray:
+        """Log-weights at each row of an ``[N, d]`` count array, as an ``[N, d]`` array.
+
+        Bit for bit the per-point ``_log_weights`` of every row; a row that
+        cannot be evaluated raises the error the per-point call raises.
+        """
+        c = batch_counts(counts, self.dimension)
+        out = np.empty(c.shape)
+        for r, row in enumerate(c.tolist()):
+            out[r] = self._log_weights(tuple(row))
+        return out
 
     def _simplex(self, c: Counts) -> tuple[float, ...]:
         """Weights at validated counts ``c``, passed through :func:`check_simplex`."""
@@ -359,6 +447,9 @@ class UniformLaw(ReinforcementLaw):
     def log_weights(self, counts: Sequence[int]) -> np.ndarray:
         self._check_counts(counts)
         return self._log.copy()
+
+    def log_weights_batch(self, counts: np.ndarray) -> np.ndarray:
+        return np.tile(self._log, (len(batch_counts(counts, self.dimension)), 1))
 
     def _simplex(self, c: Counts) -> tuple[float, ...]:
         return self._weights
@@ -390,6 +481,11 @@ class DirichletLaw(ReinforcementLaw):
         c = self._check_counts(counts)
         shifted = self._alpha_arr + np.asarray(c, dtype=float)
         return np.log(shifted) - math.log(shifted.sum())
+
+    def log_weights_batch(self, counts: np.ndarray) -> np.ndarray:
+        shifted = self._alpha_arr + batch_counts(counts, self.dimension)
+        log_totals = list(map(math.log, shifted.sum(axis=1).tolist()))
+        return np.log(shifted) - np.array(log_totals).reshape(-1, 1)
 
     def __repr__(self) -> str:
         return f"DirichletLaw(alpha={self.alpha})"
@@ -454,6 +550,24 @@ class PolynomialDirichletLaw(ReinforcementLaw):
             )
         return out
 
+    def log_weights_batch(self, counts: np.ndarray) -> np.ndarray:
+        c = batch_counts(counts, self.dimension)
+        n, d = c.shape
+        if d == 1:
+            return np.zeros((n, 1))
+        # rows 0..n-1 are the counts, then each count vector bumped along every axis
+        bumped = (c[:, None, :] + np.eye(d, dtype=np.int64)).reshape(-1, d)
+        log_poly = self._poly.log_values(self._alpha_arr + np.concatenate([c, bumped]))
+        totals = (self._alpha_total + c.sum(axis=1)) + self.degree
+        log_totals = np.array(list(map(math.log, totals.tolist()))).reshape(-1, 1)
+        log_shifted = np.array(list(map(math.log, (self._alpha_arr + c).ravel().tolist())))
+        return (
+            log_shifted.reshape(n, d)
+            - log_totals
+            + log_poly[n:].reshape(n, d)
+            - log_poly[:n].reshape(-1, 1)
+        )
+
     def __repr__(self) -> str:
         return (
             f"PolynomialDirichletLaw(alpha={self.alpha}, degree={self.degree}, "
@@ -514,6 +628,11 @@ class TabulatedLaw(ReinforcementLaw):
 
     def log_weights(self, counts: Sequence[int]) -> np.ndarray:
         return self.weights(counts).log_weights()
+
+    def log_weights_batch(self, counts: np.ndarray) -> np.ndarray:
+        c = batch_counts(counts, self.dimension)
+        points = [self._point(tuple(row)).weights for row in c.tolist()]
+        return np.log(np.array(points, dtype=float).reshape(c.shape))
 
     def __repr__(self) -> str:
         return (

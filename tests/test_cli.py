@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, outputs, determinism."""
 
+import hashlib
 import json
 import math
 import os
@@ -7,9 +8,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from urnwalk import cli
 from urnwalk.cli import main
+from urnwalk.errors import EvaluationError
+from urnwalk.laws import RisingPolynomial
 
 POLYA_LAW = {"family": "dirichlet", "alpha": [1.0, 1.0]}
 POLYA_23_LAW = {"family": "dirichlet", "alpha": [2.0, 3.0]}
@@ -712,3 +717,125 @@ def test_importing_the_cli_leaves_scipy_stats_unloaded():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
     assert done.stdout.strip() == "False"
+
+
+GOLDEN_DERIVE_ENVS = {
+    "dirichlet_d4_box8": ({"family": "dirichlet", "alpha": [0.5, 1.0, 2.5, 4.0]}, 8),
+    "polynomial_d3_box10": (
+        {
+            "family": "polynomial_dirichlet",
+            "alpha": [0.5, 1.0, 2.0],
+            "degree": 3,
+            # all ten monomials, so the log-sum-exp adds past numpy's pairwise threshold
+            "coefficients": [
+                {"index": [3, 0, 0], "value": 1.0}, {"index": [2, 1, 0], "value": 0.5},
+                {"index": [2, 0, 1], "value": 2.0}, {"index": [1, 2, 0], "value": 0.25},
+                {"index": [1, 1, 1], "value": 3.0}, {"index": [1, 0, 2], "value": 1.5},
+                {"index": [0, 3, 0], "value": 0.75}, {"index": [0, 2, 1], "value": 1.25},
+                {"index": [0, 1, 2], "value": 0.125}, {"index": [0, 0, 3], "value": 4.0},
+            ],
+        },
+        10,
+    ),
+}
+
+#: SHA-256 of every file derive-law writes, taken from the per-point evaluation
+#: it replaced (Python 3.11, numpy 2.4.6, scipy 1.17.1).
+GOLDEN_DERIVE_DIGESTS = {
+    ("dirichlet_d4_box8", "csv"): {
+        "law.csv": "c273c54dac723a748fb15826cb693318811630b2a583001b453f661e22e6c52d",
+        "law.csv.meta.json": "44ca04e3cdede1fcc3adc538c9a140455a8adb68b9d0715c820fce944d2780a7",
+    },
+    ("dirichlet_d4_box8", "json"): {
+        "law.json": "486888418d502c156e44577c856c77ecb06d6d2cd6af1d5e630670fd4d2b4679",
+    },
+    ("polynomial_d3_box10", "csv"): {
+        "law.csv": "fce62cd3f3a4629c8be339dddb64791206208e1727a0c9dd4b0e19a24fed6f9e",
+        "law.csv.meta.json": "6011aeb5397c8f0840e1b21b257fe1a2499687d4033709f98c71e361ef3c2713",
+    },
+    ("polynomial_d3_box10", "json"): {
+        "law.json": "ee35d61f6fcb8dd357892f8a56486ba5d4ea22163d960773a5156fa81787bf82",
+    },
+}
+
+
+class TestDeriveLawBatch:
+    """derive-law evaluates its whole box in one batch and keeps every output byte."""
+
+    @pytest.mark.parametrize("name, fmt", sorted(GOLDEN_DERIVE_DIGESTS))
+    def test_golden_bytes(self, tmp_path, monkeypatch, name, fmt):
+        # a relative output path keeps the config hash in the metadata independent of tmp_path
+        monkeypatch.chdir(tmp_path)
+        env, box = GOLDEN_DERIVE_ENVS[name]
+        cfg = write_config(tmp_path, {"env": env, "operation": {"box": box},
+                                      "output": {"path": f"law.{fmt}", "format": fmt}})
+        assert main(["derive-law", "--config", cfg]) == 0
+        want = GOLDEN_DERIVE_DIGESTS[name, fmt]
+        got = {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest() for f in want}
+        assert got == want
+
+    def test_a_box_over_the_row_limit_exits_4_at_once(self, tmp_path):
+        # 101**4 count vectors would take hours one point at a time; run in a child
+        # with a timeout so that such a regression fails instead of hanging
+        out = tmp_path / "law.csv"
+        cfg = write_config(tmp_path, {"env": {"family": "dirichlet", "alpha": [1.0, 2.0, 3.0, 4.0]},
+                                      "operation": {"box": 100},
+                                      "output": {"path": str(out), "format": "csv"}})
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        done = subprocess.run(
+            [sys.executable, "-m", "urnwalk.cli", "derive-law", "--config", cfg],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 4, done.stderr
+        assert "enumeration guard" in done.stderr
+        assert not out.exists()
+
+    def test_the_row_limit_is_compares_default_path_budget(self, tmp_path):
+        # 10**6 + 1 count vectors in one dimension, one over the limit
+        cfg = write_config(tmp_path, {"env": {"family": "dirichlet", "alpha": [1.0]},
+                                      "operation": {"box": 10**6},
+                                      "output": {"path": str(tmp_path / "law.csv")}})
+        assert main(["derive-law", "--config", cfg]) == 4
+
+    @pytest.mark.parametrize("box, code", [(3, 0), (4, 4)])
+    def test_the_row_limit_counts_count_vectors(self, tmp_path, monkeypatch, box, code):
+        monkeypatch.setattr(cli, "MAX_DERIVE_ROWS", 16)
+        cfg = write_config(tmp_path, {"env": {"family": "dirichlet", "alpha": [1.0, 2.0]},
+                                      "operation": {"box": box},
+                                      "output": {"path": str(tmp_path / "law.csv")}})
+        assert main(["derive-law", "--config", cfg]) == code
+
+    def test_a_config_error_comes_before_the_row_limit(self, tmp_path):
+        cfg = write_config(tmp_path, {"env": {"family": "dirichlet", "alpha": [1.0, 2.0]},
+                                      "operation": {"box": 10**4}})
+        assert main(["derive-law", "--config", cfg]) == 2
+
+    def test_a_polynomial_evaluation_error_exits_3(self, tmp_path, monkeypatch, capsys):
+        # no config reaches it (the moments at alpha are checked when the environment
+        # is built), so the row-wise polynomial is made to fail
+        def underflow(self, y):
+            raise EvaluationError("polynomial evaluation underflowed")
+
+        monkeypatch.setattr(RisingPolynomial, "log_values", underflow)
+        cfg = write_config(tmp_path, {"env": POLY_CENTER, "operation": {"box": 3},
+                                      "output": {"path": str(tmp_path / "law.csv")}})
+        assert main(["derive-law", "--config", cfg]) == 3
+        assert "polynomial evaluation underflowed" in capsys.readouterr().err
+
+    def test_the_first_bad_point_exits_3(self, tmp_path, capsys):
+        # each alpha has a finite log-gamma, their total does not: every moment is nan
+        env = {"family": "polynomial_dirichlet", "alpha": [1.5e305, 1.5e305], "degree": 1,
+               "coefficients": [{"index": [1, 0], "value": 1.0}]}
+        cfg = write_config(tmp_path, {"env": env, "operation": {"box": 2},
+                                      "output": {"path": str(tmp_path / "law.csv")}})
+        with np.errstate(all="ignore"):
+            assert main(["derive-law", "--config", cfg]) == 3
+        assert "weight nan is not strictly positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["verify-moments", "recover-moments"])
+    def test_witness_gap_comes_before_reading_outside_its_table(self, tmp_path, command):
+        # the witness's square fails at degree 2 (exit 1); degree 3 would read
+        # outside its box-1 table (exit 3)
+        cfg = write_config(tmp_path, {"law": WITNESS_LAW, "operation": {"order": 3},
+                                      "output": {"path": str(tmp_path / "m.json")}})
+        assert main([command, "--config", cfg]) == 1
