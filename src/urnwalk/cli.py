@@ -46,6 +46,7 @@ from .config import (
 )
 from .environment import law_from_env
 from .equivalence import (
+    DEFAULT_MAX_PATHS,
     compare_distributions,
     compare_empirical,
     enumerate_annealed,
@@ -78,7 +79,7 @@ EXIT_GUARD = 4
 DEFAULT_TOLERANCE = 1e-10
 
 #: Most count vectors derive-law tabulates, the default ``max_paths`` of exact compare.
-MAX_DERIVE_ROWS = 10**6
+MAX_DERIVE_ROWS = DEFAULT_MAX_PATHS
 
 
 def _write_json(path: Path, payload: Any) -> None:
@@ -388,7 +389,7 @@ def cmd_compare(cfg: dict, args: argparse.Namespace) -> int:
         raise ConfigError(f"compare: operation.mode must be 'exact' or 'empirical', got {mode!r}")
     steps = _op_int(cfg, "steps", 4, minimum=0)
     x0 = _start_vertex(cfg, graph)
-    max_paths = _op_int(cfg, "max_paths", 10**6, minimum=1)
+    max_paths = _op_int(cfg, "max_paths", DEFAULT_MAX_PATHS, minimum=1)
     tolerance = _tolerance(cfg)
     if mode == "empirical":
         seed = _require_seed(cfg, "compare")

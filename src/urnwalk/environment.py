@@ -295,8 +295,8 @@ class EnvMomentLaw(ReinforcementLaw):
     def log_weights_batch(self, counts: np.ndarray) -> np.ndarray:
         """One :meth:`VertexEnvLaw.log_mixed_moments` call per block of rows.
 
-        Each block's moments are taken once per distinct count vector among
-        the rows and their bumps ``c + e_i``; move i gets ``m(c + e_i) - m(c)``.
+        Each call takes the block's rows and their bumps ``c + e_i``; move i
+        gets ``m(c + e_i) - m(c)``.
         """
         c = batch_counts(counts, self.dimension)
         n, d = c.shape
@@ -308,25 +308,12 @@ class EnvMomentLaw(ReinforcementLaw):
         block = max(1, BATCH_ELEMENTS // (d * (d + 1)))
         for start in range(0, n, block):
             stack = c[None, start : start + block] + shifts[:, None, :]
-            points, where = _distinct_rows(stack.reshape(-1, d))
-            log_m = self.env.log_mixed_moments(points)[where].reshape(d + 1, -1)
+            log_m = self.env.log_mixed_moments(stack.reshape(-1, d)).reshape(d + 1, -1)
             out[start : start + block] = (log_m[1:] - log_m[0]).T
         return out
 
     def __repr__(self) -> str:
         return f"EnvMomentLaw(env={self.env!r})"
-
-
-def _distinct_rows(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct rows of a count table, and for each row the index of its copy."""
-    try:
-        # one integer per row: its flat index in the box spanned by the rows
-        keys = np.ravel_multi_index(points.T, points.max(axis=0) + 1)
-    except ValueError:
-        # that box has more cells than an int64 index reaches: keep every row
-        return points, np.arange(len(points))
-    _, first, where = np.unique(keys, return_index=True, return_inverse=True)
-    return points[first], where
 
 
 def law_from_env(env: VertexEnvLaw) -> ReinforcementLaw:

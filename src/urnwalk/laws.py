@@ -15,16 +15,15 @@ Probabilities are exposed both linearly (:meth:`ReinforcementLaw.weights`)
 and in log space (:meth:`ReinforcementLaw.log_weights`); long products
 downstream are always accumulated in log space.
 
-Tables over many count vectors (the box of ``derive-law``, one degree of
-the moment table) use :meth:`ReinforcementLaw.log_weights_batch`, which
-takes an ``[N, d]`` array of counts and returns the ``[N, d]`` log weights
-in one array pass.  Its contract is bitwise: row ``r`` has exactly the bits
-of the per-point log weights at ``counts[r]``.  A family gets an array path
-only where every float operation can be kept: the same ufuncs on the same
-operands in the same order, columns added left to right as the scalar code
-adds them, and ``math.log`` kept per entry where the scalar code calls
-``math.log``, since numpy's ``log`` may round differently.  Every other law
-falls back to one per-point evaluation per row.
+Tables over many count vectors (the box of ``derive-law``) use
+:meth:`ReinforcementLaw.log_weights_batch`, which takes an ``[N, d]`` array
+of counts and returns the ``[N, d]`` log weights.  Its contract is bitwise:
+row ``r`` has exactly the bits of the per-point log weights at
+``counts[r]``.  The base class evaluates one row at a time; the induced law
+``environment.EnvMomentLaw`` overrides it with one array pass over the
+environment's moments.  An array path must keep every float operation: the
+same ufuncs on the same operands in the same order, and columns added left
+to right as the scalar code adds them.
 """
 
 from __future__ import annotations
@@ -392,8 +391,8 @@ class ReinforcementLaw:
 
     :meth:`log_weights_batch` evaluates many count vectors at once.  Row
     ``r`` of its result has the bits of ``_log_weights(counts[r])``; this
-    class loops over the rows, and a family overrides it only with an array
-    path that keeps those bits.
+    class loops over the rows, and a subclass overrides it only with an
+    array path that keeps those bits.
     """
 
     dimension: int
@@ -448,9 +447,6 @@ class UniformLaw(ReinforcementLaw):
         self._check_counts(counts)
         return self._log.copy()
 
-    def log_weights_batch(self, counts: np.ndarray) -> np.ndarray:
-        return np.tile(self._log, (len(batch_counts(counts, self.dimension)), 1))
-
     def _simplex(self, c: Counts) -> tuple[float, ...]:
         return self._weights
 
@@ -481,11 +477,6 @@ class DirichletLaw(ReinforcementLaw):
         c = self._check_counts(counts)
         shifted = self._alpha_arr + np.asarray(c, dtype=float)
         return np.log(shifted) - math.log(shifted.sum())
-
-    def log_weights_batch(self, counts: np.ndarray) -> np.ndarray:
-        shifted = self._alpha_arr + batch_counts(counts, self.dimension)
-        log_totals = list(map(math.log, shifted.sum(axis=1).tolist()))
-        return np.log(shifted) - np.array(log_totals).reshape(-1, 1)
 
     def __repr__(self) -> str:
         return f"DirichletLaw(alpha={self.alpha})"
@@ -550,24 +541,6 @@ class PolynomialDirichletLaw(ReinforcementLaw):
             )
         return out
 
-    def log_weights_batch(self, counts: np.ndarray) -> np.ndarray:
-        c = batch_counts(counts, self.dimension)
-        n, d = c.shape
-        if d == 1:
-            return np.zeros((n, 1))
-        # rows 0..n-1 are the counts, then each count vector bumped along every axis
-        bumped = (c[:, None, :] + np.eye(d, dtype=np.int64)).reshape(-1, d)
-        log_poly = self._poly.log_values(self._alpha_arr + np.concatenate([c, bumped]))
-        totals = (self._alpha_total + c.sum(axis=1)) + self.degree
-        log_totals = np.array(list(map(math.log, totals.tolist()))).reshape(-1, 1)
-        log_shifted = np.array(list(map(math.log, (self._alpha_arr + c).ravel().tolist())))
-        return (
-            log_shifted.reshape(n, d)
-            - log_totals
-            + log_poly[n:].reshape(n, d)
-            - log_poly[:n].reshape(-1, 1)
-        )
-
     def __repr__(self) -> str:
         return (
             f"PolynomialDirichletLaw(alpha={self.alpha}, degree={self.degree}, "
@@ -628,11 +601,6 @@ class TabulatedLaw(ReinforcementLaw):
 
     def log_weights(self, counts: Sequence[int]) -> np.ndarray:
         return self.weights(counts).log_weights()
-
-    def log_weights_batch(self, counts: np.ndarray) -> np.ndarray:
-        c = batch_counts(counts, self.dimension)
-        points = [self._point(tuple(row)).weights for row in c.tolist()]
-        return np.log(np.array(points, dtype=float).reshape(c.shape))
 
     def __repr__(self) -> str:
         return (

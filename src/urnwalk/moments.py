@@ -34,7 +34,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .admissibility import path_product, validate_tolerance
-from .errors import MomentOrderError, NotAdmissibleError, UrnwalkError
+from .errors import MomentOrderError, NotAdmissibleError
 from .laws import Counts, ReinforcementLaw, as_counts
 
 DEFAULT_TOLERANCE = 1e-10
@@ -166,13 +166,10 @@ def build_moment_table(
     law is not admissible on the ball and raises :class:`NotAdmissibleError`.
     The caller should have certified admissibility on a box of size >= order.
 
-    The table grows one degree at a time: one
-    :meth:`~urnwalk.laws.ReinforcementLaw.log_weights_batch` call over the
-    degree ``n - 1`` slice gives every law value both staircases need at
-    degree ``n``, so a path gap at degree ``n`` is reported before the law
-    is evaluated at degree ``n``.  If that call raises, the degree is
-    replayed one point at a time, so the error raised is the first one the
-    per-point order meets, a gap before an evaluation error.
+    The law is evaluated once per count vector: both staircases read a
+    parent's log weights from one call, made when the ball order first
+    meets that parent, so the first error raised is the one the per-point
+    order meets.
     """
     if order < 0:
         raise ValueError("order must be non-negative")
@@ -180,28 +177,28 @@ def build_moment_table(
     origin = (0,) * d
     stair: dict[Counts, float] = {origin: 0.0}
     reverse: dict[Counts, float] = {origin: 0.0}
-    parents = [origin]
-    for n in range(1, order + 1):
-        try:
-            table = law.log_weights_batch(np.array(parents)).tolist()
-            log_w = dict(zip(parents, table)).__getitem__
-        except (UrnwalkError, ValueError):
-            log_w = lambda p: law.log_weights(p).tolist()
-        keys = slice_indices(d, n)
-        for k in keys:
-            hi = max(i for i in range(d) if k[i] > 0)
-            parent_hi = k[:hi] + (k[hi] - 1,) + k[hi + 1 :]
-            stair[k] = stair[parent_hi] + log_w(parent_hi)[hi]
-            lo = min(i for i in range(d) if k[i] > 0)
-            parent_lo = k[:lo] + (k[lo] - 1,) + k[lo + 1 :]
-            reverse[k] = reverse[parent_lo] + log_w(parent_lo)[lo]
-            gap = stair[k] - reverse[k]
-            if abs(gap) > path_tolerance:
-                raise NotAdmissibleError(
-                    f"path products to {k} disagree by {gap:.3e} in log space; "
-                    "the law is not admissible on this ball"
-                )
-        parents = keys
+    log_w: dict[Counts, np.ndarray] = {}
+
+    def log_weights(c: Counts) -> np.ndarray:
+        if c not in log_w:
+            log_w[c] = law.log_weights(c)
+        return log_w[c]
+
+    for k in ball_indices(d, order):
+        if k == origin:
+            continue
+        hi = max(i for i in range(d) if k[i] > 0)
+        parent_hi = k[:hi] + (k[hi] - 1,) + k[hi + 1 :]
+        stair[k] = stair[parent_hi] + float(log_weights(parent_hi)[hi])
+        lo = min(i for i in range(d) if k[i] > 0)
+        parent_lo = k[:lo] + (k[lo] - 1,) + k[lo + 1 :]
+        reverse[k] = reverse[parent_lo] + float(log_weights(parent_lo)[lo])
+        gap = stair[k] - reverse[k]
+        if abs(gap) > path_tolerance:
+            raise NotAdmissibleError(
+                f"path products to {k} disagree by {gap:.3e} in log space; "
+                "the law is not admissible on this ball"
+            )
     return MomentTable(d, order, stair)
 
 
