@@ -15,9 +15,11 @@ Subcommands wire config files to the library:
                              from an admissible law.
 
 Exit codes: 0 pass, 1 property fails, 2 config error, 3 evaluation error,
-4 resource guard.  The guards are exact ``compare``'s ``operation.max_paths``
-and ``derive-law``'s limit of :data:`MAX_DERIVE_ROWS` count vectors in the
-box, checked before anything is evaluated.  Outputs embed the SHA-256 of the
+4 resource guard.  Exit 1 only ever means that a property failed: a
+malformed config field is always a config error (see :mod:`urnwalk.config`).
+The guards are exact ``compare``'s ``operation.max_paths`` and
+``derive-law``'s limit of :data:`MAX_DERIVE_ROWS` count vectors in the box,
+checked before anything is evaluated.  Outputs embed the SHA-256 of the
 effective config and never include timestamps, so a rerun with the same
 config and seed is byte-identical.
 """
@@ -34,10 +36,12 @@ from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from .admissibility import check_admissible, validate_tolerance
+from .admissibility import check_admissible
 from .config import (
+    assignment_from_spec,
     config_hash,
     config_int,
+    config_number,
     env_from_spec,
     graph_from_spec,
     law_from_spec,
@@ -60,7 +64,7 @@ from .errors import (
     NotAdmissibleError,
     UrnwalkError,
 )
-from .laws import SimplexPoint, check_simplex
+from .laws import check_simplex
 from .moments import hildebrandt_schoenberg_check, simplex_mass
 from .walk import (
     make_stream,
@@ -114,26 +118,32 @@ def _write_output(
         _write_json(out, payload)
 
 
+def _write_table(out: Path, fmt: str, table, meta: Mapping[str, Any]) -> None:
+    """A moment table: one row per multi-index, its entries then the value."""
+    header = [f"k_{i + 1}" for i in range(table.dimension)] + ["value"]
+    rows = table.to_rows()
+    _write_output(out, fmt, header, [list(k) + [v] for k, v in rows], meta, "table",
+                  json_rows=[{"index": list(k), "value": v} for k, v in rows])
+
+
 def _effective_config(cfg: dict, args: argparse.Namespace) -> dict:
     """Apply CLI overrides; the result is what gets hashed and recorded."""
     out = json.loads(json.dumps(cfg))
     if getattr(args, "seed", None) is not None:
         out["seed"] = args.seed
     if getattr(args, "out", None):
-        out.setdefault("output", {})["path"] = args.out
+        out["output"] = {**_object(out, "output"), "path": args.out}
     if getattr(args, "format", None):
-        out.setdefault("output", {})["format"] = args.format
+        out["output"] = {**_object(out, "output"), "format": args.format}
     if getattr(args, "tolerance", None) is not None:
-        out.setdefault("operation", {})["tolerance"] = args.tolerance
+        out["operation"] = {**_object(out, "operation"), "tolerance": args.tolerance}
     return out
 
 
 def _output_target(cfg: Mapping, command: str) -> tuple[Path, str]:
-    output = cfg.get("output", {})
-    if not isinstance(output, Mapping):
-        raise ConfigError("output section must be an object")
+    output = _object(cfg, "output")
     path = output.get("path")
-    if not path:
+    if not isinstance(path, str) or not path:
         raise ConfigError(f"{command}: an output path is required (config output.path or --out)")
     fmt = output.get("format", "json")
     if fmt not in ("csv", "json"):
@@ -141,15 +151,23 @@ def _output_target(cfg: Mapping, command: str) -> tuple[Path, str]:
     return Path(path), fmt
 
 
-def _operation(cfg: Mapping) -> Mapping:
-    op = cfg.get("operation", {})
-    if not isinstance(op, Mapping):
-        raise ConfigError("operation section must be an object")
-    return op
+def _section(cfg: Mapping, key: str, command: str) -> Any:
+    """A section of ``cfg`` that ``command`` cannot run without."""
+    if key not in cfg:
+        raise ConfigError(f"{command} needs a {key!r} section")
+    return cfg[key]
+
+
+def _object(cfg: Mapping, key: str) -> Mapping:
+    """An optional section of ``cfg``: an object, empty when absent."""
+    section = cfg.get(key, {})
+    if not isinstance(section, Mapping):
+        raise ConfigError(f"{key} section must be an object")
+    return section
 
 
 def _op_int(cfg: Mapping, key: str, default: int, minimum: int | None = None) -> int:
-    return config_int(_operation(cfg).get(key, default), f"operation.{key}", minimum)
+    return config_int(_object(cfg, "operation").get(key, default), f"operation.{key}", minimum)
 
 
 def _dimension(cfg: Mapping) -> int | None:
@@ -160,19 +178,8 @@ def _dimension(cfg: Mapping) -> int | None:
 
 
 def _tolerance(cfg: Mapping) -> float:
-    raw = _operation(cfg).get("tolerance", DEFAULT_TOLERANCE)
-    try:
-        return validate_tolerance(float(raw))
-    except (TypeError, ValueError):
-        raise ConfigError(f"tolerance must be a finite number >= 0, got {raw!r}") from None
-
-
-def _quantile(op: Mapping) -> float:
-    """The chi-square quantile of empirical compare: a finite number in (0, 1)."""
-    raw = op.get("quantile", 0.999)
-    if isinstance(raw, bool) or not isinstance(raw, (int, float)) or not 0.0 < raw < 1.0:
-        raise ConfigError(f"operation.quantile must be a number in (0, 1), got {raw!r}")
-    return float(raw)
+    tolerance = _object(cfg, "operation").get("tolerance", DEFAULT_TOLERANCE)
+    return config_number(tolerance, "operation.tolerance", minimum=0.0)
 
 
 def _meta(cfg: Mapping, command: str, **extra: Any) -> dict:
@@ -200,9 +207,7 @@ def _start_vertex(cfg: Mapping, graph) -> int:
 
 
 def cmd_check_admissibility(cfg: dict, args: argparse.Namespace) -> int:
-    if "law" not in cfg:
-        raise ConfigError("check-admissibility needs a 'law' section")
-    law = law_from_spec(cfg["law"], _dimension(cfg))
+    law = law_from_spec(_section(cfg, "law", "check-admissibility"), _dimension(cfg))
     box = _op_int(cfg, "box", 6, minimum=1)
     report = check_admissible(law, box, _tolerance(cfg))
     out, fmt = _output_target(cfg, "check-admissibility")
@@ -246,16 +251,10 @@ def _parse_corruption(entries: Sequence[str] | None) -> list[tuple[tuple[int, ..
 
 
 def cmd_verify_moments(cfg: dict, args: argparse.Namespace) -> int:
-    if "law" not in cfg:
-        raise ConfigError("verify-moments needs a 'law' section")
-    law = law_from_spec(cfg["law"], _dimension(cfg))
+    law = law_from_spec(_section(cfg, "law", "verify-moments"), _dimension(cfg))
     order = _op_int(cfg, "order", 8, minimum=0)
     tolerance = _tolerance(cfg)
-    try:
-        table = recover_env_moments(law, order)
-    except NotAdmissibleError as exc:
-        print(f"not admissible: {exc}", file=sys.stderr)
-        return EXIT_PROPERTY
+    table = recover_env_moments(law, order)
     for index, value in _parse_corruption(getattr(args, "corrupt_entry", None)):
         try:
             table = table.with_value(index, value)
@@ -276,11 +275,7 @@ def cmd_verify_moments(cfg: dict, args: argparse.Namespace) -> int:
         mass_deviations=masses,
         passed=passed,
     )
-    dim = table.dimension
-    header = [f"k_{i + 1}" for i in range(dim)] + ["value"]
-    rows = [list(k) + [v] for k, v in table.to_rows()]
-    _write_output(out, fmt, header, rows, meta, "table",
-                  json_rows=[{"index": list(k), "value": v} for k, v in table.to_rows()])
+    _write_table(out, fmt, table, meta)
     if not passed:
         detail = "positivity scan failed" if not hs.passed else "mass identity failed"
         print(
@@ -297,24 +292,11 @@ def cmd_verify_moments(cfg: dict, args: argparse.Namespace) -> int:
 
 
 def _resolve_assignment(cfg: Mapping, graph, command: str) -> tuple[dict, dict]:
-    """Fixed environment for quenched runs: inline or sampled-and-frozen."""
-    meta_extra: dict[str, Any] = {}
+    """Fixed environment for quenched runs, inline or sampled-and-frozen, and its meta."""
     if "assignment" in cfg:
-        raw = cfg["assignment"]
-        if isinstance(raw, Mapping):
-            items = {int(k): v for k, v in raw.items()}
-        else:
-            items = dict(enumerate(raw))
-        try:
-            assignment = {
-                x: SimplexPoint(tuple(float(w) for w in weights))
-                for x, weights in items.items()
-            }
-        except ValueError as exc:
-            raise ConfigError(f"invalid assignment: {exc}") from exc
-        meta_extra["assignment_source"] = "inline"
-    elif "envs" in cfg:
-        op = _operation(cfg)
+        return assignment_from_spec(graph, cfg["assignment"]), {"assignment_source": "inline"}
+    if "envs" in cfg:
+        op = _object(cfg, "operation")
         if "env_seed" not in op:
             raise ConfigError(
                 f"{command}: quenched mode needs an inline 'assignment' or envs plus "
@@ -323,21 +305,15 @@ def _resolve_assignment(cfg: Mapping, graph, command: str) -> tuple[dict, dict]:
         env_seed = config_int(op["env_seed"], "operation.env_seed", minimum=0)
         envs = resolve_per_vertex(graph, cfg["envs"], env_from_spec, "envs")
         assignment = sample_environment(graph, envs, make_stream(env_seed))
-        meta_extra["assignment_source"] = "sampled"
-        meta_extra["env_seed"] = env_seed
-        meta_extra["assignment"] = {
-            str(x): list(p.weights) for x, p in sorted(assignment.items())
-        }
-    else:
-        raise ConfigError(f"{command}: quenched mode needs 'assignment' or 'envs'")
-    return assignment, meta_extra
+        frozen = {str(x): list(p.weights) for x, p in sorted(assignment.items())}
+        return assignment, {"assignment_source": "sampled", "env_seed": env_seed,
+                            "assignment": frozen}
+    raise ConfigError(f"{command}: quenched mode needs 'assignment' or 'envs'")
 
 
 def cmd_simulate(cfg: dict, args: argparse.Namespace) -> int:
-    if "graph" not in cfg:
-        raise ConfigError("simulate needs a 'graph' section")
-    graph = graph_from_spec(cfg["graph"])
-    op = _operation(cfg)
+    graph = graph_from_spec(_section(cfg, "graph", "simulate"))
+    op = _object(cfg, "operation")
     mode = op.get("mode")
     if mode not in ("reinforced", "quenched", "annealed"):
         raise ConfigError(f"simulate: operation.mode must be reinforced|quenched|annealed, got {mode!r}")
@@ -348,14 +324,10 @@ def cmd_simulate(cfg: dict, args: argparse.Namespace) -> int:
 
     meta_extra: dict[str, Any] = {"mode": mode, "steps": steps, "trajectories": count, "start": x0}
     if mode == "reinforced":
-        if "laws" not in cfg:
-            raise ConfigError("simulate: reinforced mode needs a 'laws' section")
-        laws = resolve_per_vertex(graph, cfg["laws"], law_from_spec, "laws")
+        laws = resolve_per_vertex(graph, _section(cfg, "laws", "simulate"), law_from_spec, "laws")
         runner = lambda rng: run_reinforced(graph, laws, x0, steps, rng)
     elif mode == "annealed":
-        if "envs" not in cfg:
-            raise ConfigError("simulate: annealed mode needs an 'envs' section")
-        envs = resolve_per_vertex(graph, cfg["envs"], env_from_spec, "envs")
+        envs = resolve_per_vertex(graph, _section(cfg, "envs", "simulate"), env_from_spec, "envs")
         runner = lambda rng: run_annealed(graph, envs, x0, steps, rng)
     else:
         assignment, extra = _resolve_assignment(cfg, graph, "simulate")
@@ -373,17 +345,13 @@ def cmd_simulate(cfg: dict, args: argparse.Namespace) -> int:
 
 
 def cmd_compare(cfg: dict, args: argparse.Namespace) -> int:
-    if "graph" not in cfg:
-        raise ConfigError("compare needs a 'graph' section")
-    if "envs" not in cfg:
-        raise ConfigError("compare needs an 'envs' section (the annealed reference)")
-    graph = graph_from_spec(cfg["graph"])
-    envs = resolve_per_vertex(graph, cfg["envs"], env_from_spec, "envs")
+    graph = graph_from_spec(_section(cfg, "graph", "compare"))
+    envs = resolve_per_vertex(graph, _section(cfg, "envs", "compare"), env_from_spec, "envs")
     if "laws" in cfg:
         laws = resolve_per_vertex(graph, cfg["laws"], law_from_spec, "laws")
     else:
         laws = {x: law_from_env(env) for x, env in envs.items()}
-    op = _operation(cfg)
+    op = _object(cfg, "operation")
     mode = op.get("mode", "exact")
     if mode not in ("exact", "empirical"):
         raise ConfigError(f"compare: operation.mode must be 'exact' or 'empirical', got {mode!r}")
@@ -394,7 +362,9 @@ def cmd_compare(cfg: dict, args: argparse.Namespace) -> int:
     if mode == "empirical":
         seed = _require_seed(cfg, "compare")
         samples = _op_int(cfg, "samples", 10**5, minimum=100)
-        quantile = _quantile(op)
+        quantile = config_number(op.get("quantile", 0.999), "operation.quantile")
+        if not 0.0 < quantile < 1.0:
+            raise ConfigError(f"operation.quantile must be a number in (0, 1), got {quantile!r}")
     out, fmt = _output_target(cfg, "compare")
 
     annealed = enumerate_annealed(graph, envs, x0, steps, max_paths)
@@ -462,9 +432,7 @@ def cmd_compare(cfg: dict, args: argparse.Namespace) -> int:
 
 
 def cmd_derive_law(cfg: dict, args: argparse.Namespace) -> int:
-    if "env" not in cfg:
-        raise ConfigError("derive-law needs an 'env' section")
-    env = env_from_spec(cfg["env"])
+    env = env_from_spec(_section(cfg, "env", "derive-law"))
     law = law_from_env(env)
     box = _op_int(cfg, "box", 6, minimum=0)
     out, fmt = _output_target(cfg, "derive-law")
@@ -493,9 +461,7 @@ def cmd_derive_law(cfg: dict, args: argparse.Namespace) -> int:
 
 
 def cmd_recover_moments(cfg: dict, args: argparse.Namespace) -> int:
-    if "law" not in cfg:
-        raise ConfigError("recover-moments needs a 'law' section")
-    law = law_from_spec(cfg["law"], _dimension(cfg))
+    law = law_from_spec(_section(cfg, "law", "recover-moments"), _dimension(cfg))
     order = _op_int(cfg, "order", 8, minimum=0)
     try:
         table = recover_env_moments(law, order)
@@ -503,11 +469,8 @@ def cmd_recover_moments(cfg: dict, args: argparse.Namespace) -> int:
         print(f"no environment to recover: {exc}", file=sys.stderr)
         return EXIT_PROPERTY
     out, fmt = _output_target(cfg, "recover-moments")
-    meta = _meta(cfg, "recover-moments", order=order, dimension=table.dimension)
-    header = [f"k_{i + 1}" for i in range(table.dimension)] + ["value"]
-    rows = [list(k) + [v] for k, v in table.to_rows()]
-    _write_output(out, fmt, header, rows, meta, "table",
-                  json_rows=[{"index": list(k), "value": v} for k, v in table.to_rows()])
+    _write_table(out, fmt, table,
+                 _meta(cfg, "recover-moments", order=order, dimension=table.dimension))
     print(f"wrote moment table to order {order} to {out}")
     return EXIT_PASS
 

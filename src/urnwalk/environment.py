@@ -228,13 +228,13 @@ class EmpiricalEnv(VertexEnvLaw):
         cleaned = []
         for weight, point in atoms:
             w = float(weight)
-            if w <= 0:
+            if not w > 0:
                 raise ValueError("atom weights must be strictly positive")
             if not isinstance(point, SimplexPoint):
                 point = SimplexPoint(tuple(float(x) for x in point))
             cleaned.append((w, point))
         total = math.fsum(w for w, _ in cleaned)
-        if abs(total - 1.0) > 1e-12:
+        if not abs(total - 1.0) <= 1e-12:
             raise ValueError(f"atom weights sum to {total!r}, not 1")
         dims = {p.dim for _, p in cleaned}
         if len(dims) != 1:

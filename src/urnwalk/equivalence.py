@@ -44,7 +44,7 @@ class PathDistribution:
 
     def __post_init__(self) -> None:
         total = math.fsum(math.exp(lp) for lp in self.log_probs.values())
-        if abs(total - 1.0) > SUM_TOLERANCE:
+        if not abs(total - 1.0) <= SUM_TOLERANCE:
             raise ValueError(f"path probabilities sum to {total!r}, not 1")
 
     @cached_property
@@ -54,13 +54,6 @@ class PathDistribution:
     @property
     def support(self) -> frozenset[Trajectory]:
         return frozenset(self.log_probs)
-
-    def to_rows(self) -> list[tuple[str, float]]:
-        """(dash-joined vertex ids, probability) rows in sorted order."""
-        return [
-            ("-".join(str(v) for v in t), self.probabilities[t])
-            for t in sorted(self.log_probs)
-        ]
 
 
 @dataclass(frozen=True)

@@ -135,8 +135,9 @@ def as_counts(values: Sequence[int]) -> Counts:
 def check_alpha(alpha: Sequence[float]) -> np.ndarray:
     """Validate a Dirichlet parameter vector and return it as a float array.
 
-    Entries must be finite and strictly positive, and so must their total,
-    which every family divides by.
+    Entries must be finite and strictly positive, and their total must have a
+    finite log-gamma: every family takes log-gamma differences at the total,
+    and ``inf - inf`` would make each moment NaN.
     """
     arr = np.asarray(alpha, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
@@ -147,8 +148,8 @@ def check_alpha(alpha: Sequence[float]) -> np.ndarray:
         raise ValueError("alpha entries must be finite")
     with np.errstate(over="ignore"):
         total = float(arr.sum())
-    if not math.isfinite(total):
-        raise ValueError("alpha total overflows")
+    if not math.isfinite(gammaln(total)):
+        raise ValueError(f"alpha total {total!r} overflows log-gamma")
     return arr
 
 

@@ -13,6 +13,7 @@ import pytest
 
 from urnwalk import cli
 from urnwalk.cli import main
+from urnwalk.environment import DirichletEnv
 from urnwalk.errors import EvaluationError
 from urnwalk.laws import RisingPolynomial
 
@@ -584,6 +585,24 @@ class TestAlphaValidation:
         )
         assert main(["compare", "--config", cfg]) == 2
 
+    def test_alpha_total_past_log_gamma_is_a_config_error(self, tmp_path, capsys):
+        # each entry has a finite log-gamma and the total does not: every moment was NaN,
+        # exact compare wrote TV=nan and exited 1
+        cfg = write_config(
+            tmp_path,
+            {
+                "graph": STAR_GRAPH,
+                "envs": {
+                    "default": {"family": "point_mass", "weights": [1.0]},
+                    "per_vertex": {"0": {"family": "dirichlet", "alpha": [1.5e305, 1.5e305]}},
+                },
+                "operation": {"mode": "exact", "steps": 4},
+                "output": {"path": str(tmp_path / "c.json")},
+            },
+        )
+        assert main(["compare", "--config", cfg]) == 2
+        assert "alpha total" in capsys.readouterr().err
+
 
 _SIMULATE_OP = {"mode": "reinforced", "steps": 3, "trajectories": 2, "start": 0}
 INTEGER_FIELD_CASES = {
@@ -822,14 +841,17 @@ class TestDeriveLawBatch:
         assert main(["derive-law", "--config", cfg]) == 3
         assert "polynomial evaluation underflowed" in capsys.readouterr().err
 
-    def test_the_first_bad_point_exits_3(self, tmp_path, capsys):
-        # each alpha has a finite log-gamma, their total does not: every moment is nan
-        env = {"family": "polynomial_dirichlet", "alpha": [1.5e305, 1.5e305], "degree": 1,
-               "coefficients": [{"index": [1, 0], "value": 1.0}]}
-        cfg = write_config(tmp_path, {"env": env, "operation": {"box": 2},
+    def test_the_first_bad_point_exits_3(self, tmp_path, monkeypatch, capsys):
+        # no config reaches a NaN moment (check_alpha rejects the alpha totals whose
+        # log-gamma overflows), so the batch moments are made NaN
+        def nan_moments(self, counts):
+            return np.full(len(counts), np.nan)
+
+        monkeypatch.setattr(DirichletEnv, "log_mixed_moments", nan_moments)
+        cfg = write_config(tmp_path, {"env": {"family": "dirichlet", "alpha": [1.0, 2.0]},
+                                      "operation": {"box": 2},
                                       "output": {"path": str(tmp_path / "law.csv")}})
-        with np.errstate(all="ignore"):
-            assert main(["derive-law", "--config", cfg]) == 3
+        assert main(["derive-law", "--config", cfg]) == 3
         assert "weight nan is not strictly positive" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["verify-moments", "recover-moments"])
@@ -839,3 +861,255 @@ class TestDeriveLawBatch:
         cfg = write_config(tmp_path, {"law": WITNESS_LAW, "operation": {"order": 3},
                                       "output": {"path": str(tmp_path / "m.json")}})
         assert main([command, "--config", cfg]) == 1
+
+
+# criterion 9's mismatched star-2 pair: TV 1/6 at T = 4
+MISMATCHED_STAR_2 = {
+    "graph": STAR_GRAPH,
+    "laws": STAR_LAWS,
+    "envs": {
+        "default": {"family": "point_mass", "weights": [1.0]},
+        "per_vertex": {"0": {"family": "point_mass", "weights": [0.5, 0.5]}},
+    },
+    "operation": {"mode": "exact", "steps": 4},
+}
+HALF_TABLE = {
+    "family": "tabulated",
+    "box": 1,
+    "entries": [{"counts": c, "weights": [0.5, 0.5]} for c in ([0, 0], [1, 0], [0, 1], [1, 1])],
+}
+
+
+def _law_case(**law):
+    return "check-admissibility", {"law": {"family": "dirichlet", "alpha": [1.0, 2.0], **law},
+                                   "operation": {"box": 2}}
+
+
+def _env_case(**env):
+    return "derive-law", {"env": {**POLY_CENTER, **env}, "operation": {"box": 2}}
+
+
+def _graph_case(**graph):
+    return "simulate", {"graph": graph, "laws": {"default": {"family": "uniform"}}, "seed": 1,
+                        "operation": {"mode": "reinforced", "steps": 3}}
+
+
+def _atoms_case(atoms):
+    envs = {"default": {"family": "point_mass", "weights": [1.0]},
+            "per_vertex": {"0": {"family": "empirical", "atoms": atoms}}}
+    return "compare", {**MISMATCHED_STAR_2, "envs": envs}
+
+
+#: id: (command, config, the field its error message must name).  Each one exited
+#: 0 (truncated or cast), 1 (a false verdict) or escaped as a TypeError traceback.
+MALFORMED_CONFIGS = {
+    "tolerance-true": ("compare", {**MISMATCHED_STAR_2, "operation": {
+        **MISMATCHED_STAR_2["operation"], "tolerance": True}}, "tolerance"),
+    "leaves-fraction": (*_graph_case(generator="star", leaves=2.7), "leaves"),
+    "leaves-null": (*_graph_case(generator="star", leaves=None), "leaves"),
+    "vertices-fraction": (*_graph_case(vertices=2.5, adjacency=[[1], [0]]), "vertices"),
+    "adjacency-number": (*_graph_case(vertices=2, adjacency=5), "adjacency"),
+    "degree-fraction": (*_env_case(degree=1.5), "degree"),
+    "index-fraction": (*_env_case(coefficients=[{"index": [1.7, 0], "value": 1.0}]), "index"),
+    "value-null": (*_env_case(coefficients=[{"index": [1, 0], "value": None}]), "value"),
+    "dimension-fraction": ("check-admissibility", {"law": {"family": "uniform", "dimension": 2.9},
+                                                   "operation": {"box": 2}}, "dimension"),
+    "alpha-bool": (*_law_case(alpha=[True, 2]), "alpha"),
+    "alpha-strings": (*_law_case(alpha=["1", "2"]), "alpha"),
+    "alpha-number": (*_law_case(alpha=5), "alpha"),
+    "entries-number": ("check-admissibility", {"law": {**HALF_TABLE, "entries": 5},
+                                               "operation": {"box": 1}}, "entries"),
+    "counts-string": ("check-admissibility", {"law": {**HALF_TABLE, "entries": [
+        {**e, "counts": ["1", 0]} if e["counts"] == [1, 0] else e for e in HALF_TABLE["entries"]
+    ]}, "operation": {"box": 1}}, "counts"),
+    "weights-strings": ("derive-law", {"env": {"family": "point_mass", "weights": ["0.5", 0.5]},
+                                       "operation": {"box": 2}}, "weights"),
+    "atoms-number": (*_atoms_case([5]), "atoms"),
+    # a NaN atom weight made the annealed law NaN, and compare exited 1
+    "atom-weight-nan": (*_atoms_case([{"weight": math.nan, "weights": [0.5, 0.5]}]), "weight"),
+    "assignment-number": ("simulate", {"graph": STAR_GRAPH, "assignment": 5, "seed": 1,
+                                       "operation": {"mode": "quenched", "steps": 3}},
+                          "assignment"),
+}
+
+
+def _run(tmp_path, command, payload, *extra):
+    payload = {**payload, "output": {"path": str(tmp_path / "o.json"), **payload.get("output", {})}}
+    return main([command, "--config", write_config(tmp_path, payload), *extra])
+
+
+class TestMalformedConfigs:
+    """A malformed field exits 2 with a message that names it, whatever is wrong with it."""
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_CONFIGS))
+    def test_exits_2_naming_the_field(self, tmp_path, capsys, case):
+        command, payload, field = MALFORMED_CONFIGS[case]
+        assert _run(tmp_path, command, payload) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and field in err
+
+    @pytest.mark.parametrize("path", [True, math.nan, 5])
+    def test_output_path_must_be_a_string(self, tmp_path, capsys, path):
+        payload = {"law": POLYA_LAW, "operation": {"box": 2}, "output": {"path": path}}
+        assert main(["check-admissibility", "--config", write_config(tmp_path, payload)]) == 2
+        assert "output path" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section, flag", [("operation", ["--tolerance", "1e-9"]),
+                                               ("output", ["--out", "o.json"]),
+                                               ("output", ["--format", "csv"])])
+    def test_a_section_that_is_not_an_object_is_a_config_error_under_an_override(
+        self, tmp_path, capsys, section, flag
+    ):
+        # the override wrote into the section before anything checked that it was an object
+        payload = {"schema": 1, "law": POLYA_LAW, section: 5}
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        assert main(["check-admissibility", "--config", str(path), *flag]) == 2
+        assert f"{section} section" in capsys.readouterr().err
+
+
+class TestQuenchedAssignment:
+    """An inline assignment gives every vertex of the graph a point of its degree."""
+
+    # star-1: two vertices of degree 1
+    GRAPH = {"generator": "star", "leaves": 1}
+
+    def _run(self, tmp_path, assignment):
+        payload = {"graph": self.GRAPH, "assignment": assignment, "seed": 1,
+                   "operation": {"mode": "quenched", "steps": 3, "trajectories": 2}}
+        return _run(tmp_path, "simulate", payload)
+
+    @pytest.mark.parametrize("assignment", [{"0": [1.0], "1": [1.0]}, [[1.0], [1.0]]])
+    def test_a_point_per_vertex_runs(self, tmp_path, assignment):
+        assert self._run(tmp_path, assignment) == 0
+
+    @pytest.mark.parametrize(
+        "assignment",
+        [
+            # ignored, exit 0
+            {"0": [1.0], "1": [1.0], "7": [1.0]},
+            {"0": [1.0], "1": [1.0], "-1": [1.0]},
+            [[1.0], [1.0], [1.0]],
+            # exit 3
+            {"0": [1.0], "x": [1.0]},
+            {"0": [1.0]},
+            [[1.0]],
+            {"0": [0.5, 0.5], "1": [1.0]},
+        ],
+        ids=["unknown-vertex", "negative-vertex", "extra-row", "non-integer-key",
+             "missing-vertex", "missing-row", "wrong-dimension"],
+    )
+    def test_a_bad_assignment_exits_2(self, tmp_path, capsys, assignment):
+        assert self._run(tmp_path, assignment) == 2
+        assert "assignment" in capsys.readouterr().err
+
+
+#: name: (command, a valid config).  One per command (two for simulate and
+#: compare), covering every law, environment and graph family between them.
+LEAF_CONFIGS = {
+    "check-admissibility": ("check-admissibility", {
+        "law": POLY_CENTER, "dimension": 2, "operation": {"box": 2, "tolerance": 1e-9},
+    }),
+    "verify-moments": ("verify-moments", {
+        "law": {**HALF_TABLE, "fallback": "clamp"}, "operation": {"order": 2, "tolerance": 1e-9},
+    }),
+    "simulate-quenched": ("simulate", {
+        "graph": {"generator": "segment", "length": 3},
+        "assignment": {"0": [1.0], "1": [0.25, 0.75], "2": [1.0]},
+        "seed": 3,
+        "operation": {"mode": "quenched", "steps": 3, "trajectories": 2, "start": 0},
+        "output": {"format": "csv"},
+    }),
+    "simulate-reinforced": ("simulate", {
+        "graph": {"generator": "grid", "rows": 1, "cols": 2},
+        "laws": {"default": {"family": "uniform", "dimension": 1}},
+        "seed": 3,
+        "operation": {"mode": "reinforced", "steps": 2},
+    }),
+    "compare-exact": ("compare", {
+        "graph": {"vertices": 3, "adjacency": [[1, 2], [0], [0]]},
+        "laws": {"default": {"family": "uniform"}, "per_vertex": {"0": POLYA_LAW}},
+        "envs": {
+            "default": {"family": "point_mass", "weights": [1.0]},
+            "per_vertex": {"0": {"family": "empirical", "atoms": [
+                {"weight": 0.5, "weights": [0.25, 0.75]}, {"weight": 0.5, "weights": [0.75, 0.25]},
+            ]}},
+        },
+        "operation": {"mode": "exact", "steps": 2, "start": 0, "max_paths": 100,
+                      "tolerance": 1e-9},
+    }),
+    "compare-empirical": ("compare", {
+        "graph": {"generator": "cycle", "length": 3},
+        "envs": {"default": {"family": "dirichlet", "alpha": [1.0, 2.0]}},
+        "seed": 3,
+        "operation": {"mode": "empirical", "steps": 2, "samples": 100, "quantile": 0.999},
+    }),
+    "derive-law": ("derive-law", {
+        "env": {"family": "polynomial_dirichlet", "alpha": [1.0, 2.0], "degree": 2,
+                "coefficients": [{"index": [2, 0], "value": 1.0},
+                                 {"index": [1, 1], "value": 0.5}]},
+        "operation": {"box": 2},
+    }),
+    "recover-moments": ("recover-moments", {
+        "law": {"family": "uniform", "dimension": 2}, "operation": {"order": 2},
+    }),
+}
+
+
+def _leaves(node, path=()):
+    """The path of every scalar in a JSON tree."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return [path]
+    return [leaf for key, child in items for leaf in _leaves(child, (*path, key))]
+
+
+def _with_leaf(payload, path, value):
+    payload = json.loads(json.dumps(payload))
+    node = payload
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return payload
+
+
+def _full_config(tmp_path, name):
+    payload = {"schema": 1, **LEAF_CONFIGS[name][1]}
+    payload["output"] = {"path": str(tmp_path / "o.out"), **payload.get("output", {})}
+    return payload
+
+
+LEAF_CASES = [
+    (name, path)
+    for name in LEAF_CONFIGS
+    for path in _leaves(_full_config(Path("."), name))
+    if path != ("output", "path")
+]
+
+
+class TestEveryLeaf:
+    """Every scalar field, replaced by a value of the wrong kind, is a config error."""
+
+    @pytest.mark.parametrize("name", sorted(LEAF_CONFIGS))
+    def test_the_configs_are_valid(self, tmp_path, name):
+        cfg = self._write(tmp_path, _full_config(tmp_path, name))
+        assert main([LEAF_CONFIGS[name][0], "--config", cfg]) in (0, 1)
+
+    @pytest.mark.parametrize(
+        "name, path", LEAF_CASES, ids=[f"{n}:{'.'.join(map(str, p))}" for n, p in LEAF_CASES]
+    )
+    def test_a_wrong_kind_exits_2(self, tmp_path, capsys, name, path):
+        payload = _full_config(tmp_path, name)
+        for value in (None, True, "1", math.nan):
+            cfg = self._write(tmp_path, _with_leaf(payload, path, value))
+            assert main([LEAF_CONFIGS[name][0], "--config", cfg]) == 2, value
+            assert capsys.readouterr().err.startswith("config error:"), value
+
+    @staticmethod
+    def _write(tmp_path, payload):
+        path = tmp_path / "leaf.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        return str(path)

@@ -145,6 +145,15 @@ class TestSampling:
         hits = sum(env.sample(rng).weights == (0.2, 0.8) for _ in range(100_000))
         assert abs(hits / 100_000 - 0.25) < 0.005
 
+    @pytest.mark.parametrize(
+        "atoms",
+        [[(math.nan, (1.0,))], [(1.0, (1.0,)), (math.nan, (1.0,))], [(-0.5, (1.0,))]],
+    )
+    def test_empirical_weights_must_be_positive(self, atoms):
+        # NaN passed both the w <= 0 test and the sum test, and gave NaN moments
+        with pytest.raises(ValueError, match="atom weights"):
+            EmpiricalEnv(atoms)
+
     def test_sampling_is_reproducible(self):
         env = DirichletEnv([0.5, 0.5, 2.0])
         first = env.sample(np.random.default_rng(123)).weights

@@ -13,6 +13,7 @@ from urnwalk import (
     EnumerationGuardError,
     Graph,
     NotAdmissibleError,
+    PathDistribution,
     PointMassEnv,
     PolynomialDirichletEnv,
     SimplexPoint,
@@ -143,6 +144,17 @@ class TestEnumeration:
         laws = {x: DirichletLaw([1.0, 2.0]) for x in range(3)}
         with pytest.raises(EnumerationGuardError):
             enumerate_reinforced(graph, laws, 0, 6, max_paths=10)
+
+
+class TestPathDistribution:
+    @pytest.mark.parametrize(
+        "log_probs",
+        [{(0, 1): math.nan}, {(0, 1): 0.0, (0, 2): math.nan}, {(0, 1): math.log(0.5)}],
+    )
+    def test_probabilities_must_sum_to_one(self, log_probs):
+        # a NaN total failed the abs(total - 1) > tolerance test and was accepted
+        with pytest.raises(ValueError, match="sum to"):
+            PathDistribution(0, 1, log_probs)
 
 
 class TestCompare:

@@ -231,7 +231,11 @@ class TestAlphaCheck:
     @pytest.mark.parametrize("family", FAMILIES)
     @pytest.mark.parametrize(
         "alpha",
-        [[], [1.0, 0.0], [1.0, -2.0], [math.nan, 1.0], [math.inf, 1.0], [1e308, 1e308]],
+        [
+            [], [1.0, 0.0], [1.0, -2.0], [math.nan, 1.0], [math.inf, 1.0], [1e308, 1e308],
+            # each entry has a finite log-gamma, the total does not: every moment was NaN
+            [1.5e305, 1.5e305],
+        ],
     )
     def test_every_family_rejects_bad_alpha(self, family, alpha):
         with pytest.raises(ValueError, match="alpha"):
