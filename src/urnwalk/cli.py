@@ -35,6 +35,7 @@ from pathlib import Path
 from typing import Any, Mapping, Sequence
 
 import numpy as np
+from scipy.special import gammaincinv
 
 from .admissibility import check_admissible
 from .config import (
@@ -72,6 +73,7 @@ from .walk import (
     run_quenched,
     run_reinforced,
     sample_environment,
+    stream_generators,
 )
 
 EXIT_PASS = 0
@@ -334,7 +336,7 @@ def cmd_simulate(cfg: dict, args: argparse.Namespace) -> int:
         meta_extra.update(extra)
         runner = lambda rng: run_quenched(graph, assignment, x0, steps, rng)
 
-    trajectories = [runner(make_stream(seed, i)) for i in range(count)]
+    trajectories = [runner(rng) for rng in stream_generators(seed, count)]
     out, fmt = _output_target(cfg, "simulate")
     meta = _meta(cfg, "simulate", **meta_extra)
     header = [f"v{t}" for t in range(steps + 1)]
@@ -342,6 +344,14 @@ def cmd_simulate(cfg: dict, args: argparse.Namespace) -> int:
     _write_output(out, fmt, header, rows, meta, "trajectories")
     print(f"wrote {count} {mode} trajectories of {steps} steps to {out}")
     return EXIT_PASS
+
+
+def chi2_quantile(quantile: float, dof: int) -> float:
+    """``scipy.stats.chi2.ppf(quantile, dof)`` bit for bit, without importing scipy.stats.
+
+    scipy.stats takes most of a second and about 40 MB to import.
+    """
+    return float(2.0 * gammaincinv(dof / 2, quantile))
 
 
 def cmd_compare(cfg: dict, args: argparse.Namespace) -> int:
@@ -397,14 +407,11 @@ def cmd_compare(cfg: dict, args: argparse.Namespace) -> int:
         return EXIT_PASS if passed else EXIT_PROPERTY
 
     observed = Counter(
-        run_reinforced(graph, laws, x0, steps, make_stream(seed, i)) for i in range(samples)
+        run_reinforced(graph, laws, x0, steps, rng) for rng in stream_generators(seed, samples)
     )
     report = compare_empirical(observed, annealed)
     statistic, dof = report.chi_square
-    # imported here: scipy.stats takes most of a second to import, and only this mode uses it
-    from scipy.stats import chi2
-
-    threshold = float(chi2.ppf(quantile, dof)) if dof > 0 else 0.0
+    threshold = chi2_quantile(quantile, dof) if dof > 0 else 0.0
     passed = statistic <= threshold if dof > 0 else statistic == 0.0
     meta = _meta(
         cfg,

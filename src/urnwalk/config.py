@@ -37,7 +37,10 @@ an integral value.  A number (``alpha`` and ``weights`` entries, a
 coefficient ``value``, an atom ``weight``) is a finite JSON number; ``NaN``
 and ``Infinity``, which Python's ``json`` reads, are not.  Neither is ever a
 bool, a string or ``null``.  An array is a JSON array of such values, and a
-``weights`` array must be a point of the simplex.  A malformed field raises
+``weights`` array must be a point of the simplex.  A vertex id key (of
+``per_vertex`` or an ``assignment`` object) is the vertex number in plain
+decimal, ``"0"``, ``"1"``, ..., with no sign, spaces, underscores or
+leading zeros, so two keys never name one vertex.  A malformed field raises
 :class:`ConfigError` naming it, so the CLI always exits 2 on it.
 """
 
@@ -45,6 +48,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 import sys
 from pathlib import Path
 from typing import Any, Callable, Mapping
@@ -271,16 +275,22 @@ def graph_from_spec(spec: Mapping) -> Graph:
         raise ConfigError(f"invalid graph spec: {exc}") from exc
 
 
+#: A vertex id as an object key: plain decimal, without sign or leading zeros.
+_VERTEX_ID = re.compile(r"0|[1-9][0-9]*")
+
+
 def _by_vertex(graph: Graph, items: Any, what: str) -> dict[int, Any]:
     """``items`` keyed by vertex id; every key must name a vertex of ``graph``."""
     if not isinstance(items, Mapping):
         raise ConfigError(f"{what} must be an object keyed by vertex id")
     out: dict[int, Any] = {}
     for key, value in items.items():
-        try:
+        if isinstance(key, str) and _VERTEX_ID.fullmatch(key):
             x = int(key)
-        except ValueError:
-            raise ConfigError(f"{what} key {key!r} is not a vertex id") from None
+        elif isinstance(key, int) and not isinstance(key, bool):
+            x = key  # the position of a row in an assignment array
+        else:
+            raise ConfigError(f"{what} key {key!r} is not a vertex id")
         if not (0 <= x < graph.vertex_count):
             raise ConfigError(f"{what} names unknown vertex {x}")
         out[x] = value

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import reduce, wraps
 from itertools import product
 from operator import add
 from typing import Iterator, Mapping, Sequence
@@ -381,6 +381,37 @@ def rising_polynomial(coefficients: Mapping[Counts, float], y: Sequence[float]) 
     return math.exp(log_rising_polynomial(coefficients, y))
 
 
+#: Most count vectors one law memoises its simplex point for; later ones are evaluated each time.
+SIMPLEX_MEMO_LIMIT = 1 << 13
+
+
+def _memoised_simplex(simplex):
+    """Memoise a law's ``_simplex(c)`` per count vector ``c``, on the law instance.
+
+    Only points that passed :func:`check_simplex` are kept: an evaluation
+    that raises is retried on the next call.  Each law keeps at most
+    :data:`SIMPLEX_MEMO_LIMIT` points and then stops inserting.  Sound only
+    because evaluation is pure; two threads may compute a point twice, and
+    store equal values.
+    """
+
+    @wraps(simplex)
+    def memoised(self, c: Counts) -> tuple[float, ...]:
+        try:
+            memo = self._simplex_memo
+        except AttributeError:
+            # a user law need not call ReinforcementLaw.__init__
+            memo = self._simplex_memo = {}
+        point = memo.get(c)
+        if point is None:
+            point = simplex(self, c)
+            if len(memo) < SIMPLEX_MEMO_LIMIT:
+                memo[c] = point
+        return point
+
+    return memoised
+
+
 class ReinforcementLaw:
     """Base class: evaluable map from count vectors to probability vectors.
 
@@ -389,6 +420,12 @@ class ReinforcementLaw:
     :meth:`log_weights`; the built-in families also override
     :meth:`_log_weights` or :meth:`_simplex`, which take counts the caller
     has already validated (the walk's own).
+
+    :meth:`_simplex`, which the walk and :meth:`weights` evaluate through,
+    is memoised per count vector on the instance (:func:`_memoised_simplex`),
+    so trajectories that reach the same counts evaluate the law there once.
+    The memo relies on evaluation being pure; a law whose weights at given
+    counts could change would have to override :meth:`_simplex`.
 
     :meth:`log_weights_batch` evaluates many count vectors at once.  Row
     ``r`` of its result has the bits of ``_log_weights(counts[r])``; this
@@ -425,6 +462,7 @@ class ReinforcementLaw:
             out[r] = self._log_weights(tuple(row))
         return out
 
+    @_memoised_simplex
     def _simplex(self, c: Counts) -> tuple[float, ...]:
         """Weights at validated counts ``c``, passed through :func:`check_simplex`."""
         return check_simplex(tuple(np.exp(self._log_weights(c)).tolist()))
@@ -469,6 +507,7 @@ class DirichletLaw(ReinforcementLaw):
     def weights(self, counts: Sequence[int]) -> SimplexPoint:
         return SimplexPoint(self._simplex(self._check_counts(counts)))
 
+    @_memoised_simplex
     def _simplex(self, c: Counts) -> tuple[float, ...]:
         shifted = list(map(add, self.alpha, c))
         total = sum_as_numpy(shifted)

@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from urnwalk import cli
 from urnwalk.cli import main
@@ -1113,3 +1115,88 @@ class TestEveryLeaf:
         path = tmp_path / "leaf.json"
         path.write_text(json.dumps(payload), encoding="utf-8")
         return str(path)
+
+
+class TestChiSquareThreshold:
+    """Empirical compare's threshold: chi2.ppf's bits, without importing scipy.stats."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.floats(min_value=1e-12, max_value=1.0, exclude_max=True),
+        st.integers(min_value=1, max_value=5000),
+    )
+    def test_bits_of_chi2_ppf(self, quantile, dof):
+        from scipy.stats import chi2
+
+        want = float(chi2.ppf(quantile, dof))
+        assert cli.chi2_quantile(quantile, dof).hex() == want.hex()
+
+    def test_an_empirical_compare_leaves_scipy_stats_unloaded(self, tmp_path):
+        cfg = write_config(
+            tmp_path,
+            {
+                "graph": STAR_GRAPH,
+                "envs": STAR_ENVS,
+                "seed": 12,
+                "operation": {"mode": "empirical", "steps": 3, "samples": 500},
+                "output": {"path": str(tmp_path / "c.json")},
+            },
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": src}
+        probe = (
+            "import contextlib, io, sys, urnwalk.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    code = urnwalk.cli.main(['compare', '--config', {cfg!r}])\n"
+            "print(code, 'scipy.stats' in sys.modules)"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        )
+        assert done.stdout.split() == ["0", "False"]
+        assert json.loads((tmp_path / "c.json").read_text())["passed"] is True
+
+
+class TestVertexIdKeys:
+    """A vertex id key is plain decimal, so no two keys can name one vertex."""
+
+    GRAPH = {"generator": "cycle", "length": 12}
+
+    def _simulate(self, tmp_path, per_vertex):
+        cfg = write_config(
+            tmp_path,
+            {
+                "graph": self.GRAPH,
+                "laws": {"default": {"family": "uniform"}, "per_vertex": per_vertex},
+                "seed": 1,
+                "operation": {"mode": "reinforced", "steps": 5},
+                "output": {"path": str(tmp_path / "t.json")},
+            },
+        )
+        return main(["simulate", "--config", cfg])
+
+    @pytest.mark.parametrize("key", ["1_0", "+1", " 1 ", "01", "1.0", "-0", "\u0661", "1\n"])
+    def test_a_non_canonical_key_exits_2(self, tmp_path, capsys, key):
+        assert self._simulate(tmp_path, {key: POLYA_LAW}) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and repr(key) in err
+
+    @pytest.mark.parametrize("key", ["0", "1", "10", "11"])
+    def test_a_canonical_key_names_its_vertex(self, tmp_path, key):
+        assert self._simulate(tmp_path, {key: POLYA_LAW}) == 0
+
+    @pytest.mark.parametrize("key", ["01", "+1", " 1 ", "1_0"])
+    def test_an_assignment_key_is_checked_too(self, tmp_path, capsys, key):
+        points = {str(x): [0.5, 0.5] for x in range(12)}
+        cfg = write_config(
+            tmp_path,
+            {
+                "graph": self.GRAPH,
+                "assignment": {**points, key: [0.25, 0.75]},
+                "seed": 1,
+                "operation": {"mode": "quenched", "steps": 5},
+                "output": {"path": str(tmp_path / "t.json")},
+            },
+        )
+        assert main(["simulate", "--config", cfg]) == 2
+        assert "assignment" in capsys.readouterr().err
