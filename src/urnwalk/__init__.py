@@ -11,10 +11,7 @@ from .admissibility import (
     AdmissibilityReport,
     SquareViolation,
     check_admissible,
-    path_endpoint,
     path_product,
-    random_monotone_path,
-    square_defect,
 )
 from .catalog import builtin_environments, builtin_laws, tabulated_witness
 from .environment import (

@@ -10,6 +10,10 @@ cycle of the lattice graph, so scanning them over a finite box certifies
 closedness on that box.  Admissible laws give move sequences whose
 probability depends only on how often each move was taken, which is what
 makes the path products of :func:`path_product` well defined per endpoint.
+
+The scan asks the law's public ``log_weights`` for each count vector up to
+``1 + d(d-1)`` times; the built-in families memoise it per count vector,
+so all but the first of those calls are dictionary hits.
 """
 
 from __future__ import annotations
@@ -19,10 +23,8 @@ from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Sequence
 
-import numpy as np
-
 from .errors import DimensionMismatchError
-from .laws import Counts, ReinforcementLaw, as_counts
+from .laws import Counts, ReinforcementLaw
 
 DEFAULT_TOLERANCE = 1e-10
 
@@ -79,24 +81,6 @@ class AdmissibilityReport:
         }
 
 
-def square_defect(law: ReinforcementLaw, counts: Sequence[int], i: int, j: int) -> float:
-    """Log defect of the elementary square at ``counts`` spanned by moves i, j.
-
-    Returns ``ln V_i(p) + ln V_j(p+e_i) - ln V_j(p) - ln V_i(p+e_j)``; zero
-    exactly when the square relation V_i(p) V_j(p+e_i) = V_j(p) V_i(p+e_j)
-    holds.  Move indices are 0-based.
-    """
-    d = law.dimension
-    if i == j or not (0 <= i < d) or not (0 <= j < d):
-        raise ValueError(f"need two distinct move indices in 0..{d - 1}, got {i}, {j}")
-    p = as_counts(counts)
-    p_i = p[:i] + (p[i] + 1,) + p[i + 1 :]
-    p_j = p[:j] + (p[j] + 1,) + p[j + 1 :]
-    lhs = float(law.log_weights(p)[i] + law.log_weights(p_i)[j])
-    rhs = float(law.log_weights(p)[j] + law.log_weights(p_j)[i])
-    return lhs - rhs
-
-
 def _scan_chunk(
     law: ReinforcementLaw,
     points: Sequence[Counts],
@@ -145,23 +129,12 @@ def check_admissible(
     )
 
 
-def path_endpoint(steps: Sequence[int], dimension: int) -> Counts:
-    """Endpoint of a monotone lattice path: how often each move appears."""
-    counts = [0] * dimension
-    for s in steps:
-        if not (0 <= s < dimension):
-            raise DimensionMismatchError(
-                f"step index {s} out of range for dimension {dimension}"
-            )
-        counts[s] += 1
-    return tuple(counts)
-
-
 def path_product(law: ReinforcementLaw, steps: Sequence[int]) -> float:
     """Log probability of a move sequence starting from zero counts.
 
     Accumulates ``sum_t ln V_{s(t)}(counts before step t)``.  For admissible
-    laws the result depends only on :func:`path_endpoint` of the sequence.
+    laws the result depends only on the endpoint of the sequence, how often
+    each move appears in it.
     The empty path returns 0 (product 1).
     """
     counts = [0] * law.dimension
@@ -174,11 +147,3 @@ def path_product(law: ReinforcementLaw, steps: Sequence[int]) -> float:
         total += float(law.log_weights(tuple(counts))[s])
         counts[s] += 1
     return total
-
-
-def random_monotone_path(endpoint: Sequence[int], rng: np.random.Generator) -> list[int]:
-    """A uniformly shuffled monotone path from the origin to ``endpoint``."""
-    target = as_counts(endpoint)
-    steps = [i for i, k in enumerate(target) for _ in range(k)]
-    rng.shuffle(steps)
-    return steps

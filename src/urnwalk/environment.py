@@ -34,6 +34,7 @@ from .laws import (
     ReinforcementLaw,
     RisingPolynomial,
     SimplexPoint,
+    _memoised,
     as_counts,
     batch_counts,
     check_alpha,
@@ -269,17 +270,13 @@ class EnvMomentLaw(ReinforcementLaw):
     def __init__(self, env: VertexEnvLaw):
         self.env = env
         self.dimension = env.dimension
-        self._moment_cache: dict[Counts, float] = {}
 
+    @_memoised("_moment_cache")
     def _log_moment(self, counts: Counts) -> float:
-        cached = self._moment_cache.get(counts)
-        if cached is None:
-            cached = self.env.log_mixed_moment(counts)
-            self._moment_cache[counts] = cached
-        return cached
+        return self.env.log_mixed_moment(counts)
 
     def log_weights(self, counts: Sequence[int]) -> np.ndarray:
-        return self._log_weights(self._check_counts(counts))
+        return self._memo_log_weights(self._check_counts(counts))
 
     def _log_weights(self, c: Counts) -> np.ndarray:
         if self.dimension == 1:

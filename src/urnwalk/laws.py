@@ -381,35 +381,45 @@ def rising_polynomial(coefficients: Mapping[Counts, float], y: Sequence[float]) 
     return math.exp(log_rising_polynomial(coefficients, y))
 
 
-#: Most count vectors one law memoises its simplex point for; later ones are evaluated each time.
+#: Most count vectors any one per-law memo keeps (the simplex points, the
+#: public log weights and the inner log-polynomial and log-moment caches);
+#: later ones are evaluated each time.
 SIMPLEX_MEMO_LIMIT = 1 << 13
 
 
-def _memoised_simplex(simplex):
-    """Memoise a law's ``_simplex(c)`` per count vector ``c``, on the law instance.
+def _memoised(memo: str, copy: bool = False):
+    """Memoise a law method of validated counts ``c`` per ``c``, in the instance's dict ``memo``.
 
-    Only points that passed :func:`check_simplex` are kept: an evaluation
-    that raises is retried on the next call.  Each law keeps at most
-    :data:`SIMPLEX_MEMO_LIMIT` points and then stops inserting.  Sound only
-    because evaluation is pure; two threads may compute a point twice, and
-    store equal values.
+    Only results that returned are kept: an evaluation that raises is
+    retried on the next call.  Each memo keeps at most
+    :data:`SIMPLEX_MEMO_LIMIT` entries and then stops inserting; a miss
+    after that evaluates again and gets the same bits.  With ``copy`` a
+    stored array is handed out as a copy, so a caller that writes into its
+    result cannot change a later one; a result that is not stored is
+    returned as computed.  Sound only because evaluation is pure; two
+    threads may compute an entry twice, and store equal values.
     """
 
-    @wraps(simplex)
-    def memoised(self, c: Counts) -> tuple[float, ...]:
-        try:
-            memo = self._simplex_memo
-        except AttributeError:
-            # a user law need not call ReinforcementLaw.__init__
-            memo = self._simplex_memo = {}
-        point = memo.get(c)
-        if point is None:
-            point = simplex(self, c)
-            if len(memo) < SIMPLEX_MEMO_LIMIT:
-                memo[c] = point
-        return point
+    def decorate(compute):
+        @wraps(compute)
+        def memoised(self, c: Counts):
+            try:
+                table = getattr(self, memo)
+            except AttributeError:
+                # a user law need not call ReinforcementLaw.__init__
+                table = {}
+                setattr(self, memo, table)
+            value = table.get(c)
+            if value is None:
+                value = compute(self, c)
+                if len(table) >= SIMPLEX_MEMO_LIMIT:
+                    return value
+                table[c] = value
+            return value.copy() if copy else value
 
-    return memoised
+        return memoised
+
+    return decorate
 
 
 class ReinforcementLaw:
@@ -421,11 +431,22 @@ class ReinforcementLaw:
     :meth:`_log_weights` or :meth:`_simplex`, which take counts the caller
     has already validated (the walk's own).
 
-    :meth:`_simplex`, which the walk and :meth:`weights` evaluate through,
-    is memoised per count vector on the instance (:func:`_memoised_simplex`),
-    so trajectories that reach the same counts evaluate the law there once.
-    The memo relies on evaluation being pure; a law whose weights at given
-    counts could change would have to override :meth:`_simplex`.
+    Two methods are memoised per count vector on the instance
+    (:func:`_memoised`), each memo bounded by :data:`SIMPLEX_MEMO_LIMIT`:
+
+    * :meth:`_simplex`, which the walk and :meth:`weights` evaluate through,
+      so trajectories that reach the same counts evaluate the law there once;
+    * on :class:`DirichletLaw`, :class:`PolynomialDirichletLaw` and
+      ``environment.EnvMomentLaw``, the public :meth:`log_weights`, through
+      :meth:`_memo_log_weights`, so the box scan, the exact enumeration and
+      path products, which ask for the same counts many times, compute each
+      once.  Counts are checked on every call, before the lookup, and a
+      stored array is handed out as a copy, which the caller may write into.
+
+    The memos rely on evaluation being pure; a law whose weights at given
+    counts could change would have to override :meth:`_simplex` and
+    :meth:`log_weights`.  :meth:`_log_weights` and :meth:`log_weights_batch`
+    are not memoised.
 
     :meth:`log_weights_batch` evaluates many count vectors at once.  Row
     ``r`` of its result has the bits of ``_log_weights(counts[r])``; this
@@ -450,6 +471,11 @@ class ReinforcementLaw:
         """Log-weights at validated counts ``c``."""
         return self.log_weights(c)
 
+    @_memoised("_log_weights_memo", copy=True)
+    def _memo_log_weights(self, c: Counts) -> np.ndarray:
+        """:meth:`_log_weights` memoised per count vector; callers get a copy."""
+        return self._log_weights(c)
+
     def log_weights_batch(self, counts: np.ndarray) -> np.ndarray:
         """Log-weights at each row of an ``[N, d]`` count array, as an ``[N, d]`` array.
 
@@ -462,7 +488,7 @@ class ReinforcementLaw:
             out[r] = self._log_weights(tuple(row))
         return out
 
-    @_memoised_simplex
+    @_memoised("_simplex_memo")
     def _simplex(self, c: Counts) -> tuple[float, ...]:
         """Weights at validated counts ``c``, passed through :func:`check_simplex`."""
         return check_simplex(tuple(np.exp(self._log_weights(c)).tolist()))
@@ -507,14 +533,16 @@ class DirichletLaw(ReinforcementLaw):
     def weights(self, counts: Sequence[int]) -> SimplexPoint:
         return SimplexPoint(self._simplex(self._check_counts(counts)))
 
-    @_memoised_simplex
+    @_memoised("_simplex_memo")
     def _simplex(self, c: Counts) -> tuple[float, ...]:
         shifted = list(map(add, self.alpha, c))
         total = sum_as_numpy(shifted)
         return check_simplex(tuple([s / total for s in shifted]))
 
     def log_weights(self, counts: Sequence[int]) -> np.ndarray:
-        c = self._check_counts(counts)
+        return self._memo_log_weights(self._check_counts(counts))
+
+    def _log_weights(self, c: Counts) -> np.ndarray:
         shifted = self._alpha_arr + np.asarray(c, dtype=float)
         return np.log(shifted) - math.log(shifted.sum())
 
@@ -550,19 +578,13 @@ class PolynomialDirichletLaw(ReinforcementLaw):
         self._alpha_arr = arr
         self._alpha_total = float(arr.sum())
         self._poly = RisingPolynomial(self.coefficients)
-        self._log_poly_cache: dict[Counts, float] = {}
 
+    @_memoised("_log_poly_cache")
     def _log_poly(self, counts: Counts) -> float:
-        # cache is write-once per key; safe under concurrent readers
-        cached = self._log_poly_cache.get(counts)
-        if cached is None:
-            y = self._alpha_arr + np.asarray(counts, dtype=float)
-            cached = self._poly.log_value(y)
-            self._log_poly_cache[counts] = cached
-        return cached
+        return self._poly.log_value(self._alpha_arr + np.asarray(counts, dtype=float))
 
     def log_weights(self, counts: Sequence[int]) -> np.ndarray:
-        return self._log_weights(self._check_counts(counts))
+        return self._memo_log_weights(self._check_counts(counts))
 
     def _log_weights(self, c: Counts) -> np.ndarray:
         if self.dimension == 1:

@@ -33,7 +33,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 from scipy.special import gammaln
 
-from .admissibility import path_product, validate_tolerance
+from .admissibility import validate_tolerance
 from .errors import MomentOrderError, NotAdmissibleError
 from .laws import Counts, ReinforcementLaw, as_counts
 

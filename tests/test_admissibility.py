@@ -8,15 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import path_endpoint, random_monotone_path, square_defect
 from urnwalk import (
     DirichletLaw,
     PolynomialDirichletLaw,
     UniformLaw,
     check_admissible,
-    path_endpoint,
     path_product,
-    random_monotone_path,
-    square_defect,
     tabulated_witness,
 )
 
