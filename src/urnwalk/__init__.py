@@ -22,7 +22,6 @@ from .environment import (
     PolynomialDirichletEnv,
     VertexEnvLaw,
     law_from_env,
-    quadrature_moment,
 )
 from .equivalence import (
     ComparisonReport,
@@ -52,7 +51,6 @@ from .laws import (
     SimplexPoint,
     TabulatedLaw,
     UniformLaw,
-    degree_multi_indices,
     log_rising_factorial,
     log_rising_polynomial,
     rising_factorial,

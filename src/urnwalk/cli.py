@@ -211,8 +211,9 @@ def _start_vertex(cfg: Mapping, graph) -> int:
 def cmd_check_admissibility(cfg: dict, args: argparse.Namespace) -> int:
     law = law_from_spec(_section(cfg, "law", "check-admissibility"), _dimension(cfg))
     box = _op_int(cfg, "box", 6, minimum=1)
-    report = check_admissible(law, box, _tolerance(cfg))
+    tolerance = _tolerance(cfg)
     out, fmt = _output_target(cfg, "check-admissibility")
+    report = check_admissible(law, box, tolerance)
     meta = _meta(cfg, "check-admissibility", report={
         "admissible": report.admissible,
         "box_size": report.box_size,
@@ -256,8 +257,10 @@ def cmd_verify_moments(cfg: dict, args: argparse.Namespace) -> int:
     law = law_from_spec(_section(cfg, "law", "verify-moments"), _dimension(cfg))
     order = _op_int(cfg, "order", 8, minimum=0)
     tolerance = _tolerance(cfg)
+    corruption = _parse_corruption(getattr(args, "corrupt_entry", None))
+    out, fmt = _output_target(cfg, "verify-moments")
     table = recover_env_moments(law, order)
-    for index, value in _parse_corruption(getattr(args, "corrupt_entry", None)):
+    for index, value in corruption:
         try:
             table = table.with_value(index, value)
         except (MomentOrderError, ValueError) as exc:
@@ -269,7 +272,6 @@ def cmd_verify_moments(cfg: dict, args: argparse.Namespace) -> int:
     ]
     worst_mass = max((m["deviation"] for m in masses), default=0.0)
     passed = hs.passed and worst_mass <= tolerance
-    out, fmt = _output_target(cfg, "verify-moments")
     meta = _meta(
         cfg,
         "verify-moments",
@@ -323,6 +325,7 @@ def cmd_simulate(cfg: dict, args: argparse.Namespace) -> int:
     count = _op_int(cfg, "trajectories", 1, minimum=1)
     x0 = _start_vertex(cfg, graph)
     seed = _require_seed(cfg, "simulate")
+    out, fmt = _output_target(cfg, "simulate")
 
     meta_extra: dict[str, Any] = {"mode": mode, "steps": steps, "trajectories": count, "start": x0}
     if mode == "reinforced":
@@ -337,7 +340,6 @@ def cmd_simulate(cfg: dict, args: argparse.Namespace) -> int:
         runner = lambda rng: run_quenched(graph, assignment, x0, steps, rng)
 
     trajectories = [runner(rng) for rng in stream_generators(seed, count)]
-    out, fmt = _output_target(cfg, "simulate")
     meta = _meta(cfg, "simulate", **meta_extra)
     header = [f"v{t}" for t in range(steps + 1)]
     rows = [list(t) for t in trajectories]
@@ -470,12 +472,12 @@ def cmd_derive_law(cfg: dict, args: argparse.Namespace) -> int:
 def cmd_recover_moments(cfg: dict, args: argparse.Namespace) -> int:
     law = law_from_spec(_section(cfg, "law", "recover-moments"), _dimension(cfg))
     order = _op_int(cfg, "order", 8, minimum=0)
+    out, fmt = _output_target(cfg, "recover-moments")
     try:
         table = recover_env_moments(law, order)
     except NotAdmissibleError as exc:
         print(f"no environment to recover: {exc}", file=sys.stderr)
         return EXIT_PROPERTY
-    out, fmt = _output_target(cfg, "recover-moments")
     _write_table(out, fmt, table,
                  _meta(cfg, "recover-moments", order=order, dimension=table.dimension))
     print(f"wrote moment table to order {order} to {out}")

@@ -2,10 +2,11 @@
 
 An environment law is a probability measure on the open simplex of a
 vertex's move probabilities.  The module provides exact mixed moments
-``E[prod_i omega_i^{k_i}]`` for each built-in family, seeded sampling, the
-forward map from an environment law to the reinforcement law it induces
-(ratio of consecutive mixed moments), and an independent tensor-grid
-quadrature oracle used to validate the closed forms.
+``E[prod_i omega_i^{k_i}]`` for each built-in family, memoised per count
+vector on the environment, seeded sampling, and the forward map from an
+environment law to the reinforcement law it induces (ratio of consecutive
+mixed moments).  The induced law and the annealed walk's exact enumeration
+read the same moment memo, so a compare of the two evaluates each once.
 
 Families
 --------
@@ -55,7 +56,8 @@ class VertexEnvLaw:
     """Base class for environment laws at a single vertex.
 
     Immutable after construction; sampling takes an explicit generator so
-    callers control stream discipline.
+    callers control stream discipline.  The induced law and the annealed
+    enumeration read moments through :meth:`_memo_log_moment`.
     """
 
     dimension: int
@@ -71,6 +73,11 @@ class VertexEnvLaw:
     def log_mixed_moment(self, counts: Sequence[int]) -> float:
         """Log of E[prod_i omega_i^{k_i}]; 0 at k = 0."""
         raise NotImplementedError
+
+    @_memoised("_log_moment_memo")
+    def _memo_log_moment(self, counts: Counts) -> float:
+        """Memoised :meth:`log_mixed_moment`: a miss calls it, so bad counts raise each time."""
+        return self.log_mixed_moment(counts)
 
     def log_mixed_moments(self, counts: np.ndarray) -> np.ndarray:
         """:meth:`log_mixed_moment` of each row of an ``[N, d]`` count array.
@@ -264,16 +271,13 @@ class EnvMomentLaw(ReinforcementLaw):
     Move i at counts p gets probability ``m(p + e_i) / m(p)`` where ``m`` is
     the environment's mixed moment.  This is exactly the conditional law of
     the environment-averaged walk given the traversal history, so walks
-    driven by this law reproduce the annealed walk in distribution.
+    driven by this law reproduce the annealed walk in distribution.  The
+    moments come from the environment's memo, shared with the annealed walk.
     """
 
     def __init__(self, env: VertexEnvLaw):
         self.env = env
         self.dimension = env.dimension
-
-    @_memoised("_moment_cache")
-    def _log_moment(self, counts: Counts) -> float:
-        return self.env.log_mixed_moment(counts)
 
     def log_weights(self, counts: Sequence[int]) -> np.ndarray:
         return self._memo_log_weights(self._check_counts(counts))
@@ -282,11 +286,11 @@ class EnvMomentLaw(ReinforcementLaw):
         if self.dimension == 1:
             # the only move is forced; a moment ratio would leave rounding error
             return np.zeros(1)
-        base = self._log_moment(c)
+        base = self.env._memo_log_moment(c)
         out = np.empty(self.dimension)
         for i in range(self.dimension):
             bumped = c[:i] + (c[i] + 1,) + c[i + 1 :]
-            out[i] = self._log_moment(bumped) - base
+            out[i] = self.env._memo_log_moment(bumped) - base
         return out
 
     def log_weights_batch(self, counts: np.ndarray) -> np.ndarray:
@@ -316,95 +320,3 @@ class EnvMomentLaw(ReinforcementLaw):
 def law_from_env(env: VertexEnvLaw) -> ReinforcementLaw:
     """Reinforcement law whose walk matches the environment's annealed walk."""
     return EnvMomentLaw(env)
-
-
-def _monomial_value(
-    coefficients: Mapping[Counts, float], factors: Sequence[np.ndarray]
-) -> np.ndarray:
-    """Evaluate ``sum_k a_k prod_i t_i^{k_i}`` on broadcastable grids."""
-    total = None
-    for index, coeff in coefficients.items():
-        if coeff == 0.0:
-            continue
-        term = np.full((), coeff)
-        for i, k in enumerate(index):
-            if k:
-                term = term * factors[i] ** k
-        total = term if total is None else total + term
-    assert total is not None
-    return np.asarray(total)
-
-
-#: Density grids are expensive for d = 3; keep the two most recent.
-_GRID_CACHE: dict[tuple, tuple] = {}
-
-
-def _density_grid(key: tuple, alpha, coefficients, d: int, n: int):
-    cached = _GRID_CACHE.get(key)
-    if cached is not None:
-        return cached
-    u = (np.arange(n) + 0.5) / n
-    s = np.sin(np.pi * u / 2.0) ** 2
-    jac = (np.pi / 2.0) * np.sin(np.pi * u) / n
-    if d == 2:
-        factors = (s, 1.0 - s)
-        dens = factors[0] ** (alpha[0] - 1.0) * factors[1] ** (alpha[1] - 1.0)
-        dens = dens * _monomial_value(coefficients, factors) * jac
-    else:
-        # t1 = x, t2 = (1-x) y, t3 = (1-x)(1-y) with x, y on the grid
-        x = s[:, None]
-        y = s[None, :]
-        factors = (x, (1.0 - x) * y, (1.0 - x) * (1.0 - y))
-        jac2 = jac[:, None] * jac[None, :] * (1.0 - x)
-        dens = (
-            factors[0] ** (alpha[0] - 1.0)
-            * factors[1] ** (alpha[1] - 1.0)
-            * factors[2] ** (alpha[2] - 1.0)
-            * _monomial_value(coefficients, factors)
-            * jac2
-        )
-    entry = (factors, dens, float(dens.sum()))
-    while len(_GRID_CACHE) >= 2:
-        _GRID_CACHE.pop(next(iter(_GRID_CACHE)))
-    _GRID_CACHE[key] = entry
-    return entry
-
-
-def quadrature_moment(
-    env: VertexEnvLaw, counts: Sequence[int], points_per_axis: int = 2048
-) -> float:
-    """Mixed moment by tensor-grid quadrature over the simplex (test oracle).
-
-    Only density families (Dirichlet and polynomial-Dirichlet) of dimension
-    at most 3 are supported.  The free coordinates are mapped through
-    ``t = sin^2(pi u / 2)``, which absorbs endpoint singularities of Dirichlet
-    kernels with alpha >= 1/2, and integrated with the midpoint rule on a
-    uniform grid.  Accuracy is around 1e-7 for the built-in densities.
-    """
-    if isinstance(env, DirichletEnv):
-        alpha = env.alpha
-        coefficients: Mapping[Counts, float] = {(0,) * env.dimension: 1.0}
-    elif isinstance(env, PolynomialDirichletEnv):
-        alpha = env.alpha
-        coefficients = env.coefficients
-    else:
-        raise EvaluationError(
-            f"quadrature oracle needs a density family, got {type(env).__name__}"
-        )
-    d = env.dimension
-    if d > 3:
-        raise EvaluationError("quadrature oracle supports dimension <= 3")
-    c = as_counts(counts)
-    if len(c) != d:
-        raise DimensionMismatchError(f"counts {c} do not match dimension {d}")
-    if d == 1:
-        return 1.0
-
-    n = int(points_per_axis)
-    key = (alpha, tuple(sorted(coefficients.items())), n)
-    factors, dens, dens_total = _density_grid(key, alpha, coefficients, d, n)
-    numer = dens
-    for i, k in enumerate(c):
-        if k:
-            numer = numer * factors[i] ** k
-    return float(numer.sum() / dens_total)

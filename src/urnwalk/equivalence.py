@@ -3,13 +3,14 @@
 Both exact laws come from one depth-first traversal of the move tree over
 per-vertex move counts shared by all branches, with one of two scorers:
 ``_Reinforced`` adds the law's log weight of each move at the counts so far;
-``_Annealed`` adds nothing per move and at a leaf sums each vertex's memoised
-log mixed moment at its final counts (environments are independent across
-vertices, so the average factorizes).  The whole tree gives the law of the
-length-T trajectories; the moves realizing one vertex sequence, summed over
-parallel moves on multigraphs, give that trajectory's probability.  Sampled
-trajectories are tested against an exact reference by total variation and a
-pooled chi-square statistic.
+``_Annealed`` adds nothing per move and at a leaf sums each vertex's log mixed
+moment at its final counts (environments are independent across vertices, so
+the average factorizes), read from the environment's memo, which an induced
+``EnvMomentLaw`` on the same environment reads too.  The whole tree gives the
+law of the length-T trajectories; the moves realizing one vertex sequence,
+summed over parallel moves on multigraphs, give that trajectory's
+probability.  Sampled trajectories are tested against an exact reference by
+total variation and a pooled chi-square statistic.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import EnumerationGuardError
-from .laws import Counts, ReinforcementLaw, log_sum_exp
+from .laws import ReinforcementLaw, log_sum_exp
 from .environment import VertexEnvLaw
 from .moments import MomentTable, build_moment_table
 from .walk import Graph, Trajectory
@@ -105,19 +106,15 @@ class _Annealed:
 
     def __init__(self, envs: Mapping[int, VertexEnvLaw]) -> None:
         self.envs = envs
-        self.memo: dict[tuple[int, Counts], float] = {}
 
     def step(self, x: int, at_x: list[int]) -> list[float]:
         return [0.0] * len(at_x)
 
     def leaf(self, logp: float, counts: Mapping[int, list[int]]) -> float:
         # counts is shared across branches: skip vertices only other paths left
-        return math.fsum(self._moment(x, tuple(c)) for x, c in counts.items() if any(c))
-
-    def _moment(self, x: int, c: Counts) -> float:
-        if (x, c) not in self.memo:
-            self.memo[x, c] = self.envs[x].log_mixed_moment(c)
-        return self.memo[x, c]
+        return math.fsum(
+            self.envs[x]._memo_log_moment(tuple(c)) for x, c in counts.items() if any(c)
+        )
 
 
 def _enumerate(

@@ -214,24 +214,6 @@ def log_rising_factorials(y: float | np.ndarray, k: np.ndarray) -> np.ndarray:
         return np.where(k == 0, 0.0, gammaln(y + k) - gammaln(y))
 
 
-def degree_multi_indices(dimension: int, degree: int) -> list[Counts]:
-    """All multi-indices of the given total degree, in lexicographic order."""
-    if dimension < 1:
-        raise ValueError("dimension must be >= 1")
-    out: list[Counts] = []
-
-    def extend(prefix: tuple[int, ...], remaining: int) -> None:
-        if len(prefix) == dimension - 1:
-            out.append(prefix + (remaining,))
-            return
-        for v in range(remaining + 1):
-            extend(prefix + (v,), remaining - v)
-
-    # lexicographic ascending in the leading coordinates
-    extend((), degree)
-    return out
-
-
 def validate_polynomial_coefficients(
     dimension: int,
     degree: int,
@@ -381,14 +363,14 @@ def rising_polynomial(coefficients: Mapping[Counts, float], y: Sequence[float]) 
     return math.exp(log_rising_polynomial(coefficients, y))
 
 
-#: Most count vectors any one per-law memo keeps (the simplex points, the
-#: public log weights and the inner log-polynomial and log-moment caches);
-#: later ones are evaluated each time.
+#: Most count vectors any one memo of :func:`_memoised` keeps (a law's simplex
+#: points, public log weights and log-polynomial cache, and an environment's
+#: log mixed moments); later ones are evaluated each time.
 SIMPLEX_MEMO_LIMIT = 1 << 13
 
 
 def _memoised(memo: str, copy: bool = False):
-    """Memoise a law method of validated counts ``c`` per ``c``, in the instance's dict ``memo``.
+    """Memoise a method of count tuples ``c`` per ``c``, in the instance's dict ``memo``.
 
     Only results that returned are kept: an evaluation that raises is
     retried on the next call.  Each memo keeps at most
@@ -406,7 +388,7 @@ def _memoised(memo: str, copy: bool = False):
             try:
                 table = getattr(self, memo)
             except AttributeError:
-                # a user law need not call ReinforcementLaw.__init__
+                # created on first use: a subclass need not call a base __init__
                 table = {}
                 setattr(self, memo, table)
             value = table.get(c)
@@ -438,10 +420,12 @@ class ReinforcementLaw:
       so trajectories that reach the same counts evaluate the law there once;
     * on :class:`DirichletLaw`, :class:`PolynomialDirichletLaw` and
       ``environment.EnvMomentLaw``, the public :meth:`log_weights`, through
-      :meth:`_memo_log_weights`, so the box scan, the exact enumeration and
-      path products, which ask for the same counts many times, compute each
-      once.  Counts are checked on every call, before the lookup, and a
-      stored array is handed out as a copy, which the caller may write into.
+      :meth:`_memo_log_weights`, so the box scan, the moment table build,
+      the exact enumeration and path products, which ask for the same
+      counts many times, compute each once.  Counts are checked on every
+      call, before the lookup, and a stored array is handed out as a copy,
+      which the caller may write into.  ``EnvMomentLaw`` reads its moments
+      from its environment's memo, which the annealed walk shares.
 
     The memos rely on evaluation being pure; a law whose weights at given
     counts could change would have to override :meth:`_simplex` and

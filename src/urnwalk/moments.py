@@ -46,14 +46,18 @@ NOISE_FLOOR_FACTOR = 1e3
 
 def ball_indices(dimension: int, order: int) -> list[Counts]:
     """All count vectors with total degree <= order, graded lexicographic."""
-    out = [k for k in product(range(order + 1), repeat=dimension) if sum(k) <= order]
-    out.sort(key=lambda k: (sum(k), k))
-    return out
+    return [k for n in range(order + 1) for k in slice_indices(dimension, n)]
 
 
 def slice_indices(dimension: int, degree: int) -> list[Counts]:
-    """All count vectors with total degree == degree, lexicographic."""
-    return [k for k in product(range(degree + 1), repeat=dimension) if sum(k) == degree]
+    """All count vectors with total degree == degree, lexicographic; none if degree < 0."""
+    if dimension < 1:
+        raise ValueError("dimension must be >= 1")
+    # prefixes in lex order, each with what is left for the last coordinate
+    level = [((), degree)] if degree >= 0 else []
+    for _ in range(dimension - 1):
+        level = [(k + (v,), rest - v) for k, rest in level for v in range(rest + 1)]
+    return [k + (rest,) for k, rest in level]
 
 
 def multinomial(counts: Sequence[int]) -> int:
@@ -166,10 +170,9 @@ def build_moment_table(
     law is not admissible on the ball and raises :class:`NotAdmissibleError`.
     The caller should have certified admissibility on a box of size >= order.
 
-    The law is evaluated once per count vector: both staircases read a
-    parent's log weights from one call, made when the ball order first
-    meets that parent, so the first error raised is the one the per-point
-    order meets.
+    Both staircases call the law's public ``log_weights``, which the
+    computing families memoise, so each count vector is computed once and
+    the first error raised is the one the ball order meets.
     """
     if order < 0:
         raise ValueError("order must be non-negative")
@@ -177,22 +180,15 @@ def build_moment_table(
     origin = (0,) * d
     stair: dict[Counts, float] = {origin: 0.0}
     reverse: dict[Counts, float] = {origin: 0.0}
-    log_w: dict[Counts, np.ndarray] = {}
-
-    def log_weights(c: Counts) -> np.ndarray:
-        if c not in log_w:
-            log_w[c] = law.log_weights(c)
-        return log_w[c]
-
     for k in ball_indices(d, order):
         if k == origin:
             continue
         hi = max(i for i in range(d) if k[i] > 0)
         parent_hi = k[:hi] + (k[hi] - 1,) + k[hi + 1 :]
-        stair[k] = stair[parent_hi] + float(log_weights(parent_hi)[hi])
+        stair[k] = stair[parent_hi] + float(law.log_weights(parent_hi)[hi])
         lo = min(i for i in range(d) if k[i] > 0)
         parent_lo = k[:lo] + (k[lo] - 1,) + k[lo + 1 :]
-        reverse[k] = reverse[parent_lo] + float(log_weights(parent_lo)[lo])
+        reverse[k] = reverse[parent_lo] + float(law.log_weights(parent_lo)[lo])
         gap = stair[k] - reverse[k]
         if abs(gap) > path_tolerance:
             raise NotAdmissibleError(

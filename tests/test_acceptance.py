@@ -15,7 +15,7 @@ import pytest
 from scipy.stats import chi2
 
 import urnwalk as uw
-from oracles import random_monotone_path
+from oracles import quadrature_moment, random_monotone_path
 from urnwalk.cli import main as cli_main
 from urnwalk.moments import ball_indices
 
@@ -214,7 +214,7 @@ def test_criterion_07_closed_forms_match_quadrature(env_map):
             if sum(k) > 6:
                 continue
             exact = env.mixed_moment(k)
-            quad = uw.quadrature_moment(env, k)
+            quad = quadrature_moment(env, k)
             worst = max(worst, abs(quad - exact) / exact)
     ok = worst <= ORACLE_TOL
     _report(7, "closed-form moments vs quadrature oracle", ok, f"worst rel {worst:.2e}")

@@ -37,11 +37,10 @@ from urnwalk.laws import (
     SimplexPoint,
     TabulatedLaw,
     UniformLaw,
-    degree_multi_indices,
     log_sum_exp,
     log_sum_exp_rows,
 )
-from urnwalk.moments import ball_indices, build_moment_table
+from urnwalk.moments import ball_indices, build_moment_table, slice_indices
 
 
 def same_array(a: np.ndarray, b: np.ndarray) -> bool:
@@ -73,7 +72,7 @@ def _counts(draw, d, high=10**4):
 
 def _polynomial(draw, d):
     degree = draw(st.integers(0, 3))
-    indices = degree_multi_indices(d, degree)
+    indices = slice_indices(d, degree)
     chosen = draw(st.lists(st.sampled_from(indices), min_size=1, max_size=len(indices), unique=True))
     coeffs = {k: draw(st.floats(min_value=1e-3, max_value=10.0)) for k in chosen}
     return _alpha(draw, d), degree, coeffs
@@ -158,7 +157,7 @@ class TestLogWeightsBatch:
             (DirichletEnv([0.5, 2.0]), 99),
             # more count vectors than one block of the polynomial
             (PolynomialDirichletEnv([0.5, 1.0, 2.0], 3,
-                                    {k: 1.0 + sum(k[:2]) for k in degree_multi_indices(3, 3)}), 12),
+                                    {k: 1.0 + sum(k[:2]) for k in slice_indices(3, 3)}), 12),
         ],
     )
     def test_full_box_with_shared_bumps(self, env, box):

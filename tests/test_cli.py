@@ -1200,3 +1200,48 @@ class TestVertexIdKeys:
         )
         assert main(["simulate", "--config", cfg]) == 2
         assert "assignment" in capsys.readouterr().err
+
+
+#: command: (a config whose work, if it ran, would exit 1 or 3, the name in
+#: ``cli`` that does the work).  With ``"format": "xml"`` each must exit 2.
+WORK_AFTER_OUTPUT = {
+    # the witness's square fails at degree 2: exit 1
+    "verify-moments": ({"law": WITNESS_LAW, "operation": {"order": 3}}, "recover_env_moments"),
+    "recover-moments": ({"law": WITNESS_LAW, "operation": {"order": 3}}, "recover_env_moments"),
+    # a reject table scanned past its box: exit 3
+    "check-admissibility": ({"law": WITNESS_LAW, "operation": {"box": 4}}, "check_admissible"),
+    # a reinforced walk on a 3-cycle leaves its reject table: exit 3
+    "simulate": ({"graph": {"generator": "cycle", "length": 3},
+                  "laws": {"default": HALF_TABLE}, "seed": 1,
+                  "operation": {"mode": "reinforced", "steps": 6}}, "stream_generators"),
+}
+
+
+class TestConfigErrorsBeforeWork:
+    """A malformed output section or hook is a config error, found before any work."""
+
+    @staticmethod
+    def _forbid(monkeypatch, name):
+        def never(*args, **kwargs):
+            raise AssertionError(f"{name} ran before the config was read")
+
+        monkeypatch.setattr(cli, name, never)
+
+    @pytest.mark.parametrize("command", sorted(WORK_AFTER_OUTPUT))
+    def test_a_bad_output_format_exits_2_before_the_work(self, tmp_path, capsys, monkeypatch,
+                                                         command):
+        payload, work = WORK_AFTER_OUTPUT[command]
+        self._forbid(monkeypatch, work)
+        assert _run(tmp_path, command, {**payload, "output": {"format": "xml"}}) == 2
+        assert "output format" in capsys.readouterr().err
+
+    def test_a_bad_corrupt_entry_exits_2_before_the_work(self, tmp_path, capsys, monkeypatch):
+        payload, work = WORK_AFTER_OUTPUT["verify-moments"]
+        self._forbid(monkeypatch, work)
+        assert _run(tmp_path, "verify-moments", payload, "--corrupt-entry", "1;0=0.5") == 2
+        assert "--corrupt-entry" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, code", [("verify-moments", 1), ("recover-moments", 1),
+                                               ("check-admissibility", 3), ("simulate", 3)])
+    def test_the_work_exits_as_it_did_with_a_good_output(self, tmp_path, command, code):
+        assert _run(tmp_path, command, WORK_AFTER_OUTPUT[command][0]) == code

@@ -6,6 +6,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+from oracles import quadrature_moment
 from urnwalk import (
     DimensionMismatchError,
     DirichletEnv,
@@ -16,7 +17,6 @@ from urnwalk import (
     PolynomialDirichletEnv,
     SimplexPoint,
     law_from_env,
-    quadrature_moment,
     rising_factorial,
 )
 

@@ -16,13 +16,13 @@ from urnwalk import (
     TabulatedLaw,
     TableDomainError,
     UniformLaw,
-    degree_multi_indices,
     law_from_env,
     log_rising_polynomial,
     rising_factorial,
     rising_polynomial,
 )
 from urnwalk.environment import DirichletEnv, PolynomialDirichletEnv
+from urnwalk.moments import slice_indices
 
 
 class TestSimplexPoint:
@@ -102,9 +102,9 @@ class TestRisingPolynomial:
 
 
 def test_degree_multi_indices_is_lexicographic():
-    assert degree_multi_indices(2, 2) == [(0, 2), (1, 1), (2, 0)]
-    assert degree_multi_indices(3, 1) == [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
-    assert all(sum(k) == 4 for k in degree_multi_indices(3, 4))
+    assert slice_indices(2, 2) == [(0, 2), (1, 1), (2, 0)]
+    assert slice_indices(3, 1) == [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
+    assert all(sum(k) == 4 for k in slice_indices(3, 4))
 
 
 class TestDirichletLaw:

@@ -42,12 +42,12 @@ from urnwalk.laws import (
     SimplexPoint,
     TabulatedLaw,
     UniformLaw,
-    degree_multi_indices,
     log_rising_factorial,
     log_rising_polynomial,
     log_sum_exp,
     sum_as_numpy,
 )
+from urnwalk.moments import slice_indices
 from urnwalk.walk import (
     Graph,
     cycle_graph,
@@ -132,7 +132,7 @@ def per_term_log_rising_polynomial(coefficients, y) -> float:
 def polynomials(draw):
     d = draw(st.integers(1, 4))
     degree = draw(st.integers(0, 4))
-    indices = degree_multi_indices(d, degree)
+    indices = slice_indices(d, degree)
     chosen = draw(st.lists(st.sampled_from(indices), min_size=1, max_size=len(indices), unique=True))
     coeffs = {k: draw(st.floats(min_value=0.0, max_value=10.0)) for k in chosen}
     coeffs[chosen[0]] = draw(st.floats(min_value=1e-3, max_value=10.0))

@@ -3,19 +3,27 @@
 from collections import Counter
 from functools import wraps
 from itertools import product
+from operator import attrgetter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from urnwalk import check_admissible, path_product, tabulated_witness
+from urnwalk import (
+    check_admissible,
+    compare_distributions,
+    enumerate_annealed,
+    enumerate_reinforced,
+    path_product,
+    tabulated_witness,
+)
 from urnwalk import laws
 from urnwalk.catalog import POLY_QUADRATIC_3D
 from urnwalk.environment import DirichletEnv, PolynomialDirichletEnv, law_from_env
 from urnwalk.errors import DimensionMismatchError, EvaluationError
 from urnwalk.laws import DirichletLaw, PolynomialDirichletLaw, ReinforcementLaw, UniformLaw
-from urnwalk.walk import cycle_graph, run_reinforced, star_graph
+from urnwalk.walk import cycle_graph, grid_graph, run_reinforced, star_graph
 
 FAMILIES = {
     "dirichlet": lambda: DirichletLaw([0.5, 2.0, 1.5]),
@@ -187,8 +195,9 @@ def test_path_products_are_the_same_warm_and_fresh():
 @pytest.mark.parametrize(
     "make, cache",
     [(FAMILIES["polynomial"], "_log_poly_cache"),
-     (FAMILIES["induced_dirichlet"], "_moment_cache"),
-     (FAMILIES["induced_polynomial"], "_moment_cache")],
+     # the induced law reads the moments from its environment's memo
+     (FAMILIES["induced_dirichlet"], "env._log_moment_memo"),
+     (FAMILIES["induced_polynomial"], "env._log_moment_memo")],
 )
 def test_the_inner_caches_stop_at_the_limit_and_recompute_the_same_bits(monkeypatch, make, cache):
     counts = list(product(range(4), repeat=3))
@@ -196,10 +205,10 @@ def test_the_inner_caches_stop_at_the_limit_and_recompute_the_same_bits(monkeypa
     monkeypatch.setattr(laws, "SIMPLEX_MEMO_LIMIT", 5)
     law = make()
     assert [law._simplex(c) for c in counts] == want
-    assert len(getattr(law, cache)) == 5
+    assert len(attrgetter(cache)(law)) == 5
     # past the simplex memo's limit each point is evaluated again, through the full inner cache
     assert [law._simplex(c) for c in counts] == want
-    assert len(getattr(law, cache)) == 5
+    assert len(attrgetter(cache)(law)) == 5
 
 
 def test_the_limit_bounds_the_polynomial_cache_of_a_long_walk(monkeypatch):
@@ -213,3 +222,38 @@ def test_the_limit_bounds_the_polynomial_cache_of_a_long_walk(monkeypatch):
     for law in law_at.values():
         assert len(law._simplex_memo) == 20
         assert len(law._log_poly_cache) == 20
+
+
+@pytest.mark.parametrize("annealed_first", [True, False])
+def test_an_exact_compare_with_induced_laws_evaluates_each_moment_once(monkeypatch,
+                                                                      annealed_first):
+    calls = Counter()
+    for cls in (DirichletEnv, PolynomialDirichletEnv):
+        def counting(self, counts, original=cls.__dict__["log_mixed_moment"]):
+            calls[id(self), tuple(counts)] += 1
+            return original(self, counts)
+
+        monkeypatch.setattr(cls, "log_mixed_moment", counting)
+    graph = grid_graph(3, 3)
+    envs = {x: DirichletEnv([0.5 + i for i in range(graph.degree(x))])
+            for x in range(graph.vertex_count)}
+    envs[1] = PolynomialDirichletEnv(**POLY_QUADRATIC_3D)
+    laws_at = {x: law_from_env(env) for x, env in envs.items()}
+    if annealed_first:
+        annealed = enumerate_annealed(graph, envs, 0, 6)
+        reinforced = enumerate_reinforced(graph, laws_at, 0, 6)
+    else:
+        reinforced = enumerate_reinforced(graph, laws_at, 0, 6)
+        annealed = enumerate_annealed(graph, envs, 0, 6)
+    assert compare_distributions(reinforced, annealed).total_variation < 1e-12
+    # both walks read one memo per environment: no (environment, counts) twice
+    assert len(calls) > 50 and set(calls.values()) == {1}
+
+
+def test_the_moment_memo_keeps_no_counts_it_rejects():
+    env = DirichletEnv([1.0, 2.0])
+    assert env._memo_log_moment((1, 2)) == env.log_mixed_moment((1, 2))
+    for _ in range(2):
+        with pytest.raises(DimensionMismatchError):
+            env._memo_log_moment((1, 2, 3))
+    assert list(env._log_moment_memo) == [(1, 2)]

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import cube_ball, cube_slice
 from urnwalk import (
     DirichletEnv,
     DirichletLaw,
@@ -22,6 +23,14 @@ from urnwalk import (
     tabulated_witness,
 )
 from urnwalk.moments import MomentTable, _scan_pairs, ball_indices, slice_indices
+
+
+@pytest.mark.parametrize("d", range(1, 6))
+def test_the_lattice_enumerators_match_the_filtered_cube(d):
+    for n in range(-1, 10):
+        assert slice_indices(d, n) == cube_slice(d, n), n
+        assert ball_indices(d, n) == cube_ball(d, n), n
+    assert slice_indices(d, -1) == ball_indices(d, -1) == []
 
 
 def iterated_difference(table, h, k):
