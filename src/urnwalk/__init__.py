@@ -52,9 +52,6 @@ from .laws import (
     TabulatedLaw,
     UniformLaw,
     log_rising_factorial,
-    log_rising_polynomial,
-    rising_factorial,
-    rising_polynomial,
 )
 from .moments import (
     HSReport,
@@ -62,7 +59,6 @@ from .moments import (
     build_moment_table,
     finite_difference,
     hildebrandt_schoenberg_check,
-    log_multinomial,
     multinomial,
     simplex_mass,
 )

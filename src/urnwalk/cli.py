@@ -35,7 +35,6 @@ from pathlib import Path
 from typing import Any, Mapping, Sequence
 
 import numpy as np
-from scipy.special import gammaincinv
 
 from .admissibility import check_admissible
 from .config import (
@@ -66,7 +65,7 @@ from .errors import (
     UrnwalkError,
 )
 from .laws import check_simplex
-from .moments import hildebrandt_schoenberg_check, simplex_mass
+from .moments import check_entry, hildebrandt_schoenberg_check, simplex_mass
 from .walk import (
     make_stream,
     run_annealed,
@@ -83,6 +82,11 @@ EXIT_EVALUATION = 3
 EXIT_GUARD = 4
 
 DEFAULT_TOLERANCE = 1e-10
+
+#: Version of the floating-point formulas behind every output, recorded in
+#: ``meta``.  2: log rising factorials are sums of logs, and induced log
+#: weights are normalised by their log-sum-exp.
+NUMERICS = 2
 
 #: Most count vectors derive-law tabulates, the default ``max_paths`` of exact compare.
 MAX_DERIVE_ROWS = DEFAULT_MAX_PATHS
@@ -185,7 +189,8 @@ def _tolerance(cfg: Mapping) -> float:
 
 
 def _meta(cfg: Mapping, command: str, **extra: Any) -> dict:
-    meta = {"command": command, "schema": 1, "config_sha256": config_hash(cfg)}
+    meta = {"command": command, "schema": 1, "numerics": NUMERICS,
+            "config_sha256": config_hash(cfg)}
     if "seed" in cfg:
         meta["seed"] = cfg["seed"]
     meta.update(extra)
@@ -239,17 +244,24 @@ def cmd_check_admissibility(cfg: dict, args: argparse.Namespace) -> int:
     return EXIT_PASS
 
 
-def _parse_corruption(entries: Sequence[str] | None) -> list[tuple[tuple[int, ...], float]]:
+def _parse_corruption(
+    entries: Sequence[str] | None, dimension: int, order: int
+) -> list[tuple[tuple[int, ...], float]]:
+    """The ``--corrupt-entry`` overwrites, each checked against the ball before any work."""
     out = []
     for raw in entries or ():
         try:
             index_part, value_part = raw.split("=", 1)
             index = tuple(int(v) for v in index_part.split(","))
-            out.append((index, float(value_part)))
+            value = float(value_part)
         except ValueError:
             raise ConfigError(
                 f"--corrupt-entry must look like 'k1,k2,...=value', got {raw!r}"
             ) from None
+        try:
+            out.append((check_entry(dimension, order, index, value), value))
+        except (MomentOrderError, ValueError) as exc:
+            raise ConfigError(f"--corrupt-entry {raw}: {exc}") from None
     return out
 
 
@@ -257,14 +269,11 @@ def cmd_verify_moments(cfg: dict, args: argparse.Namespace) -> int:
     law = law_from_spec(_section(cfg, "law", "verify-moments"), _dimension(cfg))
     order = _op_int(cfg, "order", 8, minimum=0)
     tolerance = _tolerance(cfg)
-    corruption = _parse_corruption(getattr(args, "corrupt_entry", None))
+    corruption = _parse_corruption(getattr(args, "corrupt_entry", None), law.dimension, order)
     out, fmt = _output_target(cfg, "verify-moments")
     table = recover_env_moments(law, order)
     for index, value in corruption:
-        try:
-            table = table.with_value(index, value)
-        except (MomentOrderError, ValueError) as exc:
-            raise ConfigError(f"--corrupt-entry {index}={value}: {exc}") from None
+        table = table.with_value(index, value)
     hs = hildebrandt_schoenberg_check(table, tolerance)
     masses = [
         {"degree": n, "deviation": abs(simplex_mass(table, n) - 1.0)}
@@ -351,8 +360,12 @@ def cmd_simulate(cfg: dict, args: argparse.Namespace) -> int:
 def chi2_quantile(quantile: float, dof: int) -> float:
     """``scipy.stats.chi2.ppf(quantile, dof)`` bit for bit, without importing scipy.stats.
 
-    scipy.stats takes most of a second and about 40 MB to import.
+    scipy.stats takes most of a second and about 40 MB to import, and
+    scipy.special about a quarter of a second, so scipy is imported here,
+    by empirical compare alone, and not with the CLI.
     """
+    from scipy.special import gammaincinv
+
     return float(2.0 * gammaincinv(dof / 2, quantile))
 
 

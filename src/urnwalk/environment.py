@@ -26,12 +26,12 @@ from operator import add
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import DimensionMismatchError, EvaluationError
 from .laws import (
     BATCH_ELEMENTS,
     Counts,
+    LogRisingTable,
     ReinforcementLaw,
     RisingPolynomial,
     SimplexPoint,
@@ -40,9 +40,8 @@ from .laws import (
     batch_counts,
     check_alpha,
     draw_index,
-    log_rising_factorial,
-    log_rising_factorials,
     log_sum_exp,
+    log_sum_exp_rows,
     row_sums,
     sum_as_numpy,
     validate_polynomial_coefficients,
@@ -97,26 +96,31 @@ class VertexEnvLaw:
 
 
 class DirichletEnv(VertexEnvLaw):
-    """Dirichlet law with parameter vector alpha (all entries positive)."""
+    """Dirichlet law with parameter vector alpha (all entries positive).
+
+    ``E[prod t^k] = prod_i (alpha_i)_{k_i} / (A)_{|k|}`` with ``A = sum(alpha)``,
+    read from one :class:`~urnwalk.laws.LogRisingTable` whose rows are the
+    coordinates and the total.
+    """
 
     def __init__(self, alpha: Sequence[float]):
         arr = check_alpha(alpha)
         self.alpha = tuple(float(a) for a in arr)
         self.dimension = arr.size
         self._alpha_arr = arr
-        self._alpha_total = float(arr.sum())
+        self._rising = LogRisingTable(self.alpha + (float(arr.sum()),))
 
     def log_mixed_moment(self, counts: Sequence[int]) -> float:
         c = self._check_counts(counts)
+        *num, den = self._rising.at(c + (sum(c),))
         # left to right, as log_mixed_moments adds its columns (the builtin sum
         # compensates rounding from Python 3.12 on)
-        num = reduce(add, map(log_rising_factorial, self.alpha, c))
-        return num - log_rising_factorial(self._alpha_total, sum(c))
+        return reduce(add, num) - den
 
     def log_mixed_moments(self, counts: np.ndarray) -> np.ndarray:
         c = batch_counts(counts, self.dimension)
-        num = row_sums(log_rising_factorials(self._alpha_arr, c))
-        return num - log_rising_factorials(self._alpha_total, c.sum(axis=1))
+        logs = self._rising.values(np.column_stack([c, c.sum(axis=1)]))
+        return row_sums(logs[:, :-1]) - logs[:, -1]
 
     def sample(self, rng: np.random.Generator) -> SimplexPoint:
         for _ in range(_MAX_REDRAWS):
@@ -143,13 +147,15 @@ class PolynomialDirichletEnv(VertexEnvLaw):
     Dirichlet kernel, the law is an exact finite mixture of Dirichlet laws
     with parameters ``alpha + k``, which drives both the moment formula and
     the sampler.  Mixed moments use the rising-factorial polynomial
-    ``R(y) = sum_k a_k prod_i rising_factorial(y_i, k_i)``::
+    ``R(y) = sum_k a_k prod_i (y_i)_{k_i}``::
 
-        E[prod t^k] = prod_i rising(alpha_i, k_i)
+        E[prod t^k] = prod_i (alpha_i)_{k_i}
                       * R(alpha + k) / R(alpha)
-                      * rising(A, n) / rising(A, n + |k|),   A = sum(alpha)
+                      * (A)_n / (A)_{n + |k|},   A = sum(alpha)
 
-    validated against the quadrature oracle in the test suite.
+    validated against the quadrature oracle in the test suite.  The rising
+    factorials of alpha and A come from one
+    :class:`~urnwalk.laws.LogRisingTable`, as in :class:`DirichletEnv`.
     """
 
     def __init__(
@@ -166,34 +172,37 @@ class PolynomialDirichletEnv(VertexEnvLaw):
             self.dimension, self.degree, coefficients
         )
         self._alpha_arr = arr
-        self._alpha_total = float(arr.sum())
+        self._rising = LogRisingTable(self.alpha + (float(arr.sum()),))
+        self._log_rising_degree = self._rising.at((0,) * self.dimension + (self.degree,))[-1]
         self._poly = RisingPolynomial(self.coefficients)
-        self._log_poly_alpha = self._poly.log_value(arr)
-        # mixture over monomials: weight_k proportional to a_k * prod Gamma(alpha_i + k_i)
-        log_w = self._poly.log_coefficients + row_sums(gammaln(arr + self._poly.exponents))
-        self._mixture_probs = np.exp(log_w - log_sum_exp(log_w))
+        # mixture over monomials: weight_k proportional to a_k * prod Gamma(alpha_i + k_i),
+        # and so to a_k * prod (alpha_i)_{k_i}, the polynomial's terms at alpha
+        log_w = self._poly.log_terms(arr)
+        self._log_poly_alpha = log_sum_exp(log_w)
+        self._mixture_probs = np.exp(log_w - self._log_poly_alpha)
         self._components = [DirichletEnv(arr + k) for k in self._poly.exponents]
 
     def log_mixed_moment(self, counts: Sequence[int]) -> float:
         c = self._check_counts(counts)
-        total = sum(c)
+        *num, den = self._rising.at(c + (self.degree + sum(c),))
         shifted = self._alpha_arr + np.asarray(c, dtype=float)
         return (
-            reduce(add, map(log_rising_factorial, self.alpha, c))
+            reduce(add, num)
             + self._poly.log_value(shifted)
             - self._log_poly_alpha
-            + log_rising_factorial(self._alpha_total, self.degree)
-            - log_rising_factorial(self._alpha_total, self.degree + total)
+            + self._log_rising_degree
+            - den
         )
 
     def log_mixed_moments(self, counts: np.ndarray) -> np.ndarray:
         c = batch_counts(counts, self.dimension)
+        logs = self._rising.values(np.column_stack([c, self.degree + c.sum(axis=1)]))
         return (
-            row_sums(log_rising_factorials(self._alpha_arr, c))
+            row_sums(logs[:, :-1])
             + self._poly.log_values(self._alpha_arr + c)
             - self._log_poly_alpha
-            + log_rising_factorial(self._alpha_total, self.degree)
-            - log_rising_factorials(self._alpha_total, self.degree + c.sum(axis=1))
+            + self._log_rising_degree
+            - logs[:, -1]
         )
 
     def sample(self, rng: np.random.Generator) -> SimplexPoint:
@@ -273,6 +282,11 @@ class EnvMomentLaw(ReinforcementLaw):
     the environment-averaged walk given the traversal history, so walks
     driven by this law reproduce the annealed walk in distribution.  The
     moments come from the environment's memo, shared with the annealed walk.
+
+    The log weights are the moment differences minus their
+    :func:`~urnwalk.laws.log_sum_exp`: equal in exact arithmetic, but the
+    rounding of moments at large counts no longer adds up along a long walk
+    to a row that misses the simplex.
     """
 
     def __init__(self, env: VertexEnvLaw):
@@ -291,13 +305,13 @@ class EnvMomentLaw(ReinforcementLaw):
         for i in range(self.dimension):
             bumped = c[:i] + (c[i] + 1,) + c[i + 1 :]
             out[i] = self.env._memo_log_moment(bumped) - base
-        return out
+        return out - log_sum_exp(out)
 
     def log_weights_batch(self, counts: np.ndarray) -> np.ndarray:
         """One :meth:`VertexEnvLaw.log_mixed_moments` call per block of rows.
 
         Each call takes the block's rows and their bumps ``c + e_i``; move i
-        gets ``m(c + e_i) - m(c)``.
+        gets ``m(c + e_i) - m(c)``, less the row's log-sum-exp.
         """
         c = batch_counts(counts, self.dimension)
         n, d = c.shape
@@ -311,7 +325,7 @@ class EnvMomentLaw(ReinforcementLaw):
             stack = c[None, start : start + block] + shifts[:, None, :]
             log_m = self.env.log_mixed_moments(stack.reshape(-1, d)).reshape(d + 1, -1)
             out[start : start + block] = (log_m[1:] - log_m[0]).T
-        return out
+        return out - log_sum_exp_rows(out)[:, None]
 
     def __repr__(self) -> str:
         return f"EnvMomentLaw(env={self.env!r})"

@@ -8,7 +8,7 @@ strictly positive probability vector over the ``d`` moves.  Built-in families:
 * ``DirichletLaw`` -- the Polya urn rule ``(alpha_i + p_i) / sum_j (alpha_j + p_j)``.
 * ``PolynomialDirichletLaw`` -- the urn rule modulated by a homogeneous
   polynomial with non-negative coefficients, evaluated through rising
-  factorials (see :func:`rising_polynomial`).
+  factorials (see :class:`RisingPolynomial`).
 * ``TabulatedLaw`` -- explicit values on a finite box of counts.
 
 Probabilities are exposed both linearly (:meth:`ReinforcementLaw.weights`)
@@ -24,6 +24,13 @@ row ``r`` has exactly the bits of the per-point log weights at
 environment's moments.  An array path must keep every float operation: the
 same ufuncs on the same operands in the same order, and columns added left
 to right as the scalar code adds them.
+
+Log rising factorials ``log (y)_k = log y(y+1)...(y+k-1)`` at integer counts
+are sums of logs, ``cumsum(log(y + arange(K)))`` read with the counts as
+indices (:class:`LogRisingTable`, :class:`RisingPolynomial`), not
+differences of log-gammas, which cancel at large ``y``.  Every path adds
+the same logs in the same order, so a scalar and a batch evaluation of one
+quantity keep the same bits.
 """
 
 from __future__ import annotations
@@ -36,7 +43,6 @@ from operator import add
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import DimensionMismatchError, EvaluationError, TableDomainError
 
@@ -136,8 +142,9 @@ def check_alpha(alpha: Sequence[float]) -> np.ndarray:
     """Validate a Dirichlet parameter vector and return it as a float array.
 
     Entries must be finite and strictly positive, and their total must have a
-    finite log-gamma: every family takes log-gamma differences at the total,
-    and ``inf - inf`` would make each moment NaN.
+    finite log-gamma (``math.lgamma`` raises ``OverflowError`` past about
+    2.55e305): a log rising factorial of the total past
+    :data:`RISING_TABLE_CAP` is a log-gamma difference.
     """
     arr = np.asarray(alpha, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
@@ -148,7 +155,11 @@ def check_alpha(alpha: Sequence[float]) -> np.ndarray:
         raise ValueError("alpha entries must be finite")
     with np.errstate(over="ignore"):
         total = float(arr.sum())
-    if not math.isfinite(gammaln(total)):
+    try:
+        finite = math.isfinite(math.lgamma(total))
+    except OverflowError:
+        finite = False
+    if not finite:
         raise ValueError(f"alpha total {total!r} overflows log-gamma")
     return arr
 
@@ -177,41 +188,86 @@ def sum_as_numpy(values: list[float]) -> float:
     return float(np.sum(values))
 
 
-def rising_factorial(y: float, k: int) -> float:
-    """Return ``y (y+1) ... (y+k-1)``; the empty product (k=0) is 1.
+#: Counts a :class:`LogRisingTable` holds, ``0 .. RISING_TABLE_CAP - 1``; a
+#: larger count takes a ``math.lgamma`` difference.
+RISING_TABLE_CAP = 1 << 14
 
-    Switches to log-gamma differences once ``y + k > 30`` so large arguments
-    neither overflow nor lose precision to a long product.
+#: Fewest counts a :class:`LogRisingTable` grows to on its first read.
+_RISING_TABLE_START = 64
+
+
+class LogRisingTable:
+    """``log (y_i)_k = log y_i (y_i + 1) ... (y_i + k - 1)`` for each entry of ``y``.
+
+    Row ``i`` holds ``cumsum(log(y_i + arange(K)))`` behind a leading 0, so
+    entry ``k`` is the sum of the first ``k`` logs, added left to right.
+    The rows grow on demand, at least doubling, up to
+    :data:`RISING_TABLE_CAP` counts; growing continues the same cumulative
+    sum, so an entry's bits do not depend on when it was first read.  A
+    count from the cap on takes ``math.lgamma(y + k) - math.lgamma(y)``,
+    whose absolute error is about eps * y log y.
+
+    :meth:`at` reads one count per row as builtin floats and :meth:`values`
+    an ``[N, rows]`` array of counts; both read the same entries.  Growing
+    replaces the table rather than writing into it, so readers on other
+    threads always see a complete one.
+    """
+
+    def __init__(self, y: Sequence[float]):
+        self.y = tuple(float(v) for v in y)
+        self._table = np.zeros((len(self.y), 1))
+        self._rows = self._table.tolist()
+
+    def _grow(self, k: int) -> np.ndarray:
+        """Extend the rows to count ``k`` if they stop short of it and of the cap; return them."""
+        table = self._table
+        old = table.shape[1]
+        if old <= k and old < RISING_TABLE_CAP:
+            size = min(RISING_TABLE_CAP, max(k + 1, 2 * old, _RISING_TABLE_START))
+            logs = np.log(np.array(self.y)[:, None] + np.arange(old - 1, size - 1, dtype=float))
+            # carry the last entry in front, so the sum continues where it stopped
+            tail = np.add.accumulate(np.concatenate([table[:, -1:], logs], axis=1), axis=1)
+            table = np.concatenate([table, tail[:, 1:]], axis=1)
+            self._table, self._rows = table, table.tolist()
+        return table
+
+    def _beyond(self, i: int, k: int) -> float:
+        y = self.y[i]
+        return math.lgamma(y + k) - math.lgamma(y)
+
+    def at(self, k: Sequence[int]) -> list[float]:
+        """``log (y_i)_{k_i}`` for each row ``i``, as builtin floats."""
+        rows = self._rows
+        if max(k) < len(rows[0]):
+            return [row[j] for row, j in zip(rows, k)]
+        self._grow(max(k))
+        rows = self._rows
+        size = len(rows[0])
+        return [
+            row[j] if j < size else self._beyond(i, j) for i, (row, j) in enumerate(zip(rows, k))
+        ]
+
+    def values(self, k: np.ndarray) -> np.ndarray:
+        """:meth:`at` of each row of an ``[N, rows]`` integer array, as an ``[N, rows]`` array."""
+        table = self._grow(int(k.max()) if k.size else 0)
+        size = table.shape[1]
+        out = table[np.arange(len(self.y)), np.minimum(k, size - 1)]
+        for r, i in zip(*np.nonzero(k >= size)):
+            out[r, i] = self._beyond(int(i), int(k[r, i]))
+        return out
+
+
+def log_rising_factorial(y: float, k: int) -> float:
+    """``log (y)_k = log y (y+1) ... (y+k-1)``, exactly 0 at k=0.
+
+    The entry of a one-row :class:`LogRisingTable`: a sum of logs below
+    :data:`RISING_TABLE_CAP`, a log-gamma difference from it on.
     """
     if k < 0:
         raise ValueError("k must be non-negative")
     if y <= 0:
         raise ValueError("y must be positive")
-    if k == 0:
-        return 1.0
-    if y + k <= 30:
-        out = 1.0
-        for j in range(k):
-            out *= y + j
-        return out
-    return float(math.exp(gammaln(y + k) - gammaln(y)))
-
-
-def log_rising_factorial(y: float, k: int) -> float:
-    """Natural log of :func:`rising_factorial`, exact at k=0."""
-    if k < 0:
-        raise ValueError("k must be non-negative")
-    if y <= 0:
-        raise ValueError("y must be positive")
-    if k == 0:
-        return 0.0
-    return float(gammaln(y + k) - gammaln(y))
-
-
-def log_rising_factorials(y: float | np.ndarray, k: np.ndarray) -> np.ndarray:
-    """:func:`log_rising_factorial` entrywise over broadcast positive ``y`` and counts ``k``."""
-    with np.errstate(invalid="ignore"):
-        return np.where(k == 0, 0.0, gammaln(y + k) - gammaln(y))
+    return LogRisingTable((y,)).at((k,))[0]
 
 
 def validate_polynomial_coefficients(
@@ -297,11 +353,13 @@ def row_sums(table: np.ndarray) -> np.ndarray:
 
 
 class RisingPolynomial:
-    """``y -> log sum_k a_k prod_i rising_factorial(y_i, k_i)``, tabulated once.
+    """``y -> log sum_k a_k prod_i (y_i)_{k_i}`` over the monomials ``k`` of positive ``a_k``.
 
-    Holds the exponents of the monomials with positive coefficients as a
-    (monomials x d) array and their log-coefficients, so one evaluation is
-    one vectorised log-gamma difference and one :func:`log_sum_exp`.
+    ``(y)_k`` is the rising factorial.  No exponent exceeds the degree, so
+    one evaluation tabulates ``log (y_i)_j`` for ``j <= degree`` as sums of
+    logs (the entries of a :class:`LogRisingTable` of ``y``, with the same
+    bits), reads each monomial's factors from that table, adds them left to
+    right and takes one :func:`log_sum_exp` over the monomials.
     """
 
     def __init__(self, coefficients: Mapping[Counts, float]):
@@ -312,8 +370,24 @@ class RisingPolynomial:
         if len(dims) != 1:
             raise DimensionMismatchError("polynomial indices disagree on dimension")
         self.dimension = dims.pop()
-        self.exponents = np.array([index for index, _ in positive], dtype=float)
+        self.exponents = np.array([index for index, _ in positive], dtype=np.int64)
         self.log_coefficients = np.array([math.log(coeff) for _, coeff in positive])
+        top = int(self.exponents.max())
+        self._steps = np.arange(top, dtype=float)[:, None]
+        # position of log (y_i)_{k_i} in the flattened (top + 1, d) table, one row
+        # per monomial, and transposed: one row per coordinate
+        self._flat = self.exponents * self.dimension + np.arange(self.dimension)
+        self._flat_by_coordinate = self._flat.T.copy()
+        self._table_shape = (top + 1, self.dimension)
+
+    def log_terms(self, y: np.ndarray) -> np.ndarray:
+        """``log a_k + sum_i log (y_i)_{k_i}`` for each monomial ``k``, at one argument ``y``."""
+        # row j of the table is log (y)_j: a leading 0, then the running sum of the logs
+        table = np.zeros(self._table_shape)
+        np.log(y + self._steps, out=table[1:])
+        np.add.accumulate(table, axis=0, out=table)
+        # one row of factors per coordinate, added row after row as row_sums adds columns
+        return self.log_coefficients + reduce(add, table.take(self._flat_by_coordinate))
 
     def log_value(self, y: np.ndarray) -> float:
         """Log of the polynomial at strictly positive arguments ``y``."""
@@ -322,8 +396,7 @@ class RisingPolynomial:
                 f"polynomial of dimension {self.dimension} incompatible with "
                 f"argument of dimension {len(y)}"
             )
-        factors = gammaln(y + self.exponents) - gammaln(y)
-        value = log_sum_exp(self.log_coefficients + row_sums(factors))
+        value = log_sum_exp(self.log_terms(y))
         if not math.isfinite(value):
             raise EvaluationError("polynomial evaluation underflowed")
         return value
@@ -336,31 +409,20 @@ class RisingPolynomial:
                 f"arguments of shape {y.shape}"
             )
         out = np.empty(len(y))
-        block = max(1, BATCH_ELEMENTS // self.exponents.size)
+        block = max(1, BATCH_ELEMENTS // max(self._flat.size, math.prod(self._table_shape)))
         for start in range(0, len(y), block):
-            rows = y[start : start + block, None, :]
-            factors = gammaln(rows + self.exponents) - gammaln(rows)
+            rows = y[start : start + block]
+            # the table of log_terms for every row at once
+            table = np.zeros((len(rows),) + self._table_shape)
+            np.log(rows[:, None, :] + self._steps, out=table[:, 1:])
+            np.add.accumulate(table, axis=1, out=table)
+            factors = table.reshape(len(rows), -1).take(self._flat, axis=1)
             out[start : start + block] = log_sum_exp_rows(
                 self.log_coefficients + row_sums(factors)
             )
         if not np.all(np.isfinite(out)):
             raise EvaluationError("polynomial evaluation underflowed")
         return out
-
-
-def log_rising_polynomial(
-    coefficients: Mapping[Counts, float], y: Sequence[float]
-) -> float:
-    """Log of ``sum_k a_k prod_i rising_factorial(y_i, k_i)`` for positive y."""
-    ys = np.array(y, dtype=float)
-    if np.any(ys <= 0):
-        raise ValueError("polynomial arguments must be strictly positive")
-    return RisingPolynomial(coefficients).log_value(ys)
-
-
-def rising_polynomial(coefficients: Mapping[Counts, float], y: Sequence[float]) -> float:
-    """``sum_k a_k prod_i rising_factorial(y_i, k_i)``; strictly positive."""
-    return math.exp(log_rising_polynomial(coefficients, y))
 
 
 #: Most count vectors any one memo of :func:`_memoised` keeps (a law's simplex
@@ -538,7 +600,7 @@ class PolynomialDirichletLaw(ReinforcementLaw):
     """Urn rule modulated by a homogeneous polynomial of rising factorials.
 
     With shifted arguments ``y = alpha + p`` and polynomial value
-    ``R(y) = sum_k a_k prod_i rising_factorial(y_i, k_i)`` of degree ``n``,
+    ``R(y) = sum_k a_k prod_i (y_i)_{k_i}`` of degree ``n`` (rising factorials),
     move i gets probability::
 
         (alpha_i + p_i) / (sum_j (alpha_j + p_j) + n) * R(y + e_i) / R(y)

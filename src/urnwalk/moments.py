@@ -31,7 +31,6 @@ from itertools import product
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy.special import gammaln
 
 from .admissibility import validate_tolerance
 from .errors import MomentOrderError, NotAdmissibleError
@@ -71,10 +70,20 @@ def multinomial(counts: Sequence[int]) -> int:
     return out
 
 
-def log_multinomial(counts: Sequence[int]) -> float:
-    """Log of :func:`multinomial` via log-gamma, for large totals."""
-    c = as_counts(counts)
-    return float(gammaln(sum(c) + 1) - sum(gammaln(k + 1) for k in c))
+def check_entry(dimension: int, order: int, counts: Sequence[int], value: float) -> Counts:
+    """The index of an entry that may overwrite a degree-``order`` table in ``dimension``.
+
+    The index must lie in the ball and the value must be finite and
+    positive.  Needs no table, so an entry can be checked before one is built.
+    """
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"moment values must be finite and positive, got {value!r}")
+    index = as_counts(counts)
+    if len(index) != dimension or sum(index) > order:
+        raise MomentOrderError(
+            f"index {index} is outside the degree-{order} ball in dimension {dimension}"
+        )
+    return index
 
 
 @dataclass(frozen=True)
@@ -117,17 +126,10 @@ class MomentTable:
     def with_value(self, counts: Sequence[int], value: float) -> "MomentTable":
         """Copy with one entry overwritten (test hook for corrupt tables).
 
-        The index must lie in the table's ball and the value must be finite
-        and positive, so the overwrite always lands in the scanned table.
+        The entry must pass :func:`check_entry`, so the overwrite always
+        lands in the scanned table.
         """
-        if not (math.isfinite(value) and value > 0):
-            raise ValueError(f"moment values must be finite and positive, got {value!r}")
-        index = as_counts(counts)
-        if len(index) != self.dimension or sum(index) > self.order:
-            raise MomentOrderError(
-                f"index {index} is outside the degree-{self.order} ball in dimension "
-                f"{self.dimension}"
-            )
+        index = check_entry(self.dimension, self.order, counts, value)
         values = dict(self.log_values)
         values[index] = math.log(value)
         return MomentTable(self.dimension, self.order, values)

@@ -1,15 +1,76 @@
 """Reference helpers that only the tests use: square defects, monotone paths,
-lattice enumeration by filtering the cube, and the quadrature oracle for
-mixed moments."""
+lattice enumeration by filtering the cube, the quadrature oracle for mixed
+moments, and rising factorials and multinomials through scipy's log-gamma,
+independent of the package's summed logs."""
 
+import math
 from itertools import product
 from typing import Mapping, Sequence
 
 import numpy as np
+from scipy.special import gammaln
 
 from urnwalk.environment import DirichletEnv, PolynomialDirichletEnv, VertexEnvLaw
 from urnwalk.errors import DimensionMismatchError, EvaluationError
-from urnwalk.laws import Counts, ReinforcementLaw, as_counts
+from urnwalk.laws import Counts, ReinforcementLaw, RisingPolynomial, as_counts
+
+
+class DriftingLaw(ReinforcementLaw):
+    """Polya weights on two moves, alpha (1/2, 1/2), whose sum misses the simplex
+    by 1e-9 from count 522 of move 1 on: a law that fails its check mid-walk."""
+
+    dimension = 2
+
+    def log_weights(self, counts: Sequence[int]) -> np.ndarray:
+        c = self._check_counts(counts)
+        total = 1 + sum(c)
+        weights = [(0.5 + c[0]) / total, (0.5 + c[1]) / total]
+        if c[1] >= 522:
+            weights[1] += 1e-9
+        return np.log(weights)
+
+
+def rising_factorial(y: float, k: int) -> float:
+    """Return ``y (y+1) ... (y+k-1)``; the empty product (k=0) is 1.
+
+    A plain product while ``y + k <= 30``, a log-gamma difference beyond.
+    """
+    if k < 0:
+        raise ValueError("k must be non-negative")
+    if y <= 0:
+        raise ValueError("y must be positive")
+    if k == 0:
+        return 1.0
+    if y + k <= 30:
+        out = 1.0
+        for j in range(k):
+            out *= y + j
+        return out
+    return math.exp(gammaln_rising_factorial(y, k))
+
+
+def gammaln_rising_factorial(y: float, k: int) -> float:
+    """``log (y)_k`` as a difference of scipy log-gammas: the oracle for the package's summed logs."""
+    return float(gammaln(y + k) - gammaln(y))
+
+
+def log_rising_polynomial(coefficients: Mapping[Counts, float], y: Sequence[float]) -> float:
+    """Log of ``sum_k a_k prod_i (y_i)_{k_i}`` for positive y, through the package's table."""
+    ys = np.array(y, dtype=float)
+    if np.any(ys <= 0):
+        raise ValueError("polynomial arguments must be strictly positive")
+    return RisingPolynomial(coefficients).log_value(ys)
+
+
+def rising_polynomial(coefficients: Mapping[Counts, float], y: Sequence[float]) -> float:
+    """``sum_k a_k prod_i (y_i)_{k_i}``; strictly positive."""
+    return math.exp(log_rising_polynomial(coefficients, y))
+
+
+def log_multinomial(counts: Sequence[int]) -> float:
+    """Log of the multinomial coefficient via log-gamma, for large totals."""
+    c = as_counts(counts)
+    return float(gammaln(sum(c) + 1) - sum(gammaln(k + 1) for k in c))
 
 
 def square_defect(law: ReinforcementLaw, counts: Sequence[int], i: int, j: int) -> float:

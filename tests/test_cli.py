@@ -731,13 +731,14 @@ class TestQuantile:
 
 
 def test_importing_the_cli_leaves_scipy_stats_unloaded():
+    # nor any of scipy: it is imported by empirical compare alone
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": src}
-    probe = "import sys, urnwalk.cli; print('scipy.stats' in sys.modules)"
+    probe = "import sys, urnwalk.cli; print('scipy.stats' in sys.modules, 'scipy' in sys.modules)"
     done = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
-    assert done.stdout.strip() == "False"
+    assert done.stdout.split() == ["False", "False"]
 
 
 GOLDEN_DERIVE_ENVS = {
@@ -760,22 +761,23 @@ GOLDEN_DERIVE_ENVS = {
     ),
 }
 
-#: SHA-256 of every file derive-law writes, taken from the per-point evaluation
-#: it replaced (Python 3.11, numpy 2.4.6, scipy 1.17.1).
+#: SHA-256 of every file derive-law writes under numerics 2 (summed-log moments,
+#: normalised induced weights), taken from the per-point evaluation (Python 3.11,
+#: numpy 2.4.6).
 GOLDEN_DERIVE_DIGESTS = {
     ("dirichlet_d4_box8", "csv"): {
-        "law.csv": "c273c54dac723a748fb15826cb693318811630b2a583001b453f661e22e6c52d",
-        "law.csv.meta.json": "44ca04e3cdede1fcc3adc538c9a140455a8adb68b9d0715c820fce944d2780a7",
+        "law.csv": "6daf4c33cb529725f3682a7795acb226ce87c3b6c56b03abc4499c65b0c45850",
+        "law.csv.meta.json": "e008ffa958c8ae744a9e68da8f675a3093617df7616b5710025ebbbcb41dca4d",
     },
     ("dirichlet_d4_box8", "json"): {
-        "law.json": "486888418d502c156e44577c856c77ecb06d6d2cd6af1d5e630670fd4d2b4679",
+        "law.json": "aca05ad54335500f18402719e1ba5d723786271ac22f7f4998809225131cded0",
     },
     ("polynomial_d3_box10", "csv"): {
-        "law.csv": "fce62cd3f3a4629c8be339dddb64791206208e1727a0c9dd4b0e19a24fed6f9e",
-        "law.csv.meta.json": "6011aeb5397c8f0840e1b21b257fe1a2499687d4033709f98c71e361ef3c2713",
+        "law.csv": "0711447450fbdadcbb6dc5a8da2297960849e032e34232ac0fb4a52cd849a159",
+        "law.csv.meta.json": "3bf05533e0bf2c1640a53d1ae78b09a769d784b0295ed4080598cd5d2e09479f",
     },
     ("polynomial_d3_box10", "json"): {
-        "law.json": "ee35d61f6fcb8dd357892f8a56486ba5d4ea22163d960773a5156fa81787bf82",
+        "law.json": "5ad95535d11504574f5fb2e99d23d4aa24ed13403e2d2661d0ce9052885a267c",
     },
 }
 
@@ -1117,6 +1119,44 @@ class TestEveryLeaf:
         return str(path)
 
 
+def test_only_empirical_compare_loads_scipy(tmp_path):
+    # one child runs every command; empirical compare goes last, since it loads
+    # scipy.special for its threshold (never scipy.stats)
+    names = sorted(LEAF_CONFIGS, key=lambda name: name == "compare-empirical")
+    runs = []
+    for name in names:
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(_full_config(tmp_path, name)), encoding="utf-8")
+        runs.append((name, [LEAF_CONFIGS[name][0], "--config", str(path)]))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    probe = (
+        "import contextlib, io, json, sys, urnwalk.cli\n"
+        "loaded = []\n"
+        f"for name, argv in {runs!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()), "
+        "contextlib.redirect_stderr(io.StringIO()):\n"
+        "        code = urnwalk.cli.main(argv)\n"
+        "    loaded.append([name, code] + [m in sys.modules for m in "
+        "('scipy', 'scipy.special', 'scipy.stats')])\n"
+        "print(json.dumps(loaded))"
+    )
+    done = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, check=True)
+    want = [[name, 0, False, False, False] for name in names[:-1]]
+    want.append(["compare-empirical", 0, True, True, False])
+    assert json.loads(done.stdout) == want
+
+
+@pytest.mark.parametrize("name", sorted(LEAF_CONFIGS))
+def test_every_command_records_its_numerics_version(tmp_path, monkeypatch, name):
+    payload = _full_config(tmp_path, name)
+    payload["output"] = {"path": str(tmp_path / "o.json"), "format": "json"}
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    assert main([LEAF_CONFIGS[name][0], "--config", str(path)]) == 0
+    assert json.loads((tmp_path / "o.json").read_text())["numerics"] == 2
+
+
 class TestChiSquareThreshold:
     """Empirical compare's threshold: chi2.ppf's bits, without importing scipy.stats."""
 
@@ -1234,6 +1274,17 @@ class TestConfigErrorsBeforeWork:
         self._forbid(monkeypatch, work)
         assert _run(tmp_path, command, {**payload, "output": {"format": "xml"}}) == 2
         assert "output format" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("entry", ["9,9=0.5", "1,0=-1", "1,0,0=0.5", "1,0=0", "1,0=nan"])
+    def test_a_corrupt_entry_off_the_ball_or_not_positive_exits_2_before_the_work(
+        self, tmp_path, capsys, monkeypatch, entry
+    ):
+        # the witness is not admissible, so its table is never built: the entry is
+        # checked against the dimension and the order alone
+        payload, work = WORK_AFTER_OUTPUT["verify-moments"]
+        self._forbid(monkeypatch, work)
+        assert _run(tmp_path, "verify-moments", payload, "--corrupt-entry", entry) == 2
+        assert f"--corrupt-entry {entry}" in capsys.readouterr().err
 
     def test_a_bad_corrupt_entry_exits_2_before_the_work(self, tmp_path, capsys, monkeypatch):
         payload, work = WORK_AFTER_OUTPUT["verify-moments"]

@@ -6,7 +6,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from oracles import quadrature_moment
+from oracles import quadrature_moment, rising_factorial
 from urnwalk import (
     DimensionMismatchError,
     DirichletEnv,
@@ -17,7 +17,6 @@ from urnwalk import (
     PolynomialDirichletEnv,
     SimplexPoint,
     law_from_env,
-    rising_factorial,
 )
 
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import log_rising_polynomial, rising_factorial, rising_polynomial
 from urnwalk import (
     DimensionMismatchError,
     DirichletLaw,
@@ -17,9 +18,6 @@ from urnwalk import (
     TableDomainError,
     UniformLaw,
     law_from_env,
-    log_rising_polynomial,
-    rising_factorial,
-    rising_polynomial,
 )
 from urnwalk.environment import DirichletEnv, PolynomialDirichletEnv
 from urnwalk.moments import slice_indices

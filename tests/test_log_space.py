@@ -20,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp as scipy_logsumexp
 
+from oracles import log_rising_polynomial
 from urnwalk import equivalence
 from urnwalk.catalog import POLY_LINEAR_2D, POLY_QUADRATIC_3D
 from urnwalk.environment import (
@@ -43,7 +44,6 @@ from urnwalk.laws import (
     TabulatedLaw,
     UniformLaw,
     log_rising_factorial,
-    log_rising_polynomial,
     log_sum_exp,
     sum_as_numpy,
 )

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import cube_ball, cube_slice
+from oracles import cube_ball, cube_slice, log_multinomial
 from urnwalk import (
     DirichletEnv,
     DirichletLaw,
@@ -17,7 +17,6 @@ from urnwalk import (
     build_moment_table,
     finite_difference,
     hildebrandt_schoenberg_check,
-    log_multinomial,
     multinomial,
     simplex_mass,
     tabulated_witness,

@@ -5,6 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from oracles import DriftingLaw
 from urnwalk import laws
 from urnwalk.environment import DirichletEnv, EnvMomentLaw
 from urnwalk.errors import EvaluationError, TableDomainError
@@ -122,8 +123,8 @@ def test_an_evaluation_error_is_not_memoised():
 
 
 def test_a_point_off_the_simplex_is_not_memoised():
-    # the induced law drifts off the simplex at large counts
-    law = EnvMomentLaw(DirichletEnv([0.5, 0.5]))
+    # the law drifts off the simplex at large counts
+    law = DriftingLaw()
     for _ in range(2):
         with pytest.raises(ValueError, match="sum"):
             law._simplex((0, 522))

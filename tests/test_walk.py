@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
+from oracles import DriftingLaw
 from urnwalk import walk
 from urnwalk import (
     DimensionMismatchError,
     DirichletEnv,
     DirichletLaw,
-    EnvMomentLaw,
     Graph,
     PointMassEnv,
     ReinforcementLaw,
@@ -147,9 +147,9 @@ class TestReinforcedWalk:
         assert t == run_reinforced(g, {x: UniformLaw(2) for x in range(3)}, 0, 20, make_stream(4))
 
     def test_weights_are_checked_on_every_step(self):
-        # the induced law drifts off the simplex at large counts; the walk must stop there
+        # the law drifts off the simplex at large counts; the walk must stop there
         g = star_graph(2)
-        laws = {0: EnvMomentLaw(DirichletEnv([0.5, 0.5])), 1: UniformLaw(1), 2: UniformLaw(1)}
+        laws = {0: DriftingLaw(), 1: UniformLaw(1), 2: UniformLaw(1)}
         state = WalkState(vertex=0, counts={0: [0, 521]})
         step_reinforced(g, laws, state, 0.99)
         assert state.counts[0] == [0, 522]
