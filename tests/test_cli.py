@@ -4,8 +4,10 @@ import hashlib
 import json
 import math
 import os
+import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -16,8 +18,16 @@ from hypothesis import strategies as st
 from urnwalk import cli
 from urnwalk.cli import main
 from urnwalk.environment import DirichletEnv
+from urnwalk.equivalence import DEFAULT_MAX_PATHS
 from urnwalk.errors import EvaluationError
 from urnwalk.laws import RisingPolynomial
+
+try:
+    import mpmath
+except ImportError:  # an optional test dependency
+    mpmath = None
+
+needs_mpmath = pytest.mark.skipif(mpmath is None, reason="mpmath is not installed")
 
 POLYA_LAW = {"family": "dirichlet", "alpha": [1.0, 1.0]}
 POLYA_23_LAW = {"family": "dirichlet", "alpha": [2.0, 3.0]}
@@ -731,7 +741,7 @@ class TestQuantile:
 
 
 def test_importing_the_cli_leaves_scipy_stats_unloaded():
-    # nor any of scipy: it is imported by empirical compare alone
+    # nor any of scipy, which no command imports
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": src}
     probe = "import sys, urnwalk.cli; print('scipy.stats' in sys.modules, 'scipy' in sys.modules)"
@@ -763,21 +773,22 @@ GOLDEN_DERIVE_ENVS = {
 
 #: SHA-256 of every file derive-law writes under numerics 2 (summed-log moments,
 #: normalised induced weights), taken from the per-point evaluation (Python 3.11,
-#: numpy 2.4.6).
+#: numpy 2.4.6); the files holding the meta re-pinned for ``"numerics": 3``, whose
+#: bytes are those of numerics 2 with the 2 replaced.
 GOLDEN_DERIVE_DIGESTS = {
     ("dirichlet_d4_box8", "csv"): {
         "law.csv": "6daf4c33cb529725f3682a7795acb226ce87c3b6c56b03abc4499c65b0c45850",
-        "law.csv.meta.json": "e008ffa958c8ae744a9e68da8f675a3093617df7616b5710025ebbbcb41dca4d",
+        "law.csv.meta.json": "8858c385bc83b0b87a3be64058657d034642ed7e9667bcbde47997def08f86ba",
     },
     ("dirichlet_d4_box8", "json"): {
-        "law.json": "aca05ad54335500f18402719e1ba5d723786271ac22f7f4998809225131cded0",
+        "law.json": "777ef0447b133ed3686e0fe683cec0566c9162221c0735dc76385cffac245dd6",
     },
     ("polynomial_d3_box10", "csv"): {
         "law.csv": "0711447450fbdadcbb6dc5a8da2297960849e032e34232ac0fb4a52cd849a159",
-        "law.csv.meta.json": "3bf05533e0bf2c1640a53d1ae78b09a769d784b0295ed4080598cd5d2e09479f",
+        "law.csv.meta.json": "814b2c94bbe0fbb24242ebeb3650ab5961e05935df1e6175a07063e69551c932",
     },
     ("polynomial_d3_box10", "json"): {
-        "law.json": "5ad95535d11504574f5fb2e99d23d4aa24ed13403e2d2661d0ce9052885a267c",
+        "law.json": "bfa7c19c628f98e46d87a5c140f243cfa06f858ce24f2075982884c96d4feabe",
     },
 }
 
@@ -1119,12 +1130,11 @@ class TestEveryLeaf:
         return str(path)
 
 
-def test_only_empirical_compare_loads_scipy(tmp_path):
-    # one child runs every command; empirical compare goes last, since it loads
-    # scipy.special for its threshold (never scipy.stats)
-    names = sorted(LEAF_CONFIGS, key=lambda name: name == "compare-empirical")
+def test_no_command_loads_scipy(tmp_path):
+    # one child runs every command, empirical compare included: its chi-square
+    # threshold is computed in the package
     runs = []
-    for name in names:
+    for name in sorted(LEAF_CONFIGS):
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(_full_config(tmp_path, name)), encoding="utf-8")
         runs.append((name, [LEAF_CONFIGS[name][0], "--config", str(path)]))
@@ -1142,9 +1152,7 @@ def test_only_empirical_compare_loads_scipy(tmp_path):
     )
     done = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": src},
                           capture_output=True, text=True, check=True)
-    want = [[name, 0, False, False, False] for name in names[:-1]]
-    want.append(["compare-empirical", 0, True, True, False])
-    assert json.loads(done.stdout) == want
+    assert json.loads(done.stdout) == [[name, 0, False, False, False] for name, _ in runs]
 
 
 @pytest.mark.parametrize("name", sorted(LEAF_CONFIGS))
@@ -1154,24 +1162,101 @@ def test_every_command_records_its_numerics_version(tmp_path, monkeypatch, name)
     path = tmp_path / "c.json"
     path.write_text(json.dumps(payload), encoding="utf-8")
     assert main([LEAF_CONFIGS[name][0], "--config", str(path)]) == 0
-    assert json.loads((tmp_path / "o.json").read_text())["numerics"] == 2
+    assert json.loads((tmp_path / "o.json").read_text())["numerics"] == 3
+
+
+def mp_chi2_quantile(quantile: float, dof: int, start: float) -> float:
+    """The chi-square quantile at 50 digits: Newton's method from ``start`` on mpmath's gamma ratio.
+
+    Above the median it solves ``Q(dof / 2, x) = 1 - quantile``, which mpmath
+    forms without rounding.
+    """
+    with mpmath.workdps(50):
+        a, q = mpmath.mpf(dof) / 2, mpmath.mpf(quantile)
+        upper = q > 0.5
+        x = mpmath.mpf(start) / 2
+        for _ in range(100):
+            if upper:
+                gap = (1 - q) - mpmath.gammainc(a, x, mpmath.inf, regularized=True)
+            else:
+                gap = mpmath.gammainc(a, 0, x, regularized=True) - q
+            density = mpmath.exp((a - 1) * mpmath.log(x) - x - mpmath.loggamma(a))
+            step = gap / density
+            x -= step
+            if abs(step) <= x * mpmath.mpf(10) ** -45:
+                break
+        return float(2 * x)
+
+
+def chi2_grid() -> list[tuple[float, int]]:
+    """Fixed and seeded (quantile, dof) pairs over dof 1..5,000 and quantiles 1e-12..1 - 1e-12."""
+    rng = random.Random(20260412)
+    grid = [(q, dof) for dof in (1, 2, 3, 5, 19, 20, 21, 100, 999, 5000)
+            for q in (1e-12, 1e-6, 0.01, 0.3, 0.5, 0.7, 0.99, 0.999999, 1 - 1e-12)]
+    for _ in range(100):
+        dof = rng.randint(1, 5000) if rng.random() < 0.7 else rng.randint(1, 30)
+        if rng.random() < 0.5:
+            q = 10 ** rng.uniform(-12, 0)
+        else:
+            q = 1 - 10 ** rng.uniform(-12, -0.3)
+        grid.append((q, dof))
+    return grid
+
+
+def check_thresholds(quantiles, dof):
+    """Finite, non-negative, non-decreasing in the quantile, and each under 50 ms."""
+    previous = 0.0
+    for q in sorted(quantiles):
+        start = time.perf_counter()
+        threshold = cli.chi2_quantile(q, dof)
+        assert time.perf_counter() - start < 0.05, (q, dof)
+        assert math.isfinite(threshold) and threshold >= previous, (q, dof, threshold, previous)
+        previous = threshold
 
 
 class TestChiSquareThreshold:
-    """Empirical compare's threshold: chi2.ppf's bits, without importing scipy.stats."""
+    """Empirical compare's threshold, computed in the package with ``math`` alone."""
+
+    @needs_mpmath
+    def test_within_8_ulps_of_mpmath(self):
+        from scipy.stats import chi2
+
+        for q, dof in chi2_grid():
+            got = cli.chi2_quantile(q, dof)
+            # scipy gives Newton a start within 1e-13; mpmath takes it to 50 digits
+            want = mp_chi2_quantile(q, dof, float(chi2.ppf(q, dof)))
+            assert abs(got - want) <= 8 * math.ulp(want), (q, dof, got, want)
 
     @settings(max_examples=400, deadline=None)
     @given(
         st.floats(min_value=1e-12, max_value=1.0, exclude_max=True),
         st.integers(min_value=1, max_value=5000),
     )
-    def test_bits_of_chi2_ppf(self, quantile, dof):
+    def test_within_1e_13_of_chi2_ppf(self, quantile, dof):
+        # not bitwise: scipy's own gammaincinv errs by up to 49 ulps here
         from scipy.stats import chi2
 
         want = float(chi2.ppf(quantile, dof))
-        assert cli.chi2_quantile(quantile, dof).hex() == want.hex()
+        assert math.isclose(cli.chi2_quantile(quantile, dof), want, rel_tol=1e-13)
 
-    def test_an_empirical_compare_leaves_scipy_stats_unloaded(self, tmp_path):
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+                 min_size=1, max_size=6),
+        st.integers(min_value=1, max_value=DEFAULT_MAX_PATHS),
+    )
+    def test_defined_on_the_whole_domain(self, quantiles, dof):
+        check_thresholds(quantiles, dof)
+
+    @pytest.mark.parametrize("dof", [1, 2, 10**6])
+    def test_defined_at_the_ends_of_the_domain(self, dof):
+        check_thresholds([5e-324, 1e-300, 0.5, 1 - 2**-53], dof)
+
+    def test_the_smallest_quantile_at_one_degree_is_zero(self):
+        # as scipy gives: (q Gamma(3/2))^2 underflows
+        assert cli.chi2_quantile(5e-324, 1) == 0.0
+
+    def test_an_empirical_compare_leaves_scipy_unloaded(self, tmp_path):
         cfg = write_config(
             tmp_path,
             {
@@ -1188,7 +1273,7 @@ class TestChiSquareThreshold:
             "import contextlib, io, sys, urnwalk.cli\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             f"    code = urnwalk.cli.main(['compare', '--config', {cfg!r}])\n"
-            "print(code, 'scipy.stats' in sys.modules)"
+            "print(code, 'scipy' in sys.modules)"
         )
         done = subprocess.run(
             [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True

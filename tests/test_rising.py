@@ -1,7 +1,8 @@
 """Log rising factorials as sums of logs: accuracy, growth, and the paths that read them.
 
 ``log (y)_k`` is read from ``cumsum(log(y + arange(K)))`` below
-``RISING_TABLE_CAP`` and is a ``math.lgamma`` difference from it on.  The
+``RISING_TABLE_CAP``; from it on it is a difference of Stirling forms
+(a ``math.lgamma`` difference for y below 10).  The
 oracle is mpmath's log-gamma at 50 digits.  A difference of scipy log-gammas
 is no oracle near a zero of ``log (y)_k``: at y = 0.99999, k = 1 it is off
 in the eleventh digit where the summed log is exact.
@@ -73,6 +74,15 @@ class TestAccuracy:
         for y in (1e-3, 1.0, 1e17):
             assert log_rising_factorial(y, 0) == 0.0
 
+    @needs_mpmath
+    @pytest.mark.parametrize("y", [10.5, 1e3, 1e8, 1e12, 1e17])
+    @pytest.mark.parametrize("k", [CAP, 20_000, 3 * CAP])
+    def test_past_the_cap_large_arguments_keep_their_digits(self, y, k):
+        # the difference of Stirling forms, where a log-gamma difference is 3.7e-9
+        # off at y = 1e12 and 4.8e-4 off at y = 1e17
+        want = mp_log_rising(y, k)
+        assert abs(log_rising_factorial(y, k) - want) <= 1e-15 * abs(want)
+
 
 class TestTable:
     def test_scalar_and_array_reads_agree_bitwise_across_the_cap(self):
@@ -109,6 +119,14 @@ class TestLargeAlpha:
     def test_the_induced_law_of_a_huge_symmetric_dirichlet_is_uniform(self):
         weights = law_from_env(DirichletEnv([1e17, 1e17])).weights((0, 0))
         assert weights.weights == pytest.approx((0.5, 0.5), rel=1e-15)
+
+    @pytest.mark.parametrize("counts", [(16383, 0), (20000, 5)])
+    def test_the_induced_law_of_a_huge_dirichlet_is_polya_past_the_cap(self, counts):
+        # the bumped counts reach the cap, where the moments leave the summed logs
+        alpha = 1e12
+        weights = law_from_env(DirichletEnv([alpha, alpha])).weights(counts).weights
+        polya = [(alpha + c) / (2 * alpha + sum(counts)) for c in counts]
+        assert max(abs(w - p) for w, p in zip(weights, polya)) <= 1e-10
 
     def test_scalar_and_batch_moments_agree_bitwise(self):
         env = DirichletEnv([1e17, 0.5, 3.0])
