@@ -77,7 +77,6 @@ from .walk import (
     star_graph,
     step_quenched,
     step_reinforced,
-    transition_counts,
 )
 
 __version__ = "0.1.0"

@@ -32,7 +32,7 @@ import json
 import sys
 from collections import Counter
 from pathlib import Path
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -66,9 +66,15 @@ from .errors import (
 )
 from .laws import check_simplex, inverse_regularised_gamma
 from .moments import check_entry, hildebrandt_schoenberg_check, simplex_mass
+# run_annealed and run_quenched stay bound here, uncalled, because
+# perfbench/worker.py patches them on this module by name
 from .walk import (
+    has_array_rows,
     make_stream,
     run_annealed,
+    run_many_annealed,
+    run_many_quenched,
+    run_many_reinforced,
     run_quenched,
     run_reinforced,
     sample_environment,
@@ -331,6 +337,19 @@ def _resolve_assignment(cfg: Mapping, graph, command: str) -> tuple[dict, dict]:
     raise ConfigError(f"{command}: quenched mode needs 'assignment' or 'envs'")
 
 
+def _reinforced_runs(graph, laws: Mapping, x0: int, steps: int, seed: int,
+                     count: int) -> Iterable[tuple[int, ...]]:
+    """The reinforced trajectories of the streams ``(seed, i)``, ``i < count``.
+
+    In lock step when every vertex's law has array weight rows, and per
+    stream otherwise: the same trajectories either way, but a law evaluated
+    point by point (the polynomial family) is faster per stream.
+    """
+    if has_array_rows(graph, laws):
+        return run_many_reinforced(graph, laws, x0, steps, seed, count)
+    return (run_reinforced(graph, laws, x0, steps, rng) for rng in stream_generators(seed, count))
+
+
 def cmd_simulate(cfg: dict, args: argparse.Namespace) -> int:
     graph = graph_from_spec(_section(cfg, "graph", "simulate"))
     op = _object(cfg, "operation")
@@ -346,19 +365,18 @@ def cmd_simulate(cfg: dict, args: argparse.Namespace) -> int:
     meta_extra: dict[str, Any] = {"mode": mode, "steps": steps, "trajectories": count, "start": x0}
     if mode == "reinforced":
         laws = resolve_per_vertex(graph, _section(cfg, "laws", "simulate"), law_from_spec, "laws")
-        runner = lambda rng: run_reinforced(graph, laws, x0, steps, rng)
+        trajectories = _reinforced_runs(graph, laws, x0, steps, seed, count)
     elif mode == "annealed":
         envs = resolve_per_vertex(graph, _section(cfg, "envs", "simulate"), env_from_spec, "envs")
-        runner = lambda rng: run_annealed(graph, envs, x0, steps, rng)
+        trajectories = run_many_annealed(graph, envs, x0, steps, seed, count)
     else:
         assignment, extra = _resolve_assignment(cfg, graph, "simulate")
         meta_extra.update(extra)
-        runner = lambda rng: run_quenched(graph, assignment, x0, steps, rng)
+        trajectories = run_many_quenched(graph, assignment, x0, steps, seed, count)
 
-    trajectories = [runner(rng) for rng in stream_generators(seed, count)]
+    rows = list(trajectories)
     meta = _meta(cfg, "simulate", **meta_extra)
     header = [f"v{t}" for t in range(steps + 1)]
-    rows = [list(t) for t in trajectories]
     _write_output(out, fmt, header, rows, meta, "trajectories")
     print(f"wrote {count} {mode} trajectories of {steps} steps to {out}")
     return EXIT_PASS
@@ -428,9 +446,7 @@ def cmd_compare(cfg: dict, args: argparse.Namespace) -> int:
         )
         return EXIT_PASS if passed else EXIT_PROPERTY
 
-    observed = Counter(
-        run_reinforced(graph, laws, x0, steps, rng) for rng in stream_generators(seed, samples)
-    )
+    observed = Counter(_reinforced_runs(graph, laws, x0, steps, seed, samples))
     report = compare_empirical(observed, annealed)
     statistic, dof = report.chi_square
     threshold = chi2_quantile(quantile, dof) if dof > 0 else 0.0

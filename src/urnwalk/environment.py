@@ -39,6 +39,8 @@ from .laws import (
     as_counts,
     batch_counts,
     check_alpha,
+    check_simplex_rows,
+    distinct_rows,
     draw_index,
     log_sum_exp,
     log_sum_exp_rows,
@@ -124,9 +126,10 @@ class DirichletEnv(VertexEnvLaw):
 
     def sample(self, rng: np.random.Generator) -> SimplexPoint:
         for _ in range(_MAX_REDRAWS):
-            # the draws of rng.gamma(shape=alpha), whose scale 1.0 multiplies exactly,
-            # without its second argument check
-            draws = rng.standard_gamma(self._alpha_arr).tolist()
+            # the draws of rng.gamma(shape=alpha), whose scale 1.0 multiplies exactly:
+            # one scalar call per coordinate, as an array shape costs numpy an
+            # argument check that takes longer than the draws
+            draws = [rng.standard_gamma(a) for a in self.alpha]
             total = sum_as_numpy(draws)
             if total > 0:
                 point = tuple([g / total for g in draws])
@@ -289,6 +292,8 @@ class EnvMomentLaw(ReinforcementLaw):
     to a row that misses the simplex.
     """
 
+    array_rows = True
+
     def __init__(self, env: VertexEnvLaw):
         self.env = env
         self.dimension = env.dimension
@@ -306,6 +311,11 @@ class EnvMomentLaw(ReinforcementLaw):
             bumped = c[:i] + (c[i] + 1,) + c[i + 1 :]
             out[i] = self.env._memo_log_moment(bumped) - base
         return out - log_sum_exp(out)
+
+    def _simplex_rows(self, counts: np.ndarray) -> np.ndarray:
+        """``exp`` of :meth:`log_weights_batch`, evaluated once per distinct row."""
+        first, inverse = distinct_rows(counts)
+        return check_simplex_rows(np.exp(self.log_weights_batch(counts[first])))[inverse]
 
     def log_weights_batch(self, counts: np.ndarray) -> np.ndarray:
         """One :meth:`VertexEnvLaw.log_mixed_moments` call per block of rows.

@@ -81,6 +81,41 @@ def check_simplex(ws: tuple[float, ...]) -> tuple[float, ...]:
     return ws
 
 
+#: Rows of :func:`check_simplex_rows` whose ``np.sum`` lies this close to the
+#: tolerance are decided by ``math.fsum``.  ``np.sum`` of ``d`` weights that
+#: sum to about 1 errs by less than ``d`` ulps of 1, so from ``d`` = 450 on the
+#: margin grows to ``d`` ulps.
+_ROW_SUM_MARGIN = 1e-13
+
+
+def check_simplex_rows(rows: np.ndarray) -> np.ndarray:
+    """:func:`check_simplex` of every row of an ``[N, d]`` float array; returns ``rows``.
+
+    One array pass accepts the rows whose ``np.sum`` is within
+    :data:`SIMPLEX_SUM_TOL` of 1 by more than a margin, and whose weights
+    all lie in ``[MIN_WEIGHT, 1]``.  Every other row, those near the
+    tolerance included, goes to :func:`check_simplex`, which decides by
+    ``math.fsum`` and raises its error on the first row it rejects.
+    """
+    if not rows.size:
+        return rows
+    margin = max(_ROW_SUM_MARGIN, rows.shape[1] * 2.0**-52)
+    with np.errstate(invalid="ignore", over="ignore"):
+        deviation = np.abs(rows.sum(axis=1) - 1.0)
+        # NaN fails every comparison
+        if (
+            deviation.max() <= SIMPLEX_SUM_TOL - margin
+            and rows.min() >= MIN_WEIGHT
+            and rows.max() <= 1.0
+        ):
+            return rows
+        sure = deviation <= SIMPLEX_SUM_TOL - margin
+        sure &= ((rows >= MIN_WEIGHT) & (rows <= 1.0)).all(axis=1)
+    for r in np.flatnonzero(~sure).tolist():
+        check_simplex(tuple(rows[r].tolist()))
+    return rows
+
+
 @dataclass(frozen=True)
 class SimplexPoint:
     """A probability vector with strictly positive coordinates.
@@ -131,6 +166,23 @@ def batch_counts(counts: np.ndarray | Sequence[Sequence[int]], dimension: int) -
     if arr.dtype.kind not in "iu" or (arr.size and arr.min() < 0):
         raise ValueError("counts must be non-negative integers")
     return arr.astype(np.int64, copy=False)
+
+
+def distinct_rows(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of an ``[N, d]`` array of non-negative int64 counts.
+
+    Returns the index of each distinct row's first occurrence and, for
+    every row, the position of its distinct row among those.  Rows are
+    compared as one mixed-radix integer each when that fits in int64.
+    """
+    n, d = counts.shape
+    radix = int(counts.max()) + 1 if n else 1
+    if radix**d < 1 << 62:
+        keys = counts @ (radix ** np.arange(d, dtype=np.int64))
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    else:
+        _, first, inverse = np.unique(counts, axis=0, return_index=True, return_inverse=True)
+    return first, inverse.reshape(-1)
 
 
 def as_counts(values: Sequence[int]) -> Counts:
@@ -774,10 +826,15 @@ class ReinforcementLaw:
     :meth:`log_weights_batch` evaluates many count vectors at once.  Row
     ``r`` of its result has the bits of ``_log_weights(counts[r])``; this
     class loops over the rows, and a subclass overrides it only with an
-    array path that keeps those bits.
+    array path that keeps those bits.  :meth:`_simplex_rows` does the same
+    for :meth:`_simplex`, for the lock-step walk.
     """
 
     dimension: int
+
+    #: Whether :meth:`_simplex_rows` is an array pass rather than a loop over
+    #: the rows; the lock-step reinforced walk is the default only then.
+    array_rows = False
 
     def _check_counts(self, counts: Sequence[int]) -> Counts:
         c = as_counts(counts)
@@ -816,6 +873,20 @@ class ReinforcementLaw:
         """Weights at validated counts ``c``, passed through :func:`check_simplex`."""
         return check_simplex(tuple(np.exp(self._log_weights(c)).tolist()))
 
+    def _simplex_rows(self, counts: np.ndarray) -> np.ndarray:
+        """Weights at each row of a validated ``[N, d]`` int64 count array, as ``[N, d]``.
+
+        Row ``r`` has the bits of ``_simplex(tuple(counts[r]))``; a row off
+        the simplex raises the error :func:`check_simplex` raises, though
+        not necessarily for the first such row.  This class calls
+        :meth:`_simplex` row by row; a subclass with an array path that
+        keeps those bits overrides it and sets :attr:`array_rows`.
+        """
+        out = np.empty(counts.shape)
+        for r, row in enumerate(counts.tolist()):
+            out[r] = self._simplex(tuple(row))
+        return out
+
     def weights(self, counts: Sequence[int]) -> SimplexPoint:
         """Evaluate the law; validates the output is a proper simplex point."""
         return SimplexPoint(self._simplex(self._check_counts(counts)))
@@ -824,12 +895,15 @@ class ReinforcementLaw:
 class UniformLaw(ReinforcementLaw):
     """History-independent law putting mass 1/d on every move."""
 
+    array_rows = True
+
     def __init__(self, dimension: int):
         if dimension < 1:
             raise ValueError("dimension must be >= 1")
         self.dimension = dimension
         self._log = np.full(dimension, -math.log(dimension))
         self._weights = check_simplex(tuple(np.exp(self._log).tolist()))
+        self._row = np.array(self._weights)
 
     def log_weights(self, counts: Sequence[int]) -> np.ndarray:
         self._check_counts(counts)
@@ -838,12 +912,17 @@ class UniformLaw(ReinforcementLaw):
     def _simplex(self, c: Counts) -> tuple[float, ...]:
         return self._weights
 
+    def _simplex_rows(self, counts: np.ndarray) -> np.ndarray:
+        return np.broadcast_to(self._row, counts.shape)
+
     def __repr__(self) -> str:
         return f"UniformLaw(dimension={self.dimension})"
 
 
 class DirichletLaw(ReinforcementLaw):
     """Polya urn rule: move i gets probability (alpha_i + p_i) / sum(alpha + p)."""
+
+    array_rows = True
 
     def __init__(self, alpha: Sequence[float]):
         arr = check_alpha(alpha)
@@ -861,6 +940,15 @@ class DirichletLaw(ReinforcementLaw):
         shifted = list(map(add, self.alpha, c))
         total = sum_as_numpy(shifted)
         return check_simplex(tuple([s / total for s in shifted]))
+
+    def _simplex_rows(self, counts: np.ndarray) -> np.ndarray:
+        shifted = self._alpha_arr + counts
+        # sum_as_numpy along each row: left to right, or numpy's pairwise sum
+        if self.dimension < PAIRWISE_SUM_MIN:
+            total = row_sums(shifted)
+        else:
+            total = shifted.sum(axis=1)
+        return check_simplex_rows(shifted / total[:, None])
 
     def log_weights(self, counts: Sequence[int]) -> np.ndarray:
         return self._memo_log_weights(self._check_counts(counts))

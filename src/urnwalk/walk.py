@@ -23,19 +23,35 @@ a fixed seed.  A reinforced step asks the vertex's law for its weights at
 the current counts; the laws memoise those per count vector (see
 :class:`urnwalk.laws.ReinforcementLaw`), so trajectories that revisit a
 count vector evaluate it once.
+
+A trajectory's draws all precede its first step: the annealed walk's
+environment, then exactly ``steps`` uniforms, and no draw depends on where
+the walk goes.  The lock-step runners :func:`run_many_reinforced`,
+:func:`run_many_quenched` and :func:`run_many_annealed` use that.  For a
+block of trajectories they take each trajectory's draws from its own
+stream, in that order, and then advance the whole block one step at a time
+with array operations.  The move is the count of the weight row's
+cumulative sums (``np.cumsum``, added left to right as :func:`draw_index`
+adds) that are at most ``u``, clipped at the last move, which is
+:func:`draw_index`'s rule; so they give the per-stream trajectories bit for
+bit.  A reinforced block groups its trajectories by vertex at each step and
+asks each vertex's law for the weight rows at the group's counts
+(:meth:`urnwalk.laws.ReinforcementLaw._simplex_rows`).  The per-stream
+``run_*`` and ``step_*`` stay the single-trajectory API and the oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterator, Mapping, Sequence
+from itertools import islice
+from typing import Iterator, Mapping
 
 import numpy as np
 
 from .environment import VertexEnvLaw
 from .errors import DimensionMismatchError
-from .laws import Counts, ReinforcementLaw, SimplexPoint, draw_index
+from .laws import ReinforcementLaw, SimplexPoint, draw_index
 
 Trajectory = tuple[int, ...]
 
@@ -243,14 +259,10 @@ def _enter(
 ) -> None:
     """Check the law at x against its degree and set up the counts at x."""
     law = laws[x]
-    degree = graph.degree(x)
-    if law.dimension != degree:
-        raise DimensionMismatchError(
-            f"law at vertex {x} has dimension {law.dimension}, degree is {degree}"
-        )
+    _check_law(graph, law, x)
     given = state.counts.get(x)
     if given is None:
-        state.counts[x] = [0] * degree
+        state.counts[x] = [0] * graph.degree(x)
     else:
         given[:] = law._check_counts(given)
     state.entered.add(x)
@@ -345,36 +357,216 @@ def run_annealed(
     x0: int,
     steps: int,
     rng: np.random.Generator,
-    return_environment: bool = False,
-) -> Trajectory | tuple[Trajectory, dict[int, SimplexPoint]]:
+) -> Trajectory:
     """Draw a fresh environment, then run the quenched walk inside it."""
     _check_start(graph, x0)
     assignment = sample_environment(graph, envs, rng)
-    trajectory = run_quenched(graph, assignment, x0, steps, rng)
-    if return_environment:
-        return trajectory, assignment
-    return trajectory
+    return run_quenched(graph, assignment, x0, steps, rng)
 
 
-def transition_counts(graph: Graph, trajectory: Sequence[int]) -> dict[int, Counts]:
-    """Reconstruct per-vertex move counts from a trajectory.
+# --- lock-step runners ------------------------------------------------------------
 
-    Requires every step to resolve to a unique ordered-list position; on
-    multigraphs with repeated targets the reconstruction is ambiguous and
-    a ValueError is raised.
+
+def lockstep_moves(cumulative: np.ndarray, u: np.ndarray, last: np.ndarray | int) -> np.ndarray:
+    """:func:`draw_index` of each row, from the row's cumulative weights.
+
+    ``cumulative`` is ``[N, d]``, the running sums of the weights added left
+    to right; row ``r`` moves to the count of its sums that are at most
+    ``u[r]``, clipped at ``last`` (``d - 1``, or per row).  The sums do not
+    decrease, so that count is the first index whose sum exceeds ``u``.
+    Entries past a row's last move must be ``inf``.
     """
-    counts: dict[int, list[int]] = {}
-    for x, y in zip(trajectory, trajectory[1:]):
-        indices = graph.move_indices(x, y)
-        if not indices:
-            raise ValueError(f"trajectory step {x}->{y} is not a graph edge")
-        if len(indices) > 1:
-            raise ValueError(
-                f"trajectory step {x}->{y} is ambiguous: {len(indices)} parallel moves"
-            )
-        at_x = counts.setdefault(x, [0] * graph.degree(x))
-        at_x[indices[0]] += 1
-    return {x: tuple(c) for x, c in counts.items()}
+    return np.minimum(np.count_nonzero(cumulative <= u[:, None], axis=1), last)
+
+
+class _Layout:
+    """A graph's moves as arrays: neighbor table padded to the largest degree, and offsets."""
+
+    def __init__(self, graph: Graph):
+        degrees = [len(targets) for targets in graph.neighbors]
+        self.vertices = len(degrees)
+        self.width = max(degrees)
+        self.moves = sum(degrees)
+        self.last = np.array(degrees, dtype=np.int64) - 1
+        self.offsets = np.cumsum([0] + degrees[:-1]).tolist()
+        self.neighbors = np.zeros((self.vertices, self.width), dtype=np.int64)
+        # the column of move j at vertex x in a [vertices * width] row
+        self.columns = np.array(
+            [x * self.width + j for x, d in enumerate(degrees) for j in range(d)], dtype=np.int64
+        )
+        for x, targets in enumerate(graph.neighbors):
+            self.neighbors[x, : len(targets)] = targets
+
+    def cumulative(self, weights: np.ndarray) -> np.ndarray:
+        """``[N, moves]`` weights, vertex after vertex, as ``[N * vertices, width]`` running sums.
+
+        Row ``n * vertices + x`` holds vertex x's sums for trajectory n, then ``inf``.
+        """
+        out = np.full((len(weights), self.vertices * self.width), np.inf)
+        out[:, self.columns] = weights
+        out = out.reshape(-1, self.width)
+        return np.cumsum(out, axis=1, out=out)
+
+
+#: Most array elements one lock-step block holds in a table: its trajectories
+#: times ``steps + 1`` (uniforms, positions), or times the graph's moves
+#: (counts, environments).
+LOCKSTEP_ELEMENTS = 1 << 16
+
+
+def _blocks(
+    seed: int, count: int, steps: int, width: int
+) -> Iterator[tuple[np.ndarray, Iterator[np.random.Generator]]]:
+    """The streams ``(seed, i)``, ``i < count``, in blocks, each with an empty ``[n, steps]`` table.
+
+    The caller takes each stream's draws in the per-stream order: whatever
+    comes before the walk, then the stream's row of step uniforms.
+    """
+    size = max(1, LOCKSTEP_ELEMENTS // max(steps + 1, width))
+    streams = stream_generators(seed, count)
+    for start in range(0, count, size):
+        n = min(size, count - start)
+        yield np.empty((n, steps)), islice(streams, n)
+
+
+def _paths(x0: int, n: int, steps: int) -> np.ndarray:
+    paths = np.empty((n, steps + 1), dtype=np.int64)
+    paths[:, 0] = x0
+    return paths
+
+
+def _advance_fixed(
+    layout: _Layout, cumulative: np.ndarray, base: np.ndarray | int, x0: int, uniforms: np.ndarray
+) -> np.ndarray:
+    """Positions of a block walking in fixed environments: row ``base + x`` holds vertex x's sums."""
+    n, steps = uniforms.shape
+    paths = _paths(x0, n, steps)
+    position = paths[:, 0].copy()
+    for t in range(steps):
+        move = lockstep_moves(cumulative[base + position], uniforms[:, t], layout.last[position])
+        position = layout.neighbors[position, move]
+        paths[:, t + 1] = position
+    return paths
+
+
+def _advance_reinforced(
+    graph: Graph,
+    laws: Mapping[int, ReinforcementLaw],
+    layout: _Layout,
+    x0: int,
+    uniforms: np.ndarray,
+) -> np.ndarray:
+    """Positions of a block of reinforced walks, grouped by vertex at each step."""
+    n, steps = uniforms.shape
+    paths = _paths(x0, n, steps)
+    position = paths[:, 0].copy()
+    counts = np.zeros((n, layout.moves), dtype=np.int64)
+    checked: set[int] = set()
+    for t in range(steps):
+        u = uniforms[:, t]
+        order = np.argsort(position, kind="stable")
+        ranked = position[order]
+        edges = [0, *(np.flatnonzero(ranked[1:] != ranked[:-1]) + 1).tolist(), n]
+        following = np.empty_like(position)
+        for start, stop in zip(edges, edges[1:]):
+            group = order[start:stop]
+            x = int(ranked[start])
+            law = laws[x]
+            if x not in checked:
+                _check_law(graph, law, x)
+                checked.add(x)
+            lo = layout.offsets[x]
+            last = int(layout.last[x])
+            weights = law._simplex_rows(counts[group, lo : lo + last + 1])
+            move = lockstep_moves(np.cumsum(weights, axis=1), u[group], last)
+            counts[group, lo + move] += 1
+            following[group] = layout.neighbors[x, move]
+        position = following
+        paths[:, t + 1] = position
+    return paths
+
+
+def run_many_reinforced(
+    graph: Graph,
+    laws: Mapping[int, ReinforcementLaw],
+    x0: int,
+    steps: int,
+    seed: int,
+    count: int,
+) -> Iterator[Trajectory]:
+    """``run_reinforced`` on the streams ``(seed, i)`` for ``i < count``, in lock step.
+
+    The same trajectories, bit for bit, and the same errors, though a law
+    off the simplex may be reported at another trajectory or step.  Every
+    law works; the run is fast when each law's ``_simplex_rows`` is an
+    array pass (:func:`has_array_rows`).
+    """
+    _check_start(graph, x0)
+    layout = _Layout(graph)
+    for uniforms, streams in _blocks(seed, count, steps, layout.moves):
+        for row, rng in zip(uniforms, streams):
+            rng.random(out=row)
+        yield from map(tuple, _advance_reinforced(graph, laws, layout, x0, uniforms).tolist())
+
+
+def has_array_rows(graph: Graph, laws: Mapping[int, ReinforcementLaw]) -> bool:
+    """Whether every vertex has a law whose weight rows are an array pass."""
+    return all(x in laws and laws[x].array_rows for x in range(graph.vertex_count))
+
+
+def run_many_quenched(
+    graph: Graph,
+    assignment: EnvironmentAssignment,
+    x0: int,
+    steps: int,
+    seed: int,
+    count: int,
+) -> Iterator[Trajectory]:
+    """``run_quenched`` on the streams ``(seed, i)`` for ``i < count``, in lock step."""
+    _check_start(graph, x0)
+    _check_assignment(graph, assignment)
+    layout = _Layout(graph)
+    weights = [w for x in range(graph.vertex_count) for w in assignment[x].weights]
+    cumulative = layout.cumulative(np.array([weights]))
+    for uniforms, streams in _blocks(seed, count, steps, 0):
+        for row, rng in zip(uniforms, streams):
+            rng.random(out=row)
+        yield from map(tuple, _advance_fixed(layout, cumulative, 0, x0, uniforms).tolist())
+
+
+def run_many_annealed(
+    graph: Graph,
+    envs: Mapping[int, VertexEnvLaw],
+    x0: int,
+    steps: int,
+    seed: int,
+    count: int,
+) -> Iterator[Trajectory]:
+    """``run_annealed`` on the streams ``(seed, i)`` for ``i < count``, in lock step.
+
+    Each trajectory draws its environment (:func:`sample_environment`) and
+    then its uniforms from its own stream; the block then walks together.
+    """
+    _check_start(graph, x0)
+    layout = _Layout(graph)
+    vertices = range(graph.vertex_count)
+    for uniforms, streams in _blocks(seed, count, steps, layout.vertices * layout.width):
+        weights = np.empty((len(uniforms), layout.moves))
+        for row, env_row, rng in zip(uniforms, weights, streams):
+            assignment = sample_environment(graph, envs, rng)
+            env_row[:] = [w for x in vertices for w in assignment[x].weights]
+            rng.random(out=row)
+        base = np.arange(len(uniforms), dtype=np.int64) * layout.vertices
+        paths = _advance_fixed(layout, layout.cumulative(weights), base, x0, uniforms)
+        yield from map(tuple, paths.tolist())
+
+
+def _check_law(graph: Graph, law: ReinforcementLaw, x: int) -> None:
+    degree = graph.degree(x)
+    if law.dimension != degree:
+        raise DimensionMismatchError(
+            f"law at vertex {x} has dimension {law.dimension}, degree is {degree}"
+        )
 
 
 def _check_start(graph: Graph, x0: int) -> None:

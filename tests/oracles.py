@@ -1,7 +1,8 @@
 """Reference helpers that only the tests use: square defects, monotone paths,
 lattice enumeration by filtering the cube, the quadrature oracle for mixed
-moments, and rising factorials and multinomials through scipy's log-gamma,
-independent of the package's summed logs."""
+moments, rising factorials and multinomials through scipy's log-gamma,
+independent of the package's summed logs, and the move counts a trajectory
+implies."""
 
 import math
 from itertools import product
@@ -13,6 +14,7 @@ from scipy.special import gammaln
 from urnwalk.environment import DirichletEnv, PolynomialDirichletEnv, VertexEnvLaw
 from urnwalk.errors import DimensionMismatchError, EvaluationError
 from urnwalk.laws import Counts, ReinforcementLaw, RisingPolynomial, as_counts
+from urnwalk.walk import Graph
 
 
 class DriftingLaw(ReinforcementLaw):
@@ -28,6 +30,27 @@ class DriftingLaw(ReinforcementLaw):
         if c[1] >= 522:
             weights[1] += 1e-9
         return np.log(weights)
+
+
+def transition_counts(graph: Graph, trajectory: Sequence[int]) -> dict[int, Counts]:
+    """Reconstruct per-vertex move counts from a trajectory.
+
+    Requires every step to resolve to a unique ordered-list position; on
+    multigraphs with repeated targets the reconstruction is ambiguous and
+    a ValueError is raised.
+    """
+    counts: dict[int, list[int]] = {}
+    for x, y in zip(trajectory, trajectory[1:]):
+        indices = graph.move_indices(x, y)
+        if not indices:
+            raise ValueError(f"trajectory step {x}->{y} is not a graph edge")
+        if len(indices) > 1:
+            raise ValueError(
+                f"trajectory step {x}->{y} is ambiguous: {len(indices)} parallel moves"
+            )
+        at_x = counts.setdefault(x, [0] * graph.degree(x))
+        at_x[indices[0]] += 1
+    return {x: tuple(c) for x, c in counts.items()}
 
 
 def rising_factorial(y: float, k: int) -> float:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from oracles import DriftingLaw
+from oracles import DriftingLaw, transition_counts
 from urnwalk import walk
 from urnwalk import (
     DimensionMismatchError,
@@ -26,7 +26,6 @@ from urnwalk import (
     star_graph,
     step_quenched,
     step_reinforced,
-    transition_counts,
 )
 
 
@@ -193,10 +192,13 @@ class TestAnnealedWalk:
         envs = {0: DirichletEnv([1.0, 1.0]), 1: PointMassEnv((1.0,)), 2: PointMassEnv((1.0,))}
         assert run_annealed(g, envs, 0, 0, rng) == (0,)
 
-    def test_environment_is_returned_on_request(self, rng):
+    def test_is_an_environment_draw_then_a_quenched_run_on_one_stream(self):
         g = star_graph(2)
         envs = {0: DirichletEnv([1.0, 1.0]), 1: PointMassEnv((1.0,)), 2: PointMassEnv((1.0,))}
-        trajectory, assignment = run_annealed(g, envs, 0, 4, rng, return_environment=True)
+        rng = make_stream(20260810)
+        assignment = sample_environment(g, envs, rng)
+        trajectory = run_quenched(g, assignment, 0, 4, rng)
+        assert trajectory == run_annealed(g, envs, 0, 4, make_stream(20260810))
         assert len(trajectory) == 5
         assert set(assignment) == {0, 1, 2}
         assert assignment[1].weights == (1.0,)
