@@ -66,10 +66,8 @@ from .errors import (
 )
 from .laws import check_simplex, inverse_regularised_gamma
 from .moments import check_entry, hildebrandt_schoenberg_check, simplex_mass
-# run_annealed and run_quenched stay bound here, uncalled, because
-# perfbench/worker.py patches them on this module by name
 from .walk import (
-    has_array_rows,
+    lockstep_pays,
     make_stream,
     run_annealed,
     run_many_annealed,
@@ -337,17 +335,21 @@ def _resolve_assignment(cfg: Mapping, graph, command: str) -> tuple[dict, dict]:
     raise ConfigError(f"{command}: quenched mode needs 'assignment' or 'envs'")
 
 
-def _reinforced_runs(graph, laws: Mapping, x0: int, steps: int, seed: int,
-                     count: int) -> Iterable[tuple[int, ...]]:
-    """The reinforced trajectories of the streams ``(seed, i)``, ``i < count``.
+def _runs(mode: str, graph, maps: Mapping, x0: int, steps: int, seed: int,
+          count: int) -> Iterable[tuple[int, ...]]:
+    """The ``mode`` trajectories of the streams ``(seed, i)``, ``i < count``.
 
-    In lock step when every vertex's law has array weight rows, and per
-    stream otherwise: the same trajectories either way, but a law evaluated
-    point by point (the polynomial family) is faster per stream.
+    In lock step where :func:`~urnwalk.walk.lockstep_pays`, and per stream
+    otherwise: the same trajectories either way.  The per-stream runs are
+    looked up here at each call, so a wrapper bound to this module's
+    ``run_*`` names sees them.
     """
-    if has_array_rows(graph, laws):
-        return run_many_reinforced(graph, laws, x0, steps, seed, count)
-    return (run_reinforced(graph, laws, x0, steps, rng) for rng in stream_generators(seed, count))
+    if lockstep_pays(mode, graph, maps, x0, steps, count):
+        many = {"reinforced": run_many_reinforced, "quenched": run_many_quenched,
+                "annealed": run_many_annealed}[mode]
+        return many(graph, maps, x0, steps, seed, count)
+    run = {"reinforced": run_reinforced, "quenched": run_quenched, "annealed": run_annealed}[mode]
+    return (run(graph, maps, x0, steps, rng) for rng in stream_generators(seed, count))
 
 
 def cmd_simulate(cfg: dict, args: argparse.Namespace) -> int:
@@ -364,17 +366,14 @@ def cmd_simulate(cfg: dict, args: argparse.Namespace) -> int:
 
     meta_extra: dict[str, Any] = {"mode": mode, "steps": steps, "trajectories": count, "start": x0}
     if mode == "reinforced":
-        laws = resolve_per_vertex(graph, _section(cfg, "laws", "simulate"), law_from_spec, "laws")
-        trajectories = _reinforced_runs(graph, laws, x0, steps, seed, count)
+        maps = resolve_per_vertex(graph, _section(cfg, "laws", "simulate"), law_from_spec, "laws")
     elif mode == "annealed":
-        envs = resolve_per_vertex(graph, _section(cfg, "envs", "simulate"), env_from_spec, "envs")
-        trajectories = run_many_annealed(graph, envs, x0, steps, seed, count)
+        maps = resolve_per_vertex(graph, _section(cfg, "envs", "simulate"), env_from_spec, "envs")
     else:
-        assignment, extra = _resolve_assignment(cfg, graph, "simulate")
+        maps, extra = _resolve_assignment(cfg, graph, "simulate")
         meta_extra.update(extra)
-        trajectories = run_many_quenched(graph, assignment, x0, steps, seed, count)
 
-    rows = list(trajectories)
+    rows = list(_runs(mode, graph, maps, x0, steps, seed, count))
     meta = _meta(cfg, "simulate", **meta_extra)
     header = [f"v{t}" for t in range(steps + 1)]
     _write_output(out, fmt, header, rows, meta, "trajectories")
@@ -446,7 +445,7 @@ def cmd_compare(cfg: dict, args: argparse.Namespace) -> int:
         )
         return EXIT_PASS if passed else EXIT_PROPERTY
 
-    observed = Counter(_reinforced_runs(graph, laws, x0, steps, seed, samples))
+    observed = Counter(_runs("reinforced", graph, laws, x0, steps, seed, samples))
     report = compare_empirical(observed, annealed)
     statistic, dof = report.chi_square
     threshold = chi2_quantile(quantile, dof) if dof > 0 else 0.0

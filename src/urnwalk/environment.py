@@ -39,7 +39,6 @@ from .laws import (
     as_counts,
     batch_counts,
     check_alpha,
-    check_simplex_rows,
     distinct_rows,
     draw_index,
     log_sum_exp,
@@ -292,7 +291,7 @@ class EnvMomentLaw(ReinforcementLaw):
     to a row that misses the simplex.
     """
 
-    array_rows = True
+    weight_rows = "distinct"
 
     def __init__(self, env: VertexEnvLaw):
         self.env = env
@@ -313,9 +312,14 @@ class EnvMomentLaw(ReinforcementLaw):
         return out - log_sum_exp(out)
 
     def _simplex_rows(self, counts: np.ndarray) -> np.ndarray:
-        """``exp`` of :meth:`log_weights_batch`, evaluated once per distinct row."""
+        """:meth:`_simplex` once per distinct row.
+
+        Each call goes through the memos the per-stream walk uses, this
+        law's and the environment's moment memo, so a lock-step walk
+        evaluates no count vector the per-stream walk would not.
+        """
         first, inverse = distinct_rows(counts)
-        return check_simplex_rows(np.exp(self.log_weights_batch(counts[first])))[inverse]
+        return np.array([self._simplex(tuple(c)) for c in counts[first].tolist()])[inverse]
 
     def log_weights_batch(self, counts: np.ndarray) -> np.ndarray:
         """One :meth:`VertexEnvLaw.log_mixed_moments` call per block of rows.

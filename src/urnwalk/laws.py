@@ -827,14 +827,17 @@ class ReinforcementLaw:
     ``r`` of its result has the bits of ``_log_weights(counts[r])``; this
     class loops over the rows, and a subclass overrides it only with an
     array path that keeps those bits.  :meth:`_simplex_rows` does the same
-    for :meth:`_simplex`, for the lock-step walk.
+    for :meth:`_simplex`, for the lock-step walk, on the subclasses that
+    define it.
     """
 
     dimension: int
 
-    #: Whether :meth:`_simplex_rows` is an array pass rather than a loop over
-    #: the rows; the lock-step reinforced walk is the default only then.
-    array_rows = False
+    #: How the class's :meth:`_simplex_rows` evaluates: ``"array"``, one
+    #: array pass over the rows, or ``"distinct"``, :meth:`_simplex` once per
+    #: distinct row, which pays in lock step only where rows repeat.  ``None``
+    #: (no such method) keeps the reinforced walk per stream.
+    weight_rows: str | None = None
 
     def _check_counts(self, counts: Sequence[int]) -> Counts:
         c = as_counts(counts)
@@ -878,14 +881,11 @@ class ReinforcementLaw:
 
         Row ``r`` has the bits of ``_simplex(tuple(counts[r]))``; a row off
         the simplex raises the error :func:`check_simplex` raises, though
-        not necessarily for the first such row.  This class calls
-        :meth:`_simplex` row by row; a subclass with an array path that
-        keeps those bits overrides it and sets :attr:`array_rows`.
+        not necessarily for the first such row.  Only a subclass with a
+        path that keeps those bits defines it, and sets :attr:`weight_rows`;
+        the lock-step walk runs those laws alone.
         """
-        out = np.empty(counts.shape)
-        for r, row in enumerate(counts.tolist()):
-            out[r] = self._simplex(tuple(row))
-        return out
+        raise NotImplementedError(f"{type(self).__name__} has no path for its weight rows")
 
     def weights(self, counts: Sequence[int]) -> SimplexPoint:
         """Evaluate the law; validates the output is a proper simplex point."""
@@ -895,7 +895,7 @@ class ReinforcementLaw:
 class UniformLaw(ReinforcementLaw):
     """History-independent law putting mass 1/d on every move."""
 
-    array_rows = True
+    weight_rows = "array"
 
     def __init__(self, dimension: int):
         if dimension < 1:
@@ -922,7 +922,7 @@ class UniformLaw(ReinforcementLaw):
 class DirichletLaw(ReinforcementLaw):
     """Polya urn rule: move i gets probability (alpha_i + p_i) / sum(alpha + p)."""
 
-    array_rows = True
+    weight_rows = "array"
 
     def __init__(self, alpha: Sequence[float]):
         arr = check_alpha(alpha)

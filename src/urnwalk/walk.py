@@ -38,10 +38,18 @@ bit.  A reinforced block groups its trajectories by vertex at each step and
 asks each vertex's law for the weight rows at the group's counts
 (:meth:`urnwalk.laws.ReinforcementLaw._simplex_rows`).  The per-stream
 ``run_*`` and ``step_*`` stay the single-trajectory API and the oracle.
+
+A lock-step step makes a fixed number of numpy calls, per block and, in a
+reinforced walk, per vertex group, however few trajectories they hold; a
+per-stream step is a few Python operations.  So lock step pays only for
+many trajectories at once, and :func:`lockstep_pays` chooses the runner
+from what a run shows before it starts: the trajectories a block holds,
+the vertices a walk can reach and the size of the graph's tables.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import islice
@@ -380,22 +388,41 @@ def lockstep_moves(cumulative: np.ndarray, u: np.ndarray, last: np.ndarray | int
 
 
 class _Layout:
-    """A graph's moves as arrays: neighbor table padded to the largest degree, and offsets."""
+    """A graph's moves as arrays: neighbor table padded to the largest degree, and offsets.
+
+    The padded tables hold ``vertices * width`` elements; :func:`lockstep_pays`
+    keeps graphs where that exceeds :data:`LOCKSTEP_ELEMENTS` out of lock step.
+    """
 
     def __init__(self, graph: Graph):
-        degrees = [len(targets) for targets in graph.neighbors]
-        self.vertices = len(degrees)
-        self.width = max(degrees)
-        self.moves = sum(degrees)
-        self.last = np.array(degrees, dtype=np.int64) - 1
-        self.offsets = np.cumsum([0] + degrees[:-1]).tolist()
-        self.neighbors = np.zeros((self.vertices, self.width), dtype=np.int64)
-        # the column of move j at vertex x in a [vertices * width] row
-        self.columns = np.array(
-            [x * self.width + j for x, d in enumerate(degrees) for j in range(d)], dtype=np.int64
+        self.graph = graph
+        self.degrees = [len(targets) for targets in graph.neighbors]
+        self.vertices = len(self.degrees)
+        self.width = max(self.degrees)
+        self.moves = sum(self.degrees)
+
+    @cached_property
+    def last(self) -> np.ndarray:
+        return np.array(self.degrees, dtype=np.int64) - 1
+
+    @cached_property
+    def offsets(self) -> list[int]:
+        return np.cumsum([0] + self.degrees[:-1]).tolist()
+
+    @cached_property
+    def neighbors(self) -> np.ndarray:
+        out = np.zeros((self.vertices, self.width), dtype=np.int64)
+        for x, targets in enumerate(self.graph.neighbors):
+            out[x, : len(targets)] = targets
+        return out
+
+    @cached_property
+    def columns(self) -> np.ndarray:
+        """The column of move j at vertex x in a ``[vertices * width]`` row."""
+        return np.array(
+            [x * self.width + j for x, d in enumerate(self.degrees) for j in range(d)],
+            dtype=np.int64,
         )
-        for x, targets in enumerate(graph.neighbors):
-            self.neighbors[x, : len(targets)] = targets
 
     def cumulative(self, weights: np.ndarray) -> np.ndarray:
         """``[N, moves]`` weights, vertex after vertex, as ``[N * vertices, width]`` running sums.
@@ -407,22 +434,104 @@ class _Layout:
         out = out.reshape(-1, self.width)
         return np.cumsum(out, axis=1, out=out)
 
+    def block_size(self, mode: str, steps: int, count: int) -> int:
+        """Trajectories per lock-step block of a ``mode`` run, at least one.
 
-#: Most array elements one lock-step block holds in a table: its trajectories
+        A block holds ``steps + 1`` positions and ``steps`` uniforms per
+        trajectory, and its move counts (reinforced) or environment sums
+        (annealed); each of those tables stays within :data:`LOCKSTEP_ELEMENTS`.
+        """
+        table = {"reinforced": self.moves, "annealed": self.vertices * self.width}.get(mode, 0)
+        return min(count, max(1, LOCKSTEP_ELEMENTS // max(steps + 1, table)))
+
+
+#: Most array elements one lock-step table holds: a block's trajectories
 #: times ``steps + 1`` (uniforms, positions), or times the graph's moves
-#: (counts, environments).
+#: (counts, environments), or the graph's padded neighbor table.
 LOCKSTEP_ELEMENTS = 1 << 16
+
+#: Fewest trajectories a lock-step block holds for lock step to pay.  A
+#: lock-step step makes a fixed number of numpy calls however few
+#: trajectories the block holds, where a per-stream step is a few Python
+#: operations.  On 20- and 200-vertex cycles (2 cores, numpy 2.4.6) a
+#: quenched or annealed block of 32 trajectories ran up to 1.7x slower than
+#: per stream, one of 64 about 2x faster, and a single 10^5-step
+#: trajectory 20-35x slower.
+LOCKSTEP_MIN_BLOCK = 64
+
+#: Fewest trajectories per vertex within reach that a reinforced block holds
+#: for lock step to pay: it makes its numpy calls once per vertex group at
+#: each step.  Laws whose weight rows are ``"distinct"`` need more (see
+#: :func:`lockstep_pays`).  Measured on the same host, uniform, Dirichlet and induced
+#: laws on cycles of 5, 20 and 60 vertices and the 4x4 grid broke even at
+#: 15 to about 60 trajectories per vertex, uniform laws on 100-step walks
+#: the latest.
+LOCKSTEP_PER_VERTEX = 50
+
+
+def lockstep_pays(
+    mode: str, graph: Graph, maps: Mapping, x0: int, steps: int, count: int
+) -> bool:
+    """Whether the lock-step runner of ``mode`` beats per-stream runs of ``count`` trajectories.
+
+    ``mode`` is ``"reinforced"``, ``"quenched"`` or ``"annealed"``, and
+    ``maps`` the laws, assignment or environments of that run.  Lock step
+    needs the graph's padded tables within :data:`LOCKSTEP_ELEMENTS` and a
+    block of at least :data:`LOCKSTEP_MIN_BLOCK` trajectories.  A reinforced
+    block needs :data:`LOCKSTEP_PER_VERTEX` trajectories per vertex a walk
+    can reach within ``steps`` moves, and every law a path for its weight
+    rows (:attr:`~urnwalk.laws.ReinforcementLaw.weight_rows`).  A law that
+    evaluates its rows one distinct row at a time gains only where rows
+    repeat, so with one the block also needs as many trajectories per vertex
+    as there are count vectors a vertex can reach, those of sum at most
+    ``steps`` in the largest degree: an induced law on the 5-cycle ran 1.25x
+    slower in lock step at 400 and 800 trajectories of 100 steps, and 2.5x
+    faster on the 3-star at 4,000 of 5.  Both runners give the same
+    trajectories; this chooses only the faster.
+    """
+    _check_start(graph, x0)
+    layout = _Layout(graph)
+    if layout.vertices * layout.width > LOCKSTEP_ELEMENTS:
+        return False
+    block = layout.block_size(mode, steps, count)
+    if block < LOCKSTEP_MIN_BLOCK:
+        return False
+    if mode == "reinforced":
+        kinds = {getattr(maps.get(x), "weight_rows", None) for x in range(layout.vertices)}
+        if None in kinds:
+            return False
+        need = LOCKSTEP_PER_VERTEX
+        if "distinct" in kinds:
+            need = max(need, math.comb(steps + layout.width, layout.width))
+        return block >= need * _reach(graph, x0, steps)
+    return True
+
+
+def _reach(graph: Graph, x0: int, steps: int) -> int:
+    """The number of vertices a walk from ``x0`` can visit within ``steps`` moves."""
+    seen = {x0}
+    frontier = [x0]
+    for _ in range(min(steps, graph.vertex_count)):
+        following = []
+        for x in frontier:
+            for y in graph.neighbors[x]:
+                if y not in seen:
+                    seen.add(y)
+                    following.append(y)
+        if not following:
+            break
+        frontier = following
+    return len(seen)
 
 
 def _blocks(
-    seed: int, count: int, steps: int, width: int
+    seed: int, count: int, steps: int, size: int
 ) -> Iterator[tuple[np.ndarray, Iterator[np.random.Generator]]]:
-    """The streams ``(seed, i)``, ``i < count``, in blocks, each with an empty ``[n, steps]`` table.
+    """The streams ``(seed, i)``, ``i < count``, in blocks of ``size``, each with an empty ``[n, steps]`` table.
 
     The caller takes each stream's draws in the per-stream order: whatever
     comes before the walk, then the stream's row of step uniforms.
     """
-    size = max(1, LOCKSTEP_ELEMENTS // max(steps + 1, width))
     streams = stream_generators(seed, count)
     for start in range(0, count, size):
         n = min(size, count - start)
@@ -498,20 +607,15 @@ def run_many_reinforced(
 
     The same trajectories, bit for bit, and the same errors, though a law
     off the simplex may be reported at another trajectory or step.  Every
-    law works; the run is fast when each law's ``_simplex_rows`` is an
-    array pass (:func:`has_array_rows`).
+    law needs ``_simplex_rows`` (its ``weight_rows`` is set).
     """
     _check_start(graph, x0)
     layout = _Layout(graph)
-    for uniforms, streams in _blocks(seed, count, steps, layout.moves):
+    size = layout.block_size("reinforced", steps, count)
+    for uniforms, streams in _blocks(seed, count, steps, size):
         for row, rng in zip(uniforms, streams):
             rng.random(out=row)
         yield from map(tuple, _advance_reinforced(graph, laws, layout, x0, uniforms).tolist())
-
-
-def has_array_rows(graph: Graph, laws: Mapping[int, ReinforcementLaw]) -> bool:
-    """Whether every vertex has a law whose weight rows are an array pass."""
-    return all(x in laws and laws[x].array_rows for x in range(graph.vertex_count))
 
 
 def run_many_quenched(
@@ -528,7 +632,8 @@ def run_many_quenched(
     layout = _Layout(graph)
     weights = [w for x in range(graph.vertex_count) for w in assignment[x].weights]
     cumulative = layout.cumulative(np.array([weights]))
-    for uniforms, streams in _blocks(seed, count, steps, 0):
+    size = layout.block_size("quenched", steps, count)
+    for uniforms, streams in _blocks(seed, count, steps, size):
         for row, rng in zip(uniforms, streams):
             rng.random(out=row)
         yield from map(tuple, _advance_fixed(layout, cumulative, 0, x0, uniforms).tolist())
@@ -550,7 +655,8 @@ def run_many_annealed(
     _check_start(graph, x0)
     layout = _Layout(graph)
     vertices = range(graph.vertex_count)
-    for uniforms, streams in _blocks(seed, count, steps, layout.vertices * layout.width):
+    size = layout.block_size("annealed", steps, count)
+    for uniforms, streams in _blocks(seed, count, steps, size):
         weights = np.empty((len(uniforms), layout.moves))
         for row, env_row, rng in zip(uniforms, weights, streams):
             assignment = sample_environment(graph, envs, rng)

@@ -7,6 +7,7 @@ here compares them with ``[run_*(..., rng) for rng in stream_generators(seed, n)
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -145,7 +146,6 @@ ROW_LAWS = {
     "induced_empirical": EnvMomentLaw(EmpiricalEnv([(0.25, (0.2, 0.8)), (0.75, (0.6, 0.4))])),
     "induced_point_mass": EnvMomentLaw(PointMassEnv((0.3, 0.7))),
     "induced_one_move": EnvMomentLaw(DirichletEnv([2.0])),
-    "polynomial_law": PolynomialDirichletLaw(**POLY_LINEAR_2D),
 }
 
 
@@ -161,17 +161,25 @@ def test_weight_rows_have_the_bits_of_simplex(name, data):
             max_size=30,
         )
     )
-    rows = law._simplex_rows(np.array(counts, dtype=np.int64))
-    assert rows.shape == (len(counts), law.dimension)
-    for row, c in zip(rows.tolist(), counts):
-        assert row == list(law._simplex(tuple(c)))
+    law.__dict__.pop("_simplex_memo", None)
+    want = [list(law._simplex(tuple(c))) for c in counts]
+    # from an empty memo, then (induced laws) with part and then all of the
+    # rows in the memo the earlier calls filled
+    law.__dict__.pop("_simplex_memo", None)
+    for part in (counts[: len(counts) // 2 + 1], counts, counts):
+        rows = law._simplex_rows(np.array(part, dtype=np.int64))
+        assert rows.shape == (len(part), law.dimension)
+        assert rows.tolist() == want[: len(part)]
 
 
-def test_array_rows_flag_the_laws_with_an_array_pass():
-    flagged = {name for name, law in ROW_LAWS.items() if law.array_rows}
-    assert flagged == set(ROW_LAWS) - {"polynomial_law"}
+def test_weight_rows_name_the_laws_with_a_row_path():
+    kinds = {name: law.weight_rows for name, law in ROW_LAWS.items()}
+    assert kinds == {name: "distinct" if name.startswith("induced") else "array" for name in ROW_LAWS}
     point = SimplexPoint((0.5, 0.5))
-    assert not TabulatedLaw(0, {(0, 0): point}).array_rows
+    for law in (PolynomialDirichletLaw(**POLY_LINEAR_2D), TabulatedLaw(0, {(0, 0): point})):
+        assert law.weight_rows is None
+        with pytest.raises(NotImplementedError):
+            law._simplex_rows(np.zeros((1, 2), dtype=np.int64))
 
 
 @pytest.mark.parametrize("high", [5, 10**6])
@@ -222,8 +230,6 @@ REINFORCED = {
         {0: DirichletLaw([1.0, 2.0, 3.0]), 1: UniformLaw(1), 2: EnvMomentLaw(DirichletEnv([2.0])),
          3: DirichletLaw([0.5])},
     ),
-    # no array pass: the base class's row loop, which the CLI does not use
-    "polynomial_law": (_CYCLE, {x: PolynomialDirichletLaw(**POLY_LINEAR_2D) for x in range(5)}),
 }
 
 ANNEALED = {
@@ -321,50 +327,149 @@ def test_a_law_is_checked_when_a_walk_reaches_its_vertex():
         list(run_many_reinforced(graph, laws, 0, 8, 3, 10))
 
 
+class _DriftingRows(DriftingLaw):
+    """:class:`DriftingLaw` with weight rows, evaluated row by row."""
+
+    weight_rows = "array"
+
+    def _simplex_rows(self, counts):
+        return check_simplex_rows(np.exp([self.log_weights(c) for c in counts.tolist()]))
+
+
 def test_a_law_off_the_simplex_stops_the_walk_as_per_stream():
     # the drifting law leaves the simplex from count 522 of move 1 on, which
     # some of these Polya walks reach
-    laws = {0: DriftingLaw(), 1: UniformLaw(1), 2: UniformLaw(1)}
+    laws = {0: _DriftingRows(), 1: UniformLaw(1), 2: UniformLaw(1)}
     graph = star_graph(2)
     with pytest.raises(ValueError, match="sum"):
         per_stream(run_reinforced, graph, laws, 0, 1100, 8, 40)
     with pytest.raises(ValueError, match="sum"):
         list(run_many_reinforced(graph, laws, 0, 1100, 8, 40))
-    assert not walk.has_array_rows(graph, laws)
 
 
-# --- the CLI's choice of runner ---------------------------------------------------------
+# --- the choice of runner ----------------------------------------------------------------
+
+_DIRICHLET_CYCLE = {x: DirichletLaw([1.0, 2.0]) for x in range(20)}
 
 
-def _count_per_stream_runs(monkeypatch):
+@pytest.mark.parametrize("mode, graph, maps, steps, count, pays", [
+    # a block needs LOCKSTEP_MIN_BLOCK trajectories: one long trajectory runs per stream
+    ("quenched", _CYCLE, QUENCHED["frozen_cycle"][1], 10**5, 1, False),
+    ("quenched", _CYCLE, QUENCHED["frozen_cycle"][1], 100, 63, False),
+    ("quenched", _CYCLE, QUENCHED["frozen_cycle"][1], 100, 64, True),
+    ("annealed", _CYCLE, ANNEALED["dirichlet_cycle"][1], 100, 400, True),
+    # 400 trajectories of 3,000 steps: blocks of 21
+    ("annealed", _CYCLE, ANNEALED["dirichlet_cycle"][1], 3000, 400, False),
+    ("reinforced", _STAR_3, REINFORCED["uniform_star"][1], 5, 4000, True),
+    ("reinforced", _STAR_3, REINFORCED["uniform_star"][1], 10**5, 1, False),
+    # a reinforced block needs LOCKSTEP_PER_VERTEX trajectories per vertex in reach:
+    # 2 steps from 0 on the 20-cycle reach 5 vertices, 30 steps all 20
+    ("reinforced", cycle_graph(20), _DIRICHLET_CYCLE, 2, 250, True),
+    ("reinforced", cycle_graph(20), _DIRICHLET_CYCLE, 30, 250, False),
+    ("reinforced", cycle_graph(20), _DIRICHLET_CYCLE, 30, 1000, True),
+    # 100 steps: blocks of 648
+    ("reinforced", cycle_graph(20), _DIRICHLET_CYCLE, 100, 4000, False),
+    ("reinforced", _CYCLE, {x: PolynomialDirichletLaw(**POLY_LINEAR_2D) for x in range(5)}, 5, 4000, False),
+    # an induced law also needs, per vertex in reach, as many trajectories as
+    # count vectors of sum at most steps at the largest degree: 21 at degree 2
+    # and 5 steps (so 50 still holds), 5,151 at 100 steps
+    ("reinforced", _CYCLE, REINFORCED["induced_dirichlet"][1], 5, 250, True),
+    ("reinforced", _CYCLE, REINFORCED["induced_dirichlet"][1], 100, 400, False),
+    # 56 at degree 3 and 5 steps, times the 3-star's 4 vertices
+    ("reinforced", _STAR_3, REINFORCED["induced_polynomial"][1], 5, 224, True),
+    ("reinforced", _STAR_3, REINFORCED["induced_polynomial"][1], 5, 223, False),
+    ("reinforced", _STAR_3, REINFORCED["uniform_star"][1], 5, 223, True),
+])
+def test_lock_step_runs_where_it_pays(mode, graph, maps, steps, count, pays):
+    assert walk.LOCKSTEP_MIN_BLOCK == 64 and walk.LOCKSTEP_PER_VERTEX == 50
+    assert walk.lockstep_pays(mode, graph, maps, 0, steps, count) is pays
+
+
+def test_graphs_past_the_table_bound_run_per_stream():
+    # 255 leaves pad the star's tables to 256 * 255 elements, within
+    # LOCKSTEP_ELEMENTS, and 256 leaves to 257 * 256, past it
+    assert walk.lockstep_pays("quenched", star_graph(255), {}, 0, 2, 10**5)
+    wide = star_graph(256)
+    laws = {0: UniformLaw(256), **_leaves(wide, UniformLaw(1))}
+    for mode in ("reinforced", "quenched", "annealed"):
+        assert not walk.lockstep_pays(mode, wide, laws, 0, 2, 10**5)
+
+
+def _counting(monkeypatch, name):
     calls = []
-    original = cli.run_reinforced
+    original = getattr(cli, name)
 
     def counting(*args):
         calls.append(args[3])
         return original(*args)
 
-    monkeypatch.setattr(cli, "run_reinforced", counting)
+    monkeypatch.setattr(cli, name, counting)
     return calls
 
 
-@pytest.mark.parametrize("family, per_stream_runs", [
-    ({"family": "polynomial_dirichlet", "alpha": [1.0, 2.0], "degree": 1,
-      "coefficients": [{"index": [1, 0], "value": 1.0}, {"index": [0, 1], "value": 2.0}]}, 12),
-    ({"family": "dirichlet", "alpha": [1.0, 2.0]}, 0),
-    ({"family": "uniform"}, 0),
-])
-def test_simulate_runs_polynomial_laws_per_stream(tmp_path, monkeypatch, family, per_stream_runs):
-    calls = _count_per_stream_runs(monkeypatch)
+def _simulate(tmp_path, graph, section, operation):
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps({
-        "schema": 1, "graph": {"generator": "cycle", "length": 4}, "laws": {"default": family},
-        "seed": 9, "operation": {"mode": "reinforced", "steps": 6, "trajectories": 12},
+        "schema": 1, "graph": graph, **section, "seed": 9, "operation": operation,
         "output": {"path": str(tmp_path / "t.csv"), "format": "csv"},
     }))
-    assert cli.main(["simulate", "--config", str(cfg)]) == 0
+    code = cli.main(["simulate", "--config", str(cfg)])
+    return code, (tmp_path / "t.csv").read_text().splitlines()[1:]
+
+
+_POLYNOMIAL_SPEC = {"family": "polynomial_dirichlet", "alpha": [1.0, 2.0], "degree": 1,
+                    "coefficients": [{"index": [1, 0], "value": 1.0},
+                                     {"index": [0, 1], "value": 2.0}]}
+
+
+@pytest.mark.parametrize("family, count, per_stream_runs", [
+    # 3 steps from 0 on the 4-cycle reach all 4 vertices: 200 trajectories pay
+    (_POLYNOMIAL_SPEC, 200, 200),
+    ({"family": "dirichlet", "alpha": [1.0, 2.0]}, 200, 0),
+    ({"family": "uniform"}, 200, 0),
+    ({"family": "dirichlet", "alpha": [1.0, 2.0]}, 12, 12),
+])
+def test_simulate_chooses_the_reinforced_runner(tmp_path, monkeypatch, family, count, per_stream_runs):
+    calls = _counting(monkeypatch, "run_reinforced")
+    code, rows = _simulate(tmp_path, {"generator": "cycle", "length": 4}, {"laws": {"default": family}},
+                           {"mode": "reinforced", "steps": 3, "trajectories": count})
+    assert code == 0
     assert len(calls) == per_stream_runs
-    rows = (tmp_path / "t.csv").read_text().splitlines()[1:]
     graph = cycle_graph(4)
     laws = {x: cli.law_from_spec(family, 2) for x in range(4)}
-    assert rows == [",".join(map(str, t)) for t in per_stream(run_reinforced, graph, laws, 0, 6, 9, 12)]
+    assert rows == [",".join(map(str, t)) for t in per_stream(run_reinforced, graph, laws, 0, 3, 9, count)]
+
+
+@pytest.mark.parametrize("mode", ["quenched", "annealed"])
+@pytest.mark.parametrize("count, per_stream_runs", [(63, 63), (64, 0)])
+def test_simulate_chooses_the_fixed_environment_runner(tmp_path, monkeypatch, mode, count,
+                                                      per_stream_runs):
+    calls = _counting(monkeypatch, f"run_{mode}")
+    envs = {"default": {"family": "dirichlet", "alpha": [1.0, 2.0]}}
+    operation = {"mode": mode, "steps": 7, "trajectories": count}
+    if mode == "quenched":
+        operation["env_seed"] = 5
+    code, rows = _simulate(tmp_path, {"generator": "cycle", "length": 6}, {"envs": envs}, operation)
+    assert code == 0
+    assert len(calls) == per_stream_runs
+    assert len(rows) == count
+
+
+@pytest.mark.parametrize("mode", ["reinforced", "quenched", "annealed"])
+def test_simulate_on_a_wide_star_allocates_little(tmp_path, mode):
+    # lock step would pad two tables to 1,501 * 1,500 float64 elements, 18 MB each
+    leaves = 1500
+    spec = ({"laws": {"default": {"family": "uniform"}}} if mode == "reinforced"
+            else {"envs": {"per_vertex": {"0": {"family": "dirichlet", "alpha": [1.0] * leaves}},
+                           "default": {"family": "point_mass", "weights": [1.0]}}})
+    operation = {"mode": mode, "steps": 2, "trajectories": 200 if mode != "annealed" else 64}
+    if mode == "quenched":
+        operation["env_seed"] = 5
+    tracemalloc.start()
+    try:
+        code, rows = _simulate(tmp_path, {"generator": "star", "leaves": leaves}, spec, operation)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and len(rows) == operation["trajectories"]
+    assert peak < 8 * 2**20
