@@ -11,7 +11,6 @@ from .admissibility import (
     AdmissibilityReport,
     SquareViolation,
     check_admissible,
-    path_product,
 )
 from .catalog import builtin_environments, builtin_laws, tabulated_witness
 from .environment import (

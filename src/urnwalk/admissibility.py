@@ -8,8 +8,8 @@ of count vectors is closed: going around any elementary square
 accumulates the same log probability.  Elementary squares generate every
 cycle of the lattice graph, so scanning them over a finite box certifies
 closedness on that box.  Admissible laws give move sequences whose
-probability depends only on how often each move was taken, which is what
-makes the path products of :func:`path_product` well defined per endpoint.
+probability depends only on how often each move was taken, so the log
+probability of a move sequence is a function of its endpoint.
 
 The scan asks the law's public ``log_weights`` for each count vector up to
 ``1 + d(d-1)`` times; the built-in families memoise it per count vector,
@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Sequence
 
-from .errors import DimensionMismatchError
 from .laws import Counts, ReinforcementLaw
 
 DEFAULT_TOLERANCE = 1e-10
@@ -127,23 +126,3 @@ def check_admissible(
         box_size=box_size,
         tolerance=tolerance,
     )
-
-
-def path_product(law: ReinforcementLaw, steps: Sequence[int]) -> float:
-    """Log probability of a move sequence starting from zero counts.
-
-    Accumulates ``sum_t ln V_{s(t)}(counts before step t)``.  For admissible
-    laws the result depends only on the endpoint of the sequence, how often
-    each move appears in it.
-    The empty path returns 0 (product 1).
-    """
-    counts = [0] * law.dimension
-    total = 0.0
-    for s in steps:
-        if not (0 <= s < law.dimension):
-            raise DimensionMismatchError(
-                f"step index {s} out of range for dimension {law.dimension}"
-            )
-        total += float(law.log_weights(tuple(counts))[s])
-        counts[s] += 1
-    return total

@@ -14,9 +14,14 @@ Subcommands wire config files to the library:
 * ``recover-moments``     -- dump the environment moment table recovered
                              from an admissible law.
 
-Exit codes: 0 pass, 1 property fails, 2 config error, 3 evaluation error,
-4 resource guard.  Exit 1 only ever means that a property failed: a
-malformed config field is always a config error (see :mod:`urnwalk.config`).
+Each command is a ``plan_*`` function.  It reads the whole config, so a
+malformed field is a config error raised before any work, and returns its
+run, which only computes a :class:`Result`.  :func:`main` plans, reads the
+output section (the output's directory must exist), runs, writes the result
+with its metadata, prints the summary line (to stdout on a pass, to stderr
+on a fail) and maps the outcome to an exit code: 0 pass, 1 property fails,
+2 config error (an output that cannot be written included), 3 evaluation
+error, 4 resource guard.  So exit 1 only ever means that a property failed.
 The guards are exact ``compare``'s ``operation.max_paths`` and
 ``derive-law``'s limit of :data:`MAX_DERIVE_ROWS` count vectors in the box,
 checked before anything is evaluated.  Outputs embed the SHA-256 of the
@@ -31,6 +36,7 @@ import csv
 import json
 import sys
 from collections import Counter
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
@@ -99,48 +105,52 @@ NUMERICS = 3
 MAX_DERIVE_ROWS = DEFAULT_MAX_PATHS
 
 
-def _write_json(path: Path, payload: Any) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+@dataclass(frozen=True)
+class Result:
+    """What a command's run computed, for :func:`main` to write and report.
+
+    ``meta`` joins the metadata every output carries.  ``json_rows`` builds
+    the JSON body, called only for JSON output (without it the body is
+    ``rows`` as lists).  ``{out}`` in ``summary`` is the output path.
+    """
+
+    meta: dict
+    header: Sequence[str]
+    rows: Sequence[Sequence[Any]]
+    body_key: str
+    summary: str
+    passed: bool = True
+    json_rows: Callable[[], list] | None = None
+
+
+def _write_output(out: Path, fmt: str, cfg: Mapping, command: str, result: Result) -> None:
+    """The result with the metadata every output carries: CSV gets a sidecar
+    ``<out>.meta.json``; JSON embeds the metadata."""
+    meta = {"command": command, "schema": 1, "numerics": NUMERICS,
+            "config_sha256": config_hash(cfg)}
+    if "seed" in cfg:
+        meta["seed"] = cfg["seed"]
+    meta.update(result.meta)
+    if fmt == "csv":
+        with open(out, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(result.header)
+            writer.writerows(result.rows)
+        out, payload = Path(str(out) + ".meta.json"), meta
+    else:
+        body = result.json_rows() if result.json_rows else [list(r) for r in result.rows]
+        payload = {**meta, result.body_key: body}
+    with open(out, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(payload, fh, sort_keys=True, indent=2)
         fh.write("\n")
 
 
-def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence[Any]]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
-def _write_output(
-    out: Path,
-    fmt: str,
-    header: Sequence[str],
-    rows: Sequence[Sequence[Any]],
-    meta: Mapping[str, Any],
-    json_body_key: str,
-    json_rows: Callable[[], list] | None = None,
-) -> None:
-    """CSV gets a sidecar ``<out>.meta.json``; JSON embeds the metadata.
-
-    ``json_rows`` builds the JSON body, called only for JSON output; without
-    it the body is the CSV rows as lists.
-    """
-    if fmt == "csv":
-        _write_csv(out, header, rows)
-        _write_json(Path(str(out) + ".meta.json"), dict(meta))
-    else:
-        payload = dict(meta)
-        payload[json_body_key] = json_rows() if json_rows is not None else [list(r) for r in rows]
-        _write_json(out, payload)
-
-
-def _write_table(out: Path, fmt: str, table, meta: Mapping[str, Any]) -> None:
+def _table_result(table, meta: dict, summary: str, passed: bool = True) -> Result:
     """A moment table: one row per multi-index, its entries then the value."""
-    header = [f"k_{i + 1}" for i in range(table.dimension)] + ["value"]
-    rows = table.to_rows()
-    _write_output(out, fmt, header, [list(k) + [v] for k, v in rows], meta, "table",
-                  json_rows=lambda: [{"index": list(k), "value": v} for k, v in rows])
+    pairs = table.to_rows()
+    return Result(meta, [f"k_{i + 1}" for i in range(table.dimension)] + ["value"],
+                  [list(k) + [v] for k, v in pairs], "table", summary, passed,
+                  lambda: [{"index": list(k), "value": v} for k, v in pairs])
 
 
 def _effective_config(cfg: dict, args: argparse.Namespace) -> dict:
@@ -165,7 +175,12 @@ def _output_target(cfg: Mapping, command: str) -> tuple[Path, str]:
     fmt = output.get("format", "json")
     if fmt not in ("csv", "json"):
         raise ConfigError(f"output format must be 'csv' or 'json', got {fmt!r}")
-    return Path(path), fmt
+    out = Path(path)
+    if out.is_dir():
+        raise ConfigError(f"output path {path} is a directory")
+    if not out.parent.is_dir():
+        raise ConfigError(f"output directory {out.parent} does not exist")
+    return out, fmt
 
 
 def _section(cfg: Mapping, key: str, command: str) -> Any:
@@ -187,25 +202,16 @@ def _op_int(cfg: Mapping, key: str, default: int, minimum: int | None = None) ->
     return config_int(_object(cfg, "operation").get(key, default), f"operation.{key}", minimum)
 
 
-def _dimension(cfg: Mapping) -> int | None:
-    """The optional top-level ``dimension`` a law is checked against."""
-    if "dimension" not in cfg:
-        return None
-    return config_int(cfg["dimension"], "dimension")
+def _law(cfg: Mapping, command: str):
+    """The ``law`` section, checked against the optional top-level ``dimension``."""
+    spec = _section(cfg, "law", command)
+    dimension = config_int(cfg["dimension"], "dimension") if "dimension" in cfg else None
+    return law_from_spec(spec, dimension)
 
 
 def _tolerance(cfg: Mapping) -> float:
     tolerance = _object(cfg, "operation").get("tolerance", DEFAULT_TOLERANCE)
     return config_number(tolerance, "operation.tolerance", minimum=0.0)
-
-
-def _meta(cfg: Mapping, command: str, **extra: Any) -> dict:
-    meta = {"command": command, "schema": 1, "numerics": NUMERICS,
-            "config_sha256": config_hash(cfg)}
-    if "seed" in cfg:
-        meta["seed"] = cfg["seed"]
-    meta.update(extra)
-    return meta
 
 
 def _require_seed(cfg: Mapping, command: str) -> int:
@@ -224,35 +230,27 @@ def _start_vertex(cfg: Mapping, graph) -> int:
     return x0
 
 
-def cmd_check_admissibility(cfg: dict, args: argparse.Namespace) -> int:
-    law = law_from_spec(_section(cfg, "law", "check-admissibility"), _dimension(cfg))
+def plan_check_admissibility(cfg: dict, args: argparse.Namespace) -> Callable[[], Result]:
+    law = _law(cfg, "check-admissibility")
     box = _op_int(cfg, "box", 6, minimum=1)
     tolerance = _tolerance(cfg)
-    out, fmt = _output_target(cfg, "check-admissibility")
-    report = check_admissible(law, box, tolerance)
-    meta = _meta(cfg, "check-admissibility", report={
-        "admissible": report.admissible,
-        "box_size": report.box_size,
-        "tolerance": report.tolerance,
-        "violation_count": len(report.violations),
-    })
-    header = ["p", "i", "j", "lhs", "rhs", "gap"]
-    rows = [
-        ["-".join(str(v) for v in viol.counts), viol.i, viol.j, viol.lhs, viol.rhs, viol.gap]
-        for viol in report.violations
-    ]
-    _write_output(out, fmt, header, rows, meta, "violations",
-                  json_rows=lambda: [v.to_dict() for v in report.violations])
-    if not report.admissible:
-        first = report.violations[0]
-        print(
-            f"not admissible: {len(report.violations)} violation(s); first at "
-            f"p={first.counts} (i={first.i}, j={first.j}) gap={first.gap:.6g}",
-            file=sys.stderr,
-        )
-        return EXIT_PROPERTY
-    print(f"admissible on box {box} at tolerance {report.tolerance:g}")
-    return EXIT_PASS
+
+    def run() -> Result:
+        report = check_admissible(law, box, tolerance)
+        violations = report.violations
+        if report.admissible:
+            summary = f"admissible on box {box} at tolerance {report.tolerance:g}"
+        else:
+            first = violations[0]
+            summary = (f"not admissible: {len(violations)} violation(s); first at "
+                       f"p={first.counts} (i={first.i}, j={first.j}) gap={first.gap:.6g}")
+        meta = {"report": {"admissible": report.admissible, "box_size": report.box_size,
+                           "tolerance": report.tolerance, "violation_count": len(violations)}}
+        rows = [["-".join(map(str, v.counts)), v.i, v.j, v.lhs, v.rhs, v.gap] for v in violations]
+        return Result(meta, ["p", "i", "j", "lhs", "rhs", "gap"], rows, "violations", summary,
+                      report.admissible, lambda: [v.to_dict() for v in violations])
+
+    return run
 
 
 def _parse_corruption(
@@ -276,63 +274,59 @@ def _parse_corruption(
     return out
 
 
-def cmd_verify_moments(cfg: dict, args: argparse.Namespace) -> int:
-    law = law_from_spec(_section(cfg, "law", "verify-moments"), _dimension(cfg))
+def plan_verify_moments(cfg: dict, args: argparse.Namespace) -> Callable[[], Result]:
+    law = _law(cfg, "verify-moments")
     order = _op_int(cfg, "order", 8, minimum=0)
     tolerance = _tolerance(cfg)
     corruption = _parse_corruption(getattr(args, "corrupt_entry", None), law.dimension, order)
-    out, fmt = _output_target(cfg, "verify-moments")
-    table = recover_env_moments(law, order)
-    for index, value in corruption:
-        table = table.with_value(index, value)
-    hs = hildebrandt_schoenberg_check(table, tolerance)
-    masses = [
-        {"degree": n, "deviation": abs(simplex_mass(table, n) - 1.0)}
-        for n in range(order + 1)
-    ]
-    worst_mass = max((m["deviation"] for m in masses), default=0.0)
-    passed = hs.passed and worst_mass <= tolerance
-    meta = _meta(
-        cfg,
-        "verify-moments",
-        hs_report=hs.to_dict(),
-        mass_deviations=masses,
-        passed=passed,
-    )
-    _write_table(out, fmt, table, meta)
-    if not passed:
-        detail = "positivity scan failed" if not hs.passed else "mass identity failed"
-        print(
-            f"{detail}: max_negativity={hs.max_negativity:.3e}, "
-            f"worst mass deviation={worst_mass:.3e}",
-            file=sys.stderr,
-        )
-        return EXIT_PROPERTY
-    print(
-        f"moments certified to order {order}: min signed difference "
-        f"{hs.max_negativity:.3e}, worst mass deviation {worst_mass:.3e}"
-    )
-    return EXIT_PASS
+
+    def run() -> Result:
+        table = recover_env_moments(law, order)
+        for index, value in corruption:
+            table = table.with_value(index, value)
+        hs = hildebrandt_schoenberg_check(table, tolerance)
+        masses = [
+            {"degree": n, "deviation": abs(simplex_mass(table, n) - 1.0)}
+            for n in range(order + 1)
+        ]
+        worst_mass = max((m["deviation"] for m in masses), default=0.0)
+        passed = hs.passed and worst_mass <= tolerance
+        if passed:
+            summary = (f"moments certified to order {order}: min signed difference "
+                       f"{hs.max_negativity:.3e}, worst mass deviation {worst_mass:.3e}")
+        else:
+            detail = "positivity scan failed" if not hs.passed else "mass identity failed"
+            summary = (f"{detail}: max_negativity={hs.max_negativity:.3e}, "
+                       f"worst mass deviation={worst_mass:.3e}")
+        meta = {"hs_report": hs.to_dict(), "mass_deviations": masses, "passed": passed}
+        return _table_result(table, meta, summary, passed)
+
+    return run
 
 
-def _resolve_assignment(cfg: Mapping, graph, command: str) -> tuple[dict, dict]:
-    """Fixed environment for quenched runs, inline or sampled-and-frozen, and its meta."""
+def _quenched_assignment(cfg: Mapping, op: Mapping, graph) -> Callable[[], tuple[dict, dict]]:
+    """The fixed environment of a quenched run, read in full: a closure that
+    gives it, inline or sampled and frozen, with its meta."""
     if "assignment" in cfg:
-        return assignment_from_spec(graph, cfg["assignment"]), {"assignment_source": "inline"}
-    if "envs" in cfg:
-        op = _object(cfg, "operation")
-        if "env_seed" not in op:
-            raise ConfigError(
-                f"{command}: quenched mode needs an inline 'assignment' or envs plus "
-                "operation.env_seed to sample-and-freeze"
-            )
-        env_seed = config_int(op["env_seed"], "operation.env_seed", minimum=0)
-        envs = resolve_per_vertex(graph, cfg["envs"], env_from_spec, "envs")
+        assignment = assignment_from_spec(graph, cfg["assignment"])
+        return lambda: (assignment, {"assignment_source": "inline"})
+    if "envs" not in cfg:
+        raise ConfigError("simulate: quenched mode needs 'assignment' or 'envs'")
+    if "env_seed" not in op:
+        raise ConfigError(
+            "simulate: quenched mode needs an inline 'assignment' or envs plus "
+            "operation.env_seed to sample-and-freeze"
+        )
+    env_seed = config_int(op["env_seed"], "operation.env_seed", minimum=0)
+    envs = resolve_per_vertex(graph, cfg["envs"], env_from_spec, "envs")
+
+    def freeze() -> tuple[dict, dict]:
         assignment = sample_environment(graph, envs, make_stream(env_seed))
         frozen = {str(x): list(p.weights) for x, p in sorted(assignment.items())}
         return assignment, {"assignment_source": "sampled", "env_seed": env_seed,
                             "assignment": frozen}
-    raise ConfigError(f"{command}: quenched mode needs 'assignment' or 'envs'")
+
+    return freeze
 
 
 def _runs(mode: str, graph, maps: Mapping, x0: int, steps: int, seed: int,
@@ -344,15 +338,15 @@ def _runs(mode: str, graph, maps: Mapping, x0: int, steps: int, seed: int,
     looked up here at each call, so a wrapper bound to this module's
     ``run_*`` names sees them.
     """
+    run, many = {"reinforced": (run_reinforced, run_many_reinforced),
+                 "quenched": (run_quenched, run_many_quenched),
+                 "annealed": (run_annealed, run_many_annealed)}[mode]
     if lockstep_pays(mode, graph, maps, x0, steps, count):
-        many = {"reinforced": run_many_reinforced, "quenched": run_many_quenched,
-                "annealed": run_many_annealed}[mode]
         return many(graph, maps, x0, steps, seed, count)
-    run = {"reinforced": run_reinforced, "quenched": run_quenched, "annealed": run_annealed}[mode]
     return (run(graph, maps, x0, steps, rng) for rng in stream_generators(seed, count))
 
 
-def cmd_simulate(cfg: dict, args: argparse.Namespace) -> int:
+def plan_simulate(cfg: dict, args: argparse.Namespace) -> Callable[[], Result]:
     graph = graph_from_spec(_section(cfg, "graph", "simulate"))
     op = _object(cfg, "operation")
     mode = op.get("mode")
@@ -362,23 +356,21 @@ def cmd_simulate(cfg: dict, args: argparse.Namespace) -> int:
     count = _op_int(cfg, "trajectories", 1, minimum=1)
     x0 = _start_vertex(cfg, graph)
     seed = _require_seed(cfg, "simulate")
-    out, fmt = _output_target(cfg, "simulate")
-
-    meta_extra: dict[str, Any] = {"mode": mode, "steps": steps, "trajectories": count, "start": x0}
-    if mode == "reinforced":
-        maps = resolve_per_vertex(graph, _section(cfg, "laws", "simulate"), law_from_spec, "laws")
-    elif mode == "annealed":
-        maps = resolve_per_vertex(graph, _section(cfg, "envs", "simulate"), env_from_spec, "envs")
+    if mode == "quenched":
+        environment = _quenched_assignment(cfg, op, graph)
     else:
-        maps, extra = _resolve_assignment(cfg, graph, "simulate")
-        meta_extra.update(extra)
+        key, reader = ("laws", law_from_spec) if mode == "reinforced" else ("envs", env_from_spec)
+        maps = resolve_per_vertex(graph, _section(cfg, key, "simulate"), reader, key)
+        environment = lambda: (maps, {})
 
-    rows = list(_runs(mode, graph, maps, x0, steps, seed, count))
-    meta = _meta(cfg, "simulate", **meta_extra)
-    header = [f"v{t}" for t in range(steps + 1)]
-    _write_output(out, fmt, header, rows, meta, "trajectories")
-    print(f"wrote {count} {mode} trajectories of {steps} steps to {out}")
-    return EXIT_PASS
+    def run() -> Result:
+        maps, extra = environment()
+        rows = list(_runs(mode, graph, maps, x0, steps, seed, count))
+        meta = {"mode": mode, "steps": steps, "trajectories": count, "start": x0, **extra}
+        return Result(meta, [f"v{t}" for t in range(steps + 1)], rows, "trajectories",
+                      f"wrote {count} {mode} trajectories of {steps} steps to {{out}}")
+
+    return run
 
 
 def chi2_quantile(quantile: float, dof: int) -> float:
@@ -392,7 +384,7 @@ def chi2_quantile(quantile: float, dof: int) -> float:
     return 2.0 * inverse_regularised_gamma(dof / 2, quantile)
 
 
-def cmd_compare(cfg: dict, args: argparse.Namespace) -> int:
+def plan_compare(cfg: dict, args: argparse.Namespace) -> Callable[[], Result]:
     graph = graph_from_spec(_section(cfg, "graph", "compare"))
     envs = resolve_per_vertex(graph, _section(cfg, "envs", "compare"), env_from_spec, "envs")
     if "laws" in cfg:
@@ -413,120 +405,85 @@ def cmd_compare(cfg: dict, args: argparse.Namespace) -> int:
         quantile = config_number(op.get("quantile", 0.999), "operation.quantile")
         if not 0.0 < quantile < 1.0:
             raise ConfigError(f"operation.quantile must be a number in (0, 1), got {quantile!r}")
-    out, fmt = _output_target(cfg, "compare")
 
-    annealed = enumerate_annealed(graph, envs, x0, steps, max_paths)
-    if mode == "exact":
-        reinforced = enumerate_reinforced(graph, laws, x0, steps, max_paths)
-        report = compare_distributions(reinforced, annealed)
-        passed = report.total_variation <= tolerance
-        meta = _meta(
-            cfg,
-            "compare",
-            mode=mode,
-            steps=steps,
-            start=x0,
-            report=report.to_dict(),
-            tolerance=tolerance,
-            passed=passed,
-        )
-        header = ["path", "reinforced", "annealed"]
-        pa = reinforced.probabilities
+    def run() -> Result:
+        annealed = enumerate_annealed(graph, envs, x0, steps, max_paths)
         pb = annealed.probabilities
-        rows = [
-            ["-".join(str(v) for v in t), pa[t], pb[t]] for t in sorted(pa)
-        ]
-        _write_output(out, fmt, header, rows, meta, "distributions",
-                      json_rows=lambda: [{"path": r[0], "reinforced": r[1], "annealed": r[2]}
-                                         for r in rows])
-        print(
-            f"exact compare: TV={report.total_variation:.3e}, "
-            f"max gap={report.max_abs_gap:.3e} ({'pass' if passed else 'FAIL'})"
-        )
-        return EXIT_PASS if passed else EXIT_PROPERTY
+        if mode == "exact":
+            reinforced = enumerate_reinforced(graph, laws, x0, steps, max_paths)
+            report = compare_distributions(reinforced, annealed)
+            passed = report.total_variation <= tolerance
+            extra = {"tolerance": tolerance}
+            header = ["path", "reinforced", "annealed"]
+            pa = reinforced.probabilities
+            rows = [["-".join(map(str, t)), pa[t], pb[t]] for t in sorted(pa)]
+            summary = (f"exact compare: TV={report.total_variation:.3e}, "
+                       f"max gap={report.max_abs_gap:.3e}")
+        else:
+            observed = Counter(_runs("reinforced", graph, laws, x0, steps, seed, samples))
+            report = compare_empirical(observed, annealed)
+            statistic, dof = report.chi_square
+            threshold = chi2_quantile(quantile, dof) if dof > 0 else 0.0
+            passed = statistic <= threshold if dof > 0 else statistic == 0.0
+            extra = {"quantile": quantile, "threshold": threshold}
+            header = ["path", "annealed", "observed"]
+            rows = [["-".join(map(str, t)), pb[t], observed.get(t, 0)] for t in sorted(pb)]
+            summary = (f"empirical compare: chi2={statistic:.3f} (dof={dof}, "
+                       f"threshold={threshold:.3f})")
+        meta = {"mode": mode, "steps": steps, "start": x0, "report": report.to_dict(),
+                "passed": passed, **extra}
+        return Result(meta, header, rows, "distributions" if mode == "exact" else "cells",
+                      f"{summary} ({'pass' if passed else 'FAIL'})", passed,
+                      lambda: [dict(zip(header, r)) for r in rows])
 
-    observed = Counter(_runs("reinforced", graph, laws, x0, steps, seed, samples))
-    report = compare_empirical(observed, annealed)
-    statistic, dof = report.chi_square
-    threshold = chi2_quantile(quantile, dof) if dof > 0 else 0.0
-    passed = statistic <= threshold if dof > 0 else statistic == 0.0
-    meta = _meta(
-        cfg,
-        "compare",
-        mode=mode,
-        steps=steps,
-        start=x0,
-        report=report.to_dict(),
-        quantile=quantile,
-        threshold=threshold,
-        passed=passed,
-    )
-    header = ["path", "annealed", "observed"]
-    rows = [
-        ["-".join(str(v) for v in t), annealed.probabilities[t], observed.get(t, 0)]
-        for t in sorted(annealed.probabilities)
-    ]
-    _write_output(out, fmt, header, rows, meta, "cells",
-                  json_rows=lambda: [{"path": r[0], "annealed": r[1], "observed": r[2]}
-                                     for r in rows])
-    print(
-        f"empirical compare: chi2={statistic:.3f} (dof={dof}, "
-        f"threshold={threshold:.3f}) ({'pass' if passed else 'FAIL'})"
-    )
-    return EXIT_PASS if passed else EXIT_PROPERTY
+    return run
 
 
-def cmd_derive_law(cfg: dict, args: argparse.Namespace) -> int:
+def plan_derive_law(cfg: dict, args: argparse.Namespace) -> Callable[[], Result]:
     env = env_from_spec(_section(cfg, "env", "derive-law"))
     law = law_from_env(env)
     box = _op_int(cfg, "box", 6, minimum=0)
-    out, fmt = _output_target(cfg, "derive-law")
-    size = (box + 1) ** env.dimension
-    if size > MAX_DERIVE_ROWS:
-        raise EnumerationGuardError(
-            f"derive-law: box {box} in dimension {env.dimension} has {size} count vectors, "
-            f"more than the limit of {MAX_DERIVE_ROWS}"
-        )
-    # every count vector of the box, in lexicographic order
-    counts = np.indices((box + 1,) * env.dimension).reshape(env.dimension, -1).T
-    rows = counts.tolist()
-    for row, weights in zip(rows, np.exp(law.log_weights_batch(counts)).tolist()):
-        row.extend(check_simplex(tuple(weights)))
-    meta = _meta(cfg, "derive-law", box=box, dimension=env.dimension)
-    header = [f"p_{i + 1}" for i in range(env.dimension)] + [
-        f"v_{i + 1}" for i in range(env.dimension)
-    ]
-    _write_output(out, fmt, header, rows, meta, "law_table",
-                  json_rows=lambda: [
-                      {"counts": r[: env.dimension], "weights": r[env.dimension :]}
-                      for r in rows
-                  ])
-    print(f"wrote induced law on box {box} to {out}")
-    return EXIT_PASS
+    d = env.dimension
+
+    def run() -> Result:
+        size = (box + 1) ** d
+        if size > MAX_DERIVE_ROWS:
+            raise EnumerationGuardError(
+                f"derive-law: box {box} in dimension {d} has {size} count vectors, "
+                f"more than the limit of {MAX_DERIVE_ROWS}"
+            )
+        # every count vector of the box, in lexicographic order
+        counts = np.indices((box + 1,) * d).reshape(d, -1).T
+        rows = counts.tolist()
+        for row, weights in zip(rows, np.exp(law.log_weights_batch(counts)).tolist()):
+            row.extend(check_simplex(tuple(weights)))
+        header = [f"p_{i + 1}" for i in range(d)] + [f"v_{i + 1}" for i in range(d)]
+        return Result({"box": box, "dimension": d}, header, rows, "law_table",
+                      f"wrote induced law on box {box} to {{out}}",
+                      json_rows=lambda: [{"counts": r[:d], "weights": r[d:]} for r in rows])
+
+    return run
 
 
-def cmd_recover_moments(cfg: dict, args: argparse.Namespace) -> int:
-    law = law_from_spec(_section(cfg, "law", "recover-moments"), _dimension(cfg))
+def plan_recover_moments(cfg: dict, args: argparse.Namespace) -> Callable[[], Result]:
+    law = _law(cfg, "recover-moments")
     order = _op_int(cfg, "order", 8, minimum=0)
-    out, fmt = _output_target(cfg, "recover-moments")
-    try:
+
+    def run() -> Result:
         table = recover_env_moments(law, order)
-    except NotAdmissibleError as exc:
-        print(f"no environment to recover: {exc}", file=sys.stderr)
-        return EXIT_PROPERTY
-    _write_table(out, fmt, table,
-                 _meta(cfg, "recover-moments", order=order, dimension=table.dimension))
-    print(f"wrote moment table to order {order} to {out}")
-    return EXIT_PASS
+        return _table_result(table, {"order": order, "dimension": table.dimension},
+                             f"wrote moment table to order {order} to {{out}}")
+
+    return run
 
 
 COMMANDS = {
-    "check-admissibility": cmd_check_admissibility,
-    "verify-moments": cmd_verify_moments,
-    "simulate": cmd_simulate,
-    "compare": cmd_compare,
-    "derive-law": cmd_derive_law,
-    "recover-moments": cmd_recover_moments,
+    "check-admissibility": plan_check_admissibility,
+    "verify-moments": plan_verify_moments,
+    "simulate": plan_simulate,
+    "compare": plan_compare,
+    "derive-law": plan_derive_law,
+    "recover-moments": plan_recover_moments,
 }
 
 
@@ -558,7 +515,15 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = _effective_config(load_config(args.config), args)
-        return COMMANDS[args.command](cfg, args)
+        run = COMMANDS[args.command](cfg, args)
+        out, fmt = _output_target(cfg, args.command)
+        result = run()
+        try:
+            _write_output(out, fmt, cfg, args.command, result)
+        except OSError as exc:
+            raise ConfigError(f"cannot write output {out}: {exc}") from exc
+        print(result.summary.format(out=out), file=sys.stdout if result.passed else sys.stderr)
+        return EXIT_PASS if result.passed else EXIT_PROPERTY
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -573,9 +538,5 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_EVALUATION
 
 
-def entrypoint() -> None:
-    sys.exit(main())
-
-
 if __name__ == "__main__":
-    entrypoint()
+    sys.exit(main())

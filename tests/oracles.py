@@ -1,8 +1,8 @@
 """Reference helpers that only the tests use: square defects, monotone paths,
 lattice enumeration by filtering the cube, the quadrature oracle for mixed
 moments, rising factorials and multinomials through scipy's log-gamma,
-independent of the package's summed logs, and the move counts a trajectory
-implies."""
+independent of the package's summed logs, the move counts a trajectory
+implies, and the log probability of a move sequence under a law."""
 
 import math
 from itertools import product
@@ -112,6 +112,26 @@ def square_defect(law: ReinforcementLaw, counts: Sequence[int], i: int, j: int) 
     lhs = float(law.log_weights(p)[i] + law.log_weights(p_i)[j])
     rhs = float(law.log_weights(p)[j] + law.log_weights(p_j)[i])
     return lhs - rhs
+
+
+def path_product(law: ReinforcementLaw, steps: Sequence[int]) -> float:
+    """Log probability of a move sequence starting from zero counts.
+
+    Accumulates ``sum_t ln V_{s(t)}(counts before step t)``.  For admissible
+    laws the result depends only on the endpoint of the sequence, how often
+    each move appears in it.
+    The empty path returns 0 (product 1).
+    """
+    counts = [0] * law.dimension
+    total = 0.0
+    for s in steps:
+        if not (0 <= s < law.dimension):
+            raise DimensionMismatchError(
+                f"step index {s} out of range for dimension {law.dimension}"
+            )
+        total += float(law.log_weights(tuple(counts))[s])
+        counts[s] += 1
+    return total
 
 
 def path_endpoint(steps: Sequence[int], dimension: int) -> Counts:

