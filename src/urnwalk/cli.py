@@ -8,7 +8,7 @@ Subcommands wire config files to the library:
 * ``simulate``            -- sample reinforced / quenched / annealed
                              trajectories to a file.
 * ``compare``             -- reinforced vs annealed law, exact enumeration
-                             or empirical chi-square.
+                             or empirical chi-square tail probability.
 * ``derive-law``          -- dump the reinforcement law induced by an
                              environment over a box of count vectors.
 * ``recover-moments``     -- dump the environment moment table recovered
@@ -20,11 +20,14 @@ run, which only computes a :class:`Result`.  :func:`main` plans, reads the
 output section (the output's directory must exist), runs, writes the result
 with its metadata, prints the summary line (to stdout on a pass, to stderr
 on a fail) and maps the outcome to an exit code: 0 pass, 1 property fails,
-2 config error (an output that cannot be written included), 3 evaluation
-error, 4 resource guard.  So exit 1 only ever means that a property failed.
-The guards are exact ``compare``'s ``operation.max_paths`` and
-``derive-law``'s limit of :data:`MAX_DERIVE_ROWS` count vectors in the box,
-checked before anything is evaluated.  Outputs embed the SHA-256 of the
+2 config error (an output that cannot be written included, and an empirical
+compare whose samples leave the chi-square test no degrees of freedom),
+3 evaluation error, 4 resource guard.  So exit 1 only ever means that a
+property failed.  The guards are exact ``compare``'s ``operation.max_paths``
+and ``derive-law``'s limit of :data:`MAX_DERIVE_ROWS` count vectors in the
+box, checked before anything is evaluated.  Each file is written under a
+temporary name and moved into place, a CSV's metadata sidecar first, so a
+failed write leaves no partial file.  Outputs embed the SHA-256 of the
 effective config and never include timestamps, so a rerun with the same
 config and seed is byte-identical.
 """
@@ -34,11 +37,14 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
+import os
 import sys
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
 
@@ -57,11 +63,13 @@ from .config import (
 from .environment import law_from_env
 from .equivalence import (
     DEFAULT_MAX_PATHS,
+    POOL_EXPECTED,
     compare_distributions,
     compare_empirical,
     enumerate_annealed,
     enumerate_reinforced,
     recover_env_moments,
+    samples_for_a_cell,
 )
 from .errors import (
     ConfigError,
@@ -70,7 +78,7 @@ from .errors import (
     NotAdmissibleError,
     UrnwalkError,
 )
-from .laws import check_simplex, inverse_regularised_gamma
+from .laws import check_simplex, log_lower_gamma, regularised_gamma
 from .moments import check_entry, hildebrandt_schoenberg_check, simplex_mass
 from .walk import (
     lockstep_pays,
@@ -98,8 +106,9 @@ DEFAULT_TOLERANCE = 1e-10
 #: weights are normalised by their log-sum-exp.  3: empirical compare's
 #: chi-square threshold is computed in the package (no scipy), and a log
 #: rising factorial past ``laws.RISING_TABLE_CAP`` is a difference of
-#: Stirling forms, not of log-gammas.
-NUMERICS = 3
+#: Stirling forms, not of log-gammas.  4: empirical compare decides by, and
+#: records, the ``p_value`` of its statistic (:func:`chi_square_test`).
+NUMERICS = 4
 
 #: Most count vectors derive-law tabulates, the default ``max_paths`` of exact compare.
 MAX_DERIVE_ROWS = DEFAULT_MAX_PATHS
@@ -123,26 +132,44 @@ class Result:
     json_rows: Callable[[], list] | None = None
 
 
+@contextmanager
+def _written_whole(path: Path, newline: str) -> Iterator[TextIO]:
+    """A file to write ``path`` through: a temporary name in its directory,
+    moved into place on success and removed on failure, so that a failed
+    write leaves no partial file."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline=newline) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _write_json(path: Path, payload: Mapping) -> None:
+    with _written_whole(path, "\n") as fh:
+        json.dump(payload, fh, sort_keys=True, indent=2)
+        fh.write("\n")
+
+
 def _write_output(out: Path, fmt: str, cfg: Mapping, command: str, result: Result) -> None:
     """The result with the metadata every output carries: CSV gets a sidecar
-    ``<out>.meta.json``; JSON embeds the metadata."""
+    ``<out>.meta.json``, written first; JSON embeds the metadata."""
     meta = {"command": command, "schema": 1, "numerics": NUMERICS,
             "config_sha256": config_hash(cfg)}
     if "seed" in cfg:
         meta["seed"] = cfg["seed"]
     meta.update(result.meta)
-    if fmt == "csv":
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(result.header)
-            writer.writerows(result.rows)
-        out, payload = Path(str(out) + ".meta.json"), meta
-    else:
+    if fmt == "json":
         body = result.json_rows() if result.json_rows else [list(r) for r in result.rows]
-        payload = {**meta, result.body_key: body}
-    with open(out, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        _write_json(out, {**meta, result.body_key: body})
+        return
+    _write_json(Path(str(out) + ".meta.json"), meta)
+    with _written_whole(out, "") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(result.header)
+        writer.writerows(result.rows)
 
 
 def _table_result(table, meta: dict, summary: str, passed: bool = True) -> Result:
@@ -373,15 +400,31 @@ def plan_simulate(cfg: dict, args: argparse.Namespace) -> Callable[[], Result]:
     return run
 
 
-def chi2_quantile(quantile: float, dof: int) -> float:
-    """The ``quantile`` of the chi-square law with ``dof`` degrees of freedom.
+#: Below this quantile :func:`chi_square_test` compares logs: ``P`` may underflow.
+_DEEP_TAIL = 2.0 ** -1000
 
-    ``2 P^-1(dof / 2, quantile)``, from :func:`~urnwalk.laws.inverse_regularised_gamma`,
-    which needs only ``math``: within a few ulps of mpmath, and within
-    1e-13 of ``scipy.stats.chi2.ppf`` for ``dof`` up to 5,000 and
-    ``quantile`` from 1e-12 on, where scipy itself errs by up to 49 ulps.
+
+def chi_square_test(statistic: float, dof: int, quantile: float) -> tuple[bool, float]:
+    """Whether ``statistic`` passes at ``quantile``, and its p-value, the upper tail ``Q``.
+
+    It passes when ``P(dof / 2, statistic / 2) <= quantile``, compared in logs
+    below :data:`_DEEP_TAIL`; above 1/2 the test is ``Q >= 1 - quantile``, a
+    subtraction that is exact, so the upper tail keeps its digits.  A zero
+    statistic passes; at zero degrees of freedom no other does.
     """
-    return 2.0 * inverse_regularised_gamma(dof / 2, quantile)
+    if statistic == 0.0:
+        return True, 1.0
+    if dof == 0:
+        return False, 0.0
+    a, x = dof / 2, statistic / 2
+    if 2.0 * x < statistic:  # a halved subnormal rounded down: rounding up can only fail
+        x = math.nextafter(x, math.inf)
+    lower, upper = regularised_gamma(a, x)
+    if quantile > 0.5:
+        return upper >= 1.0 - quantile, upper
+    if quantile < _DEEP_TAIL and x < a + 1.0:
+        return log_lower_gamma(a, x) <= math.log(quantile), upper
+    return lower <= quantile, upper
 
 
 def plan_compare(cfg: dict, args: argparse.Namespace) -> Callable[[], Result]:
@@ -420,16 +463,22 @@ def plan_compare(cfg: dict, args: argparse.Namespace) -> Callable[[], Result]:
             summary = (f"exact compare: TV={report.total_variation:.3e}, "
                        f"max gap={report.max_abs_gap:.3e}")
         else:
+            needed = samples_for_a_cell(annealed)
+            if len(pb) > 1 and samples < needed:
+                raise ConfigError(
+                    f"compare: at {samples} samples no trajectory has an expected count "
+                    f"of {POOL_EXPECTED:g}, so the chi-square test has no degrees of "
+                    f"freedom; operation.samples must be at least {needed}"
+                )
             observed = Counter(_runs("reinforced", graph, laws, x0, steps, seed, samples))
             report = compare_empirical(observed, annealed)
             statistic, dof = report.chi_square
-            threshold = chi2_quantile(quantile, dof) if dof > 0 else 0.0
-            passed = statistic <= threshold if dof > 0 else statistic == 0.0
-            extra = {"quantile": quantile, "threshold": threshold}
+            passed, p_value = chi_square_test(statistic, dof, quantile)
+            extra = {"quantile": quantile, "p_value": p_value}
             header = ["path", "annealed", "observed"]
             rows = [["-".join(map(str, t)), pb[t], observed.get(t, 0)] for t in sorted(pb)]
             summary = (f"empirical compare: chi2={statistic:.3f} (dof={dof}, "
-                       f"threshold={threshold:.3f})")
+                       f"p={p_value:.3g})")
         meta = {"mode": mode, "steps": steps, "start": x0, "report": report.to_dict(),
                 "passed": passed, **extra}
         return Result(meta, header, rows, "distributions" if mode == "exact" else "cells",

@@ -34,6 +34,9 @@ DEFAULT_MAX_PATHS = 10**6
 #: Enumerated probabilities must sum to 1 within this tolerance.
 SUM_TOLERANCE = 1e-10
 
+#: Chi-square cells of a smaller expected count are pooled into one.
+POOL_EXPECTED = 5.0
+
 
 @dataclass(frozen=True)
 class PathDistribution:
@@ -249,14 +252,12 @@ def compare_distributions(
 
 
 def compare_empirical(
-    samples: Sequence[Trajectory] | Counter[Trajectory],
-    reference: PathDistribution,
-    pool_threshold: float = 5.0,
+    samples: Sequence[Trajectory] | Counter[Trajectory], reference: PathDistribution
 ) -> ComparisonReport:
     """Goodness of fit of sampled trajectories, or their Counter, against an exact reference.
 
     Pearson chi-square with all cells of expected count below
-    ``pool_threshold`` pooled into one, plus the empirical total variation
+    :data:`POOL_EXPECTED` pooled into one, plus the empirical total variation
     over the reference support.  Samples must live on that support.
     """
     observed = samples if isinstance(samples, Counter) else Counter(samples)
@@ -275,7 +276,7 @@ def compare_empirical(
         obs = float(observed.get(t, 0))
         expected = n * p
         gaps.append(abs(obs / n - p))
-        if expected < pool_threshold:
+        if expected < POOL_EXPECTED:
             pooled_obs += obs
             pooled_exp += expected
         else:
@@ -290,6 +291,20 @@ def compare_empirical(
         chi_square=(statistic, dof),
         sample_count=n,
     )
+
+
+def samples_for_a_cell(reference: PathDistribution) -> int:
+    """The fewest samples at which a trajectory of ``reference`` has an expected
+    count of :data:`POOL_EXPECTED`, as :func:`compare_empirical` computes it.
+
+    With fewer, every cell is pooled into one and the chi-square test has no
+    degrees of freedom.
+    """
+    p = max(reference.probabilities.values())
+    n = math.floor(POOL_EXPECTED / p)
+    while n * p < POOL_EXPECTED:
+        n += 1
+    return n
 
 
 def recover_env_moments(law: ReinforcementLaw, order: int) -> MomentTable:

@@ -34,9 +34,10 @@ quantity keep the same bits.  Past :data:`RISING_TABLE_CAP` counts a log
 rising factorial is a difference of Stirling forms, whose correction terms
 come from :func:`stirling_correction`.
 
-The same correction gives the regularised incomplete gamma ratios and
-their inverse (:func:`inverse_regularised_gamma`), from which ``compare``
-takes the chi-square threshold of its empirical mode, using only ``math``.
+The same correction gives the regularised incomplete gamma ratios
+(:func:`regularised_gamma`, and :func:`log_lower_gamma` for a lower tail
+below the floats), from which ``compare`` takes the chi-square tail
+probability of its empirical mode, using only ``math``.
 """
 
 from __future__ import annotations
@@ -377,7 +378,7 @@ def log_rising_factorial(y: float, k: int) -> float:
     return LogRisingTable((y,)).at((k,))[0]
 
 
-# --- the regularised incomplete gamma ratios and their inverse -----------------
+# --- the regularised incomplete gamma ratios -----------------------------------
 #
 # P(a, x) = gamma(a, x) / Gamma(a) and Q(a, x) = 1 - P(a, x), for ``a`` a
 # positive multiple of 1/2 (half a chi-square's degrees of freedom), after
@@ -389,17 +390,6 @@ _EPS = 2.0 ** -53
 
 #: Largest ``x`` whose ``exp(-x)`` is a normal float, with a margin.
 _EXP_ARG_MAX = 700.0
-
-#: Most Newton steps :func:`inverse_regularised_gamma` takes; it converges in
-#: a handful, and falls back on bisection where a step leaves its bracket.
-_NEWTON_STEPS = 100
-
-#: A Newton step in ``log x`` this small is the last one.
-_NEWTON_TOL = 2.0 ** -45
-
-#: Below this quantile the lower tail compares logarithms: ``P / q`` would
-#: have to be formed from subnormal floats.
-_DEEP_TAIL = 2.0 ** -1000
 
 
 def _stirling_exponent(a: float, x: float) -> float:
@@ -415,11 +405,6 @@ def _stirling_exponent(a: float, x: float) -> float:
     ratio = x / a
     log_ratio = math.log(ratio) if ratio > 0.0 else math.log(x) - math.log(a)
     return a * log_ratio + (a - x)
-
-
-def _log_gamma_prefactor(a: float, x: float) -> float:
-    """``log(x^a e^-x / Gamma(a))``, for the deep lower tail where the prefactor underflows."""
-    return _stirling_exponent(a, x) + 0.5 * math.log(a) - _HALF_LOG_2PI - stirling_correction(a)
 
 
 def _gamma_prefactor(a: float, x: float) -> float:
@@ -509,8 +494,8 @@ def _upper_sum(a: float, x: float, prefactor: float) -> float:
     return total
 
 
-def _gamma_ratios(a: float, x: float) -> tuple[float, float, float]:
-    """``(P(a, x), Q(a, x), x^a e^-x / Gamma(a))`` for ``x > 0`` and ``a`` a positive multiple of 1/2.
+def regularised_gamma(a: float, x: float) -> tuple[float, float]:
+    """``(P(a, x), Q(a, x))`` for ``x > 0`` and ``a`` a positive multiple of 1/2.
 
     For ``x < a + 1`` ``P`` is the power series and ``Q = 1 - P``; from
     there on ``Q`` is the continued fraction (from
@@ -521,82 +506,18 @@ def _gamma_ratios(a: float, x: float) -> tuple[float, float, float]:
     prefactor = _gamma_prefactor(a, x)
     if x < a + 1.0:
         p = prefactor / a * _lower_series(a, x)
-        return p, 1.0 - p, prefactor
+        return p, 1.0 - p
     if a >= STIRLING_SERIES_MIN:
         q = prefactor * _upper_fraction(a, x)
     else:
         q = _upper_sum(a, x, prefactor)
-    return 1.0 - q, q, prefactor
+    return 1.0 - q, q
 
 
-def _rough_normal_quantile(p: float) -> float:
-    """``z >= 0`` with upper normal tail ``p`` in ``(0, 1/2]``, to about 4.5e-4.
-
-    Abramowitz & Stegun 26.2.23; a starting point, never a result.
-    """
-    t = math.sqrt(-2.0 * math.log(p))
-    return t - (2.515517 + t * (0.802853 + t * 0.010328)) / (
-        1.0 + t * (1.432788 + t * (0.189269 + t * 0.001308))
-    )
-
-
-def inverse_regularised_gamma(a: float, q: float) -> float:
-    """The ``x >= 0`` with ``P(a, x) = q``, for ``q`` in ``(0, 1)`` and ``a`` a positive multiple of 1/2.
-
-    For ``q > 1/2`` it solves ``Q(a, x) = 1 - q`` instead, a subtraction
-    that is exact (Sterbenz's lemma), so the upper tail keeps its digits;
-    for ``q <= 1/2`` it solves ``P(a, x) = q``.  Newton's method runs in
-    ``log x``, where both ``log P`` and ``log Q`` are concave (the log of a
-    log-concave law's tails), so it converges from either side; the step
-    is ``log(P / q)`` times ``P / prefactor``, and one that leaves the
-    bracket kept so far is replaced by bisection.  It starts from the
-    Wilson-Hilferty approximation, or in the lower tail from
-    ``(q Gamma(a + 1))^(1/a)``, taken in log space, which bounds the root
-    from below since ``P(a, x) <= x^a / Gamma(a + 1)``; where that bound
-    underflows to 0 the result is 0.  Against mpmath at 50 digits it was
-    within 6 ulps on a seeded grid of ``2a`` up to 5,000 and ``q`` in
-    ``[1e-12, 1 - 1e-12]``.
-    """
-    lower = q <= 0.5
-    p = q if lower else 1.0 - q
-    z = _rough_normal_quantile(p)
-    wilson_hilferty = a * (1.0 - 1.0 / (9.0 * a) + (-z if lower else z) / (3.0 * math.sqrt(a))) ** 3
-    lo, hi = 0.0, (a if lower else math.inf)  # the median lies below a
-    if lower:
-        log_q = math.log(q)
-        bound = math.exp((log_q + math.lgamma(a + 1.0)) / a)
-        if bound == 0.0:
-            return 0.0
-        x = wilson_hilferty if bound < wilson_hilferty < a else bound
-    else:
-        x = wilson_hilferty
-    for _ in range(_NEWTON_STEPS):
-        if lower:
-            # x stays below a, where P is the series
-            scale = _lower_series(a, x) / a  # P / prefactor
-            if q < _DEEP_TAIL:
-                residual = _log_gamma_prefactor(a, x) + math.log(scale) - log_q
-            else:
-                ratio = _gamma_prefactor(a, x) * scale / q
-                residual = math.log(ratio) if ratio > 0.0 else -math.inf
-            step = -residual * scale
-            below = residual < 0.0
-        else:
-            _, upper, prefactor = _gamma_ratios(a, x)
-            residual = math.log(upper / p) if upper > 0.0 else -math.inf
-            step = residual * upper / prefactor if prefactor > 0.0 else -math.inf
-            below = residual > 0.0
-        if below:
-            lo = x
-        else:
-            hi = x
-        guess = x * math.exp(step) if abs(step) < _EXP_ARG_MAX else math.nan
-        if not lo <= guess <= hi:
-            guess = 0.5 * (lo + hi) if hi < math.inf else 2.0 * x
-        x = guess
-        if abs(step) <= _NEWTON_TOL:
-            break
-    return x
+def log_lower_gamma(a: float, x: float) -> float:
+    """``log P(a, x)`` for ``0 < x < a + 1``, which keeps its digits where ``P`` underflows."""
+    return (_stirling_exponent(a, x) + 0.5 * math.log(a) - _HALF_LOG_2PI - stirling_correction(a)
+            + math.log(_lower_series(a, x) / a))
 
 
 def validate_polynomial_coefficients(

@@ -38,6 +38,10 @@ from .laws import Counts, ReinforcementLaw, as_counts
 
 DEFAULT_TOLERANCE = 1e-10
 
+#: Largest log-space gap :func:`build_moment_table` allows between its two
+#: path products to one multi-index.
+PATH_TOLERANCE = DEFAULT_TOLERANCE
+
 #: Signed differences below this multiple of eps * sum|terms| are treated
 #: as zero: inclusion-exclusion cancels catastrophically for large |h|.
 NOISE_FLOOR_FACTOR = 1e3
@@ -159,17 +163,13 @@ class HSReport:
         }
 
 
-def build_moment_table(
-    law: ReinforcementLaw,
-    order: int,
-    path_tolerance: float = DEFAULT_TOLERANCE,
-) -> MomentTable:
+def build_moment_table(law: ReinforcementLaw, order: int) -> MomentTable:
     """Build ``v_k`` for ``|k| <= order`` from monotone path products.
 
     Each value is computed along the staircase path (all moves in direction
     0 first, then direction 1, ...) and cross-checked along the reverse
-    staircase; disagreement beyond ``path_tolerance`` in log space means the
-    law is not admissible on the ball and raises :class:`NotAdmissibleError`.
+    staircase; disagreement beyond :data:`PATH_TOLERANCE` in log space means
+    the law is not admissible on the ball and raises :class:`NotAdmissibleError`.
     The caller should have certified admissibility on a box of size >= order.
 
     Both staircases call the law's public ``log_weights``, which the
@@ -192,7 +192,7 @@ def build_moment_table(
         parent_lo = k[:lo] + (k[lo] - 1,) + k[lo + 1 :]
         reverse[k] = reverse[parent_lo] + float(law.log_weights(parent_lo)[lo])
         gap = stair[k] - reverse[k]
-        if abs(gap) > path_tolerance:
+        if abs(gap) > PATH_TOLERANCE:
             raise NotAdmissibleError(
                 f"path products to {k} disagree by {gap:.3e} in log space; "
                 "the law is not admissible on this ball"

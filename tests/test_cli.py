@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from urnwalk import cli
@@ -423,6 +423,45 @@ class TestCompare:
         payload = json.loads(out.read_text())
         assert payload["report"]["chi_square"]["statistic"] >= 0.0
         assert payload["passed"] is True
+        assert 1e-6 < payload["p_value"] <= 1.0 and "threshold" not in payload
+
+    @staticmethod
+    def _pooled_into_one(tmp_path, samples):
+        # 27 equally likely trajectories, so each expects samples / 27 visits
+        third = 1 / 3
+        envs = {"default": {"family": "point_mass", "weights": [1.0]},
+                "per_vertex": {"0": {"family": "point_mass",
+                                     "weights": [third, third, 1 - 2 * third]}}}
+        cfg = write_config(tmp_path, {
+            "graph": STAR_3_GRAPH, "laws": {"default": {"family": "uniform"}}, "envs": envs,
+            "seed": 5, "operation": {"mode": "empirical", "steps": 6, "samples": samples},
+            "output": {"path": str(tmp_path / "c.json")},
+        })
+        return main(["compare", "--config", cfg])
+
+    def test_samples_too_few_for_one_cell_exit_2_naming_enough(self, tmp_path, capsys):
+        # every cell pooled into one: no degrees of freedom, and a statistic of
+        # rounding noise used to FAIL a law that matches its environment
+        assert self._pooled_into_one(tmp_path, 100) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: compare: at 100 samples") and err.endswith(
+            "operation.samples must be at least 135\n")
+        assert not (tmp_path / "c.json").exists()
+        assert self._pooled_into_one(tmp_path, 134) == 2
+        assert self._pooled_into_one(tmp_path, 135) == 0
+
+    def test_a_one_trajectory_reference_passes(self, tmp_path):
+        out = tmp_path / "c.json"
+        cfg = write_config(tmp_path, {
+            "graph": {"generator": "segment", "length": 2},
+            "envs": {"default": {"family": "dirichlet", "alpha": [2.5]}},
+            "seed": 5, "operation": {"mode": "empirical", "steps": 6, "samples": 100},
+            "output": {"path": str(out)},
+        })
+        assert main(["compare", "--config", cfg]) == 0
+        payload = json.loads(out.read_text())
+        assert payload["report"]["chi_square"] == {"statistic": 0.0, "degrees_of_freedom": 0}
+        assert payload["p_value"] == 1.0 and payload["passed"] is True
 
     def test_exact_csv_dumps_both_distributions(self, tmp_path):
         out = tmp_path / "c.csv"
@@ -773,22 +812,22 @@ GOLDEN_DERIVE_ENVS = {
 
 #: SHA-256 of every file derive-law writes under numerics 2 (summed-log moments,
 #: normalised induced weights), taken from the per-point evaluation (Python 3.11,
-#: numpy 2.4.6); the files holding the meta re-pinned for ``"numerics": 3``, whose
-#: bytes are those of numerics 2 with the 2 replaced.
+#: numpy 2.4.6); the files holding the meta re-pinned for ``"numerics": 3`` and
+#: then ``4``, each time the bytes of the previous version with its number replaced.
 GOLDEN_DERIVE_DIGESTS = {
     ("dirichlet_d4_box8", "csv"): {
         "law.csv": "6daf4c33cb529725f3682a7795acb226ce87c3b6c56b03abc4499c65b0c45850",
-        "law.csv.meta.json": "8858c385bc83b0b87a3be64058657d034642ed7e9667bcbde47997def08f86ba",
+        "law.csv.meta.json": "ecb7e273e74233bcacab8ba8ab62ab1f58fe176a8214ed37688766f1aeee511d",
     },
     ("dirichlet_d4_box8", "json"): {
-        "law.json": "777ef0447b133ed3686e0fe683cec0566c9162221c0735dc76385cffac245dd6",
+        "law.json": "309ff0789fca668724a188670523580d5a297884768e59f07fea6b03266cbc87",
     },
     ("polynomial_d3_box10", "csv"): {
         "law.csv": "0711447450fbdadcbb6dc5a8da2297960849e032e34232ac0fb4a52cd849a159",
-        "law.csv.meta.json": "814b2c94bbe0fbb24242ebeb3650ab5961e05935df1e6175a07063e69551c932",
+        "law.csv.meta.json": "94529bc8e6dc3a0ff2e2fb1950a24a06292b1cdf85e07a8fe99522499a0ba34a",
     },
     ("polynomial_d3_box10", "json"): {
-        "law.json": "bfa7c19c628f98e46d87a5c140f243cfa06f858ce24f2075982884c96d4feabe",
+        "law.json": "fcfb8160d74b98f424f43ee6802a9105f85dac62a37de65f29d7f84e7e1cc835",
     },
 }
 
@@ -1132,7 +1171,7 @@ class TestEveryLeaf:
 
 def test_no_command_loads_scipy(tmp_path):
     # one child runs every command, empirical compare included: its chi-square
-    # threshold is computed in the package
+    # tail probability is computed in the package
     runs = []
     for name in sorted(LEAF_CONFIGS):
         path = tmp_path / f"{name}.json"
@@ -1162,30 +1201,14 @@ def test_every_command_records_its_numerics_version(tmp_path, monkeypatch, name)
     path = tmp_path / "c.json"
     path.write_text(json.dumps(payload), encoding="utf-8")
     assert main([LEAF_CONFIGS[name][0], "--config", str(path)]) == 0
-    assert json.loads((tmp_path / "o.json").read_text())["numerics"] == 3
+    assert json.loads((tmp_path / "o.json").read_text())["numerics"] == 4
 
 
-def mp_chi2_quantile(quantile: float, dof: int, start: float) -> float:
-    """The chi-square quantile at 50 digits: Newton's method from ``start`` on mpmath's gamma ratio.
-
-    Above the median it solves ``Q(dof / 2, x) = 1 - quantile``, which mpmath
-    forms without rounding.
-    """
+def mp_chi2_cdf(statistic: float, dof: int):
+    """``P(dof / 2, statistic / 2)``, the chi-square law's mass below ``statistic``, at 50 digits."""
     with mpmath.workdps(50):
-        a, q = mpmath.mpf(dof) / 2, mpmath.mpf(quantile)
-        upper = q > 0.5
-        x = mpmath.mpf(start) / 2
-        for _ in range(100):
-            if upper:
-                gap = (1 - q) - mpmath.gammainc(a, x, mpmath.inf, regularized=True)
-            else:
-                gap = mpmath.gammainc(a, 0, x, regularized=True) - q
-            density = mpmath.exp((a - 1) * mpmath.log(x) - x - mpmath.loggamma(a))
-            step = gap / density
-            x -= step
-            if abs(step) <= x * mpmath.mpf(10) ** -45:
-                break
-        return float(2 * x)
+        return mpmath.gammainc(mpmath.mpf(dof) / 2, 0, mpmath.mpf(statistic) / 2,
+                               regularized=True)
 
 
 def chi2_grid() -> list[tuple[float, int]]:
@@ -1203,58 +1226,112 @@ def chi2_grid() -> list[tuple[float, int]]:
     return grid
 
 
-def check_thresholds(quantiles, dof):
-    """Finite, non-negative, non-decreasing in the quantile, and each under 50 ms."""
-    previous = 0.0
-    for q in sorted(quantiles):
-        start = time.perf_counter()
-        threshold = cli.chi2_quantile(q, dof)
-        assert time.perf_counter() - start < 0.05, (q, dof)
-        assert math.isfinite(threshold) and threshold >= previous, (q, dof, threshold, previous)
-        previous = threshold
+def deep_tail_cases() -> list[tuple[float, int, str]]:
+    """(quantile, dof, target P): the statistic is where ``x^a / Gamma(a + 1)``, the
+    leading term of ``P(a, x)`` for small ``x``, equals the target.  A subnormal
+    ``P`` of 6e-324 or 7e-324 rounds to the smallest quantile if formed directly."""
+    return [(q, dof, target) for q, targets in ((5e-324, ("6e-324", "7e-324", "1e-310",
+                                                          "1e-300", "1e-291")),
+                                                (1e-300, ("1e-299", "1e-295", "1e-291")))
+            for dof in (3, 10, 40, 100) for target in targets]
+
+
+def deep_tail_statistic(dof: int, target: str) -> float:
+    with mpmath.workdps(50):
+        a = mpmath.mpf(dof) / 2
+        return float(2 * (mpmath.mpf(target) * mpmath.gamma(a + 1)) ** (1 / a))
 
 
 class TestChiSquareThreshold:
-    """Empirical compare's threshold, computed in the package with ``math`` alone."""
+    """Empirical compare's verdict at the chi-square threshold: the tail probability of
+    its statistic, computed in the package with ``math`` alone."""
 
     @needs_mpmath
-    def test_within_8_ulps_of_mpmath(self):
+    def test_agrees_with_mpmath_around_the_threshold(self):
         from scipy.stats import chi2
 
         for q, dof in chi2_grid():
-            got = cli.chi2_quantile(q, dof)
-            # scipy gives Newton a start within 1e-13; mpmath takes it to 50 digits
-            want = mp_chi2_quantile(q, dof, float(chi2.ppf(q, dof)))
-            assert abs(got - want) <= 8 * math.ulp(want), (q, dof, got, want)
+            # scipy's quantile is within 1e-13 of the threshold, so these straddle it
+            threshold = float(chi2.ppf(q, dof))
+            for factor, want in ((1 - 1e-9, True), (1 + 1e-9, False)):
+                statistic = threshold * factor
+                passed, p_value = cli.chi_square_test(statistic, dof, q)
+                lower = mp_chi2_cdf(statistic, dof)
+                assert passed == want == (lower <= q), (q, dof, factor)
+                assert math.isclose(p_value, float(1 - lower), rel_tol=1e-13), (q, dof, factor)
 
     @settings(max_examples=400, deadline=None)
     @given(
-        st.floats(min_value=1e-12, max_value=1.0, exclude_max=True),
         st.integers(min_value=1, max_value=5000),
+        st.floats(min_value=0.0, max_value=3.0),
+        st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
     )
-    def test_within_1e_13_of_chi2_ppf(self, quantile, dof):
-        # not bitwise: scipy's own gammaincinv errs by up to 49 ulps here
+    def test_agrees_with_chi2_cdf_and_sf(self, dof, scale, quantile):
+        # scipy itself errs by up to about 1e-11 in the far upper tail
         from scipy.stats import chi2
 
-        want = float(chi2.ppf(quantile, dof))
-        assert math.isclose(cli.chi2_quantile(quantile, dof), want, rel_tol=1e-13)
+        statistic = scale * dof
+        # scipy halves a subnormal statistic with rounding, to 0 at the smallest
+        assume(statistic == 0.0 or statistic >= sys.float_info.min)
+        passed, p_value = cli.chi_square_test(statistic, dof, quantile)
+        sf = float(chi2.sf(statistic, dof))
+        assert math.isclose(p_value, sf, rel_tol=1e-10, abs_tol=1e-300)
+        if quantile > 0.5:
+            tail, bound, want = sf, 1.0 - quantile, sf >= 1.0 - quantile
+        else:
+            tail, bound = float(chi2.cdf(statistic, dof)), quantile
+            want = tail <= quantile
+        if abs(tail - bound) > 1e-9 * bound:  # away from the threshold
+            assert passed == want
 
     @settings(max_examples=200, deadline=None)
     @given(
-        st.lists(st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
-                 min_size=1, max_size=6),
         st.integers(min_value=1, max_value=DEFAULT_MAX_PATHS),
+        st.lists(st.floats(min_value=0.0, max_value=4.0), min_size=2, max_size=2),
+        st.lists(st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+                 min_size=2, max_size=2),
     )
-    def test_defined_on_the_whole_domain(self, quantiles, dof):
-        check_thresholds(quantiles, dof)
+    def test_a_smaller_statistic_and_a_larger_quantile_pass_too(self, dof, scales, quantiles):
+        small, large = sorted(scale * dof for scale in scales)
+        low, high = sorted(quantiles)
+        if cli.chi_square_test(large, dof, low)[0]:
+            assert cli.chi_square_test(small, dof, low)[0]
+            assert cli.chi_square_test(large, dof, high)[0]
+
+    @needs_mpmath
+    @pytest.mark.parametrize("quantile, dof, target", deep_tail_cases())
+    def test_a_deep_lower_tail_above_the_quantile_fails(self, quantile, dof, target):
+        statistic = deep_tail_statistic(dof, target)
+        assert quantile < mp_chi2_cdf(statistic, dof) < 1e-290
+        assert cli.chi_square_test(statistic, dof, quantile) == (False, 1.0)
+        # the same tail below the quantile passes
+        assert cli.chi_square_test(statistic, dof, float(mpmath.mpf(target) * 10))[0]
 
     @pytest.mark.parametrize("dof", [1, 2, 10**6])
     def test_defined_at_the_ends_of_the_domain(self, dof):
-        check_thresholds([5e-324, 1e-300, 0.5, 1 - 2**-53], dof)
+        # finite, a probability, under 50 ms, and monotone in both arguments
+        quantiles = [5e-324, 1e-300, 0.5, 1 - 2**-53]
+        statistics = [0.0, 5e-324, 1e-300, 1.0, float(dof), 2.0 * dof + 100, 1e300]
+        verdicts = []
+        for s in statistics:
+            row = []
+            for q in quantiles:
+                start = time.perf_counter()
+                passed, p_value = cli.chi_square_test(s, dof, q)
+                assert time.perf_counter() - start < 0.05, (s, dof, q)
+                assert 0.0 <= p_value <= 1.0, (s, dof, q, p_value)
+                row.append(passed)
+            assert row == sorted(row), (s, dof, row)
+            verdicts.append(row)
+        for column in zip(*verdicts):
+            assert list(column) == sorted(column, reverse=True), (dof, column)
+        assert all(verdicts[0]) and not any(verdicts[-1])
 
-    def test_the_smallest_quantile_at_one_degree_is_zero(self):
-        # as scipy gives: (q Gamma(3/2))^2 underflows
-        assert cli.chi2_quantile(5e-324, 1) == 0.0
+    def test_the_smallest_quantile_at_one_degree_fails_every_positive_statistic(self):
+        # P(1/2, s / 2) = erf(sqrt(s / 2)) is about 1.8e-162 at the smallest positive s
+        assert cli.chi_square_test(0.0, 1, 5e-324) == (True, 1.0)
+        for statistic in (5e-324, 1e-300, 1e-30):
+            assert cli.chi_square_test(statistic, 1, 5e-324)[0] is False
 
     def test_an_empirical_compare_leaves_scipy_unloaded(self, tmp_path):
         cfg = write_config(
@@ -1480,13 +1557,37 @@ class TestOutputs:
     """An output that cannot be written is a config error; a verdict goes where it belongs."""
 
     def test_an_output_that_fails_while_writing_exits_2(self, tmp_path, capsys):
-        # the CSV is written, then its sidecar cannot be
+        # the sidecar, written first, cannot be
         (tmp_path / "o.csv.meta.json").mkdir()
         cfg = write_config(tmp_path, {"law": POLYA_LAW, "operation": {"box": 2},
                                       "output": {"path": str(tmp_path / "o.csv"),
                                                  "format": "csv"}})
         assert main(["check-admissibility", "--config", cfg]) == 2
         assert "config error: cannot write output" in capsys.readouterr().err
+
+    def test_a_sidecar_that_cannot_be_written_leaves_no_csv(self, tmp_path):
+        (tmp_path / "o.csv.meta.json").mkdir()
+        cfg = write_config(tmp_path, {"law": POLYA_LAW, "operation": {"box": 2},
+                                      "output": {"path": str(tmp_path / "o.csv"),
+                                                 "format": "csv"}})
+        assert main(["check-admissibility", "--config", cfg]) == 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "o.csv.meta.json"]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_a_write_that_fails_part_way_keeps_the_old_output(self, tmp_path, monkeypatch, fmt):
+        out = tmp_path / f"o.{fmt}"
+        cfg = write_config(tmp_path, {"law": POLYA_LAW, "operation": {"box": 2},
+                                      "output": {"path": str(out), "format": fmt}})
+        assert main(["check-admissibility", "--config", cfg]) == 0
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+        def dump_half(payload, fh, **kwargs):
+            fh.write("{\n")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cli.json, "dump", dump_half)
+        assert main(["check-admissibility", "--config", cfg]) == 2
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
     def test_recover_moments_on_an_inadmissible_law_reports_as_main_does(self, tmp_path, capsys):
         out = tmp_path / "m.json"
