@@ -27,8 +27,11 @@ property failed.  The guards are exact ``compare``'s ``operation.max_paths``
 and ``derive-law``'s limit of :data:`MAX_DERIVE_ROWS` count vectors in the
 box, checked before anything is evaluated.  Each file is written under a
 temporary name and moved into place, a CSV's metadata sidecar first, so a
-failed write leaves no partial file.  Outputs embed the SHA-256 of the
-effective config and never include timestamps, so a rerun with the same
+failed write leaves no partial file.  A JSON output has the bytes of
+``json.dumps(..., sort_keys=True, indent=2)``, but its body is streamed: a
+chunk of rows per write, each row through one format string laid out for the
+output, its cells encoded a column at a time.  Outputs embed the SHA-256 of
+the effective config and never include timestamps, so a rerun with the same
 config and seed is byte-identical.
 """
 
@@ -36,6 +39,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -43,6 +47,7 @@ import sys
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence, TextIO
 
@@ -78,7 +83,7 @@ from .errors import (
     NotAdmissibleError,
     UrnwalkError,
 )
-from .laws import check_simplex, log_lower_gamma, regularised_gamma
+from .laws import check_simplex_rows, log_lower_gamma, regularised_gamma
 from .moments import check_entry, hildebrandt_schoenberg_check, simplex_mass
 from .walk import (
     lockstep_pays,
@@ -113,14 +118,19 @@ NUMERICS = 4
 #: Most count vectors derive-law tabulates, the default ``max_paths`` of exact compare.
 MAX_DERIVE_ROWS = DEFAULT_MAX_PATHS
 
+#: About how many cells of a JSON body are encoded per write.
+_CHUNK_CELLS = 8192
+
 
 @dataclass(frozen=True)
 class Result:
     """What a command's run computed, for :func:`main` to write and report.
 
-    ``meta`` joins the metadata every output carries.  ``json_rows`` builds
-    the JSON body, called only for JSON output (without it the body is
-    ``rows`` as lists).  ``{out}`` in ``summary`` is the output path.
+    ``meta`` joins the metadata every output carries.  A CSV has the
+    ``header``'s columns of each of ``rows``; the JSON body under
+    ``body_key`` has one object per row, whose ``shape`` maps each key to a
+    column or a slice of columns (a list), or, without a shape, the rows as
+    lists.  ``{out}`` in ``summary`` is the output path.
     """
 
     meta: dict
@@ -129,7 +139,7 @@ class Result:
     body_key: str
     summary: str
     passed: bool = True
-    json_rows: Callable[[], list] | None = None
+    shape: Mapping[str, int | slice] | None = None
 
 
 @contextmanager
@@ -147,10 +157,57 @@ def _written_whole(path: Path, newline: str) -> Iterator[TextIO]:
         raise
 
 
-def _write_json(path: Path, payload: Mapping) -> None:
+def _encoded(column: Sequence[Any]) -> list[str]:
+    """Each cell of ``column``, a scalar, as :mod:`json` encodes it, in one ``map``."""
+    kinds = set(map(type, column))
+    if kinds == {int} or kinds == {float} and math.isfinite(sum(column)):
+        return list(map(repr, column))
+    return list(map(encode_basestring_ascii if kinds == {str} else json.dumps, column))
+
+
+def _layout(node: Any, level: int) -> str:
+    """``node`` as ``json.dumps(sort_keys=True, indent=2)`` lays it out at
+    nesting ``level``: a format string with a field for each int in it, the
+    index of a column of the row."""
+    if isinstance(node, int):
+        return f"{{{node}}}"
+    if isinstance(node, dict):
+        items = [encode_basestring_ascii(k).replace("{", "{{").replace("}", "}}")
+                 + f": {_layout(node[k], level + 1)}" for k in sorted(node)]
+        ends = "{{", "}}"
+    else:
+        items = [_layout(n, level + 1) for n in node]
+        ends = "[", "]"
+    inner = "\n" + "  " * (level + 1)
+    body = f"{inner}{(',' + inner).join(items)}\n{'  ' * level}" if items else ""
+    return ends[0] + body + ends[1]
+
+
+def _write_json(path: Path, doc: Mapping, rows: Sequence[Sequence] = (), key: str = "",
+                shape: Mapping[str, int | slice] | None = None) -> None:
+    """``json.dumps(doc, sort_keys=True, indent=2)`` and a newline, with
+    ``rows`` streamed in as the body ``doc[key]``, which is ``[]``: about
+    :data:`_CHUNK_CELLS` cells per write, encoded a column at a time into the
+    row laid out once."""
+    text = json.dumps(doc, sort_keys=True, indent=2)
     with _written_whole(path, "\n") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        if rows:
+            (width,) = set(map(len, rows))  # a ValueError unless the rows have one width
+            columns = range(width)
+            row = _layout(columns if shape is None else
+                          {k: columns[s] for k, s in shape.items()}, 2).format
+            # only a top-level key follows a newline and two spaces
+            mark = f"\n  {encode_basestring_ascii(key)}: ["
+            cut = text.index(mark + "]") + len(mark)
+            fh.write(text[:cut])
+            step = max(1, _CHUNK_CELLS // max(width, 1))
+            for start in range(0, len(rows), step):
+                part = rows[start:start + step]
+                # part itself is an argument no field reads, there for rows of no columns
+                lines = map(row, *map(_encoded, zip(*part)), part)
+                fh.write(("," if start else "") + "\n    " + ",\n    ".join(lines))
+            text = "\n  " + text[cut:]
+        fh.write(text + "\n")
 
 
 def _write_output(out: Path, fmt: str, cfg: Mapping, command: str, result: Result) -> None:
@@ -162,22 +219,22 @@ def _write_output(out: Path, fmt: str, cfg: Mapping, command: str, result: Resul
         meta["seed"] = cfg["seed"]
     meta.update(result.meta)
     if fmt == "json":
-        body = result.json_rows() if result.json_rows else [list(r) for r in result.rows]
-        _write_json(out, {**meta, result.body_key: body})
+        _write_json(out, {**meta, result.body_key: []}, result.rows, result.body_key,
+                    result.shape)
         return
     _write_json(Path(str(out) + ".meta.json"), meta)
+    rows, width = result.rows, len(result.header)
     with _written_whole(out, "") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(result.header)
-        writer.writerows(result.rows)
+        writer.writerows(rows if not rows or len(rows[0]) == width else [r[:width] for r in rows])
 
 
 def _table_result(table, meta: dict, summary: str, passed: bool = True) -> Result:
     """A moment table: one row per multi-index, its entries then the value."""
-    pairs = table.to_rows()
     return Result(meta, [f"k_{i + 1}" for i in range(table.dimension)] + ["value"],
-                  [list(k) + [v] for k, v in pairs], "table", summary, passed,
-                  lambda: [{"index": list(k), "value": v} for k, v in pairs])
+                  [list(k) + [v] for k, v in table.to_rows()], "table", summary, passed,
+                  {"index": slice(0, -1), "value": -1})
 
 
 def _effective_config(cfg: dict, args: argparse.Namespace) -> dict:
@@ -273,9 +330,12 @@ def plan_check_admissibility(cfg: dict, args: argparse.Namespace) -> Callable[[]
                        f"p={first.counts} (i={first.i}, j={first.j}) gap={first.gap:.6g}")
         meta = {"report": {"admissible": report.admissible, "box_size": report.box_size,
                            "tolerance": report.tolerance, "violation_count": len(violations)}}
-        rows = [["-".join(map(str, v.counts)), v.i, v.j, v.lhs, v.rhs, v.gap] for v in violations]
+        # the counts again past the CSV's columns, for the JSON's "p" list
+        rows = [["-".join(map(str, v.counts)), v.i, v.j, v.lhs, v.rhs, v.gap, *v.counts]
+                for v in violations]
         return Result(meta, ["p", "i", "j", "lhs", "rhs", "gap"], rows, "violations", summary,
-                      report.admissible, lambda: [v.to_dict() for v in violations])
+                      report.admissible, {"p": slice(6, None), "i": 1, "j": 2, "lhs": 3,
+                                          "rhs": 4, "gap": 5})
 
     return run
 
@@ -483,7 +543,7 @@ def plan_compare(cfg: dict, args: argparse.Namespace) -> Callable[[], Result]:
                 "passed": passed, **extra}
         return Result(meta, header, rows, "distributions" if mode == "exact" else "cells",
                       f"{summary} ({'pass' if passed else 'FAIL'})", passed,
-                      lambda: [dict(zip(header, r)) for r in rows])
+                      {name: i for i, name in enumerate(header)})
 
     return run
 
@@ -503,13 +563,12 @@ def plan_derive_law(cfg: dict, args: argparse.Namespace) -> Callable[[], Result]
             )
         # every count vector of the box, in lexicographic order
         counts = np.indices((box + 1,) * d).reshape(d, -1).T
-        rows = counts.tolist()
-        for row, weights in zip(rows, np.exp(law.log_weights_batch(counts)).tolist()):
-            row.extend(check_simplex(tuple(weights)))
+        weights = check_simplex_rows(np.exp(law.log_weights_batch(counts)))
+        rows = [c + w for c, w in zip(counts.tolist(), weights.tolist())]
         header = [f"p_{i + 1}" for i in range(d)] + [f"v_{i + 1}" for i in range(d)]
         return Result({"box": box, "dimension": d}, header, rows, "law_table",
                       f"wrote induced law on box {box} to {{out}}",
-                      json_rows=lambda: [{"counts": r[:d], "weights": r[d:]} for r in rows])
+                      shape={"counts": slice(0, d), "weights": slice(d, None)})
 
     return run
 
@@ -560,8 +619,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: The parser :func:`main` reuses: building one costs more than a parse.
+_parser = functools.cache(build_parser)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         cfg = _effective_config(load_config(args.config), args)
         run = COMMANDS[args.command](cfg, args)

@@ -832,6 +832,185 @@ GOLDEN_DERIVE_DIGESTS = {
 }
 
 
+#: Every command in both formats, each output's bytes pinned before the JSON
+#: body writer replaced ``json.dump``: name -> (command, config, extra argv, exit code).
+GOLDEN_COMMAND_CASES = {
+    "admissibility_witness": ("check-admissibility",
+                              {"law": WITNESS_LAW, "operation": {"box": 1}}, (), 1),
+    "admissibility_empty": ("check-admissibility",
+                            {"law": POLYA_23_LAW, "operation": {"box": 3}}, (), 0),
+    "verify_moments": ("verify-moments", {"law": POLYA_23_LAW, "operation": {"order": 4}}, (), 0),
+    "verify_moments_corrupt": ("verify-moments", {"law": POLYA_LAW, "operation": {"order": 3}},
+                               ("--corrupt-entry", "1,0=1.5", "--corrupt-entry", "0,2=0.25"), 1),
+    "recover_moments": ("recover-moments", {"law": POLYA_23_LAW, "operation": {"order": 4}}, (), 0),
+    "simulate_reinforced": ("simulate", {"graph": STAR_3_GRAPH, "laws": {
+        "default": {"family": "uniform"}, "per_vertex": {"0": {"family": "dirichlet", "alpha": [1.0, 2.0, 3.0]}}},
+        "seed": 11, "operation": {"mode": "reinforced", "steps": 6, "trajectories": 5}}, (), 0),
+    "simulate_annealed": ("simulate", {"graph": STAR_3_GRAPH, "envs": STAR_3_ENVS, "seed": 12,
+                                       "operation": {"mode": "annealed", "steps": 6,
+                                                     "trajectories": 5}}, (), 0),
+    "simulate_quenched": ("simulate", {"graph": STAR_3_GRAPH, "envs": STAR_3_ENVS, "seed": 13,
+                                       "operation": {"mode": "quenched", "steps": 6,
+                                                     "trajectories": 5, "env_seed": 14}}, (), 0),
+    "simulate_zero_steps": ("simulate", {"graph": STAR_GRAPH, "laws": STAR_LAWS, "seed": 15,
+                                         "operation": {"mode": "reinforced", "steps": 0,
+                                                       "trajectories": 3}}, (), 0),
+    "compare_exact": ("compare", {"graph": STAR_3_GRAPH, "envs": STAR_3_ENVS,
+                                  "operation": {"mode": "exact", "steps": 4}}, (), 0),
+    "compare_empirical": ("compare", {"graph": STAR_3_GRAPH, "envs": STAR_3_ENVS, "seed": 16,
+                                      "operation": {"mode": "empirical", "steps": 4,
+                                                    "samples": 400}}, (), 0),
+    "derive_law": ("derive-law", {"env": {"family": "dirichlet", "alpha": [0.5, 2.0]},
+                                  "operation": {"box": 3}}, (), 0),
+}
+
+
+def _golden_files(command: str, fmt: str) -> list[str]:
+    out = f"{command}.{fmt}"
+    return [out, f"{out}.meta.json"] if fmt == "csv" else [out]
+
+
+def _golden_run(tmp_path, monkeypatch, name, fmt):
+    """Run a golden case from ``tmp_path`` with a relative output path, so the
+    config hash in the metadata does not depend on ``tmp_path``."""
+    monkeypatch.chdir(tmp_path)
+    command, payload, extra, code = GOLDEN_COMMAND_CASES[name]
+    cfg = write_config(tmp_path, {**payload, "output": {"path": f"{command}.{fmt}",
+                                                        "format": fmt}})
+    assert main([command, "--config", cfg, *extra]) == code
+    return {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
+            for f in _golden_files(command, fmt)}
+
+
+GOLDEN_COMMAND_DIGESTS = {
+    ("admissibility_empty", "csv"): {
+        "check-admissibility.csv":
+            "2a8b0d39696618e367295578db6ddba3dd6ff23490407f0dba8d625216a278c9",
+        "check-admissibility.csv.meta.json":
+            "0acae072725e64a43dcdbd927eb0c59627d8432576256f9ee414c5701b026cb1",
+    },
+    ("admissibility_empty", "json"): {
+        "check-admissibility.json":
+            "3189a1868e2462aea5289b338281aeca8abaa5997eb1826ffcd1fd71a9c6f5ff",
+    },
+    ("admissibility_witness", "csv"): {
+        "check-admissibility.csv":
+            "442d7ca5269a95be75ddd007071ee22711523aacf737dd340deb9ff22e88bbf7",
+        "check-admissibility.csv.meta.json":
+            "ad50ba6fc964625d0c7c12e6081098388483728e528de601658c170899821f5c",
+    },
+    ("admissibility_witness", "json"): {
+        "check-admissibility.json":
+            "f61fb3e7ed6715810e6289354040a017d14bad3bc85986ff0ff1491c2333d652",
+    },
+    ("compare_empirical", "csv"): {
+        "compare.csv":
+            "b3e52316390c8022bb028e10e7cbf36c7fce2fa2c9bf20236e0e8bb95b2e65b7",
+        "compare.csv.meta.json":
+            "40ac3304efa2b0d384c95b9c9e9285dc5c308e4e6d5597e24702d811dd8c5bbf",
+    },
+    ("compare_empirical", "json"): {
+        "compare.json":
+            "227e313e02253e2773b1f8f59e607be1516886a30a5055516a40c1de514a8765",
+    },
+    ("compare_exact", "csv"): {
+        "compare.csv":
+            "ed6231bc052a67dabc4252ee94bdc21c4937b23f1717208205eb0637cf93b86a",
+        "compare.csv.meta.json":
+            "954e2eb6c99334698ba478e2bc3529cbef40029de36e79e53c88f6cb6280b7b0",
+    },
+    ("compare_exact", "json"): {
+        "compare.json":
+            "5439d81bf11fd7c7a659ea27192159e85454a4212463bdf70cb3ef2b46f2bb91",
+    },
+    ("derive_law", "csv"): {
+        "derive-law.csv":
+            "ca6d78528dd4b1a9eedb225e610e801f37facbcd37d418df795a3c640c36a19b",
+        "derive-law.csv.meta.json":
+            "3dc69f7bfe1347d52c07787391114b87e1bf38bfa31f71549696154d6a04be10",
+    },
+    ("derive_law", "json"): {
+        "derive-law.json":
+            "d04c5606f03a4da0f28feedd92d1e43ba82e857679cbd0ec4f3eefda3534a889",
+    },
+    ("recover_moments", "csv"): {
+        "recover-moments.csv":
+            "e23b269b041ebd38a02026edb1c67dc24d1ef2c301f3fe8d5f02bff80f834f3d",
+        "recover-moments.csv.meta.json":
+            "cf65f45c702cade617f4f84478e7a65b9ebe54a81e0bf1b08ca1cc3cff97a6ab",
+    },
+    ("recover_moments", "json"): {
+        "recover-moments.json":
+            "8fa83ccf6cf94b041582893da9306f60752e6322ff0657644cbf86071ff21234",
+    },
+    ("simulate_annealed", "csv"): {
+        "simulate.csv":
+            "104c100ba9f315980446d8759ba87d214f6770b6824a80933d9a9ab6d2bc4a43",
+        "simulate.csv.meta.json":
+            "4c0bef5fb65c7f2f9ed37c135747277b622e64f61725d1f4a4138804ae8dd511",
+    },
+    ("simulate_annealed", "json"): {
+        "simulate.json":
+            "5eacea60e64fcbd4440437f3e003cfd5d04ad48033c8b47afbfc25b58143980c",
+    },
+    ("simulate_quenched", "csv"): {
+        "simulate.csv":
+            "a4c8d9f44b1abc0bd1a26e973fab9230c2134ae49b3d3cc4747cce58ff01d8f4",
+        "simulate.csv.meta.json":
+            "c6ba94be7fff15587ac73e64719c3afd8abfea8fa8dbc624ed084953f61b39c9",
+    },
+    ("simulate_quenched", "json"): {
+        "simulate.json":
+            "53fb8685f209509da20fe5103815c08e6dd72b8155215a689e96979e9719e4ea",
+    },
+    ("simulate_reinforced", "csv"): {
+        "simulate.csv":
+            "219692b884a0738148601b645553066ae570f62b896db8860f94571b3917d4aa",
+        "simulate.csv.meta.json":
+            "3141e3417a890a32c03a32564020fc6cdcd26588941a2ef25cac1ee3771b473a",
+    },
+    ("simulate_reinforced", "json"): {
+        "simulate.json":
+            "02ed16a7dde543595f77f8d19a3e28e6640afdd4436b2aacdb3f0a29c76593a8",
+    },
+    ("simulate_zero_steps", "csv"): {
+        "simulate.csv":
+            "14161326360ab8f6c4b87314bf58a5cc68687501d9f65b3001fe17f1ea09c1e9",
+        "simulate.csv.meta.json":
+            "032433ae893fea42c9253912e99d0a5f45d3425a0098c8138761c4680b8b3342",
+    },
+    ("simulate_zero_steps", "json"): {
+        "simulate.json":
+            "8eb1e55a5741109b3491b282092cff12ffed903c2673f12ec74b8b84a4f84f74",
+    },
+    ("verify_moments", "csv"): {
+        "verify-moments.csv":
+            "e23b269b041ebd38a02026edb1c67dc24d1ef2c301f3fe8d5f02bff80f834f3d",
+        "verify-moments.csv.meta.json":
+            "6aad4ead1f30c22e01965d672bbec130ae7a03b48e946d9eea6faf597e35c49b",
+    },
+    ("verify_moments", "json"): {
+        "verify-moments.json":
+            "667876e35a781f9e9b735448632137021f20161df3f7a44bf04bc6aebfe817ef",
+    },
+    ("verify_moments_corrupt", "csv"): {
+        "verify-moments.csv":
+            "c851ec368c6484cbb472eac907e915f5238efbb109bc42c7952334c3e55e703f",
+        "verify-moments.csv.meta.json":
+            "230f3372c97263128dbf03569b8734bbb80473ff777dde49756f4d0f61397f9d",
+    },
+    ("verify_moments_corrupt", "json"): {
+        "verify-moments.json":
+            "d16879df52ff183e2a12618c19a30200cd2ec99808f9ce05fa1049987c50caaa",
+    },
+}
+
+
+@pytest.mark.parametrize("name, fmt", sorted(GOLDEN_COMMAND_DIGESTS))
+def test_golden_bytes_of_every_command(tmp_path, monkeypatch, name, fmt):
+    assert _golden_run(tmp_path, monkeypatch, name, fmt) == GOLDEN_COMMAND_DIGESTS[name, fmt]
+
+
 class TestDeriveLawBatch:
     """derive-law evaluates its whole box in one batch and keeps every output byte."""
 
@@ -907,6 +1086,16 @@ class TestDeriveLawBatch:
                                       "output": {"path": str(tmp_path / "law.csv")}})
         assert main(["derive-law", "--config", cfg]) == 3
         assert "weight nan is not strictly positive" in capsys.readouterr().err
+
+    def test_a_weight_below_the_minimum_exits_3_naming_the_first_bad_row(self, tmp_path,
+                                                                          capsys):
+        cfg = write_config(tmp_path, {"env": {"family": "point_mass", "weights": [1e-300, 1]},
+                                      "operation": {"box": 2},
+                                      "output": {"path": str(tmp_path / "law.csv")}})
+        assert main(["derive-law", "--config", cfg]) == 3
+        err = capsys.readouterr().err
+        assert err == "evaluation error: weight 9.9999999999991e-301 is not strictly positive\n"
+        assert not (tmp_path / "law.csv").exists()
 
     @pytest.mark.parametrize("command", ["verify-moments", "recover-moments"])
     def test_witness_gap_comes_before_reading_outside_its_table(self, tmp_path, command):
@@ -1424,7 +1613,7 @@ WORK = ("check_admissible", "recover_env_moments", "hildebrandt_schoenberg_check
         "simplex_mass", "enumerate_annealed", "enumerate_reinforced", "compare_distributions",
         "compare_empirical", "lockstep_pays", "run_reinforced", "run_quenched", "run_annealed",
         "run_many_reinforced", "run_many_quenched", "run_many_annealed", "stream_generators",
-        "make_stream", "sample_environment", "check_simplex")
+        "make_stream", "sample_environment", "check_simplex_rows")
 
 _SIMULATE = {"graph": STAR_GRAPH, "seed": 1}
 _COMPARE = {"graph": STAR_GRAPH, "envs": STAR_ENVS}
@@ -1581,11 +1770,25 @@ class TestOutputs:
         assert main(["check-admissibility", "--config", cfg]) == 0
         before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
 
-        def dump_half(payload, fh, **kwargs):
-            fh.write("{\n")
-            raise OSError("disk full")
+        class FailsAfterFirstChunk:
+            """A file whose first write lands and then fails, as on a full disk."""
 
-        monkeypatch.setattr(cli.json, "dump", dump_half)
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                self.fh.close()
+
+            def write(self, text):
+                self.fh.write(text)
+                raise OSError("disk full")
+
+        real_open = open
+        monkeypatch.setattr(cli, "open", lambda *args, **kwargs: FailsAfterFirstChunk(
+            real_open(*args, **kwargs)), raising=False)
         assert main(["check-admissibility", "--config", cfg]) == 2
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
@@ -1608,3 +1811,149 @@ class TestOutputs:
         summary, silent = (captured.err, captured.out) if code else (captured.out, captured.err)
         assert summary.startswith("exact compare: TV=") and not silent
         assert summary.endswith("(FAIL)\n" if code else "(pass)\n")
+
+
+#: Scalars the JSON body writer must encode as ``json`` does, the edge cases named.
+EDGE_SCALARS = st.sampled_from([0, -1, 2**64, -(10**40), 0.0, -0.0, 5e-324, 2.5e-310, 1e308,
+                                -1e308, math.nan, math.inf, -math.inf, True, False, None, "",
+                                "é☃\U0001f600", "\x00\x1f\x7f\"\\\n\t%{}"])
+_COLUMN_CELLS = {
+    "float": st.floats(),
+    "int": st.integers(min_value=-(2**70), max_value=2**70),
+    "str": st.text(max_size=8),
+    "mixed": st.one_of(EDGE_SCALARS, st.floats(), st.integers(), st.booleans(), st.none(),
+                       st.text(max_size=8)),
+}
+_JSON_VALUES = st.recursive(
+    st.one_of(EDGE_SCALARS, st.floats(), st.integers(), st.text(max_size=8)),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=8,
+)
+
+
+@st.composite
+def json_outputs(draw):
+    """(meta, body key, rows of one width, shape, cells per chunk) for the JSON body writer."""
+    width = draw(st.integers(0, 5))
+    kinds = draw(st.lists(st.sampled_from(sorted(_COLUMN_CELLS)), min_size=width,
+                          max_size=width))
+    row = st.tuples(*(_COLUMN_CELLS[k] for k in kinds)).map(list)
+    rows = draw(st.lists(row, max_size=12))
+    spec = st.slices(width)
+    if width:
+        spec = spec | st.integers(-width, width - 1)
+    shape = draw(st.none() | st.dictionaries(st.text(max_size=6), spec, max_size=4))
+    key = draw(st.text(max_size=6))
+    meta = draw(st.dictionaries(st.text(max_size=6), _JSON_VALUES, max_size=4))
+    if draw(st.booleans()):
+        meta[key] = draw(_JSON_VALUES)  # the body replaces it, as simulate's trajectory count
+    return meta, key, rows, shape, draw(st.integers(1, 12))
+
+
+def _json_body(rows, shape):
+    if shape is None:
+        return [list(r) for r in rows]
+    return [{k: r[s] if isinstance(s, int) else list(r[s]) for k, s in shape.items()}
+            for r in rows]
+
+
+class TestJsonWriter:
+    """The JSON body writer gives the bytes of ``json.dumps(sort_keys=True, indent=2)``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=json_outputs())
+    def test_bytes_equal_json_dumps(self, tmp_path_factory, case):
+        meta, key, rows, shape, chunk = case
+        path = tmp_path_factory.mktemp("out") / "o.json"
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "_CHUNK_CELLS", chunk)
+            cli._write_json(path, {**meta, key: []}, rows, key, shape)
+        want = json.dumps({**meta, key: _json_body(rows, shape)}, sort_keys=True, indent=2)
+        assert path.read_bytes() == (want + "\n").encode()
+
+    def test_many_chunks_of_mixed_columns(self, tmp_path):
+        rng = random.Random(18)
+        rows = [[rng.random(), rng.randrange(-9, 9), f"r{i}", rng.choice([1.5, math.nan, None])]
+                for i in range(3 * cli._CHUNK_CELLS // 4 + 5)]
+        shape = {"x": 0, "n": 1, "name": 2, "both": slice(0, 2), "odd": 3}
+        cli._write_json(tmp_path / "o.json", {"body": []}, rows, "body", shape)
+        want = json.dumps({"body": _json_body(rows, shape)}, sort_keys=True, indent=2)
+        assert (tmp_path / "o.json").read_text() == want + "\n"
+
+    def test_a_numpy_float_is_a_float(self, tmp_path):
+        rows = [[np.float64(0.1), 2.5]]
+        cli._write_json(tmp_path / "o.json", {"body": []}, rows, "body")
+        want = json.dumps({"body": [[0.1, 2.5]]}, sort_keys=True, indent=2)
+        assert (tmp_path / "o.json").read_text() == want + "\n"
+
+    @pytest.mark.parametrize("rows", [[[np.int64(3)]], [[1], [np.int64(3)]], [[2.5, np.int32(3)]]])
+    def test_what_json_cannot_encode_raises_type_error_and_leaves_no_file(self, tmp_path, rows):
+        with pytest.raises(TypeError, match="is not JSON serializable"):
+            json.dumps(rows)
+        with pytest.raises(TypeError, match="is not JSON serializable"):
+            cli._write_json(tmp_path / "o.json", {"body": []}, rows, "body")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_rows_of_different_widths_are_refused(self, tmp_path):
+        with pytest.raises(ValueError, match="unpack"):
+            cli._write_json(tmp_path / "o.json", {"body": []}, [[1, 2], [3]], "body")
+        assert list(tmp_path.iterdir()) == []
+
+
+#: Back-to-back calls of ``main`` that differ in command, overrides and appended values.
+PARSER_RUNS = [
+    ("verify-moments", {"law": POLYA_LAW, "operation": {"order": 3}},
+     ("--corrupt-entry", "1,0=1.5", "--corrupt-entry", "0,1=0.5")),
+    ("verify-moments", {"law": POLYA_LAW, "operation": {"order": 3}}, ()),
+    ("simulate", {"graph": STAR_GRAPH, "laws": STAR_LAWS, "seed": 1,
+                  "operation": {"mode": "reinforced", "steps": 4, "trajectories": 3}},
+     ("--seed", "7", "--format", "csv")),
+    ("simulate", {"graph": STAR_GRAPH, "laws": STAR_LAWS, "seed": 1,
+                  "operation": {"mode": "reinforced", "steps": 4, "trajectories": 3}}, ()),
+    ("check-admissibility", {"law": POLYA_23_LAW, "operation": {"box": 2}},
+     ("--tolerance", "0.5", "--format", "json")),
+    ("check-admissibility", {"law": POLYA_23_LAW, "operation": {"box": 2}}, ()),
+    ("verify-moments", {"law": POLYA_LAW, "operation": {"order": 3}},
+     ("--corrupt-entry", "0,2=0.25")),
+    ("verify-moments", {"law": POLYA_LAW, "operation": {"order": 3}}, ()),
+]
+
+
+class TestParserBuiltOnce:
+    """``main`` reuses one parser; ``build_parser`` still gives a fresh one."""
+
+    @staticmethod
+    def _run_all(tmp_path, capsys, fresh):
+        results = []
+        for n, (command, payload, extra) in enumerate(PARSER_RUNS):
+            out = tmp_path / f"run{n}.out"
+            output = {"path": out.name, "format": "csv"}
+            cfg = write_config(tmp_path, {**payload, "output": output}, f"run{n}.json")
+            if fresh:
+                cli._parser.cache_clear()
+            code = main([command, "--config", cfg, *extra])
+            files = {p.name: p.read_bytes() for p in sorted(tmp_path.glob(f"{out.name}*"))}
+            for p in tmp_path.glob(f"{out.name}*"):
+                p.unlink()
+            results.append((code, files, *capsys.readouterr()))
+        return results
+
+    def test_back_to_back_calls_match_fresh_ones(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        reused = self._run_all(tmp_path, capsys, fresh=False)
+        assert [r[0] for r in reused] == [1, 0, 0, 0, 0, 0, 1, 0]
+        assert reused == self._run_all(tmp_path, capsys, fresh=True)
+
+    def test_no_appended_value_carries_over(self):
+        first = cli._parser().parse_args(["verify-moments", "--config", "c.json",
+                                          "--corrupt-entry", "1,0=1.5"])
+        again = cli._parser().parse_args(["verify-moments", "--config", "c.json"])
+        assert first.corrupt_entry == ["1,0=1.5"] and again.corrupt_entry is None
+        third = cli._parser().parse_args(["verify-moments", "--config", "c.json",
+                                          "--corrupt-entry", "0,1=0.5"])
+        assert third.corrupt_entry == ["0,1=0.5"]
+
+    def test_main_reuses_its_parser_and_build_parser_does_not(self):
+        assert cli._parser() is cli._parser()
+        assert cli.build_parser() is not cli.build_parser()

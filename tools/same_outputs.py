@@ -1,0 +1,121 @@
+"""Digest every output of the benchmark's operations, to show two trees write the same bytes.
+
+    python3 tools/same_outputs.py --out mine.txt                  # this tree's src/
+    python3 tools/same_outputs.py --src OTHER/src --out theirs.txt
+    python3 tools/same_outputs.py --diff mine.txt theirs.txt
+
+Each operation that ``perfbench/workloads.py`` generates for the given
+workloads and seeds runs twice through ``urnwalk.cli.main``, once with
+``--format csv`` and once with ``--format json``, in a fixed working
+directory: the output paths are part of each config hash and summary line,
+so two runs compare only from the same directory.  Each run gives one line:
+workload, seed, format, operation, exit code, a SHA-256 over the exit code,
+every output file (the CSV's metadata sidecar included), stdout and stderr,
+and the operation's label.  ``--diff`` prints the lines that differ between
+two such files and exits 1 if any do.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+FORMATS = ("csv", "json")
+
+
+def run_once(main, argv: list[str], out: Path) -> tuple[object, str]:
+    """The exit code of one CLI call and the digest of that code, its output
+    files, stdout and stderr."""
+    files = (out, Path(f"{out}.meta.json"))
+    for stale in files:
+        stale.unlink(missing_ok=True)
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        except Exception as exc:  # recorded, so that a crash on one side is a difference
+            code = f"raised {type(exc).__name__}: {exc}"
+    h = hashlib.sha256(f"exit {code}\n".encode())
+    for path in files:
+        if path.exists():
+            data = path.read_bytes()
+            h.update(f"{path.name} {len(data)}\n".encode() + data)
+    for name, stream in (("stdout", stdout), ("stderr", stderr)):
+        text = stream.getvalue().encode()
+        h.update(f"{name} {len(text)}\n".encode() + text)
+    return code, h.hexdigest()
+
+
+def digest_lines(workloads: list[str], seeds: list[int], scale: str, src: Path,
+                 workdir: Path) -> list[str]:
+    sys.path[:0] = [str(src), str(ROOT / "perfbench")]
+    from urnwalk.cli import main
+    from workloads import generate
+
+    lines = []
+    for workload in workloads:
+        for seed in seeds:
+            opdir = workdir / f"{workload}-{seed}"
+            opdir.mkdir(parents=True, exist_ok=True)
+            ops = generate(workload, seed, scale, opdir)
+            for fmt in FORMATS:
+                for n, op in enumerate(ops):
+                    out = op.out.with_suffix(f".{fmt}")
+                    code, digest = run_once(main, [*op.argv, "--format", fmt, "--out", str(out)],
+                                            out)
+                    lines.append(f"{workload} {seed} {fmt} op{n:02d} exit={code} {digest} "
+                                 f"{op.label}")
+    return lines
+
+
+def diff(a: Path, b: Path) -> int:
+    """Print the operations whose digests differ or that only one file has; 1 if any."""
+    def read(path: Path) -> dict[str, str]:
+        rows = (line.split(" ", 4) for line in path.read_text(encoding="utf-8").splitlines())
+        return {" ".join(r[:4]): r[4] for r in rows}
+
+    left, right = read(a), read(b)
+    keys = sorted(left.keys() | right.keys())
+    differ = [k for k in keys if left.get(k) != right.get(k)]
+    for key in differ:
+        print(f"{key}: {left.get(key, 'missing')} != {right.get(key, 'missing')}")
+    print(f"{len(keys) - len(differ)} operations equal, {len(differ)} differ")
+    return 1 if differ else 0
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--workloads", nargs="+", default=["sample", "certify", "exact"])
+    parser.add_argument("--seeds", nargs="+", type=int, default=[1, 2, 3, 4, 5])
+    parser.add_argument("--scale", choices=("full", "tiny"), default="full")
+    parser.add_argument("--src", type=Path, default=ROOT / "src",
+                        help="the src/ directory whose urnwalk runs")
+    parser.add_argument("--workdir", type=Path,
+                        default=Path(tempfile.gettempdir()) / "urnwalk-same-outputs",
+                        help="where configs and outputs go; compare runs from the same one")
+    parser.add_argument("--out", type=Path, help="the digest file to write (default stdout)")
+    parser.add_argument("--diff", nargs=2, type=Path, metavar=("A", "B"),
+                        help="compare two digest files instead of running")
+    args = parser.parse_args()
+    if args.diff:
+        return diff(*args.diff)
+    lines = digest_lines(args.workloads, args.seeds, args.scale, args.src.resolve(),
+                         args.workdir.resolve())
+    text = "".join(f"{line}\n" for line in lines)
+    if args.out:
+        args.out.write_text(text, encoding="utf-8")
+    else:
+        sys.stdout.write(text)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
