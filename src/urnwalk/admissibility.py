@@ -51,16 +51,6 @@ class SquareViolation:
     rhs: float
     gap: float
 
-    def to_dict(self) -> dict:
-        return {
-            "p": list(self.counts),
-            "i": self.i,
-            "j": self.j,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "gap": self.gap,
-        }
-
 
 @dataclass(frozen=True)
 class AdmissibilityReport:
@@ -70,14 +60,6 @@ class AdmissibilityReport:
     violations: tuple[SquareViolation, ...]
     box_size: int
     tolerance: float
-
-    def to_dict(self) -> dict:
-        return {
-            "admissible": self.admissible,
-            "violations": [v.to_dict() for v in self.violations],
-            "box_size": self.box_size,
-            "tolerance": self.tolerance,
-        }
 
 
 def _scan_chunk(

@@ -36,10 +36,9 @@ from .laws import (
     RisingPolynomial,
     SimplexPoint,
     _memoised,
-    as_counts,
     batch_counts,
     check_alpha,
-    distinct_rows,
+    check_counts,
     draw_index,
     log_sum_exp,
     log_sum_exp_rows,
@@ -61,14 +60,6 @@ class VertexEnvLaw:
     """
 
     dimension: int
-
-    def _check_counts(self, counts: Sequence[int]) -> Counts:
-        c = as_counts(counts)
-        if len(c) != self.dimension:
-            raise DimensionMismatchError(
-                f"counts {c} have dimension {len(c)}, environment expects {self.dimension}"
-            )
-        return c
 
     def log_mixed_moment(self, counts: Sequence[int]) -> float:
         """Log of E[prod_i omega_i^{k_i}]; 0 at k = 0."""
@@ -112,7 +103,7 @@ class DirichletEnv(VertexEnvLaw):
         self._rising = LogRisingTable(self.alpha + (float(arr.sum()),))
 
     def log_mixed_moment(self, counts: Sequence[int]) -> float:
-        c = self._check_counts(counts)
+        c = check_counts(counts, self.dimension, "environment")
         *num, den = self._rising.at(c + (sum(c),))
         # left to right, as log_mixed_moments adds its columns (the builtin sum
         # compensates rounding from Python 3.12 on)
@@ -185,7 +176,7 @@ class PolynomialDirichletEnv(VertexEnvLaw):
         self._components = [DirichletEnv(arr + k) for k in self._poly.exponents]
 
     def log_mixed_moment(self, counts: Sequence[int]) -> float:
-        c = self._check_counts(counts)
+        c = check_counts(counts, self.dimension, "environment")
         *num, den = self._rising.at(c + (self.degree + sum(c),))
         shifted = self._alpha_arr + np.asarray(c, dtype=float)
         return (
@@ -228,7 +219,7 @@ class PointMassEnv(VertexEnvLaw):
         self._log_point = point.log_weights()
 
     def log_mixed_moment(self, counts: Sequence[int]) -> float:
-        c = self._check_counts(counts)
+        c = check_counts(counts, self.dimension, "environment")
         return float(np.dot(c, self._log_point))
 
     def sample(self, rng: np.random.Generator) -> SimplexPoint:
@@ -265,7 +256,7 @@ class EmpiricalEnv(VertexEnvLaw):
         self._log_points = np.array([p.log_weights() for _, p in cleaned])
 
     def log_mixed_moment(self, counts: Sequence[int]) -> float:
-        c = self._check_counts(counts)
+        c = check_counts(counts, self.dimension, "environment")
         terms = self._log_weights + self._log_points @ np.asarray(c, dtype=float)
         return log_sum_exp(terms)
 
@@ -291,8 +282,6 @@ class EnvMomentLaw(ReinforcementLaw):
     to a row that misses the simplex.
     """
 
-    weight_rows = "distinct"
-
     def __init__(self, env: VertexEnvLaw):
         self.env = env
         self.dimension = env.dimension
@@ -310,16 +299,6 @@ class EnvMomentLaw(ReinforcementLaw):
             bumped = c[:i] + (c[i] + 1,) + c[i + 1 :]
             out[i] = self.env._memo_log_moment(bumped) - base
         return out - log_sum_exp(out)
-
-    def _simplex_rows(self, counts: np.ndarray) -> np.ndarray:
-        """:meth:`_simplex` once per distinct row.
-
-        Each call goes through the memos the per-stream walk uses, this
-        law's and the environment's moment memo, so a lock-step walk
-        evaluates no count vector the per-stream walk would not.
-        """
-        first, inverse = distinct_rows(counts)
-        return np.array([self._simplex(tuple(c)) for c in counts[first].tolist()])[inverse]
 
     def log_weights_batch(self, counts: np.ndarray) -> np.ndarray:
         """One :meth:`VertexEnvLaw.log_mixed_moments` call per block of rows.

@@ -197,6 +197,16 @@ def as_counts(values: Sequence[int]) -> Counts:
     return tuple(out)
 
 
+def check_counts(counts: Sequence[int], dimension: int, noun: str) -> Counts:
+    """:func:`as_counts` of ``counts``, which the ``noun`` of ``dimension`` moves must match."""
+    c = as_counts(counts)
+    if len(c) != dimension:
+        raise DimensionMismatchError(
+            f"counts {c} have dimension {len(c)}, {noun} expects {dimension}"
+        )
+    return c
+
+
 def check_alpha(alpha: Sequence[float]) -> np.ndarray:
     """Validate a Dirichlet parameter vector and return it as a float array.
 
@@ -748,25 +758,19 @@ class ReinforcementLaw:
     ``r`` of its result has the bits of ``_log_weights(counts[r])``; this
     class loops over the rows, and a subclass overrides it only with an
     array path that keeps those bits.  :meth:`_simplex_rows` does the same
-    for :meth:`_simplex`, for the lock-step walk, on the subclasses that
-    define it.
+    for :meth:`_simplex`, for the lock-step walk (see :attr:`weight_rows`).
     """
 
     dimension: int
 
-    #: How the class's :meth:`_simplex_rows` evaluates: ``"array"``, one
-    #: array pass over the rows, or ``"distinct"``, :meth:`_simplex` once per
-    #: distinct row, which pays in lock step only where rows repeat.  ``None``
-    #: (no such method) keeps the reinforced walk per stream.
-    weight_rows: str | None = None
+    #: How the class's :meth:`_simplex_rows` evaluates: ``"distinct"``,
+    #: :meth:`_simplex` once per distinct row, which pays in lock step only
+    #: where rows repeat, or ``"array"``, one array pass over the rows
+    #: (:class:`UniformLaw` and :class:`DirichletLaw` override it so).
+    weight_rows = "distinct"
 
     def _check_counts(self, counts: Sequence[int]) -> Counts:
-        c = as_counts(counts)
-        if len(c) != self.dimension:
-            raise DimensionMismatchError(
-                f"counts {c} have dimension {len(c)}, law expects {self.dimension}"
-            )
-        return c
+        return check_counts(counts, self.dimension, "law")
 
     def log_weights(self, counts: Sequence[int]) -> np.ndarray:
         raise NotImplementedError
@@ -800,13 +804,14 @@ class ReinforcementLaw:
     def _simplex_rows(self, counts: np.ndarray) -> np.ndarray:
         """Weights at each row of a validated ``[N, d]`` int64 count array, as ``[N, d]``.
 
-        Row ``r`` has the bits of ``_simplex(tuple(counts[r]))``; a row off
-        the simplex raises the error :func:`check_simplex` raises, though
-        not necessarily for the first such row.  Only a subclass with a
-        path that keeps those bits defines it, and sets :attr:`weight_rows`;
-        the lock-step walk runs those laws alone.
+        Row ``r`` has the bits of ``_simplex(tuple(counts[r]))``; a row that
+        cannot be evaluated raises the error :meth:`_simplex` raises there,
+        though not necessarily for the first such row.  Each distinct row
+        goes through :meth:`_simplex` and its memo, so a lock-step walk
+        evaluates no count vector the per-stream walk would not.
         """
-        raise NotImplementedError(f"{type(self).__name__} has no path for its weight rows")
+        first, inverse = distinct_rows(counts)
+        return np.array([self._simplex(tuple(c)) for c in counts[first].tolist()])[inverse]
 
     def weights(self, counts: Sequence[int]) -> SimplexPoint:
         """Evaluate the law; validates the output is a proper simplex point."""

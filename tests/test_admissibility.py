@@ -86,14 +86,6 @@ class TestCheckAdmissible:
         with pytest.raises(ValueError, match="tolerance"):
             check_admissible(tabulated_witness(), 1, tolerance)
 
-    def test_report_serializes(self):
-        import json
-
-        report = check_admissible(tabulated_witness(), 1)
-        payload = json.loads(json.dumps(report.to_dict()))
-        assert payload["admissible"] is False
-        assert payload["violations"][0]["p"] == [0, 0]
-
     def test_dimension_one_is_trivially_closed(self):
         assert check_admissible(DirichletLaw([2.0]), 5).admissible
 

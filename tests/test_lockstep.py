@@ -8,6 +8,7 @@ here compares them with ``[run_*(..., rng) for rng in stream_generators(seed, n)
 import json
 import math
 import tracemalloc
+from itertools import product
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from urnwalk.environment import (
     PointMassEnv,
     PolynomialDirichletEnv,
 )
-from urnwalk.errors import DimensionMismatchError
+from urnwalk.errors import DimensionMismatchError, TableDomainError
 from urnwalk.laws import (
     MIN_WEIGHT,
     SIMPLEX_SUM_TOL,
@@ -134,6 +135,15 @@ def test_row_check_decides_near_the_tolerance_by_fsum():
     assert check_simplex_rows(rows) is rows
 
 
+def _leaning_table(box, dimension, fallback):
+    """A table law whose point at counts c is proportional to 1 + c: no two rows alike."""
+    entries = {}
+    for c in product(range(box + 1), repeat=dimension):
+        total = math.fsum(1.0 + k for k in c)
+        entries[c] = SimplexPoint(tuple((1.0 + k) / total for k in c))
+    return TabulatedLaw(box, entries, fallback)
+
+
 ROW_LAWS = {
     "uniform_1": UniformLaw(1),
     "uniform_4": UniformLaw(4),
@@ -146,6 +156,11 @@ ROW_LAWS = {
     "induced_empirical": EnvMomentLaw(EmpiricalEnv([(0.25, (0.2, 0.8)), (0.75, (0.6, 0.4))])),
     "induced_point_mass": EnvMomentLaw(PointMassEnv((0.3, 0.7))),
     "induced_one_move": EnvMomentLaw(DirichletEnv([2.0])),
+    "polynomial_linear_2d": PolynomialDirichletLaw(**POLY_LINEAR_2D),
+    "polynomial_quadratic_3d": PolynomialDirichletLaw(**POLY_QUADRATIC_3D),
+    # the drawn counts stay within the reject table's box and leave the clamp table's
+    "tabulated_reject": _leaning_table(40, 2, "reject"),
+    "tabulated_clamp": _leaning_table(3, 3, "clamp"),
 }
 
 
@@ -163,8 +178,8 @@ def test_weight_rows_have_the_bits_of_simplex(name, data):
     )
     law.__dict__.pop("_simplex_memo", None)
     want = [list(law._simplex(tuple(c))) for c in counts]
-    # from an empty memo, then (induced laws) with part and then all of the
-    # rows in the memo the earlier calls filled
+    # from an empty memo, then (laws that memoise _simplex) with part and then
+    # all of the rows in the memo the earlier calls filled
     law.__dict__.pop("_simplex_memo", None)
     for part in (counts[: len(counts) // 2 + 1], counts, counts):
         rows = law._simplex_rows(np.array(part, dtype=np.int64))
@@ -173,13 +188,17 @@ def test_weight_rows_have_the_bits_of_simplex(name, data):
 
 
 def test_weight_rows_name_the_laws_with_a_row_path():
+    # every law has weight rows: an array pass, or else _simplex once per distinct row
     kinds = {name: law.weight_rows for name, law in ROW_LAWS.items()}
-    assert kinds == {name: "distinct" if name.startswith("induced") else "array" for name in ROW_LAWS}
-    point = SimplexPoint((0.5, 0.5))
-    for law in (PolynomialDirichletLaw(**POLY_LINEAR_2D), TabulatedLaw(0, {(0, 0): point})):
-        assert law.weight_rows is None
-        with pytest.raises(NotImplementedError):
-            law._simplex_rows(np.zeros((1, 2), dtype=np.int64))
+    array = ("uniform", "dirichlet")
+    assert kinds == {name: "array" if name.startswith(array) else "distinct" for name in ROW_LAWS}
+    assert DriftingLaw.weight_rows == "distinct"
+
+
+def test_weight_rows_outside_a_reject_table_raise():
+    law = _leaning_table(2, 2, "reject")
+    with pytest.raises(TableDomainError, match="outside table box"):
+        law._simplex_rows(np.array([[0, 1], [3, 0], [2, 2]], dtype=np.int64))
 
 
 @pytest.mark.parametrize("high", [5, 10**6])
@@ -225,6 +244,12 @@ REINFORCED = {
     ),
     "induced_empirical": (_CYCLE, {x: EnvMomentLaw(_EMPIRICAL) for x in range(5)}),
     "induced_point_mass": (_CYCLE, {x: EnvMomentLaw(PointMassEnv((0.3, 0.7))) for x in range(5)}),
+    "polynomial_star": (
+        _STAR_3,
+        {0: PolynomialDirichletLaw(**POLY_QUADRATIC_3D),
+         **_leaves(_STAR_3, PolynomialDirichletLaw([1.5], 1, {(1,): 1.0}))},
+    ),
+    "tabulated_cycle": (_CYCLE, {x: _leaning_table(3, 2, "clamp") for x in range(5)}),
     "mixed": (
         _STAR_3,
         {0: DirichletLaw([1.0, 2.0, 3.0]), 1: UniformLaw(1), 2: EnvMomentLaw(DirichletEnv([2.0])),
@@ -328,7 +353,7 @@ def test_a_law_is_checked_when_a_walk_reaches_its_vertex():
 
 
 class _DriftingRows(DriftingLaw):
-    """:class:`DriftingLaw` with weight rows, evaluated row by row."""
+    """:class:`DriftingLaw` with ``"array"`` weight rows, evaluated row by row."""
 
     weight_rows = "array"
 
@@ -338,13 +363,14 @@ class _DriftingRows(DriftingLaw):
 
 def test_a_law_off_the_simplex_stops_the_walk_as_per_stream():
     # the drifting law leaves the simplex from count 522 of move 1 on, which
-    # some of these Polya walks reach
-    laws = {0: _DriftingRows(), 1: UniformLaw(1), 2: UniformLaw(1)}
+    # some of these Polya walks reach; through the distinct-row path and an array one
     graph = star_graph(2)
-    with pytest.raises(ValueError, match="sum"):
-        per_stream(run_reinforced, graph, laws, 0, 1100, 8, 40)
-    with pytest.raises(ValueError, match="sum"):
-        list(run_many_reinforced(graph, laws, 0, 1100, 8, 40))
+    for drifting in (DriftingLaw(), _DriftingRows()):
+        laws = {0: drifting, 1: UniformLaw(1), 2: UniformLaw(1)}
+        with pytest.raises(ValueError, match="sum"):
+            per_stream(run_reinforced, graph, laws, 0, 1100, 8, 40)
+        with pytest.raises(ValueError, match="sum"):
+            list(run_many_reinforced(graph, laws, 0, 1100, 8, 40))
 
 
 # --- the choice of runner ----------------------------------------------------------------
@@ -369,16 +395,21 @@ _DIRICHLET_CYCLE = {x: DirichletLaw([1.0, 2.0]) for x in range(20)}
     ("reinforced", cycle_graph(20), _DIRICHLET_CYCLE, 30, 1000, True),
     # 100 steps: blocks of 648
     ("reinforced", cycle_graph(20), _DIRICHLET_CYCLE, 100, 4000, False),
-    ("reinforced", _CYCLE, {x: PolynomialDirichletLaw(**POLY_LINEAR_2D) for x in range(5)}, 5, 4000, False),
-    # an induced law also needs, per vertex in reach, as many trajectories as
-    # count vectors of sum at most steps at the largest degree: 21 at degree 2
-    # and 5 steps (so 50 still holds), 5,151 at 100 steps
+    # a law with distinct weight rows also needs, per vertex in reach, as many
+    # trajectories as count vectors of sum at most steps at the largest degree:
+    # 21 at degree 2 and 5 steps (so 50 still holds), 5,151 at 100 steps
+    ("reinforced", _CYCLE, {x: PolynomialDirichletLaw(**POLY_LINEAR_2D) for x in range(5)}, 5, 4000, True),
     ("reinforced", _CYCLE, REINFORCED["induced_dirichlet"][1], 5, 250, True),
     ("reinforced", _CYCLE, REINFORCED["induced_dirichlet"][1], 100, 400, False),
     # 56 at degree 3 and 5 steps, times the 3-star's 4 vertices
     ("reinforced", _STAR_3, REINFORCED["induced_polynomial"][1], 5, 224, True),
     ("reinforced", _STAR_3, REINFORCED["induced_polynomial"][1], 5, 223, False),
     ("reinforced", _STAR_3, REINFORCED["uniform_star"][1], 5, 223, True),
+    # tabulated rows are distinct rows too: 50 per vertex on the 5 the cycle reaches
+    ("reinforced", _CYCLE, REINFORCED["tabulated_cycle"][1], 5, 250, True),
+    ("reinforced", _CYCLE, REINFORCED["tabulated_cycle"][1], 5, 249, False),
+    # a map that misses a vertex runs per stream
+    ("reinforced", _STAR_3, {x: REINFORCED["uniform_star"][1][x] for x in range(3)}, 5, 4000, False),
 ])
 def test_lock_step_runs_where_it_pays(mode, graph, maps, steps, count, pays):
     assert walk.LOCKSTEP_MIN_BLOCK == 64 and walk.LOCKSTEP_PER_VERTEX == 50
@@ -414,7 +445,7 @@ def _simulate(tmp_path, graph, section, operation):
         "output": {"path": str(tmp_path / "t.csv"), "format": "csv"},
     }))
     code = cli.main(["simulate", "--config", str(cfg)])
-    return code, (tmp_path / "t.csv").read_text().splitlines()[1:]
+    return code, (tmp_path / "t.csv").read_text().splitlines()[1:] if code == 0 else None
 
 
 _POLYNOMIAL_SPEC = {"family": "polynomial_dirichlet", "alpha": [1.0, 2.0], "degree": 1,
@@ -424,10 +455,11 @@ _POLYNOMIAL_SPEC = {"family": "polynomial_dirichlet", "alpha": [1.0, 2.0], "degr
 
 @pytest.mark.parametrize("family, count, per_stream_runs", [
     # 3 steps from 0 on the 4-cycle reach all 4 vertices: 200 trajectories pay
-    (_POLYNOMIAL_SPEC, 200, 200),
+    (_POLYNOMIAL_SPEC, 200, 0),
     ({"family": "dirichlet", "alpha": [1.0, 2.0]}, 200, 0),
     ({"family": "uniform"}, 200, 0),
     ({"family": "dirichlet", "alpha": [1.0, 2.0]}, 12, 12),
+    (_POLYNOMIAL_SPEC, 199, 199),
 ])
 def test_simulate_chooses_the_reinforced_runner(tmp_path, monkeypatch, family, count, per_stream_runs):
     calls = _counting(monkeypatch, "run_reinforced")
@@ -438,6 +470,22 @@ def test_simulate_chooses_the_reinforced_runner(tmp_path, monkeypatch, family, c
     graph = cycle_graph(4)
     laws = {x: cli.law_from_spec(family, 2) for x in range(4)}
     assert rows == [",".join(map(str, t)) for t in per_stream(run_reinforced, graph, laws, 0, 3, 9, count)]
+
+
+def test_simulate_leaves_a_reject_table_in_lock_step(tmp_path, monkeypatch, capsys):
+    # 250 trajectories of 5 steps on the 4-cycle run in lock step; a vertex
+    # whose counts leave the box stops the run, though perhaps at the counts
+    # of another trajectory than the per-stream runs stop at
+    calls = _counting(monkeypatch, "run_reinforced")
+    table = {"family": "tabulated", "box": 1, "fallback": "reject",
+             "entries": [{"counts": list(c), "weights": [0.5, 0.5]} for c in product(range(2), repeat=2)]}
+    code, _ = _simulate(tmp_path, {"generator": "cycle", "length": 4}, {"laws": {"default": table}},
+                        {"mode": "reinforced", "steps": 5, "trajectories": 250})
+    assert code == cli.EXIT_EVALUATION and calls == []
+    assert "outside table box" in capsys.readouterr().err
+    laws = {x: cli.law_from_spec(table, 2) for x in range(4)}
+    with pytest.raises(TableDomainError):
+        per_stream(run_reinforced, cycle_graph(4), laws, 0, 5, 9, 250)
 
 
 @pytest.mark.parametrize("mode", ["quenched", "annealed"])

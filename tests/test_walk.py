@@ -227,6 +227,30 @@ class TestAnnealedWalk:
             sample_environment(g, envs, rng)
 
 
+_LAWS_BUT_2 = {0: DirichletLaw([1.0, 1.0]), 1: UniformLaw(1)}
+_ENVS_BUT_2 = {0: DirichletEnv([1.0, 1.0]), 1: PointMassEnv((1.0,))}
+
+
+@pytest.mark.parametrize("name, call", [
+    ("law map", lambda g: run_reinforced(g, _LAWS_BUT_2, 2, 3, make_stream(1))),
+    ("law map", lambda g: list(walk.run_many_reinforced(g, _LAWS_BUT_2, 2, 3, 1, 70))),
+    ("environment map", lambda g: run_annealed(g, _ENVS_BUT_2, 0, 3, make_stream(1))),
+    ("environment map", lambda g: list(walk.run_many_annealed(g, _ENVS_BUT_2, 0, 3, 1, 70))),
+    ("environment map", lambda g: sample_environment(g, _ENVS_BUT_2, make_stream(1))),
+], ids=["run_reinforced", "run_many_reinforced", "run_annealed", "run_many_annealed",
+        "sample_environment"])
+def test_a_map_that_misses_a_vertex_names_it(name, call):
+    with pytest.raises(DimensionMismatchError, match=f"^{name} misses vertex 2$"):
+        call(star_graph(2))
+
+
+def test_a_missing_law_is_looked_up_only_when_the_walk_reaches_its_vertex():
+    # one step from leaf 1 reaches the center and takes no step from there
+    g = star_graph(2)
+    assert run_reinforced(g, _LAWS_BUT_2, 1, 1, make_stream(1)) == (1, 0)
+    assert list(walk.run_many_reinforced(g, _LAWS_BUT_2, 1, 1, 1, 70)) == [(1, 0)] * 70
+
+
 def test_transition_counts_rejects_non_edges():
     g = segment_graph(3)
     with pytest.raises(ValueError):

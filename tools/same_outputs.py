@@ -3,6 +3,7 @@
     python3 tools/same_outputs.py --out mine.txt                  # this tree's src/
     python3 tools/same_outputs.py --src OTHER/src --out theirs.txt
     python3 tools/same_outputs.py --diff mine.txt theirs.txt
+    python3 tools/same_outputs.py --against OTHER/src             # all three in one
 
 Each operation that ``perfbench/workloads.py`` generates for the given
 workloads and seeds runs twice through ``urnwalk.cli.main``, once with
@@ -12,7 +13,9 @@ so two runs compare only from the same directory.  Each run gives one line:
 workload, seed, format, operation, exit code, a SHA-256 over the exit code,
 every output file (the CSV's metadata sidecar included), stdout and stderr,
 and the operation's label.  ``--diff`` prints the lines that differ between
-two such files and exits 1 if any do.
+two such files and exits 1 if any do.  ``--against`` digests ``--src`` and
+then the other tree, each in its own interpreter and in the same working
+directory, and diffs the two.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -91,6 +95,18 @@ def diff(a: Path, b: Path) -> int:
     return 1 if differ else 0
 
 
+def against(args: argparse.Namespace) -> int:
+    """Digest ``args.src`` and then ``args.against`` in fresh interpreters; diff the two."""
+    with tempfile.TemporaryDirectory() as tmp:
+        outs = [Path(tmp) / "mine.txt", Path(tmp) / "theirs.txt"]
+        for src, out in zip((args.src, args.against), outs):
+            subprocess.run([sys.executable, __file__, "--workloads", *args.workloads,
+                            "--seeds", *map(str, args.seeds), "--scale", args.scale,
+                            "--src", str(src), "--workdir", str(args.workdir),
+                            "--out", str(out)], check=True)
+        return diff(*outs)
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workloads", nargs="+", default=["sample", "certify", "exact"])
@@ -104,9 +120,13 @@ def main() -> int:
     parser.add_argument("--out", type=Path, help="the digest file to write (default stdout)")
     parser.add_argument("--diff", nargs=2, type=Path, metavar=("A", "B"),
                         help="compare two digest files instead of running")
+    parser.add_argument("--against", type=Path, metavar="OTHER_SRC",
+                        help="digest this src/ and OTHER_SRC, then diff them")
     args = parser.parse_args()
     if args.diff:
         return diff(*args.diff)
+    if args.against:
+        return against(args)
     lines = digest_lines(args.workloads, args.seeds, args.scale, args.src.resolve(),
                          args.workdir.resolve())
     text = "".join(f"{line}\n" for line in lines)
