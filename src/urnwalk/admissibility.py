@@ -25,6 +25,7 @@ from typing import Sequence
 
 from .laws import Counts, ReinforcementLaw
 
+#: The one default tolerance: of the square scan, the moment table's edges and the CLI.
 DEFAULT_TOLERANCE = 1e-10
 
 

@@ -53,7 +53,7 @@ from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
 
-from .admissibility import check_admissible
+from .admissibility import DEFAULT_TOLERANCE, check_admissible
 from .config import (
     assignment_from_spec,
     config_hash,
@@ -103,8 +103,6 @@ EXIT_PROPERTY = 1
 EXIT_CONFIG = 2
 EXIT_EVALUATION = 3
 EXIT_GUARD = 4
-
-DEFAULT_TOLERANCE = 1e-10
 
 #: Version of the floating-point formulas behind every output, recorded in
 #: ``meta``.  2: log rising factorials are sums of logs, and induced log

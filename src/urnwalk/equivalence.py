@@ -27,7 +27,7 @@ from .errors import EnumerationGuardError
 from .laws import ReinforcementLaw, log_sum_exp
 from .environment import VertexEnvLaw
 from .moments import MomentTable, build_moment_table
-from .walk import Graph, Trajectory
+from .walk import Graph, Trajectory, _at, _check_start
 
 DEFAULT_MAX_PATHS = 10**6
 
@@ -152,10 +152,13 @@ def _enumerate(
 
 
 def _path_logprob(
-    graph: Graph, trajectory: Sequence[int], scorer: _Reinforced | _Annealed
+    graph: Graph, trajectory: Sequence[int], maps: Mapping, name: str,
+    scorer: _Reinforced | _Annealed,
 ) -> float:
     _validate_trajectory(graph, trajectory)
     traj = tuple(trajectory)
+    for x in traj[:-1]:
+        _at(maps, x, name)
     return log_sum_exp(_enumerate(graph, traj[0], len(traj) - 1, scorer, traj)[traj])
 
 
@@ -169,7 +172,7 @@ def reinforced_path_logprob(
     Sums over all move-index sequences consistent with the vertex sequence
     (one sequence unless the graph has parallel moves).
     """
-    return _path_logprob(graph, trajectory, _Reinforced(laws))
+    return _path_logprob(graph, trajectory, laws, "law map", _Reinforced(laws))
 
 
 def annealed_path_logprob(
@@ -183,19 +186,7 @@ def annealed_path_logprob(
     over vertices of the environment's mixed moment at the accumulated move
     counts; parallel-move ambiguity again sums over index sequences.
     """
-    return _path_logprob(graph, trajectory, _Annealed(envs))
-
-
-def _count_index_paths(graph: Graph, x0: int, steps: int) -> int:
-    """Exact number of move-index sequences of the given length from x0."""
-    weights = {x0: 1}
-    for _ in range(steps):
-        nxt: dict[int, int] = {}
-        for x, mult in weights.items():
-            for y in graph.neighbors[x]:
-                nxt[y] = nxt.get(y, 0) + mult
-        weights = nxt
-    return sum(weights.values())
+    return _path_logprob(graph, trajectory, envs, "environment map", _Annealed(envs))
 
 
 def enumerate_reinforced(
@@ -206,7 +197,7 @@ def enumerate_reinforced(
     max_paths: int = DEFAULT_MAX_PATHS,
 ) -> PathDistribution:
     """Exact law of the length-T reinforced walk by move-tree traversal."""
-    _check_enumeration(graph, x0, steps, max_paths)
+    _check_enumeration(graph, laws, "law map", x0, steps, max_paths)
     acc = _enumerate(graph, x0, steps, _Reinforced(laws))
     return PathDistribution(x0, steps, {t: log_sum_exp(lps) for t, lps in acc.items()})
 
@@ -219,17 +210,28 @@ def enumerate_annealed(
     max_paths: int = DEFAULT_MAX_PATHS,
 ) -> PathDistribution:
     """Exact law of the length-T annealed walk from per-vertex mixed moments."""
-    _check_enumeration(graph, x0, steps, max_paths)
+    _check_enumeration(graph, envs, "environment map", x0, steps, max_paths)
     acc = _enumerate(graph, x0, steps, _Annealed(envs))
     return PathDistribution(x0, steps, {t: log_sum_exp(lps) for t, lps in acc.items()})
 
 
-def _check_enumeration(graph: Graph, x0: int, steps: int, max_paths: int) -> None:
-    if not (0 <= x0 < graph.vertex_count):
-        raise ValueError(f"start vertex {x0} not in graph")
+def _check_enumeration(graph: Graph, maps: Mapping, name: str, x0: int, steps: int,
+                       max_paths: int) -> None:
+    """Check the start, that ``maps`` has every vertex the move tree steps from
+    (those reachable in fewer than ``steps`` moves) and the exact number of
+    move-index sequences against ``max_paths``."""
+    _check_start(graph, x0)
     if steps < 0:
         raise ValueError("steps must be non-negative")
-    total = _count_index_paths(graph, x0, steps)
+    weights = {x0: 1}
+    for _ in range(steps):
+        nxt: dict[int, int] = {}
+        for x, mult in weights.items():
+            _at(maps, x, name)
+            for y in graph.neighbors[x]:
+                nxt[y] = nxt.get(y, 0) + mult
+        weights = nxt
+    total = sum(weights.values())
     if total > max_paths:
         raise EnumerationGuardError(
             f"{total} move sequences exceed the enumeration budget of {max_paths}"
@@ -313,6 +315,9 @@ def recover_env_moments(law: ReinforcementLaw, order: int) -> MomentTable:
     This is the constructive side of annealed-determines-quenched: two
     environment laws with the same annealed walk have the same reinforcement
     law, hence identical moment tables at every order.  Raises
-    :class:`~urnwalk.errors.NotAdmissibleError` when no environment exists.
+    :class:`~urnwalk.errors.NotAdmissibleError` when the law is not closed
+    on the ball (see :func:`~urnwalk.moments.build_moment_table`).  A table
+    that passes need not come from an environment: its positivity is the
+    Hildebrandt-Schoenberg scan that ``verify-moments`` runs on it.
     """
     return build_moment_table(law, order)

@@ -3,7 +3,10 @@
 For an admissible law, the log probability of reaching a count vector ``k``
 is the same along every monotone path, so ``v_k := exp(path product)`` is a
 well-defined sequence indexed by count vectors.  This module builds that
-sequence on the total-degree ball ``|k| <= order``, applies the signed
+sequence on the total-degree ball ``|k| <= order`` along one staircase and
+checks every other edge of the ball against it, so every elementary square
+of the ball closes within 4 tolerances and every monotone path to ``k``
+agrees with the staircase within ``|k|`` tolerances.  It applies the signed
 multidimensional finite-difference test of Hildebrandt and Schoenberg (the
 sequence is the moment family of a probability measure on the unit cube iff
 ``(-1)^{|h|} Delta^h(v)(k) >= 0`` for all h, k), and evaluates the
@@ -32,15 +35,9 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .admissibility import validate_tolerance
+from .admissibility import DEFAULT_TOLERANCE, validate_tolerance
 from .errors import MomentOrderError, NotAdmissibleError
 from .laws import Counts, ReinforcementLaw, as_counts
-
-DEFAULT_TOLERANCE = 1e-10
-
-#: Largest log-space gap :func:`build_moment_table` allows between its two
-#: path products to one multi-index.
-PATH_TOLERANCE = DEFAULT_TOLERANCE
 
 #: Signed differences below this multiple of eps * sum|terms| are treated
 #: as zero: inclusion-exclusion cancels catastrophically for large |h|.
@@ -167,36 +164,39 @@ def build_moment_table(law: ReinforcementLaw, order: int) -> MomentTable:
     """Build ``v_k`` for ``|k| <= order`` from monotone path products.
 
     Each value is computed along the staircase path (all moves in direction
-    0 first, then direction 1, ...) and cross-checked along the reverse
-    staircase; disagreement beyond :data:`PATH_TOLERANCE` in log space means
-    the law is not admissible on the ball and raises :class:`NotAdmissibleError`.
-    The caller should have certified admissibility on a box of size >= order.
-
-    Both staircases call the law's public ``log_weights``, which the
-    computing families memoise, so each count vector is computed once and
-    the first error raised is the one the ball order meets.
+    0 first, then direction 1, ...), and every other edge into ``k`` must
+    agree with it: ``|v_k - v_{k-e_i} - log w_i(k-e_i)|`` above
+    :data:`~urnwalk.admissibility.DEFAULT_TOLERANCE` raises
+    :class:`NotAdmissibleError`.  So every elementary square of the ball
+    closes within 4 tolerances, and every monotone path to ``k`` agrees
+    with the staircase within ``|k|`` of them.  At each ``k`` the
+    staircase's edge is read first, and each count vector's log weights
+    once, in ball order, so a gap is met before an evaluation error at a
+    later count vector.
     """
     if order < 0:
         raise ValueError("order must be non-negative")
     d = law.dimension
-    origin = (0,) * d
-    stair: dict[Counts, float] = {origin: 0.0}
-    reverse: dict[Counts, float] = {origin: 0.0}
-    for k in ball_indices(d, order):
-        if k == origin:
-            continue
-        hi = max(i for i in range(d) if k[i] > 0)
-        parent_hi = k[:hi] + (k[hi] - 1,) + k[hi + 1 :]
-        stair[k] = stair[parent_hi] + float(law.log_weights(parent_hi)[hi])
-        lo = min(i for i in range(d) if k[i] > 0)
-        parent_lo = k[:lo] + (k[lo] - 1,) + k[lo + 1 :]
-        reverse[k] = reverse[parent_lo] + float(law.log_weights(parent_lo)[lo])
-        gap = stair[k] - reverse[k]
-        if abs(gap) > PATH_TOLERANCE:
-            raise NotAdmissibleError(
-                f"path products to {k} disagree by {gap:.3e} in log space; "
-                "the law is not admissible on this ball"
-            )
+    stair: dict[Counts, float] = {(0,) * d: 0.0}
+    rows: dict[Counts, np.ndarray] = {}
+
+    def edge(k: Counts, i: int) -> float:
+        """The path product to ``k`` along the table to ``k - e_i``, then move i."""
+        parent = k[:i] + (k[i] - 1,) + k[i + 1 :]
+        if parent not in rows:
+            rows[parent] = law.log_weights(parent)
+        return stair[parent] + float(rows[parent][i])
+
+    for k in ball_indices(d, order)[1:]:
+        *others, hi = (i for i in range(d) if k[i] > 0)
+        stair[k] = edge(k, hi)
+        for i in others:
+            gap = stair[k] - edge(k, i)
+            if abs(gap) > DEFAULT_TOLERANCE:
+                raise NotAdmissibleError(
+                    f"path products to {k} disagree by {gap:.3e} in log space; "
+                    "the law is not admissible on this ball"
+                )
     return MomentTable(d, order, stair)
 
 

@@ -7,15 +7,20 @@ construction entry for entry.  Every comparison runs both sides on the
 same machine, so no float value is hard-coded.
 """
 
+import json
 import math
-from itertools import product
+from collections import Counter
+from itertools import combinations, product
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from urnwalk.admissibility import DEFAULT_TOLERANCE, check_admissible
 from urnwalk.catalog import tabulated_witness
+from urnwalk.config import law_from_spec
 from urnwalk.environment import (
     DirichletEnv,
     EmpiricalEnv,
@@ -258,7 +263,14 @@ class TestRowWiseKernels:
 
 
 def staircase_oracle(law: ReinforcementLaw, order: int) -> dict:
-    """The moment table one ball index at a time from public per-point calls."""
+    """The reverse-staircase oracle: the moment table one ball index at a time
+    from public per-point calls, cross-checked along the reverse staircase.
+
+    ``build_moment_table`` ran this cross-check until it checked every edge of
+    the ball; it compares two paths only, so it misses open squares that
+    cancel along both (:func:`open_squares_law`).  It stays as the oracle of
+    the staircase's values.
+    """
     d = law.dimension
     stair = {(0,) * d: 0.0}
     reverse = {(0,) * d: 0.0}
@@ -272,6 +284,51 @@ def staircase_oracle(law: ReinforcementLaw, order: int) -> dict:
         if abs(stair[k] - reverse[k]) > 1e-10:
             raise NotAdmissibleError(f"gap at {k}")
     return stair
+
+
+def open_squares_law() -> ReinforcementLaw:
+    """A d = 3 table, box 2, clamped, whose two staircases agree on the order-3
+    ball within 4.4e-16 although its squares at (1, 0, 0) over moves (1, 2) and
+    at (0, 0, 1) over moves (0, 1) are open, by +0.3 and -0.3.
+
+    The 10 count vectors with ``|q| <= 2`` have free weights (softmax of 30 log
+    weights); the other 17 rows are uniform.  ``scipy.optimize.least_squares``
+    from ``numpy.random.default_rng(3).normal(0, 0.3, 30)`` solved for the 10
+    staircase-versus-reverse gaps of the order-3 ball at 0 and the square at
+    (1, 0, 0) over moves (1, 2) at 0.3; the rows are committed, not re-solved.
+    """
+    path = Path(__file__).with_name("open_squares_law.json")
+    return law_from_spec(json.loads(path.read_text(encoding="utf-8")))
+
+
+def square_gaps(law: ReinforcementLaw, order: int) -> list[float]:
+    """The gap of every elementary square of the degree-``order`` ball, from ``log_weights``."""
+    d = law.dimension
+    out = []
+    for p in ball_indices(d, order - 2):
+        for i, j in combinations(range(d), 2):
+            p_i = tuple(v + (m == i) for m, v in enumerate(p))
+            p_j = tuple(v + (m == j) for m, v in enumerate(p))
+            out.append(float(law.log_weights(p)[i] + law.log_weights(p_i)[j])
+                       - float(law.log_weights(p)[j] + law.log_weights(p_j)[i]))
+    return out
+
+
+@st.composite
+def perturbed_dirichlet_tables(draw) -> tuple[TabulatedLaw, int]:
+    """A closed Dirichlet table on the box {0..order}^d with a few rows bent:
+    one weight times a factor, then renormalised."""
+    d = draw(st.sampled_from([2, 3]))
+    order = draw(st.integers(0, 4))
+    base = DirichletLaw(draw(st.lists(st.floats(0.5, 3.0), min_size=d, max_size=d)))
+    table = {q: base.weights(q) for q in product(range(order + 1), repeat=d)}
+    for _ in range(draw(st.integers(0, 3))):
+        q = draw(st.sampled_from(sorted(table)))
+        w = list(table[q].weights)
+        w[draw(st.integers(0, d - 1))] *= draw(st.sampled_from([0.25, 0.5, 2.0, 4.0]))
+        total = sum(w)
+        table[q] = SimplexPoint(tuple(v / total for v in w))
+    return TabulatedLaw(order, table), order
 
 
 MOMENT_LAWS = {
@@ -297,6 +354,43 @@ class TestMomentTable:
         want = staircase_oracle(law, order)
         assert list(table) == list(want)
         assert all(np.float64(table[k]).tobytes() == np.float64(want[k]).tobytes() for k in want)
+
+    def test_open_squares_that_cancel_along_both_staircases_are_met(self):
+        law = open_squares_law()
+        staircase_oracle(law, 3)  # the reverse staircase alone passes this law
+        gaps = {(v.counts, v.i, v.j): v.gap for v in check_admissible(law, 2).violations}
+        assert gaps[(1, 0, 0), 1, 2] == pytest.approx(0.3, abs=1e-12)
+        assert gaps[(0, 0, 1), 0, 1] == pytest.approx(-0.3, abs=1e-12)
+        with pytest.raises(NotAdmissibleError, match=r"^path products to \(1, 1, 1\) "
+                                                     r"disagree by 3\.000e-01 in log space"):
+            build_moment_table(law, 3)
+
+    @given(case=perturbed_dirichlet_tables())
+    @settings(max_examples=200, deadline=None)
+    def test_a_table_that_builds_closes_every_square_of_its_ball(self, case):
+        law, order = case
+        try:
+            table = build_moment_table(law, order).log_values
+        except NotAdmissibleError:
+            return
+        assert all(abs(gap) <= 4 * DEFAULT_TOLERANCE for gap in square_gaps(law, order))
+        want = staircase_oracle(law, order)
+        assert list(table) == list(want)
+        assert all(np.float64(table[k]).tobytes() == np.float64(want[k]).tobytes() for k in want)
+
+    def test_each_count_vector_below_the_order_is_read_once(self, monkeypatch):
+        law = DirichletLaw([1.0, 2.0, 3.0, 4.0])
+        reads = Counter()
+        read = law.log_weights
+
+        def counted(counts):
+            reads[tuple(counts)] += 1
+            return read(counts)
+
+        monkeypatch.setattr(law, "log_weights", counted)
+        build_moment_table(law, 8)
+        assert reads == Counter(ball_indices(4, 7))
+        assert sum(reads.values()) == 330
 
     def test_gap_at_one_degree_comes_before_an_error_at_the_next(self):
         # the witness's square fails at degree 2; degree 3 would read outside its box

@@ -41,6 +41,10 @@ WITNESS_LAW = {
         {"counts": [1, 1], "weights": [0.5, 0.5]},
     ],
 }
+# a d = 3 table whose two staircases agree on the order-3 ball although two
+# of its squares are open, by +0.3 and -0.3 (see tests/test_batch.py)
+OPEN_SQUARES_LAW = json.loads(
+    (Path(__file__).with_name("open_squares_law.json")).read_text(encoding="utf-8"))
 STAR_GRAPH = {"generator": "star", "leaves": 2}
 STAR_LAWS = {
     "default": {"family": "uniform"},
@@ -1104,6 +1108,33 @@ class TestDeriveLawBatch:
         cfg = write_config(tmp_path, {"law": WITNESS_LAW, "operation": {"order": 3},
                                       "output": {"path": str(tmp_path / "m.json")}})
         assert main([command, "--config", cfg]) == 1
+
+
+class TestOpenSquaresLaw:
+    """Every command that certifies closedness fails on a law whose open squares
+    cancel along both staircases."""
+
+    @pytest.mark.parametrize("command", ["verify-moments", "recover-moments"])
+    def test_the_moment_table_meets_the_open_square(self, tmp_path, capsys, command):
+        out = tmp_path / "m.json"
+        cfg = write_config(tmp_path, {"law": OPEN_SQUARES_LAW, "operation": {"order": 3},
+                                      "output": {"path": str(out)}})
+        assert main([command, "--config", cfg]) == 1
+        assert capsys.readouterr().err == (
+            "not admissible: path products to (1, 1, 1) disagree by 3.000e-01 in log "
+            "space; the law is not admissible on this ball\n")
+        assert not out.exists()
+
+    def test_check_admissibility_lists_the_open_squares(self, tmp_path):
+        out = tmp_path / "r.json"
+        cfg = write_config(tmp_path, {"law": OPEN_SQUARES_LAW, "operation": {"box": 2},
+                                      "output": {"path": str(out)}})
+        assert main(["check-admissibility", "--config", cfg]) == 1
+        payload = json.loads(out.read_text())
+        assert payload["report"]["violation_count"] == 11
+        first = payload["violations"][0]
+        assert (first["p"], first["i"], first["j"]) == ([0, 0, 1], 0, 1)
+        assert first["gap"] == pytest.approx(-0.3, abs=1e-12)
 
 
 # criterion 9's mismatched star-2 pair: TV 1/6 at T = 4

@@ -8,6 +8,7 @@ import pytest
 
 from urnwalk import (
     DirichletEnv,
+    DimensionMismatchError,
     DirichletLaw,
     EmpiricalEnv,
     EnumerationGuardError,
@@ -253,3 +254,30 @@ class TestRecoverEnvMoments:
     def test_witness_has_no_environment(self):
         with pytest.raises(NotAdmissibleError):
             recover_env_moments(tabulated_witness(), 2)
+
+
+_LAWS_BUT_2 = {0: DirichletLaw([1.0, 1.0]), 1: UniformLaw(1)}
+_ENVS_BUT_2 = {0: DirichletEnv([1.0, 1.0]), 1: PointMassEnv((1.0,))}
+
+
+@pytest.mark.parametrize("name, call", [
+    ("law map", lambda g: enumerate_reinforced(g, _LAWS_BUT_2, 0, 3)),
+    ("environment map", lambda g: enumerate_annealed(g, _ENVS_BUT_2, 0, 3)),
+    ("law map", lambda g: reinforced_path_logprob(g, _LAWS_BUT_2, (0, 2, 0))),
+    ("environment map", lambda g: annealed_path_logprob(g, _ENVS_BUT_2, (0, 1, 0, 2, 0))),
+], ids=["enumerate_reinforced", "enumerate_annealed", "reinforced_path_logprob",
+        "annealed_path_logprob"])
+def test_a_map_that_misses_a_vertex_names_it(name, call):
+    with pytest.raises(DimensionMismatchError, match=f"^{name} misses vertex 2$"):
+        call(star_graph(2))
+
+
+def test_a_map_needs_only_the_vertices_the_move_tree_steps_from():
+    # one step from the center reaches leaf 2 and takes no step from there
+    g = star_graph(2)
+    assert enumerate_reinforced(g, _LAWS_BUT_2, 0, 1).log_probs == pytest.approx(
+        {(0, 1): math.log(0.5), (0, 2): math.log(0.5)})
+    assert enumerate_annealed(g, _ENVS_BUT_2, 0, 1).log_probs == pytest.approx(
+        {(0, 1): math.log(0.5), (0, 2): math.log(0.5)})
+    assert reinforced_path_logprob(g, _LAWS_BUT_2, (0, 1, 0, 2)) == pytest.approx(
+        annealed_path_logprob(g, _ENVS_BUT_2, (0, 1, 0, 2)))

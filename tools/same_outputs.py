@@ -1,4 +1,4 @@
-"""Digest every output of the benchmark's operations, to show two trees write the same bytes.
+"""Digest the outputs of the benchmark's operations and of fixed failure paths, to compare trees.
 
     python3 tools/same_outputs.py --out mine.txt                  # this tree's src/
     python3 tools/same_outputs.py --src OTHER/src --out theirs.txt
@@ -6,16 +6,17 @@
     python3 tools/same_outputs.py --against OTHER/src             # all three in one
 
 Each operation that ``perfbench/workloads.py`` generates for the given
-workloads and seeds runs twice through ``urnwalk.cli.main``, once with
-``--format csv`` and once with ``--format json``, in a fixed working
-directory: the output paths are part of each config hash and summary line,
-so two runs compare only from the same directory.  Each run gives one line:
-workload, seed, format, operation, exit code, a SHA-256 over the exit code,
-every output file (the CSV's metadata sidecar included), stdout and stderr,
-and the operation's label.  ``--diff`` prints the lines that differ between
-two such files and exits 1 if any do.  ``--against`` digests ``--src`` and
-then the other tree, each in its own interpreter and in the same working
-directory, and diffs the two.
+workloads and seeds, and each of the fixed :func:`failures` (configs that
+exit 1 to 4, under the workload name ``failures``), runs twice through
+``urnwalk.cli.main``, once with ``--format csv`` and once with ``--format
+json``, in a fixed working directory: the output paths are part of each
+config hash and summary line, so two runs compare only from the same
+directory.  Each run gives one line: workload, seed, format, operation,
+exit code, a SHA-256 over the exit code, every output file (the CSV's
+metadata sidecar included), stdout and stderr, and the operation's label.
+``--diff`` prints the lines that differ between two such files and exits 1
+if any do.  ``--against`` digests ``--src`` and then the other tree, each in
+its own interpreter and in the same working directory, and diffs the two.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import json
 import subprocess
 import sys
 import tempfile
@@ -31,6 +33,38 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 FORMATS = ("csv", "json")
+
+
+def failures() -> list[tuple[str, str, dict]]:
+    """Failure paths, as (label, command, config): exit 1 from a gap met before
+    a read outside the witness's box and from open squares that cancel along
+    both staircases of the order-3 ball (``tests/open_squares_law.json``), 3
+    from a ``reject`` table walked past its box, 4 from exact compare's path
+    budget, 2 from a config with no ``law`` section."""
+    from workloads import WITNESS_LAW
+
+    open_squares = json.loads((ROOT / "tests" / "open_squares_law.json")
+                              .read_text(encoding="utf-8"))
+    return [
+        ("witness order 3, gap before a read outside its box", "verify-moments",
+         {"law": WITNESS_LAW, "operation": {"order": 3}}),
+        ("witness order 3, gap before a read outside its box", "recover-moments",
+         {"law": WITNESS_LAW, "operation": {"order": 3}}),
+        ("open squares box 2", "check-admissibility",
+         {"law": open_squares, "operation": {"box": 2}}),
+        ("open squares order 3", "verify-moments", {"law": open_squares, "operation": {"order": 3}}),
+        ("open squares order 3", "recover-moments", {"law": open_squares, "operation": {"order": 3}}),
+        ("reject table walked past its box", "simulate",
+         {"graph": {"generator": "star", "leaves": 2}, "seed": 1,
+          "laws": {"default": {"family": "uniform"}, "per_vertex": {"0": WITNESS_LAW}},
+          "operation": {"mode": "reinforced", "steps": 8, "trajectories": 1}}),
+        ("exact compare over max_paths", "compare",
+         {"graph": {"generator": "star", "leaves": 3},
+          "envs": {"default": {"family": "point_mass", "weights": [1.0]},
+                   "per_vertex": {"0": {"family": "dirichlet", "alpha": [1.0, 1.0, 1.0]}}},
+          "operation": {"mode": "exact", "steps": 12, "max_paths": 10}}),
+        ("no law section", "check-admissibility", {"operation": {"box": 2}}),
+    ]
 
 
 def run_once(main, argv: list[str], out: Path) -> tuple[object, str]:
@@ -77,6 +111,16 @@ def digest_lines(workloads: list[str], seeds: list[int], scale: str, src: Path,
                                             out)
                     lines.append(f"{workload} {seed} {fmt} op{n:02d} exit={code} {digest} "
                                  f"{op.label}")
+    opdir = workdir / "failures"
+    opdir.mkdir(parents=True, exist_ok=True)
+    for fmt in FORMATS:
+        for n, (label, command, cfg) in enumerate(failures()):
+            path = opdir / f"op{n:02d}.config.json"
+            path.write_text(json.dumps({"schema": 1, **cfg}), encoding="utf-8")
+            out = opdir / f"op{n:02d}.{fmt}"
+            code, digest = run_once(main, [command, "--config", str(path), "--format", fmt,
+                                           "--out", str(out)], out)
+            lines.append(f"failures - {fmt} op{n:02d} exit={code} {digest} {command} {label}")
     return lines
 
 
