@@ -29,6 +29,7 @@ from .equivalence import (
     compare_distributions,
     compare_empirical,
     enumerate_annealed,
+    enumerate_both,
     enumerate_reinforced,
     recover_env_moments,
     reinforced_path_logprob,

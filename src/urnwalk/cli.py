@@ -14,6 +14,11 @@ Subcommands wire config files to the library:
 * ``recover-moments``     -- dump the environment moment table recovered
                              from an admissible law.
 
+The tolerance τ (``operation.tolerance`` or ``--tolerance``, default 1e-10)
+bounds check-admissibility's square gaps; the gap of each edge from the moment
+table's staircase in verify-moments and recover-moments (squares close within
+4τ), and verify-moments' negativity and mass deviations; exact compare's TV.
+
 Each command is a ``plan_*`` function.  It reads the whole config, so a
 malformed field is a config error raised before any work, and returns its
 run, which only computes a :class:`Result`.  :func:`main` plans, reads the
@@ -72,6 +77,7 @@ from .equivalence import (
     compare_distributions,
     compare_empirical,
     enumerate_annealed,
+    enumerate_both,
     enumerate_reinforced,
     recover_env_moments,
     samples_for_a_cell,
@@ -366,7 +372,7 @@ def plan_verify_moments(cfg: dict, args: argparse.Namespace) -> Callable[[], Res
     corruption = _parse_corruption(getattr(args, "corrupt_entry", None), law.dimension, order)
 
     def run() -> Result:
-        table = recover_env_moments(law, order)
+        table = recover_env_moments(law, order, tolerance)
         for index, value in corruption:
             table = table.with_value(index, value)
         hs = hildebrandt_schoenberg_check(table, tolerance)
@@ -508,19 +514,19 @@ def plan_compare(cfg: dict, args: argparse.Namespace) -> Callable[[], Result]:
             raise ConfigError(f"operation.quantile must be a number in (0, 1), got {quantile!r}")
 
     def run() -> Result:
-        annealed = enumerate_annealed(graph, envs, x0, steps, max_paths)
-        pb = annealed.probabilities
         if mode == "exact":
-            reinforced = enumerate_reinforced(graph, laws, x0, steps, max_paths)
+            reinforced, annealed = enumerate_both(graph, laws, envs, x0, steps, max_paths)
             report = compare_distributions(reinforced, annealed)
             passed = report.total_variation <= tolerance
             extra = {"tolerance": tolerance}
             header = ["path", "reinforced", "annealed"]
-            pa = reinforced.probabilities
+            pa, pb = reinforced.probabilities, annealed.probabilities
             rows = [["-".join(map(str, t)), pa[t], pb[t]] for t in sorted(pa)]
             summary = (f"exact compare: TV={report.total_variation:.3e}, "
                        f"max gap={report.max_abs_gap:.3e}")
         else:
+            annealed = enumerate_annealed(graph, envs, x0, steps, max_paths)
+            pb = annealed.probabilities
             needed = samples_for_a_cell(annealed)
             if len(pb) > 1 and samples < needed:
                 raise ConfigError(
@@ -574,9 +580,10 @@ def plan_derive_law(cfg: dict, args: argparse.Namespace) -> Callable[[], Result]
 def plan_recover_moments(cfg: dict, args: argparse.Namespace) -> Callable[[], Result]:
     law = _law(cfg, "recover-moments")
     order = _op_int(cfg, "order", 8, minimum=0)
+    tolerance = _tolerance(cfg)
 
     def run() -> Result:
-        table = recover_env_moments(law, order)
+        table = recover_env_moments(law, order, tolerance)
         return _table_result(table, {"order": order, "dimension": table.dimension},
                              f"wrote moment table to order {order} to {{out}}")
 

@@ -1,13 +1,16 @@
 """Exact and statistical comparison of reinforced and annealed walk laws.
 
-Both exact laws come from one depth-first traversal of the move tree over
-per-vertex move counts shared by all branches, with one of two scorers:
-``_Reinforced`` adds the law's log weight of each move at the counts so far;
-``_Annealed`` adds nothing per move and at a leaf sums each vertex's log mixed
-moment at its final counts (environments are independent across vertices, so
-the average factorizes), read from the environment's memo, which an induced
-``EnvMomentLaw`` on the same environment reads too.  The whole tree gives the
-law of the length-T trajectories; the moves realizing one vertex sequence,
+Both exact laws are scores on one move tree, walked depth first in one pass
+over per-vertex move counts shared by all branches.  Environments are
+independent across vertices, so a move sequence has annealed log probability
+``sum_x log m_x(c_x)`` at its final counts, and the induced law steps by
+``m_x(c + e_i) / m_x(c)``.  At each distinct (vertex, counts) node the pass
+reads one row, once per call and as a function of the vertex and its counts
+alone (so a state DP over them can reuse it): the law's log weights and the
+environment's child log moments ``log m_x(c + e_i)``, from the memo that an
+induced ``EnvMomentLaw`` reads too.  It carries the reinforced log sum and
+the log moment of each vertex left so far; a leaf records the sum and the
+``math.fsum`` of the moments.  The moves realizing one vertex sequence,
 summed over parallel moves on multigraphs, give that trajectory's
 probability.  Sampled trajectories are tested against an exact reference by
 total variation and a pooled chi-square statistic.
@@ -17,14 +20,14 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
 
+from .admissibility import DEFAULT_TOLERANCE
 from .errors import EnumerationGuardError
-from .laws import ReinforcementLaw, log_sum_exp
+from .laws import Counts, ReinforcementLaw, log_sum_exp
 from .environment import VertexEnvLaw
 from .moments import MomentTable, build_moment_table
 from .walk import Graph, Trajectory, _at, _check_start
@@ -45,15 +48,14 @@ class PathDistribution:
     x0: int
     steps: int
     log_probs: Mapping[Trajectory, float]
+    probabilities: dict[Trajectory, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        total = math.fsum(math.exp(lp) for lp in self.log_probs.values())
+        probabilities = {t: math.exp(lp) for t, lp in self.log_probs.items()}
+        total = math.fsum(probabilities.values())
         if not abs(total - 1.0) <= SUM_TOLERANCE:
             raise ValueError(f"path probabilities sum to {total!r}, not 1")
-
-    @cached_property
-    def probabilities(self) -> dict[Trajectory, float]:
-        return {t: math.exp(lp) for t, lp in self.log_probs.items()}
+        object.__setattr__(self, "probabilities", probabilities)
 
     @property
     def support(self) -> frozenset[Trajectory]:
@@ -91,75 +93,69 @@ def _validate_trajectory(graph: Graph, trajectory: Sequence[int]) -> None:
             raise ValueError(f"trajectory step {x}->{y} is not a graph edge")
 
 
-class _Reinforced:
-    """Scorer of the reinforced walk: the step rule's log weights, added per move."""
-
-    def __init__(self, laws: Mapping[int, ReinforcementLaw]) -> None:
-        self.laws = laws
-
-    def step(self, x: int, at_x: list[int]) -> list[float]:
-        return np.asarray(self.laws[x].log_weights(tuple(at_x)), dtype=float).tolist()
-
-    def leaf(self, logp: float, counts: Mapping[int, list[int]]) -> float:
-        return logp
-
-
-class _Annealed:
-    """Scorer of the annealed walk: nothing per move, the mixed moments at the leaf."""
-
-    def __init__(self, envs: Mapping[int, VertexEnvLaw]) -> None:
-        self.envs = envs
-
-    def step(self, x: int, at_x: list[int]) -> list[float]:
-        return [0.0] * len(at_x)
-
-    def leaf(self, logp: float, counts: Mapping[int, list[int]]) -> float:
-        # counts is shared across branches: skip vertices only other paths left
-        return math.fsum(
-            self.envs[x]._memo_log_moment(tuple(c)) for x, c in counts.items() if any(c)
-        )
-
-
 def _enumerate(
-    graph: Graph, x0: int, steps: int, scorer: _Reinforced | _Annealed,
-    follow: Sequence[int] | None = None,
-) -> dict[Trajectory, list[float]]:
-    """Scorer leaf values of all move-index sequences of length ``steps`` from x0,
-    per trajectory in traversal order; with ``follow``, of those realizing it."""
-    acc: dict[Trajectory, list[float]] = {}
+    graph: Graph, x0: int, steps: int, laws: Mapping[int, ReinforcementLaw] | None,
+    envs: Mapping[int, VertexEnvLaw] | None, follow: Sequence[int] | None = None,
+) -> tuple[dict[Trajectory, list[float]], dict[Trajectory, list[float]]]:
+    """Reinforced and annealed log probabilities of all move-index sequences of
+    length ``steps`` from x0, per trajectory in traversal order; a law whose map
+    is None reads nothing and scores 0.  With ``follow``, of those realizing it."""
+    reinforced: dict[Trajectory, list[float]] = {}
+    annealed: dict[Trajectory, list[float]] = {}
+    rows: dict[tuple[int, Counts], tuple[list[float], list[float]]] = {}
     counts: dict[int, list[int]] = {}
+    moments: dict[int, float] = {}  # log moment of each vertex left, at its counts
     path = [x0]
-    step, leaf = scorer.step, scorer.leaf
 
     def descend(depth: int, logp: float) -> None:
         if depth == steps:
-            acc.setdefault(tuple(path), []).append(leaf(logp, counts))
+            t = tuple(path)
+            reinforced.setdefault(t, []).append(logp)
+            annealed.setdefault(t, []).append(math.fsum(moments.values()))
             return
         x = path[-1]
         at_x = counts.setdefault(x, [0] * graph.degree(x))
-        log_w = step(x, at_x)
+        c = tuple(at_x)
+        row = rows.get((x, c))
+        if row is None:
+            child = [0.0] * len(c) if envs is None else [
+                envs[x]._memo_log_moment(c[:i] + (c[i] + 1,) + c[i + 1 :]) for i in range(len(c))]
+            log_w = [0.0] * len(c) if laws is None else np.asarray(
+                laws[x].log_weights(c), dtype=float).tolist()
+            row = rows[x, c] = (log_w, child)
+        log_w, child = row
+        before = moments.get(x)
         targets = graph.neighbors[x]
         moves = graph.move_indices(x, follow[depth + 1]) if follow else range(len(targets))
         for i in moves:
             at_x[i] += 1
             path.append(targets[i])
+            moments[x] = child[i]
             descend(depth + 1, logp + log_w[i])
             path.pop()
             at_x[i] -= 1
+        if before is None:
+            moments.pop(x, None)
+        else:
+            moments[x] = before
 
     descend(0, 0.0)
-    return acc
+    return reinforced, annealed
 
 
-def _path_logprob(
-    graph: Graph, trajectory: Sequence[int], maps: Mapping, name: str,
-    scorer: _Reinforced | _Annealed,
-) -> float:
+def _distribution(x0: int, steps: int, acc: Mapping[Trajectory, list[float]]) -> PathDistribution:
+    return PathDistribution(x0, steps, {t: log_sum_exp(lps) for t, lps in acc.items()})
+
+
+def _path_logprob(graph: Graph, trajectory: Sequence[int], laws: Mapping | None,
+                  envs: Mapping | None) -> float:
     _validate_trajectory(graph, trajectory)
     traj = tuple(trajectory)
+    maps, name = (laws, "law map") if envs is None else (envs, "environment map")
     for x in traj[:-1]:
         _at(maps, x, name)
-    return log_sum_exp(_enumerate(graph, traj[0], len(traj) - 1, scorer, traj)[traj])
+    reinforced, annealed = _enumerate(graph, traj[0], len(traj) - 1, laws, envs, traj)
+    return log_sum_exp((annealed if laws is None else reinforced)[traj])
 
 
 def reinforced_path_logprob(
@@ -172,7 +168,7 @@ def reinforced_path_logprob(
     Sums over all move-index sequences consistent with the vertex sequence
     (one sequence unless the graph has parallel moves).
     """
-    return _path_logprob(graph, trajectory, laws, "law map", _Reinforced(laws))
+    return _path_logprob(graph, trajectory, laws, None)
 
 
 def annealed_path_logprob(
@@ -186,7 +182,20 @@ def annealed_path_logprob(
     over vertices of the environment's mixed moment at the accumulated move
     counts; parallel-move ambiguity again sums over index sequences.
     """
-    return _path_logprob(graph, trajectory, envs, "environment map", _Annealed(envs))
+    return _path_logprob(graph, trajectory, None, envs)
+
+
+def enumerate_both(
+    graph: Graph,
+    laws: Mapping[int, ReinforcementLaw],
+    envs: Mapping[int, VertexEnvLaw],
+    x0: int,
+    steps: int,
+    max_paths: int = DEFAULT_MAX_PATHS,
+) -> tuple[PathDistribution, PathDistribution]:
+    """Exact laws of the length-T reinforced and annealed walks from one traversal."""
+    _check_enumeration(graph, ((envs, "environment map"), (laws, "law map")), x0, steps, max_paths)
+    return tuple(_distribution(x0, steps, acc) for acc in _enumerate(graph, x0, steps, laws, envs))
 
 
 def enumerate_reinforced(
@@ -197,9 +206,8 @@ def enumerate_reinforced(
     max_paths: int = DEFAULT_MAX_PATHS,
 ) -> PathDistribution:
     """Exact law of the length-T reinforced walk by move-tree traversal."""
-    _check_enumeration(graph, laws, "law map", x0, steps, max_paths)
-    acc = _enumerate(graph, x0, steps, _Reinforced(laws))
-    return PathDistribution(x0, steps, {t: log_sum_exp(lps) for t, lps in acc.items()})
+    _check_enumeration(graph, ((laws, "law map"),), x0, steps, max_paths)
+    return _distribution(x0, steps, _enumerate(graph, x0, steps, laws, None)[0])
 
 
 def enumerate_annealed(
@@ -210,16 +218,15 @@ def enumerate_annealed(
     max_paths: int = DEFAULT_MAX_PATHS,
 ) -> PathDistribution:
     """Exact law of the length-T annealed walk from per-vertex mixed moments."""
-    _check_enumeration(graph, envs, "environment map", x0, steps, max_paths)
-    acc = _enumerate(graph, x0, steps, _Annealed(envs))
-    return PathDistribution(x0, steps, {t: log_sum_exp(lps) for t, lps in acc.items()})
+    _check_enumeration(graph, ((envs, "environment map"),), x0, steps, max_paths)
+    return _distribution(x0, steps, _enumerate(graph, x0, steps, None, envs)[1])
 
 
-def _check_enumeration(graph: Graph, maps: Mapping, name: str, x0: int, steps: int,
+def _check_enumeration(graph: Graph, maps: Sequence[tuple[Mapping, str]], x0: int, steps: int,
                        max_paths: int) -> None:
-    """Check the start, that ``maps`` has every vertex the move tree steps from
-    (those reachable in fewer than ``steps`` moves) and the exact number of
-    move-index sequences against ``max_paths``."""
+    """Check the start, that each named map of ``maps``, in turn at each vertex, has
+    every vertex the move tree steps from (those reachable in fewer than ``steps``
+    moves), and the exact number of move-index sequences against ``max_paths``."""
     _check_start(graph, x0)
     if steps < 0:
         raise ValueError("steps must be non-negative")
@@ -227,7 +234,8 @@ def _check_enumeration(graph: Graph, maps: Mapping, name: str, x0: int, steps: i
     for _ in range(steps):
         nxt: dict[int, int] = {}
         for x, mult in weights.items():
-            _at(maps, x, name)
+            for m, name in maps:
+                _at(m, x, name)
             for y in graph.neighbors[x]:
                 nxt[y] = nxt.get(y, 0) + mult
         weights = nxt
@@ -242,7 +250,7 @@ def compare_distributions(
     a: PathDistribution, b: PathDistribution
 ) -> ComparisonReport:
     """Total variation and largest per-path gap between two exact laws."""
-    if a.support != b.support:
+    if a.log_probs.keys() != b.log_probs.keys():
         raise ValueError("distributions enumerate different trajectory supports")
     pa = a.probabilities
     pb = b.probabilities
@@ -309,15 +317,17 @@ def samples_for_a_cell(reference: PathDistribution) -> int:
     return n
 
 
-def recover_env_moments(law: ReinforcementLaw, order: int) -> MomentTable:
+def recover_env_moments(law: ReinforcementLaw, order: int,
+                        tolerance: float = DEFAULT_TOLERANCE) -> MomentTable:
     """Mixed-moment table of the unique environment inducing the law.
 
     This is the constructive side of annealed-determines-quenched: two
     environment laws with the same annealed walk have the same reinforcement
     law, hence identical moment tables at every order.  Raises
-    :class:`~urnwalk.errors.NotAdmissibleError` when the law is not closed
-    on the ball (see :func:`~urnwalk.moments.build_moment_table`).  A table
-    that passes need not come from an environment: its positivity is the
+    :class:`~urnwalk.errors.NotAdmissibleError` when an edge of the ball
+    misses the table by more than ``tolerance`` (see
+    :func:`~urnwalk.moments.build_moment_table`).  A table that passes need
+    not come from an environment: its positivity is the
     Hildebrandt-Schoenberg scan that ``verify-moments`` runs on it.
     """
-    return build_moment_table(law, order)
+    return build_moment_table(law, order, tolerance)

@@ -160,20 +160,22 @@ class HSReport:
         }
 
 
-def build_moment_table(law: ReinforcementLaw, order: int) -> MomentTable:
+def build_moment_table(law: ReinforcementLaw, order: int,
+                       tolerance: float = DEFAULT_TOLERANCE) -> MomentTable:
     """Build ``v_k`` for ``|k| <= order`` from monotone path products.
 
     Each value is computed along the staircase path (all moves in direction
     0 first, then direction 1, ...), and every other edge into ``k`` must
     agree with it: ``|v_k - v_{k-e_i} - log w_i(k-e_i)|`` above
-    :data:`~urnwalk.admissibility.DEFAULT_TOLERANCE` raises
+    ``tolerance`` (τ, checked by
+    :func:`~urnwalk.admissibility.validate_tolerance`) raises
     :class:`NotAdmissibleError`.  So every elementary square of the ball
-    closes within 4 tolerances, and every monotone path to ``k`` agrees
-    with the staircase within ``|k|`` of them.  At each ``k`` the
-    staircase's edge is read first, and each count vector's log weights
-    once, in ball order, so a gap is met before an evaluation error at a
-    later count vector.
+    closes within 4τ, and every monotone path to ``k`` agrees with the
+    staircase within ``|k|`` τ.  At each ``k`` the staircase's edge is read
+    first, and each count vector's log weights once, in ball order, so a
+    gap is met before an evaluation error at a later count vector.
     """
+    validate_tolerance(tolerance)
     if order < 0:
         raise ValueError("order must be non-negative")
     d = law.dimension
@@ -192,7 +194,7 @@ def build_moment_table(law: ReinforcementLaw, order: int) -> MomentTable:
         stair[k] = edge(k, hi)
         for i in others:
             gap = stair[k] - edge(k, i)
-            if abs(gap) > DEFAULT_TOLERANCE:
+            if abs(gap) > tolerance:
                 raise NotAdmissibleError(
                     f"path products to {k} disagree by {gap:.3e} in log space; "
                     "the law is not admissible on this ball"

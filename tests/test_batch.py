@@ -365,6 +365,18 @@ class TestMomentTable:
                                                      r"disagree by 3\.000e-01 in log space"):
             build_moment_table(law, 3)
 
+    def test_the_edge_tolerance_is_the_callers(self):
+        law = open_squares_law()
+        # every edge of the order-3 ball misses the staircase by at most 0.3
+        assert build_moment_table(law, 3, tolerance=1.0).log_values == staircase_oracle(law, 3)
+        # at 0 a rounding gap is met before the open square at (1, 1, 1)
+        with pytest.raises(NotAdmissibleError, match=r"^path products to \(0, 1, 1\) "
+                                                     r"disagree by -4\.441e-16"):
+            build_moment_table(law, 3, tolerance=0.0)
+        for bad in (math.nan, math.inf, -1e-12):
+            with pytest.raises(ValueError, match="tolerance must be finite and >= 0"):
+                build_moment_table(law, 3, tolerance=bad)
+
     @given(case=perturbed_dirichlet_tables())
     @settings(max_examples=200, deadline=None)
     def test_a_table_that_builds_closes_every_square_of_its_ball(self, case):

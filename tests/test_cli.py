@@ -1110,6 +1110,11 @@ class TestDeriveLawBatch:
         assert main([command, "--config", cfg]) == 1
 
 
+#: The commands that certify closedness, with the operation that sizes each.
+CERTIFYING = [("check-admissibility", {"box": 2}), ("verify-moments", {"order": 3}),
+              ("recover-moments", {"order": 3})]
+
+
 class TestOpenSquaresLaw:
     """Every command that certifies closedness fails on a law whose open squares
     cancel along both staircases."""
@@ -1124,6 +1129,23 @@ class TestOpenSquaresLaw:
             "not admissible: path products to (1, 1, 1) disagree by 3.000e-01 in log "
             "space; the law is not admissible on this ball\n")
         assert not out.exists()
+
+    @pytest.mark.parametrize("command, operation", CERTIFYING)
+    def test_all_three_commands_pass_at_tolerance_1(self, tmp_path, command, operation):
+        # every edge of the order-3 ball misses the staircase by at most 0.3
+        payload = {"law": OPEN_SQUARES_LAW, "operation": operation}
+        assert _run(tmp_path, command, payload, "--tolerance", "1") == 0
+
+    @pytest.mark.parametrize("command, operation", CERTIFYING)
+    def test_all_three_commands_fail_a_rounding_gap_at_tolerance_0(self, tmp_path, capsys,
+                                                                    command, operation):
+        payload = {"law": OPEN_SQUARES_LAW, "operation": {**operation, "tolerance": 0}}
+        assert _run(tmp_path, command, payload) == 1
+        assert capsys.readouterr().err == {
+            "check-admissibility": "not admissible: 16 violation(s); first at p=(0, 0, 0) "
+                                   "(i=0, j=2) gap=-4.44089e-16\n",
+        }.get(command, "not admissible: path products to (0, 1, 1) disagree by -4.441e-16 "
+                       "in log space; the law is not admissible on this ball\n")
 
     def test_check_admissibility_lists_the_open_squares(self, tmp_path):
         out = tmp_path / "r.json"
@@ -1641,7 +1663,8 @@ WORK_AFTER_OUTPUT = {
 
 #: Every name in ``cli`` that does a command's work, rather than read its config.
 WORK = ("check_admissible", "recover_env_moments", "hildebrandt_schoenberg_check",
-        "simplex_mass", "enumerate_annealed", "enumerate_reinforced", "compare_distributions",
+        "simplex_mass", "enumerate_annealed", "enumerate_both", "enumerate_reinforced",
+        "compare_distributions",
         "compare_empirical", "lockstep_pays", "run_reinforced", "run_quenched", "run_annealed",
         "run_many_reinforced", "run_many_quenched", "run_many_annealed", "stream_generators",
         "make_stream", "sample_environment", "check_simplex_rows")

@@ -1,6 +1,7 @@
 """Reinforced vs annealed path laws: exact identities and statistics."""
 
 import math
+import types
 from itertools import product
 
 import numpy as np
@@ -24,6 +25,7 @@ from urnwalk import (
     compare_empirical,
     cycle_graph,
     enumerate_annealed,
+    enumerate_both,
     enumerate_reinforced,
     law_from_env,
     recover_env_moments,
@@ -32,6 +34,7 @@ from urnwalk import (
     star_graph,
     tabulated_witness,
 )
+from urnwalk import equivalence
 from urnwalk.moments import ball_indices
 
 
@@ -157,6 +160,22 @@ class TestPathDistribution:
         with pytest.raises(ValueError, match="sum to"):
             PathDistribution(0, 1, log_probs)
 
+    def test_each_path_is_exponentiated_once(self, monkeypatch):
+        exps = []
+
+        def exp(x):
+            exps.append(x)
+            return math.exp(x)
+
+        monkeypatch.setattr(equivalence, "math", types.SimpleNamespace(**{
+            **{name: getattr(math, name) for name in dir(math) if not name.startswith("_")},
+            "exp": exp}))
+        log_probs = {(0, 1): math.log(0.25), (0, 2): math.log(0.75)}
+        a, b = PathDistribution(0, 1, log_probs), PathDistribution(0, 1, dict(log_probs))
+        assert compare_distributions(a, b).total_variation == 0.0
+        assert a.probabilities == {t: math.exp(lp) for t, lp in log_probs.items()}
+        assert len(exps) == 4
+
 
 class TestCompare:
     def test_identical_distributions(self):
@@ -258,6 +277,7 @@ class TestRecoverEnvMoments:
 
 _LAWS_BUT_2 = {0: DirichletLaw([1.0, 1.0]), 1: UniformLaw(1)}
 _ENVS_BUT_2 = {0: DirichletEnv([1.0, 1.0]), 1: PointMassEnv((1.0,))}
+_ENVS = {**_ENVS_BUT_2, 2: PointMassEnv((1.0,))}
 
 
 @pytest.mark.parametrize("name, call", [
@@ -265,8 +285,11 @@ _ENVS_BUT_2 = {0: DirichletEnv([1.0, 1.0]), 1: PointMassEnv((1.0,))}
     ("environment map", lambda g: enumerate_annealed(g, _ENVS_BUT_2, 0, 3)),
     ("law map", lambda g: reinforced_path_logprob(g, _LAWS_BUT_2, (0, 2, 0))),
     ("environment map", lambda g: annealed_path_logprob(g, _ENVS_BUT_2, (0, 1, 0, 2, 0))),
+    ("law map", lambda g: enumerate_both(g, _LAWS_BUT_2, _ENVS, 0, 3)),
+    # the environment map is checked first
+    ("environment map", lambda g: enumerate_both(g, _LAWS_BUT_2, _ENVS_BUT_2, 0, 3)),
 ], ids=["enumerate_reinforced", "enumerate_annealed", "reinforced_path_logprob",
-        "annealed_path_logprob"])
+        "annealed_path_logprob", "enumerate_both_laws", "enumerate_both_envs"])
 def test_a_map_that_misses_a_vertex_names_it(name, call):
     with pytest.raises(DimensionMismatchError, match=f"^{name} misses vertex 2$"):
         call(star_graph(2))

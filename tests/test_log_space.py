@@ -33,6 +33,7 @@ from urnwalk.environment import (
 from urnwalk.equivalence import (
     annealed_path_logprob,
     enumerate_annealed,
+    enumerate_both,
     enumerate_reinforced,
     reinforced_path_logprob,
 )
@@ -477,13 +478,17 @@ def oracle_annealed(graph, envs, x0, steps):
 @pytest.mark.parametrize("name", sorted(ENUMERATION_CASES))
 def test_enumeration_and_path_laws_match_brute_force_oracle_bitwise(name, steps):
     graph, laws, envs = ENUMERATION_CASES[name]
-    for enumerate_law, path_logprob, oracle, spec in (
-        (enumerate_reinforced, reinforced_path_logprob, oracle_reinforced, laws),
-        (enumerate_annealed, annealed_path_logprob, oracle_annealed, envs),
+    both = enumerate_both(graph, laws, envs, 0, steps)
+    for enumerate_law, path_logprob, oracle, spec, fused in (
+        (enumerate_reinforced, reinforced_path_logprob, oracle_reinforced, laws, both[0]),
+        (enumerate_annealed, annealed_path_logprob, oracle_annealed, envs, both[1]),
     ):
         expected = oracle(graph, spec, 0, steps)
         law = enumerate_law(graph, spec, 0, steps)
         assert set(law.log_probs) == set(expected)
+        # the one traversal of both laws lists the trajectories in the same order
+        assert list(fused.log_probs) == list(law.log_probs)
         for t, lp in expected.items():
             assert same_bits(law.log_probs[t], lp), (enumerate_law.__name__, t)
+            assert same_bits(fused.log_probs[t], lp), ("enumerate_both", t)
             assert same_bits(path_logprob(graph, spec, t), lp), (path_logprob.__name__, t)

@@ -1,5 +1,6 @@
 """The per-law memo of public log weights, and the bound on every per-law memo."""
 
+import json
 from collections import Counter
 from functools import wraps
 from itertools import product
@@ -18,9 +19,14 @@ from urnwalk import (
     enumerate_reinforced,
     tabulated_witness,
 )
-from urnwalk import laws
+from urnwalk import cli, laws
 from urnwalk.catalog import POLY_QUADRATIC_3D
-from urnwalk.environment import DirichletEnv, PolynomialDirichletEnv, law_from_env
+from urnwalk.environment import (
+    DirichletEnv,
+    EnvMomentLaw,
+    PolynomialDirichletEnv,
+    law_from_env,
+)
 from urnwalk.errors import DimensionMismatchError, EvaluationError
 from urnwalk.laws import DirichletLaw, PolynomialDirichletLaw, ReinforcementLaw, UniformLaw
 from urnwalk.walk import cycle_graph, grid_graph, run_reinforced, star_graph
@@ -248,6 +254,35 @@ def test_an_exact_compare_with_induced_laws_evaluates_each_moment_once(monkeypat
     assert compare_distributions(reinforced, annealed).total_variation < 1e-12
     # both walks read one memo per environment: no (environment, counts) twice
     assert len(calls) > 50 and set(calls.values()) == {1}
+
+
+@pytest.mark.parametrize("graph, steps, reads", [
+    (star_graph(3), 12, 74),
+    (grid_graph(3, 3), 8, 100),
+], ids=["star-3", "grid-3x3"])
+def test_an_exact_compare_reads_each_law_row_once(tmp_path, monkeypatch, graph, steps, reads):
+    # the move tree revisits (vertex, counts) nodes: 1,456 on the star and 1,609 on
+    # the grid, where a compare read the law at each of them
+    public = Counter()
+    original = EnvMomentLaw.__dict__["log_weights"]
+
+    @wraps(original)
+    def counting(self, counts):
+        public[id(self), tuple(counts)] += 1
+        return original(self, counts)
+
+    # wrapped on the class, where a tracer wraps it
+    monkeypatch.setattr(EnvMomentLaw, "log_weights", counting)
+    envs = {str(x): {"family": "dirichlet", "alpha": [1.0 + i for i in range(graph.degree(x))]}
+            for x in range(graph.vertex_count)}
+    spec = {"vertices": graph.vertex_count, "adjacency": [list(row) for row in graph.neighbors]}
+    config = tmp_path / "compare.json"
+    config.write_text(json.dumps({
+        "schema": 1, "graph": spec, "envs": {"per_vertex": envs},
+        "operation": {"mode": "exact", "steps": steps},
+        "output": {"path": str(tmp_path / "out.json")}}), encoding="utf-8")
+    assert cli.main(["compare", "--config", str(config)]) == 0
+    assert sum(public.values()) == len(public) == reads
 
 
 def test_the_moment_memo_keeps_no_counts_it_rejects():
