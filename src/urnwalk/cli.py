@@ -92,6 +92,8 @@ from .errors import (
 from .laws import check_simplex_rows, log_lower_gamma, regularised_gamma
 from .moments import check_entry, hildebrandt_schoenberg_check, simplex_mass
 from .walk import (
+    ENVIRONMENT_STREAM,
+    STREAM_LAYOUT,
     lockstep_pays,
     make_stream,
     run_annealed,
@@ -116,8 +118,12 @@ EXIT_GUARD = 4
 #: chi-square threshold is computed in the package (no scipy), and a log
 #: rising factorial past ``laws.RISING_TABLE_CAP`` is a difference of
 #: Stirling forms, not of log-gammas.  4: empirical compare decides by, and
-#: records, the ``p_value`` of its statistic (:func:`chi_square_test`).
-NUMERICS = 4
+#: records, the ``p_value`` of its statistic (:func:`chi_square_test`).  5: a
+#: run's streams are numpy's Philox (:data:`~urnwalk.walk.STREAM_LAYOUT`,
+#: recorded in the ``meta`` of simulate and empirical compare), a frozen
+#: environment draws from its own stream, and Dirichlet environments are drawn
+#: from the logs of their gamma draws (:meth:`~urnwalk.environment.DirichletEnv.sample`).
+NUMERICS = 5
 
 #: Most count vectors derive-law tabulates, the default ``max_paths`` of exact compare.
 MAX_DERIVE_ROWS = DEFAULT_MAX_PATHS
@@ -409,10 +415,13 @@ def _quenched_assignment(cfg: Mapping, op: Mapping, graph) -> Callable[[], tuple
             "operation.env_seed to sample-and-freeze"
         )
     env_seed = config_int(op["env_seed"], "operation.env_seed", minimum=0)
+    if env_seed >= 2**64:
+        raise ConfigError(f"operation.env_seed must be an unsigned 64-bit integer, "
+                          f"got {op['env_seed']!r}")
     envs = resolve_per_vertex(graph, cfg["envs"], env_from_spec, "envs")
 
     def freeze() -> tuple[dict, dict]:
-        assignment = sample_environment(graph, envs, make_stream(env_seed))
+        assignment = sample_environment(graph, envs, make_stream(env_seed, ENVIRONMENT_STREAM))
         frozen = {str(x): list(p.weights) for x, p in sorted(assignment.items())}
         return assignment, {"assignment_source": "sampled", "env_seed": env_seed,
                             "assignment": frozen}
@@ -457,7 +466,8 @@ def plan_simulate(cfg: dict, args: argparse.Namespace) -> Callable[[], Result]:
     def run() -> Result:
         maps, extra = environment()
         rows = list(_runs(mode, graph, maps, x0, steps, seed, count))
-        meta = {"mode": mode, "steps": steps, "trajectories": count, "start": x0, **extra}
+        meta = {"mode": mode, "steps": steps, "trajectories": count, "start": x0,
+                "rng_layout": STREAM_LAYOUT, **extra}
         return Result(meta, [f"v{t}" for t in range(steps + 1)], rows, "trajectories",
                       f"wrote {count} {mode} trajectories of {steps} steps to {{out}}")
 
@@ -538,7 +548,7 @@ def plan_compare(cfg: dict, args: argparse.Namespace) -> Callable[[], Result]:
             report = compare_empirical(observed, annealed)
             statistic, dof = report.chi_square
             passed, p_value = chi_square_test(statistic, dof, quantile)
-            extra = {"quantile": quantile, "p_value": p_value}
+            extra = {"quantile": quantile, "p_value": p_value, "rng_layout": STREAM_LAYOUT}
             header = ["path", "annealed", "observed"]
             rows = [["-".join(map(str, t)), pb[t], observed.get(t, 0)] for t in sorted(pb)]
             summary = (f"empirical compare: chi2={statistic:.3f} (dof={dof}, "

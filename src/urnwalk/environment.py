@@ -27,9 +27,10 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatchError, EvaluationError
+from .errors import DimensionMismatchError
 from .laws import (
     BATCH_ELEMENTS,
+    MIN_WEIGHT,
     Counts,
     LogRisingTable,
     ReinforcementLaw,
@@ -47,8 +48,8 @@ from .laws import (
     validate_polynomial_coefficients,
 )
 
-#: Resampling limit when a normalized gamma draw underflows to zero.
-_MAX_REDRAWS = 100
+#: The least positive float, which stands for a gamma draw that rounded to 0.
+_LEAST_FLOAT = math.ulp(0.0)
 
 
 class VertexEnvLaw:
@@ -115,17 +116,27 @@ class DirichletEnv(VertexEnvLaw):
         return row_sums(logs[:, :-1]) - logs[:, -1]
 
     def sample(self, rng: np.random.Generator) -> SimplexPoint:
-        for _ in range(_MAX_REDRAWS):
-            # the draws of rng.gamma(shape=alpha), whose scale 1.0 multiplies exactly:
-            # one scalar call per coordinate, as an array shape costs numpy an
-            # argument check that takes longer than the draws
-            draws = [rng.standard_gamma(a) for a in self.alpha]
-            total = sum_as_numpy(draws)
-            if total > 0:
-                point = tuple([g / total for g in draws])
-                if all(w > 0 for w in point):
-                    return SimplexPoint(point)
-        raise EvaluationError("gamma sampling kept underflowing to zero")
+        """One Dirichlet draw, from the logs of its gamma draws.
+
+        Coordinate i takes ``log(standard_gamma(alpha_i))``, or for
+        ``alpha_i < 1``, where a gamma draw can underflow, Marsaglia and
+        Tsang's (2000) boost ``log G + log(1 - U) / alpha_i`` with ``G`` a
+        ``Gamma(alpha_i + 1)`` draw and then ``U`` a uniform.  The point is
+        their exponentials shifted by the largest log and normalised.  A
+        weight below :data:`~urnwalk.laws.MIN_WEIGHT` is raised to it: its
+        true value is below 1e-300, which no 53-bit uniform tells apart.
+        """
+        # one scalar call per coordinate, as an array shape costs numpy an
+        # argument check that takes longer than the draws; a gamma draw of shape 1
+        # (an exponential) can round to 0, and counts as the least positive float
+        logs = [math.log(rng.standard_gamma(a + 1.0) or _LEAST_FLOAT)
+                + math.log(1.0 - rng.random()) / a
+                if a < 1.0 else math.log(rng.standard_gamma(a) or _LEAST_FLOAT)
+                for a in self.alpha]
+        top = max(logs)
+        shifted = [math.exp(v - top) for v in logs]
+        total = sum_as_numpy(shifted)
+        return SimplexPoint(tuple([max(w / total, MIN_WEIGHT) for w in shifted]))
 
     def __repr__(self) -> str:
         return f"DirichletEnv(alpha={self.alpha})"

@@ -11,18 +11,20 @@ quenched walk in it.
 
 All sampling takes an explicit ``numpy.random.Generator``.  Trajectory
 ``i`` of a run with seed ``s`` draws from the stream :func:`make_stream`
-gives for ``(s, i)``.  Many trajectories get their streams from
-:func:`stream_generators`, which re-states one shared generator to each
-stream's exact starting state instead of seeding a new generator per
-trajectory; the states of a block of streams come from one array pass.
-Each step uses one uniform variate and inverse CDF over the ordered
-neighbor list.  The runs draw their step uniforms from the trajectory's
-stream in blocks of :data:`UNIFORM_BLOCK`; a block holds the same numbers
-as that many one-at-a-time draws, so runs are reproducible bit-for-bit for
-a fixed seed.  A reinforced step asks the vertex's law for its weights at
-the current counts; the laws memoise those per count vector (see
-:class:`urnwalk.laws.ReinforcementLaw`), so trajectories that revisit a
-count vector evaluate it once.
+gives for ``(s, i)``: numpy's counter-based Philox4x64-10 keyed by ``s``,
+whose counter ``(j, 0, i, 0)`` gives the stream's ``j``-th block of four
+64-bit words (Salmon et al. 2011, "Parallel random numbers: as easy as 1,
+2, 3"); :data:`STREAM_LAYOUT` names that layout in the outputs.  Many
+trajectories get their streams from :func:`stream_generators`, which points
+one shared generator at each stream's counter instead of building a
+generator per trajectory.  Each step uses one uniform variate and inverse
+CDF over the ordered neighbor list.  The runs draw their step uniforms from
+the trajectory's stream in blocks of :data:`UNIFORM_BLOCK`; a block holds
+the same numbers as that many one-at-a-time draws, so runs are reproducible
+bit-for-bit for a fixed seed.  A reinforced step asks the vertex's law for
+its weights at the current counts; the laws memoise those per count vector
+(see :class:`urnwalk.laws.ReinforcementLaw`), so trajectories that revisit
+a count vector evaluate it once.
 
 A trajectory's draws all precede its first step: the annealed walk's
 environment, then exactly ``steps`` uniforms, and no draw depends on where
@@ -67,21 +69,11 @@ Trajectory = tuple[int, ...]
 #: Step uniforms drawn from the generator at once: few calls, bounded memory.
 UNIFORM_BLOCK = 4096
 
-#: Streams whose generator states :func:`stream_generators` derives in one array pass.
-STREAM_BLOCK = 4096
+#: The streams of :func:`make_stream`, as the outputs record them.
+STREAM_LAYOUT = "philox4x64-10 key=seed counter=(block, 0, stream, 0)"
 
-# the constants of numpy's SeedSequence (O'Neill's seed_seq_fe hash over a pool
-# of four 32-bit words) and of its PCG64 seeding; the tests hold them to make_stream
-_SEED_POOL = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK32 = (1 << 32) - 1
-_MASK128 = (1 << 128) - 1
-# the hash constant once the pool is built: filling the pool takes _SEED_POOL hashes
-# and cross-mixing it _SEED_POOL * (_SEED_POOL - 1)
-_POOL_HASH = (_INIT_A * pow(_MULT_A, _SEED_POOL**2, 1 << 32)) & _MASK32
+#: A frozen environment's stream: counter word 3 is 1, apart from every trajectory's.
+ENVIRONMENT_STREAM = 1 << 64
 
 #: A fixed environment: one transition vector per vertex.
 EnvironmentAssignment = Mapping[int, SimplexPoint]
@@ -191,70 +183,28 @@ class WalkState:
 
 
 def make_stream(seed: int, stream: int = 0) -> np.random.Generator:
-    """Independent generator for (seed, stream); disjoint across stream ids."""
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(stream,)))
+    """Stream ``stream`` of ``seed``: Philox keyed by the seed at counter ``(0, 0, stream, 0)``.
 
-
-def _hash(words: np.ndarray, hash_const: int, mult: int) -> tuple[np.ndarray, int]:
-    """SeedSequence's ``hashmix`` of uint32 ``words``, and the next hash constant."""
-    words = words ^ np.uint32(hash_const)
-    hash_const = (hash_const * mult) & _MASK32
-    words = words * np.uint32(hash_const)
-    return words ^ (words >> np.uint32(16)), hash_const
-
-
-def _pcg64_states(seed: int, start: int, count: int) -> list[tuple[int, int]]:
-    """PCG64 ``(state, inc)`` of ``make_stream(seed, i)`` for ``start <= i < start + count``.
-
-    Needs ``0 <= seed < 2**64`` and ``start + count <= 2**32``, so that the
-    spawn key ``(i,)`` is one 32-bit entropy word.  ``SeedSequence(seed,
-    spawn_key=(i,))`` first builds the pool of ``SeedSequence(seed)`` (the
-    seed's words padded to the pool size, hashed and cross-mixed) and then
-    mixes ``i`` into every pool word.  That last mix and
-    ``generate_state(4, uint64)`` run here for all streams at once in uint32
-    array arithmetic; only PCG64's 128-bit ``set_seed`` runs per stream, on
-    Python integers.
+    Both below ``2**128``.  Counter words 0 and 1 count a stream's blocks, so
+    streams never overlap.
     """
-    ids = np.arange(start, start + count, dtype=np.int64).astype(np.uint32)
-    left = np.uint32(_MIX_MULT_L) * np.random.SeedSequence(seed).pool.astype(np.uint32)
-    pool = np.empty((count, _SEED_POOL), dtype=np.uint32)
-    hash_const = _POOL_HASH
-    for j in range(_SEED_POOL):
-        word, hash_const = _hash(ids, hash_const, _MULT_A)
-        mixed = left[j] - np.uint32(_MIX_MULT_R) * word
-        pool[:, j] = mixed ^ (mixed >> np.uint32(16))
-    words = np.empty((count, 2 * _SEED_POOL), dtype=np.uint32)
-    hash_const = _INIT_B
-    for j in range(2 * _SEED_POOL):
-        words[:, j], hash_const = _hash(pool[:, j % _SEED_POOL], hash_const, _MULT_B)
-    out = []
-    for hi, lo, inc_hi, inc_lo in words.astype("<u4").view("<u8").tolist():
-        inc = (((inc_hi << 64) | inc_lo) << 1 | 1) & _MASK128
-        out.append((((inc + ((hi << 64) | lo)) * _PCG64_MULT + inc) & _MASK128, inc))
-    return out
+    return np.random.Generator(np.random.Philox(key=seed, counter=stream << 128))
 
 
 def stream_generators(seed: int, count: int) -> Iterator[np.random.Generator]:
     """The streams ``make_stream(seed, i)`` for ``i`` in ``range(count)``, in order.
 
-    Yields one shared generator, set each time to exactly the state that
-    ``make_stream(seed, i)`` starts in, so draws from it are bit for bit the
-    draws of that stream; use each before taking the next.  States come in
-    blocks of :data:`STREAM_BLOCK` from one array pass.  A seed outside
-    ``[0, 2**64)`` and stream ids from ``2**32`` on go through
-    :func:`make_stream`.
+    Yields one shared generator, set each time to stream ``i``'s counter with
+    its buffered words and cached half-word emptied, so draws from it are bit
+    for bit the draws of that stream; use each before taking the next.
     """
-    fast = min(count, 1 << 32) if 0 <= seed < 1 << 64 else 0
-    rng = np.random.Generator(np.random.PCG64(0))
-    pcg = {"state": 0, "inc": 0}
-    full = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
-    for start in range(0, fast, STREAM_BLOCK):
-        block = min(STREAM_BLOCK, fast - start)
-        for pcg["state"], pcg["inc"] in _pcg64_states(seed, start, block):
-            rng.bit_generator.state = full
-            yield rng
-    for i in range(fast, count):
-        yield make_stream(seed, i)
+    rng = make_stream(seed)
+    state = rng.bit_generator.state
+    counter = state["state"]["counter"]
+    for i in range(count):
+        counter[2] = i
+        rng.bit_generator.state = state
+        yield rng
 
 
 def _uniforms(rng: np.random.Generator, count: int) -> Iterator[float]:

@@ -325,6 +325,63 @@ class TestSimulate:
         assert payload["env_seed"] == 11
         assert set(payload["assignment"]) == {"0", "1", "2"}
 
+    def test_a_frozen_environment_draws_apart_from_the_trajectories(self, tmp_path):
+        # with env_seed == seed the environment once drew trajectory 0's first words
+        out = tmp_path / "t.json"
+        cfg = write_config(tmp_path, {
+            "graph": STAR_3_GRAPH, "envs": STAR_3_ENVS, "seed": 7,
+            "operation": {"mode": "quenched", "steps": 4, "trajectories": 3, "env_seed": 7},
+            "output": {"path": str(out), "format": "json"}})
+        assert main(["simulate", "--config", cfg]) == 0
+        frozen = json.loads(out.read_text())["assignment"]["0"]
+        own = np.random.Generator(np.random.Philox(key=7, counter=[0, 0, 0, 1]))
+        assert tuple(frozen) == DirichletEnv([1.0, 1.0, 1.0]).sample(own).weights
+        first = np.random.Generator(np.random.Philox(key=7, counter=[0, 0, 0, 0]))
+        assert tuple(frozen) != DirichletEnv([1.0, 1.0, 1.0]).sample(first).weights
+
+    @pytest.mark.parametrize("env_seed", [2**64, 2**128, 1e30])
+    def test_an_env_seed_past_64_bits_exits_2(self, tmp_path, capsys, env_seed):
+        # Philox keys stop at 2**128: a larger one escaped as a raw ValueError
+        cfg = write_config(tmp_path, {
+            "graph": STAR_GRAPH, "envs": STAR_ENVS, "seed": 1,
+            "operation": {"mode": "quenched", "steps": 2, "env_seed": env_seed},
+            "output": {"path": str(tmp_path / "t.json")}})
+        assert main(["simulate", "--config", cfg]) == 2
+        assert "operation.env_seed must be an unsigned 64-bit integer" in capsys.readouterr().err
+
+    def test_the_largest_env_seed_runs(self, tmp_path):
+        cfg = write_config(tmp_path, {
+            "graph": STAR_GRAPH, "envs": STAR_ENVS, "seed": 1,
+            "operation": {"mode": "quenched", "steps": 2, "env_seed": 2**64 - 1},
+            "output": {"path": str(tmp_path / "t.json")}})
+        assert main(["simulate", "--config", cfg]) == 0
+
+    @pytest.mark.parametrize("seed", range(1, 30))
+    def test_tiny_alpha_annealed_runs_exit_0(self, tmp_path, seed):
+        # 17 of these seeds exited 3 on a weight below MIN_WEIGHT
+        out = tmp_path / "t.csv"
+        cfg = write_config(tmp_path, {
+            "graph": STAR_3_GRAPH, "seed": seed,
+            "envs": {"default": {"family": "point_mass", "weights": [1.0]},
+                     "per_vertex": {"0": {"family": "dirichlet", "alpha": [0.004, 0.004, 1.0]}}},
+            "operation": {"mode": "annealed", "steps": 6, "trajectories": 40},
+            "output": {"path": str(out), "format": "csv"}})
+        assert main(["simulate", "--config", cfg]) == 0
+        assert len(out.read_text().splitlines()) == 41
+
+    @pytest.mark.parametrize("command, payload", [
+        ("simulate", {"laws": STAR_LAWS, "operation": {"mode": "reinforced", "steps": 2}}),
+        ("simulate", {"envs": STAR_ENVS, "operation": {"mode": "annealed", "steps": 2}}),
+        ("compare", {"envs": STAR_ENVS,
+                     "operation": {"mode": "empirical", "steps": 2, "samples": 200}}),
+    ])
+    def test_sampled_outputs_record_the_stream_layout(self, tmp_path, command, payload):
+        cfg = write_config(tmp_path, {"graph": STAR_GRAPH, "seed": 2, **payload,
+                                      "output": {"path": str(tmp_path / "t.json")}})
+        assert main([command, "--config", cfg]) == 0
+        meta = json.loads((tmp_path / "t.json").read_text())
+        assert meta["rng_layout"] == "philox4x64-10 key=seed counter=(block, 0, stream, 0)"
+
     def test_quenched_without_assignment_or_envs(self, tmp_path):
         cfg = write_config(
             tmp_path,
@@ -816,28 +873,31 @@ GOLDEN_DERIVE_ENVS = {
 
 #: SHA-256 of every file derive-law writes under numerics 2 (summed-log moments,
 #: normalised induced weights), taken from the per-point evaluation (Python 3.11,
-#: numpy 2.4.6); the files holding the meta re-pinned for ``"numerics": 3`` and
-#: then ``4``, each time the bytes of the previous version with its number replaced.
+#: numpy 2.4.6); the files holding the meta re-pinned for ``"numerics": 3``, ``4``
+#: and then ``5``, each time the bytes of the previous version with its number replaced.
 GOLDEN_DERIVE_DIGESTS = {
     ("dirichlet_d4_box8", "csv"): {
         "law.csv": "6daf4c33cb529725f3682a7795acb226ce87c3b6c56b03abc4499c65b0c45850",
-        "law.csv.meta.json": "ecb7e273e74233bcacab8ba8ab62ab1f58fe176a8214ed37688766f1aeee511d",
+        "law.csv.meta.json": "41a0a52c85474b01ba17231eaaeecfc21c9a840576d6e148097d3c64f79e5a1e",
     },
     ("dirichlet_d4_box8", "json"): {
-        "law.json": "309ff0789fca668724a188670523580d5a297884768e59f07fea6b03266cbc87",
+        "law.json": "735089c29a6ec6afde1d890e25420d21968a52f6d762ae7657258c6267e7e537",
     },
     ("polynomial_d3_box10", "csv"): {
         "law.csv": "0711447450fbdadcbb6dc5a8da2297960849e032e34232ac0fb4a52cd849a159",
-        "law.csv.meta.json": "94529bc8e6dc3a0ff2e2fb1950a24a06292b1cdf85e07a8fe99522499a0ba34a",
+        "law.csv.meta.json": "b551c4b135ebaab4508014bfec4b040e3721e2dc2e85bd319f4c4992f144fffb",
     },
     ("polynomial_d3_box10", "json"): {
-        "law.json": "fcfb8160d74b98f424f43ee6802a9105f85dac62a37de65f29d7f84e7e1cc835",
+        "law.json": "3f4c2faf8a22cab2ed29a7bc4ef411e4951a0f4e6628a9061b1e6ad5b64f6b42",
     },
 }
 
 
 #: Every command in both formats, each output's bytes pinned before the JSON
 #: body writer replaced ``json.dump``: name -> (command, config, extra argv, exit code).
+#: Re-pinned for ``"numerics": 5``: the unsampled outputs are the previous bytes
+#: with the number replaced; simulate and empirical compare draw from Philox
+#: streams and record their layout.
 GOLDEN_COMMAND_CASES = {
     "admissibility_witness": ("check-admissibility",
                               {"law": WITNESS_LAW, "operation": {"box": 1}}, (), 1),
@@ -891,121 +951,121 @@ GOLDEN_COMMAND_DIGESTS = {
         "check-admissibility.csv":
             "2a8b0d39696618e367295578db6ddba3dd6ff23490407f0dba8d625216a278c9",
         "check-admissibility.csv.meta.json":
-            "0acae072725e64a43dcdbd927eb0c59627d8432576256f9ee414c5701b026cb1",
+            "868ae8eb750efb874a9072ca7107e793ad0482be03b30f2c8fcb1fbade1c6f90",
     },
     ("admissibility_empty", "json"): {
         "check-admissibility.json":
-            "3189a1868e2462aea5289b338281aeca8abaa5997eb1826ffcd1fd71a9c6f5ff",
+            "3602bbbdafebd234f72329a1354d4e594c916cfd412fbf9e28ac94197822dd7c",
     },
     ("admissibility_witness", "csv"): {
         "check-admissibility.csv":
             "442d7ca5269a95be75ddd007071ee22711523aacf737dd340deb9ff22e88bbf7",
         "check-admissibility.csv.meta.json":
-            "ad50ba6fc964625d0c7c12e6081098388483728e528de601658c170899821f5c",
+            "15fc43b3ef2f7b0e6cf2bc9e1f12012bb56c68c3c4203d8b18c81bb0cd9f99a2",
     },
     ("admissibility_witness", "json"): {
         "check-admissibility.json":
-            "f61fb3e7ed6715810e6289354040a017d14bad3bc85986ff0ff1491c2333d652",
+            "352b4ee99e570736c630a3b6328dfa2d0a4f555d2f1e8d8ee1dbfa1a049395db",
     },
     ("compare_empirical", "csv"): {
         "compare.csv":
-            "b3e52316390c8022bb028e10e7cbf36c7fce2fa2c9bf20236e0e8bb95b2e65b7",
+            "32cc650f9ef0fe55e0140eafc103e04989bf4e80b1af6297e08bb971a5d2bbdc",
         "compare.csv.meta.json":
-            "40ac3304efa2b0d384c95b9c9e9285dc5c308e4e6d5597e24702d811dd8c5bbf",
+            "7e1501572a86e9c29b448e1bdc0b8817de23204707036a6a3f8e885b48dab291",
     },
     ("compare_empirical", "json"): {
         "compare.json":
-            "227e313e02253e2773b1f8f59e607be1516886a30a5055516a40c1de514a8765",
+            "cb0fa74a263c4de2b1a88bf66225ba4bc9923049f2e416fd1f94cbe0e8737438",
     },
     ("compare_exact", "csv"): {
         "compare.csv":
             "ed6231bc052a67dabc4252ee94bdc21c4937b23f1717208205eb0637cf93b86a",
         "compare.csv.meta.json":
-            "954e2eb6c99334698ba478e2bc3529cbef40029de36e79e53c88f6cb6280b7b0",
+            "c4e96b2f4981a8d877f32b0661f79469a11d69e2915a1826980f984e99f8df95",
     },
     ("compare_exact", "json"): {
         "compare.json":
-            "5439d81bf11fd7c7a659ea27192159e85454a4212463bdf70cb3ef2b46f2bb91",
+            "a41bd086e80b8785291c0b034e78d5d289a428e701d015567ffca8bf10e89b06",
     },
     ("derive_law", "csv"): {
         "derive-law.csv":
             "ca6d78528dd4b1a9eedb225e610e801f37facbcd37d418df795a3c640c36a19b",
         "derive-law.csv.meta.json":
-            "3dc69f7bfe1347d52c07787391114b87e1bf38bfa31f71549696154d6a04be10",
+            "928ca24c7ddcc9a8455c8992c1098fbef52faec2ae69f5de21f81b026c624677",
     },
     ("derive_law", "json"): {
         "derive-law.json":
-            "d04c5606f03a4da0f28feedd92d1e43ba82e857679cbd0ec4f3eefda3534a889",
+            "0127336279ebeda1ceb36f22c3a079f40313fb4bef267446b15e02237142d85b",
     },
     ("recover_moments", "csv"): {
         "recover-moments.csv":
             "e23b269b041ebd38a02026edb1c67dc24d1ef2c301f3fe8d5f02bff80f834f3d",
         "recover-moments.csv.meta.json":
-            "cf65f45c702cade617f4f84478e7a65b9ebe54a81e0bf1b08ca1cc3cff97a6ab",
+            "e9b799ac781c9dd6ce814a363746b58df8801093cef4d0e349da8fedd3081b34",
     },
     ("recover_moments", "json"): {
         "recover-moments.json":
-            "8fa83ccf6cf94b041582893da9306f60752e6322ff0657644cbf86071ff21234",
+            "d6934bbc278dce12e352f45218db50fad5309b6c2e5daaf04fa88da9e5806a3e",
     },
     ("simulate_annealed", "csv"): {
         "simulate.csv":
-            "104c100ba9f315980446d8759ba87d214f6770b6824a80933d9a9ab6d2bc4a43",
+            "080bc43fdad947d134e3dbdbdc2fb71b33706305e6785ca3dd40587966fd1126",
         "simulate.csv.meta.json":
-            "4c0bef5fb65c7f2f9ed37c135747277b622e64f61725d1f4a4138804ae8dd511",
+            "e3802b2c78c0d239a41302c8f48a3daaaaed8397987b5e61c74053300ac46f7b",
     },
     ("simulate_annealed", "json"): {
         "simulate.json":
-            "5eacea60e64fcbd4440437f3e003cfd5d04ad48033c8b47afbfc25b58143980c",
+            "5a549853a32142ec672d8daf2f43fa1236787997ebbd1beb938db86cbd695758",
     },
     ("simulate_quenched", "csv"): {
         "simulate.csv":
-            "a4c8d9f44b1abc0bd1a26e973fab9230c2134ae49b3d3cc4747cce58ff01d8f4",
+            "3101cc4bff7eb063374596e136475f9043ddd40f95546d851059e0b4a83684da",
         "simulate.csv.meta.json":
-            "c6ba94be7fff15587ac73e64719c3afd8abfea8fa8dbc624ed084953f61b39c9",
+            "185a5df764e52548981d41278e750f0d43bcb195ed760df454412f7286f24c30",
     },
     ("simulate_quenched", "json"): {
         "simulate.json":
-            "53fb8685f209509da20fe5103815c08e6dd72b8155215a689e96979e9719e4ea",
+            "71098a1641462fff646ba7dc412b8af9e55c08290179ee278872fb9e29d0026d",
     },
     ("simulate_reinforced", "csv"): {
         "simulate.csv":
-            "219692b884a0738148601b645553066ae570f62b896db8860f94571b3917d4aa",
+            "1048ee38c5b9341d503e6365d2fdef0678690d25457f7e641fe50112aeeaeb19",
         "simulate.csv.meta.json":
-            "3141e3417a890a32c03a32564020fc6cdcd26588941a2ef25cac1ee3771b473a",
+            "91ea9298c002cc4577b36d1ccb0e0d80398845baeec7df2dacea7bce3621520c",
     },
     ("simulate_reinforced", "json"): {
         "simulate.json":
-            "02ed16a7dde543595f77f8d19a3e28e6640afdd4436b2aacdb3f0a29c76593a8",
+            "1fa4d7c1555098da5eb047c1bcb96563da4093ca898abd15ad71ff5003d6921d",
     },
     ("simulate_zero_steps", "csv"): {
         "simulate.csv":
             "14161326360ab8f6c4b87314bf58a5cc68687501d9f65b3001fe17f1ea09c1e9",
         "simulate.csv.meta.json":
-            "032433ae893fea42c9253912e99d0a5f45d3425a0098c8138761c4680b8b3342",
+            "ae3d58753aa9565c31f620b546bd0068a1a6c9ac7f9eb5e791c77bb1f5d02251",
     },
     ("simulate_zero_steps", "json"): {
         "simulate.json":
-            "8eb1e55a5741109b3491b282092cff12ffed903c2673f12ec74b8b84a4f84f74",
+            "84be29b8806a246464bc2c3bec460285617b83bcdf6b48caf8e2028e16d278c8",
     },
     ("verify_moments", "csv"): {
         "verify-moments.csv":
             "e23b269b041ebd38a02026edb1c67dc24d1ef2c301f3fe8d5f02bff80f834f3d",
         "verify-moments.csv.meta.json":
-            "6aad4ead1f30c22e01965d672bbec130ae7a03b48e946d9eea6faf597e35c49b",
+            "1e997c2dd3040677b67381715a60e6567673d0cfabd372d10eb78ab6d81619fd",
     },
     ("verify_moments", "json"): {
         "verify-moments.json":
-            "667876e35a781f9e9b735448632137021f20161df3f7a44bf04bc6aebfe817ef",
+            "a236947858e30e9a90fd38167681cb0388e2867c8451aba7f8d5e35d77cacf67",
     },
     ("verify_moments_corrupt", "csv"): {
         "verify-moments.csv":
             "c851ec368c6484cbb472eac907e915f5238efbb109bc42c7952334c3e55e703f",
         "verify-moments.csv.meta.json":
-            "230f3372c97263128dbf03569b8734bbb80473ff777dde49756f4d0f61397f9d",
+            "6e6640f967106d3db4097791a1b692b7426b256005a9126dd0daed9fbaead6d4",
     },
     ("verify_moments_corrupt", "json"): {
         "verify-moments.json":
-            "d16879df52ff183e2a12618c19a30200cd2ec99808f9ce05fa1049987c50caaa",
+            "cfd629778213a0dc505d90d44f6cff1bba8fc5298a0b868ef213c97360a9d7d8",
     },
 }
 
@@ -1443,7 +1503,7 @@ def test_every_command_records_its_numerics_version(tmp_path, monkeypatch, name)
     path = tmp_path / "c.json"
     path.write_text(json.dumps(payload), encoding="utf-8")
     assert main([LEAF_CONFIGS[name][0], "--config", str(path)]) == 0
-    assert json.loads((tmp_path / "o.json").read_text())["numerics"] == 4
+    assert json.loads((tmp_path / "o.json").read_text())["numerics"] == 5
 
 
 def mp_chi2_cdf(statistic: float, dof: int):
@@ -1654,10 +1714,12 @@ WORK_AFTER_OUTPUT = {
     "recover-moments": {"law": WITNESS_LAW, "operation": {"order": 3}},
     # a reject table scanned past its box: exit 3
     "check-admissibility": {"law": WITNESS_LAW, "operation": {"box": 4}},
-    # a reinforced walk on a 3-cycle leaves its reject table: exit 3
+    # a reinforced walk on a 3-cycle leaves its reject table: exit 3, whatever the
+    # draws.  Of its ten steps some vertex takes four, the fourth read at counts
+    # that sum to 3, past box 1 (nine steps can stay inside it)
     "simulate": {"graph": {"generator": "cycle", "length": 3},
                  "laws": {"default": HALF_TABLE}, "seed": 1,
-                 "operation": {"mode": "reinforced", "steps": 6}},
+                 "operation": {"mode": "reinforced", "steps": 10}},
 }
 
 

@@ -5,6 +5,8 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import quadrature_moment, rising_factorial
 from urnwalk import (
@@ -18,6 +20,8 @@ from urnwalk import (
     SimplexPoint,
     law_from_env,
 )
+from urnwalk.laws import MIN_WEIGHT
+from urnwalk.walk import make_stream
 
 
 class TestMixedMoments:
@@ -158,6 +162,40 @@ class TestSampling:
         first = env.sample(np.random.default_rng(123)).weights
         second = env.sample(np.random.default_rng(123)).weights
         assert first == second
+
+    @pytest.mark.parametrize("alpha", [(0.3, 0.7, 2.0), (0.05, 0.5, 1.0)])
+    def test_small_alpha_moments(self, alpha):
+        # the small-shape boost draws coordinates below 1; each mean within 5 sigma
+        env = DirichletEnv(alpha)
+        rng = make_stream(31)
+        draws = np.array([env.sample(rng).weights for _ in range(40_000)])
+        for k in [(1, 0, 0), (0, 1, 0), (0, 0, 1), (2, 0, 0), (1, 1, 0), (0, 1, 1)]:
+            values = np.prod(draws ** np.array(k), axis=1)
+            sigma = values.std() / math.sqrt(len(values))
+            assert abs(values.mean() - env.mixed_moment(k)) < 5 * sigma, k
+
+    def test_weights_below_the_floor_are_raised_to_it(self):
+        env = DirichletEnv([0.004, 0.004, 1.0])
+        rng = make_stream(2)
+        points = [env.sample(rng).weights for _ in range(200)]
+        assert any(MIN_WEIGHT in w for w in points)
+        assert all(min(w) >= MIN_WEIGHT for w in points)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.floats(min_value=1e-300, max_value=0.05), min_size=1, max_size=4),
+    st.lists(st.floats(min_value=0.05, max_value=50.0), max_size=2),
+    st.integers(0, 2**64 - 1),
+)
+def test_tiny_alpha_always_samples_a_simplex_point(tiny, moderate, seed):
+    # a gamma draw that underflowed to a subnormal or zero weight raised ValueError
+    # or EvaluationError; every draw is now a point whose weights are at least MIN_WEIGHT
+    env = DirichletEnv(tiny + moderate)
+    rng = make_stream(seed)
+    for _ in range(20):
+        point = env.sample(rng)
+        assert min(point.weights) >= MIN_WEIGHT and abs(math.fsum(point.weights) - 1.0) <= 1e-12
 
 
 def test_env_moment_law_round_trip_at_low_order(env_map):

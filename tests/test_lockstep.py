@@ -309,38 +309,25 @@ def test_lock_step_runs_span_blocks(monkeypatch, mode, name):
     assert list(run_many(graph, maps, 1, 30, 5, 41)) == want
 
 
-class _CountingGammas:
-    """A generator's ``standard_gamma``, counted."""
-
-    def __init__(self, rng):
-        self.rng, self.calls = rng, 0
-
-    def standard_gamma(self, a):
-        self.calls += 1
-        return self.rng.standard_gamma(a)
+_TINY_ALPHA = DirichletEnv([0.004, 0.004, 1.0])
 
 
-def test_tiny_alpha_environments_redraw_in_lock_step():
-    env = DirichletEnv([0.004, 0.004, 1.0])
-    envs = {0: env, **_leaves(_STAR_3, PointMassEnv((1.0,)))}
-    redraws = 0
-    for rng in stream_generators(6, 40):
-        counting = _CountingGammas(rng)
-        env.sample(counting)
-        redraws += counting.calls > 3
-    assert redraws > 0
+def test_tiny_alpha_environments_draw_in_lock_step():
+    # at seed 6 some centre draws have a weight below MIN_WEIGHT, raised to it
+    envs = {0: _TINY_ALPHA, **_leaves(_STAR_3, PointMassEnv((1.0,)))}
+    raised = sum(MIN_WEIGHT in _TINY_ALPHA.sample(rng).weights for rng in stream_generators(6, 40))
+    assert raised > 0
     want = per_stream(run_annealed, _STAR_3, envs, 0, 9, 6, 40)
     assert list(run_many_annealed(_STAR_3, envs, 0, 9, 6, 40)) == want
 
 
-def test_tiny_alpha_environments_fail_as_per_stream():
-    # at seed 2 an environment draw leaves a weight below MIN_WEIGHT
-    envs = {0: DirichletEnv([0.004, 0.004, 1.0]), **_leaves(_STAR_3, PointMassEnv((1.0,)))}
-    with pytest.raises(ValueError) as per:
-        per_stream(run_annealed, _STAR_3, envs, 0, 9, 2, 40)
-    with pytest.raises(ValueError) as lock:
-        list(run_many_annealed(_STAR_3, envs, 0, 9, 2, 40))
-    assert str(lock.value) == str(per.value)
+@pytest.mark.parametrize("seed", range(1, 30))
+def test_tiny_alpha_environments_run_on_every_seed(seed):
+    # 17 of these seeds stopped on a weight below MIN_WEIGHT when a draw was
+    # redrawn only where a weight was exactly 0
+    envs = {0: _TINY_ALPHA, **_leaves(_STAR_3, PointMassEnv((1.0,)))}
+    want = per_stream(run_annealed, _STAR_3, envs, 0, 6, seed, 40)
+    assert list(run_many_annealed(_STAR_3, envs, 0, 6, seed, 40)) == want
 
 
 def test_a_law_is_checked_when_a_walk_reaches_its_vertex():

@@ -1,61 +1,69 @@
-"""Per-run stream seeding: ``stream_generators`` against ``make_stream``, bit for bit."""
+"""Per-run streams: ``make_stream`` and ``stream_generators`` against numpy's own Philox, bit for bit.
+
+Stream ``i`` of seed ``s`` is ``Generator(Philox(key=s, counter=[0, 0, i, 0]))``,
+built here independently of the package.
+"""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from urnwalk import walk
+from urnwalk.environment import DirichletEnv, PointMassEnv
 from urnwalk.laws import DirichletLaw, UniformLaw
-from urnwalk.walk import make_stream, run_reinforced, star_graph, stream_generators
+from urnwalk.walk import (
+    ENVIRONMENT_STREAM,
+    cycle_graph,
+    make_stream,
+    run_annealed,
+    run_many_annealed,
+    run_many_reinforced,
+    run_reinforced,
+    star_graph,
+    stream_generators,
+)
 
-EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
+EDGE_SEEDS = [0, 1, 2**32, 2**64 - 1]
+
+#: Raw words drawn per stream: three of Philox's four-word blocks and one more.
+WORDS = 13
 
 
-def states(seed, count):
-    return [rng.bit_generator.state for rng in stream_generators(seed, count)]
+def philox(seed, stream):
+    return np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, stream, 0]))
 
 
-def oracle(seed, count):
-    return [make_stream(seed, i).bit_generator.state for i in range(count)]
+def words(rng):
+    return rng.bit_generator.random_raw(WORDS).tolist()
 
 
 @pytest.mark.parametrize("seed", EDGE_SEEDS)
-@pytest.mark.parametrize("count", [1, 3000])
-def test_states_are_those_of_make_stream(seed, count):
-    assert states(seed, count) == oracle(seed, count)
+@pytest.mark.parametrize("count", [1, 300])
+def test_streams_are_numpys_philox(seed, count):
+    want = [words(philox(seed, i)) for i in range(count)]
+    assert [words(rng) for rng in stream_generators(seed, count)] == want
+    assert [words(make_stream(seed, i)) for i in range(count)] == want
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**64 - 1), st.integers(0, 40))
-def test_states_match_for_any_seed(seed, count):
-    assert states(seed, count) == oracle(seed, count)
+def test_streams_match_for_any_seed(seed, count):
+    want = [philox(seed, i).random(3).tolist() for i in range(count)]
+    assert [rng.random(3).tolist() for rng in stream_generators(seed, count)] == want
 
 
-def test_streams_across_block_boundaries(monkeypatch):
-    monkeypatch.setattr(walk, "STREAM_BLOCK", 7)
-    assert states(2026, 30) == oracle(2026, 30)
+def test_the_environment_stream_is_counter_word_3():
+    want = np.random.Generator(np.random.Philox(key=9, counter=[0, 0, 0, 1]))
+    assert words(make_stream(9, ENVIRONMENT_STREAM)) == words(want)
+    assert words(make_stream(9, ENVIRONMENT_STREAM)) != words(make_stream(9, 0))
 
 
-def test_the_last_one_word_stream_ids():
-    # the spawn key (i,) is one 32-bit word up to i = 2**32 - 1
-    first = 2**32 - 3
-    got = walk._pcg64_states(5, first, 3)
-    for i, (state, inc) in zip(range(first, 2**32), got):
-        want = make_stream(5, i).bit_generator.state["state"]
-        assert (state, inc) == (want["state"], want["inc"])
-
-
-@pytest.mark.parametrize("seed", [2**64, 2**100])
-def test_seeds_past_64_bits_go_through_make_stream(seed):
-    assert states(seed, 5) == oracle(seed, 5)
-
-
-def test_a_negative_seed_is_rejected_like_make_stream():
+@pytest.mark.parametrize("seed", [-1, 2**128])
+def test_a_seed_outside_128_bits_is_rejected(seed):
     with pytest.raises(ValueError):
-        make_stream(-1)
+        make_stream(seed)
     with pytest.raises(ValueError):
-        next(stream_generators(-1, 2))
+        next(stream_generators(seed, 2))
 
 
 def test_no_streams_for_a_zero_count():
@@ -66,27 +74,55 @@ def test_the_generator_is_shared_and_draws_each_stream():
     seen = set()
     for i, rng in enumerate(stream_generators(11, 50)):
         seen.add(id(rng))
-        assert rng.random(5).tolist() == make_stream(11, i).random(5).tolist()
+        assert rng.random(5).tolist() == philox(11, i).random(5).tolist()
     assert len(seen) == 1
 
 
-def test_walks_are_those_of_fresh_streams():
-    g = star_graph(3)
-    laws = {0: DirichletLaw([0.5, 1.0, 2.0]), **{x: UniformLaw(1) for x in (1, 2, 3)}}
-    fresh = [run_reinforced(g, laws, 0, 12, make_stream(8, i)) for i in range(200)]
-    shared = [run_reinforced(g, laws, 0, 12, rng) for rng in stream_generators(8, 200)]
-    assert shared == fresh
-
-
-def test_environment_draws_are_those_of_fresh_streams():
-    # gamma draws take a variable number of raw words; the shared generator must not carry any over
-    fresh = [make_stream(4, i).dirichlet([0.3, 0.7, 2.0]).tolist() for i in range(100)]
-    shared = [rng.dirichlet([0.3, 0.7, 2.0]).tolist() for rng in stream_generators(4, 100)]
-    assert shared == fresh
+def test_gamma_words_do_not_carry_into_the_next_stream():
+    # gamma draws take a variable number of raw words, here a few partial blocks
+    alpha = [0.3, 0.7, 2.0]
+    fresh = [philox(4, i).dirichlet(alpha).tolist() for i in range(100)]
+    assert [rng.dirichlet(alpha).tolist() for rng in stream_generators(4, 100)] == fresh
+    env = DirichletEnv([0.004, 0.5, 3.0])
+    fresh = [env.sample(philox(4, i)) for i in range(100)]
+    assert [env.sample(rng) for rng in stream_generators(4, 100)] == fresh
 
 
 def test_a_half_used_word_does_not_carry_into_the_next_stream():
     # one float32 takes half of a 64-bit word and caches the other half
-    fresh = [make_stream(6, i).random(1, dtype=np.float32).tolist() for i in range(20)]
+    fresh = [philox(6, i).random(1, dtype=np.float32).tolist() for i in range(20)]
     shared = [rng.random(1, dtype=np.float32).tolist() for rng in stream_generators(6, 20)]
     assert shared == fresh
+
+
+_STAR = star_graph(3)
+_LAWS = {0: DirichletLaw([0.5, 1.0, 2.0]), **{x: UniformLaw(1) for x in (1, 2, 3)}}
+_ENVS = {0: DirichletEnv([0.004, 0.6, 1.5]), **{x: PointMassEnv((1.0,)) for x in (1, 2, 3)}}
+_CYCLE = cycle_graph(4)
+_CYCLE_ENVS = {x: DirichletEnv([0.2, 1.3]) for x in range(4)}
+
+#: name: (per-stream run, lock-step run, graph, laws or environments)
+RUNS = {
+    "reinforced_star": (run_reinforced, run_many_reinforced, _STAR, _LAWS),
+    "annealed_star": (run_annealed, run_many_annealed, _STAR, _ENVS),
+    "annealed_cycle": (run_annealed, run_many_annealed, _CYCLE, _CYCLE_ENVS),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_walks_are_those_of_fresh_streams(name):
+    run, _, graph, maps = RUNS[name]
+    fresh = [run(graph, maps, 0, 12, philox(8, i)) for i in range(200)]
+    assert [run(graph, maps, 0, 12, rng) for rng in stream_generators(8, 200)] == fresh
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(sorted(RUNS)), st.integers(0, 2**64 - 1), st.integers(1, 80),
+       st.integers(1, 80), st.integers(0, 8))
+def test_fewer_trajectories_and_steps_are_a_prefix(name, seed, n, k, steps):
+    run, many, graph, maps = RUNS[name]
+    k = min(k, n)
+    longer = list(many(graph, maps, 0, steps + 1, seed, n))
+    assert list(many(graph, maps, 0, steps, seed, k)) == [t[:-1] for t in longer[:k]]
+    assert [run(graph, maps, 0, steps, rng) for rng in stream_generators(seed, k)] == \
+        [t[:-1] for t in longer[:k]]

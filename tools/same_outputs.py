@@ -7,7 +7,8 @@
 
 Each operation that ``perfbench/workloads.py`` generates for the given
 workloads and seeds, and each of the fixed :func:`failures` (configs that
-exit 1 to 4, under the workload name ``failures``), runs twice through
+exit 1 to 4, and two sampled runs that exit 0, under the workload name
+``failures``), runs twice through
 ``urnwalk.cli.main``, once with ``--format csv`` and once with ``--format
 json``, in a fixed working directory: the output paths are part of each
 config hash and summary line, so two runs compare only from the same
@@ -36,11 +37,14 @@ FORMATS = ("csv", "json")
 
 
 def failures() -> list[tuple[str, str, dict]]:
-    """Failure paths, as (label, command, config): exit 1 from a gap met before
-    a read outside the witness's box and from open squares that cancel along
-    both staircases of the order-3 ball (``tests/open_squares_law.json``), 3
-    from a ``reject`` table walked past its box, 4 from exact compare's path
-    budget, 2 from a config with no ``law`` section."""
+    """Fixed configs, as (label, command, config).  Failure paths: exit 1 from a
+    gap met before a read outside the witness's box and from open squares that
+    cancel along both staircases of the order-3 ball
+    (``tests/open_squares_law.json``), 3 from a ``reject`` table walked past its
+    box, 4 from exact compare's path budget, 2 from a config with no ``law``
+    section.  Then two sampled runs that exit 0: an annealed walk whose tiny
+    alpha raises environment weights to ``MIN_WEIGHT``, and a quenched walk
+    whose ``env_seed`` is its ``seed``."""
     from workloads import WITNESS_LAW
 
     open_squares = json.loads((ROOT / "tests" / "open_squares_law.json")
@@ -64,6 +68,16 @@ def failures() -> list[tuple[str, str, dict]]:
                    "per_vertex": {"0": {"family": "dirichlet", "alpha": [1.0, 1.0, 1.0]}}},
           "operation": {"mode": "exact", "steps": 12, "max_paths": 10}}),
         ("no law section", "check-admissibility", {"operation": {"box": 2}}),
+        ("tiny alpha at the centre, 40x6", "simulate",
+         {"graph": {"generator": "star", "leaves": 3}, "seed": 2,
+          "envs": {"default": {"family": "point_mass", "weights": [1.0]},
+                   "per_vertex": {"0": {"family": "dirichlet", "alpha": [0.004, 0.004, 1.0]}}},
+          "operation": {"mode": "annealed", "steps": 6, "trajectories": 40}}),
+        ("env_seed equal to seed, 40x6", "simulate",
+         {"graph": {"generator": "star", "leaves": 3}, "seed": 3,
+          "envs": {"default": {"family": "point_mass", "weights": [1.0]},
+                   "per_vertex": {"0": {"family": "dirichlet", "alpha": [0.5, 1.0, 2.0]}}},
+          "operation": {"mode": "quenched", "steps": 6, "trajectories": 40, "env_seed": 3}}),
     ]
 
 
