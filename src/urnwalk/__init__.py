@@ -60,6 +60,7 @@ from .moments import (
     finite_difference,
     hildebrandt_schoenberg_check,
     multinomial,
+    simplex_defect,
     simplex_mass,
 )
 from .walk import (

@@ -3,8 +3,8 @@
 Subcommands wire config files to the library:
 
 * ``check-admissibility`` -- scan a law's elementary squares on a box.
-* ``verify-moments``      -- build the moment table, run the positivity
-                             scan, and check the simplex mass identities.
+* ``verify-moments``      -- build the moment table and check the simplex
+                             identity and the slice masses.
 * ``simulate``            -- sample reinforced / quenched / annealed
                              trajectories to a file.
 * ``compare``             -- reinforced vs annealed law, exact enumeration
@@ -17,7 +17,8 @@ Subcommands wire config files to the library:
 The tolerance τ (``operation.tolerance`` or ``--tolerance``, default 1e-10)
 bounds check-admissibility's square gaps; the gap of each edge from the moment
 table's staircase in verify-moments and recover-moments (squares close within
-4τ), and verify-moments' negativity and mass deviations; exact compare's TV.
+4τ), and verify-moments' relative identity defect and mass deviations; exact
+compare's TV.
 
 Each command is a ``plan_*`` function.  It reads the whole config, so a
 malformed field is a config error raised before any work, and returns its
@@ -90,7 +91,7 @@ from .errors import (
     UrnwalkError,
 )
 from .laws import check_simplex_rows, log_lower_gamma, regularised_gamma
-from .moments import check_entry, hildebrandt_schoenberg_check, simplex_mass
+from .moments import check_entry, hildebrandt_schoenberg_check, simplex_defect, simplex_mass
 from .walk import (
     ENVIRONMENT_STREAM,
     STREAM_LAYOUT,
@@ -308,13 +309,18 @@ def _tolerance(cfg: Mapping) -> float:
     return config_number(tolerance, "operation.tolerance", minimum=0.0)
 
 
+def _seed(value: Any, name: str) -> int:
+    """A seed: an integer config field below 2**64, as the Philox key takes."""
+    seed = config_int(value, name, minimum=0)
+    if seed >= 2**64:
+        raise ConfigError(f"{name} must be an unsigned 64-bit integer, got {value!r}")
+    return seed
+
+
 def _require_seed(cfg: Mapping, command: str) -> int:
     if "seed" not in cfg:
         raise ConfigError(f"{command}: sampling requires a seed (config 'seed' or --seed)")
-    seed = cfg["seed"]
-    if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2**64:
-        raise ConfigError(f"seed must be an unsigned 64-bit integer, got {seed!r}")
-    return seed
+    return _seed(cfg["seed"], "seed")
 
 
 def _start_vertex(cfg: Mapping, graph) -> int:
@@ -381,21 +387,24 @@ def plan_verify_moments(cfg: dict, args: argparse.Namespace) -> Callable[[], Res
         table = recover_env_moments(law, order, tolerance)
         for index, value in corruption:
             table = table.with_value(index, value)
-        hs = hildebrandt_schoenberg_check(table, tolerance)
+        defect, where = simplex_defect(table)
         masses = [
             {"degree": n, "deviation": abs(simplex_mass(table, n) - 1.0)}
             for n in range(order + 1)
         ]
         worst_mass = max((m["deviation"] for m in masses), default=0.0)
-        passed = hs.passed and worst_mass <= tolerance
+        identity = defect <= tolerance
+        passed = identity and worst_mass <= tolerance
         if passed:
-            summary = (f"moments certified to order {order}: min signed difference "
-                       f"{hs.max_negativity:.3e}, worst mass deviation {worst_mass:.3e}")
+            summary = (f"moments certified to order {order}: identity defect {defect:.3e} "
+                       f"at k={where}, worst mass deviation {worst_mass:.3e}")
         else:
-            detail = "positivity scan failed" if not hs.passed else "mass identity failed"
-            summary = (f"{detail}: max_negativity={hs.max_negativity:.3e}, "
+            detail = "simplex identity failed" if not identity else "mass identity failed"
+            summary = (f"{detail}: identity defect={defect:.3e} at k={where}, "
                        f"worst mass deviation={worst_mass:.3e}")
-        meta = {"hs_report": hs.to_dict(), "mass_deviations": masses, "passed": passed}
+        report = {"max_defect": defect, "worst_case": list(where), "order_checked": order,
+                  "tolerance": tolerance, "passed": identity}
+        meta = {"identity_report": report, "mass_deviations": masses, "passed": passed}
         return _table_result(table, meta, summary, passed)
 
     return run
@@ -414,10 +423,7 @@ def _quenched_assignment(cfg: Mapping, op: Mapping, graph) -> Callable[[], tuple
             "simulate: quenched mode needs an inline 'assignment' or envs plus "
             "operation.env_seed to sample-and-freeze"
         )
-    env_seed = config_int(op["env_seed"], "operation.env_seed", minimum=0)
-    if env_seed >= 2**64:
-        raise ConfigError(f"operation.env_seed must be an unsigned 64-bit integer, "
-                          f"got {op['env_seed']!r}")
+    env_seed = _seed(op["env_seed"], "operation.env_seed")
     envs = resolve_per_vertex(graph, cfg["envs"], env_from_spec, "envs")
 
     def freeze() -> tuple[dict, dict]:

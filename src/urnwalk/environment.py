@@ -125,15 +125,26 @@ class DirichletEnv(VertexEnvLaw):
         their exponentials shifted by the largest log and normalised.  A
         weight below :data:`~urnwalk.laws.MIN_WEIGHT` is raised to it: its
         true value is below 1e-300, which no 53-bit uniform tells apart.
+        When every boosted log overflows to -inf, which takes alpha near the
+        least float, the coordinate with the least ``-log(1 - U_i) / alpha_i``
+        (exponentials of rates alpha_i), compared in logs, is the largest of
+        the true draw: it takes weight 1 and the others ``MIN_WEIGHT``.
         """
         # one scalar call per coordinate, as an array shape costs numpy an
         # argument check that takes longer than the draws; a gamma draw of shape 1
-        # (an exponential) can round to 0, and counts as the least positive float
-        logs = [math.log(rng.standard_gamma(a + 1.0) or _LEAST_FLOAT)
-                + math.log(1.0 - rng.random()) / a
-                if a < 1.0 else math.log(rng.standard_gamma(a) or _LEAST_FLOAT)
-                for a in self.alpha]
+        # (an exponential) can round to 0, and counts as the least positive float;
+        # each coordinate keeps its log gamma draw, the log(1 - U) of its boost and alpha
+        draws = [(math.log(rng.standard_gamma(a + 1.0) or _LEAST_FLOAT),
+                  math.log(1.0 - rng.random()), a)
+                 if a < 1.0 else (math.log(rng.standard_gamma(a) or _LEAST_FLOAT), 0.0, a)
+                 for a in self.alpha]
+        logs = [g + b / a for g, b, a in draws]
         top = max(logs)
+        if top == -math.inf:
+            # no boost is 0 here, so each log(-b) is finite
+            keys = [math.log(-b) - math.log(a) for _, b, a in draws]
+            win = keys.index(min(keys))
+            return SimplexPoint(tuple([1.0 if i == win else MIN_WEIGHT for i in range(len(keys))]))
         shifted = [math.exp(v - top) for v in logs]
         total = sum_as_numpy(shifted)
         return SimplexPoint(tuple([max(w / total, MIN_WEIGHT) for w in shifted]))

@@ -327,7 +327,7 @@ def recover_env_moments(law: ReinforcementLaw, order: int,
     :class:`~urnwalk.errors.NotAdmissibleError` when an edge of the ball
     misses the table by more than ``tolerance`` (see
     :func:`~urnwalk.moments.build_moment_table`).  A table that passes need
-    not come from an environment: its positivity is the
-    Hildebrandt-Schoenberg scan that ``verify-moments`` runs on it.
+    not come from an environment: ``verify-moments`` checks its simplex
+    identity, which implies Hildebrandt-Schoenberg positivity, and its masses.
     """
     return build_moment_table(law, order, tolerance)

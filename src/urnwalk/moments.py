@@ -6,23 +6,19 @@ well-defined sequence indexed by count vectors.  This module builds that
 sequence on the total-degree ball ``|k| <= order`` along one staircase and
 checks every other edge of the ball against it, so every elementary square
 of the ball closes within 4 tolerances and every monotone path to ``k``
-agrees with the staircase within ``|k|`` tolerances.  It applies the signed
-multidimensional finite-difference test of Hildebrandt and Schoenberg (the
-sequence is the moment family of a probability measure on the unit cube iff
-``(-1)^{|h|} Delta^h(v)(k) >= 0`` for all h, k), and evaluates the
+agrees with the staircase within ``|k|`` tolerances.  It checks the
+local simplex identity ``v_k = sum_i v_{k+e_i}``, which says that the
+weights at every count vector sum to 1, and evaluates the
 multinomial-weighted slice sums whose value 1 certifies that the measure
 lives on the probability simplex.
 
-The positivity scan puts the table into a dense ``(order+1)^d`` array and
-walks the difference multi-indices ``h`` depth first, so each ``Delta^h``
-comes from its parent ``Delta^{h-e_i}`` by one difference along axis i.  A
-scale tensor built the same way with a sum in place of the difference
-equals the sum of |terms| of the inclusion-exclusion expansion (the table's
-values are positive) and sets the noise floor.  Only the tensors on the
-current DFS path are alive: at most two arrays of ``(order+1)^d`` floats
-per level.  :func:`finite_difference` and :func:`_scan_pairs` expand each
-pair by inclusion-exclusion instead and serve as the independent oracle
-for the scan.
+With positive entries the identity implies every condition of the signed
+multidimensional finite-difference test of Hildebrandt and Schoenberg (the
+sequence is the moment family of a probability measure on the unit cube iff
+``(-1)^{|h|} Delta^h(v)(k) >= 0`` for all h, k), since
+``-Delta_i v(k) = sum_{j != i} v(k+e_j)``.  :func:`hildebrandt_schoenberg_check`
+expands each of those differences by inclusion-exclusion and is the
+independent check of the identity's verdict.
 """
 
 from __future__ import annotations
@@ -94,7 +90,7 @@ class MomentTable:
     Tables produced by :func:`build_moment_table` satisfy ``v_0 = 1``,
     strict positivity, and coordinatewise monotonicity
     ``v_{k+e_i} <= v_k``; hand-edited tables (see :meth:`with_value`) may
-    break monotonicity, which is exactly what the positivity check detects.
+    break monotonicity, and the simplex identity with it.
     """
 
     dimension: int
@@ -149,15 +145,6 @@ class HSReport:
     worst_case: tuple[Counts, Counts]
     order_checked: int
     tolerance: float
-
-    def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "max_negativity": self.max_negativity,
-            "worst_case": {"h": list(self.worst_case[0]), "k": list(self.worst_case[1])},
-            "order_checked": self.order_checked,
-            "tolerance": self.tolerance,
-        }
 
 
 def build_moment_table(law: ReinforcementLaw, order: int,
@@ -266,51 +253,6 @@ def _scan_pairs(
     return best, worst
 
 
-def _scan_dense(table: MomentTable) -> tuple[float, tuple[Counts, Counts]]:
-    """Minimum clamped signed difference over ``|h| + |k| <= order``, and where.
-
-    Visits each h once, depth first, incrementing axes in non-decreasing
-    order.  At a node with ``|h| = n`` the arrays hold ``Delta^h(v)(k)`` and
-    its scale for ``k_j <= order - n``; entries with ``|k| > order - n``
-    are masked out.  Ties go to the first (h, k) in graded-lex order, as in
-    :func:`_scan_pairs`.
-    """
-    d, order = table.dimension, table.order
-    indices = ball_indices(d, order)
-    shape = (order + 1,) * d
-    values = np.zeros(shape)
-    rank = np.zeros(shape, dtype=np.int64)
-    for r, k in enumerate(indices):
-        values[k] = table.linear_values[k]
-        rank[k] = r
-    degree = np.indices(shape).sum(axis=0)
-    floor = NOISE_FLOOR_FACTOR * math.ulp(1.0)
-    best = (math.inf, 0, 0)  # (signed value, rank of h, rank of k)
-
-    def visit(h: list[int], first_axis: int, diff: np.ndarray, scale: np.ndarray) -> None:
-        nonlocal best
-        n = sum(h)
-        box = (slice(order - n + 1),) * d
-        signed = diff if n % 2 == 0 else -diff
-        signed = np.where(np.abs(signed) < floor * scale, 0.0, signed)
-        signed = np.where(degree[box] <= order - n, signed, np.inf)
-        low = float(signed.min())
-        if low <= best[0]:
-            best = min(best, (low, int(rank[tuple(h)]), int(rank[box][signed == low].min())))
-        if n == order:
-            return
-        inner = (slice(order - n),) * d
-        for i in range(first_axis, d):
-            shifted = inner[:i] + (slice(1, order - n + 1),) + inner[i + 1 :]
-            h[i] += 1
-            visit(h, i, diff[shifted] - diff[inner], scale[shifted] + scale[inner])
-            h[i] -= 1
-
-    visit([0] * d, 0, values, values)
-    _, h_rank, k_rank = best
-    return best[0], (indices[h_rank], indices[k_rank])
-
-
 def hildebrandt_schoenberg_check(
     table: MomentTable,
     tolerance: float = DEFAULT_TOLERANCE,
@@ -319,28 +261,38 @@ def hildebrandt_schoenberg_check(
 
     Passes when the minimum signed difference is >= -tolerance; the report
     records the most negative value and where it occurred (the first pair
-    in graded-lex order of h, then k, on ties).  Signed values below
+    in graded-lex order of h, then k, on ties).  Each pair is expanded by
+    inclusion-exclusion (:func:`_scan_pairs`), and signed values below
     ``NOISE_FLOOR_FACTOR * eps * scale``, where scale is the sum of |terms|
-    of the inclusion-exclusion expansion, are clamped to zero rather than
-    reported as violations.  ``tolerance`` must be finite and >= 0.
-
-    Algorithm: the table goes into a dense ``(order+1)^d`` array and the
-    multi-indices h are walked depth first, each ``Delta^h`` taken from its
-    parent ``Delta^{h-e_i}`` by one difference along axis i, with a scale
-    array carried alongside by sums.  Memory is at most two arrays of
-    ``(order+1)^d`` floats per DFS level, at most ``order + 1`` levels.
-    :func:`finite_difference` and :func:`_scan_pairs` are the independent
-    inclusion-exclusion oracle for this scan.
+    of the expansion, are clamped to zero rather than reported as
+    violations.  ``tolerance`` must be finite and >= 0.  This is the oracle
+    for :func:`simplex_defect`: a table that meets the simplex identity
+    meets every one of these conditions.
     """
     validate_tolerance(tolerance)
-    best, worst = _scan_dense(table)
-    return HSReport(
-        passed=best >= -tolerance,
-        max_negativity=best,
-        worst_case=worst,
-        order_checked=table.order,
-        tolerance=tolerance,
-    )
+    d, order = table.dimension, table.order
+    best, worst = _scan_pairs(table, ((h, k) for h in ball_indices(d, order)
+                                      for k in ball_indices(d, order - sum(h))))
+    return HSReport(best >= -tolerance, best, worst, order, tolerance)
+
+
+def simplex_defect(table: MomentTable) -> tuple[float, Counts]:
+    """The worst relative defect of the simplex identity, and the first k where it sits.
+
+    The defect at k is ``|v_k - sum_i v_{k+e_i}| / v_k``, over ``|k| < order``
+    in graded-lex order: how far the weights ``v_{k+e_i} / v_k`` at k miss
+    summing to 1.  The weights are taken from the logs, so an entry that
+    underflows in linear space still has them.  An order-0 table has no
+    such k, and gives 0 at the origin.
+    """
+    logs, d = table.log_values, table.dimension
+    worst, where = 0.0, (0,) * d
+    for k in ball_indices(d, table.order - 1):
+        ups = (logs[k[:i] + (k[i] + 1,) + k[i + 1 :]] - logs[k] for i in range(d))
+        defect = abs(1.0 - math.fsum(map(math.exp, ups)))
+        if defect > worst:
+            worst, where = defect, k
+    return worst, where
 
 
 def simplex_mass(table: MomentTable, degree: int) -> float:

@@ -156,7 +156,7 @@ class TestVerifyMoments:
         )
         assert main(["verify-moments", "--config", cfg]) == 0
         payload = json.loads((tmp_path / "m.json").read_text())
-        assert payload["hs_report"]["passed"] is True
+        assert payload["identity_report"]["passed"] is True
         assert payload["passed"] is True
 
     def test_order_zero_is_trivial(self, tmp_path):
@@ -174,7 +174,25 @@ class TestVerifyMoments:
         code = main(["verify-moments", "--config", cfg, "--corrupt-entry", "1,0=1.5"])
         assert code == 1
         payload = json.loads((tmp_path / "m.json").read_text())
-        assert payload["hs_report"]["passed"] is False
+        assert payload["identity_report"]["passed"] is False
+
+    def test_a_table_off_the_simplex_fails_with_every_slice_mass_kept(self, tmp_path, capsys):
+        # E[x_1] = 0.501 but E[x_1^2] + E[x_1 x_2] = 0.5: every HS difference is positive
+        # and every slice mass is 1, so this table passed
+        cfg = write_config(
+            tmp_path,
+            {"law": POLYA_LAW, "operation": {"order": 3}, "output": {"path": str(tmp_path / "m.json")}},
+        )
+        code = main(["verify-moments", "--config", cfg, "--corrupt-entry", "1,0=0.501",
+                     "--corrupt-entry", "0,1=0.499"])
+        assert code == 1
+        payload = json.loads((tmp_path / "m.json").read_text())
+        report = payload["identity_report"]
+        assert report["passed"] is False and payload["passed"] is False
+        assert report["max_defect"] == pytest.approx(2.0e-3, rel=0.01)
+        assert report["worst_case"] == [0, 1]
+        assert max(m["deviation"] for m in payload["mass_deviations"]) <= 1e-10
+        assert "identity defect=2.004e-03 at k=(0, 1)" in capsys.readouterr().err
 
     def test_infinite_tolerance_is_a_config_error(self, tmp_path):
         # an infinite tolerance would certify the corrupted table
@@ -218,7 +236,7 @@ class TestVerifyMoments:
         assert lines[0] == "k_1,k_2,value"
         assert lines[1] == "0,0,1.0"
         meta = json.loads((tmp_path / "m.csv.meta.json").read_text())
-        assert meta["hs_report"]["passed"] is True
+        assert meta["identity_report"]["passed"] is True
 
 
 class TestSimulate:
@@ -364,6 +382,18 @@ class TestSimulate:
             "graph": STAR_3_GRAPH, "seed": seed,
             "envs": {"default": {"family": "point_mass", "weights": [1.0]},
                      "per_vertex": {"0": {"family": "dirichlet", "alpha": [0.004, 0.004, 1.0]}}},
+            "operation": {"mode": "annealed", "steps": 6, "trajectories": 40},
+            "output": {"path": str(out), "format": "csv"}})
+        assert main(["simulate", "--config", cfg]) == 0
+        assert len(out.read_text().splitlines()) == 41
+
+    def test_an_annealed_run_whose_every_alpha_is_tiny_exits_0(self, tmp_path):
+        # every boosted log overflowed to -inf, and the nan weights exited 3
+        out = tmp_path / "t.csv"
+        cfg = write_config(tmp_path, {
+            "graph": STAR_GRAPH, "seed": 1,
+            "envs": {"default": {"family": "point_mass", "weights": [1.0]},
+                     "per_vertex": {"0": {"family": "dirichlet", "alpha": [1e-320, 1e-320]}}},
             "operation": {"mode": "annealed", "steps": 6, "trajectories": 40},
             "output": {"path": str(out), "format": "csv"}})
         assert main(["simulate", "--config", cfg]) == 0
@@ -725,6 +755,8 @@ INTEGER_FIELD_CASES = {
                                   "operation": _SIMULATE_OP}, "operation"),
     "start": ("simulate", {"graph": STAR_GRAPH, "laws": STAR_LAWS, "seed": 1,
                            "operation": _SIMULATE_OP}, "operation"),
+    "seed": ("simulate", {"graph": STAR_GRAPH, "laws": STAR_LAWS, "seed": 1,
+                          "operation": _SIMULATE_OP}, "top"),
     "env_seed": ("simulate", {"graph": STAR_GRAPH, "envs": STAR_ENVS, "seed": 1,
                               "operation": {**_SIMULATE_OP, "mode": "quenched", "env_seed": 1}},
                  "operation"),
@@ -809,6 +841,25 @@ class TestIntegerFields:
                    "output": {"path": str(tmp_path / "o.json")}}
         assert main(["simulate", "--config", write_config(tmp_path, payload)]) == 2
         assert "seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seed, message", [(-1, "seed must be >= 0"),
+                                               (2**64, "seed must be an unsigned 64-bit")])
+    def test_seeds_outside_64_bits_are_config_errors(self, tmp_path, capsys, seed, message):
+        payload = {**INTEGER_FIELD_CASES["steps"][1], "seed": seed,
+                   "output": {"path": str(tmp_path / "o.json")}}
+        assert main(["simulate", "--config", write_config(tmp_path, payload)]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_an_integral_float_seed_writes_the_trajectories_of_its_integer(self, tmp_path):
+        rows = []
+        for seed in (5, 5.0):
+            out = tmp_path / f"{seed}.json"
+            payload = {**INTEGER_FIELD_CASES["steps"][1], "seed": seed,
+                       "output": {"path": str(out)}}
+            assert main(["simulate", "--config",
+                         write_config(tmp_path, payload, name=f"{seed}.config.json")]) == 0
+            rows.append(json.loads(out.read_text())["trajectories"])
+        assert rows[0] == rows[1]
 
 
 class TestQuantile:
@@ -1051,21 +1102,21 @@ GOLDEN_COMMAND_DIGESTS = {
         "verify-moments.csv":
             "e23b269b041ebd38a02026edb1c67dc24d1ef2c301f3fe8d5f02bff80f834f3d",
         "verify-moments.csv.meta.json":
-            "1e997c2dd3040677b67381715a60e6567673d0cfabd372d10eb78ab6d81619fd",
+            "c2f6927870e64ca88d80126fa34143599bc09e196ffc1c1a8624f93df2e2d269",
     },
     ("verify_moments", "json"): {
         "verify-moments.json":
-            "a236947858e30e9a90fd38167681cb0388e2867c8451aba7f8d5e35d77cacf67",
+            "bb4a4368cb35c89144eb2498cddd68edcf3473c32a2993b104ad7e1afbec9e98",
     },
     ("verify_moments_corrupt", "csv"): {
         "verify-moments.csv":
             "c851ec368c6484cbb472eac907e915f5238efbb109bc42c7952334c3e55e703f",
         "verify-moments.csv.meta.json":
-            "6e6640f967106d3db4097791a1b692b7426b256005a9126dd0daed9fbaead6d4",
+            "67cb03a40f240efc077dfe566bce9b3a9c56fb8ef8824c23309ea62231e2a574",
     },
     ("verify_moments_corrupt", "json"): {
         "verify-moments.json":
-            "cfd629778213a0dc505d90d44f6cff1bba8fc5298a0b868ef213c97360a9d7d8",
+            "ecbffc9e43962a210079739818dcaaa60283939016e77ab5793ee617c588bb4e",
     },
 }
 
@@ -1725,8 +1776,8 @@ WORK_AFTER_OUTPUT = {
 
 #: Every name in ``cli`` that does a command's work, rather than read its config.
 WORK = ("check_admissible", "recover_env_moments", "hildebrandt_schoenberg_check",
-        "simplex_mass", "enumerate_annealed", "enumerate_both", "enumerate_reinforced",
-        "compare_distributions",
+        "simplex_defect", "simplex_mass", "enumerate_annealed", "enumerate_both",
+        "enumerate_reinforced", "compare_distributions",
         "compare_empirical", "lockstep_pays", "run_reinforced", "run_quenched", "run_annealed",
         "run_many_reinforced", "run_many_quenched", "run_many_annealed", "stream_generators",
         "make_stream", "sample_environment", "check_simplex_rows")

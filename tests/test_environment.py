@@ -1,6 +1,7 @@
 """Environment laws: exact mixed moments, quadrature oracle, sampling."""
 
 import math
+import sys
 from itertools import product
 
 import numpy as np
@@ -191,11 +192,34 @@ class TestSampling:
 def test_tiny_alpha_always_samples_a_simplex_point(tiny, moderate, seed):
     # a gamma draw that underflowed to a subnormal or zero weight raised ValueError
     # or EvaluationError; every draw is now a point whose weights are at least MIN_WEIGHT
-    env = DirichletEnv(tiny + moderate)
+    assert_draws_are_points(DirichletEnv(tiny + moderate), seed)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.floats(min_value=5e-324, max_value=sys.float_info.min, exclude_max=True),
+             min_size=1, max_size=4),
+    st.integers(0, 2**64 - 1),
+)
+def test_subnormal_alpha_always_samples_a_simplex_point(alpha, seed):
+    # every boosted log overflowed to -inf, and the weights came out nan
+    assert_draws_are_points(DirichletEnv(alpha), seed)
+
+
+def assert_draws_are_points(env, seed):
     rng = make_stream(seed)
     for _ in range(20):
         point = env.sample(rng)
         assert min(point.weights) >= MIN_WEIGHT and abs(math.fsum(point.weights) - 1.0) <= 1e-12
+
+
+def test_when_every_boost_overflows_the_least_exponential_wins():
+    # coordinate 0 has the least -log(1 - U_i) / alpha_i with probability 1/4
+    env = DirichletEnv([5e-324, 1.5e-323])
+    rng = make_stream(4)
+    draws = 4000
+    wins = sum(env.sample(rng).weights[0] == 1.0 for _ in range(draws))
+    assert abs(wins - draws / 4) <= 5 * math.sqrt(draws * 0.25 * 0.75)
 
 
 def test_env_moment_law_round_trip_at_low_order(env_map):

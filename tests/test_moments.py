@@ -1,5 +1,6 @@
-"""Moment tables, finite differences, positivity scan, mass identities."""
+"""Moment tables, finite differences, simplex identity, positivity scan, mass identities."""
 
+import functools
 import math
 from itertools import product
 
@@ -15,13 +16,15 @@ from urnwalk import (
     MomentOrderError,
     NotAdmissibleError,
     build_moment_table,
+    builtin_laws,
     finite_difference,
     hildebrandt_schoenberg_check,
     multinomial,
+    simplex_defect,
     simplex_mass,
     tabulated_witness,
 )
-from urnwalk.moments import MomentTable, _scan_pairs, ball_indices, slice_indices
+from urnwalk.moments import MomentTable, ball_indices, slice_indices
 
 
 @pytest.mark.parametrize("d", range(1, 6))
@@ -161,47 +164,14 @@ class TestPositivityScan:
         with pytest.raises(ValueError, match="tolerance"):
             hildebrandt_schoenberg_check(corrupted, tolerance)
 
-    def test_report_serializes(self, uniform_urn_table):
-        import json
-
-        payload = json.loads(json.dumps(hildebrandt_schoenberg_check(uniform_urn_table).to_dict()))
-        assert payload["passed"] is True
-        assert payload["order_checked"] == 8
-
-
-def assert_scan_matches_oracle(table):
-    """The dense scan agrees with the inclusion-exclusion scan over every pair."""
-    d, order = table.dimension, table.order
-    pairs = [(h, k) for h in ball_indices(d, order) for k in ball_indices(d, order - sum(h))]
-    ref, _ = _scan_pairs(table, pairs)
-    report = hildebrandt_schoenberg_check(table)
-    bound = 1e-12 * max(1.0, abs(ref))
-    assert report.passed == (ref >= -report.tolerance)
-    assert abs(report.max_negativity - ref) <= bound
-    # the reported pair attains the minimum under the oracle's own expansion
-    at_worst, _ = _scan_pairs(table, [report.worst_case])
-    assert abs(at_worst - report.max_negativity) <= bound
-
-
-class TestDenseScanOracle:
-    def test_builtin_laws_at_acceptance_orders(self, law_map):
-        for name, law in law_map.items():
-            table = build_moment_table(law, 10 if law.dimension <= 3 else 8)
-            assert_scan_matches_oracle(table)
-
     def test_one_dimensional_tables(self):
         # uniform measure on [0, 1]: v_k = 1 / (k + 1)
         table = MomentTable(1, 9, {(k,): -math.log(k + 1) for k in range(10)})
-        assert_scan_matches_oracle(table)
         assert hildebrandt_schoenberg_check(table).passed
-        corrupted = table.with_value((3,), 0.3)
-        assert_scan_matches_oracle(corrupted)
-        assert not hildebrandt_schoenberg_check(corrupted).passed
+        assert not hildebrandt_schoenberg_check(table.with_value((3,), 0.3)).passed
 
     def test_order_zero_table(self, law_map):
-        table = build_moment_table(law_map["polya_1_2_3_4"], 0)
-        assert_scan_matches_oracle(table)
-        report = hildebrandt_schoenberg_check(table)
+        report = hildebrandt_schoenberg_check(build_moment_table(law_map["polya_1_2_3_4"], 0))
         assert report.max_negativity == 1.0
         assert report.worst_case == ((0, 0, 0, 0), (0, 0, 0, 0))
 
@@ -212,15 +182,73 @@ class TestDenseScanOracle:
         assert report.max_negativity == 0.0
         assert report.worst_case == ((0, 1), (0, 0))
 
+
+TAU = 1e-10
+BUILTIN_LAWS = builtin_laws()
+
+
+@functools.cache
+def builtin_table(name, order):
+    return build_moment_table(BUILTIN_LAWS[name], order)
+
+
+def relative_corruption():
+    """A signed relative change of an entry, log-uniform in magnitude from 1e-13 to 1e-8."""
+    return st.tuples(st.sampled_from([-1.0, 1.0]), st.floats(min_value=-13.0, max_value=-8.0)
+                     ).map(lambda t: t[0] * 10.0 ** t[1])
+
+
+class TestSimplexIdentity:
+    def test_builtin_tables_meet_it(self, law_map):
+        for name, law in law_map.items():
+            defect, _ = simplex_defect(build_moment_table(law, 12 if law.dimension <= 3 else 8))
+            assert defect <= 1e-14, name
+
+    def test_order_zero_has_nothing_to_check(self, law_map):
+        table = build_moment_table(law_map["polya_h_h_2"], 0)
+        assert simplex_defect(table) == (0.0, (0, 0, 0))
+
+    def test_the_first_worst_k_is_reported(self):
+        # Dirichlet(1, 1) with E[x_1] = 0.501 and E[x_2] = 0.499: the origin still sums to 1
+        table = builtin_table("polya_1_1", 3).with_value((1, 0), 0.501).with_value((0, 1), 0.499)
+        defect, where = simplex_defect(table)
+        assert where == (0, 1)
+        assert defect == pytest.approx(0.001 / 0.499, rel=1e-12)
+
     @given(data=st.data())
-    @settings(max_examples=60, deadline=None)
-    def test_single_corrupted_entry(self, law_map, data):
-        law = data.draw(st.sampled_from([law_map["polya_1_1"], law_map["polya_h_h_2"]]))
-        order = 6 if law.dimension == 2 else 5
-        table = build_moment_table(law, order)
-        index = data.draw(st.sampled_from(ball_indices(law.dimension, order)[1:]))
-        value = data.draw(st.floats(min_value=0.0, max_value=2.0, exclude_min=True))
-        assert_scan_matches_oracle(table.with_value(index, value))
+    @settings(max_examples=150, deadline=None)
+    def test_a_pass_implies_the_hs_oracle(self, data):
+        name = data.draw(st.sampled_from(sorted(BUILTIN_LAWS)))
+        order = data.draw(st.integers(min_value=1, max_value=8))
+        table = builtin_table(name, order)
+        indices = ball_indices(table.dimension, order)[1:]
+        for index in data.draw(st.lists(st.sampled_from(indices), min_size=1, max_size=3,
+                                        unique=True)):
+            value = table.value(index) * (1.0 + data.draw(relative_corruption()))
+            table = table.with_value(index, value)
+        if simplex_defect(table)[0] <= TAU:
+            assert hildebrandt_schoenberg_check(table, TAU).passed
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_a_corruption_that_keeps_every_slice_mass_fails_it(self, data):
+        # the entries of one slice below the order move, their multinomial-weighted
+        # sum held by the last; the first moves by at least 10 tau
+        name = data.draw(st.sampled_from(sorted(BUILTIN_LAWS)))
+        order = data.draw(st.integers(min_value=2, max_value=8))
+        table = builtin_table(name, order)
+        degree = data.draw(st.integers(min_value=1, max_value=order - 1))
+        *moved, last = data.draw(st.lists(st.sampled_from(slice_indices(table.dimension, degree)),
+                                          min_size=2, max_size=3, unique=True))
+        shift = 0.0
+        for index in moved:
+            sign = data.draw(st.sampled_from([-1.0, 1.0]))
+            change = sign * table.value(index) * 10.0 ** data.draw(st.floats(-9.0, -6.0))
+            shift += multinomial(index) * change
+            table = table.with_value(index, table.value(index) + change)
+        table = table.with_value(last, table.value(last) - shift / multinomial(last))
+        assert all(abs(simplex_mass(table, n) - 1.0) <= TAU for n in range(order + 1))
+        assert simplex_defect(table)[0] > TAU
 
 
 class TestSimplexMass:

@@ -7,8 +7,7 @@
 
 Each operation that ``perfbench/workloads.py`` generates for the given
 workloads and seeds, and each of the fixed :func:`failures` (configs that
-exit 1 to 4, and two sampled runs that exit 0, under the workload name
-``failures``), runs twice through
+exit 0 to 4, under the workload name ``failures``), runs twice through
 ``urnwalk.cli.main``, once with ``--format csv`` and once with ``--format
 json``, in a fixed working directory: the output paths are part of each
 config hash and summary line, so two runs compare only from the same
@@ -36,15 +35,19 @@ ROOT = Path(__file__).resolve().parents[1]
 FORMATS = ("csv", "json")
 
 
-def failures() -> list[tuple[str, str, dict]]:
-    """Fixed configs, as (label, command, config).  Failure paths: exit 1 from a
-    gap met before a read outside the witness's box and from open squares that
-    cancel along both staircases of the order-3 ball
+def failures() -> list[tuple]:
+    """Fixed configs, as (label, command, config, extra argv...).  Failure paths:
+    exit 1 from a gap met before a read outside the witness's box and from open
+    squares that cancel along both staircases of the order-3 ball
     (``tests/open_squares_law.json``), 3 from a ``reject`` table walked past its
     box, 4 from exact compare's path budget, 2 from a config with no ``law``
     section.  Then two sampled runs that exit 0: an annealed walk whose tiny
     alpha raises environment weights to ``MIN_WEIGHT``, and a quenched walk
-    whose ``env_seed`` is its ``seed``."""
+    whose ``env_seed`` is its ``seed``.  Last, so that the earlier ones keep
+    their numbers: exit 1 from a Dirichlet(1, 1) table whose ``--corrupt-entry``
+    overwrites keep every slice mass but miss the simplex identity, and exit 0
+    from an annealed walk whose every alpha is so tiny that every boosted log
+    overflows."""
     from workloads import WITNESS_LAW
 
     open_squares = json.loads((ROOT / "tests" / "open_squares_law.json")
@@ -78,6 +81,14 @@ def failures() -> list[tuple[str, str, dict]]:
           "envs": {"default": {"family": "point_mass", "weights": [1.0]},
                    "per_vertex": {"0": {"family": "dirichlet", "alpha": [0.5, 1.0, 2.0]}}},
           "operation": {"mode": "quenched", "steps": 6, "trajectories": 40, "env_seed": 3}}),
+        ("dirichlet 1,1 order 3 off the simplex, every slice mass kept", "verify-moments",
+         {"law": {"family": "dirichlet", "alpha": [1.0, 1.0]}, "operation": {"order": 3}},
+         "--corrupt-entry", "1,0=0.501", "--corrupt-entry", "0,1=0.499"),
+        ("every alpha tiny at the centre, 40x6", "simulate",
+         {"graph": {"generator": "star", "leaves": 2}, "seed": 2,
+          "envs": {"default": {"family": "point_mass", "weights": [1.0]},
+                   "per_vertex": {"0": {"family": "dirichlet", "alpha": [1e-320, 1e-320]}}},
+          "operation": {"mode": "annealed", "steps": 6, "trajectories": 40}}),
     ]
 
 
@@ -128,12 +139,12 @@ def digest_lines(workloads: list[str], seeds: list[int], scale: str, src: Path,
     opdir = workdir / "failures"
     opdir.mkdir(parents=True, exist_ok=True)
     for fmt in FORMATS:
-        for n, (label, command, cfg) in enumerate(failures()):
+        for n, (label, command, cfg, *extra) in enumerate(failures()):
             path = opdir / f"op{n:02d}.config.json"
             path.write_text(json.dumps({"schema": 1, **cfg}), encoding="utf-8")
             out = opdir / f"op{n:02d}.{fmt}"
             code, digest = run_once(main, [command, "--config", str(path), "--format", fmt,
-                                           "--out", str(out)], out)
+                                           "--out", str(out), *extra], out)
             lines.append(f"failures - {fmt} op{n:02d} exit={code} {digest} {command} {label}")
     return lines
 
