@@ -25,14 +25,12 @@ from .environment import (
 from .equivalence import (
     ComparisonReport,
     PathDistribution,
-    annealed_path_logprob,
     compare_distributions,
     compare_empirical,
     enumerate_annealed,
     enumerate_both,
     enumerate_reinforced,
     recover_env_moments,
-    reinforced_path_logprob,
 )
 from .errors import (
     ConfigError,

@@ -30,10 +30,13 @@ on a fail) and maps the outcome to an exit code: 0 pass, 1 property fails,
 compare whose samples leave the chi-square test no degrees of freedom),
 3 evaluation error, 4 resource guard.  So exit 1 only ever means that a
 property failed.  The guards are exact ``compare``'s ``operation.max_paths``
-and ``derive-law``'s limit of :data:`MAX_DERIVE_ROWS` count vectors in the
-box, checked before anything is evaluated.  Each file is written under a
-temporary name and moved into place, a CSV's metadata sidecar first, so a
-failed write leaves no partial file.  A JSON output has the bytes of
+and the limit of :data:`MAX_LATTICE_POINTS` lattice points on the commands
+that read a whole lattice: ``check-admissibility``'s square corners in its
+box (d >= 2), the moment table's entries in ``verify-moments`` and
+``recover-moments``, and ``derive-law``'s count vectors in its box.  Each is
+checked after the config and before any law is evaluated.  Each file is
+written under a temporary name and moved into place, a CSV's metadata sidecar
+first, so a failed write leaves no partial file.  A JSON output has the bytes of
 ``json.dumps(..., sort_keys=True, indent=2)``, but its body is streamed: a
 chunk of rows per write, each row through one format string laid out for the
 output, its cells encoded a column at a time.  Outputs embed the SHA-256 of
@@ -126,8 +129,9 @@ EXIT_GUARD = 4
 #: from the logs of their gamma draws (:meth:`~urnwalk.environment.DirichletEnv.sample`).
 NUMERICS = 5
 
-#: Most count vectors derive-law tabulates, the default ``max_paths`` of exact compare.
-MAX_DERIVE_ROWS = DEFAULT_MAX_PATHS
+#: Most lattice points a command reads (box corners, table entries or count
+#: vectors), the default ``max_paths`` of exact compare.
+MAX_LATTICE_POINTS = DEFAULT_MAX_PATHS
 
 #: About how many cells of a JSON body are encoded per write.
 _CHUNK_CELLS = 8192
@@ -330,12 +334,23 @@ def _start_vertex(cfg: Mapping, graph) -> int:
     return x0
 
 
+def _guard_lattice(where: str, size: int, points: str) -> None:
+    """Refuse a run that reads more than :data:`MAX_LATTICE_POINTS` lattice points."""
+    if size > MAX_LATTICE_POINTS:
+        raise EnumerationGuardError(
+            f"{where} has {size} {points}, more than the limit of {MAX_LATTICE_POINTS}")
+
+
 def plan_check_admissibility(cfg: dict, args: argparse.Namespace) -> Callable[[], Result]:
     law = _law(cfg, "check-admissibility")
     box = _op_int(cfg, "box", 6, minimum=1)
     tolerance = _tolerance(cfg)
 
     def run() -> Result:
+        d = law.dimension
+        if d >= 2:
+            _guard_lattice(f"check-admissibility: box {box} in dimension {d}", box**d,
+                           "square corners")
         report = check_admissible(law, box, tolerance)
         violations = report.violations
         if report.admissible:
@@ -384,6 +399,9 @@ def plan_verify_moments(cfg: dict, args: argparse.Namespace) -> Callable[[], Res
     corruption = _parse_corruption(getattr(args, "corrupt_entry", None), law.dimension, order)
 
     def run() -> Result:
+        d = law.dimension
+        _guard_lattice(f"verify-moments: order {order} in dimension {d}", math.comb(order + d, d),
+                       "table entries")
         table = recover_env_moments(law, order, tolerance)
         for index, value in corruption:
             table = table.with_value(index, value)
@@ -575,12 +593,7 @@ def plan_derive_law(cfg: dict, args: argparse.Namespace) -> Callable[[], Result]
     d = env.dimension
 
     def run() -> Result:
-        size = (box + 1) ** d
-        if size > MAX_DERIVE_ROWS:
-            raise EnumerationGuardError(
-                f"derive-law: box {box} in dimension {d} has {size} count vectors, "
-                f"more than the limit of {MAX_DERIVE_ROWS}"
-            )
+        _guard_lattice(f"derive-law: box {box} in dimension {d}", (box + 1) ** d, "count vectors")
         # every count vector of the box, in lexicographic order
         counts = np.indices((box + 1,) * d).reshape(d, -1).T
         weights = check_simplex_rows(np.exp(law.log_weights_batch(counts)))
@@ -599,6 +612,9 @@ def plan_recover_moments(cfg: dict, args: argparse.Namespace) -> Callable[[], Re
     tolerance = _tolerance(cfg)
 
     def run() -> Result:
+        d = law.dimension
+        _guard_lattice(f"recover-moments: order {order} in dimension {d}", math.comb(order + d, d),
+                       "table entries")
         table = recover_env_moments(law, order, tolerance)
         return _table_result(table, {"order": order, "dimension": table.dimension},
                              f"wrote moment table to order {order} to {{out}}")

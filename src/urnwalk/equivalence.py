@@ -57,10 +57,6 @@ class PathDistribution:
             raise ValueError(f"path probabilities sum to {total!r}, not 1")
         object.__setattr__(self, "probabilities", probabilities)
 
-    @property
-    def support(self) -> frozenset[Trajectory]:
-        return frozenset(self.log_probs)
-
 
 @dataclass(frozen=True)
 class ComparisonReport:
@@ -82,24 +78,13 @@ class ComparisonReport:
         }
 
 
-def _validate_trajectory(graph: Graph, trajectory: Sequence[int]) -> None:
-    if not trajectory:
-        raise ValueError("trajectory must contain at least the start vertex")
-    for v in trajectory:
-        if not (0 <= v < graph.vertex_count):
-            raise ValueError(f"trajectory vertex {v} not in graph")
-    for x, y in zip(trajectory, trajectory[1:]):
-        if not graph.move_indices(x, y):
-            raise ValueError(f"trajectory step {x}->{y} is not a graph edge")
-
-
 def _enumerate(
     graph: Graph, x0: int, steps: int, laws: Mapping[int, ReinforcementLaw] | None,
-    envs: Mapping[int, VertexEnvLaw] | None, follow: Sequence[int] | None = None,
+    envs: Mapping[int, VertexEnvLaw] | None,
 ) -> tuple[dict[Trajectory, list[float]], dict[Trajectory, list[float]]]:
     """Reinforced and annealed log probabilities of all move-index sequences of
     length ``steps`` from x0, per trajectory in traversal order; a law whose map
-    is None reads nothing and scores 0.  With ``follow``, of those realizing it."""
+    is None reads nothing and scores 0."""
     reinforced: dict[Trajectory, list[float]] = {}
     annealed: dict[Trajectory, list[float]] = {}
     rows: dict[tuple[int, Counts], tuple[list[float], list[float]]] = {}
@@ -126,8 +111,7 @@ def _enumerate(
         log_w, child = row
         before = moments.get(x)
         targets = graph.neighbors[x]
-        moves = graph.move_indices(x, follow[depth + 1]) if follow else range(len(targets))
-        for i in moves:
+        for i in range(len(targets)):
             at_x[i] += 1
             path.append(targets[i])
             moments[x] = child[i]
@@ -145,44 +129,6 @@ def _enumerate(
 
 def _distribution(x0: int, steps: int, acc: Mapping[Trajectory, list[float]]) -> PathDistribution:
     return PathDistribution(x0, steps, {t: log_sum_exp(lps) for t, lps in acc.items()})
-
-
-def _path_logprob(graph: Graph, trajectory: Sequence[int], laws: Mapping | None,
-                  envs: Mapping | None) -> float:
-    _validate_trajectory(graph, trajectory)
-    traj = tuple(trajectory)
-    maps, name = (laws, "law map") if envs is None else (envs, "environment map")
-    for x in traj[:-1]:
-        _at(maps, x, name)
-    reinforced, annealed = _enumerate(graph, traj[0], len(traj) - 1, laws, envs, traj)
-    return log_sum_exp((annealed if laws is None else reinforced)[traj])
-
-
-def reinforced_path_logprob(
-    graph: Graph,
-    laws: Mapping[int, ReinforcementLaw],
-    trajectory: Sequence[int],
-) -> float:
-    """Log probability of a trajectory under the reinforced walk.
-
-    Sums over all move-index sequences consistent with the vertex sequence
-    (one sequence unless the graph has parallel moves).
-    """
-    return _path_logprob(graph, trajectory, laws, None)
-
-
-def annealed_path_logprob(
-    graph: Graph,
-    envs: Mapping[int, VertexEnvLaw],
-    trajectory: Sequence[int],
-) -> float:
-    """Log probability of a trajectory under the annealed walk.
-
-    For each consistent move-index sequence the probability is the product
-    over vertices of the environment's mixed moment at the accumulated move
-    counts; parallel-move ambiguity again sums over index sequences.
-    """
-    return _path_logprob(graph, trajectory, None, envs)
 
 
 def enumerate_both(

@@ -194,31 +194,23 @@ def _difference_terms(
 ) -> tuple[float, float]:
     """Inclusion-exclusion expansion of Delta^h(v)(k).
 
-    Returns (value, sum of |terms|) with Neumaier-compensated summation;
-    the scale is used by callers to recognize results at the noise floor.
+    Returns (value, sum of |terms|), each summed exactly rounded by
+    ``math.fsum``; the scale is used by callers to recognize results at the
+    noise floor.
     """
     values = table.linear_values
-    total = 0.0
-    comp = 0.0
-    scale = 0.0
     h_total = sum(h)
+    terms = []
     for m in product(*(range(hi + 1) for hi in h)):
         coeff = 1.0 if (h_total - sum(m)) % 2 == 0 else -1.0
         for hi, mi in zip(h, m):
             coeff *= math.comb(hi, mi)
-        term = coeff * values[tuple(a + b for a, b in zip(k, m))]
-        scale += abs(term)
-        fresh = total + term
-        if abs(total) >= abs(term):
-            comp += (total - fresh) + term
-        else:
-            comp += (term - fresh) + total
-        total = fresh
-    return total + comp, scale
+        terms.append(coeff * values[tuple(a + b for a, b in zip(k, m))])
+    return math.fsum(terms), math.fsum(map(abs, terms))
 
 
 def finite_difference(table: MomentTable, h: Sequence[int], k: Sequence[int]) -> float:
-    """``Delta^h(v)(k)`` by inclusion-exclusion with compensated summation.
+    """``Delta^h(v)(k)`` by inclusion-exclusion summed by ``math.fsum``.
 
     The one-step operators commute, so the expansion
     ``sum_{0<=m<=h} (-1)^{|h|-|m|} C(h,m) v_{k+m}`` is order-independent.

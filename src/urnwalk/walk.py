@@ -103,21 +103,6 @@ class Graph:
     def degree(self, x: int) -> int:
         return len(self.neighbors[x])
 
-    @cached_property
-    def _move_indices(self) -> tuple[dict[int, tuple[int, ...]], ...]:
-        """Per vertex: target -> ordered-list positions pointing at it."""
-        out = []
-        for targets in self.neighbors:
-            by_target: dict[int, list[int]] = {}
-            for i, y in enumerate(targets):
-                by_target.setdefault(y, []).append(i)
-            out.append({y: tuple(ix) for y, ix in by_target.items()})
-        return tuple(out)
-
-    def move_indices(self, x: int, y: int) -> tuple[int, ...]:
-        """All ordered-list positions at x whose target is y (may be empty)."""
-        return self._move_indices[x].get(y, ())
-
 
 def segment_graph(length: int) -> Graph:
     """Path of `length` vertices with reflecting ends."""

@@ -41,7 +41,7 @@ def transition_counts(graph: Graph, trajectory: Sequence[int]) -> dict[int, Coun
     """
     counts: dict[int, list[int]] = {}
     for x, y in zip(trajectory, trajectory[1:]):
-        indices = graph.move_indices(x, y)
+        indices = [i for i, target in enumerate(graph.neighbors[x]) if target == y]
         if not indices:
             raise ValueError(f"trajectory step {x}->{y} is not a graph edge")
         if len(indices) > 1:

@@ -1166,7 +1166,7 @@ class TestDeriveLawBatch:
 
     @pytest.mark.parametrize("box, code", [(3, 0), (4, 4)])
     def test_the_row_limit_counts_count_vectors(self, tmp_path, monkeypatch, box, code):
-        monkeypatch.setattr(cli, "MAX_DERIVE_ROWS", 16)
+        monkeypatch.setattr(cli, "MAX_LATTICE_POINTS", 16)
         cfg = write_config(tmp_path, {"env": {"family": "dirichlet", "alpha": [1.0, 2.0]},
                                       "operation": {"box": box},
                                       "output": {"path": str(tmp_path / "law.csv")}})
@@ -1219,6 +1219,36 @@ class TestDeriveLawBatch:
         cfg = write_config(tmp_path, {"law": WITNESS_LAW, "operation": {"order": 3},
                                       "output": {"path": str(tmp_path / "m.json")}})
         assert main([command, "--config", cfg]) == 1
+
+
+class TestLatticeGuards:
+    """Every command that reads a whole lattice refuses more than
+    ``MAX_LATTICE_POINTS`` points with exit 4 before any law is evaluated."""
+
+    @pytest.mark.parametrize("command, size, points, code", [
+        # box**d square corners
+        ("check-admissibility", "box", 4, 0), ("check-admissibility", "box", 5, 4),
+        # comb(order + d, d) table entries: 15 at order 4, 21 at order 5
+        ("verify-moments", "order", 4, 0), ("verify-moments", "order", 5, 4),
+        ("recover-moments", "order", 4, 0), ("recover-moments", "order", 5, 4),
+    ])
+    def test_the_limit_counts_lattice_points(self, tmp_path, monkeypatch, capsys, command,
+                                             size, points, code):
+        monkeypatch.setattr(cli, "MAX_LATTICE_POINTS", 16)
+        out = tmp_path / "out.json"
+        cfg = write_config(tmp_path, {"law": POLYA_23_LAW, "operation": {size: points},
+                                      "output": {"path": str(out)}})
+        assert main([command, "--config", cfg]) == code
+        if code == 4:
+            assert "enumeration guard" in capsys.readouterr().err
+            assert not out.exists()
+
+    @pytest.mark.parametrize("command, size", [
+        ("check-admissibility", "box"), ("verify-moments", "order"), ("recover-moments", "order")])
+    def test_a_config_error_comes_before_the_limit(self, tmp_path, command, size):
+        # no output section; 10**4 is far over the limit in every command
+        cfg = write_config(tmp_path, {"law": POLYA_23_LAW, "operation": {size: 10**4}})
+        assert main([command, "--config", cfg]) == 2
 
 
 #: The commands that certify closedness, with the operation that sizes each.

@@ -54,11 +54,6 @@ class TestGraphs:
         with pytest.raises(ValueError):
             Graph(((1,), ()))
 
-    def test_move_indices_on_multigraph(self):
-        g = Graph(((1, 1), (0,)))
-        assert g.move_indices(0, 1) == (0, 1)
-        assert g.move_indices(1, 1) == ()
-
 
 class TestReinforcedWalk:
     def test_zero_steps(self, rng):

@@ -45,9 +45,12 @@ def failures() -> list[tuple]:
     alpha raises environment weights to ``MIN_WEIGHT``, and a quenched walk
     whose ``env_seed`` is its ``seed``.  Last, so that the earlier ones keep
     their numbers: exit 1 from a Dirichlet(1, 1) table whose ``--corrupt-entry``
-    overwrites keep every slice mass but miss the simplex identity, and exit 0
+    overwrites keep every slice mass but miss the simplex identity, exit 0
     from an annealed walk whose every alpha is so tiny that every boosted log
-    overflows."""
+    overflows, and exit 4 from derive-law over its count-vector limit.  The
+    lattice guards of check-admissibility, verify-moments and recover-moments
+    are left out: under ``--against``, an older tree without them would run
+    such a config in full."""
     from workloads import WITNESS_LAW
 
     open_squares = json.loads((ROOT / "tests" / "open_squares_law.json")
@@ -89,6 +92,9 @@ def failures() -> list[tuple]:
           "envs": {"default": {"family": "point_mass", "weights": [1.0]},
                    "per_vertex": {"0": {"family": "dirichlet", "alpha": [1e-320, 1e-320]}}},
           "operation": {"mode": "annealed", "steps": 6, "trajectories": 40}}),
+        ("derive-law over its count-vector limit", "derive-law",
+         {"env": {"family": "dirichlet", "alpha": [1.0, 2.0, 3.0, 4.0]},
+          "operation": {"box": 100}}),
     ]
 
 
