@@ -12,18 +12,23 @@ probability depends only on how often each move was taken, so the log
 probability of a move sequence is a function of its endpoint.
 
 The scan asks the law's public ``log_weights`` for each count vector up to
-``1 + d(d-1)`` times; the built-in families memoise it per count vector,
-so all but the first of those calls are dictionary hits.
+``1 + d(d-1)`` times.  A law whose class evaluates count tables as arrays
+(:func:`~urnwalk.laws.array_rows`: the Dirichlet, polynomial and induced
+laws) first has the box, with each corner's bumps, evaluated in blocks of
+rows into its log-weights memo, so all of those calls are dictionary hits.
+Any other law, and one whose batch raises, is read per point, so the scan
+raises the per-point error at the per-point count vector.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, product
-from typing import Sequence
+from itertools import combinations, islice, product
+from typing import Iterator, Sequence
 
-from .laws import Counts, ReinforcementLaw
+from .errors import UrnwalkError
+from .laws import Counts, ReinforcementLaw, array_rows, warm_log_weights
 
 #: The one default tolerance: of the square scan, the moment table's edges and the CLI.
 DEFAULT_TOLERANCE = 1e-10
@@ -70,17 +75,33 @@ def _scan_chunk(
     tolerance: float,
 ) -> list[SquareViolation]:
     found = []
+    axes = range(law.dimension)
     for p in points:
-        logw_p = law.log_weights(p)
+        logw_p = law.log_weights(p).tolist()
+        bumped = [p[:i] + (p[i] + 1,) + p[i + 1 :] for i in axes]
         for i, j in pairs:
-            p_i = p[:i] + (p[i] + 1,) + p[i + 1 :]
-            p_j = p[:j] + (p[j] + 1,) + p[j + 1 :]
-            lhs = float(logw_p[i] + law.log_weights(p_i)[j])
-            rhs = float(logw_p[j] + law.log_weights(p_j)[i])
+            lhs = float(logw_p[i] + law.log_weights(bumped[i])[j])
+            rhs = float(logw_p[j] + law.log_weights(bumped[j])[i])
             gap = lhs - rhs
             if abs(gap) > tolerance:
                 found.append(SquareViolation(p, i, j, lhs, rhs, gap))
     return found
+
+
+#: Count vectors per block of :func:`_corner_blocks`.
+WARM_BLOCK = 1 << 10
+
+
+def _corner_blocks(d: int, box_size: int) -> Iterator[list[Counts]]:
+    """The corners of the box and their bumps, in lexicographic blocks.
+
+    These are the points of ``{0..box_size}^d`` with at most one coordinate
+    at ``box_size``.
+    """
+    grid = product(range(box_size + 1), repeat=d)
+    corners = (c for c in grid if c.count(box_size) <= 1)
+    while block := list(islice(corners, WARM_BLOCK)):
+        yield block
 
 
 def check_admissible(
@@ -102,6 +123,11 @@ def check_admissible(
         return AdmissibilityReport(True, (), box_size, tolerance)
     pairs = list(combinations(range(d), 2))
     points = list(product(range(box_size), repeat=d))
+    if array_rows(type(law)):
+        try:
+            warm_log_weights(law, _corner_blocks(d, box_size))
+        except (UrnwalkError, ValueError):
+            pass  # read per point below, which raises where it always has
     violations = _scan_chunk(law, points, pairs, tolerance)
     return AdmissibilityReport(
         admissible=not violations,

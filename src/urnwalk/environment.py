@@ -322,13 +322,12 @@ class EnvMomentLaw(ReinforcementLaw):
             out[i] = self.env._memo_log_moment(bumped) - base
         return out - log_sum_exp(out)
 
-    def log_weights_batch(self, counts: np.ndarray) -> np.ndarray:
+    def _log_weights_rows(self, c: np.ndarray) -> np.ndarray:
         """One :meth:`VertexEnvLaw.log_mixed_moments` call per block of rows.
 
         Each call takes the block's rows and their bumps ``c + e_i``; move i
         gets ``m(c + e_i) - m(c)``, less the row's log-sum-exp.
         """
-        c = batch_counts(counts, self.dimension)
         n, d = c.shape
         if d == 1:
             return np.zeros((n, 1))

@@ -19,11 +19,12 @@ Tables over many count vectors (the box of ``derive-law``) use
 :meth:`ReinforcementLaw.log_weights_batch`, which takes an ``[N, d]`` array
 of counts and returns the ``[N, d]`` log weights.  Its contract is bitwise:
 row ``r`` has exactly the bits of the per-point log weights at
-``counts[r]``.  The base class evaluates one row at a time; the induced law
-``environment.EnvMomentLaw`` overrides it with one array pass over the
-environment's moments.  An array path must keep every float operation: the
-same ufuncs on the same operands in the same order, and columns added left
-to right as the scalar code adds them.
+``counts[r]``.  The base class evaluates one row at a time; the Dirichlet,
+polynomial and induced (``environment.EnvMomentLaw``) laws take one array
+pass (see :func:`array_rows`).  An array path must keep every float
+operation: the same ufuncs on the same operands in the same order, columns
+added left to right as the scalar code adds them, and ``math.log`` where
+the scalar code takes it, for numpy's ``log`` rounds some values apart.
 
 Log rising factorials ``log (y)_k = log y(y+1)...(y+k-1)`` at integer counts
 are sums of logs, ``cumsum(log(y + arange(K)))`` read with the counts as
@@ -47,7 +48,7 @@ from dataclasses import dataclass
 from functools import reduce, wraps
 from itertools import product
 from operator import add
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -756,8 +757,11 @@ class ReinforcementLaw:
 
     :meth:`log_weights_batch` evaluates many count vectors at once.  Row
     ``r`` of its result has the bits of ``_log_weights(counts[r])``; this
-    class loops over the rows, and a subclass overrides it only with an
-    array path that keeps those bits.  :meth:`_simplex_rows` does the same
+    class loops over the rows.  :class:`DirichletLaw`,
+    :class:`PolynomialDirichletLaw` and ``EnvMomentLaw`` give the array form
+    of their formula as ``_log_weights_rows``, which it takes instead
+    wherever :func:`array_rows` holds, so a subclass that overrides
+    :meth:`_log_weights` gets the loop.  :meth:`_simplex_rows` does the same
     for :meth:`_simplex`, for the lock-step walk (see :attr:`weight_rows`).
     """
 
@@ -791,6 +795,8 @@ class ReinforcementLaw:
         cannot be evaluated raises the error the per-point call raises.
         """
         c = batch_counts(counts, self.dimension)
+        if array_rows(type(self)):
+            return self._log_weights_rows(c)
         out = np.empty(c.shape)
         for r, row in enumerate(c.tolist()):
             out[r] = self._log_weights(tuple(row))
@@ -816,6 +822,40 @@ class ReinforcementLaw:
     def weights(self, counts: Sequence[int]) -> SimplexPoint:
         """Evaluate the law; validates the output is a proper simplex point."""
         return SimplexPoint(self._simplex(self._check_counts(counts)))
+
+
+def array_rows(cls: type) -> bool:
+    """Whether ``cls`` evaluates count tables in one array pass, with the bits of its public reads.
+
+    So it does where the class that defines ``_log_weights`` also defines
+    its array form ``_log_weights_rows`` and the public ``log_weights``,
+    which on each such class reads the ``_log_weights`` memo.
+    """
+    owners = [next((k for k in cls.__mro__ if name in vars(k)), None)
+              for name in ("_log_weights_rows", "_log_weights", "log_weights")]
+    return owners[0] is owners[1] is owners[2]
+
+
+def warm_log_weights(law: ReinforcementLaw, blocks: Iterable[list[Counts]]) -> None:
+    """Store the log weights at each count vector of each block in ``law``'s memo.
+
+    For a class where :func:`array_rows` holds, whose public ``log_weights``
+    then reads the rows from the memo.  One :meth:`log_weights_batch` call
+    per block, stored one row each, up to the memo's limit.  A block that
+    raises propagates its error; the rows stored before it have the bits
+    of their per-point evaluation.
+    """
+    memo = law.__dict__.setdefault("_log_weights_memo", {})
+    for block in blocks:
+        for key, row in zip(block, law.log_weights_batch(np.array(block))):
+            if len(memo) >= SIMPLEX_MEMO_LIMIT:
+                return
+            memo[key] = row
+
+
+def math_logs(values: np.ndarray) -> np.ndarray:
+    """``math.log`` of each entry, as an array of the same shape."""
+    return np.array(list(map(math.log, values.ravel().tolist()))).reshape(values.shape)
 
 
 class UniformLaw(ReinforcementLaw):
@@ -867,13 +907,16 @@ class DirichletLaw(ReinforcementLaw):
         total = sum_as_numpy(shifted)
         return check_simplex(tuple([s / total for s in shifted]))
 
-    def _simplex_rows(self, counts: np.ndarray) -> np.ndarray:
+    def _shifted_rows(self, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``alpha + counts`` for each row of counts, and each row's total."""
         shifted = self._alpha_arr + counts
         # sum_as_numpy along each row: left to right, or numpy's pairwise sum
         if self.dimension < PAIRWISE_SUM_MIN:
-            total = row_sums(shifted)
-        else:
-            total = shifted.sum(axis=1)
+            return shifted, row_sums(shifted)
+        return shifted, shifted.sum(axis=1)
+
+    def _simplex_rows(self, counts: np.ndarray) -> np.ndarray:
+        shifted, total = self._shifted_rows(counts)
         return check_simplex_rows(shifted / total[:, None])
 
     def log_weights(self, counts: Sequence[int]) -> np.ndarray:
@@ -882,6 +925,10 @@ class DirichletLaw(ReinforcementLaw):
     def _log_weights(self, c: Counts) -> np.ndarray:
         shifted = self._alpha_arr + np.asarray(c, dtype=float)
         return np.log(shifted) - math.log(shifted.sum())
+
+    def _log_weights_rows(self, c: np.ndarray) -> np.ndarray:
+        shifted, total = self._shifted_rows(c)
+        return np.log(shifted) - math_logs(total)[:, None]
 
     def __repr__(self) -> str:
         return f"DirichletLaw(alpha={self.alpha})"
@@ -939,6 +986,16 @@ class PolynomialDirichletLaw(ReinforcementLaw):
                 - base
             )
         return out
+
+    def _log_weights_rows(self, c: np.ndarray) -> np.ndarray:
+        n, d = c.shape
+        if d == 1:
+            return np.zeros((n, 1))
+        # the rows, then the rows bumped along each axis
+        stack = (c[None] + np.eye(d + 1, d, -1, dtype=np.int64)[:, None]).reshape(-1, d)
+        log_poly = self._poly.log_values(self._alpha_arr + stack).reshape(d + 1, n)
+        total = math_logs(self._alpha_total + c.sum(axis=1) + self.degree)[:, None]
+        return math_logs(self._alpha_arr + c) - total + log_poly[1:].T - log_poly[0][:, None]
 
     def __repr__(self) -> str:
         return (

@@ -32,8 +32,8 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .admissibility import DEFAULT_TOLERANCE, validate_tolerance
-from .errors import MomentOrderError, NotAdmissibleError
-from .laws import Counts, ReinforcementLaw, as_counts
+from .errors import MomentOrderError, NotAdmissibleError, UrnwalkError
+from .laws import Counts, ReinforcementLaw, array_rows, as_counts
 
 #: Signed differences below this multiple of eps * sum|terms| are treated
 #: as zero: inclusion-exclusion cancels catastrophically for large |h|.
@@ -159,15 +159,24 @@ def build_moment_table(law: ReinforcementLaw, order: int,
     :class:`NotAdmissibleError`.  So every elementary square of the ball
     closes within 4τ, and every monotone path to ``k`` agrees with the
     staircase within ``|k|`` τ.  At each ``k`` the staircase's edge is read
-    first, and each count vector's log weights once, in ball order, so a
-    gap is met before an evaluation error at a later count vector.
+    first.  Where :func:`~urnwalk.laws.array_rows` holds, the log weights
+    of the ball below the order come from one ``log_weights_batch`` call;
+    for any other law, or if that call raises, each count vector's log
+    weights are read once, in ball order, from ``log_weights``, so a gap is
+    met before an evaluation error at a later count vector.
     """
     validate_tolerance(tolerance)
     if order < 0:
         raise ValueError("order must be non-negative")
     d = law.dimension
     stair: dict[Counts, float] = {(0,) * d: 0.0}
-    rows: dict[Counts, np.ndarray] = {}
+    rows: dict[Counts, Sequence[float]] = {}
+    if array_rows(type(law)):
+        below = ball_indices(d, order - 1)
+        try:
+            rows = dict(zip(below, law.log_weights_batch(np.array(below)).tolist()))
+        except (UrnwalkError, ValueError):
+            pass  # read per point below, which raises where it always has
 
     def edge(k: Counts, i: int) -> float:
         """The path product to ``k`` along the table to ``k - e_i``, then move i."""

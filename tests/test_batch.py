@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from urnwalk.admissibility import DEFAULT_TOLERANCE, check_admissible
@@ -205,6 +205,100 @@ class TestLogWeightsBatch:
             tabulated_witness().log_weights_batch(np.array([[0, 0], [2, 0]]))
 
 
+# --- the array rows of the Dirichlet and polynomial laws --------------------------------
+
+_WIDE_ALPHA = st.floats(min_value=1e-3, max_value=1e3)
+
+
+@st.composite
+def wide_count_tables(draw, d):
+    n = draw(st.integers(1, 8))
+    rows = st.lists(st.lists(st.integers(0, 500), min_size=d, max_size=d), min_size=n, max_size=n)
+    return np.array(draw(rows), dtype=np.int64)
+
+
+@st.composite
+def wide_dirichlet(draw):
+    # from 8 moves on numpy sums each row pairwise
+    d = draw(st.integers(1, 10))
+    return DirichletLaw(draw(st.lists(_WIDE_ALPHA, min_size=d, max_size=d))), draw(wide_count_tables(d))
+
+
+@st.composite
+def wide_polynomial(draw):
+    d = draw(st.integers(1, 4))
+    degree = draw(st.integers(0, 3))
+    indices = slice_indices(d, degree)
+    chosen = draw(st.lists(st.sampled_from(indices), min_size=1, max_size=len(indices), unique=True))
+    coeffs = {k: draw(st.floats(min_value=1e-3, max_value=10.0)) for k in chosen}
+    alpha = draw(st.lists(_WIDE_ALPHA, min_size=d, max_size=d))
+    return PolynomialDirichletLaw(alpha, degree, coeffs), draw(wide_count_tables(d))
+
+
+class TestArrayRows:
+    # numpy's log and math.log round 198.001 apart: the first is a Dirichlet total, the
+    # second a polynomial law's shifted count; random draws meet such values rarely
+    @example(case=(DirichletLaw([0.001, 1.0]), np.array([[197, 0]])))
+    @example(case=(PolynomialDirichletLaw([0.001, 1.0], 1, {(1, 0): 1.0}), np.array([[198, 0]])))
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(wide_dirichlet(), wide_polynomial()))
+    def test_each_row_has_the_bits_of_the_per_point_formula(self, case):
+        law, counts = case
+        got = law.log_weights_batch(counts)
+        for r in range(len(counts)):
+            assert got[r].tobytes() == law._log_weights(tuple(counts[r])).tobytes()
+
+
+#: A quadratic law whose moment table and box scan meet rounding gaps at tolerance 0.
+QUADRATIC = {"alpha": [0.7, 1.9, 2.6], "degree": 2,
+             "coefficients": {(2, 0, 0): 1.0, (0, 0, 2): 1.0, (1, 1, 0): 1.0}}
+
+
+class BatchFails(PolynomialDirichletLaw):
+    """The quadratic law with array rows that raise ``error``, and no value at ``hole``."""
+
+    def __init__(self, error, hole=None):
+        super().__init__(**QUADRATIC)
+        self.error, self.hole = error, hole
+
+    def _log_poly(self, counts):
+        if counts == self.hole:
+            raise EvaluationError(f"no value at {counts}")
+        return super()._log_poly(counts)
+
+    def log_weights_batch(self, counts):
+        raise self.error("no array rows")
+
+
+def violation_bits(report):
+    return [(v.counts, v.i, v.j, v.lhs.hex(), v.rhs.hex(), v.gap.hex()) for v in report.violations]
+
+
+class TestReadersWhenTheBatchRaises:
+    @pytest.mark.parametrize("error", [EvaluationError, ValueError])
+    def test_the_readers_fall_back_to_per_point_reads(self, error):
+        law = BatchFails(error)
+        want = violation_bits(check_admissible(PolynomialDirichletLaw(**QUADRATIC), 4, 0.0))
+        assert len(want) == 61
+        assert violation_bits(check_admissible(law, 4, 0.0)) == want
+        with pytest.raises(NotAdmissibleError, match=r"^path products to \(0, 1, 1\) "
+                                                     r"disagree by -4\.441e-16"):
+            build_moment_table(law, 3, tolerance=0.0)
+
+    @pytest.mark.parametrize("error", [EvaluationError, ValueError])
+    def test_a_gap_comes_before_an_error_at_a_later_count_vector(self, error):
+        # the gap sits at (0, 1, 1); only the row at (2, 0, 0), read at degree 3, needs (3, 0, 0)
+        with pytest.raises(NotAdmissibleError, match=r"^path products to \(0, 1, 1\)"):
+            build_moment_table(BatchFails(error, hole=(3, 0, 0)), 3, tolerance=0.0)
+        with pytest.raises(EvaluationError, match=r"^no value at \(3, 0, 0\)$"):
+            build_moment_table(BatchFails(error, hole=(3, 0, 0)), 3)
+
+    @pytest.mark.parametrize("error", [EvaluationError, ValueError])
+    def test_the_scan_raises_the_per_point_error(self, error):
+        with pytest.raises(EvaluationError, match=r"^no value at \(3, 0, 0\)$"):
+            check_admissible(BatchFails(error, hole=(3, 0, 0)), 3)
+
+
 # --- the row-wise pieces --------------------------------------------------------------
 
 _ENTRY = st.one_of(
@@ -391,18 +485,25 @@ class TestMomentTable:
         assert all(np.float64(table[k]).tobytes() == np.float64(want[k]).tobytes() for k in want)
 
     def test_each_count_vector_below_the_order_is_read_once(self, monkeypatch):
+        # one batch call reads the ball below the order, and no public read is made
         law = DirichletLaw([1.0, 2.0, 3.0, 4.0])
-        reads = Counter()
-        read = law.log_weights
+        batches, reads = [], Counter()
+        batch, read = law.log_weights_batch, law.log_weights
+
+        def counted_batch(counts):
+            batches.append(Counter(map(tuple, np.asarray(counts).tolist())))
+            return batch(counts)
 
         def counted(counts):
             reads[tuple(counts)] += 1
             return read(counts)
 
+        monkeypatch.setattr(law, "log_weights_batch", counted_batch)
         monkeypatch.setattr(law, "log_weights", counted)
         build_moment_table(law, 8)
-        assert reads == Counter(ball_indices(4, 7))
-        assert sum(reads.values()) == 330
+        assert batches == [Counter(ball_indices(4, 7))]
+        assert sum(batches[0].values()) == 330
+        assert not reads
 
     def test_gap_at_one_degree_comes_before_an_error_at_the_next(self):
         # the witness's square fails at degree 2; degree 3 would read outside its box

@@ -168,6 +168,19 @@ def test_a_memoised_scan_reports_the_violations_of_an_unmemoised_one(make, box):
         assert bits(check_admissible(law, box).violations) == want
 
 
+def test_a_subclass_that_overrides_the_formula_is_scanned_with_its_own_rows():
+    # Tilted inherits DirichletLaw's array rows; read through them, its scan saw
+    # Polya's closed rows and reported no violations
+    assert not laws.array_rows(Tilted)
+    law = Tilted([0.5, 1.0, 2.0])
+    counts = np.array(list(product(range(5), repeat=3)))
+    want = np.array([law._log_weights(tuple(c)) for c in counts.tolist()])
+    assert law.log_weights_batch(counts).tobytes() == want.tobytes()
+    fresh = bits(check_admissible(FreshEach(lambda: Tilted([0.5, 1.0, 2.0])), 4).violations)
+    assert fresh
+    assert bits(check_admissible(law, 4).violations) == fresh
+
+
 @pytest.mark.parametrize("d, box", [(2, 5), (3, 3), (4, 2), (4, 3)])
 def test_the_scan_makes_one_public_call_per_square_corner_and_one_evaluation_per_vector(
     monkeypatch, d, box

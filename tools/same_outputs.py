@@ -47,8 +47,12 @@ def failures() -> list[tuple]:
     their numbers: exit 1 from a Dirichlet(1, 1) table whose ``--corrupt-entry``
     overwrites keep every slice mass but miss the simplex identity, exit 0
     from an annealed walk whose every alpha is so tiny that every boosted log
-    overflows, and exit 4 from derive-law over its count-vector limit.  The
-    lattice guards of check-admissibility, verify-moments and recover-moments
+    overflows, and exit 4 from derive-law over its count-vector limit.  Then
+    two configs at tolerance 0 that exit 1 on rounding gaps whose bits depend on
+    every law row read: a polynomial check-admissibility on box 4 (61
+    violations, the first a gap of 4.44e-16 at the origin) and a Dirichlet
+    verify-moments at order 4 (path products to (0, 0, 1, 2) disagree by
+    8.882e-16).  The lattice guards of check-admissibility, verify-moments and recover-moments
     are left out: under ``--against``, an older tree without them would run
     such a config in full."""
     from workloads import WITNESS_LAW
@@ -95,6 +99,14 @@ def failures() -> list[tuple]:
         ("derive-law over its count-vector limit", "derive-law",
          {"env": {"family": "dirichlet", "alpha": [1.0, 2.0, 3.0, 4.0]},
           "operation": {"box": 100}}),
+        ("polynomial d=3 box 4 at tolerance 0, rounding gaps", "check-admissibility",
+         {"law": {"family": "polynomial_dirichlet", "alpha": [0.7, 1.9, 2.6], "degree": 2,
+                  "coefficients": [{"index": k, "value": 1.0}
+                                   for k in ([2, 0, 0], [0, 0, 2], [1, 1, 0])]},
+          "operation": {"box": 4, "tolerance": 0}}),
+        ("dirichlet d=4 order 4 at tolerance 0, a rounding gap", "verify-moments",
+         {"law": {"family": "dirichlet", "alpha": [0.7, 1.9, 2.6, 1.1]},
+          "operation": {"order": 4, "tolerance": 0}}),
     ]
 
 
