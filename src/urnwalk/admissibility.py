@@ -15,9 +15,10 @@ The scan asks the law's public ``log_weights`` for each count vector up to
 ``1 + d(d-1)`` times.  A law whose class evaluates count tables as arrays
 (:func:`~urnwalk.laws.array_rows`: the Dirichlet, polynomial and induced
 laws) first has the box, with each corner's bumps, evaluated in blocks of
-rows into its log-weights memo, so all of those calls are dictionary hits.
-Any other law, and one whose batch raises, is read per point, so the scan
-raises the per-point error at the per-point count vector.
+rows into its log-weights memo, so all of those calls are dictionary hits:
+a count check that passes the scan's tuples through as they are, a lookup
+and a copy of the row.  Any other law, and one whose batch raises, is read
+per point, so the scan raises the per-point error at that count vector.
 """
 
 from __future__ import annotations
@@ -80,8 +81,8 @@ def _scan_chunk(
         logw_p = law.log_weights(p).tolist()
         bumped = [p[:i] + (p[i] + 1,) + p[i + 1 :] for i in axes]
         for i, j in pairs:
-            lhs = float(logw_p[i] + law.log_weights(bumped[i])[j])
-            rhs = float(logw_p[j] + law.log_weights(bumped[j])[i])
+            lhs = logw_p[i] + law.log_weights(bumped[i]).item(j)
+            rhs = logw_p[j] + law.log_weights(bumped[j]).item(i)
             gap = lhs - rhs
             if abs(gap) > tolerance:
                 found.append(SquareViolation(p, i, j, lhs, rhs, gap))

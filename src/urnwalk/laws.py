@@ -188,10 +188,22 @@ def distinct_rows(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def as_counts(values: Sequence[int]) -> Counts:
-    """Validate and normalize a traversal-count vector to a tuple of ints."""
+    """Validate and normalize a traversal-count vector to a tuple of builtin ints.
+
+    A tuple of non-negative builtin ints is returned as it is, the caller's own.
+    """
+    if type(values) is tuple:
+        for v in values:
+            if type(v) is not int or v < 0:
+                break
+        else:
+            return values
     out = []
     for v in values:
-        iv = int(v)
+        try:
+            iv = int(v)
+        except (TypeError, ValueError, OverflowError):
+            iv = -1  # NaN, an infinity, None: rejected below
         if iv != v or iv < 0:
             raise ValueError(f"counts must be non-negative integers, got {v!r}")
         out.append(iv)
@@ -746,8 +758,9 @@ class ReinforcementLaw:
       :meth:`_memo_log_weights`, so the box scan, the moment table build,
       the exact enumeration and path products, which ask for the same
       counts many times, compute each once.  Counts are checked on every
-      call, before the lookup, and a stored array is handed out as a copy,
-      which the caller may write into.  ``EnvMomentLaw`` reads its moments
+      call, before the lookup (a tuple of builtin ints is its own key, see
+      :func:`as_counts`), and a stored array is handed out as a copy, which
+      the caller may write into.  ``EnvMomentLaw`` reads its moments
       from its environment's memo, which the annealed walk shares.
 
     The memos rely on evaluation being pure; a law whose weights at given

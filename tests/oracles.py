@@ -2,9 +2,13 @@
 lattice enumeration by filtering the cube, the quadrature oracle for mixed
 moments, rising factorials and multinomials through scipy's log-gamma,
 independent of the package's summed logs, the move counts a trajectory
-implies, and the log probability of a move sequence under a law."""
+implies, the log probability of a move sequence under a law, and the exact
+path law of edge-reinforced random walk, in fractions and sharing no code
+with the package."""
 
 import math
+from collections import Counter
+from fractions import Fraction
 from itertools import product
 from typing import Mapping, Sequence
 
@@ -256,3 +260,26 @@ def quadrature_moment(
         if k:
             numer = numer * factors[i] ** k
     return float(numer.sum() / dens_total)
+
+
+def errw_step(neighbors: Sequence[Sequence[int]], history: Sequence[int], a: Fraction
+              ) -> dict[int, Fraction]:
+    """The next-vertex law of edge-reinforced random walk after ``history``.
+
+    Each undirected edge weighs ``a`` plus the number of times the walk has
+    crossed it, in either direction (Coppersmith-Diaconis; Pemantle 1988).
+    """
+    crossed = Counter(frozenset(edge) for edge in zip(history, history[1:]))
+    x = history[-1]
+    weights = [a + crossed[frozenset((x, y))] for y in neighbors[x]]
+    return {y: w / sum(weights) for y, w in zip(neighbors[x], weights)}
+
+
+def errw_paths(neighbors: Sequence[Sequence[int]], x0: int, steps: int, a: Fraction
+               ) -> dict[tuple[int, ...], Fraction]:
+    """Every length-``steps`` trajectory of the ERRW from ``x0``, with its probability."""
+    paths = {(x0,): Fraction(1)}
+    for _ in range(steps):
+        paths = {path + (y,): p * q for path, p in paths.items()
+                 for y, q in errw_step(neighbors, path, a).items()}
+    return paths

@@ -2,6 +2,7 @@
 
 import math
 import types
+from fractions import Fraction
 from itertools import product
 
 import numpy as np
@@ -32,6 +33,7 @@ from urnwalk import (
     star_graph,
     tabulated_witness,
 )
+from oracles import errw_paths, errw_step
 from urnwalk import equivalence
 from urnwalk.moments import ball_indices
 
@@ -303,3 +305,50 @@ def test_a_map_needs_only_the_vertices_the_move_tree_steps_from():
         {(0, 1): math.log(0.5), (0, 2): math.log(0.5)})
     assert enumerate_annealed(g, _ENVS_BUT_2, 0, 1).log_probs == pytest.approx(
         {(0, 1): math.log(0.5), (0, 2): math.log(0.5)})
+
+
+def oriented_alpha(graph, x0, a):
+    """Per-vertex Dirichlet parameters under which the walk from ``x0`` on a tree
+    is edge-reinforced with initial weight ``a``: at a vertex other than the start,
+    each child edge has been crossed twice per exit along it and the parent edge
+    once more, so ``a/2`` towards each child and ``(a+1)/2`` towards the parent;
+    ``a/2`` everywhere at the start."""
+    parent = {x0: None}
+    queue = [x0]
+    for x in queue:
+        for y in graph.neighbors[x]:
+            if y not in parent:
+                parent[y] = x
+                queue.append(y)
+    return {x: [(a + (y == parent[x])) / 2 for y in nb] for x, nb in enumerate(graph.neighbors)}
+
+
+#: Root 0 with children 1 and 2; vertex 1 with children 3 and 4.
+FIVE_VERTEX_TREE = Graph(((1, 2), (0, 3, 4), (0,), (1,), (1,)))
+
+
+@pytest.mark.parametrize("a", [Fraction(1, 2), Fraction(1), Fraction(3)])
+@pytest.mark.parametrize(
+    "graph, x0",
+    [(segment_graph(5), 2), (star_graph(3), 0), (FIVE_VERTEX_TREE, 0), (FIVE_VERTEX_TREE, 3)],
+    ids=["segment-5 centre", "star-3 centre", "tree root", "tree leaf"],
+)
+def test_on_trees_both_walks_are_edge_reinforced(graph, x0, a):
+    alpha = oriented_alpha(graph, x0, float(a))
+    laws = {x: DirichletLaw(al) for x, al in alpha.items()}
+    envs = {x: DirichletEnv(al) for x, al in alpha.items()}
+    steps = 10
+    oracle = errw_paths(graph.neighbors, x0, steps, a)
+    for dist in enumerate_both(graph, laws, envs, x0, steps):
+        assert dist.probabilities.keys() == oracle.keys()
+        for t, p in oracle.items():
+            assert dist.probabilities[t] == pytest.approx(float(p), rel=1e-14, abs=0)
+
+
+def test_on_a_cycle_the_errw_step_is_not_a_function_of_the_exit_counts():
+    triangle = cycle_graph(3).neighbors
+    short, long = (0, 1, 0), (0, 1, 2, 0)
+    exits = [sorted(e for e in zip(h, h[1:]) if e[0] == 0) for h in (short, long)]
+    assert exits == [[(0, 1)], [(0, 1)]]
+    assert errw_step(triangle, short, Fraction(1))[1] == Fraction(3, 4)
+    assert errw_step(triangle, long, Fraction(1))[1] == Fraction(1, 2)
