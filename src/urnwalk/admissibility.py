@@ -16,9 +16,9 @@ The scan asks the law's public ``log_weights`` for each count vector up to
 (:func:`~urnwalk.laws.array_rows`: the Dirichlet, polynomial and induced
 laws) first has the box, with each corner's bumps, evaluated in blocks of
 rows into its log-weights memo, so all of those calls are dictionary hits:
-a count check that passes the scan's tuples through as they are, a lookup
-and a copy of the row.  Any other law, and one whose batch raises, is read
-per point, so the scan raises the per-point error at that count vector.
+a count check that passes the scan's tuples through as they are, and a
+lookup of the stored read-only row.  Any other law, and one whose batch
+raises, is read per point, so the scan raises the per-point error there.
 """
 
 from __future__ import annotations

@@ -704,16 +704,15 @@ class RisingPolynomial:
 SIMPLEX_MEMO_LIMIT = 1 << 13
 
 
-def _memoised(memo: str, copy: bool = False):
+def _memoised(memo: str):
     """Memoise a method of count tuples ``c`` per ``c``, in the instance's dict ``memo``.
 
     Only results that returned are kept: an evaluation that raises is
     retried on the next call.  Each memo keeps at most
     :data:`SIMPLEX_MEMO_LIMIT` entries and then stops inserting; a miss
-    after that evaluates again and gets the same bits.  With ``copy`` a
-    stored array is handed out as a copy, so a caller that writes into its
-    result cannot change a later one; a result that is not stored is
-    returned as computed.  Sound only because evaluation is pure; two
+    after that evaluates again and gets the same bits.  Every caller gets
+    the stored value itself, so it must be immutable: a tuple, a float or
+    a read-only array.  Sound only because evaluation is pure; two
     threads may compute an entry twice, and store equal values.
     """
 
@@ -732,7 +731,7 @@ def _memoised(memo: str, copy: bool = False):
                 if len(table) >= SIMPLEX_MEMO_LIMIT:
                     return value
                 table[c] = value
-            return value.copy() if copy else value
+            return value
 
         return memoised
 
@@ -759,8 +758,8 @@ class ReinforcementLaw:
       the exact enumeration and path products, which ask for the same
       counts many times, compute each once.  Counts are checked on every
       call, before the lookup (a tuple of builtin ints is its own key, see
-      :func:`as_counts`), and a stored array is handed out as a copy, which
-      the caller may write into.  ``EnvMomentLaw`` reads its moments
+      :func:`as_counts`), and every row is read-only, memoised or not:
+      copy one to write into it.  ``EnvMomentLaw`` reads its moments
       from its environment's memo, which the annealed walk shares.
 
     The memos rely on evaluation being pure; a law whose weights at given
@@ -796,10 +795,12 @@ class ReinforcementLaw:
         """Log-weights at validated counts ``c``."""
         return self.log_weights(c)
 
-    @_memoised("_log_weights_memo", copy=True)
+    @_memoised("_log_weights_memo")
     def _memo_log_weights(self, c: Counts) -> np.ndarray:
-        """:meth:`_log_weights` memoised per count vector; callers get a copy."""
-        return self._log_weights(c)
+        """:meth:`_log_weights` memoised per count vector, as a read-only row."""
+        row = self._log_weights(c)
+        row.flags.writeable = False
+        return row
 
     def log_weights_batch(self, counts: np.ndarray) -> np.ndarray:
         """Log-weights at each row of an ``[N, d]`` count array, as an ``[N, d]`` array.
@@ -854,13 +855,15 @@ def warm_log_weights(law: ReinforcementLaw, blocks: Iterable[list[Counts]]) -> N
 
     For a class where :func:`array_rows` holds, whose public ``log_weights``
     then reads the rows from the memo.  One :meth:`log_weights_batch` call
-    per block, stored one row each, up to the memo's limit.  A block that
-    raises propagates its error; the rows stored before it have the bits
-    of their per-point evaluation.
+    per block, stored one read-only row each, up to the memo's limit.  A
+    block that raises propagates its error; the rows stored before it have
+    the bits of their per-point evaluation.
     """
     memo = law.__dict__.setdefault("_log_weights_memo", {})
     for block in blocks:
-        for key, row in zip(block, law.log_weights_batch(np.array(block))):
+        rows = law.log_weights_batch(np.array(block))
+        rows.flags.writeable = False
+        for key, row in zip(block, rows):
             if len(memo) >= SIMPLEX_MEMO_LIMIT:
                 return
             memo[key] = row
@@ -881,12 +884,13 @@ class UniformLaw(ReinforcementLaw):
             raise ValueError("dimension must be >= 1")
         self.dimension = dimension
         self._log = np.full(dimension, -math.log(dimension))
+        self._log.flags.writeable = False
         self._weights = check_simplex(tuple(np.exp(self._log).tolist()))
         self._row = np.array(self._weights)
 
     def log_weights(self, counts: Sequence[int]) -> np.ndarray:
         self._check_counts(counts)
-        return self._log.copy()
+        return self._log
 
     def _simplex(self, c: Counts) -> tuple[float, ...]:
         return self._weights

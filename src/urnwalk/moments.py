@@ -282,15 +282,18 @@ def simplex_defect(table: MomentTable) -> tuple[float, Counts]:
 
     The defect at k is ``|v_k - sum_i v_{k+e_i}| / v_k``, over ``|k| < order``
     in graded-lex order: how far the weights ``v_{k+e_i} / v_k`` at k miss
-    summing to 1.  The weights are taken from the logs, so an entry that
-    underflows in linear space still has them.  An order-0 table has no
-    such k, and gives 0 at the origin.
+    summing to 1.  The weights are taken from the logs, so an entry that underflows
+    in linear space still has them, and weights past the float range give ``inf``.
+    An order-0 table has no such k, and gives 0 at the origin.
     """
     logs, d = table.log_values, table.dimension
     worst, where = 0.0, (0,) * d
     for k in ball_indices(d, table.order - 1):
         ups = (logs[k[:i] + (k[i] + 1,) + k[i + 1 :]] - logs[k] for i in range(d))
-        defect = abs(1.0 - math.fsum(map(math.exp, ups)))
+        try:
+            defect = abs(1.0 - math.fsum(map(math.exp, ups)))
+        except OverflowError:  # a weight, or their sum, is past the float range
+            defect = math.inf
         if defect > worst:
             worst, where = defect, k
     return worst, where
@@ -301,13 +304,21 @@ def simplex_mass(table: MomentTable, degree: int) -> float:
 
     This is the n-th moment of the coordinate sum of the represented
     variable; it equals 1 exactly when the law's weights sum to 1 at every
-    count vector, i.e. when the measure is supported by the simplex.
+    count vector, i.e. when the measure is supported by the simplex.  A multinomial
+    past the float range is taken in log space, and a mass past it is ``inf``.
     """
     if degree < 0:
         raise ValueError("degree must be non-negative")
     if degree > table.order:
         raise MomentOrderError(f"degree {degree} exceeds table order {table.order}")
-    return math.fsum(
-        multinomial(k) * table.linear_values[k]
-        for k in slice_indices(table.dimension, degree)
-    )
+
+    def term(k: Counts) -> float:
+        try:
+            return (m := multinomial(k)) * table.linear_values[k]
+        except OverflowError:  # m is past the float range
+            return math.exp(math.log(m) + table.log_values[k])
+
+    try:
+        return math.fsum(map(term, slice_indices(table.dimension, degree)))
+    except OverflowError:  # a term, or the sum, is past the float range
+        return math.inf

@@ -194,6 +194,34 @@ class TestVerifyMoments:
         assert max(m["deviation"] for m in payload["mass_deviations"]) <= 1e-10
         assert "identity defect=2.004e-03 at k=(0, 1)" in capsys.readouterr().err
 
+    def test_a_subnormal_entry_fails_with_an_infinite_defect(self, tmp_path, capsys):
+        # the weights out of (2, 0) overflow math.exp: the run still writes its report
+        cfg = write_config(
+            tmp_path,
+            {"law": POLYA_LAW, "operation": {"order": 3}, "output": {"path": str(tmp_path / "m.json")}},
+        )
+        assert main(["verify-moments", "--config", cfg, "--corrupt-entry", "2,0=5e-324"]) == 1
+        report = json.loads((tmp_path / "m.json").read_text())["identity_report"]
+        assert report["max_defect"] == math.inf and report["worst_case"] == [2, 0]
+        assert "simplex identity failed: identity defect=inf" in capsys.readouterr().err
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 13")
+    @pytest.mark.parametrize("eps", [0.01, 0.1])
+    def test_a_table_no_measure_has_fails(self, tmp_path, eps):
+        # E[X] = 1/2 but E[X^2] = eps < 1/4: no measure has these moments, yet the
+        # order-2 table is path independent and meets the simplex identity
+        law = {"family": "tabulated", "box": 1, "entries": [
+            {"counts": [0, 0], "weights": [0.5, 0.5]},
+            {"counts": [1, 0], "weights": [2 * eps, 1 - 2 * eps]},
+            {"counts": [0, 1], "weights": [1 - 2 * eps, 2 * eps]},
+            {"counts": [1, 1], "weights": [0.5, 0.5]},
+        ]}
+        cfg = write_config(
+            tmp_path,
+            {"law": law, "operation": {"order": 2}, "output": {"path": str(tmp_path / "m.json")}},
+        )
+        assert main(["verify-moments", "--config", cfg]) == 1
+
     def test_infinite_tolerance_is_a_config_error(self, tmp_path):
         # an infinite tolerance would certify the corrupted table
         cfg = write_config(

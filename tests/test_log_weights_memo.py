@@ -88,15 +88,28 @@ def test_a_warm_memo_returns_the_bits_of_a_fresh_instance(name, counts):
     assert WARM[name].log_weights(tuple(counts)).tobytes() == want
 
 
-@pytest.mark.parametrize("name", sorted(FAMILIES))
-def test_writing_into_a_result_does_not_change_the_next_one(name):
-    law = FAMILIES[name]()
-    want = law.log_weights((1, 2, 0)).copy()
+@pytest.mark.parametrize("path", ["memo hit", "warmed by the scan", "past the limit"])
+@pytest.mark.parametrize("name", sorted(FAMILIES) + ["uniform"])
+def test_writing_into_a_result_does_not_change_the_next_one(monkeypatch, name, path):
+    make = FAMILIES.get(name, lambda: UniformLaw(3))
+    counts = (1, 2, 0)
+    want = make().log_weights(counts).tobytes()
+    law = make()
+    if path == "warmed by the scan":
+        # (1, 2, 0) is a bump of a box-2 corner, so the scan warms its row
+        check_admissible(law, 2)
+        if name != "uniform":
+            assert law._log_weights_memo[counts].base is not None  # a view of a warmed batch
+    if path == "past the limit":
+        monkeypatch.setattr(laws, "SIMPLEX_MEMO_LIMIT", 0)
     for _ in range(2):
-        got = law.log_weights((1, 2, 0))
-        assert got.tobytes() == want.tobytes()
-        got[:] = 7.0
-    assert law.log_weights((1, 2, 0)).tobytes() == want.tobytes()
+        got = law.log_weights(counts)
+        assert got.tobytes() == want
+        with pytest.raises(ValueError, match="read-only"):
+            got[:] = 7.0
+    assert law.log_weights(counts).tobytes() == want
+    if path == "past the limit":
+        assert counts not in law.__dict__.get("_log_weights_memo", {})
 
 
 @pytest.mark.parametrize("name", sorted(FAMILIES))

@@ -215,6 +215,11 @@ class TestSimplexIdentity:
         assert where == (0, 1)
         assert defect == pytest.approx(0.001 / 0.499, rel=1e-12)
 
+    def test_a_weight_past_the_float_range_gives_an_infinite_defect(self):
+        # v(3, 0) / v(2, 0) and v(2, 1) / v(2, 0) are above e^741: math.exp overflows
+        table = builtin_table("polya_1_1", 3).with_value((2, 0), 5e-324)
+        assert simplex_defect(table) == (math.inf, (2, 0))
+
     @given(data=st.data())
     @settings(max_examples=150, deadline=None)
     def test_a_pass_implies_the_hs_oracle(self, data):
@@ -263,6 +268,17 @@ class TestSimplexMass:
     def test_degree_two_slice(self, uniform_urn_table):
         # 1/3 + 2 * 1/6 + 1/3
         assert simplex_mass(uniform_urn_table, 2) == pytest.approx(1.0, abs=1e-13)
+
+    def test_a_multinomial_past_the_float_range_keeps_the_mass(self):
+        # Dirichlet(1, 1) in closed form; multinomial((515, 515)) is about 2^1026
+        order = 1030
+        values = {k: math.lgamma(k[0] + 1) + math.lgamma(k[1] + 1) - math.lgamma(sum(k) + 2)
+                  for k in ball_indices(2, order)}
+        assert simplex_mass(MomentTable(2, order, values), order) == pytest.approx(1.0, abs=1e-10)
+
+    def test_a_mass_past_the_float_range_is_infinite(self, uniform_urn_table):
+        table = uniform_urn_table.with_value((2, 0), 1e308).with_value((0, 2), 1e308)
+        assert simplex_mass(table, 2) == math.inf
 
     def test_beyond_order_raises(self, uniform_urn_table):
         with pytest.raises(MomentOrderError):

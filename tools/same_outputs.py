@@ -52,9 +52,12 @@ def failures() -> list[tuple]:
     every law row read: a polynomial check-admissibility on box 4 (61
     violations, the first a gap of 4.44e-16 at the origin) and a Dirichlet
     verify-moments at order 4 (path products to (0, 0, 1, 2) disagree by
-    8.882e-16).  The lattice guards of check-admissibility, verify-moments and recover-moments
-    are left out: under ``--against``, an older tree without them would run
-    such a config in full."""
+    8.882e-16).  Last, a Dirichlet(1, 1) verify-moments at order 3 whose
+    subnormal ``--corrupt-entry 2,0=5e-324`` puts a weight past the float
+    range: exit 1 with identity defect ``inf`` (a tree that raises there
+    differs on both of its lines).  The lattice guards of check-admissibility,
+    verify-moments and recover-moments are left out: under ``--against``, an
+    older tree without them would run such a config in full."""
     from workloads import WITNESS_LAW
 
     open_squares = json.loads((ROOT / "tests" / "open_squares_law.json")
@@ -107,6 +110,9 @@ def failures() -> list[tuple]:
         ("dirichlet d=4 order 4 at tolerance 0, a rounding gap", "verify-moments",
          {"law": {"family": "dirichlet", "alpha": [0.7, 1.9, 2.6, 1.1]},
           "operation": {"order": 4, "tolerance": 0}}),
+        ("dirichlet 1,1 order 3, a subnormal entry overflows a weight", "verify-moments",
+         {"law": {"family": "dirichlet", "alpha": [1.0, 1.0]}, "operation": {"order": 3}},
+         "--corrupt-entry", "2,0=5e-324"),
     ]
 
 
