@@ -36,12 +36,14 @@ box (d >= 2), the moment table's entries in ``verify-moments`` and
 ``recover-moments``, and ``derive-law``'s count vectors in its box.  Each is
 checked after the config and before any law is evaluated.  Each file is
 written under a temporary name and moved into place, a CSV's metadata sidecar
-first, so a failed write leaves no partial file.  A JSON output has the bytes of
-``json.dumps(..., sort_keys=True, indent=2)``, but its body is streamed: a
-chunk of rows per write, each row through one format string laid out for the
-output, its cells encoded a column at a time.  Outputs embed the SHA-256 of
-the effective config and never include timestamps, so a rerun with the same
-config and seed is byte-identical.
+first, so a failed write leaves no partial file.  A JSON output has the bytes
+of ``json.dumps(..., sort_keys=True, indent=2)``, with each non-finite float
+as the string ``"inf"``, ``"-inf"`` or ``"nan"`` (strict JSON has no token
+for them), but its body is streamed: a chunk of rows per write, each row
+through one format string laid out for the output, its cells encoded a
+column at a time.  Outputs embed the SHA-256 of the effective config and
+never include timestamps, so a rerun with the same config and seed is
+byte-identical.
 """
 
 from __future__ import annotations
@@ -172,12 +174,26 @@ def _written_whole(path: Path, newline: str) -> Iterator[TextIO]:
         raise
 
 
+def _strict(node: Any) -> Any:
+    """``node`` with each non-finite float in it as the string ``"inf"``,
+    ``"-inf"`` or ``"nan"``: strict JSON has no token for them."""
+    if isinstance(node, float):
+        return node if math.isfinite(node) else repr(float(node))
+    if isinstance(node, Mapping):
+        return {k: _strict(v) for k, v in node.items()}
+    if isinstance(node, (list, tuple)):
+        return list(map(_strict, node))
+    return node
+
+
 def _encoded(column: Sequence[Any]) -> list[str]:
-    """Each cell of ``column``, a scalar, as :mod:`json` encodes it, in one ``map``."""
+    """Each cell of ``column``, a scalar, as :mod:`json` encodes it after
+    :func:`_strict`, in one ``map``."""
     kinds = set(map(type, column))
     if kinds == {int} or kinds == {float} and math.isfinite(sum(column)):
         return list(map(repr, column))
-    return list(map(encode_basestring_ascii if kinds == {str} else json.dumps, column))
+    strict = lambda cell: json.dumps(_strict(cell))
+    return list(map(encode_basestring_ascii if kinds == {str} else strict, column))
 
 
 def _layout(node: Any, level: int) -> str:
@@ -200,11 +216,11 @@ def _layout(node: Any, level: int) -> str:
 
 def _write_json(path: Path, doc: Mapping, rows: Sequence[Sequence] = (), key: str = "",
                 shape: Mapping[str, int | slice] | None = None) -> None:
-    """``json.dumps(doc, sort_keys=True, indent=2)`` and a newline, with
-    ``rows`` streamed in as the body ``doc[key]``, which is ``[]``: about
+    """``json.dumps(_strict(doc), sort_keys=True, indent=2)`` and a newline,
+    with ``rows`` streamed in as the body ``doc[key]``, which is ``[]``: about
     :data:`_CHUNK_CELLS` cells per write, encoded a column at a time into the
     row laid out once."""
-    text = json.dumps(doc, sort_keys=True, indent=2)
+    text = json.dumps(_strict(doc), sort_keys=True, indent=2)
     with _written_whole(path, "\n") as fh:
         if rows:
             (width,) = set(map(len, rows))  # a ValueError unless the rows have one width

@@ -84,8 +84,16 @@ class VertexEnvLaw:
         return math.exp(self.log_mixed_moment(counts))
 
     def sample(self, rng: np.random.Generator) -> SimplexPoint:
-        """One draw of the vertex's transition vector."""
+        """One draw of the vertex's transition vector: the built-in families
+        return ``SimplexPoint(self._draw(rng))`` or a point they hold."""
         raise NotImplementedError
+
+    def _draw(self, rng: np.random.Generator) -> tuple[float, ...]:
+        """:meth:`sample`'s weights as builtin floats, from the same draws of
+        ``rng`` in the same order, to the same bits, but not checked on the
+        simplex: ``walk.run_many_annealed`` checks its rows in blocks.  This
+        default reads :meth:`sample`, for subclasses that define only that."""
+        return self.sample(rng).weights
 
 
 class DirichletEnv(VertexEnvLaw):
@@ -116,6 +124,9 @@ class DirichletEnv(VertexEnvLaw):
         return row_sums(logs[:, :-1]) - logs[:, -1]
 
     def sample(self, rng: np.random.Generator) -> SimplexPoint:
+        return SimplexPoint(self._draw(rng))
+
+    def _draw(self, rng: np.random.Generator) -> tuple[float, ...]:
         """One Dirichlet draw, from the logs of its gamma draws.
 
         Coordinate i takes ``log(standard_gamma(alpha_i))``, or for
@@ -132,22 +143,27 @@ class DirichletEnv(VertexEnvLaw):
         """
         # one scalar call per coordinate, as an array shape costs numpy an
         # argument check that takes longer than the draws; a gamma draw of shape 1
-        # (an exponential) can round to 0, and counts as the least positive float;
-        # each coordinate keeps its log gamma draw, the log(1 - U) of its boost and alpha
-        draws = [(math.log(rng.standard_gamma(a + 1.0) or _LEAST_FLOAT),
-                  math.log(1.0 - rng.random()), a)
-                 if a < 1.0 else (math.log(rng.standard_gamma(a) or _LEAST_FLOAT), 0.0, a)
-                 for a in self.alpha]
-        logs = [g + b / a for g, b, a in draws]
+        # (an exponential) can round to 0, and counts as the least positive float
+        gamma = rng.standard_gamma
+        logs = []
+        boosts = []  # log(1 - U) of each boosted coordinate
+        for a in self.alpha:
+            if a < 1.0:
+                g = math.log(gamma(a + 1.0) or _LEAST_FLOAT)
+                boosts.append(math.log(1.0 - rng.random()))
+                logs.append(g + boosts[-1] / a)
+            else:
+                logs.append(math.log(gamma(a) or _LEAST_FLOAT))
         top = max(logs)
         if top == -math.inf:
-            # no boost is 0 here, so each log(-b) is finite
-            keys = [math.log(-b) - math.log(a) for _, b, a in draws]
+            # an unboosted log is finite, so every coordinate is boosted here,
+            # and no boost is 0, so each log(-b) is finite
+            keys = [math.log(-b) - math.log(a) for b, a in zip(boosts, self.alpha)]
             win = keys.index(min(keys))
-            return SimplexPoint(tuple([1.0 if i == win else MIN_WEIGHT for i in range(len(keys))]))
+            return tuple([1.0 if i == win else MIN_WEIGHT for i in range(len(keys))])
         shifted = [math.exp(v - top) for v in logs]
         total = sum_as_numpy(shifted)
-        return SimplexPoint(tuple([max(w / total, MIN_WEIGHT) for w in shifted]))
+        return tuple([MIN_WEIGHT if (q := w / total) < MIN_WEIGHT else q for w in shifted])
 
     def __repr__(self) -> str:
         return f"DirichletEnv(alpha={self.alpha})"
@@ -194,7 +210,8 @@ class PolynomialDirichletEnv(VertexEnvLaw):
         # and so to a_k * prod (alpha_i)_{k_i}, the polynomial's terms at alpha
         log_w = self._poly.log_terms(arr)
         self._log_poly_alpha = log_sum_exp(log_w)
-        self._mixture_probs = np.exp(log_w - self._log_poly_alpha)
+        # builtin floats, which draw_index adds faster than numpy scalars, to the same bits
+        self._mixture_probs = np.exp(log_w - self._log_poly_alpha).tolist()
         self._components = [DirichletEnv(arr + k) for k in self._poly.exponents]
 
     def log_mixed_moment(self, counts: Sequence[int]) -> float:
@@ -221,7 +238,11 @@ class PolynomialDirichletEnv(VertexEnvLaw):
         )
 
     def sample(self, rng: np.random.Generator) -> SimplexPoint:
-        return self._components[draw_index(self._mixture_probs, rng.random())].sample(rng)
+        return SimplexPoint(self._draw(rng))
+
+    def _draw(self, rng: np.random.Generator) -> tuple[float, ...]:
+        """A monomial's Dirichlet component by one uniform, then a draw from it."""
+        return self._components[draw_index(self._mixture_probs, rng.random())]._draw(rng)
 
     def __repr__(self) -> str:
         return (
@@ -273,7 +294,7 @@ class EmpiricalEnv(VertexEnvLaw):
             raise DimensionMismatchError("atoms disagree on dimension")
         self.dimension = dims.pop()
         self.atoms = tuple(cleaned)
-        self._weights = np.array([w for w, _ in cleaned])
+        self._weights = [w for w, _ in cleaned]
         self._log_weights = np.log(self._weights)
         self._log_points = np.array([p.log_weights() for _, p in cleaned])
 

@@ -38,7 +38,9 @@ adds) that are at most ``u``, clipped at the last move, which is
 :func:`draw_index`'s rule; so they give the per-stream trajectories bit for
 bit.  A reinforced block groups its trajectories by vertex at each step and
 asks each vertex's law for the weight rows at the group's counts
-(:meth:`urnwalk.laws.ReinforcementLaw._simplex_rows`).  The per-stream
+(:meth:`urnwalk.laws.ReinforcementLaw._simplex_rows`).  An annealed block
+takes its weight rows from the environments' ``_draw``, which builds no
+point, and checks them on the simplex once per vertex.  The per-stream
 ``run_*`` and ``step_*`` stay the single-trajectory API and the oracle.
 
 A lock-step step makes a fixed number of numpy calls, per block and, in a
@@ -62,7 +64,7 @@ import numpy as np
 
 from .environment import VertexEnvLaw
 from .errors import DimensionMismatchError
-from .laws import ReinforcementLaw, SimplexPoint, draw_index
+from .laws import ReinforcementLaw, SimplexPoint, check_simplex_rows, draw_index
 
 Trajectory = tuple[int, ...]
 
@@ -279,12 +281,16 @@ def sample_environment(
     rng: np.random.Generator,
 ) -> dict[int, SimplexPoint]:
     """Draw one transition vector per vertex, independently across vertices."""
-    assignment = {}
+    return {x: env.sample(rng) for x, env in enumerate(_checked_envs(graph, envs))}
+
+
+def _checked_envs(graph: Graph, envs: Mapping[int, VertexEnvLaw]) -> list[VertexEnvLaw]:
+    """The environment of each vertex in order, checked against its degree."""
+    out = []
     for x in range(graph.vertex_count):
-        env = _at(envs, x, "environment map")
-        _check_degree(graph, x, env.dimension, "environment")
-        assignment[x] = env.sample(rng)
-    return assignment
+        out.append(_at(envs, x, "environment map"))
+        _check_degree(graph, x, out[-1].dimension, "environment")
+    return out
 
 
 def run_annealed(
@@ -588,19 +594,25 @@ def run_many_annealed(
 ) -> Iterator[Trajectory]:
     """``run_annealed`` on the streams ``(seed, i)`` for ``i < count``, in lock step.
 
-    Each trajectory draws its environment (:func:`sample_environment`) and
-    then its uniforms from its own stream; the block then walks together.
+    The environments are checked against the degrees once.  Each
+    trajectory's row of the block's weight table comes from its vertices'
+    :meth:`~urnwalk.environment.VertexEnvLaw._draw`, the draws and bits of
+    ``sample``, before its uniforms; ``sample``'s simplex check runs once
+    per vertex and block on the vertex's columns
+    (:func:`~urnwalk.laws.check_simplex_rows`), so a point off the simplex
+    may be reported at another trajectory than per stream.
     """
     _check_start(graph, x0)
     layout = _Layout(graph)
-    vertices = range(graph.vertex_count)
+    draws = [env._draw for env in _checked_envs(graph, envs)]
     size = layout.block_size("annealed", steps, count)
     for uniforms, streams in _blocks(seed, count, steps, size):
         weights = np.empty((len(uniforms), layout.moves))
         for row, env_row, rng in zip(uniforms, weights, streams):
-            assignment = sample_environment(graph, envs, rng)
-            env_row[:] = [w for x in vertices for w in assignment[x].weights]
+            env_row[:] = [w for draw in draws for w in draw(rng)]
             rng.random(out=row)
+        for lo, d in zip(layout.offsets, layout.degrees):
+            check_simplex_rows(weights[:, lo : lo + d])
         base = np.arange(len(uniforms), dtype=np.int64) * layout.vertices
         paths = _advance_fixed(layout, layout.cumulative(weights), base, x0, uniforms)
         yield from map(tuple, paths.tolist())

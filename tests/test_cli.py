@@ -68,6 +68,27 @@ def write_config(tmp_path: Path, payload: dict, name: str = "config.json") -> st
     return str(path)
 
 
+def strict_json(text: str):
+    """``json.loads`` that rejects the non-standard tokens ``NaN``, ``Infinity`` and ``-Infinity``."""
+    def reject(token):
+        raise ValueError(f"not strict JSON: {token}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_non_finite_floats_are_written_as_strings(tmp_path):
+    cells = [1.5, math.inf, -math.inf, math.nan]
+    doc = {"meta": {"values": cells, "pair": (math.nan, 2)}, "rows": []}
+    cli._write_json(tmp_path / "o.json", doc, [[c, i] for i, c in enumerate(cells)], "rows")
+    got = strict_json((tmp_path / "o.json").read_text())
+    strings = [1.5, "inf", "-inf", "nan"]
+    assert got == {"meta": {"values": strings, "pair": ["nan", 2]},
+                   "rows": [[c, i] for i, c in enumerate(strings)]}
+    # finite floats keep json.dumps's bytes
+    cli._write_json(tmp_path / "f.json", {"v": [0.1, 1e-300, 2.0]})
+    assert (tmp_path / "f.json").read_text() == json.dumps({"v": [0.1, 1e-300, 2.0]}, indent=2) + "\n"
+
+
 class TestCheckAdmissibility:
     def test_urn_law_passes(self, tmp_path):
         cfg = write_config(
@@ -202,8 +223,18 @@ class TestVerifyMoments:
         )
         assert main(["verify-moments", "--config", cfg, "--corrupt-entry", "2,0=5e-324"]) == 1
         report = json.loads((tmp_path / "m.json").read_text())["identity_report"]
-        assert report["max_defect"] == math.inf and report["worst_case"] == [2, 0]
+        assert report["max_defect"] == "inf" and report["worst_case"] == [2, 0]
         assert "simplex identity failed: identity defect=inf" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fmt, name", [("json", "m.json"), ("csv", "m.csv.meta.json")])
+    def test_an_infinite_defect_is_strict_json(self, tmp_path, fmt, name):
+        # json.dumps wrote the bare token Infinity, which strict JSON parsers reject
+        out = tmp_path / name.removesuffix(".meta.json")
+        cfg = write_config(tmp_path, {"law": POLYA_LAW, "operation": {"order": 3},
+                                      "output": {"path": str(out), "format": fmt}})
+        assert main(["verify-moments", "--config", cfg, "--corrupt-entry", "2,0=5e-324"]) == 1
+        report = strict_json((tmp_path / name).read_text())["identity_report"]
+        assert report["max_defect"] == "inf"
 
     @pytest.mark.xfail(strict=True, reason="ROADMAP item 13")
     @pytest.mark.parametrize("eps", [0.01, 0.1])
@@ -2076,6 +2107,17 @@ def json_outputs(draw):
     return meta, key, rows, shape, draw(st.integers(1, 12))
 
 
+def _non_finite_as_strings(node):
+    """``node`` as the JSON writer writes it: a non-finite float as ``"inf"``, ``"-inf"`` or ``"nan"``."""
+    if isinstance(node, float) and not math.isfinite(node):
+        return "nan" if math.isnan(node) else "inf" if node > 0 else "-inf"
+    if isinstance(node, dict):
+        return {k: _non_finite_as_strings(v) for k, v in node.items()}
+    if isinstance(node, list):
+        return [_non_finite_as_strings(v) for v in node]
+    return node
+
+
 def _json_body(rows, shape):
     if shape is None:
         return [list(r) for r in rows]
@@ -2084,7 +2126,8 @@ def _json_body(rows, shape):
 
 
 class TestJsonWriter:
-    """The JSON body writer gives the bytes of ``json.dumps(sort_keys=True, indent=2)``."""
+    """The JSON body writer gives the bytes of ``json.dumps(sort_keys=True, indent=2)``
+    of the document with its non-finite floats as strings: strict JSON."""
 
     @settings(max_examples=300, deadline=None)
     @given(case=json_outputs())
@@ -2094,8 +2137,10 @@ class TestJsonWriter:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(cli, "_CHUNK_CELLS", chunk)
             cli._write_json(path, {**meta, key: []}, rows, key, shape)
-        want = json.dumps({**meta, key: _json_body(rows, shape)}, sort_keys=True, indent=2)
+        doc = _non_finite_as_strings({**meta, key: _json_body(rows, shape)})
+        want = json.dumps(doc, sort_keys=True, indent=2)
         assert path.read_bytes() == (want + "\n").encode()
+        assert strict_json(path.read_text()) == json.loads(want)
 
     def test_many_chunks_of_mixed_columns(self, tmp_path):
         rng = random.Random(18)
@@ -2103,7 +2148,8 @@ class TestJsonWriter:
                 for i in range(3 * cli._CHUNK_CELLS // 4 + 5)]
         shape = {"x": 0, "n": 1, "name": 2, "both": slice(0, 2), "odd": 3}
         cli._write_json(tmp_path / "o.json", {"body": []}, rows, "body", shape)
-        want = json.dumps({"body": _json_body(rows, shape)}, sort_keys=True, indent=2)
+        doc = _non_finite_as_strings({"body": _json_body(rows, shape)})
+        want = json.dumps(doc, sort_keys=True, indent=2)
         assert (tmp_path / "o.json").read_text() == want + "\n"
 
     def test_a_numpy_float_is_a_float(self, tmp_path):

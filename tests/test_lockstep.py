@@ -7,6 +7,7 @@ here compares them with ``[run_*(..., rng) for rng in stream_generators(seed, n)
 
 import json
 import math
+import sys
 import tracemalloc
 from itertools import product
 
@@ -24,6 +25,7 @@ from urnwalk.environment import (
     EnvMomentLaw,
     PointMassEnv,
     PolynomialDirichletEnv,
+    VertexEnvLaw,
 )
 from urnwalk.errors import DimensionMismatchError, TableDomainError
 from urnwalk.laws import (
@@ -222,6 +224,17 @@ _ALPHA_9 = [0.6, 1.1, 2.3, 0.9, 1.7, 0.5, 3.1, 1.3, 0.8]
 _EMPIRICAL = EmpiricalEnv([(0.25, (0.2, 0.8)), (0.75, (0.6, 0.4))])
 
 
+class _SampleOnlyEnv(VertexEnvLaw):
+    """An environment that defines only ``sample``, as a library subclass may: the
+    lock-step runner reads it through the default ``VertexEnvLaw._draw``."""
+
+    dimension = 2
+
+    def sample(self, rng):
+        u = rng.random()
+        return SimplexPoint((0.25 + 0.5 * u, 0.75 - 0.5 * u))
+
+
 def _leaves(graph, value):
     return {x: value for x in range(1, graph.vertex_count)}
 
@@ -266,6 +279,17 @@ ANNEALED = {
         {0: PolynomialDirichletEnv(**POLY_QUADRATIC_3D), **_leaves(_STAR_3, DirichletEnv([1.0]))},
     ),
     "empirical_cycle": (_CYCLE, {x: _EMPIRICAL for x in range(5)}),
+    "empirical_grid": (
+        _GRID,
+        _by_degree(_GRID, lambda d: EmpiricalEnv([
+            (0.5, [1.0 / d] * d),
+            (0.3, [0.9] + [0.1 / (d - 1)] * (d - 1)),
+            (0.2, [0.05] * (d - 1) + [1.0 - 0.05 * (d - 1)]),
+        ])),
+    ),
+    "sample_only_cycle": (
+        _CYCLE, {x: _SampleOnlyEnv() if x % 2 else DirichletEnv([0.3, 1.7]) for x in range(5)},
+    ),
     "point_mass_segment": (_SEGMENT, _by_degree(_SEGMENT, lambda d: PointMassEnv([0.3, 0.7][:d] if d == 2 else (1.0,)))),
 }
 
@@ -328,6 +352,84 @@ def test_tiny_alpha_environments_run_on_every_seed(seed):
     envs = {0: _TINY_ALPHA, **_leaves(_STAR_3, PointMassEnv((1.0,)))}
     want = per_stream(run_annealed, _STAR_3, envs, 0, 6, seed, 40)
     assert list(run_many_annealed(_STAR_3, envs, 0, 6, seed, 40)) == want
+
+
+def test_environments_whose_every_boost_overflows_draw_in_lock_step():
+    # alpha near the least float: every boosted log is -inf, and the least
+    # exponential takes weight 1 (DirichletEnv._draw's last branch)
+    env = DirichletEnv([1e-320, 1e-320])
+    envs = {0: env, **_leaves(star_graph(2), PointMassEnv((1.0,)))}
+    count = 80
+    assert walk.lockstep_pays("annealed", star_graph(2), envs, 0, 6, count)
+    points = {env._draw(rng) for rng in stream_generators(2, count)}
+    assert points == {(1.0, MIN_WEIGHT), (MIN_WEIGHT, 1.0)}
+    want = per_stream(run_annealed, star_graph(2), envs, 0, 6, 2, count)
+    assert list(run_many_annealed(star_graph(2), envs, 0, 6, 2, count)) == want
+
+
+def test_an_environment_off_the_simplex_stops_the_lock_step_run():
+    # a _draw is not checked; the runner checks every weight row it walks in
+    class OffSimplex(_SampleOnlyEnv):
+        def _draw(self, rng):
+            return (0.5, 0.5 + rng.random())
+
+    envs = {x: DirichletEnv([1.0, 2.0]) for x in range(5)}
+    envs[3] = OffSimplex()
+    with pytest.raises(ValueError, match="sum"):
+        list(run_many_annealed(_CYCLE, envs, 0, 4, 1, 70))
+
+
+_ALPHAS = st.lists(
+    st.one_of(
+        st.floats(min_value=5e-324, max_value=sys.float_info.min, exclude_max=True),
+        st.floats(min_value=sys.float_info.min, max_value=1.0, exclude_max=True),
+        st.floats(min_value=1.0, max_value=50.0),
+    ),
+    min_size=1,
+    max_size=5,
+)
+
+
+def _point(raw):
+    total = math.fsum(raw)
+    return [w / total for w in raw]
+
+
+_POINTS = st.integers(1, 4).flatmap(
+    lambda d: st.lists(st.lists(st.floats(1e-3, 1.0), min_size=d, max_size=d).map(_point),
+                       min_size=1, max_size=4)
+)
+
+
+@st.composite
+def _builtin_envs(draw):
+    family = draw(st.sampled_from(["dirichlet", "polynomial", "point_mass", "empirical"]))
+    if family == "dirichlet":
+        return DirichletEnv(draw(_ALPHAS))
+    if family == "polynomial":
+        alpha = draw(_ALPHAS)
+        d, degree = len(alpha), draw(st.integers(1, 2))
+        monomials = [k for k in product(range(degree + 1), repeat=d) if sum(k) == degree]
+        chosen = draw(st.lists(st.sampled_from(monomials), min_size=1, unique=True))
+        return PolynomialDirichletEnv(alpha, degree, {k: draw(st.floats(0.1, 10.0)) for k in chosen})
+    points = draw(_POINTS)
+    if family == "point_mass":
+        return PointMassEnv(points[0])
+    weights = _point([draw(st.floats(0.01, 1.0)) for _ in points])
+    return EmpiricalEnv(list(zip(weights, points)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_builtin_envs(), st.integers(0, 2**64 - 1))
+def test_a_draw_is_the_sampled_point_bit_for_bit(env, seed):
+    # two copies of one stream: the same draws in the same order, to the same bits
+    first, second = make_stream(seed), make_stream(seed)
+    for _ in range(3):
+        row = env._draw(first)
+        assert type(row) is tuple and all(type(w) is float for w in row)
+        assert [w.hex() for w in row] == [w.hex() for w in env.sample(second).weights]
+        assert check_simplex(row) is row
+    assert first.random() == second.random()
 
 
 def test_a_law_is_checked_when_a_walk_reaches_its_vertex():

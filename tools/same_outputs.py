@@ -52,10 +52,15 @@ def failures() -> list[tuple]:
     every law row read: a polynomial check-admissibility on box 4 (61
     violations, the first a gap of 4.44e-16 at the origin) and a Dirichlet
     verify-moments at order 4 (path products to (0, 0, 1, 2) disagree by
-    8.882e-16).  Last, a Dirichlet(1, 1) verify-moments at order 3 whose
+    8.882e-16).  Then a Dirichlet(1, 1) verify-moments at order 3 whose
     subnormal ``--corrupt-entry 2,0=5e-324`` puts a weight past the float
     range: exit 1 with identity defect ``inf`` (a tree that raises there
-    differs on both of its lines).  The lattice guards of check-admissibility,
+    differs on both of its lines, and one that writes the bare JSON token
+    ``Infinity`` on both).  Last, an annealed walk of 80 trajectories on the
+    4-cycle that ``walk.lockstep_pays`` sends to lock step, which no other
+    config or tiny-scale operation reaches through the CLI: Dirichlet vertices
+    with alpha below and above 1, one polynomial and one empirical vertex,
+    exit 0.  The lattice guards of check-admissibility,
     verify-moments and recover-moments are left out: under ``--against``, an
     older tree without them would run such a config in full."""
     from workloads import WITNESS_LAW
@@ -113,6 +118,18 @@ def failures() -> list[tuple]:
         ("dirichlet 1,1 order 3, a subnormal entry overflows a weight", "verify-moments",
          {"law": {"family": "dirichlet", "alpha": [1.0, 1.0]}, "operation": {"order": 3}},
          "--corrupt-entry", "2,0=5e-324"),
+        ("mixed environments on the 4-cycle in lock step, 80x6", "simulate",
+         {"graph": {"generator": "cycle", "length": 4}, "seed": 4,
+          "envs": {"default": {"family": "dirichlet", "alpha": [0.3, 1.7]},
+                   "per_vertex": {
+                       "1": {"family": "polynomial_dirichlet", "alpha": [0.6, 2.0], "degree": 1,
+                             "coefficients": [{"index": [1, 0], "value": 1.0},
+                                              {"index": [0, 1], "value": 2.0}]},
+                       "2": {"family": "empirical",
+                             "atoms": [{"weight": 0.25, "weights": [0.2, 0.8]},
+                                       {"weight": 0.75, "weights": [0.6, 0.4]}]},
+                       "3": {"family": "dirichlet", "alpha": [1.5, 2.5]}}},
+          "operation": {"mode": "annealed", "steps": 6, "trajectories": 80}}),
     ]
 
 
