@@ -782,7 +782,7 @@ class ReinforcementLaw:
     #: How the class's :meth:`_simplex_rows` evaluates: ``"distinct"``,
     #: :meth:`_simplex` once per distinct row, which pays in lock step only
     #: where rows repeat, or ``"array"``, one array pass over the rows
-    #: (:class:`UniformLaw` and :class:`DirichletLaw` override it so).
+    #: (:class:`UniformLaw`, :class:`DirichletLaw`; not a subclass with its own :meth:`_simplex`).
     weight_rows = "distinct"
 
     def _check_counts(self, counts: Sequence[int]) -> Counts:
@@ -896,6 +896,8 @@ class UniformLaw(ReinforcementLaw):
         return self._weights
 
     def _simplex_rows(self, counts: np.ndarray) -> np.ndarray:
+        if type(self)._simplex is not UniformLaw._simplex:
+            return super()._simplex_rows(counts)  # a subclass's own _simplex
         return np.broadcast_to(self._row, counts.shape)
 
     def __repr__(self) -> str:
@@ -933,6 +935,8 @@ class DirichletLaw(ReinforcementLaw):
         return shifted, shifted.sum(axis=1)
 
     def _simplex_rows(self, counts: np.ndarray) -> np.ndarray:
+        if type(self)._simplex is not DirichletLaw._simplex:
+            return super()._simplex_rows(counts)  # a subclass's own _simplex
         shifted, total = self._shifted_rows(counts)
         return check_simplex_rows(shifted / total[:, None])
 

@@ -32,31 +32,31 @@ the walk goes.  The lock-step runners :func:`run_many_reinforced`,
 :func:`run_many_quenched` and :func:`run_many_annealed` use that.  For a
 block of trajectories they take each trajectory's draws from its own
 stream, in that order, and then advance the whole block one step at a time
-with array operations.  The move is the count of the weight row's
-cumulative sums (``np.cumsum``, added left to right as :func:`draw_index`
-adds) that are at most ``u``, clipped at the last move, which is
+with array operations (:func:`_advance`).  The move is the count of the
+weights' running sums (added left to right as :func:`draw_index` adds)
+that are at most ``u``, clipped at the last move, which is
 :func:`draw_index`'s rule; so they give the per-stream trajectories bit for
-bit.  A reinforced block groups its trajectories by vertex at each step and
-asks each vertex's law for the weight rows at the group's counts
+bit.  A reinforced block reads its weights from one padded table of
+Dirichlet and uniform laws (:func:`_padded_tables`), or else asks each
+vertex's law for the rows at the group of counts there
 (:meth:`urnwalk.laws.ReinforcementLaw._simplex_rows`).  An annealed block
 takes its weight rows from the environments' ``_draw``, which builds no
 point, and checks them on the simplex once per vertex.  The per-stream
 ``run_*`` and ``step_*`` stay the single-trajectory API and the oracle.
 
 A lock-step step makes a fixed number of numpy calls, per block and, in a
-reinforced walk, per vertex group, however few trajectories they hold; a
-per-stream step is a few Python operations.  So lock step pays only for
-many trajectories at once, and :func:`lockstep_pays` chooses the runner
-from what a run shows before it starts: the trajectories a block holds,
-the vertices a walk can reach, the size of the graph's tables and how
-the laws evaluate their weight rows.
+reinforced walk without the table, per vertex group, however few
+trajectories they hold; a per-stream step is a few Python operations.  So
+lock step pays only for many trajectories at once, and :func:`lockstep_pays`
+chooses the runner from what a run shows before it starts: the trajectories
+a block holds, the vertices a walk can reach, the graph and the laws.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import islice
 from typing import Iterator, Mapping
 
@@ -64,7 +64,8 @@ import numpy as np
 
 from .environment import VertexEnvLaw
 from .errors import DimensionMismatchError
-from .laws import ReinforcementLaw, SimplexPoint, check_simplex_rows, draw_index
+from .laws import (MIN_WEIGHT, PAIRWISE_SUM_MIN, DirichletLaw, ReinforcementLaw, SimplexPoint,
+                   UniformLaw, check_simplex_rows, draw_index, row_sums)
 
 Trajectory = tuple[int, ...]
 
@@ -309,16 +310,25 @@ def run_annealed(
 # --- lock-step runners ------------------------------------------------------------
 
 
-def lockstep_moves(cumulative: np.ndarray, u: np.ndarray, last: np.ndarray | int) -> np.ndarray:
-    """:func:`draw_index` of each row, from the row's cumulative weights.
+def running_sums(weights: np.ndarray) -> np.ndarray:
+    """``np.cumsum`` of a ``[d, N]`` array along axis 0, bit for bit, in place: one add per row.
 
-    ``cumulative`` is ``[N, d]``, the running sums of the weights added left
-    to right; row ``r`` moves to the count of its sums that are at most
-    ``u[r]``, clipped at ``last`` (``d - 1``, or per row).  The sums do not
-    decrease, so that count is the first index whose sum exceeds ``u``.
-    Entries past a row's last move must be ``inf``.
+    Across so few rows numpy's ``cumsum`` runs up to ten times slower."""
+    for j in range(1, len(weights)):
+        weights[j] += weights[j - 1]
+    return weights
+
+
+def lockstep_moves(cumulative: np.ndarray, u: np.ndarray, last: np.ndarray | int) -> np.ndarray:
+    """:func:`draw_index` of each column, from the column's cumulative weights.
+
+    ``cumulative`` is ``[d, N]``, the running sums of each column's weights
+    (:func:`running_sums`); column ``r`` moves to the count of its sums that
+    are at most ``u[r]``, clipped at ``last`` (``d - 1``, or per column).  The
+    sums do not decrease, so that count is the first index whose sum exceeds
+    ``u``.  Sums past a column's last move must be ``inf`` or the last sum.
     """
-    return np.minimum(np.count_nonzero(cumulative <= u[:, None], axis=1), last)
+    return np.minimum(np.count_nonzero(cumulative <= u, axis=0), last)
 
 
 class _Layout:
@@ -359,23 +369,22 @@ class _Layout:
         )
 
     def cumulative(self, weights: np.ndarray) -> np.ndarray:
-        """``[N, moves]`` weights, vertex after vertex, as ``[N * vertices, width]`` running sums.
+        """``[N, moves]`` weights, vertex after vertex, as ``[width, N * vertices]`` running sums.
 
-        Row ``n * vertices + x`` holds vertex x's sums for trajectory n, then ``inf``.
+        Column ``n * vertices + x`` holds vertex x's sums for trajectory n, then ``inf``.
         """
         out = np.full((len(weights), self.vertices * self.width), np.inf)
         out[:, self.columns] = weights
-        out = out.reshape(-1, self.width)
-        return np.cumsum(out, axis=1, out=out)
+        return running_sums(out.reshape(-1, self.width).T.copy())
 
     def block_size(self, mode: str, steps: int, count: int) -> int:
         """Trajectories per lock-step block of a ``mode`` run, at least one.
 
         A block holds ``steps + 1`` positions and ``steps`` uniforms per
-        trajectory, and its move counts (reinforced) or environment sums
-        (annealed); each of those tables stays within :data:`LOCKSTEP_ELEMENTS`.
+        trajectory, and its padded move counts (reinforced) or environment
+        sums (annealed); each of those tables stays within :data:`LOCKSTEP_ELEMENTS`.
         """
-        table = {"reinforced": self.moves, "annealed": self.vertices * self.width}.get(mode, 0)
+        table = 0 if mode == "quenched" else self.vertices * self.width
         return min(count, max(1, LOCKSTEP_ELEMENTS // max(steps + 1, table)))
 
 
@@ -393,13 +402,13 @@ LOCKSTEP_ELEMENTS = 1 << 16
 #: trajectory 20-35x slower.
 LOCKSTEP_MIN_BLOCK = 64
 
-#: Fewest trajectories per vertex within reach that a reinforced block holds
-#: for lock step to pay: it makes its numpy calls once per vertex group at
-#: each step.  Laws whose weight rows are ``"distinct"`` need more (see
-#: :func:`lockstep_pays`).  Measured on the same host, uniform, Dirichlet and induced
-#: laws on cycles of 5, 20 and 60 vertices and the 4x4 grid broke even at
-#: 15 to about 60 trajectories per vertex, uniform laws on 100-step walks
-#: the latest.
+#: Fewest trajectories per vertex within reach that a reinforced block
+#: holds for lock step to pay without :func:`_padded_tables`: it asks each
+#: law for its rows once per vertex group at each step.  Laws whose weight
+#: rows are ``"distinct"`` need more (see :func:`lockstep_pays`).  On the
+#: same host, a Dirichlet subclass with its own ``_simplex`` on 100-step
+#: walks broke even at 13 to 25 trajectories per vertex on the 5-cycle and
+#: below 10 on the 20-cycle and the 4x4 grid.
 LOCKSTEP_PER_VERTEX = 50
 
 
@@ -411,24 +420,27 @@ def lockstep_pays(
     ``mode`` is ``"reinforced"``, ``"quenched"`` or ``"annealed"``, and
     ``maps`` the laws, assignment or environments of that run.  Lock step
     needs the graph's padded tables within :data:`LOCKSTEP_ELEMENTS` and a
-    block of at least :data:`LOCKSTEP_MIN_BLOCK` trajectories.  A reinforced
-    block needs :data:`LOCKSTEP_PER_VERTEX` trajectories per vertex a walk
+    block of at least :data:`LOCKSTEP_MIN_BLOCK` trajectories; reinforced
+    laws that fit :func:`_padded_tables` need no more.  Other reinforced
+    blocks need :data:`LOCKSTEP_PER_VERTEX` trajectories per vertex a walk
     can reach within ``steps`` moves.  A law whose weight rows are
     ``"distinct"`` (:attr:`~urnwalk.laws.ReinforcementLaw.weight_rows`)
     evaluates them one distinct row at a time and gains only where rows
     repeat, so with one the block also needs as many trajectories per vertex
     as there are count vectors a vertex can reach, those of sum at most
-    ``steps`` in the largest degree: an induced law on the 5-cycle ran 1.25x
-    slower in lock step at 400 and 800 trajectories of 100 steps, and 2.5x
-    faster on the 3-star at 4,000 of 5.  Polynomial and tabulated laws, the
-    same trajectories, best of 7 in one process (2 cores, Python 3.11.7,
-    numpy 2.4.6)::
+    ``steps`` in the largest degree: an induced law on the 5-cycle ran 1.06x
+    slower in lock step at 400 and 800 trajectories of 100 steps, and 3x
+    faster on the 3-star at 4,000 of 5.  Best of 7 in one process, fresh
+    laws each run (2 cores, Python 3.11.7, numpy 2.4.6); the table breaks
+    even at 16 to 32 trajectories::
 
         laws, graph                         trajectories x steps  per stream  lock step
-        polynomial, 3-star                  4,000 x 5             74.2 ms     22.1 ms
-        polynomial, 5-segment               4,000 x 5             47.0 ms     22.9 ms
-        tabulated (clamp, box 3), 4-cycle   4,000 x 5             65.2 ms     22.2 ms
-        polynomial, 4-cycle (at the edge)   200 x 3               2.3 ms      2.0 ms
+        table: Dirichlet, 20-cycle          16 / 64 x 100         1.9 / 5.9   1.3 / 1.4 ms
+        table: Dirichlet, 20-cycle          16 / 64 x 5           0.25 / 0.55 0.28 / 0.34 ms
+        table: uniform, 5-star              16 x 100              0.74 ms     0.69 ms
+        polynomial, 3-star                  4,000 x 5             24.6 ms     8.2 ms
+        tabulated (clamp, box 3), 4-cycle   4,000 x 5             32.5 ms     8.1 ms
+        polynomial, 4-cycle (at the edge)   200 x 3               1.2 ms      0.7 ms
 
     A map that misses a vertex, which only a library call can build, runs
     per stream.  Both runners give the same trajectories; this chooses only
@@ -445,7 +457,7 @@ def lockstep_pays(
         laws = [maps.get(x) for x in range(layout.vertices)]
         if None in laws:
             return False
-        need = LOCKSTEP_PER_VERTEX
+        need = 0 if _padded_tables(maps, layout, steps) else LOCKSTEP_PER_VERTEX
         if any(law.weight_rows == "distinct" for law in laws):
             need = max(need, math.comb(steps + layout.width, layout.width))
         return block >= need * _reach(graph, x0, steps)
@@ -489,55 +501,76 @@ def _paths(x0: int, n: int, steps: int) -> np.ndarray:
     return paths
 
 
-def _advance_fixed(
-    layout: _Layout, cumulative: np.ndarray, base: np.ndarray | int, x0: int, uniforms: np.ndarray
-) -> np.ndarray:
-    """Positions of a block walking in fixed environments: row ``base + x`` holds vertex x's sums."""
+def _advance(layout: _Layout, sums, base: np.ndarray | int, x0: int, uniforms: np.ndarray,
+             counts: np.ndarray | None = None) -> np.ndarray:
+    """Positions of a block of walks from x0: each step's running sums are columns ``at = base +
+    position`` of a fixed table ``sums``, or ``sums(position, at)``.  A reinforced block counts
+    each move in column ``at`` of ``counts``, walk n's at vertex x for ``at = n * vertices + x``."""
     n, steps = uniforms.shape
     paths = _paths(x0, n, steps)
     position = paths[:, 0].copy()
     for t in range(steps):
-        move = lockstep_moves(cumulative[base + position], uniforms[:, t], layout.last[position])
-        position = layout.neighbors[position, move]
+        at = base + position
+        cumulative = sums.take(at, axis=1) if isinstance(sums, np.ndarray) else sums(position, at)
+        move = lockstep_moves(cumulative, uniforms[:, t], layout.last.take(position))
+        if counts is not None:
+            counts.reshape(-1)[move * counts.shape[1] + at] += 1
+        position = layout.neighbors.take(position * layout.width + move)
         paths[:, t + 1] = position
     return paths
 
 
-def _advance_reinforced(
-    graph: Graph,
-    laws: Mapping[int, ReinforcementLaw],
-    layout: _Layout,
-    x0: int,
-    uniforms: np.ndarray,
-) -> np.ndarray:
-    """Positions of a block of reinforced walks, grouped by vertex at each step."""
-    n, steps = uniforms.shape
-    paths = _paths(x0, n, steps)
-    position = paths[:, 0].copy()
-    counts = np.zeros((n, layout.moves), dtype=np.int64)
-    checked: dict[int, ReinforcementLaw] = {}
-    for t in range(steps):
-        u = uniforms[:, t]
-        order = np.argsort(position, kind="stable")
-        ranked = position[order]
-        edges = [0, *(np.flatnonzero(ranked[1:] != ranked[:-1]) + 1).tolist(), n]
-        following = np.empty_like(position)
-        for start, stop in zip(edges, edges[1:]):
-            group = order[start:stop]
-            x = int(ranked[start])
-            law = checked.get(x)
-            if law is None:
-                law = checked[x] = _at(laws, x, "law map")
-                _check_degree(graph, x, law.dimension, "law")
-            lo = layout.offsets[x]
-            last = int(layout.last[x])
-            weights = law._simplex_rows(counts[group, lo : lo + last + 1])
-            move = lockstep_moves(np.cumsum(weights, axis=1), u[group], last)
-            counts[group, lo + move] += 1
-            following[group] = layout.neighbors[x, move]
-        position = following
-        paths[:, t + 1] = position
-    return paths
+def _padded_tables(laws: Mapping, layout: _Layout, steps: int) -> tuple | None:
+    """The laws as a ``[width, vertices]`` table padded with 0, and its uniform columns, or None.
+
+    Column x holds alpha (a :class:`~urnwalk.laws.DirichletLaw`) or weights (a
+    :class:`~urnwalk.laws.UniformLaw`): the class's own rows, of x's degree, in
+    a width where a sum ending in ``+ 0.0`` keeps ``sum_as_numpy``'s bits.  A
+    weight is at least ``alpha_i / (sum(alpha) + steps)`` up to rounding; alpha
+    that keeps that at twice ``MIN_WEIGHT`` leaves no row to check.
+    """
+    table = np.zeros((layout.width, layout.vertices))
+    uniform = np.zeros(layout.vertices, dtype=bool)
+    for x, d in enumerate(layout.degrees):
+        law = laws.get(x)
+        if getattr(law, "dimension", None) != d or layout.width >= PAIRWISE_SUM_MIN:
+            return None
+        rows = type(law)._simplex, type(law)._simplex_rows
+        if rows == (UniformLaw._simplex, UniformLaw._simplex_rows):
+            table[:d, x], uniform[x] = law._row, True
+        elif (rows == (DirichletLaw._simplex, DirichletLaw._simplex_rows)
+              and min(law.alpha) >= 2 * MIN_WEIGHT * (math.fsum(law.alpha) + steps)):
+            table[:d, x] = law.alpha
+        else:
+            return None
+    return table, uniform
+
+
+def _padded_sums(table, uniform, counts, position: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """:func:`_advance`'s sums of :func:`_padded_tables`: ``(alpha + counts) / sum``, or uniform."""
+    own = table.take(position, axis=1)
+    shifted = own + counts.take(at, axis=1)
+    weights = shifted / row_sums(shifted.T)
+    if uniform.any():
+        weights = np.where(uniform.take(position), own, weights)
+    return running_sums(weights)
+
+
+def _grouped_sums(graph, laws, layout, counts, position: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """:func:`_advance`'s sums from each vertex's law, once per vertex group, checked on arrival."""
+    counts = counts.take(at, axis=1)
+    weights = np.zeros(counts.shape)
+    order = np.argsort(position.astype(np.min_scalar_type(layout.vertices)), kind="stable")  # radix
+    ranked = position[order]
+    edges = [0, *(np.flatnonzero(ranked[1:] != ranked[:-1]) + 1).tolist(), len(order)]
+    for start, stop in zip(edges, edges[1:]):
+        group = order[start:stop]
+        x = int(ranked[start])
+        law = _at(laws, x, "law map")
+        _check_degree(graph, x, law.dimension, "law")
+        d = layout.degrees[x]
+        weights[:d, group] = law._simplex_rows(np.ascontiguousarray(counts[:d, group].T)).T
+    return running_sums(weights)
 
 
 def run_many_reinforced(
@@ -556,11 +589,19 @@ def run_many_reinforced(
     """
     _check_start(graph, x0)
     layout = _Layout(graph)
+    tables = _padded_tables(laws, layout, steps)
     size = layout.block_size("reinforced", steps, count)
     for uniforms, streams in _blocks(seed, count, steps, size):
         for row, rng in zip(uniforms, streams):
             rng.random(out=row)
-        yield from map(tuple, _advance_reinforced(graph, laws, layout, x0, uniforms).tolist())
+        if tables is not None and tables[1].all():  # uniform laws ignore the counts
+            sums, counts, base = running_sums(tables[0].copy()), None, 0
+        else:
+            counts = np.zeros((layout.width, len(uniforms) * layout.vertices), dtype=np.int64)
+            base = np.arange(len(uniforms), dtype=np.int64) * layout.vertices
+            sums = (partial(_grouped_sums, graph, laws, layout, counts) if tables is None
+                    else partial(_padded_sums, *tables, counts))
+        yield from map(tuple, _advance(layout, sums, base, x0, uniforms, counts).tolist())
 
 
 def run_many_quenched(
@@ -581,7 +622,7 @@ def run_many_quenched(
     for uniforms, streams in _blocks(seed, count, steps, size):
         for row, rng in zip(uniforms, streams):
             rng.random(out=row)
-        yield from map(tuple, _advance_fixed(layout, cumulative, 0, x0, uniforms).tolist())
+        yield from map(tuple, _advance(layout, cumulative, 0, x0, uniforms).tolist())
 
 
 def run_many_annealed(
@@ -609,12 +650,16 @@ def run_many_annealed(
     for uniforms, streams in _blocks(seed, count, steps, size):
         weights = np.empty((len(uniforms), layout.moves))
         for row, env_row, rng in zip(uniforms, weights, streams):
-            env_row[:] = [w for draw in draws for w in draw(rng)]
+            points = [draw(rng) for draw in draws]
+            if list(map(len, points)) != layout.degrees:
+                for x, point in enumerate(points):
+                    _check_degree(graph, x, len(point), "assignment")
+            env_row[:] = [w for point in points for w in point]
             rng.random(out=row)
         for lo, d in zip(layout.offsets, layout.degrees):
             check_simplex_rows(weights[:, lo : lo + d])
         base = np.arange(len(uniforms), dtype=np.int64) * layout.vertices
-        paths = _advance_fixed(layout, layout.cumulative(weights), base, x0, uniforms)
+        paths = _advance(layout, layout.cumulative(weights), base, x0, uniforms)
         yield from map(tuple, paths.tolist())
 
 

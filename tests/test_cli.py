@@ -2118,6 +2118,21 @@ def _non_finite_as_strings(node):
     return node
 
 
+def assert_same_text(got: str, want: str, context: int = 3) -> None:
+    """``got == want`` exactly; a failure shows the first differing line and its neighbours.
+
+    Not a bare ``assert``: pytest would diff two texts of thousands of lines
+    in full, which takes minutes.
+    """
+    if got == want:
+        return
+    a, b = got.splitlines(keepends=True), want.splitlines(keepends=True)
+    first = next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+    window = slice(max(0, first - context), first + context + 1)
+    pytest.fail(f"texts differ from line {first + 1} ({len(a)} lines, want {len(b)}):\n"
+                f"got:  {a[window]!r}\nwant: {b[window]!r}", pytrace=False)
+
+
 def _json_body(rows, shape):
     if shape is None:
         return [list(r) for r in rows]
@@ -2150,7 +2165,7 @@ class TestJsonWriter:
         cli._write_json(tmp_path / "o.json", {"body": []}, rows, "body", shape)
         doc = _non_finite_as_strings({"body": _json_body(rows, shape)})
         want = json.dumps(doc, sort_keys=True, indent=2)
-        assert (tmp_path / "o.json").read_text() == want + "\n"
+        assert_same_text((tmp_path / "o.json").read_text(), want + "\n")
 
     def test_a_numpy_float_is_a_float(self, tmp_path):
         rows = [[np.float64(0.1), 2.5]]

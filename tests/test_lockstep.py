@@ -52,6 +52,7 @@ from urnwalk.walk import (
     run_many_reinforced,
     run_quenched,
     run_reinforced,
+    running_sums,
     sample_environment,
     segment_graph,
     star_graph,
@@ -82,9 +83,10 @@ def test_cumulative_count_rule_is_draw_index(weights, normalise):
         # rounding left the last sum below 1: u from there on takes the last move
         us |= {math.nextafter(last, 1.0), (last + 1.0) / 2, math.nextafter(1.0, 0.0)}
     us = sorted(u for u in us if 0.0 <= u < 1.0)
-    rows = np.broadcast_to(sums, (len(us), len(weights)))
-    got = lockstep_moves(rows, np.array(us), len(weights) - 1)
+    columns = np.broadcast_to(sums[:, None], (len(weights), len(us)))
+    got = lockstep_moves(columns, np.array(us), len(weights) - 1)
     assert got.tolist() == [draw_index(weights, u) for u in us]
+    assert running_sums(np.array([weights] * 2).T.copy()).T.tolist() == [sums.tolist()] * 2
 
 
 # --- weight rows --------------------------------------------------------------------
@@ -435,6 +437,8 @@ def test_a_draw_is_the_sampled_point_bit_for_bit(env, seed):
 def test_a_law_is_checked_when_a_walk_reaches_its_vertex():
     laws = {0: UniformLaw(1), 1: UniformLaw(2), 2: DirichletLaw([1.0, 1.0])}
     graph = segment_graph(3)
+    # a law of the wrong dimension keeps the map out of the padded tables
+    assert walk._padded_tables(laws, walk._Layout(graph), 8) is None
     # one step from 0 reaches 1 only; vertex 2's law has the wrong dimension
     assert list(run_many_reinforced(graph, laws, 0, 1, 3, 10)) == [(0, 1)] * 10
     with pytest.raises(DimensionMismatchError):
@@ -462,9 +466,128 @@ def test_a_law_off_the_simplex_stops_the_walk_as_per_stream():
             list(run_many_reinforced(graph, laws, 0, 1100, 8, 40))
 
 
+@pytest.mark.parametrize("points", [
+    {0: (0.25, 0.25, 0.5)},
+    # the lengths add up to the graph's moves
+    {1: (0.25, 0.25, 0.5), 2: (1.0,)},
+])
+def test_an_environment_of_the_wrong_dimension_stops_the_run_as_per_stream(points):
+    class Declared(VertexEnvLaw):
+        """Declares dimension 2 and samples a point of another dimension."""
+
+        dimension = 2
+
+        def __init__(self, point):
+            self.point = point
+
+        def sample(self, rng):
+            rng.random()
+            return SimplexPoint(self.point)
+
+    envs = {x: Declared(points[x]) if x in points else DirichletEnv([1.0, 2.0]) for x in range(4)}
+    x = min(points)
+    message = f"assignment at vertex {x} has dimension {len(points[x])}, degree is 2"
+    with pytest.raises(DimensionMismatchError, match=message):
+        per_stream(run_annealed, cycle_graph(4), envs, 0, 5, 1, 70)
+    assert walk.lockstep_pays("annealed", cycle_graph(4), envs, 0, 5, 70)
+    with pytest.raises(DimensionMismatchError, match=message):
+        list(run_many_annealed(cycle_graph(4), envs, 0, 5, 1, 70))
+
+
+# --- the padded tables --------------------------------------------------------------------
+
+_WALK_GRAPHS = st.one_of(
+    st.integers(2, 6).map(segment_graph),
+    st.integers(3, 8).map(cycle_graph),
+    st.integers(1, 7).map(star_graph),
+    st.tuples(st.integers(1, 3), st.integers(2, 4)).map(lambda shape: grid_graph(*shape)),
+)
+
+
+@st.composite
+def _padded_walks(draw):
+    graph = draw(_WALK_GRAPHS)
+    kind = draw(st.sampled_from(["dirichlet", "uniform", "mixed"]))
+    laws = {}
+    for x in range(graph.vertex_count):
+        d = graph.degree(x)
+        if kind == "uniform" or kind == "mixed" and draw(st.booleans()):
+            laws[x] = UniformLaw(d)
+        else:
+            laws[x] = DirichletLaw(draw(st.lists(st.floats(1e-3, 1e3), min_size=d, max_size=d)))
+    x0 = draw(st.integers(0, graph.vertex_count - 1))
+    return graph, laws, x0, draw(st.integers(0, 40)), draw(st.integers(64, 200))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_padded_walks(), st.integers(0, 2**32 - 1))
+def test_padded_runs_are_the_per_stream_runs(case, seed):
+    graph, laws, x0, steps, count = case
+    assert walk._padded_tables(laws, walk._Layout(graph), steps) is not None
+    assert walk.lockstep_pays("reinforced", graph, laws, x0, steps, count)
+    want = per_stream(run_reinforced, graph, laws, x0, steps, seed, count)
+    assert list(run_many_reinforced(graph, laws, x0, steps, seed, count)) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_a_dirichlet_law_in_the_padded_tables_stays_on_the_simplex(data):
+    # the tables take alpha only where no count vector of sum at most steps
+    # can give a weight below MIN_WEIGHT, for no row read from them is checked
+    alpha = data.draw(st.lists(st.floats(5e-324, 1e-290) | st.floats(1e-3, 1e3), min_size=2, max_size=7))
+    steps = data.draw(st.integers(0, 60))
+    graph = star_graph(len(alpha))
+    laws = {0: DirichletLaw(alpha), **_leaves(graph, UniformLaw(1))}
+    counts = []
+    for _ in alpha:
+        counts.append(data.draw(st.integers(0, steps - sum(counts))))
+    if walk._padded_tables(laws, walk._Layout(graph), steps) is not None:
+        laws[0]._simplex(tuple(counts))
+
+
+def test_a_star_of_width_8_groups_by_vertex():
+    # from width PAIRWISE_SUM_MIN on, a padded row sum would not add as sum_as_numpy does
+    graph = star_graph(8)
+    laws = {0: DirichletLaw([0.3 + 0.5 * i for i in range(8)]), **_leaves(graph, UniformLaw(1))}
+    assert walk._padded_tables(laws, walk._Layout(graph), 30) is None
+    want = per_stream(run_reinforced, graph, laws, 0, 30, 11, 120)
+    assert list(run_many_reinforced(graph, laws, 0, 30, 11, 120)) == want
+
+
+def test_subnormal_alpha_stops_a_lock_step_run_as_per_stream():
+    # at a first visit the weight of alpha 1e-320 is 1e-320, below MIN_WEIGHT
+    graph = cycle_graph(4)
+    laws = {x: DirichletLaw([1e-320, 1.0]) for x in range(4)}
+    assert walk._padded_tables(laws, walk._Layout(graph), 4) is None
+    with pytest.raises(ValueError) as per:
+        per_stream(run_reinforced, graph, laws, 0, 4, 1, 80)
+    with pytest.raises(ValueError) as many:
+        list(run_many_reinforced(graph, laws, 0, 4, 1, 80))
+    assert (type(many.value), str(many.value)) == (type(per.value), str(per.value))
+    assert str(per.value) == "weight 1e-320 is not strictly positive"
+
+
+class _ReversedDirichlet(DirichletLaw):
+    """Dirichlet weights in reverse order: a subclass with its own ``_simplex``."""
+
+    def _simplex(self, c):
+        return tuple(reversed(super()._simplex(c)))
+
+
+def test_a_dirichlet_subclass_walks_with_its_own_rows():
+    graph = cycle_graph(4)
+    laws = {x: _ReversedDirichlet([1.0, 3.0]) for x in range(4)}
+    assert walk._padded_tables(laws, walk._Layout(graph), 6) is None
+    want = per_stream(run_reinforced, graph, laws, 0, 6, 1, 80)
+    assert list(run_many_reinforced(graph, laws, 0, 6, 1, 80)) == want
+    counts = np.array([[0, 0], [2, 0], [0, 0]], dtype=np.int64)
+    assert laws[0]._simplex_rows(counts).tolist() == [[0.75, 0.25], [0.5, 0.5], [0.75, 0.25]]
+
+
 # --- the choice of runner ----------------------------------------------------------------
 
 _DIRICHLET_CYCLE = {x: DirichletLaw([1.0, 2.0]) for x in range(20)}
+_REVERSED_CYCLE = {x: _ReversedDirichlet([1.0, 2.0]) for x in range(20)}
 
 
 @pytest.mark.parametrize("mode, graph, maps, steps, count, pays", [
@@ -477,13 +600,26 @@ _DIRICHLET_CYCLE = {x: DirichletLaw([1.0, 2.0]) for x in range(20)}
     ("annealed", _CYCLE, ANNEALED["dirichlet_cycle"][1], 3000, 400, False),
     ("reinforced", _STAR_3, REINFORCED["uniform_star"][1], 5, 4000, True),
     ("reinforced", _STAR_3, REINFORCED["uniform_star"][1], 10**5, 1, False),
-    # a reinforced block needs LOCKSTEP_PER_VERTEX trajectories per vertex in reach:
-    # 2 steps from 0 on the 20-cycle reach 5 vertices, 30 steps all 20
+    # Dirichlet and uniform laws read padded tables, whose step costs the same
+    # however many vertices the walks reach: a block of LOCKSTEP_MIN_BLOCK pays
     ("reinforced", cycle_graph(20), _DIRICHLET_CYCLE, 2, 250, True),
-    ("reinforced", cycle_graph(20), _DIRICHLET_CYCLE, 30, 250, False),
+    ("reinforced", cycle_graph(20), _DIRICHLET_CYCLE, 30, 250, True),
     ("reinforced", cycle_graph(20), _DIRICHLET_CYCLE, 30, 1000, True),
     # 100 steps: blocks of 648
-    ("reinforced", cycle_graph(20), _DIRICHLET_CYCLE, 100, 4000, False),
+    ("reinforced", cycle_graph(20), _DIRICHLET_CYCLE, 100, 4000, True),
+    ("reinforced", cycle_graph(20), _DIRICHLET_CYCLE, 100, 63, False),
+    ("reinforced", cycle_graph(20), {x: UniformLaw(2) for x in range(20)}, 100, 64, True),
+    # a block grouped by vertex needs LOCKSTEP_PER_VERTEX trajectories per vertex in
+    # reach: 2 steps from 0 on the 20-cycle reach 5 vertices, 30 steps all 20
+    ("reinforced", cycle_graph(20), _REVERSED_CYCLE, 2, 250, True),
+    ("reinforced", cycle_graph(20), _REVERSED_CYCLE, 30, 250, False),
+    ("reinforced", cycle_graph(20), _REVERSED_CYCLE, 30, 1000, True),
+    ("reinforced", cycle_graph(20), _REVERSED_CYCLE, 100, 4000, False),
+    # the 8-star is too wide for the padded tables; 2 steps reach its 9 vertices
+    ("reinforced", star_graph(8), {0: DirichletLaw([1.0] * 8), **_leaves(star_graph(8), UniformLaw(1))},
+     2, 449, False),
+    ("reinforced", star_graph(8), {0: DirichletLaw([1.0] * 8), **_leaves(star_graph(8), UniformLaw(1))},
+     2, 450, True),
     # a law with distinct weight rows also needs, per vertex in reach, as many
     # trajectories as count vectors of sum at most steps at the largest degree:
     # 21 at degree 2 and 5 steps (so 50 still holds), 5,151 at 100 steps

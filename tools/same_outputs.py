@@ -60,7 +60,13 @@ def failures() -> list[tuple]:
     4-cycle that ``walk.lockstep_pays`` sends to lock step, which no other
     config or tiny-scale operation reaches through the CLI: Dirichlet vertices
     with alpha below and above 1, one polynomial and one empirical vertex,
-    exit 0.  The lattice guards of check-admissibility,
+    exit 0.  Then four reinforced walks, each exit 0 unless stated: Dirichlet
+    laws on the 20-cycle, 64 trajectories of 30 steps, which
+    ``walk.lockstep_pays`` sends to lock step since the padded weight tables
+    (per stream before them); a 7-star with a Dirichlet centre and uniform
+    leaves, 80x6, which reads those tables; a Dirichlet 8-star, 80x6, too
+    wide for them; and a 4-cycle whose alpha 1e-320 gives a weight below
+    ``MIN_WEIGHT``, 80x4, exit 3.  The lattice guards of check-admissibility,
     verify-moments and recover-moments are left out: under ``--against``, an
     older tree without them would run such a config in full."""
     from workloads import WITNESS_LAW
@@ -130,6 +136,26 @@ def failures() -> list[tuple]:
                                        {"weight": 0.75, "weights": [0.6, 0.4]}]},
                        "3": {"family": "dirichlet", "alpha": [1.5, 2.5]}}},
           "operation": {"mode": "annealed", "steps": 6, "trajectories": 80}}),
+        ("dirichlet on the 20-cycle, 64x30", "simulate",
+         {"graph": {"generator": "cycle", "length": 20}, "seed": 5,
+          "laws": {"default": {"family": "dirichlet", "alpha": [0.8, 1.7]}},
+          "operation": {"mode": "reinforced", "steps": 30, "trajectories": 64, "start": 3}}),
+        ("7-star, dirichlet centre and uniform leaves, 80x6", "simulate",
+         {"graph": {"generator": "star", "leaves": 7}, "seed": 6,
+          "laws": {"default": {"family": "uniform"},
+                   "per_vertex": {"0": {"family": "dirichlet",
+                                        "alpha": [0.4, 1.1, 2.5, 0.9, 3.2, 1.6, 0.7]}}},
+          "operation": {"mode": "reinforced", "steps": 6, "trajectories": 80}}),
+        ("dirichlet 8-star, 80x6", "simulate",
+         {"graph": {"generator": "star", "leaves": 8}, "seed": 7,
+          "laws": {"default": {"family": "dirichlet", "alpha": [1.5]},
+                   "per_vertex": {"0": {"family": "dirichlet",
+                                        "alpha": [0.4, 1.1, 2.5, 0.9, 3.2, 1.6, 0.7, 2.0]}}},
+          "operation": {"mode": "reinforced", "steps": 6, "trajectories": 80}}),
+        ("subnormal alpha on the 4-cycle, 80x4", "simulate",
+         {"graph": {"generator": "cycle", "length": 4}, "seed": 8,
+          "laws": {"default": {"family": "dirichlet", "alpha": [1e-320, 1.0]}},
+          "operation": {"mode": "reinforced", "steps": 4, "trajectories": 80}}),
     ]
 
 
