@@ -45,7 +45,6 @@ from .laws import (
     log_sum_exp_rows,
     row_sums,
     sum_as_numpy,
-    validate_polynomial_coefficients,
 )
 
 #: The least positive float, which stands for a gamma draw that rounded to 0.
@@ -186,7 +185,9 @@ class PolynomialDirichletEnv(VertexEnvLaw):
 
     validated against the quadrature oracle in the test suite.  The rising
     factorials of alpha and A come from one
-    :class:`~urnwalk.laws.LogRisingTable`, as in :class:`DirichletEnv`.
+    :class:`~urnwalk.laws.LogRisingTable`, as in :class:`DirichletEnv`, and
+    ``R(alpha + k)`` and the mixture weights (its terms at ``k = 0``) from
+    the column tables of one :class:`~urnwalk.laws.RisingPolynomial` of alpha.
     """
 
     def __init__(
@@ -195,20 +196,14 @@ class PolynomialDirichletEnv(VertexEnvLaw):
         degree: int,
         coefficients: Mapping[Sequence[int], float],
     ):
-        arr = check_alpha(alpha)
-        self.alpha = tuple(float(a) for a in arr)
-        self.dimension = arr.size
-        self.degree = int(degree)
-        self.coefficients = validate_polynomial_coefficients(
-            self.dimension, self.degree, coefficients
-        )
-        self._alpha_arr = arr
+        self._poly = poly = RisingPolynomial(alpha, degree, coefficients)
+        self.dimension, self.degree, arr = poly.dimension, poly.degree, poly.alpha
+        self.alpha, self.coefficients = tuple(arr.tolist()), poly.coefficients
         self._rising = LogRisingTable(self.alpha + (float(arr.sum()),))
         self._log_rising_degree = self._rising.at((0,) * self.dimension + (self.degree,))[-1]
-        self._poly = RisingPolynomial(self.coefficients)
         # mixture over monomials: weight_k proportional to a_k * prod Gamma(alpha_i + k_i),
         # and so to a_k * prod (alpha_i)_{k_i}, the polynomial's terms at alpha
-        log_w = self._poly.log_terms(arr)
+        log_w = np.array(self._poly.log_terms((0,) * self.dimension))
         self._log_poly_alpha = log_sum_exp(log_w)
         # builtin floats, which draw_index adds faster than numpy scalars, to the same bits
         self._mixture_probs = np.exp(log_w - self._log_poly_alpha).tolist()
@@ -217,10 +212,9 @@ class PolynomialDirichletEnv(VertexEnvLaw):
     def log_mixed_moment(self, counts: Sequence[int]) -> float:
         c = check_counts(counts, self.dimension, "environment")
         *num, den = self._rising.at(c + (self.degree + sum(c),))
-        shifted = self._alpha_arr + np.asarray(c, dtype=float)
         return (
             reduce(add, num)
-            + self._poly.log_value(shifted)
+            + self._poly.log_value(c)
             - self._log_poly_alpha
             + self._log_rising_degree
             - den
@@ -231,7 +225,7 @@ class PolynomialDirichletEnv(VertexEnvLaw):
         logs = self._rising.values(np.column_stack([c, self.degree + c.sum(axis=1)]))
         return (
             row_sums(logs[:, :-1])
-            + self._poly.log_values(self._alpha_arr + c)
+            + self._poly.log_values(c)
             - self._log_poly_alpha
             + self._log_rising_degree
             - logs[:, -1]

@@ -28,8 +28,8 @@ the scalar code takes it, for numpy's ``log`` rounds some values apart.
 
 Log rising factorials ``log (y)_k = log y(y+1)...(y+k-1)`` at integer counts
 are sums of logs, ``cumsum(log(y + arange(K)))`` read with the counts as
-indices (:class:`LogRisingTable`, :class:`RisingPolynomial`), not
-differences of log-gammas, which cancel at large ``y``.  Every path adds
+indices (:class:`LogRisingTable`, the columns of :class:`RisingPolynomial`),
+not differences of log-gammas, which cancel at large ``y``.  Every path adds
 the same logs in the same order, so a scalar and a batch evaluation of one
 quantity keep the same bits.  Past :data:`RISING_TABLE_CAP` counts a log
 rising factorial is a difference of Stirling forms, whose correction terms
@@ -45,14 +45,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce, wraps
+from functools import partial, reduce, wraps
 from itertools import product
 from operator import add
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatchError, EvaluationError, TableDomainError
+from .errors import DimensionMismatchError, TableDomainError
 
 #: Absolute tolerance on the sum of a probability vector.
 SIMPLEX_SUM_TOL = 1e-12
@@ -578,26 +578,24 @@ def log_sum_exp(values: Sequence[float] | np.ndarray) -> float:
 
     The shifted algorithm of Blanchard, Higham and Higham (2021), "Accurately
     computing the log-sum-exp and softmax functions", in scipy's order of
-    operations and with the same numpy ufuncs, minus scipy's array-API
-    dispatch (tens of microseconds a call).  The maximum and its ties are
-    split off the sum; the rest is shifted, exponentiated and summed.
+    operations, with its numpy ``exp``, ``log1p`` and ``log`` and builtin
+    float arithmetic between them, minus scipy's array-API dispatch (tens of
+    microseconds a call).  The maximum and its ties are split off the sum;
+    the rest is shifted, exponentiated and summed as ``np.sum`` adds.
     """
     if len(values) == 1:
         v = float(values[0])
         if math.isfinite(v):
             # scipy's log1p(0) + log(1) + v; the 0.0 turns -0.0 into 0.0 as it does
             return 0.0 + v
-    a = np.asarray(values, dtype=float)
-    if a.size == 0:
-        return -math.inf
-    a_max = a.max()
-    if not math.isfinite(a_max):
-        # nan propagates; +inf dominates; all entries -inf sum to zero
-        return float(a_max)
-    ties = a == a_max
-    count = np.float64(np.count_nonzero(ties))
-    s = np.exp(np.where(ties, -np.inf, a) - a_max).sum() / count
-    return float(np.log1p(s) + np.log(count) + a_max)
+    terms = values.tolist() if isinstance(values, np.ndarray) else list(map(float, values))
+    top = max(terms, default=-math.inf)
+    if not math.isfinite(top):
+        # nan propagates, +inf dominates, and entries all -inf (or none) sum to zero
+        return math.nan if any(t != t for t in terms) else top
+    ties = terms.count(top)
+    rest = sum_as_numpy(np.exp([t - top if t != top else -math.inf for t in terms]).tolist())
+    return float(np.log1p(rest / ties)) + (float(np.log(ties)) if ties > 1 else 0.0) + top
 
 
 def log_sum_exp_rows(table: np.ndarray) -> np.ndarray:
@@ -626,81 +624,89 @@ def row_sums(table: np.ndarray) -> np.ndarray:
 
 
 class RisingPolynomial:
-    """``y -> log sum_k a_k prod_i (y_i)_{k_i}`` over the monomials ``k`` of positive ``a_k``.
+    """``c -> log sum_k a_k prod_i (alpha_i + c_i)_{k_i}`` over the monomials ``k`` of ``a_k > 0``.
 
-    ``(y)_k`` is the rising factorial.  No exponent exceeds the degree, so
-    one evaluation tabulates ``log (y_i)_j`` for ``j <= degree`` as sums of
-    logs (the entries of a :class:`LogRisingTable` of ``y``, with the same
-    bits), reads each monomial's factors from that table, adds them left to
-    right and takes one :func:`log_sum_exp` over the monomials.
+    ``(y)_j`` is the rising factorial and ``c`` a vector of counts, which the
+    law or environment that holds the polynomial checks; alpha and the
+    coefficients are checked here, and with them every term is finite.  A
+    factor ``log (alpha_i + c_i)_{k_i}`` depends only on the coordinate and
+    its count, so each coordinate keeps a column table: row ``c`` holds that
+    factor of each monomial, the running sum of ``log((alpha_i + c) + t)``
+    (the bits of a :class:`LogRisingTable` of ``alpha_i + c``).  Rows are
+    filled a block of counts at a time, at least doubling, up to
+    :data:`SIMPLEX_MEMO_LIMIT` counts; a larger count's row is computed the
+    same way on each read.  A value adds each monomial's factors left to
+    right, then its log coefficient, and takes one :func:`log_sum_exp`.
     """
 
-    def __init__(self, coefficients: Mapping[Counts, float]):
-        positive = [(index, coeff) for index, coeff in coefficients.items() if coeff != 0.0]
-        if not positive:
-            raise EvaluationError("polynomial has no positive coefficients")
-        dims = {len(index) for index, _ in positive}
-        if len(dims) != 1:
-            raise DimensionMismatchError("polynomial indices disagree on dimension")
-        self.dimension = dims.pop()
+    def __init__(self, alpha: Sequence[float], degree: int,
+                 coefficients: Mapping[Sequence[int], float]):
+        self.alpha = check_alpha(alpha)
+        self.dimension, self.degree = self.alpha.size, int(degree)
+        self.coefficients = validate_polynomial_coefficients(
+            self.dimension, self.degree, coefficients
+        )
+        positive = [(index, coeff) for index, coeff in self.coefficients.items() if coeff != 0.0]
         self.exponents = np.array([index for index, _ in positive], dtype=np.int64)
-        self.log_coefficients = np.array([math.log(coeff) for _, coeff in positive])
-        top = int(self.exponents.max())
-        self._steps = np.arange(top, dtype=float)[:, None]
-        # position of log (y_i)_{k_i} in the flattened (top + 1, d) table, one row
-        # per monomial, and transposed: one row per coordinate
-        self._flat = self.exponents * self.dimension + np.arange(self.dimension)
-        self._flat_by_coordinate = self._flat.T.copy()
-        self._table_shape = (top + 1, self.dimension)
+        self.log_coefficients = [math.log(coeff) for _, coeff in positive]
+        self._steps = np.arange(self.exponents.max(), dtype=float)
+        self._tables = [np.zeros((0, len(positive)))] * self.dimension
+        self._rows: list[list[list[float]]] = [[] for _ in range(self.dimension)]
 
-    def log_terms(self, y: np.ndarray) -> np.ndarray:
-        """``log a_k + sum_i log (y_i)_{k_i}`` for each monomial ``k``, at one argument ``y``."""
-        # row j of the table is log (y)_j: a leading 0, then the running sum of the logs
-        table = np.zeros(self._table_shape)
-        np.log(y + self._steps, out=table[1:])
-        np.add.accumulate(table, axis=0, out=table)
-        # one row of factors per coordinate, added row after row as row_sums adds columns
-        return self.log_coefficients + reduce(add, table.take(self._flat_by_coordinate))
+    def _block(self, i: int, counts: np.ndarray) -> np.ndarray:
+        """Coordinate ``i``'s rows at each count of a 1-D integer array."""
+        logs = np.zeros((len(counts), len(self._steps) + 1))
+        logs[:, 1:] = np.log((self.alpha[i] + counts)[:, None] + self._steps)
+        return np.add.accumulate(logs, axis=1, out=logs).take(self.exponents[:, i], axis=1)
 
-    def log_value(self, y: np.ndarray) -> float:
-        """Log of the polynomial at strictly positive arguments ``y``."""
-        if len(y) != self.dimension:
-            raise DimensionMismatchError(
-                f"polynomial of dimension {self.dimension} incompatible with "
-                f"argument of dimension {len(y)}"
-            )
-        value = log_sum_exp(self.log_terms(y))
-        if not math.isfinite(value):
-            raise EvaluationError("polynomial evaluation underflowed")
-        return value
+    def _table(self, i: int, k: int) -> np.ndarray:
+        """Coordinate ``i``'s table, grown to count ``k`` below the bound as a whole new table."""
+        table = self._tables[i]
+        old = len(table)
+        if old <= k and old < SIMPLEX_MEMO_LIMIT:
+            # a small first block: an environment reads count 0 alone unless asked for moments
+            size = min(SIMPLEX_MEMO_LIMIT, max(k + 1, 2 * old, 8))
+            block = self._block(i, np.arange(old, size))
+            table = np.concatenate([table, block])
+            self._tables[i], self._rows[i] = table, self._rows[i] + block.tolist()
+        return table
 
-    def log_values(self, y: np.ndarray) -> np.ndarray:
-        """:meth:`log_value` of each row of ``y`` (``[N, d]``), with the same bits per row."""
-        if y.ndim != 2 or y.shape[1] != self.dimension:
-            raise DimensionMismatchError(
-                f"polynomial of dimension {self.dimension} incompatible with "
-                f"arguments of shape {y.shape}"
-            )
-        out = np.empty(len(y))
-        block = max(1, BATCH_ELEMENTS // max(self._flat.size, math.prod(self._table_shape)))
-        for start in range(0, len(y), block):
-            rows = y[start : start + block]
-            # the table of log_terms for every row at once
-            table = np.zeros((len(rows),) + self._table_shape)
-            np.log(rows[:, None, :] + self._steps, out=table[:, 1:])
-            np.add.accumulate(table, axis=1, out=table)
-            factors = table.reshape(len(rows), -1).take(self._flat, axis=1)
-            out[start : start + block] = log_sum_exp_rows(
-                self.log_coefficients + row_sums(factors)
-            )
-        if not np.all(np.isfinite(out)):
-            raise EvaluationError("polynomial evaluation underflowed")
+    def _row(self, i: int, k: int) -> list[float]:
+        if k >= len(self._rows[i]):
+            self._table(i, k)
+        rows = self._rows[i]
+        return rows[k] if k < len(rows) else self._block(i, np.array([k]))[0].tolist()
+
+    def log_terms(self, c: Counts) -> list[float]:
+        """``log a_k + sum_i log (alpha_i + c_i)_{k_i}`` for each monomial ``k``, as floats."""
+        factors = reduce(partial(map, add), map(self._row, range(self.dimension), c))
+        return list(map(add, self.log_coefficients, factors))
+
+    def log_value(self, c: Counts) -> float:
+        """Log of the polynomial at ``alpha + c``."""
+        return log_sum_exp(self.log_terms(c))
+
+    def log_values(self, c: np.ndarray) -> np.ndarray:
+        """:meth:`log_value` of each row of an ``[N, d]`` count array, with the same bits."""
+        out = np.empty(len(c))
+        block = max(1, BATCH_ELEMENTS // max(self.exponents.size, len(self._steps) + 1))
+        for start in range(0, len(c), block):
+            factors = []
+            for i, counts in enumerate(c[start : start + block].T):
+                table = self._table(i, int(counts.max()))
+                rows = table[np.minimum(counts, len(table) - 1)]
+                rows[counts >= len(table)] = self._block(i, counts[counts >= len(table)])
+                factors.append(rows)
+            # each monomial's factors added coordinate after coordinate, as log_terms adds them
+            terms = reduce(add, factors) + self.log_coefficients
+            out[start : start + block] = log_sum_exp_rows(terms)
         return out
 
 
 #: Most count vectors any one memo of :func:`_memoised` keeps (a law's simplex
 #: points, public log weights and log-polynomial cache, and an environment's
-#: log mixed moments); later ones are evaluated each time.
+#: log mixed moments), and most counts per coordinate in the column tables of
+#: a :class:`RisingPolynomial`; later ones are evaluated each time.
 SIMPLEX_MEMO_LIMIT = 1 << 13
 
 
@@ -710,9 +716,10 @@ def _memoised(memo: str):
     Only results that returned are kept: an evaluation that raises is
     retried on the next call.  Each memo keeps at most
     :data:`SIMPLEX_MEMO_LIMIT` entries and then stops inserting; a miss
-    after that evaluates again and gets the same bits.  Every caller gets
-    the stored value itself, so it must be immutable: a tuple, a float or
-    a read-only array.  Sound only because evaluation is pure; two
+    after that evaluates again and gets the same bits (so do the column
+    tables that a polynomial's misses read).  Every caller gets the stored
+    value itself, so it must be immutable: a tuple, a float or a read-only
+    array.  Sound only because evaluation is pure; two
     threads may compute an entry twice, and store equal values.
     """
 
@@ -747,7 +754,7 @@ class ReinforcementLaw:
     :meth:`_log_weights` or :meth:`_simplex`, which take counts the caller
     has already validated (the walk's own).
 
-    Two methods are memoised per count vector on the instance
+    Three methods are memoised per count vector on the instance
     (:func:`_memoised`), each memo bounded by :data:`SIMPLEX_MEMO_LIMIT`:
 
     * :meth:`_simplex`, which the walk and :meth:`weights` evaluate through,
@@ -760,7 +767,9 @@ class ReinforcementLaw:
       call, before the lookup (a tuple of builtin ints is its own key, see
       :func:`as_counts`), and every row is read-only, memoised or not:
       copy one to write into it.  ``EnvMomentLaw`` reads its moments
-      from its environment's memo, which the annealed walk shares.
+      from its environment's memo, which the annealed walk shares;
+    * on :class:`PolynomialDirichletLaw`, ``_log_poly``, whose misses read
+      the column tables of :class:`RisingPolynomial`, bounded by the same limit.
 
     The memos rely on evaluation being pure; a law whose weights at given
     counts could change would have to override :meth:`_simplex` and
@@ -782,8 +791,14 @@ class ReinforcementLaw:
     #: How the class's :meth:`_simplex_rows` evaluates: ``"distinct"``,
     #: :meth:`_simplex` once per distinct row, which pays in lock step only
     #: where rows repeat, or ``"array"``, one array pass over the rows
-    #: (:class:`UniformLaw`, :class:`DirichletLaw`; not a subclass with its own :meth:`_simplex`).
+    #: (:class:`UniformLaw`, :class:`DirichletLaw`).  A subclass that defines
+    #: its own :meth:`_simplex` and not this attribute reads ``"distinct"``.
     weight_rows = "distinct"
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if "_simplex" in vars(cls) and "weight_rows" not in vars(cls):
+            cls.weight_rows = "distinct"
 
     def _check_counts(self, counts: Sequence[int]) -> Counts:
         return check_counts(counts, self.dimension, "law")
@@ -964,7 +979,9 @@ class PolynomialDirichletLaw(ReinforcementLaw):
 
         (alpha_i + p_i) / (sum_j (alpha_j + p_j) + n) * R(y + e_i) / R(y)
 
-    Degree 0 reduces exactly to :class:`DirichletLaw`.
+    Degree 0 reduces exactly to :class:`DirichletLaw`.  ``log R(alpha + p)``
+    (memoised per count vector) and :meth:`log_weights_batch` read the
+    per-coordinate columns of one :class:`RisingPolynomial` of alpha.
     """
 
     def __init__(
@@ -973,20 +990,14 @@ class PolynomialDirichletLaw(ReinforcementLaw):
         degree: int,
         coefficients: Mapping[Sequence[int], float],
     ):
-        arr = check_alpha(alpha)
-        self.alpha = tuple(float(a) for a in arr)
-        self.dimension = arr.size
-        self.degree = int(degree)
-        self.coefficients = validate_polynomial_coefficients(
-            self.dimension, self.degree, coefficients
-        )
-        self._alpha_arr = arr
-        self._alpha_total = float(arr.sum())
-        self._poly = RisingPolynomial(self.coefficients)
+        self._poly = poly = RisingPolynomial(alpha, degree, coefficients)
+        self.dimension, self.degree = poly.dimension, poly.degree
+        self.alpha, self.coefficients = tuple(poly.alpha.tolist()), poly.coefficients
+        self._alpha_arr, self._alpha_total = poly.alpha, float(poly.alpha.sum())
 
     @_memoised("_log_poly_cache")
     def _log_poly(self, counts: Counts) -> float:
-        return self._poly.log_value(self._alpha_arr + np.asarray(counts, dtype=float))
+        return self._poly.log_value(counts)
 
     def log_weights(self, counts: Sequence[int]) -> np.ndarray:
         return self._memo_log_weights(self._check_counts(counts))
@@ -996,16 +1007,11 @@ class PolynomialDirichletLaw(ReinforcementLaw):
             # the only move is forced; the ratio formula would leave rounding error
             return np.zeros(1)
         base = self._log_poly(c)
-        total = self._alpha_total + sum(c) + self.degree
+        log_total = math.log(self._alpha_total + sum(c) + self.degree)
         out = np.empty(self.dimension)
         for i in range(self.dimension):
             bumped = c[:i] + (c[i] + 1,) + c[i + 1 :]
-            out[i] = (
-                math.log(self.alpha[i] + c[i])
-                - math.log(total)
-                + self._log_poly(bumped)
-                - base
-            )
+            out[i] = math.log(self.alpha[i] + c[i]) - log_total + self._log_poly(bumped) - base
         return out
 
     def _log_weights_rows(self, c: np.ndarray) -> np.ndarray:
@@ -1014,7 +1020,7 @@ class PolynomialDirichletLaw(ReinforcementLaw):
             return np.zeros((n, 1))
         # the rows, then the rows bumped along each axis
         stack = (c[None] + np.eye(d + 1, d, -1, dtype=np.int64)[:, None]).reshape(-1, d)
-        log_poly = self._poly.log_values(self._alpha_arr + stack).reshape(d + 1, n)
+        log_poly = self._poly.log_values(stack).reshape(d + 1, n)
         total = math_logs(self._alpha_total + c.sum(axis=1) + self.degree)[:, None]
         return math_logs(self._alpha_arr + c) - total + log_poly[1:].T - log_poly[0][:, None]
 

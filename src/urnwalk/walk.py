@@ -438,9 +438,9 @@ def lockstep_pays(
         table: Dirichlet, 20-cycle          16 / 64 x 100         1.9 / 5.9   1.3 / 1.4 ms
         table: Dirichlet, 20-cycle          16 / 64 x 5           0.25 / 0.55 0.28 / 0.34 ms
         table: uniform, 5-star              16 x 100              0.74 ms     0.69 ms
-        polynomial, 3-star                  4,000 x 5             24.6 ms     8.2 ms
+        polynomial, 3-star                  4,000 x 5             23.8 ms     7.8 ms
         tabulated (clamp, box 3), 4-cycle   4,000 x 5             32.5 ms     8.1 ms
-        polynomial, 4-cycle (at the edge)   200 x 3               1.2 ms      0.7 ms
+        polynomial, 4-cycle (at the edge)   200 x 3               1.1 ms      0.6 ms
 
     A map that misses a vertex, which only a library call can build, runs
     per stream.  Both runners give the same trajectories; this chooses only

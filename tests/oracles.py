@@ -1,23 +1,25 @@
 """Reference helpers that only the tests use: square defects, monotone paths,
 lattice enumeration by filtering the cube, the quadrature oracle for mixed
-moments, rising factorials and multinomials through scipy's log-gamma,
-independent of the package's summed logs, the move counts a trajectory
-implies, the log probability of a move sequence under a law, and the exact
-path law of edge-reinforced random walk, in fractions and sharing no code
-with the package."""
+moments, rising factorials, rising-factorial polynomials and multinomials
+through scipy's log-gamma, independent of the package's summed logs, the
+move counts a trajectory implies, the log probability of a move sequence
+under a law, and the exact path law of edge-reinforced random walk, in
+fractions and sharing no code with the package."""
 
 import math
 from collections import Counter
 from fractions import Fraction
+from functools import reduce
 from itertools import product
+from operator import add
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import gammaln, logsumexp
 
 from urnwalk.environment import DirichletEnv, PolynomialDirichletEnv, VertexEnvLaw
 from urnwalk.errors import DimensionMismatchError, EvaluationError
-from urnwalk.laws import Counts, ReinforcementLaw, RisingPolynomial, as_counts
+from urnwalk.laws import Counts, ReinforcementLaw, as_counts
 from urnwalk.walk import Graph
 
 
@@ -81,17 +83,38 @@ def gammaln_rising_factorial(y: float, k: int) -> float:
     return float(gammaln(y + k) - gammaln(y))
 
 
+def per_term_log_rising_polynomial(coefficients: Mapping[Counts, float], y: Sequence[float],
+                                   log_rising=gammaln_rising_factorial) -> float:
+    """Log of ``sum_k a_k prod_i (y_i)_{k_i}`` term by term, through scipy's logsumexp.
+
+    Each term is ``log a_k`` plus one ``log_rising(y_i, k_i)`` per factor,
+    the factors added left to right.  With the default scipy log-gamma
+    differences it shares no code with the package; with the package's
+    ``log_rising_factorial`` it is the formulation that the polynomial's
+    column table must keep bit for bit.
+    """
+    ys = [float(v) for v in y]
+    terms = [
+        math.log(coeff) + reduce(add, [log_rising(ys[i], k) for i, k in enumerate(index)])
+        for index, coeff in coefficients.items()
+        if coeff != 0.0
+    ]
+    return float(logsumexp(terms))
+
+
 def log_rising_polynomial(coefficients: Mapping[Counts, float], y: Sequence[float]) -> float:
-    """Log of ``sum_k a_k prod_i (y_i)_{k_i}`` for positive y, through the package's table."""
-    ys = np.array(y, dtype=float)
-    if np.any(ys <= 0):
+    """Log of ``sum_k a_k prod_i (y_i)_{k_i}`` for positive y, from scipy's log-gamma."""
+    if any(v <= 0 for v in y):
         raise ValueError("polynomial arguments must be strictly positive")
-    return RisingPolynomial(coefficients).log_value(ys)
+    return per_term_log_rising_polynomial(coefficients, y)
 
 
 def rising_polynomial(coefficients: Mapping[Counts, float], y: Sequence[float]) -> float:
-    """``sum_k a_k prod_i (y_i)_{k_i}``; strictly positive."""
-    return math.exp(log_rising_polynomial(coefficients, y))
+    """``sum_k a_k prod_i (y_i)_{k_i}``, a sum of products of :func:`rising_factorial`."""
+    return math.fsum(
+        coeff * math.prod(rising_factorial(y_i, k) for y_i, k in zip(y, index))
+        for index, coeff in coefficients.items()
+    )
 
 
 def log_multinomial(counts: Sequence[int]) -> float:

@@ -336,21 +336,21 @@ class TestRowWiseKernels:
     @given(st.integers(1, 5).flatmap(lambda d: st.tuples(st.just(d), st.data())))
     def test_rising_polynomial_rows_match_log_value(self, case):
         d, data = case
-        alpha, _, coeffs = _polynomial(data.draw, d)
-        poly = RisingPolynomial(coeffs)
-        y = np.asarray(alpha) + _counts(data.draw, d)
-        want = np.array([poly.log_value(row) for row in y])
-        assert same_array(poly.log_values(y), want)
+        poly = RisingPolynomial(*_polynomial(data.draw, d))
+        counts = _counts(data.draw, d)
+        want = np.array([poly.log_value(tuple(row)) for row in counts.tolist()])
+        assert same_array(poly.log_values(counts), want)
 
-    def test_rising_polynomial_rows_raise_where_log_value_raises(self):
-        # at zero arguments every factor is log 0 = -inf, so the value underflows
-        poly = RisingPolynomial({(1, 0): 1.0, (0, 1): 2.0})
-        y = np.array([[1.0, 2.0], [0.0, 0.0]])
-        poly.log_value(y[0])
-        with np.errstate(divide="ignore"), pytest.raises(EvaluationError):
-            poly.log_value(y[1])
-        with np.errstate(divide="ignore"), pytest.raises(EvaluationError):
-            poly.log_values(y)
+    def test_rising_polynomial_values_are_finite_at_the_extremes_of_checked_inputs(self):
+        # checked alpha and coefficients keep every term finite, so no value
+        # underflows or overflows, and none needs a check: the least and near the
+        # greatest alpha and coefficients the checks let through, at counts up to 2**62
+        poly = RisingPolynomial([math.ulp(0.0), 1e305], 2,
+                                {(2, 0): math.ulp(0.0), (1, 1): 1.7e308, (0, 2): 1.0})
+        counts = np.array([[0, 0], [2**62, 0], [0, 2**62], [7, 2**40]])
+        want = [poly.log_value(tuple(row)) for row in counts.tolist()]
+        assert all(math.isfinite(v) for v in want)
+        assert same_array(poly.log_values(counts), np.array(want))
 
 
 # --- the moment table -----------------------------------------------------------------

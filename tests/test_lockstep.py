@@ -588,6 +588,19 @@ def test_a_dirichlet_subclass_walks_with_its_own_rows():
 
 _DIRICHLET_CYCLE = {x: DirichletLaw([1.0, 2.0]) for x in range(20)}
 _REVERSED_CYCLE = {x: _ReversedDirichlet([1.0, 2.0]) for x in range(20)}
+# "array" weight rows that no padded table takes
+_DRIFTING_CYCLE = {x: _DriftingRows() for x in range(20)}
+
+
+def test_a_dirichlet_subclass_with_its_own_simplex_counts_its_distinct_rows():
+    assert _ReversedDirichlet.weight_rows == "distinct"
+    assert DirichletLaw.weight_rows == UniformLaw.weight_rows == _DriftingRows.weight_rows == "array"
+    # 55 count vectors of sum at most 9 at degree 2, times the 19 vertices 9 steps
+    # reach: more than the 50 per vertex that "array" rows grouped by vertex need
+    assert not walk.lockstep_pays("reinforced", cycle_graph(20), _REVERSED_CYCLE, 0, 9, 1044)
+    assert walk.lockstep_pays("reinforced", cycle_graph(20), _REVERSED_CYCLE, 0, 9, 1045)
+    assert not walk.lockstep_pays("reinforced", cycle_graph(20), _DRIFTING_CYCLE, 0, 9, 949)
+    assert walk.lockstep_pays("reinforced", cycle_graph(20), _DRIFTING_CYCLE, 0, 9, 950)
 
 
 @pytest.mark.parametrize("mode, graph, maps, steps, count, pays", [
@@ -611,9 +624,16 @@ _REVERSED_CYCLE = {x: _ReversedDirichlet([1.0, 2.0]) for x in range(20)}
     ("reinforced", cycle_graph(20), {x: UniformLaw(2) for x in range(20)}, 100, 64, True),
     # a block grouped by vertex needs LOCKSTEP_PER_VERTEX trajectories per vertex in
     # reach: 2 steps from 0 on the 20-cycle reach 5 vertices, 30 steps all 20
+    ("reinforced", cycle_graph(20), _DRIFTING_CYCLE, 2, 250, True),
+    ("reinforced", cycle_graph(20), _DRIFTING_CYCLE, 2, 249, False),
+    ("reinforced", cycle_graph(20), _DRIFTING_CYCLE, 30, 999, False),
+    ("reinforced", cycle_graph(20), _DRIFTING_CYCLE, 30, 1000, True),
+    # a Dirichlet subclass with its own _simplex reads distinct rows: at 30 steps it
+    # needs 496 trajectories per vertex (count vectors of sum at most 30 at degree 2),
+    # more than a block of 1,638 holds
     ("reinforced", cycle_graph(20), _REVERSED_CYCLE, 2, 250, True),
     ("reinforced", cycle_graph(20), _REVERSED_CYCLE, 30, 250, False),
-    ("reinforced", cycle_graph(20), _REVERSED_CYCLE, 30, 1000, True),
+    ("reinforced", cycle_graph(20), _REVERSED_CYCLE, 30, 1000, False),
     ("reinforced", cycle_graph(20), _REVERSED_CYCLE, 100, 4000, False),
     # the 8-star is too wide for the padded tables; 2 steps reach its 9 vertices
     ("reinforced", star_graph(8), {0: DirichletLaw([1.0] * 8), **_leaves(star_graph(8), UniformLaw(1))},

@@ -2,25 +2,29 @@
 and pinned trajectories.
 
 ``log_sum_exp`` must return the same bits as ``scipy.special.logsumexp``, and
-the tabulated rising-factorial polynomial the same bits as the per-term
-formulation it replaced.  Every float oracle runs on the same machine, so no
-float value is hard-coded; sampled trajectories are integers and are pinned.
+the rising-factorial polynomial, read from its per-coordinate columns, the
+same bits as the per-term formulation it replaced (``oracles``, with the
+package's summed-log rising factorials as factors).  Every float oracle runs
+on the same machine, so no float value is hard-coded; sampled trajectories
+are integers and are pinned.
 
-The per-term oracle adds its factors with the builtin ``sum``, which is
-plain left-to-right addition on Python 3.11, the version CI runs.
+The moment oracle adds its factors with the builtin ``sum``, which is plain
+left-to-right addition on Python 3.11, the version CI runs.
 """
 
 import hashlib
 import itertools
 import math
+import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp as scipy_logsumexp
 
-from oracles import log_rising_polynomial
+from oracles import per_term_log_rising_polynomial
+from urnwalk import laws
 from urnwalk.catalog import POLY_LINEAR_2D, POLY_QUADRATIC_3D
 from urnwalk.environment import (
     DirichletEnv,
@@ -36,8 +40,10 @@ from urnwalk.equivalence import (
 )
 from urnwalk.laws import (
     MIN_WEIGHT,
+    SIMPLEX_MEMO_LIMIT,
     DirichletLaw,
     PolynomialDirichletLaw,
+    RisingPolynomial,
     SimplexPoint,
     TabulatedLaw,
     UniformLaw,
@@ -115,15 +121,9 @@ class TestLogSumExp:
 # --- tabulated rising-factorial polynomial against the per-term formulation ----
 
 
-def per_term_log_rising_polynomial(coefficients, y) -> float:
-    """The formulation the tabulated evaluation replaced: one log-gamma pair per factor."""
-    ys = [float(v) for v in y]
-    terms = [
-        math.log(coeff) + sum(log_rising_factorial(ys[i], k) for i, k in enumerate(index))
-        for index, coeff in coefficients.items()
-        if coeff != 0.0
-    ]
-    return float(scipy_logsumexp(terms))
+def summed_log_polynomial(coefficients, y) -> float:
+    """The per-term formulation with the package's summed-log rising factorials as factors."""
+    return per_term_log_rising_polynomial(coefficients, y, log_rising_factorial)
 
 
 @st.composite
@@ -139,13 +139,35 @@ def polynomials(draw):
     return alpha, degree, dict(sorted(coeffs.items())), counts
 
 
+#: Counts at and around the edges of the blocks a column table grows by (to 8, 16, ... 256 counts).
+_BLOCK_EDGES = [0, 1, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65, 127, 128, 129, 255, 256, 257]
+
+
+@st.composite
+def column_reads(draw):
+    """A polynomial, a bound on its column tables, and count vectors that cross
+    the blocks' edges and the bound."""
+    alpha, degree, coeffs, _ = draw(polynomials())
+    limit = draw(st.sampled_from([1, 5, 64, 100, 130]))
+    count = st.one_of(
+        st.integers(0, 40), st.sampled_from(_BLOCK_EDGES), st.integers(max(0, limit - 2), limit + 2)
+    )
+    counts = draw(st.lists(st.tuples(*[count] * len(alpha)), min_size=1, max_size=12))
+    return alpha, degree, coeffs, limit, counts
+
+
+def hexes(values) -> list[str]:
+    return [float(v).hex() for v in values]
+
+
 class TestRisingPolynomialTable:
     @settings(max_examples=400, deadline=None)
     @given(polynomials())
     def test_function_matches_per_term_formulation(self, case):
-        alpha, _, coeffs, counts = case
+        alpha, degree, coeffs, counts = case
         y = np.asarray(alpha) + np.asarray(counts, dtype=float)
-        assert same_bits(log_rising_polynomial(coeffs, y), per_term_log_rising_polynomial(coeffs, y))
+        got = RisingPolynomial(alpha, degree, coeffs).log_value(counts)
+        assert same_bits(got, summed_log_polynomial(coeffs, y))
 
     @pytest.mark.parametrize("index", [(1, 2, 3), (2, 1, 1, 3)])
     def test_factor_order_of_a_full_support_monomial(self, index):
@@ -154,9 +176,42 @@ class TestRisingPolynomialTable:
         coeffs = {index: 1.5}
         rng = np.random.default_rng(17)
         for y in rng.uniform(0.05, 40.0, size=(1000, len(index))):
-            assert same_bits(
-                log_rising_polynomial(coeffs, y), per_term_log_rising_polynomial(coeffs, y)
-            )
+            got = RisingPolynomial(y, sum(index), coeffs).log_value((0,) * len(index))
+            assert same_bits(got, summed_log_polynomial(coeffs, y))
+
+    # (1.22 + 6) + 1 and 1.22 + (6 + 1) round apart, and so do their logs: each log
+    # takes its step t on alpha + c, as LogRisingTable does
+    @example(([1.22, 1.0], 2, {(2, 0): 1.0}, 64, [(6, 0)]), random.Random(0))
+    @settings(max_examples=200, deadline=None)
+    @given(column_reads(), st.randoms(use_true_random=False))
+    def test_columns_keep_the_per_term_bits_fresh_warm_and_in_batches(self, case, rng):
+        alpha, degree, coeffs, limit, counts = case
+        a = np.asarray(alpha)
+        want = hexes(summed_log_polynomial(coeffs, a + np.asarray(c, dtype=float)) for c in counts)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(laws, "SIMPLEX_MEMO_LIMIT", limit)
+            # a fresh polynomial for each point, then one warmed in another order
+            assert hexes(RisingPolynomial(alpha, degree, coeffs).log_value(c) for c in counts) == want
+            warm = RisingPolynomial(alpha, degree, coeffs)
+            for c in rng.sample(counts, len(counts)):
+                warm.log_value(c)
+            assert hexes(warm.log_value(c) for c in counts) == want
+            table = np.array(counts, dtype=np.int64)
+            assert hexes(RisingPolynomial(alpha, degree, coeffs).log_values(table)) == want
+            assert hexes(warm.log_values(table)) == want
+        assert all(len(t) == len(rows) <= limit for t, rows in zip(warm._tables, warm._rows))
+
+    @pytest.mark.parametrize("limit", [5, SIMPLEX_MEMO_LIMIT])
+    def test_past_the_bound_the_columns_stop_growing_and_keep_their_bits(self, monkeypatch, limit):
+        coeffs, alpha = {(2, 0): 0.5, (1, 1): 2.0, (0, 2): 0.25}, (0.7, 1.9)
+        counts = [(limit - 1, 3), (limit, limit + 1), (limit + 1, 0), (10**5, 2)]
+        want = hexes(summed_log_polynomial(coeffs, np.asarray(alpha) + c) for c in counts)
+        monkeypatch.setattr(laws, "SIMPLEX_MEMO_LIMIT", limit)
+        poly = RisingPolynomial(alpha, 2, coeffs)
+        for _ in range(2):
+            assert hexes(poly.log_value(c) for c in counts) == want
+            assert hexes(poly.log_values(np.array(counts))) == want
+            assert [len(t) for t in poly._tables] == [len(rows) for rows in poly._rows] == [limit] * 2
 
     @settings(max_examples=200, deadline=None)
     @given(polynomials())
@@ -168,7 +223,7 @@ class TestRisingPolynomialTable:
             assert got.tolist() == [0.0]
             return
         a = np.asarray(alpha)
-        base = per_term_log_rising_polynomial(coeffs, a + np.asarray(counts, dtype=float))
+        base = summed_log_polynomial(coeffs, a + np.asarray(counts, dtype=float))
         total = float(a.sum()) + sum(counts) + degree
         for i in range(len(alpha)):
             bumped = np.asarray(counts, dtype=float)
@@ -176,7 +231,7 @@ class TestRisingPolynomialTable:
             want = (
                 math.log(alpha[i] + counts[i])
                 - math.log(total)
-                + per_term_log_rising_polynomial(coeffs, a + bumped)
+                + summed_log_polynomial(coeffs, a + bumped)
                 - base
             )
             assert same_bits(got[i], want)
@@ -190,8 +245,8 @@ class TestRisingPolynomialTable:
         total = float(a.sum())
         want = (
             sum(log_rising_factorial(alpha[i], k) for i, k in enumerate(counts))
-            + per_term_log_rising_polynomial(coeffs, a + np.asarray(counts, dtype=float))
-            - per_term_log_rising_polynomial(coeffs, a)
+            + summed_log_polynomial(coeffs, a + np.asarray(counts, dtype=float))
+            - summed_log_polynomial(coeffs, a)
             + log_rising_factorial(total, degree)
             - log_rising_factorial(total, degree + sum(counts))
         )

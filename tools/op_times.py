@@ -3,14 +3,17 @@
     python3 tools/op_times.py --workload certify
     python3 tools/op_times.py --workload exact --seed 3 --repeat 9
     python3 tools/op_times.py --workload certify --src OTHER/src   # another tree
+    python3 tools/op_times.py --workload sample --match "polynomial grid"
 
 The operations are those ``perfbench/workloads.py`` generates for the
-workload, seed and scale.  Each runs ``--repeat`` times through
-``urnwalk.cli.main`` in this interpreter, with its stdout and stderr
-discarded, and every run is judged by ``perfbench/checks.py``'s ``check``.
-A row gives the fastest run of the operation in milliseconds; an operation
-with a run that fails its check is reported as failed, with the reason on
-stderr, is left out of the total, and makes the script exit 1.  Times are
+workload, seed and scale, or with ``--match`` only those whose label (as
+the table prints it) contains the given text.  Each runs ``--repeat``
+times through ``urnwalk.cli.main`` in this interpreter, with its stdout
+and stderr discarded, and every run is judged by
+``perfbench/checks.py``'s ``check``.  A row gives the fastest run of the
+operation in milliseconds; an operation with a run that fails its check
+is reported as failed, with the reason on stderr, is left out of the
+total, and makes the script exit 1.  Times are
 wall-clock on whatever else the host is running, so compare two trees on
 the same host, alternating their runs.
 """
@@ -32,8 +35,8 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 def best_times(workload: str, seed: int, scale: str, repeat: int, src: Path,
-               workdir: Path) -> list[tuple[str, float | None]]:
-    """Each operation's label and fastest run in seconds, or None if a run failed its check."""
+               workdir: Path, match: str = "") -> list[tuple[str, float | None]]:
+    """Each matching operation's label and fastest run in seconds, or None if a run failed its check."""
     sys.path[:0] = [str(src), str(ROOT / "perfbench")]
     from checks import check
     from urnwalk.cli import main
@@ -41,6 +44,9 @@ def best_times(workload: str, seed: int, scale: str, repeat: int, src: Path,
 
     rows = []
     for op in generate(workload, seed, scale, workdir):
+        label = f"{op.argv[0]}, {op.label}"
+        if match not in label:
+            continue
         best: float | None = float("inf")
         for _ in range(repeat):
             op.out.unlink(missing_ok=True)
@@ -52,11 +58,11 @@ def best_times(workload: str, seed: int, scale: str, repeat: int, src: Path,
                 elapsed = time.perf_counter() - t0
             reason = check(op, code)
             if reason is not None:
-                print(f"{op.argv[0]}, {op.label}: {reason}", file=sys.stderr)
+                print(f"{label}: {reason}", file=sys.stderr)
                 best = None
                 break
             best = min(best, elapsed)
-        rows.append((f"{op.argv[0]}, {op.label}", best))
+        rows.append((label, best))
     return rows
 
 
@@ -76,12 +82,16 @@ def main() -> int:
     parser.add_argument("--repeat", type=int, default=5, help="runs per operation (default 5)")
     parser.add_argument("--src", type=Path, default=ROOT / "src",
                         help="the tree whose urnwalk package is timed (default this one's)")
+    parser.add_argument("--match", default="", metavar="SUBSTRING",
+                        help="time only the operations whose label contains SUBSTRING")
     args = parser.parse_args()
     if args.repeat < 1:
         parser.error("--repeat must be >= 1")
     with tempfile.TemporaryDirectory() as tmp:
         rows = best_times(args.workload, args.seed, args.scale, args.repeat, args.src.resolve(),
-                          Path(tmp))
+                          Path(tmp), args.match)
+    if not rows:
+        parser.error(f"no {args.workload} operation's label contains {args.match!r}")
     print(f"{args.workload}, seed {args.seed}, scale {args.scale}; "
           f"Python {platform.python_version()}, numpy {numpy.__version__}\n")
     print(table(rows, args.repeat))
