@@ -51,6 +51,46 @@ from .laws import (
 _LEAST_FLOAT = math.ulp(0.0)
 
 
+def _dirichlet_draw(alpha: tuple[float, ...], rng: np.random.Generator) -> tuple[float, ...]:
+    """One Dirichlet(alpha) draw, unchecked (see :meth:`VertexEnvLaw._draw`), from gamma draws.
+
+    Coordinate i takes ``log(standard_gamma(alpha_i))``, or for
+    ``alpha_i < 1``, where a gamma draw can underflow, Marsaglia and
+    Tsang's (2000) boost ``log G + log(1 - U) / alpha_i`` with ``G`` a
+    ``Gamma(alpha_i + 1)`` draw and then ``U`` a uniform.  The point is
+    their exponentials shifted by the largest log and normalised.  A
+    weight below :data:`~urnwalk.laws.MIN_WEIGHT` is raised to it: its
+    true value is below 1e-300, which no 53-bit uniform tells apart.
+    When every boosted log overflows to -inf, which takes alpha near the
+    least float, the coordinate with the least ``-log(1 - U_i) / alpha_i``
+    (exponentials of rates alpha_i), compared in logs, is the largest of
+    the true draw: it takes weight 1 and the others ``MIN_WEIGHT``.
+    """
+    # one scalar call per coordinate, as an array shape costs numpy an
+    # argument check that takes longer than the draws; a gamma draw of shape 1
+    # (an exponential) can round to 0, and counts as the least positive float
+    gamma = rng.standard_gamma
+    logs = []
+    boosts = []  # log(1 - U) of each boosted coordinate
+    for a in alpha:
+        if a < 1.0:
+            g = math.log(gamma(a + 1.0) or _LEAST_FLOAT)
+            boosts.append(math.log(1.0 - rng.random()))
+            logs.append(g + boosts[-1] / a)
+        else:
+            logs.append(math.log(gamma(a) or _LEAST_FLOAT))
+    top = max(logs)
+    if top == -math.inf:
+        # an unboosted log is finite, so every coordinate is boosted here,
+        # and no boost is 0, so each log(-b) is finite
+        keys = [math.log(-b) - math.log(a) for b, a in zip(boosts, alpha)]
+        win = keys.index(min(keys))
+        return tuple([1.0 if i == win else MIN_WEIGHT for i in range(len(keys))])
+    shifted = [math.exp(v - top) for v in logs]
+    total = sum_as_numpy(shifted)
+    return tuple([MIN_WEIGHT if (q := w / total) < MIN_WEIGHT else q for w in shifted])
+
+
 class VertexEnvLaw:
     """Base class for environment laws at a single vertex.
 
@@ -107,7 +147,6 @@ class DirichletEnv(VertexEnvLaw):
         arr = check_alpha(alpha)
         self.alpha = tuple(float(a) for a in arr)
         self.dimension = arr.size
-        self._alpha_arr = arr
         self._rising = LogRisingTable(self.alpha + (float(arr.sum()),))
 
     def log_mixed_moment(self, counts: Sequence[int]) -> float:
@@ -126,43 +165,7 @@ class DirichletEnv(VertexEnvLaw):
         return SimplexPoint(self._draw(rng))
 
     def _draw(self, rng: np.random.Generator) -> tuple[float, ...]:
-        """One Dirichlet draw, from the logs of its gamma draws.
-
-        Coordinate i takes ``log(standard_gamma(alpha_i))``, or for
-        ``alpha_i < 1``, where a gamma draw can underflow, Marsaglia and
-        Tsang's (2000) boost ``log G + log(1 - U) / alpha_i`` with ``G`` a
-        ``Gamma(alpha_i + 1)`` draw and then ``U`` a uniform.  The point is
-        their exponentials shifted by the largest log and normalised.  A
-        weight below :data:`~urnwalk.laws.MIN_WEIGHT` is raised to it: its
-        true value is below 1e-300, which no 53-bit uniform tells apart.
-        When every boosted log overflows to -inf, which takes alpha near the
-        least float, the coordinate with the least ``-log(1 - U_i) / alpha_i``
-        (exponentials of rates alpha_i), compared in logs, is the largest of
-        the true draw: it takes weight 1 and the others ``MIN_WEIGHT``.
-        """
-        # one scalar call per coordinate, as an array shape costs numpy an
-        # argument check that takes longer than the draws; a gamma draw of shape 1
-        # (an exponential) can round to 0, and counts as the least positive float
-        gamma = rng.standard_gamma
-        logs = []
-        boosts = []  # log(1 - U) of each boosted coordinate
-        for a in self.alpha:
-            if a < 1.0:
-                g = math.log(gamma(a + 1.0) or _LEAST_FLOAT)
-                boosts.append(math.log(1.0 - rng.random()))
-                logs.append(g + boosts[-1] / a)
-            else:
-                logs.append(math.log(gamma(a) or _LEAST_FLOAT))
-        top = max(logs)
-        if top == -math.inf:
-            # an unboosted log is finite, so every coordinate is boosted here,
-            # and no boost is 0, so each log(-b) is finite
-            keys = [math.log(-b) - math.log(a) for b, a in zip(boosts, self.alpha)]
-            win = keys.index(min(keys))
-            return tuple([1.0 if i == win else MIN_WEIGHT for i in range(len(keys))])
-        shifted = [math.exp(v - top) for v in logs]
-        total = sum_as_numpy(shifted)
-        return tuple([MIN_WEIGHT if (q := w / total) < MIN_WEIGHT else q for w in shifted])
+        return _dirichlet_draw(self.alpha, rng)
 
     def __repr__(self) -> str:
         return f"DirichletEnv(alpha={self.alpha})"
@@ -188,6 +191,8 @@ class PolynomialDirichletEnv(VertexEnvLaw):
     :class:`~urnwalk.laws.LogRisingTable`, as in :class:`DirichletEnv`, and
     ``R(alpha + k)`` and the mixture weights (its terms at ``k = 0``) from
     the column tables of one :class:`~urnwalk.laws.RisingPolynomial` of alpha.
+    A draw picks a monomial ``k`` by its weight, then draws from Dirichlet(``alpha + k``),
+    whose alpha the polynomial's alpha check covers.
     """
 
     def __init__(
@@ -207,7 +212,7 @@ class PolynomialDirichletEnv(VertexEnvLaw):
         self._log_poly_alpha = log_sum_exp(log_w)
         # builtin floats, which draw_index adds faster than numpy scalars, to the same bits
         self._mixture_probs = np.exp(log_w - self._log_poly_alpha).tolist()
-        self._components = [DirichletEnv(arr + k) for k in self._poly.exponents]
+        self._components = [tuple((arr + k).tolist()) for k in self._poly.exponents]
 
     def log_mixed_moment(self, counts: Sequence[int]) -> float:
         c = check_counts(counts, self.dimension, "environment")
@@ -236,7 +241,7 @@ class PolynomialDirichletEnv(VertexEnvLaw):
 
     def _draw(self, rng: np.random.Generator) -> tuple[float, ...]:
         """A monomial's Dirichlet component by one uniform, then a draw from it."""
-        return self._components[draw_index(self._mixture_probs, rng.random())]._draw(rng)
+        return _dirichlet_draw(self._components[draw_index(self._mixture_probs, rng.random())], rng)
 
     def __repr__(self) -> str:
         return (

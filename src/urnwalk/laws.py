@@ -776,29 +776,30 @@ class ReinforcementLaw:
     :meth:`log_weights`.  :meth:`_log_weights` and :meth:`log_weights_batch`
     are not memoised.
 
-    :meth:`log_weights_batch` evaluates many count vectors at once.  Row
-    ``r`` of its result has the bits of ``_log_weights(counts[r])``; this
-    class loops over the rows.  :class:`DirichletLaw`,
-    :class:`PolynomialDirichletLaw` and ``EnvMomentLaw`` give the array form
-    of their formula as ``_log_weights_rows``, which it takes instead
-    wherever :func:`array_rows` holds, so a subclass that overrides
-    :meth:`_log_weights` gets the loop.  :meth:`_simplex_rows` does the same
-    for :meth:`_simplex`, for the lock-step walk (see :attr:`weight_rows`).
+    Each per-point form has derived forms: ``_log_weights_rows`` (behind
+    :meth:`log_weights_batch`) from :meth:`_log_weights` or :meth:`log_weights`,
+    :meth:`_simplex` from :meth:`_log_weights`, and :meth:`_simplex_rows` (the
+    lock-step rows) from :meth:`_simplex`.  This class gives generic ones: a
+    ``_log_weights`` call per row, the memoised exponential, and ``_simplex``
+    once per distinct row; the Dirichlet, polynomial and induced laws define an
+    array ``_log_weights_rows``, and the uniform and Dirichlet laws an array
+    :meth:`_simplex_rows`.  A subclass that defines a per-point form but not a
+    form derived from it gets the generic one (:meth:`__init_subclass__`), so
+    every form it reads has the bits of its own.  ``_log_weights`` is not
+    derived from ``log_weights``: a wrapper of ``super().log_weights`` would recurse.
     """
 
     dimension: int
 
-    #: How the class's :meth:`_simplex_rows` evaluates: ``"distinct"``,
-    #: :meth:`_simplex` once per distinct row, which pays in lock step only
-    #: where rows repeat, or ``"array"``, one array pass over the rows
-    #: (:class:`UniformLaw`, :class:`DirichletLaw`).  A subclass that defines
-    #: its own :meth:`_simplex` and not this attribute reads ``"distinct"``.
-    weight_rows = "distinct"
-
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        if "_simplex" in vars(cls) and "weight_rows" not in vars(cls):
-            cls.weight_rows = "distinct"
+        own, base = vars(cls), ReinforcementLaw.__dict__
+        # in this order, so that a _simplex given here also gets the generic rows
+        for form, derived in (("_log_weights", "_log_weights_rows"),
+                              ("log_weights", "_log_weights_rows"),
+                              ("_log_weights", "_simplex"), ("_simplex", "_simplex_rows")):
+            if form in own and derived not in own:
+                setattr(cls, derived, base[derived])
 
     def _check_counts(self, counts: Sequence[int]) -> Counts:
         return check_counts(counts, self.dimension, "law")
@@ -823,9 +824,10 @@ class ReinforcementLaw:
         Bit for bit the per-point ``_log_weights`` of every row; a row that
         cannot be evaluated raises the error the per-point call raises.
         """
-        c = batch_counts(counts, self.dimension)
-        if array_rows(type(self)):
-            return self._log_weights_rows(c)
+        return self._log_weights_rows(batch_counts(counts, self.dimension))
+
+    def _log_weights_rows(self, c: np.ndarray) -> np.ndarray:
+        """:meth:`_log_weights` of each row of a validated ``[N, d]`` int64 count array."""
         out = np.empty(c.shape)
         for r, row in enumerate(c.tolist()):
             out[r] = self._log_weights(tuple(row))
@@ -856,13 +858,11 @@ class ReinforcementLaw:
 def array_rows(cls: type) -> bool:
     """Whether ``cls`` evaluates count tables in one array pass, with the bits of its public reads.
 
-    So it does where the class that defines ``_log_weights`` also defines
-    its array form ``_log_weights_rows`` and the public ``log_weights``,
-    which on each such class reads the ``_log_weights`` memo.
+    So it does where its ``_log_weights_rows`` is not the generic loop (see
+    :meth:`ReinforcementLaw.__init_subclass__`); on those classes the public
+    ``log_weights`` reads the ``_log_weights`` memo.
     """
-    owners = [next((k for k in cls.__mro__ if name in vars(k)), None)
-              for name in ("_log_weights_rows", "_log_weights", "log_weights")]
-    return owners[0] is owners[1] is owners[2]
+    return cls._log_weights_rows is not ReinforcementLaw._log_weights_rows
 
 
 def warm_log_weights(law: ReinforcementLaw, blocks: Iterable[list[Counts]]) -> None:
@@ -892,8 +892,6 @@ def math_logs(values: np.ndarray) -> np.ndarray:
 class UniformLaw(ReinforcementLaw):
     """History-independent law putting mass 1/d on every move."""
 
-    weight_rows = "array"
-
     def __init__(self, dimension: int):
         if dimension < 1:
             raise ValueError("dimension must be >= 1")
@@ -911,8 +909,6 @@ class UniformLaw(ReinforcementLaw):
         return self._weights
 
     def _simplex_rows(self, counts: np.ndarray) -> np.ndarray:
-        if type(self)._simplex is not UniformLaw._simplex:
-            return super()._simplex_rows(counts)  # a subclass's own _simplex
         return np.broadcast_to(self._row, counts.shape)
 
     def __repr__(self) -> str:
@@ -921,8 +917,6 @@ class UniformLaw(ReinforcementLaw):
 
 class DirichletLaw(ReinforcementLaw):
     """Polya urn rule: move i gets probability (alpha_i + p_i) / sum(alpha + p)."""
-
-    weight_rows = "array"
 
     def __init__(self, alpha: Sequence[float]):
         arr = check_alpha(alpha)
@@ -950,8 +944,6 @@ class DirichletLaw(ReinforcementLaw):
         return shifted, shifted.sum(axis=1)
 
     def _simplex_rows(self, counts: np.ndarray) -> np.ndarray:
-        if type(self)._simplex is not DirichletLaw._simplex:
-            return super()._simplex_rows(counts)  # a subclass's own _simplex
         shifted, total = self._shifted_rows(counts)
         return check_simplex_rows(shifted / total[:, None])
 

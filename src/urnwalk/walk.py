@@ -38,10 +38,11 @@ that are at most ``u``, clipped at the last move, which is
 :func:`draw_index`'s rule; so they give the per-stream trajectories bit for
 bit.  A reinforced block reads its weights from one padded table of
 Dirichlet and uniform laws (:func:`_padded_tables`), or else asks each
-vertex's law for the rows at the group of counts there
-(:meth:`urnwalk.laws.ReinforcementLaw._simplex_rows`).  An annealed block
-takes its weight rows from the environments' ``_draw``, which builds no
-point, and checks them on the simplex once per vertex.  The per-stream
+vertex's law for the rows at the group of counts there (its
+:meth:`~urnwalk.laws.ReinforcementLaw._simplex_rows`: an array pass, or
+its own ``_simplex`` once per distinct row).  An annealed block takes its
+weight rows from the environments' ``_draw``, which builds no point, and
+checks them on the simplex once per vertex.  The per-stream
 ``run_*`` and ``step_*`` stay the single-trajectory API and the oracle.
 
 A lock-step step makes a fixed number of numpy calls, per block and, in a
@@ -404,8 +405,8 @@ LOCKSTEP_MIN_BLOCK = 64
 
 #: Fewest trajectories per vertex within reach that a reinforced block
 #: holds for lock step to pay without :func:`_padded_tables`: it asks each
-#: law for its rows once per vertex group at each step.  Laws whose weight
-#: rows are ``"distinct"`` need more (see :func:`lockstep_pays`).  On the
+#: law for its rows once per vertex group at each step; rows read one
+#: distinct row at a time need more (see :func:`lockstep_pays`).  On the
 #: same host, a Dirichlet subclass with its own ``_simplex`` on 100-step
 #: walks broke even at 13 to 25 trajectories per vertex on the 5-cycle and
 #: below 10 on the 20-cycle and the 4x4 grid.
@@ -423,9 +424,9 @@ def lockstep_pays(
     block of at least :data:`LOCKSTEP_MIN_BLOCK` trajectories; reinforced
     laws that fit :func:`_padded_tables` need no more.  Other reinforced
     blocks need :data:`LOCKSTEP_PER_VERTEX` trajectories per vertex a walk
-    can reach within ``steps`` moves.  A law whose weight rows are
-    ``"distinct"`` (:attr:`~urnwalk.laws.ReinforcementLaw.weight_rows`)
-    evaluates them one distinct row at a time and gains only where rows
+    can reach within ``steps`` moves.  A law whose ``_simplex_rows`` is
+    the generic one (:class:`~urnwalk.laws.ReinforcementLaw`) evaluates
+    its ``_simplex`` once per distinct row and gains only where rows
     repeat, so with one the block also needs as many trajectories per vertex
     as there are count vectors a vertex can reach, those of sum at most
     ``steps`` in the largest degree: an induced law on the 5-cycle ran 1.06x
@@ -458,7 +459,7 @@ def lockstep_pays(
         if None in laws:
             return False
         need = 0 if _padded_tables(maps, layout, steps) else LOCKSTEP_PER_VERTEX
-        if any(law.weight_rows == "distinct" for law in laws):
+        if any(type(law)._simplex_rows is ReinforcementLaw._simplex_rows for law in laws):
             need = max(need, math.comb(steps + layout.width, layout.width))
         return block >= need * _reach(graph, x0, steps)
     return True
@@ -535,10 +536,10 @@ def _padded_tables(laws: Mapping, layout: _Layout, steps: int) -> tuple | None:
         law = laws.get(x)
         if getattr(law, "dimension", None) != d or layout.width >= PAIRWISE_SUM_MIN:
             return None
-        rows = type(law)._simplex, type(law)._simplex_rows
-        if rows == (UniformLaw._simplex, UniformLaw._simplex_rows):
+        rows = type(law)._simplex_rows
+        if rows is UniformLaw._simplex_rows:
             table[:d, x], uniform[x] = law._row, True
-        elif (rows == (DirichletLaw._simplex, DirichletLaw._simplex_rows)
+        elif (rows is DirichletLaw._simplex_rows
               and min(law.alpha) >= 2 * MIN_WEIGHT * (math.fsum(law.alpha) + steps)):
             table[:d, x] = law.alpha
         else:

@@ -4,7 +4,8 @@ moments, rising factorials, rising-factorial polynomials and multinomials
 through scipy's log-gamma, independent of the package's summed logs, the
 move counts a trajectory implies, the log probability of a move sequence
 under a law, and the exact path law of edge-reinforced random walk, in
-fractions and sharing no code with the package."""
+fractions and sharing no code with the package.  Also two laws of the
+tests' own: one that leaves the simplex mid-walk and one that is not closed."""
 
 import math
 from collections import Counter
@@ -19,7 +20,7 @@ from scipy.special import gammaln, logsumexp
 
 from urnwalk.environment import DirichletEnv, PolynomialDirichletEnv, VertexEnvLaw
 from urnwalk.errors import DimensionMismatchError, EvaluationError
-from urnwalk.laws import Counts, ReinforcementLaw, as_counts
+from urnwalk.laws import Counts, DirichletLaw, ReinforcementLaw, as_counts
 from urnwalk.walk import Graph
 
 
@@ -36,6 +37,19 @@ class DriftingLaw(ReinforcementLaw):
         if c[1] >= 522:
             weights[1] += 1e-9
         return np.log(weights)
+
+
+class Tilted(DirichletLaw):
+    """Polya weights with move 0 favoured at odd first counts: not closed.
+
+    It defines ``_log_weights`` and no other form, so every read of it,
+    walks included, takes these weights."""
+
+    def _log_weights(self, c):
+        w = np.exp(super()._log_weights(c))
+        if c[0] % 2:
+            w[0] *= 1.5
+        return np.log(w / w.sum())
 
 
 def transition_counts(graph: Graph, trajectory: Sequence[int]) -> dict[int, Counts]:

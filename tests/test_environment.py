@@ -2,11 +2,12 @@
 
 import math
 import sys
+from collections import Counter
 from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import quadrature_moment, rising_factorial
@@ -21,7 +22,8 @@ from urnwalk import (
     SimplexPoint,
     law_from_env,
 )
-from urnwalk.laws import MIN_WEIGHT
+from urnwalk.catalog import POLY_QUADRATIC_3D
+from urnwalk.laws import MIN_WEIGHT, LogRisingTable, RisingPolynomial, draw_index, log_sum_exp
 from urnwalk.walk import make_stream
 
 
@@ -220,6 +222,54 @@ def test_when_every_boost_overflows_the_least_exponential_wins():
     draws = 4000
     wins = sum(env.sample(rng).weights[0] == 1.0 for _ in range(draws))
     assert abs(wins - draws / 4) <= 5 * math.sqrt(draws * 0.25 * 0.75)
+
+
+@st.composite
+def _polynomial_densities(draw):
+    d, degree = draw(st.integers(1, 4)), draw(st.integers(0, 3))
+    # alpha below and above 1, and near the least float, where boosted logs overflow
+    alpha = draw(st.lists(st.floats(5e-324, 1e-310) | st.floats(1e-3, 0.999) | st.floats(1.0, 30.0),
+                          min_size=d, max_size=d))
+    monomials = [k for k in product(range(degree + 1), repeat=d) if sum(k) == degree]
+    chosen = draw(st.lists(st.sampled_from(monomials), min_size=1, unique=True))
+    return alpha, degree, {k: draw(st.floats(1e-3, 1e3)) for k in chosen}
+
+
+@settings(max_examples=200, deadline=None)
+@given(_polynomial_densities(), st.integers(0, 2**64 - 1))
+@example(([5e-324] * 3, 0, {(0, 0, 0): 1.0}), 4)  # every boosted log overflows to -inf
+@example(([0.5, 5e-324, 2.0], 2, {(2, 0, 0): 1.0, (0, 1, 1): 3.0}), 9)
+def test_a_polynomial_draw_is_a_draw_of_its_monomial_component(case, seed):
+    # the mixture weights from the polynomial's terms at alpha, one uniform to pick
+    # a monomial k, then a DirichletEnv(alpha + k) draw: the same stream, the same bits
+    alpha, degree, coefficients = case
+    env = PolynomialDirichletEnv(alpha, degree, coefficients)
+    poly = RisingPolynomial(alpha, degree, coefficients)
+    log_w = np.array(poly.log_terms((0,) * poly.dimension))
+    mixture = np.exp(log_w - log_sum_exp(log_w)).tolist()
+    old, drawn, sampled = make_stream(seed), make_stream(seed), make_stream(seed)
+    for _ in range(3):
+        k = poly.exponents[draw_index(mixture, old.random())]
+        want = [w.hex() for w in DirichletEnv(poly.alpha + k)._draw(old)]
+        assert [w.hex() for w in env._draw(drawn)] == want
+        assert [w.hex() for w in env.sample(sampled).weights] == want
+    assert old.random() == drawn.random() == sampled.random()
+
+
+def test_a_polynomial_environment_builds_one_rising_table_and_no_dirichlet_environment(
+    monkeypatch,
+):
+    built = Counter()
+    for cls in (LogRisingTable, DirichletEnv):
+        original = cls.__init__
+
+        def counting(self, *args, _original=original, _cls=cls):
+            built[_cls.__name__] += 1
+            _original(self, *args)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    PolynomialDirichletEnv(**POLY_QUADRATIC_3D)
+    assert built == {"LogRisingTable": 1}
 
 
 def test_env_moment_law_round_trip_at_low_order(env_map):

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import DriftingLaw
+from oracles import DriftingLaw, Tilted
 from urnwalk import cli, walk
 from urnwalk.catalog import POLY_LINEAR_2D, POLY_QUADRATIC_3D
 from urnwalk.environment import (
@@ -33,9 +33,11 @@ from urnwalk.laws import (
     SIMPLEX_SUM_TOL,
     DirichletLaw,
     PolynomialDirichletLaw,
+    ReinforcementLaw,
     SimplexPoint,
     TabulatedLaw,
     UniformLaw,
+    array_rows,
     check_simplex,
     check_simplex_rows,
     distinct_rows,
@@ -171,7 +173,7 @@ ROW_LAWS = {
 @pytest.mark.parametrize("name", sorted(ROW_LAWS))
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
-def test_weight_rows_have_the_bits_of_simplex(name, data):
+def test_simplex_rows_have_the_bits_of_simplex(name, data):
     law = ROW_LAWS[name]
     counts = data.draw(
         st.lists(
@@ -191,15 +193,17 @@ def test_weight_rows_have_the_bits_of_simplex(name, data):
         assert rows.tolist() == want[: len(part)]
 
 
-def test_weight_rows_name_the_laws_with_a_row_path():
-    # every law has weight rows: an array pass, or else _simplex once per distinct row
-    kinds = {name: law.weight_rows for name, law in ROW_LAWS.items()}
-    array = ("uniform", "dirichlet")
-    assert kinds == {name: "array" if name.startswith(array) else "distinct" for name in ROW_LAWS}
-    assert DriftingLaw.weight_rows == "distinct"
+def test_simplex_rows_name_the_laws_with_an_array_pass():
+    # uniform and Dirichlet laws read their rows in one array pass; every other
+    # law reads its own _simplex once per distinct row
+    own = {"uniform": UniformLaw._simplex_rows, "dirichlet": DirichletLaw._simplex_rows}
+    for name, law in ROW_LAWS.items():
+        want = own.get(name.split("_")[0], ReinforcementLaw._simplex_rows)
+        assert type(law)._simplex_rows is want, name
+    assert DriftingLaw._simplex_rows is ReinforcementLaw._simplex_rows
 
 
-def test_weight_rows_outside_a_reject_table_raise():
+def test_simplex_rows_outside_a_reject_table_raise():
     law = _leaning_table(2, 2, "reject")
     with pytest.raises(TableDomainError, match="outside table box"):
         law._simplex_rows(np.array([[0, 1], [3, 0], [2, 2]], dtype=np.int64))
@@ -446,12 +450,10 @@ def test_a_law_is_checked_when_a_walk_reaches_its_vertex():
 
 
 class _DriftingRows(DriftingLaw):
-    """:class:`DriftingLaw` with ``"array"`` weight rows, evaluated row by row."""
-
-    weight_rows = "array"
+    """:class:`DriftingLaw` with its own ``_simplex_rows``, evaluated row by row."""
 
     def _simplex_rows(self, counts):
-        return check_simplex_rows(np.exp([self.log_weights(c) for c in counts.tolist()]))
+        return check_simplex_rows(np.array([np.exp(self.log_weights(c)) for c in counts.tolist()]))
 
 
 def test_a_law_off_the_simplex_stops_the_walk_as_per_stream():
@@ -588,19 +590,102 @@ def test_a_dirichlet_subclass_walks_with_its_own_rows():
 
 _DIRICHLET_CYCLE = {x: DirichletLaw([1.0, 2.0]) for x in range(20)}
 _REVERSED_CYCLE = {x: _ReversedDirichlet([1.0, 2.0]) for x in range(20)}
-# "array" weight rows that no padded table takes
+# rows of its own, which no padded table takes
 _DRIFTING_CYCLE = {x: _DriftingRows() for x in range(20)}
 
 
 def test_a_dirichlet_subclass_with_its_own_simplex_counts_its_distinct_rows():
-    assert _ReversedDirichlet.weight_rows == "distinct"
-    assert DirichletLaw.weight_rows == UniformLaw.weight_rows == _DriftingRows.weight_rows == "array"
+    # its own _simplex gives it the generic rows, its _simplex once per distinct
+    # row; the Dirichlet rows would not read it.  _DriftingRows has rows of its own
+    assert _ReversedDirichlet._simplex_rows is ReinforcementLaw._simplex_rows
     # 55 count vectors of sum at most 9 at degree 2, times the 19 vertices 9 steps
-    # reach: more than the 50 per vertex that "array" rows grouped by vertex need
+    # reach: more than the 50 per vertex that array rows grouped by vertex need
     assert not walk.lockstep_pays("reinforced", cycle_graph(20), _REVERSED_CYCLE, 0, 9, 1044)
     assert walk.lockstep_pays("reinforced", cycle_graph(20), _REVERSED_CYCLE, 0, 9, 1045)
     assert not walk.lockstep_pays("reinforced", cycle_graph(20), _DRIFTING_CYCLE, 0, 9, 949)
     assert walk.lockstep_pays("reinforced", cycle_graph(20), _DRIFTING_CYCLE, 0, 9, 950)
+
+
+class _LeaningUniform(UniformLaw):
+    """A uniform law on two moves whose own ``_simplex`` leans to move 0 at odd first counts."""
+
+    def _simplex(self, c):
+        return (0.75, 0.25) if c[0] % 2 else self._weights
+
+
+class _DoubleStep(DirichletLaw):
+    """Polya weights that add 2 per traversal: its own formula, with its own array rows."""
+
+    def _log_weights(self, c):
+        return super()._log_weights(tuple(2 * k for k in c))
+
+    def _log_weights_rows(self, c):
+        return super()._log_weights_rows(2 * c)
+
+
+#: Laws on two moves: the lock-step rows each reads on the 20-cycle (one padded
+#: table, its own rows per vertex group, or its _simplex once per distinct row),
+#: and whether its log weights come in one array pass.
+_ROW_PATHS = {
+    "uniform": (UniformLaw(2), "padded", False),
+    "dirichlet": (DirichletLaw([1.0, 2.0]), "padded", True),
+    "polynomial": (PolynomialDirichletLaw(**POLY_LINEAR_2D), "distinct", True),
+    "induced": (EnvMomentLaw(DirichletEnv([1.0, 2.0])), "distinct", True),
+    "tabulated": (_leaning_table(12, 2, "reject"), "distinct", False),
+    "drifting": (DriftingLaw(), "distinct", False),
+    "reversed_dirichlet": (_ReversedDirichlet([1.0, 2.0]), "distinct", True),
+    "tilted": (Tilted([1.0, 2.0]), "distinct", False),
+    "drifting_rows": (_DriftingRows(), "array", False),
+    "leaning_uniform": (_LeaningUniform(2), "distinct", False),
+    "double_step": (_DoubleStep([1.0, 2.0]), "distinct", True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ROW_PATHS))
+def test_each_law_reads_the_rows_of_its_own_forms(name):
+    law, kind, array = _ROW_PATHS[name]
+    assert array_rows(type(law)) is array
+    graph, maps = cycle_graph(20), dict.fromkeys(range(20), law)
+    assert (walk._padded_tables(maps, walk._Layout(graph), 9) is not None) is (kind == "padded")
+    # 9 steps from 0 reach 19 vertices: a padded table needs one block of 64,
+    # rows per vertex group 50 trajectories per vertex, distinct rows 55 per
+    # vertex (the count vectors of sum at most 9 at degree 2)
+    need = {"padded": 64, "array": 50 * 19, "distinct": 55 * 19}[kind]
+    assert not walk.lockstep_pays("reinforced", graph, maps, 0, 9, need - 1)
+    assert walk.lockstep_pays("reinforced", graph, maps, 0, 9, need)
+    # every derived form has the bits of the class's own per-point form
+    counts = np.array([[0, 0], [1, 0], [3, 2], [1, 0], [0, 5], [9, 9]], dtype=np.int64)
+    law.__dict__.pop("_simplex_memo", None)
+    rows = law._simplex_rows(counts).tolist()
+    assert [[w.hex() for w in row] for row in rows] == [
+        [w.hex() for w in law._simplex(tuple(c))] for c in counts.tolist()
+    ]
+    want = np.array([law.log_weights(c) for c in counts.tolist()])
+    assert law.log_weights_batch(counts).tobytes() == want.tobytes()
+
+
+def test_a_subclass_with_only_its_own_log_weights_walks_with_them():
+    # Tilted defines _log_weights alone; its weights once came from the Polya
+    # _simplex it inherited, (0.5, 0.5) at (1, 0), and the padded tables took it
+    law = Tilted([1.0, 2.0])
+    assert law.weights((1, 0)).weights == (0.6, 0.4)
+    for c in product(range(5), repeat=2):
+        assert law.weights(c).weights == tuple(np.exp(law.log_weights(c)).tolist())
+    graph = segment_graph(3)
+    laws = {0: UniformLaw(1), 1: law, 2: UniformLaw(1)}
+    assert walk._padded_tables(laws, walk._Layout(graph), 4) is None
+    # each stream's uniforms, one a step, through draw_index of the public log weights
+    want = []
+    for rng in stream_generators(5, 300):
+        path, counts = [1], {x: [0] * graph.degree(x) for x in range(3)}
+        for _ in range(4):
+            x = path[-1]
+            i = draw_index(np.exp(laws[x].log_weights(counts[x])).tolist(), rng.random())
+            counts[x][i] += 1
+            path.append(graph.neighbors[x][i])
+        want.append(tuple(path))
+    assert per_stream(run_reinforced, graph, laws, 1, 4, 5, 300) == want
+    assert list(run_many_reinforced(graph, laws, 1, 4, 5, 300)) == want
 
 
 @pytest.mark.parametrize("mode, graph, maps, steps, count, pays", [

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import path_product
+from oracles import Tilted, path_product
 from urnwalk import (
     check_admissible,
     compare_distributions,
@@ -52,16 +52,6 @@ class CountingDirichlet(DirichletLaw):
     def _log_weights(self, c):
         self.calls[c] += 1
         return super()._log_weights(c)
-
-
-class Tilted(DirichletLaw):
-    """Polya weights with move 0 favoured at odd first counts: not closed."""
-
-    def _log_weights(self, c):
-        w = np.exp(super()._log_weights(c))
-        if c[0] % 2:
-            w[0] *= 1.5
-        return np.log(w / w.sum())
 
 
 class FreshEach(ReinforcementLaw):
