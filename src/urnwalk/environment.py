@@ -37,6 +37,7 @@ from .laws import (
     RisingPolynomial,
     SimplexPoint,
     _memoised,
+    _one_formula,
     batch_counts,
     check_alpha,
     check_counts,
@@ -96,10 +97,19 @@ class VertexEnvLaw:
 
     Immutable after construction; sampling takes an explicit generator so
     callers control stream discipline.  The induced law and the annealed
-    enumeration read moments through :meth:`_memo_log_moment`.
+    enumeration read moments through :meth:`_memo_log_moment`.  One formula
+    per class (:func:`~urnwalk.laws._one_formula`): :meth:`log_mixed_moments`
+    is derived from :meth:`log_mixed_moment` and :meth:`_draw` from
+    :meth:`sample`; a subclass with ``_draw`` and another class's ``sample`` is refused.
     """
 
     dimension: int
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        _one_formula(cls, VertexEnvLaw,
+                     (("log_mixed_moment", "log_mixed_moments"), ("sample", "_draw")),
+                     (("_draw", "sample"),))
 
     def log_mixed_moment(self, counts: Sequence[int]) -> float:
         """Log of E[prod_i omega_i^{k_i}]; 0 at k = 0."""
@@ -113,8 +123,8 @@ class VertexEnvLaw:
     def log_mixed_moments(self, counts: np.ndarray) -> np.ndarray:
         """:meth:`log_mixed_moment` of each row of an ``[N, d]`` count array.
 
-        Bit for bit the per-point value of every row.  This class loops over
-        the rows; the density families override it with one array pass.
+        Bit for bit the per-point value of every row: a loop over the rows
+        here, one array pass in the density families.
         """
         rows = batch_counts(counts, self.dimension).tolist()
         return np.array([self.log_mixed_moment(row) for row in rows], dtype=float)
@@ -124,14 +134,14 @@ class VertexEnvLaw:
 
     def sample(self, rng: np.random.Generator) -> SimplexPoint:
         """One draw of the vertex's transition vector: the built-in families
-        return ``SimplexPoint(self._draw(rng))`` or a point they hold."""
+        return a point of their own draw or a point they hold."""
         raise NotImplementedError
 
     def _draw(self, rng: np.random.Generator) -> tuple[float, ...]:
         """:meth:`sample`'s weights as builtin floats, from the same draws of
         ``rng`` in the same order, to the same bits, but not checked on the
-        simplex: ``walk.run_many_annealed`` checks its rows in blocks.  This
-        default reads :meth:`sample`, for subclasses that define only that."""
+        simplex: ``walk.run_many_annealed`` checks its rows in blocks.  The
+        generic form reads ``sample``; a built-in ``sample`` calls its own draw."""
         return self.sample(rng).weights
 
 
@@ -162,7 +172,7 @@ class DirichletEnv(VertexEnvLaw):
         return row_sums(logs[:, :-1]) - logs[:, -1]
 
     def sample(self, rng: np.random.Generator) -> SimplexPoint:
-        return SimplexPoint(self._draw(rng))
+        return SimplexPoint(_dirichlet_draw(self.alpha, rng))
 
     def _draw(self, rng: np.random.Generator) -> tuple[float, ...]:
         return _dirichlet_draw(self.alpha, rng)
@@ -237,7 +247,7 @@ class PolynomialDirichletEnv(VertexEnvLaw):
         )
 
     def sample(self, rng: np.random.Generator) -> SimplexPoint:
-        return SimplexPoint(self._draw(rng))
+        return SimplexPoint(PolynomialDirichletEnv._draw(self, rng))
 
     def _draw(self, rng: np.random.Generator) -> tuple[float, ...]:
         """A monomial's Dirichlet component by one uniform, then a draw from it."""

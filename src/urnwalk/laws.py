@@ -19,12 +19,11 @@ Tables over many count vectors (the box of ``derive-law``) use
 :meth:`ReinforcementLaw.log_weights_batch`, which takes an ``[N, d]`` array
 of counts and returns the ``[N, d]`` log weights.  Its contract is bitwise:
 row ``r`` has exactly the bits of the per-point log weights at
-``counts[r]``.  The base class evaluates one row at a time; the Dirichlet,
-polynomial and induced (``environment.EnvMomentLaw``) laws take one array
-pass (see :func:`array_rows`).  An array path must keep every float
-operation: the same ufuncs on the same operands in the same order, columns
-added left to right as the scalar code adds them, and ``math.log`` where
-the scalar code takes it, for numpy's ``log`` rounds some values apart.
+``counts[r]``, in one array pass where :func:`array_rows` holds.  An array
+path must keep every float operation: the same ufuncs on the same operands
+in the same order, columns added left to right as the scalar code adds
+them, and ``math.log`` where the scalar code takes it, for numpy's ``log``
+rounds some values apart.
 
 Log rising factorials ``log (y)_k = log y(y+1)...(y+k-1)`` at integer counts
 are sums of logs, ``cumsum(log(y + arange(K)))`` read with the counts as
@@ -745,6 +744,27 @@ def _memoised(memo: str):
     return decorate
 
 
+def _one_formula(cls: type, base: type, derive, refuse) -> None:
+    """The class-creation rule: ``cls`` reads its own formula through every form, or is refused.
+
+    A ``cls`` that defines ``form`` of a ``(form, derived)`` pair but not
+    ``derived`` gets ``base``'s generic ``derived``, which reads ``form``
+    (pairs in order, so that a derived form counts as defined for the later
+    ones).  One that defines ``form`` of a ``(form, kept)`` pair but inherits
+    another class's ``kept`` raises ``TypeError``: deriving ``kept`` instead
+    would recurse through a subclass that wraps ``super().form``.
+    """
+    own = vars(cls)
+    for form, kept in refuse:
+        if form in own and kept not in own and getattr(cls, kept) is not vars(base)[kept]:
+            raise TypeError(f"{cls.__qualname__} defines {form} but inherits "
+                            f"{getattr(cls, kept).__qualname__}, which does not read it: "
+                            f"override {kept}")
+    for form, derived in derive:
+        if form in own and derived not in own:
+            setattr(cls, derived, vars(base)[derived])
+
+
 class ReinforcementLaw:
     """Base class: evaluable map from count vectors to probability vectors.
 
@@ -754,52 +774,36 @@ class ReinforcementLaw:
     :meth:`_log_weights` or :meth:`_simplex`, which take counts the caller
     has already validated (the walk's own).
 
-    Three methods are memoised per count vector on the instance
-    (:func:`_memoised`), each memo bounded by :data:`SIMPLEX_MEMO_LIMIT`:
+    Memoised per count vector on the instance, up to
+    :data:`SIMPLEX_MEMO_LIMIT` each (:func:`_memoised`): the
+    :meth:`_simplex` that the walk and :meth:`weights` read; on the
+    Dirichlet, polynomial and induced laws the public :meth:`log_weights`
+    (through :meth:`_memo_log_weights`), which the box scan, the moment
+    table and the exact enumeration ask for many times; and the polynomial
+    law's ``_log_poly``.  Counts are checked on every call, before the
+    lookup (see :func:`as_counts`), and every row is read-only, memoised or
+    not: copy one to write into it.  ``environment.EnvMomentLaw`` reads its
+    moments from its environment's memo, which the annealed walk shares.
 
-    * :meth:`_simplex`, which the walk and :meth:`weights` evaluate through,
-      so trajectories that reach the same counts evaluate the law there once;
-    * on :class:`DirichletLaw`, :class:`PolynomialDirichletLaw` and
-      ``environment.EnvMomentLaw``, the public :meth:`log_weights`, through
-      :meth:`_memo_log_weights`, so the box scan, the moment table build,
-      the exact enumeration and path products, which ask for the same
-      counts many times, compute each once.  Counts are checked on every
-      call, before the lookup (a tuple of builtin ints is its own key, see
-      :func:`as_counts`), and every row is read-only, memoised or not:
-      copy one to write into it.  ``EnvMomentLaw`` reads its moments
-      from its environment's memo, which the annealed walk shares;
-    * on :class:`PolynomialDirichletLaw`, ``_log_poly``, whose misses read
-      the column tables of :class:`RisingPolynomial`, bounded by the same limit.
-
-    The memos rely on evaluation being pure; a law whose weights at given
-    counts could change would have to override :meth:`_simplex` and
-    :meth:`log_weights`.  :meth:`_log_weights` and :meth:`log_weights_batch`
-    are not memoised.
-
-    Each per-point form has derived forms: ``_log_weights_rows`` (behind
-    :meth:`log_weights_batch`) from :meth:`_log_weights` or :meth:`log_weights`,
-    :meth:`_simplex` from :meth:`_log_weights`, and :meth:`_simplex_rows` (the
-    lock-step rows) from :meth:`_simplex`.  This class gives generic ones: a
-    ``_log_weights`` call per row, the memoised exponential, and ``_simplex``
-    once per distinct row; the Dirichlet, polynomial and induced laws define an
-    array ``_log_weights_rows``, and the uniform and Dirichlet laws an array
-    :meth:`_simplex_rows`.  A subclass that defines a per-point form but not a
-    form derived from it gets the generic one (:meth:`__init_subclass__`), so
-    every form it reads has the bits of its own.  ``_log_weights`` is not
-    derived from ``log_weights``: a wrapper of ``super().log_weights`` would recurse.
+    One formula per class (:func:`_one_formula`): ``_log_weights_rows``
+    (behind :meth:`log_weights_batch`) is derived from :meth:`_log_weights`,
+    :meth:`log_weights` or ``_log_poly``, :meth:`_simplex` from
+    ``_log_weights`` or ``log_weights``, and :meth:`_simplex_rows` (the
+    lock-step rows) from ``_simplex``.  The generic forms are a
+    ``_log_weights`` call per row, the memoised exponential and ``_simplex``
+    once per distinct row.  A subclass that defines ``log_weights`` but
+    inherits another class's ``_log_weights`` or ``weights`` is refused.
     """
 
     dimension: int
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        own, base = vars(cls), ReinforcementLaw.__dict__
-        # in this order, so that a _simplex given here also gets the generic rows
-        for form, derived in (("_log_weights", "_log_weights_rows"),
-                              ("log_weights", "_log_weights_rows"),
-                              ("_log_weights", "_simplex"), ("_simplex", "_simplex_rows")):
-            if form in own and derived not in own:
-                setattr(cls, derived, base[derived])
+        _one_formula(cls, ReinforcementLaw,
+                     (("_log_weights", "_log_weights_rows"), ("log_weights", "_log_weights_rows"),
+                      ("_log_poly", "_log_weights_rows"), ("_log_weights", "_simplex"),
+                      ("log_weights", "_simplex"), ("_simplex", "_simplex_rows")),
+                     (("log_weights", "_log_weights"), ("log_weights", "weights")))
 
     def _check_counts(self, counts: Sequence[int]) -> Counts:
         return check_counts(counts, self.dimension, "law")
@@ -856,12 +860,9 @@ class ReinforcementLaw:
 
 
 def array_rows(cls: type) -> bool:
-    """Whether ``cls`` evaluates count tables in one array pass, with the bits of its public reads.
-
-    So it does where its ``_log_weights_rows`` is not the generic loop (see
-    :meth:`ReinforcementLaw.__init_subclass__`); on those classes the public
-    ``log_weights`` reads the ``_log_weights`` memo.
-    """
+    """Whether ``cls`` evaluates count tables in one array pass, with the bits of its public reads:
+    its ``_log_weights_rows`` is not the generic loop (:func:`_one_formula`), and on the built-in
+    such classes the public ``log_weights`` reads the ``_log_weights`` memo."""
     return cls._log_weights_rows is not ReinforcementLaw._log_weights_rows
 
 

@@ -39,11 +39,12 @@ that are at most ``u``, clipped at the last move, which is
 bit.  A reinforced block reads its weights from one padded table of
 Dirichlet and uniform laws (:func:`_padded_tables`), or else asks each
 vertex's law for the rows at the group of counts there (its
-:meth:`~urnwalk.laws.ReinforcementLaw._simplex_rows`: an array pass, or
-its own ``_simplex`` once per distinct row).  An annealed block takes its
-weight rows from the environments' ``_draw``, which builds no point, and
-checks them on the simplex once per vertex.  The per-stream
-``run_*`` and ``step_*`` stay the single-trajectory API and the oracle.
+:meth:`~urnwalk.laws.ReinforcementLaw._simplex_rows`).  An annealed block
+takes its weight rows from the environments' ``_draw``, which builds no
+point, and checks them on the simplex once per vertex.  Both read a
+subclass's own formula, or the class is refused when it is created
+(:func:`~urnwalk.laws._one_formula`).  The per-stream ``run_*`` and
+``step_*`` stay the single-trajectory API and the oracle.
 
 A lock-step step makes a fixed number of numpy calls, per block and, in a
 reinforced walk without the table, per vertex group, however few

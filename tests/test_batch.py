@@ -42,6 +42,7 @@ from urnwalk.laws import (
     SimplexPoint,
     TabulatedLaw,
     UniformLaw,
+    array_rows,
     log_sum_exp,
     log_sum_exp_rows,
 )
@@ -255,18 +256,23 @@ QUADRATIC = {"alpha": [0.7, 1.9, 2.6], "degree": 2,
 
 
 class BatchFails(PolynomialDirichletLaw):
-    """The quadratic law with array rows that raise ``error``, and no value at ``hole``."""
+    """The quadratic law with array rows that raise ``error``, and no value at ``hole``.
+
+    Its own ``_log_weights_rows`` keeps it an array-rows law, whose readers try a
+    batch first; ``batches`` counts those tries.
+    """
 
     def __init__(self, error, hole=None):
         super().__init__(**QUADRATIC)
-        self.error, self.hole = error, hole
+        self.error, self.hole, self.batches = error, hole, 0
 
     def _log_poly(self, counts):
         if counts == self.hole:
             raise EvaluationError(f"no value at {counts}")
         return super()._log_poly(counts)
 
-    def log_weights_batch(self, counts):
+    def _log_weights_rows(self, c):
+        self.batches += 1
         raise self.error("no array rows")
 
 
@@ -278,25 +284,32 @@ class TestReadersWhenTheBatchRaises:
     @pytest.mark.parametrize("error", [EvaluationError, ValueError])
     def test_the_readers_fall_back_to_per_point_reads(self, error):
         law = BatchFails(error)
+        assert array_rows(BatchFails)
         want = violation_bits(check_admissible(PolynomialDirichletLaw(**QUADRATIC), 4, 0.0))
         assert len(want) == 61
         assert violation_bits(check_admissible(law, 4, 0.0)) == want
+        assert law.batches == 1
         with pytest.raises(NotAdmissibleError, match=r"^path products to \(0, 1, 1\) "
                                                      r"disagree by -4\.441e-16"):
             build_moment_table(law, 3, tolerance=0.0)
+        assert law.batches == 2
 
     @pytest.mark.parametrize("error", [EvaluationError, ValueError])
     def test_a_gap_comes_before_an_error_at_a_later_count_vector(self, error):
         # the gap sits at (0, 1, 1); only the row at (2, 0, 0), read at degree 3, needs (3, 0, 0)
+        laws = BatchFails(error, hole=(3, 0, 0)), BatchFails(error, hole=(3, 0, 0))
         with pytest.raises(NotAdmissibleError, match=r"^path products to \(0, 1, 1\)"):
-            build_moment_table(BatchFails(error, hole=(3, 0, 0)), 3, tolerance=0.0)
+            build_moment_table(laws[0], 3, tolerance=0.0)
         with pytest.raises(EvaluationError, match=r"^no value at \(3, 0, 0\)$"):
-            build_moment_table(BatchFails(error, hole=(3, 0, 0)), 3)
+            build_moment_table(laws[1], 3)
+        assert [law.batches for law in laws] == [1, 1]
 
     @pytest.mark.parametrize("error", [EvaluationError, ValueError])
     def test_the_scan_raises_the_per_point_error(self, error):
+        law = BatchFails(error, hole=(3, 0, 0))
         with pytest.raises(EvaluationError, match=r"^no value at \(3, 0, 0\)$"):
-            check_admissible(BatchFails(error, hole=(3, 0, 0)), 3)
+            check_admissible(law, 3)
+        assert law.batches == 1
 
 
 # --- the row-wise pieces --------------------------------------------------------------

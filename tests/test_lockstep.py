@@ -376,6 +376,9 @@ def test_environments_whose_every_boost_overflows_draw_in_lock_step():
 def test_an_environment_off_the_simplex_stops_the_lock_step_run():
     # a _draw is not checked; the runner checks every weight row it walks in
     class OffSimplex(_SampleOnlyEnv):
+        def sample(self, rng):
+            return SimplexPoint(self._draw(rng))
+
         def _draw(self, rng):
             return (0.5, 0.5 + rng.random())
 
