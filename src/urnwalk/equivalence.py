@@ -128,7 +128,9 @@ def _enumerate(
 
 
 def _distribution(x0: int, steps: int, acc: Mapping[Trajectory, list[float]]) -> PathDistribution:
-    return PathDistribution(x0, steps, {t: log_sum_exp(lps) for t, lps in acc.items()})
+    # log_sum_exp's own value for one finite log probability v, 0.0 + v, without the call
+    return PathDistribution(x0, steps, {t: 0.0 + lps[0] if len(lps) == 1 and math.isfinite(lps[0])
+                                        else log_sum_exp(lps) for t, lps in acc.items()})
 
 
 def enumerate_both(

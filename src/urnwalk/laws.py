@@ -744,13 +744,14 @@ def _memoised(memo: str):
     return decorate
 
 
-def _one_formula(cls: type, base: type, derive, refuse) -> None:
+def _one_formula(cls: type, base: type, derive, refuse, readers=()) -> None:
     """The class-creation rule: ``cls`` reads its own formula through every form, or is refused.
 
     A ``cls`` that defines ``form`` of a ``(form, derived)`` pair but not
-    ``derived`` gets ``base``'s generic ``derived``, which reads ``form``
-    (pairs in order, so that a derived form counts as defined for the later
-    ones).  One that defines ``form`` of a ``(form, kept)`` pair but inherits
+    ``derived`` gets ``base``'s generic ``derived``, which reads ``form`` (pairs
+    in order, so that a derived form counts as defined for the later ones), but
+    keeps one of ``readers`` from a class that defines ``form``, where it reads
+    it.  One that defines ``form`` of a ``(form, kept)`` pair but inherits
     another class's ``kept`` raises ``TypeError``: deriving ``kept`` instead
     would recurse through a subclass that wraps ``super().form``.
     """
@@ -761,7 +762,8 @@ def _one_formula(cls: type, base: type, derive, refuse) -> None:
                             f"{getattr(cls, kept).__qualname__}, which does not read it: "
                             f"override {kept}")
     for form, derived in derive:
-        if form in own and derived not in own:
+        owner = next(k for k in cls.__mro__ if derived in vars(k))
+        if form in own and owner is not cls and not (derived in readers and form in vars(owner)):
             setattr(cls, derived, vars(base)[derived])
 
 
@@ -770,9 +772,8 @@ class ReinforcementLaw:
 
     Laws are immutable after construction and evaluation is pure, so a single
     instance may be shared freely across threads.  Subclasses implement
-    :meth:`log_weights`; the built-in families also override
-    :meth:`_log_weights` or :meth:`_simplex`, which take counts the caller
-    has already validated (the walk's own).
+    :meth:`log_weights` or :meth:`_log_weights`, which takes counts the
+    caller has already validated (the walk's own), as :meth:`_simplex` does.
 
     Memoised per count vector on the instance, up to
     :data:`SIMPLEX_MEMO_LIMIT` each (:func:`_memoised`): the
@@ -785,14 +786,16 @@ class ReinforcementLaw:
     not: copy one to write into it.  ``environment.EnvMomentLaw`` reads its
     moments from its environment's memo, which the annealed walk shares.
 
-    One formula per class (:func:`_one_formula`): ``_log_weights_rows``
-    (behind :meth:`log_weights_batch`) is derived from :meth:`_log_weights`,
-    :meth:`log_weights` or ``_log_poly``, :meth:`_simplex` from
-    ``_log_weights`` or ``log_weights``, and :meth:`_simplex_rows` (the
-    lock-step rows) from ``_simplex``.  The generic forms are a
-    ``_log_weights`` call per row, the memoised exponential and ``_simplex``
-    once per distinct row.  A subclass that defines ``log_weights`` but
-    inherits another class's ``_log_weights`` or ``weights`` is refused.
+    One formula per class (:func:`_one_formula`): :meth:`log_weights` and
+    :meth:`weights` are derived from :meth:`_log_weights` where not inherited
+    from a class that defines it, ``_log_weights_rows`` (behind
+    :meth:`log_weights_batch`) from it, ``log_weights`` or ``_log_poly``,
+    :meth:`_simplex` from it or ``log_weights``, and the lock-step
+    :meth:`_simplex_rows` from ``_simplex``: the memoised ``_log_weights``,
+    ``SimplexPoint(_simplex)``, a ``_log_weights`` call per row, the memoised
+    exponential and ``_simplex`` once per distinct row.  A subclass defining
+    ``log_weights`` but inheriting another class's ``_log_weights`` or
+    ``weights`` is refused.
     """
 
     dimension: int
@@ -800,19 +803,23 @@ class ReinforcementLaw:
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         _one_formula(cls, ReinforcementLaw,
-                     (("_log_weights", "_log_weights_rows"), ("log_weights", "_log_weights_rows"),
+                     (("_log_weights", "log_weights"), ("_log_weights", "weights"),
+                      ("_log_weights", "_log_weights_rows"), ("log_weights", "_log_weights_rows"),
                       ("_log_poly", "_log_weights_rows"), ("_log_weights", "_simplex"),
                       ("log_weights", "_simplex"), ("_simplex", "_simplex_rows")),
-                     (("log_weights", "_log_weights"), ("log_weights", "weights")))
+                     (("log_weights", "_log_weights"), ("log_weights", "weights")),
+                     ("log_weights", "weights"))
 
     def _check_counts(self, counts: Sequence[int]) -> Counts:
         return check_counts(counts, self.dimension, "law")
 
     def log_weights(self, counts: Sequence[int]) -> np.ndarray:
-        raise NotImplementedError
+        return self._memo_log_weights(self._check_counts(counts))
 
     def _log_weights(self, c: Counts) -> np.ndarray:
-        """Log-weights at validated counts ``c``."""
+        """Log-weights at validated counts ``c``: :meth:`log_weights`, which a subclass defines."""
+        if type(self).log_weights is ReinforcementLaw.log_weights:
+            raise NotImplementedError("a law defines log_weights or _log_weights")
         return self.log_weights(c)
 
     @_memoised("_log_weights_memo")

@@ -9,22 +9,23 @@ chain in a fixed assignment of transition vectors; the annealed walk draws
 a fresh assignment from the per-vertex environment laws and then runs the
 quenched walk in it.
 
-All sampling takes an explicit ``numpy.random.Generator``.  Trajectory
-``i`` of a run with seed ``s`` draws from the stream :func:`make_stream`
-gives for ``(s, i)``: numpy's counter-based Philox4x64-10 keyed by ``s``,
-whose counter ``(j, 0, i, 0)`` gives the stream's ``j``-th block of four
-64-bit words (Salmon et al. 2011, "Parallel random numbers: as easy as 1,
-2, 3"); :data:`STREAM_LAYOUT` names that layout in the outputs.  Many
-trajectories get their streams from :func:`stream_generators`, which points
-one shared generator at each stream's counter instead of building a
-generator per trajectory.  Each step uses one uniform variate and inverse
-CDF over the ordered neighbor list.  The runs draw their step uniforms from
-the trajectory's stream in blocks of :data:`UNIFORM_BLOCK`; a block holds
-the same numbers as that many one-at-a-time draws, so runs are reproducible
-bit-for-bit for a fixed seed.  A reinforced step asks the vertex's law for
-its weights at the current counts; the laws memoise those per count vector
-(see :class:`urnwalk.laws.ReinforcementLaw`), so trajectories that revisit
-a count vector evaluate it once.
+All sampling takes an explicit ``numpy.random.Generator``.  Trajectory ``i``
+of a run with seed ``s`` draws from the stream :func:`make_stream` gives for
+``(s, i)``: numpy's counter-based Philox4x64-10 keyed by ``s``, whose
+counter ``(j + 1, 0, i, 0)`` gives the stream's block ``j`` of four 64-bit
+words (Salmon et al. 2011, "Parallel random numbers: as easy as 1, 2, 3");
+:data:`STREAM_LAYOUT` names that layout in the outputs.  Many trajectories
+share one generator, which :func:`stream_generators` points at each stream's
+counter in turn.  Each step uses one uniform variate and inverse CDF over
+the ordered neighbor list.  A run draws its step uniforms from its stream in
+blocks of :data:`UNIFORM_BLOCK`, or, in lock-step blocks of many short
+reinforced or quenched walks, computes them from the counters
+(:func:`philox_uniforms`; an annealed walk's environment draws take a
+varying number of words first): the numbers of one-at-a-time draws, so runs
+are reproducible bit-for-bit for a fixed seed.  A reinforced step asks the
+vertex's law for its weights at the current counts; the laws memoise those
+per count vector (see :class:`urnwalk.laws.ReinforcementLaw`), so
+trajectories that revisit a count vector evaluate it once.
 
 A trajectory's draws all precede its first step: the annealed walk's
 environment, then exactly ``steps`` uniforms, and no draw depends on where
@@ -59,7 +60,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from itertools import islice
 from typing import Iterator, Mapping
 
 import numpy as np
@@ -195,6 +195,38 @@ def stream_generators(seed: int, count: int) -> Iterator[np.random.Generator]:
         counter[2] = i
         rng.bit_generator.state = state
         yield rng
+
+
+def _mulhilo(a: int, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """High and low words of the 128-bit products ``a * b``, from 32-bit halves."""
+    b_lo, b_hi, a_lo, a_hi = b & 0xFFFFFFFF, b >> 32, a & 0xFFFFFFFF, a >> 32
+    lo_lo, hi_lo = b_lo * a_lo, b_lo * a_hi
+    cross = b_hi * a_lo + (hi_lo & 0xFFFFFFFF) + (lo_lo >> 32)
+    return b_hi * a_hi + (hi_lo >> 32) + (cross >> 32), b * a
+
+
+def philox_uniforms(seed: int, first: int, n: int, steps: int) -> np.ndarray:
+    """``make_stream(seed, i).random(steps)`` for ``first <= i < first + n <= 2**64``, ``[n, steps]``.
+
+    Bit for bit, in numpy's Philox4x64-10 rounds over 4,096 counters at a time:
+    word ``j`` of stream ``i`` is word ``j % 4`` of counter ``(j // 4 + 1, 0, i,
+    0)``, and a uniform is ``(word >> 11) * 2**-53``.
+    """
+    make_stream(seed)  # a seed outside [0, 2**128) raises make_stream's error
+    blocks, out = -(-steps // 4), np.empty((n, steps))
+    rows = 4096 // max(blocks, 1)
+    for start in range(0, n, rows):
+        m = min(rows, n - start)
+        c0, c1 = np.tile(np.arange(1, blocks + 1, dtype=np.uint64), m), 0
+        c2, c3 = np.repeat(np.arange(first + start, first + start + m, dtype=np.uint64), blocks), 0
+        k0, k1 = seed % 2**64, seed >> 64
+        for _ in range(10):  # the multipliers and key increments of Salmon et al. (2011)
+            (h0, l0), (h1, l1) = _mulhilo(0xD2E7470EE14C6C93, c0), _mulhilo(0xCA5A826395121157, c2)
+            c0, c1, c2, c3 = h1 ^ c1 ^ k0, l1, h0 ^ c3 ^ k1, l0
+            k0, k1 = (k0 + 0x9E3779B97F4A7C15) % 2**64, (k1 + 0xBB67AE8584CAA73B) % 2**64
+        words = np.stack([c0, c1, c2, c3], axis=1).reshape(m, 4 * blocks)[:, :steps]
+        out[start : start + m] = (words >> 11) * 2.0**-53
+    return out
 
 
 def _uniforms(rng: np.random.Generator, count: int) -> Iterator[float]:
@@ -387,7 +419,7 @@ class _Layout:
         sums (annealed); each of those tables stays within :data:`LOCKSTEP_ELEMENTS`.
         """
         table = 0 if mode == "quenched" else self.vertices * self.width
-        return min(count, max(1, LOCKSTEP_ELEMENTS // max(steps + 1, table)))
+        return max(1, min(count, LOCKSTEP_ELEMENTS // max(steps + 1, table)))
 
 
 #: Most array elements one lock-step table holds: a block's trajectories
@@ -483,18 +515,24 @@ def _reach(graph: Graph, x0: int, steps: int) -> int:
     return len(seen)
 
 
-def _blocks(
-    seed: int, count: int, steps: int, size: int
-) -> Iterator[tuple[np.ndarray, Iterator[np.random.Generator]]]:
-    """The streams ``(seed, i)``, ``i < count``, in blocks of ``size``, each with an empty ``[n, steps]`` table.
+#: Fewest streams, and most steps, of a block whose uniforms come from :func:`philox_uniforms`, not
+#: one generator switch a stream.  Per stream / kernel, best of 21 (2 cores, numpy 2.4.6): 150 x 5
+#: steps 0.35 / 0.35 ms, 200 x 5 0.49 / 0.36, 200 x 24 0.49 / 0.48, 4,000 x 48 10.2 / 9.6 ms.
+PHILOX_MIN_STREAMS, PHILOX_MAX_STEPS = 200, 24
 
-    The caller takes each stream's draws in the per-stream order: whatever
-    comes before the walk, then the stream's row of step uniforms.
-    """
+
+def _step_uniforms(seed: int, count: int, steps: int, size: int) -> Iterator[np.ndarray]:
+    """The ``[n, steps]`` step uniforms of the streams ``(seed, i < count)``, ``size`` at a time."""
+    if size >= PHILOX_MIN_STREAMS and steps <= PHILOX_MAX_STEPS:
+        for start in range(0, count, size):
+            yield philox_uniforms(seed, start, min(size, count - start), steps)
+        return
     streams = stream_generators(seed, count)
     for start in range(0, count, size):
-        n = min(size, count - start)
-        yield np.empty((n, steps)), islice(streams, n)
+        uniforms = np.empty((min(size, count - start), steps))
+        for row, rng in zip(uniforms, streams):  # takes no stream past the block's
+            rng.random(out=row)
+        yield uniforms
 
 
 def _paths(x0: int, n: int, steps: int) -> np.ndarray:
@@ -593,9 +631,7 @@ def run_many_reinforced(
     layout = _Layout(graph)
     tables = _padded_tables(laws, layout, steps)
     size = layout.block_size("reinforced", steps, count)
-    for uniforms, streams in _blocks(seed, count, steps, size):
-        for row, rng in zip(uniforms, streams):
-            rng.random(out=row)
+    for uniforms in _step_uniforms(seed, count, steps, size):
         if tables is not None and tables[1].all():  # uniform laws ignore the counts
             sums, counts, base = running_sums(tables[0].copy()), None, 0
         else:
@@ -621,9 +657,7 @@ def run_many_quenched(
     weights = [w for x in range(graph.vertex_count) for w in assignment[x].weights]
     cumulative = layout.cumulative(np.array([weights]))
     size = layout.block_size("quenched", steps, count)
-    for uniforms, streams in _blocks(seed, count, steps, size):
-        for row, rng in zip(uniforms, streams):
-            rng.random(out=row)
+    for uniforms in _step_uniforms(seed, count, steps, size):
         yield from map(tuple, _advance(layout, cumulative, 0, x0, uniforms).tolist())
 
 
@@ -649,7 +683,9 @@ def run_many_annealed(
     layout = _Layout(graph)
     draws = [env._draw for env in _checked_envs(graph, envs)]
     size = layout.block_size("annealed", steps, count)
-    for uniforms, streams in _blocks(seed, count, steps, size):
+    streams = stream_generators(seed, count)
+    for start in range(0, count, size):
+        uniforms = np.empty((min(size, count - start), steps))
         weights = np.empty((len(uniforms), layout.moves))
         for row, env_row, rng in zip(uniforms, weights, streams):
             points = [draw(rng) for draw in draws]

@@ -1,6 +1,7 @@
 """Reinforced vs annealed path laws: exact identities and statistics."""
 
 import math
+import struct
 import types
 from fractions import Fraction
 from itertools import product
@@ -35,6 +36,7 @@ from urnwalk import (
 )
 from oracles import errw_paths, errw_step
 from urnwalk import equivalence
+from urnwalk.laws import log_sum_exp
 from urnwalk.moments import ball_indices
 
 
@@ -352,3 +354,18 @@ def test_on_a_cycle_the_errw_step_is_not_a_function_of_the_exit_counts():
     assert exits == [[(0, 1)], [(0, 1)]]
     assert errw_step(triangle, short, Fraction(1))[1] == Fraction(3, 4)
     assert errw_step(triangle, long, Fraction(1))[1] == Fraction(1, 2)
+
+
+_SINGLE_LOGS = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, -745.2, 709.8,
+                *np.random.default_rng(33).normal(0.0, 30.0, 40).tolist()]
+
+
+def test_a_one_element_list_keeps_log_sum_exps_bits(monkeypatch):
+    # PathDistribution would reject most of these single-path laws; the values are read before it
+    monkeypatch.setattr(equivalence, "PathDistribution", lambda x0, steps, log_probs: log_probs)
+    acc = {(i,): [v] for i, v in enumerate(_SINGLE_LOGS)}
+    got = equivalence._distribution(0, 0, acc)
+    for i, v in enumerate(_SINGLE_LOGS):
+        want = log_sum_exp([v])
+        assert type(got[(i,)]) is type(want) is float
+        assert struct.pack("<d", got[(i,)]) == struct.pack("<d", want), v

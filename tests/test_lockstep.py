@@ -339,6 +339,14 @@ def test_lock_step_runs_span_blocks(monkeypatch, mode, name):
     assert list(run_many(graph, maps, 1, 30, 5, 41)) == want
 
 
+@pytest.mark.parametrize("mode", sorted(MODES))
+def test_no_trajectories_make_an_empty_run(mode):
+    # a block of zero trajectories once stepped range() by zero
+    _, run_many, table = MODES[mode]
+    graph, maps = table[sorted(table)[0]]
+    assert list(run_many(graph, maps, 0, 5, 1, 0)) == []
+
+
 _TINY_ALPHA = DirichletEnv([0.004, 0.004, 1.0])
 
 

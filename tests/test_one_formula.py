@@ -17,6 +17,7 @@ from urnwalk.environment import DirichletEnv, EnvMomentLaw, PolynomialDirichletE
 from urnwalk.laws import (
     DirichletLaw,
     PolynomialDirichletLaw,
+    ReinforcementLaw,
     SimplexPoint,
     TabulatedLaw,
     UniformLaw,
@@ -47,6 +48,23 @@ class _LeaningUniform(UniformLaw):
     def log_weights(self, counts):
         self._check_counts(counts)
         return _LEANING
+
+
+class _PrivateLeaningUniform(UniformLaw):
+    """Weights (0.9, 0.1) at every count vector, through ``_log_weights`` alone."""
+
+    def _log_weights(self, c):
+        return _LEANING.copy()
+
+
+class _PrivateLeaningTable(TabulatedLaw):
+    """A uniform table whose ``_log_weights`` alone gives weights (0.9, 0.1)."""
+
+    def _log_weights(self, c):
+        return _LEANING.copy()
+
+
+_HALVES = {c: SimplexPoint((0.5, 0.5)) for c in product(range(2), repeat=2)}
 
 
 class _PointMassMoments(DirichletEnv):
@@ -81,6 +99,8 @@ class _ReversedPolynomialDraw(PolynomialDirichletEnv):
 CASES = {
     "polynomial_law_own_log_poly": _TotalPolynomial(**POLY_QUADRATIC_3D),
     "uniform_law_own_log_weights": _LeaningUniform(2),
+    "uniform_law_own_private_log_weights": _PrivateLeaningUniform(2),
+    "tabulated_law_own_private_log_weights": _PrivateLeaningTable(1, _HALVES, "clamp"),
     "dirichlet_env_own_moment": _PointMassMoments([1.0, 2.0]),
     "dirichlet_env_own_sample": _OneUniformDraw([1.0, 1.0]),
     "dirichlet_env_sample_wraps_super": _ReversedDraw([1.0, 3.0]),
@@ -137,3 +157,32 @@ def test_a_subclass_whose_inherited_forms_skip_its_own_is_refused(base, form, ov
     with pytest.raises(TypeError, match=rf"inherits \w+\.{override}, which does not "
                                         rf"read it: override {override}$"):
         type("Own", (base,), {form: lambda self, counts: _LEANING})
+
+
+@pytest.mark.parametrize("law", [_PrivateLeaningUniform(2), _PrivateLeaningTable(1, _HALVES, "clamp")])
+def test_the_public_reads_of_a_private_formula(law):
+    # the constant row, or the table's (0.5, 0.5), before log_weights and weights were derived
+    assert np.exp(law.log_weights((0, 0))).tolist() == pytest.approx([0.9, 0.1], rel=1e-15)
+    assert law.log_weights((3, 0)).tobytes() == _LEANING.tobytes()
+    assert law.weights((0, 3)).weights == law._simplex((0, 3))
+
+
+def test_a_subclass_keeps_the_public_reads_that_read_its_formula():
+    # DirichletLaw's log_weights reads the memo of _log_weights, and its weights read _simplex
+    class Tilted(DirichletLaw):
+        def _log_weights(self, c):
+            return _LEANING.copy()
+
+    assert "log_weights" not in vars(Tilted) and "weights" not in vars(Tilted)
+    assert Tilted([1.0, 2.0]).log_weights((1, 0)).tobytes() == _LEANING.tobytes()
+    assert Tilted([1.0, 2.0]).weights((1, 0)).weights == tuple(np.exp(_LEANING).tolist())
+
+
+def test_a_law_without_a_formula_raises_not_implemented():
+    class Bare(ReinforcementLaw):
+        dimension = 2
+
+    with pytest.raises(NotImplementedError):
+        Bare().log_weights((0, 0))
+    with pytest.raises(NotImplementedError):
+        Bare().weights((0, 0))

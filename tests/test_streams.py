@@ -1,24 +1,37 @@
-"""Per-run streams: ``make_stream`` and ``stream_generators`` against numpy's own Philox, bit for bit.
+"""Per-run streams: ``make_stream``, ``stream_generators`` and ``philox_uniforms`` against numpy's
+own Philox, bit for bit.
 
 Stream ``i`` of seed ``s`` is ``Generator(Philox(key=s, counter=[0, 0, i, 0]))``,
-built here independently of the package.
+built here independently of the package.  ``philox_uniforms`` is integer
+arithmetic on uint64 arrays, so its bits must not depend on the SIMD
+extensions numpy dispatches to; CI runs this file a second time with the
+AVX-512 ones disabled.
 """
+
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from urnwalk import walk
 from urnwalk.environment import DirichletEnv, PointMassEnv
 from urnwalk.laws import DirichletLaw, UniformLaw
 from urnwalk.walk import (
     ENVIRONMENT_STREAM,
+    PHILOX_MAX_STEPS,
+    PHILOX_MIN_STREAMS,
     cycle_graph,
     make_stream,
+    philox_uniforms,
     run_annealed,
     run_many_annealed,
+    run_many_quenched,
     run_many_reinforced,
+    run_quenched,
     run_reinforced,
+    sample_environment,
     star_graph,
     stream_generators,
 )
@@ -30,7 +43,9 @@ WORDS = 13
 
 
 def philox(seed, stream):
-    return np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, stream, 0]))
+    # uint64 words: a list would pass through int64 and lose streams from 2**63 on
+    counter = np.array([0, 0, stream, 0], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=seed, counter=counter))
 
 
 def words(rng):
@@ -126,3 +141,64 @@ def test_fewer_trajectories_and_steps_are_a_prefix(name, seed, n, k, steps):
     assert list(many(graph, maps, 0, steps, seed, k)) == [t[:-1] for t in longer[:k]]
     assert [run(graph, maps, 0, steps, rng) for rng in stream_generators(seed, k)] == \
         [t[:-1] for t in longer[:k]]
+
+
+def numpys_uniforms(seed, first, n, steps):
+    """Streams ``first`` to ``first + n - 1``, each from its own generator."""
+    return np.array([philox(seed, first + k).random(steps) for k in range(n)]).reshape(n, steps)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**128 - 1), st.integers(0, 50), st.integers(0, 40), st.data())
+def test_the_kernel_is_numpys_philox(seed, n, steps, data):
+    first = data.draw(st.one_of(st.integers(0, 1000), st.integers(0, 2**64 - n),
+                                st.just(2**64 - n)))
+    got = philox_uniforms(seed, first, n, steps)
+    assert got.shape == (n, steps)
+    assert got.tobytes() == numpys_uniforms(seed, first, n, steps).tobytes()
+
+
+@pytest.mark.parametrize("seed", EDGE_SEEDS + [2**127, 2**128 - 1])
+def test_the_kernel_spans_its_chunks(seed):
+    # 4,096 counters an array pass: 3,000 streams of 12 steps take passes of 1,365, 1,365 and 270
+    want = numpys_uniforms(seed, 5, 3000, 12)
+    assert philox_uniforms(seed, 5, 3000, 12).tobytes() == want.tobytes()
+
+
+_FROZEN = sample_environment(_CYCLE, _CYCLE_ENVS, make_stream(3))
+
+#: name: (per-stream run, lock-step run, graph, laws or assignment)
+KERNEL_RUNS = {
+    "reinforced_star": (run_reinforced, run_many_reinforced, _STAR, _LAWS),
+    "quenched_cycle": (run_quenched, run_many_quenched, _CYCLE, _FROZEN),
+}
+
+
+@pytest.mark.parametrize("count, steps, kernel", [
+    (PHILOX_MIN_STREAMS, PHILOX_MAX_STEPS, True),
+    (PHILOX_MIN_STREAMS + 50, 1, True),
+    (PHILOX_MIN_STREAMS, PHILOX_MAX_STEPS + 1, False),
+    (PHILOX_MIN_STREAMS - 1, 5, False),
+])
+@pytest.mark.parametrize("name", sorted(KERNEL_RUNS))
+def test_lock_step_runs_on_either_side_of_the_kernel_rule(monkeypatch, name, count, steps, kernel):
+    run, many, graph, maps = KERNEL_RUNS[name]
+    calls = []
+    monkeypatch.setattr(walk, "philox_uniforms", lambda *args: calls.append(args) or
+                        philox_uniforms(*args))
+    want = [run(graph, maps, 0, steps, rng) for rng in stream_generators(21, count)]
+    assert list(many(graph, maps, 0, steps, 21, count)) == want
+    assert bool(calls) == kernel
+
+
+@pytest.mark.parametrize("seed", [-1, 2**128, 2**130])
+@pytest.mark.parametrize("name", sorted(KERNEL_RUNS))
+def test_the_kernel_rejects_a_seed_as_make_stream_does(name, seed):
+    _, many, graph, maps = KERNEL_RUNS[name]
+    with pytest.raises(ValueError) as want:
+        make_stream(seed)
+    with pytest.raises(ValueError) as got:
+        list(many(graph, maps, 0, 5, seed, PHILOX_MIN_STREAMS))
+    assert str(got.value) == str(want.value)
+    with pytest.raises(ValueError, match=re.escape(str(want.value))):
+        philox_uniforms(seed, 0, 3, 5)
