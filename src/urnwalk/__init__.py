@@ -5,6 +5,11 @@ reinforcement law is induced by an environment (closedness of its log
 1-form), constructs and certifies the environment's mixed-moment tables,
 and verifies exactly, at desk scale, that the reinforced walk and the
 environment-averaged (annealed) walk have the same law.
+
+Extending: subclass :class:`ReinforcementLaw` and define ``_log_weights``
+(of validated counts) or ``log_weights``, or subclass :class:`VertexEnvLaw`
+and define ``log_mixed_moment`` and ``sample``.  The built-in families are
+final, so hold one to reuse its formula.
 """
 
 from .admissibility import (

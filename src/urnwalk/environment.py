@@ -37,7 +37,7 @@ from .laws import (
     RisingPolynomial,
     SimplexPoint,
     _memoised,
-    _one_formula,
+    _refuse_builtin_parents,
     batch_counts,
     check_alpha,
     check_counts,
@@ -97,19 +97,16 @@ class VertexEnvLaw:
 
     Immutable after construction; sampling takes an explicit generator so
     callers control stream discipline.  The induced law and the annealed
-    enumeration read moments through :meth:`_memo_log_moment`.  One formula
-    per class (:func:`~urnwalk.laws._one_formula`): :meth:`log_mixed_moments`
-    is derived from :meth:`log_mixed_moment` and :meth:`_draw` from
-    :meth:`sample`; a subclass with ``_draw`` and another class's ``sample`` is refused.
+    enumeration read moments through :meth:`_memo_log_moment`.  A subclass
+    defines :meth:`log_mixed_moment` and :meth:`sample`, which the generic
+    forms read; the built-in families are final (a subclass raises ``TypeError``).
     """
 
     dimension: int
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        _one_formula(cls, VertexEnvLaw,
-                     (("log_mixed_moment", "log_mixed_moments"), ("sample", "_draw")),
-                     (("_draw", "sample"),))
+        _refuse_builtin_parents(cls, VertexEnvLaw)
 
     def log_mixed_moment(self, counts: Sequence[int]) -> float:
         """Log of E[prod_i omega_i^{k_i}]; 0 at k = 0."""
@@ -140,8 +137,7 @@ class VertexEnvLaw:
     def _draw(self, rng: np.random.Generator) -> tuple[float, ...]:
         """:meth:`sample`'s weights as builtin floats, from the same draws of
         ``rng`` in the same order, to the same bits, but not checked on the
-        simplex: ``walk.run_many_annealed`` checks its rows in blocks.  The
-        generic form reads ``sample``; a built-in ``sample`` calls its own draw."""
+        simplex: ``walk.run_many_annealed`` checks its rows in blocks."""
         return self.sample(rng).weights
 
 
@@ -172,7 +168,7 @@ class DirichletEnv(VertexEnvLaw):
         return row_sums(logs[:, :-1]) - logs[:, -1]
 
     def sample(self, rng: np.random.Generator) -> SimplexPoint:
-        return SimplexPoint(_dirichlet_draw(self.alpha, rng))
+        return SimplexPoint(self._draw(rng))
 
     def _draw(self, rng: np.random.Generator) -> tuple[float, ...]:
         return _dirichlet_draw(self.alpha, rng)
@@ -247,7 +243,7 @@ class PolynomialDirichletEnv(VertexEnvLaw):
         )
 
     def sample(self, rng: np.random.Generator) -> SimplexPoint:
-        return SimplexPoint(PolynomialDirichletEnv._draw(self, rng))
+        return SimplexPoint(self._draw(rng))
 
     def _draw(self, rng: np.random.Generator) -> tuple[float, ...]:
         """A monomial's Dirichlet component by one uniform, then a draw from it."""
@@ -338,6 +334,7 @@ class EnvMomentLaw(ReinforcementLaw):
         self.env = env
         self.dimension = env.dimension
 
+    # the base's body, not an alias: perfbench/worker.py counts moment misses under this name
     def log_weights(self, counts: Sequence[int]) -> np.ndarray:
         return self._memo_log_weights(self._check_counts(counts))
 

@@ -744,27 +744,12 @@ def _memoised(memo: str):
     return decorate
 
 
-def _one_formula(cls: type, base: type, derive, refuse, readers=()) -> None:
-    """The class-creation rule: ``cls`` reads its own formula through every form, or is refused.
-
-    A ``cls`` that defines ``form`` of a ``(form, derived)`` pair but not
-    ``derived`` gets ``base``'s generic ``derived``, which reads ``form`` (pairs
-    in order, so that a derived form counts as defined for the later ones), but
-    keeps one of ``readers`` from a class that defines ``form``, where it reads
-    it.  One that defines ``form`` of a ``(form, kept)`` pair but inherits
-    another class's ``kept`` raises ``TypeError``: deriving ``kept`` instead
-    would recurse through a subclass that wraps ``super().form``.
-    """
-    own = vars(cls)
-    for form, kept in refuse:
-        if form in own and kept not in own and getattr(cls, kept) is not vars(base)[kept]:
-            raise TypeError(f"{cls.__qualname__} defines {form} but inherits "
-                            f"{getattr(cls, kept).__qualname__}, which does not read it: "
-                            f"override {kept}")
-    for form, derived in derive:
-        owner = next(k for k in cls.__mro__ if derived in vars(k))
-        if form in own and owner is not cls and not (derived in readers and form in vars(owner)):
-            setattr(cls, derived, vars(base)[derived])
+def _refuse_builtin_parents(cls: type, base: type) -> None:
+    """Raise ``TypeError`` if ``cls`` derives from a built-in family under ``base``: those are final."""
+    for parent in cls.__mro__[1 : cls.__mro__.index(base)]:
+        if parent.__module__.startswith("urnwalk."):
+            raise TypeError(f"{parent.__qualname__} is final: subclass {base.__qualname__} "
+                            f"and hold an instance of it to reuse its formula")
 
 
 class ReinforcementLaw:
@@ -783,32 +768,18 @@ class ReinforcementLaw:
     table and the exact enumeration ask for many times; and the polynomial
     law's ``_log_poly``.  Counts are checked on every call, before the
     lookup (see :func:`as_counts`), and every row is read-only, memoised or
-    not: copy one to write into it.  ``environment.EnvMomentLaw`` reads its
-    moments from its environment's memo, which the annealed walk shares.
+    not: copy one to write into it.
 
-    One formula per class (:func:`_one_formula`): :meth:`log_weights` and
-    :meth:`weights` are derived from :meth:`_log_weights` where not inherited
-    from a class that defines it, ``_log_weights_rows`` (behind
-    :meth:`log_weights_batch`) from it, ``log_weights`` or ``_log_poly``,
-    :meth:`_simplex` from it or ``log_weights``, and the lock-step
-    :meth:`_simplex_rows` from ``_simplex``: the memoised ``_log_weights``,
-    ``SimplexPoint(_simplex)``, a ``_log_weights`` call per row, the memoised
-    exponential and ``_simplex`` once per distinct row.  A subclass defining
-    ``log_weights`` but inheriting another class's ``_log_weights`` or
-    ``weights`` is refused.
+    Every generic form reads that one formula; the lock-step
+    :meth:`_simplex_rows` reads :meth:`_simplex` once per distinct row.  The
+    built-in families are final: a class derived from one raises ``TypeError``.
     """
 
     dimension: int
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        _one_formula(cls, ReinforcementLaw,
-                     (("_log_weights", "log_weights"), ("_log_weights", "weights"),
-                      ("_log_weights", "_log_weights_rows"), ("log_weights", "_log_weights_rows"),
-                      ("_log_poly", "_log_weights_rows"), ("_log_weights", "_simplex"),
-                      ("log_weights", "_simplex"), ("_simplex", "_simplex_rows")),
-                     (("log_weights", "_log_weights"), ("log_weights", "weights")),
-                     ("log_weights", "weights"))
+        _refuse_builtin_parents(cls, ReinforcementLaw)
 
     def _check_counts(self, counts: Sequence[int]) -> Counts:
         return check_counts(counts, self.dimension, "law")
@@ -868,8 +839,8 @@ class ReinforcementLaw:
 
 def array_rows(cls: type) -> bool:
     """Whether ``cls`` evaluates count tables in one array pass, with the bits of its public reads:
-    its ``_log_weights_rows`` is not the generic loop (:func:`_one_formula`), and on the built-in
-    such classes the public ``log_weights`` reads the ``_log_weights`` memo."""
+    its ``_log_weights_rows`` is not the generic loop, and on the built-in such classes the
+    public ``log_weights`` reads the ``_log_weights`` memo."""
     return cls._log_weights_rows is not ReinforcementLaw._log_weights_rows
 
 
@@ -932,10 +903,8 @@ class DirichletLaw(ReinforcementLaw):
         self.dimension = arr.size
         self._alpha_arr = arr
 
-    # the same as the inherited method; defined on the class because
-    # perfbench/worker.py traces DirichletLaw.weights by name
-    def weights(self, counts: Sequence[int]) -> SimplexPoint:
-        return SimplexPoint(self._simplex(self._check_counts(counts)))
+    # the base's reads, bound in the class's own dict, where perfbench/worker.py traces them by name
+    weights, log_weights = ReinforcementLaw.weights, ReinforcementLaw.log_weights
 
     @_memoised("_simplex_memo")
     def _simplex(self, c: Counts) -> tuple[float, ...]:
@@ -954,9 +923,6 @@ class DirichletLaw(ReinforcementLaw):
     def _simplex_rows(self, counts: np.ndarray) -> np.ndarray:
         shifted, total = self._shifted_rows(counts)
         return check_simplex_rows(shifted / total[:, None])
-
-    def log_weights(self, counts: Sequence[int]) -> np.ndarray:
-        return self._memo_log_weights(self._check_counts(counts))
 
     def _log_weights(self, c: Counts) -> np.ndarray:
         shifted = self._alpha_arr + np.asarray(c, dtype=float)
@@ -999,8 +965,7 @@ class PolynomialDirichletLaw(ReinforcementLaw):
     def _log_poly(self, counts: Counts) -> float:
         return self._poly.log_value(counts)
 
-    def log_weights(self, counts: Sequence[int]) -> np.ndarray:
-        return self._memo_log_weights(self._check_counts(counts))
+    log_weights = ReinforcementLaw.log_weights  # traced by name, as DirichletLaw's
 
     def _log_weights(self, c: Counts) -> np.ndarray:
         if self.dimension == 1:

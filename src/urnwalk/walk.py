@@ -42,10 +42,8 @@ Dirichlet and uniform laws (:func:`_padded_tables`), or else asks each
 vertex's law for the rows at the group of counts there (its
 :meth:`~urnwalk.laws.ReinforcementLaw._simplex_rows`).  An annealed block
 takes its weight rows from the environments' ``_draw``, which builds no
-point, and checks them on the simplex once per vertex.  Both read a
-subclass's own formula, or the class is refused when it is created
-(:func:`~urnwalk.laws._one_formula`).  The per-stream ``run_*`` and
-``step_*`` stay the single-trajectory API and the oracle.
+point, and checks them on the simplex once per vertex.  The per-stream
+``run_*`` and ``step_*`` stay the single-trajectory API and the oracle.
 
 A lock-step step makes a fixed number of numpy calls, per block and, in a
 reinforced walk without the table, per vertex group, however few
@@ -440,7 +438,7 @@ LOCKSTEP_MIN_BLOCK = 64
 #: holds for lock step to pay without :func:`_padded_tables`: it asks each
 #: law for its rows once per vertex group at each step; rows read one
 #: distinct row at a time need more (see :func:`lockstep_pays`).  On the
-#: same host, a Dirichlet subclass with its own ``_simplex`` on 100-step
+#: same host, a law with its own ``_simplex`` (Dirichlet weights) on 100-step
 #: walks broke even at 13 to 25 trajectories per vertex on the 5-cycle and
 #: below 10 on the 20-cycle and the 4x4 grid.
 LOCKSTEP_PER_VERTEX = 50
@@ -575,10 +573,9 @@ def _padded_tables(laws: Mapping, layout: _Layout, steps: int) -> tuple | None:
         law = laws.get(x)
         if getattr(law, "dimension", None) != d or layout.width >= PAIRWISE_SUM_MIN:
             return None
-        rows = type(law)._simplex_rows
-        if rows is UniformLaw._simplex_rows:
+        if type(law) is UniformLaw:
             table[:d, x], uniform[x] = law._row, True
-        elif (rows is DirichletLaw._simplex_rows
+        elif (type(law) is DirichletLaw
               and min(law.alpha) >= 2 * MIN_WEIGHT * (math.fsum(law.alpha) + steps)):
             table[:d, x] = law.alpha
         else:

@@ -4,8 +4,9 @@ moments, rising factorials, rising-factorial polynomials and multinomials
 through scipy's log-gamma, independent of the package's summed logs, the
 move counts a trajectory implies, the log probability of a move sequence
 under a law, and the exact path law of edge-reinforced random walk, in
-fractions and sharing no code with the package.  Also two laws of the
-tests' own: one that leaves the simplex mid-walk and one that is not closed."""
+fractions and sharing no code with the package.  Also three laws of the
+tests' own: one that leaves the simplex mid-walk, one that is not closed
+and one that reverses a Dirichlet law's moves."""
 
 import math
 from collections import Counter
@@ -39,17 +40,40 @@ class DriftingLaw(ReinforcementLaw):
         return np.log(weights)
 
 
-class Tilted(DirichletLaw):
+class Tilted(ReinforcementLaw):
     """Polya weights with move 0 favoured at odd first counts: not closed.
 
     It defines ``_log_weights`` and no other form, so every read of it,
-    walks included, takes these weights."""
+    walks included, takes these weights; the Polya rows come from a held
+    :class:`DirichletLaw`."""
+
+    def __init__(self, alpha):
+        self.polya = DirichletLaw(alpha)
+        self.dimension = self.polya.dimension
 
     def _log_weights(self, c):
-        w = np.exp(super()._log_weights(c))
+        w = np.exp(self.polya._log_weights(c))
         if c[0] % 2:
             w[0] *= 1.5
         return np.log(w / w.sum())
+
+
+class ReversedDirichlet(ReinforcementLaw):
+    """Dirichlet weights in reverse order, read from a held :class:`DirichletLaw`
+    through its ``_simplex``, ``_log_weights`` and array rows."""
+
+    def __init__(self, alpha):
+        self.polya = DirichletLaw(alpha)
+        self.dimension = self.polya.dimension
+
+    def _simplex(self, c):
+        return self.polya._simplex(c)[::-1]
+
+    def _log_weights(self, c):
+        return self.polya._log_weights(c)[::-1]
+
+    def _log_weights_rows(self, c):
+        return self.polya._log_weights_rows(c)[:, ::-1]
 
 
 def transition_counts(graph: Graph, trajectory: Sequence[int]) -> dict[int, Counts]:

@@ -255,25 +255,27 @@ QUADRATIC = {"alpha": [0.7, 1.9, 2.6], "degree": 2,
              "coefficients": {(2, 0, 0): 1.0, (0, 0, 2): 1.0, (1, 1, 0): 1.0}}
 
 
-class BatchFails(PolynomialDirichletLaw):
+def batch_fails(error, hole=None):
     """The quadratic law with array rows that raise ``error``, and no value at ``hole``.
 
-    Its own ``_log_weights_rows`` keeps it an array-rows law, whose readers try a
-    batch first; ``batches`` counts those tries.
+    Its ``_log_weights_rows`` and ``_log_poly`` are patched on the instance, so its
+    class keeps it an array-rows law, whose readers try a batch first; ``batches``
+    counts those tries.
     """
+    law = PolynomialDirichletLaw(**QUADRATIC)
+    law.batches, log_poly = 0, law._log_poly
 
-    def __init__(self, error, hole=None):
-        super().__init__(**QUADRATIC)
-        self.error, self.hole, self.batches = error, hole, 0
-
-    def _log_poly(self, counts):
-        if counts == self.hole:
+    def holed_log_poly(counts):
+        if counts == hole:
             raise EvaluationError(f"no value at {counts}")
-        return super()._log_poly(counts)
+        return log_poly(counts)
 
-    def _log_weights_rows(self, c):
-        self.batches += 1
-        raise self.error("no array rows")
+    def failing_rows(c):
+        law.batches += 1
+        raise error("no array rows")
+
+    law._log_poly, law._log_weights_rows = holed_log_poly, failing_rows
+    return law
 
 
 def violation_bits(report):
@@ -283,8 +285,8 @@ def violation_bits(report):
 class TestReadersWhenTheBatchRaises:
     @pytest.mark.parametrize("error", [EvaluationError, ValueError])
     def test_the_readers_fall_back_to_per_point_reads(self, error):
-        law = BatchFails(error)
-        assert array_rows(BatchFails)
+        law = batch_fails(error)
+        assert array_rows(type(law))
         want = violation_bits(check_admissible(PolynomialDirichletLaw(**QUADRATIC), 4, 0.0))
         assert len(want) == 61
         assert violation_bits(check_admissible(law, 4, 0.0)) == want
@@ -297,7 +299,7 @@ class TestReadersWhenTheBatchRaises:
     @pytest.mark.parametrize("error", [EvaluationError, ValueError])
     def test_a_gap_comes_before_an_error_at_a_later_count_vector(self, error):
         # the gap sits at (0, 1, 1); only the row at (2, 0, 0), read at degree 3, needs (3, 0, 0)
-        laws = BatchFails(error, hole=(3, 0, 0)), BatchFails(error, hole=(3, 0, 0))
+        laws = batch_fails(error, hole=(3, 0, 0)), batch_fails(error, hole=(3, 0, 0))
         with pytest.raises(NotAdmissibleError, match=r"^path products to \(0, 1, 1\)"):
             build_moment_table(laws[0], 3, tolerance=0.0)
         with pytest.raises(EvaluationError, match=r"^no value at \(3, 0, 0\)$"):
@@ -306,7 +308,7 @@ class TestReadersWhenTheBatchRaises:
 
     @pytest.mark.parametrize("error", [EvaluationError, ValueError])
     def test_the_scan_raises_the_per_point_error(self, error):
-        law = BatchFails(error, hole=(3, 0, 0))
+        law = batch_fails(error, hole=(3, 0, 0))
         with pytest.raises(EvaluationError, match=r"^no value at \(3, 0, 0\)$"):
             check_admissible(law, 3)
         assert law.batches == 1

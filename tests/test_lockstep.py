@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import DriftingLaw, Tilted
+from oracles import DriftingLaw, ReversedDirichlet, Tilted
 from urnwalk import cli, walk
 from urnwalk.catalog import POLY_LINEAR_2D, POLY_QUADRATIC_3D
 from urnwalk.environment import (
@@ -580,16 +580,9 @@ def test_subnormal_alpha_stops_a_lock_step_run_as_per_stream():
     assert str(per.value) == "weight 1e-320 is not strictly positive"
 
 
-class _ReversedDirichlet(DirichletLaw):
-    """Dirichlet weights in reverse order: a subclass with its own ``_simplex``."""
-
-    def _simplex(self, c):
-        return tuple(reversed(super()._simplex(c)))
-
-
-def test_a_dirichlet_subclass_walks_with_its_own_rows():
+def test_a_law_that_holds_a_dirichlet_law_walks_with_its_own_rows():
     graph = cycle_graph(4)
-    laws = {x: _ReversedDirichlet([1.0, 3.0]) for x in range(4)}
+    laws = {x: ReversedDirichlet([1.0, 3.0]) for x in range(4)}
     assert walk._padded_tables(laws, walk._Layout(graph), 6) is None
     want = per_stream(run_reinforced, graph, laws, 0, 6, 1, 80)
     assert list(run_many_reinforced(graph, laws, 0, 6, 1, 80)) == want
@@ -600,15 +593,15 @@ def test_a_dirichlet_subclass_walks_with_its_own_rows():
 # --- the choice of runner ----------------------------------------------------------------
 
 _DIRICHLET_CYCLE = {x: DirichletLaw([1.0, 2.0]) for x in range(20)}
-_REVERSED_CYCLE = {x: _ReversedDirichlet([1.0, 2.0]) for x in range(20)}
+_REVERSED_CYCLE = {x: ReversedDirichlet([1.0, 2.0]) for x in range(20)}
 # rows of its own, which no padded table takes
 _DRIFTING_CYCLE = {x: _DriftingRows() for x in range(20)}
 
 
-def test_a_dirichlet_subclass_with_its_own_simplex_counts_its_distinct_rows():
+def test_a_law_with_its_own_simplex_counts_its_distinct_rows():
     # its own _simplex gives it the generic rows, its _simplex once per distinct
     # row; the Dirichlet rows would not read it.  _DriftingRows has rows of its own
-    assert _ReversedDirichlet._simplex_rows is ReinforcementLaw._simplex_rows
+    assert ReversedDirichlet._simplex_rows is ReinforcementLaw._simplex_rows
     # 55 count vectors of sum at most 9 at degree 2, times the 19 vertices 9 steps
     # reach: more than the 50 per vertex that array rows grouped by vertex need
     assert not walk.lockstep_pays("reinforced", cycle_graph(20), _REVERSED_CYCLE, 0, 9, 1044)
@@ -617,21 +610,34 @@ def test_a_dirichlet_subclass_with_its_own_simplex_counts_its_distinct_rows():
     assert walk.lockstep_pays("reinforced", cycle_graph(20), _DRIFTING_CYCLE, 0, 9, 950)
 
 
-class _LeaningUniform(UniformLaw):
-    """A uniform law on two moves whose own ``_simplex`` leans to move 0 at odd first counts."""
+class _LeaningUniform(ReinforcementLaw):
+    """Uniform weights on two moves from a held :class:`UniformLaw`, whose own
+    ``_simplex`` and ``_log_weights`` lean to move 0 at odd first counts."""
+
+    def __init__(self):
+        self.uniform = UniformLaw(2)
+        self.dimension = 2
 
     def _simplex(self, c):
-        return (0.75, 0.25) if c[0] % 2 else self._weights
-
-
-class _DoubleStep(DirichletLaw):
-    """Polya weights that add 2 per traversal: its own formula, with its own array rows."""
+        return (0.75, 0.25) if c[0] % 2 else self.uniform._simplex(c)
 
     def _log_weights(self, c):
-        return super()._log_weights(tuple(2 * k for k in c))
+        return np.log(self._simplex(c))
+
+
+class _DoubleStep(ReinforcementLaw):
+    """Polya weights that add 2 per traversal, from a held :class:`DirichletLaw`: its own
+    formula, with its own array rows."""
+
+    def __init__(self, alpha):
+        self.polya = DirichletLaw(alpha)
+        self.dimension = self.polya.dimension
+
+    def _log_weights(self, c):
+        return self.polya._log_weights(tuple(2 * k for k in c))
 
     def _log_weights_rows(self, c):
-        return super()._log_weights_rows(2 * c)
+        return self.polya._log_weights_rows(2 * c)
 
 
 #: Laws on two moves: the lock-step rows each reads on the 20-cycle (one padded
@@ -644,10 +650,10 @@ _ROW_PATHS = {
     "induced": (EnvMomentLaw(DirichletEnv([1.0, 2.0])), "distinct", True),
     "tabulated": (_leaning_table(12, 2, "reject"), "distinct", False),
     "drifting": (DriftingLaw(), "distinct", False),
-    "reversed_dirichlet": (_ReversedDirichlet([1.0, 2.0]), "distinct", True),
+    "reversed_dirichlet": (ReversedDirichlet([1.0, 2.0]), "distinct", True),
     "tilted": (Tilted([1.0, 2.0]), "distinct", False),
     "drifting_rows": (_DriftingRows(), "array", False),
-    "leaning_uniform": (_LeaningUniform(2), "distinct", False),
+    "leaning_uniform": (_LeaningUniform(), "distinct", False),
     "double_step": (_DoubleStep([1.0, 2.0]), "distinct", True),
 }
 
@@ -675,7 +681,7 @@ def test_each_law_reads_the_rows_of_its_own_forms(name):
     assert law.log_weights_batch(counts).tobytes() == want.tobytes()
 
 
-def test_a_subclass_with_only_its_own_log_weights_walks_with_them():
+def test_a_law_with_only_its_own_log_weights_walks_with_them():
     # Tilted defines _log_weights alone; its weights once came from the Polya
     # _simplex it inherited, (0.5, 0.5) at (1, 0), and the padded tables took it
     law = Tilted([1.0, 2.0])

@@ -42,16 +42,18 @@ FAMILIES = {
 WARM = {name: make() for name, make in FAMILIES.items()}
 
 
-class CountingDirichlet(DirichletLaw):
-    """Polya weights that count their unmemoised evaluations per count vector."""
+class CountingDirichlet(ReinforcementLaw):
+    """Polya weights of a held :class:`DirichletLaw` that count their unmemoised
+    evaluations per count vector."""
 
     def __init__(self, alpha):
-        super().__init__(alpha)
+        self.polya = DirichletLaw(alpha)
+        self.dimension = self.polya.dimension
         self.calls = Counter()
 
     def _log_weights(self, c):
         self.calls[c] += 1
-        return super()._log_weights(c)
+        return self.polya._log_weights(c)
 
 
 class FreshEach(ReinforcementLaw):
@@ -172,8 +174,8 @@ def test_a_memoised_scan_reports_the_violations_of_an_unmemoised_one(make, box):
 
 
 def test_a_subclass_that_overrides_the_formula_is_scanned_with_its_own_rows():
-    # Tilted inherits DirichletLaw's array rows; read through them, its scan saw
-    # Polya's closed rows and reported no violations
+    # Tilted holds a DirichletLaw; read through its array rows, the scan would see
+    # Polya's closed rows and report no violations
     assert not laws.array_rows(Tilted)
     law = Tilted([0.5, 1.0, 2.0])
     counts = np.array(list(product(range(5), repeat=3)))
@@ -189,15 +191,15 @@ def test_the_scan_makes_one_public_call_per_square_corner_and_one_evaluation_per
     monkeypatch, d, box
 ):
     public = Counter()
-    original = DirichletLaw.__dict__["log_weights"]
+    original = ReinforcementLaw.log_weights
 
     @wraps(original)
     def counting(self, counts):
         public[tuple(counts)] += 1
         return original(self, counts)
 
-    # wrapped on the class, where a tracer wraps it
-    monkeypatch.setattr(DirichletLaw, "log_weights", counting)
+    # wrapped on the class, as a tracer wraps DirichletLaw's
+    monkeypatch.setattr(CountingDirichlet, "log_weights", counting)
     law = CountingDirichlet([1.0 + i for i in range(d)])
     report = check_admissible(law, box)
     assert report.admissible

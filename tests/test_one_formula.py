@@ -1,9 +1,12 @@
-"""A law or environment subclass reads its own formula through every form, or is refused.
+"""The built-in families are final, and a custom class reads its one formula through every form.
 
-Each case below is a subclass that redefines one per-point form of a
-built-in class.  Its per-point, batch and lock-step reads must all give the
-bits of that form; a subclass whose inherited forms would not read its own
-is refused when the class is created.
+A class derived from a built-in law or environment family raises
+``TypeError`` when it is created.  A custom law subclasses
+``ReinforcementLaw`` and defines ``log_weights`` or ``_log_weights``; a
+custom environment subclasses ``VertexEnvLaw`` and defines
+``log_mixed_moment`` and ``sample``; either holds a built-in instance to
+reuse its formula.  Its per-point, batch and lock-step reads must all give
+the bits of that formula.
 """
 
 from itertools import product
@@ -11,9 +14,17 @@ from itertools import product
 import numpy as np
 import pytest
 
+from oracles import ReversedDirichlet
 from urnwalk import walk
-from urnwalk.catalog import POLY_LINEAR_2D, POLY_QUADRATIC_3D
-from urnwalk.environment import DirichletEnv, EnvMomentLaw, PolynomialDirichletEnv
+from urnwalk.catalog import POLY_LINEAR_2D
+from urnwalk.environment import (
+    DirichletEnv,
+    EmpiricalEnv,
+    EnvMomentLaw,
+    PointMassEnv,
+    PolynomialDirichletEnv,
+    VertexEnvLaw,
+)
 from urnwalk.laws import (
     DirichletLaw,
     PolynomialDirichletLaw,
@@ -22,89 +33,110 @@ from urnwalk.laws import (
     TabulatedLaw,
     UniformLaw,
     check_counts,
-    log_rising_factorial,
 )
 from urnwalk.walk import (
     cycle_graph,
     run_annealed,
     run_many_annealed,
+    run_many_reinforced,
+    run_reinforced,
     star_graph,
     stream_generators,
 )
 
 _LEANING = np.log([0.9, 0.1])
 
+BUILTINS = {
+    UniformLaw: ReinforcementLaw,
+    DirichletLaw: ReinforcementLaw,
+    PolynomialDirichletLaw: ReinforcementLaw,
+    TabulatedLaw: ReinforcementLaw,
+    EnvMomentLaw: ReinforcementLaw,
+    DirichletEnv: VertexEnvLaw,
+    PolynomialDirichletEnv: VertexEnvLaw,
+    PointMassEnv: VertexEnvLaw,
+    EmpiricalEnv: VertexEnvLaw,
+}
 
-class _TotalPolynomial(PolynomialDirichletLaw):
-    """Polya weights: its ``_log_poly`` is ``log (A + |c|)_n``, the polynomial of the total."""
 
-    def _log_poly(self, counts):
-        return log_rising_factorial(self._alpha_total + sum(counts), self.degree)
+class _PublicLeaning(ReinforcementLaw):
+    """Weights (0.9, 0.1) at odd first counts and (0.1, 0.9) elsewhere, through ``log_weights`` alone."""
 
-
-class _LeaningUniform(UniformLaw):
-    """Weights (0.9, 0.1) at every count vector, through the public ``log_weights``."""
+    dimension = 2
 
     def log_weights(self, counts):
-        self._check_counts(counts)
-        return _LEANING
+        c = self._check_counts(counts)
+        return _LEANING if c[0] % 2 else _LEANING[::-1]
 
 
-class _PrivateLeaningUniform(UniformLaw):
+class _Leaning(ReinforcementLaw):
     """Weights (0.9, 0.1) at every count vector, through ``_log_weights`` alone."""
 
-    def _log_weights(self, c):
-        return _LEANING.copy()
-
-
-class _PrivateLeaningTable(TabulatedLaw):
-    """A uniform table whose ``_log_weights`` alone gives weights (0.9, 0.1)."""
+    dimension = 2
 
     def _log_weights(self, c):
         return _LEANING.copy()
 
 
-_HALVES = {c: SimplexPoint((0.5, 0.5)) for c in product(range(2), repeat=2)}
+class _LeaningAtOddCounts(_Leaning):
+    """A second level: the parent's row, reversed at odd first counts."""
+
+    def _log_weights(self, c):
+        row = super()._log_weights(c)
+        return row[::-1] if c[0] % 2 else row
 
 
-class _PointMassMoments(DirichletEnv):
-    """The moments of a point mass at (0.9, 0.1), over Dirichlet draws."""
+class _HeldPolya(ReinforcementLaw):
+    """Polya weights whose ``_simplex`` and ``_log_weights`` both read a held :class:`DirichletLaw`."""
+
+    def __init__(self, alpha):
+        self.polya = DirichletLaw(alpha)
+        self.dimension = self.polya.dimension
+
+    def _simplex(self, c):
+        return self.polya._simplex(c)
+
+    def _log_weights(self, c):
+        return self.polya._log_weights(c)
+
+
+class _Reversed(VertexEnvLaw):
+    """A held environment's law with its coordinates reversed: ``sample`` wraps the held one's."""
+
+    def __init__(self, env):
+        self.env = env
+        self.dimension = env.dimension
 
     def log_mixed_moment(self, counts):
-        return float(np.dot(check_counts(counts, 2, "environment"), _LEANING))
-
-
-class _OneUniformDraw(DirichletEnv):
-    """One uniform per draw, and the point (0.99, 0.01)."""
+        c = check_counts(counts, self.dimension, "environment")
+        return self.env.log_mixed_moment(c[::-1])
 
     def sample(self, rng):
-        rng.random()
-        return SimplexPoint((0.99, 0.01))
+        return SimplexPoint(self.env.sample(rng).weights[::-1])
 
 
-class _ReversedDraw(DirichletEnv):
-    """A Dirichlet draw in reverse order, through ``super().sample``."""
+class _ReversedTwice(_Reversed):
+    """A second level that reverses the parent's law again: the held environment's law."""
 
-    def sample(self, rng):
-        return SimplexPoint(tuple(reversed(super().sample(rng).weights)))
-
-
-class _ReversedPolynomialDraw(PolynomialDirichletEnv):
-    """A polynomial environment's draw in reverse order, through ``super().sample``."""
+    def log_mixed_moment(self, counts):
+        return super().log_mixed_moment(check_counts(counts, self.dimension, "environment")[::-1])
 
     def sample(self, rng):
-        return SimplexPoint(tuple(reversed(super().sample(rng).weights)))
+        return SimplexPoint(super().sample(rng).weights[::-1])
 
 
-CASES = {
-    "polynomial_law_own_log_poly": _TotalPolynomial(**POLY_QUADRATIC_3D),
-    "uniform_law_own_log_weights": _LeaningUniform(2),
-    "uniform_law_own_private_log_weights": _PrivateLeaningUniform(2),
-    "tabulated_law_own_private_log_weights": _PrivateLeaningTable(1, _HALVES, "clamp"),
-    "dirichlet_env_own_moment": _PointMassMoments([1.0, 2.0]),
-    "dirichlet_env_own_sample": _OneUniformDraw([1.0, 1.0]),
-    "dirichlet_env_sample_wraps_super": _ReversedDraw([1.0, 3.0]),
-    "polynomial_env_sample_wraps_super": _ReversedPolynomialDraw(**POLY_LINEAR_2D),
+LAWS = {
+    "own_log_weights": _PublicLeaning(),
+    "own_private_log_weights": _Leaning(),
+    "two_levels": _LeaningAtOddCounts(),
+    "held_dirichlet_simplex_and_log_weights": _HeldPolya([1.0, 3.0]),
+    "held_dirichlet_reversed": ReversedDirichlet([0.5, 1.0, 2.0]),
+}
+
+ENVS = {
+    "sample_wraps_held_dirichlet": _Reversed(DirichletEnv([1.0, 3.0])),
+    "sample_wraps_held_polynomial": _Reversed(PolynomialDirichletEnv(**POLY_LINEAR_2D)),
+    "two_levels": _ReversedTwice(DirichletEnv([1.0, 3.0])),
 }
 
 
@@ -113,7 +145,8 @@ def _hex(rows):
 
 
 def _check_law_forms(law):
-    """weights, log_weights, log_weights_batch and _simplex_rows agree; no padded table takes it."""
+    """weights, log_weights, log_weights_batch and _simplex_rows agree, no padded table takes
+    the law, and lock-step walks are the per-stream walks."""
     d = law.dimension
     counts = [c for c in product(range(4), repeat=d) if sum(c) <= 4]
     logs = [law.log_weights(c) for c in counts]
@@ -126,56 +159,64 @@ def _check_law_forms(law):
     graph = star_graph(d) if d > 2 else cycle_graph(5)
     maps = {x: law if graph.degree(x) == d else UniformLaw(1) for x in range(graph.vertex_count)}
     assert walk._padded_tables(maps, walk._Layout(graph), 9) is None
+    per_stream = [run_reinforced(graph, maps, 0, 9, rng) for rng in stream_generators(3, 200)]
+    assert list(run_many_reinforced(graph, maps, 0, 9, 3, 200)) == per_stream
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_every_form_reads_the_subclass_formula(name):
-    case = CASES[name]
-    if not hasattr(case, "sample"):
-        _check_law_forms(case)
-        return
+@pytest.mark.parametrize("cls", list(BUILTINS), ids=lambda cls: cls.__name__)
+def test_a_built_in_family_refuses_a_subclass(cls):
+    base = BUILTINS[cls].__name__
+    with pytest.raises(TypeError, match=rf"^{cls.__name__} is final: subclass {base} "):
+        type("Own", (cls,), {})
+    # a custom class between does not hide it
+    with pytest.raises(TypeError, match=rf"^{cls.__name__} is final"):
+        type("Mixed", (type("Own", (BUILTINS[cls],), {}), cls), {})
+
+
+def test_a_dirichlet_law_with_its_own_simplex_is_refused():
+    # such a DirichletLaw([1, 3]) subclass once walked with weights (0.75, 0.25) at
+    # (0, 0), while its log_weights and log_weights_batch gave (0.25, 0.75)
+    with pytest.raises(TypeError, match=r"^DirichletLaw is final"):
+        class Reversed(DirichletLaw):
+            def _simplex(self, c):
+                return super()._simplex(c)[::-1]
+    # holding the law instead, every read gives the reversed weights
+    law = ReversedDirichlet([1.0, 3.0])
+    assert law.weights((0, 0)).weights == (0.75, 0.25)
+    assert np.exp(law.log_weights((0, 0))).tolist() == pytest.approx([0.75, 0.25], rel=1e-15)
+    batch = law.log_weights_batch(np.zeros((1, 2), dtype=np.int64))
+    assert batch.tobytes() == law.log_weights((0, 0)).tobytes()
+
+
+def test_a_two_level_custom_hierarchy_reads_the_formula_of_its_last_level():
+    law = _LeaningAtOddCounts()
+    assert law.log_weights((1, 0)).tobytes() == _LEANING[::-1].tobytes()
+    assert law.weights((1, 0)).weights == tuple(np.exp(_LEANING[::-1]).tolist())
+    assert law.log_weights((2, 0)).tobytes() == _LEANING.tobytes()
+    env, held = _ReversedTwice(DirichletEnv([1.0, 3.0])), DirichletEnv([1.0, 3.0])
+    for c in product(range(3), repeat=2):
+        assert env.log_mixed_moment(c) == held.log_mixed_moment(c)
+    assert env._draw(np.random.default_rng(5)) == held._draw(np.random.default_rng(5))
+
+
+@pytest.mark.parametrize("name", sorted(LAWS))
+def test_every_form_of_a_custom_law_reads_its_formula(name):
+    _check_law_forms(LAWS[name])
+
+
+@pytest.mark.parametrize("name", sorted(ENVS))
+def test_every_form_of_a_custom_environment_reads_its_formula(name):
+    env = ENVS[name]
     counts = np.array(list(product(range(5), repeat=2)), dtype=np.int64)
-    want = [case.log_mixed_moment(c) for c in counts.tolist()]
-    assert case.log_mixed_moments(counts).tobytes() == np.array(want).tobytes()
-    _check_law_forms(EnvMomentLaw(case))
-    graph, envs = cycle_graph(5), dict.fromkeys(range(5), case)
+    want = [env.log_mixed_moment(c) for c in counts.tolist()]
+    assert env.log_mixed_moments(counts).tobytes() == np.array(want).tobytes()
+    for seed in range(5):
+        point = env.sample(np.random.default_rng(seed)).weights
+        assert env._draw(np.random.default_rng(seed)) == point
+    _check_law_forms(EnvMomentLaw(env))
+    graph, envs = cycle_graph(5), dict.fromkeys(range(5), env)
     per_stream = [run_annealed(graph, envs, 0, 10, rng) for rng in stream_generators(7, 200)]
     assert list(run_many_annealed(graph, envs, 0, 10, 7, 200)) == per_stream
-
-
-@pytest.mark.parametrize("base, form, override", [
-    (DirichletLaw, "log_weights", "_log_weights"),
-    (PolynomialDirichletLaw, "log_weights", "_log_weights"),
-    (EnvMomentLaw, "log_weights", "_log_weights"),
-    (TabulatedLaw, "log_weights", "weights"),
-    (DirichletEnv, "_draw", "sample"),
-])
-def test_a_subclass_whose_inherited_forms_skip_its_own_is_refused(base, form, override):
-    # a DirichletLaw([1, 2]) subclass whose log_weights read log (0.9, 0.1) once had
-    # weights (1/3, 2/3) and Polya batch rows; the draws of a _draw-only Dirichlet
-    # environment would reach the lock step alone
-    with pytest.raises(TypeError, match=rf"inherits \w+\.{override}, which does not "
-                                        rf"read it: override {override}$"):
-        type("Own", (base,), {form: lambda self, counts: _LEANING})
-
-
-@pytest.mark.parametrize("law", [_PrivateLeaningUniform(2), _PrivateLeaningTable(1, _HALVES, "clamp")])
-def test_the_public_reads_of_a_private_formula(law):
-    # the constant row, or the table's (0.5, 0.5), before log_weights and weights were derived
-    assert np.exp(law.log_weights((0, 0))).tolist() == pytest.approx([0.9, 0.1], rel=1e-15)
-    assert law.log_weights((3, 0)).tobytes() == _LEANING.tobytes()
-    assert law.weights((0, 3)).weights == law._simplex((0, 3))
-
-
-def test_a_subclass_keeps_the_public_reads_that_read_its_formula():
-    # DirichletLaw's log_weights reads the memo of _log_weights, and its weights read _simplex
-    class Tilted(DirichletLaw):
-        def _log_weights(self, c):
-            return _LEANING.copy()
-
-    assert "log_weights" not in vars(Tilted) and "weights" not in vars(Tilted)
-    assert Tilted([1.0, 2.0]).log_weights((1, 0)).tobytes() == _LEANING.tobytes()
-    assert Tilted([1.0, 2.0]).weights((1, 0)).weights == tuple(np.exp(_LEANING).tolist())
 
 
 def test_a_law_without_a_formula_raises_not_implemented():
