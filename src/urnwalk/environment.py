@@ -37,7 +37,7 @@ from .laws import (
     RisingPolynomial,
     SimplexPoint,
     _memoised,
-    _refuse_builtin_parents,
+    _check_subclass,
     batch_counts,
     check_alpha,
     check_counts,
@@ -98,15 +98,16 @@ class VertexEnvLaw:
     Immutable after construction; sampling takes an explicit generator so
     callers control stream discipline.  The induced law and the annealed
     enumeration read moments through :meth:`_memo_log_moment`.  A subclass
-    defines :meth:`log_mixed_moment` and :meth:`sample`, which the generic
-    forms read; the built-in families are final (a subclass raises ``TypeError``).
+    defines :meth:`log_mixed_moment` and :meth:`sample`, which the generic forms
+    read; :func:`~urnwalk.laws._check_subclass` refuses one whose forms could read two.
     """
 
     dimension: int
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        _refuse_builtin_parents(cls, VertexEnvLaw)
+        _check_subclass(cls, VertexEnvLaw, [(("log_mixed_moment",), ("log_mixed_moments",)),
+                                            (("sample",), ("_draw",))])
 
     def log_mixed_moment(self, counts: Sequence[int]) -> float:
         """Log of E[prod_i omega_i^{k_i}]; 0 at k = 0."""

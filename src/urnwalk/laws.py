@@ -744,12 +744,25 @@ def _memoised(memo: str):
     return decorate
 
 
-def _refuse_builtin_parents(cls: type, base: type) -> None:
-    """Raise ``TypeError`` if ``cls`` derives from a built-in family under ``base``: those are final."""
+def _check_subclass(cls: type, base: type, groups) -> None:
+    """Raise ``TypeError`` when ``cls`` is created if its forms could read two formulas.
+
+    A class derived from a built-in family under ``base`` is refused: those
+    are final.  So is one that defines a formula of a ``(formulas, forms)``
+    group but inherits one of the group's forms from a class other than
+    ``base``, where it reads that class's formula.
+    """
     for parent in cls.__mro__[1 : cls.__mro__.index(base)]:
         if parent.__module__.startswith("urnwalk."):
             raise TypeError(f"{parent.__qualname__} is final: subclass {base.__qualname__} "
                             f"and hold an instance of it to reuse its formula")
+    own = vars(cls)
+    for formulas, forms in groups:
+        for form in forms:
+            if (any(f in own for f in formulas) and form not in own
+                    and getattr(cls, form, None) is not getattr(base, form, None)):
+                raise TypeError(f"{cls.__qualname__} defines its own formula but inherits "
+                                f"{getattr(cls, form).__qualname__}: override {form}")
 
 
 class ReinforcementLaw:
@@ -771,15 +784,17 @@ class ReinforcementLaw:
     not: copy one to write into it.
 
     Every generic form reads that one formula; the lock-step
-    :meth:`_simplex_rows` reads :meth:`_simplex` once per distinct row.  The
-    built-in families are final: a class derived from one raises ``TypeError``.
+    :meth:`_simplex_rows` reads :meth:`_simplex` once per distinct row.
+    :func:`_check_subclass` refuses a subclass whose forms could read two.
     """
 
     dimension: int
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        _refuse_builtin_parents(cls, ReinforcementLaw)
+        forms = ("_log_weights", "log_weights", "weights", "_simplex", "_simplex_rows",
+                 "log_weights_batch", "_log_weights_rows")
+        _check_subclass(cls, ReinforcementLaw, [(forms[:2], forms)])
 
     def _check_counts(self, counts: Sequence[int]) -> Counts:
         return check_counts(counts, self.dimension, "law")
@@ -903,8 +918,10 @@ class DirichletLaw(ReinforcementLaw):
         self.dimension = arr.size
         self._alpha_arr = arr
 
-    # the base's reads, bound in the class's own dict, where perfbench/worker.py traces them by name
-    weights, log_weights = ReinforcementLaw.weights, ReinforcementLaw.log_weights
+    # the same as the inherited method; defined on the class because
+    # perfbench/worker.py traces DirichletLaw.weights by name
+    def weights(self, counts: Sequence[int]) -> SimplexPoint:
+        return SimplexPoint(self._simplex(self._check_counts(counts)))
 
     @_memoised("_simplex_memo")
     def _simplex(self, c: Counts) -> tuple[float, ...]:
@@ -923,6 +940,9 @@ class DirichletLaw(ReinforcementLaw):
     def _simplex_rows(self, counts: np.ndarray) -> np.ndarray:
         shifted, total = self._shifted_rows(counts)
         return check_simplex_rows(shifted / total[:, None])
+
+    def log_weights(self, counts: Sequence[int]) -> np.ndarray:
+        return self._memo_log_weights(self._check_counts(counts))
 
     def _log_weights(self, c: Counts) -> np.ndarray:
         shifted = self._alpha_arr + np.asarray(c, dtype=float)
@@ -965,7 +985,8 @@ class PolynomialDirichletLaw(ReinforcementLaw):
     def _log_poly(self, counts: Counts) -> float:
         return self._poly.log_value(counts)
 
-    log_weights = ReinforcementLaw.log_weights  # traced by name, as DirichletLaw's
+    def log_weights(self, counts: Sequence[int]) -> np.ndarray:
+        return self._memo_log_weights(self._check_counts(counts))
 
     def _log_weights(self, c: Counts) -> np.ndarray:
         if self.dimension == 1:

@@ -5,8 +5,9 @@ A class derived from a built-in law or environment family raises
 ``ReinforcementLaw`` and defines ``log_weights`` or ``_log_weights``; a
 custom environment subclasses ``VertexEnvLaw`` and defines
 ``log_mixed_moment`` and ``sample``; either holds a built-in instance to
-reuse its formula.  Its per-point, batch and lock-step reads must all give
-the bits of that formula.
+reuse its formula.  A subclass of a custom class that redefines a formula but
+inherits another form from its parent is refused too.  Its per-point, batch
+and lock-step reads must all give the bits of that formula.
 """
 
 from itertools import product
@@ -129,6 +130,9 @@ LAWS = {
     "own_log_weights": _PublicLeaning(),
     "own_private_log_weights": _Leaning(),
     "two_levels": _LeaningAtOddCounts(),
+    "two_levels_overriding_every_form": type("Again", (ReversedDirichlet,), {
+        k: vars(ReversedDirichlet)[k] for k in ("_simplex", "_log_weights", "_log_weights_rows")
+    })([0.5, 1.0, 2.0]),
     "held_dirichlet_simplex_and_log_weights": _HeldPolya([1.0, 3.0]),
     "held_dirichlet_reversed": ReversedDirichlet([0.5, 1.0, 2.0]),
 }
@@ -163,29 +167,59 @@ def _check_law_forms(law):
     assert list(run_many_reinforced(graph, maps, 0, 9, 3, 200)) == per_stream
 
 
+def _reversed_simplex(self, c):
+    return ReinforcementLaw._simplex(self, c)[::-1]
+
+
 @pytest.mark.parametrize("cls", list(BUILTINS), ids=lambda cls: cls.__name__)
-def test_a_built_in_family_refuses_a_subclass(cls):
+# with its own _simplex, a DirichletLaw([1, 3]) subclass once walked with weights
+# (0.75, 0.25) at (0, 0), while its log_weights and log_weights_batch gave (0.25, 0.75)
+@pytest.mark.parametrize("body", [{}, {"_simplex": _reversed_simplex}],
+                         ids=["empty", "own_simplex"])
+def test_a_built_in_family_refuses_a_subclass(cls, body):
     base = BUILTINS[cls].__name__
     with pytest.raises(TypeError, match=rf"^{cls.__name__} is final: subclass {base} "):
-        type("Own", (cls,), {})
+        type("Own", (cls,), body)
     # a custom class between does not hide it
     with pytest.raises(TypeError, match=rf"^{cls.__name__} is final"):
-        type("Mixed", (type("Own", (BUILTINS[cls],), {}), cls), {})
+        type("Mixed", (type("Own", (BUILTINS[cls],), {}), cls), body)
 
 
-def test_a_dirichlet_law_with_its_own_simplex_is_refused():
-    # such a DirichletLaw([1, 3]) subclass once walked with weights (0.75, 0.25) at
-    # (0, 0), while its log_weights and log_weights_batch gave (0.25, 0.75)
-    with pytest.raises(TypeError, match=r"^DirichletLaw is final"):
-        class Reversed(DirichletLaw):
-            def _simplex(self, c):
-                return super()._simplex(c)[::-1]
-    # holding the law instead, every read gives the reversed weights
-    law = ReversedDirichlet([1.0, 3.0])
-    assert law.weights((0, 0)).weights == (0.75, 0.25)
-    assert np.exp(law.log_weights((0, 0))).tolist() == pytest.approx([0.75, 0.25], rel=1e-15)
-    batch = law.log_weights_batch(np.zeros((1, 2), dtype=np.int64))
-    assert batch.tobytes() == law.log_weights((0, 0)).tobytes()
+class _HeldEnv(VertexEnvLaw):
+    """A held environment's law, read through every form of it."""
+
+    def __init__(self, env):
+        self.env = env
+        self.dimension = env.dimension
+
+    def log_mixed_moment(self, counts):
+        return self.env.log_mixed_moment(counts)
+
+    def log_mixed_moments(self, counts):
+        return self.env.log_mixed_moments(counts)
+
+    def sample(self, rng):
+        return self.env.sample(rng)
+
+    def _draw(self, rng):
+        return self.env._draw(rng)
+
+
+@pytest.mark.parametrize("parent, formula, inherited", [
+    (ReversedDirichlet, "_log_weights", "ReversedDirichlet._simplex"),
+    (ReversedDirichlet, "log_weights", "ReversedDirichlet._log_weights"),
+    (_HeldPolya, "_log_weights", "_HeldPolya._simplex"),
+    (_HeldEnv, "sample", "_HeldEnv._draw"),
+    (_HeldEnv, "log_mixed_moment", "_HeldEnv.log_mixed_moments"),
+])
+def test_a_custom_class_that_redefines_a_formula_must_override_its_parents_forms(
+        parent, formula, inherited):
+    # the inherited form reads the parent's formula; a child of ReversedDirichlet with
+    # only its own _log_weights would walk, and be scanned, with the parent's rows
+    with pytest.raises(TypeError, match=rf"^Child defines its own formula but inherits {inherited}:"):
+        type("Child", (parent,), {formula: getattr(parent, formula)})
+    # a child that defines no formula keeps the parent's forms, which read one formula
+    type("Child", (parent,), {"__repr__": object.__repr__})
 
 
 def test_a_two_level_custom_hierarchy_reads_the_formula_of_its_last_level():
