@@ -8,9 +8,8 @@ environment-averaged (annealed) walk have the same law.
 
 Extending: subclass :class:`ReinforcementLaw` and define ``_log_weights``
 (of validated counts) or ``log_weights``, or subclass :class:`VertexEnvLaw`
-and define ``log_mixed_moment`` and ``sample``.  The built-in families are
-final, so hold one to reuse its formula; a subclass of a custom class that
-redefines a formula overrides every other form its parent defines.
+and define ``log_mixed_moment`` and ``sample``.  Every law and environment
+class subclasses its base directly: hold an instance to reuse its formula.
 """
 
 from .admissibility import (

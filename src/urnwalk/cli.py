@@ -390,7 +390,7 @@ def plan_check_admissibility(cfg: dict, args: argparse.Namespace) -> Callable[[]
 def _parse_corruption(
     entries: Sequence[str] | None, dimension: int, order: int
 ) -> list[tuple[tuple[int, ...], float]]:
-    """The ``--corrupt-entry`` overwrites, each checked against the ball before any work."""
+    """The ``--corrupt-entry`` overwrites, each checked by :func:`check_entry` before any work."""
     out = []
     for raw in entries or ():
         try:

@@ -99,15 +99,14 @@ class VertexEnvLaw:
     callers control stream discipline.  The induced law and the annealed
     enumeration read moments through :meth:`_memo_log_moment`.  A subclass
     defines :meth:`log_mixed_moment` and :meth:`sample`, which the generic forms
-    read; :func:`~urnwalk.laws._check_subclass` refuses one whose forms could read two.
+    read, and subclasses this class directly (:func:`~urnwalk.laws._check_subclass`).
     """
 
     dimension: int
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        _check_subclass(cls, VertexEnvLaw, [(("log_mixed_moment",), ("log_mixed_moments",)),
-                                            (("sample",), ("_draw",))])
+        _check_subclass(cls, VertexEnvLaw)
 
     def log_mixed_moment(self, counts: Sequence[int]) -> float:
         """Log of E[prod_i omega_i^{k_i}]; 0 at k = 0."""

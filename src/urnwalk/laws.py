@@ -47,7 +47,7 @@ from dataclasses import dataclass
 from functools import partial, reduce, wraps
 from itertools import product
 from operator import add
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -140,15 +140,6 @@ class SimplexPoint:
 
     def log_weights(self) -> np.ndarray:
         return np.log(self.weights)
-
-    def __len__(self) -> int:
-        return len(self.weights)
-
-    def __getitem__(self, i: int) -> float:
-        return self.weights[i]
-
-    def __iter__(self) -> Iterator[float]:
-        return iter(self.weights)
 
 
 #: Floats in one intermediate array of a batch evaluation; larger batches go in blocks.
@@ -744,25 +735,15 @@ def _memoised(memo: str):
     return decorate
 
 
-def _check_subclass(cls: type, base: type, groups) -> None:
-    """Raise ``TypeError`` when ``cls`` is created if its forms could read two formulas.
+def _check_subclass(cls: type, base: type) -> None:
+    """Raise ``TypeError`` when ``cls`` is created unless ``base`` is its first parent.
 
-    A class derived from a built-in family under ``base`` is refused: those
-    are final.  So is one that defines a formula of a ``(formulas, forms)``
-    group but inherits one of the group's forms from a class other than
-    ``base``, where it reads that class's formula.
+    So every law and environment class is final: none inherits a form that
+    reads another class's formula.
     """
-    for parent in cls.__mro__[1 : cls.__mro__.index(base)]:
-        if parent.__module__.startswith("urnwalk."):
-            raise TypeError(f"{parent.__qualname__} is final: subclass {base.__qualname__} "
-                            f"and hold an instance of it to reuse its formula")
-    own = vars(cls)
-    for formulas, forms in groups:
-        for form in forms:
-            if (any(f in own for f in formulas) and form not in own
-                    and getattr(cls, form, None) is not getattr(base, form, None)):
-                raise TypeError(f"{cls.__qualname__} defines its own formula but inherits "
-                                f"{getattr(cls, form).__qualname__}: override {form}")
+    if cls.__mro__[1] is not base:
+        raise TypeError(f"{cls.__qualname__} must subclass {base.__qualname__} directly: "
+                        f"hold an instance of a law or environment to reuse its formula")
 
 
 class ReinforcementLaw:
@@ -785,16 +766,14 @@ class ReinforcementLaw:
 
     Every generic form reads that one formula; the lock-step
     :meth:`_simplex_rows` reads :meth:`_simplex` once per distinct row.
-    :func:`_check_subclass` refuses a subclass whose forms could read two.
+    A law subclasses this class directly (:func:`_check_subclass`).
     """
 
     dimension: int
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        forms = ("_log_weights", "log_weights", "weights", "_simplex", "_simplex_rows",
-                 "log_weights_batch", "_log_weights_rows")
-        _check_subclass(cls, ReinforcementLaw, [(forms[:2], forms)])
+        _check_subclass(cls, ReinforcementLaw)
 
     def _check_counts(self, counts: Sequence[int]) -> Counts:
         return check_counts(counts, self.dimension, "law")

@@ -71,7 +71,8 @@ def check_entry(dimension: int, order: int, counts: Sequence[int], value: float)
     """The index of an entry that may overwrite a degree-``order`` table in ``dimension``.
 
     The index must lie in the ball and the value must be finite and
-    positive.  Needs no table, so an entry can be checked before one is built.
+    positive, and exactly 1 at the origin.  Needs no table, so an entry can
+    be checked before one is built.
     """
     if not (math.isfinite(value) and value > 0):
         raise ValueError(f"moment values must be finite and positive, got {value!r}")
@@ -80,6 +81,8 @@ def check_entry(dimension: int, order: int, counts: Sequence[int], value: float)
         raise MomentOrderError(
             f"index {index} is outside the degree-{order} ball in dimension {dimension}"
         )
+    if value != 1 and not any(index):
+        raise ValueError(f"v at the origin must be exactly 1, got {value!r}")
     return index
 
 

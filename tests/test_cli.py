@@ -263,7 +263,9 @@ class TestVerifyMoments:
                      "--corrupt-entry", "1,0=1.5"])
         assert code == 2
 
-    @pytest.mark.parametrize("entry", ["9,9=1.5", "1,0,0=1.5", "1,0=-2", "1,0=nan", "1,0=inf"])
+    # the origin's entry is exactly 1 in every table: 0,0=0.5 once exited 3 after the build
+    @pytest.mark.parametrize("entry", ["9,9=1.5", "1,0,0=1.5", "1,0=-2", "1,0=nan", "1,0=inf",
+                                       "0,0=0.5"])
     def test_corruption_hook_rejects_entries_it_cannot_apply(self, tmp_path, entry):
         cfg = write_config(
             tmp_path,
@@ -1923,7 +1925,7 @@ MALFORMED_PLANS = {
     # checked against the dimension and the order alone
     **{f"corrupt-entry-{entry}": ("verify-moments", _CORRUPT_WITNESS, {},
                                   ("--corrupt-entry", entry), f"--corrupt-entry {entry}")
-       for entry in ("9,9=0.5", "1,0=-1", "1,0,0=0.5", "1,0=0", "1,0=nan")},
+       for entry in ("9,9=0.5", "1,0=-1", "1,0,0=0.5", "1,0=0", "1,0=nan", "0,0=1.5")},
     "corrupt-entry-syntax": ("verify-moments", _CORRUPT_WITNESS, {}, ("--corrupt-entry", "1;0=0.5"),
                              "--corrupt-entry"),
 }

@@ -27,7 +27,7 @@ class TestSimplexPoint:
     def test_valid(self):
         p = SimplexPoint((0.25, 0.75))
         assert p.dim == 2
-        assert p[1] == 0.75
+        assert p.weights[1] == 0.75
 
     def test_rejects_bad_sum(self):
         with pytest.raises(ValueError, match="sum"):

@@ -383,7 +383,9 @@ def test_environments_whose_every_boost_overflows_draw_in_lock_step():
 
 def test_an_environment_off_the_simplex_stops_the_lock_step_run():
     # a _draw is not checked; the runner checks every weight row it walks in
-    class OffSimplex(_SampleOnlyEnv):
+    class OffSimplex(VertexEnvLaw):
+        dimension = 2
+
         def _draw(self, rng):
             return (0.5, 0.5 + rng.random())
 
@@ -457,8 +459,14 @@ def test_a_law_is_checked_when_a_walk_reaches_its_vertex():
         list(run_many_reinforced(graph, laws, 0, 8, 3, 10))
 
 
-class _DriftingRows(DriftingLaw):
-    """:class:`DriftingLaw` with its own ``_simplex_rows``, evaluated row by row."""
+class _DriftingRows(ReinforcementLaw):
+    """A held :class:`DriftingLaw` with its own ``_simplex_rows``, evaluated row by row."""
+
+    dimension = 2
+    drifting = DriftingLaw()
+
+    def log_weights(self, counts):
+        return self.drifting.log_weights(counts)
 
     def _simplex_rows(self, counts):
         return check_simplex_rows(np.array([np.exp(self.log_weights(c)) for c in counts.tolist()]))

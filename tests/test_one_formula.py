@@ -1,13 +1,14 @@
-"""The built-in families are final, and a custom class reads its one formula through every form.
+"""Every law and environment class is final, and reads its one formula through every form.
 
-A class derived from a built-in law or environment family raises
-``TypeError`` when it is created.  A custom law subclasses
-``ReinforcementLaw`` and defines ``log_weights`` or ``_log_weights``; a
-custom environment subclasses ``VertexEnvLaw`` and defines
-``log_mixed_moment`` and ``sample``; either holds a built-in instance to
-reuse its formula.  A subclass of a custom class that redefines a formula but
-inherits another form from its parent is refused too.  Its per-point, batch
-and lock-step reads must all give the bits of that formula.
+A class derived from ``ReinforcementLaw`` or ``VertexEnvLaw`` raises
+``TypeError`` when it is created unless that base is its first parent: a
+subclass of a built-in family, of a custom class, or with a mixin before
+the base.  A custom law subclasses ``ReinforcementLaw`` and defines
+``log_weights`` or ``_log_weights``; a custom environment subclasses
+``VertexEnvLaw`` and defines ``log_mixed_moment`` and ``sample``; either
+holds another law or environment, built-in or custom, to reuse its formula.
+Its per-point, batch and lock-step reads must all give the bits of that
+formula.
 """
 
 from itertools import product
@@ -79,11 +80,14 @@ class _Leaning(ReinforcementLaw):
         return _LEANING.copy()
 
 
-class _LeaningAtOddCounts(_Leaning):
-    """A second level: the parent's row, reversed at odd first counts."""
+class _LeaningAtOddCounts(ReinforcementLaw):
+    """A held :class:`_Leaning` law's row, reversed at odd first counts."""
+
+    dimension = 2
+    leaning = _Leaning()
 
     def _log_weights(self, c):
-        row = super()._log_weights(c)
+        row = self.leaning._log_weights(c)
         return row[::-1] if c[0] % 2 else row
 
 
@@ -116,23 +120,25 @@ class _Reversed(VertexEnvLaw):
         return SimplexPoint(self.env.sample(rng).weights[::-1])
 
 
-class _ReversedTwice(_Reversed):
-    """A second level that reverses the parent's law again: the held environment's law."""
+class _ReversedTwice(VertexEnvLaw):
+    """A held :class:`_Reversed` environment's law reversed again: the law of the one it holds."""
+
+    def __init__(self, env):
+        self.reversed = _Reversed(env)
+        self.dimension = env.dimension
 
     def log_mixed_moment(self, counts):
-        return super().log_mixed_moment(check_counts(counts, self.dimension, "environment")[::-1])
+        c = check_counts(counts, self.dimension, "environment")
+        return self.reversed.log_mixed_moment(c[::-1])
 
     def sample(self, rng):
-        return SimplexPoint(super().sample(rng).weights[::-1])
+        return SimplexPoint(self.reversed.sample(rng).weights[::-1])
 
 
 LAWS = {
     "own_log_weights": _PublicLeaning(),
     "own_private_log_weights": _Leaning(),
-    "two_levels": _LeaningAtOddCounts(),
-    "two_levels_overriding_every_form": type("Again", (ReversedDirichlet,), {
-        k: vars(ReversedDirichlet)[k] for k in ("_simplex", "_log_weights", "_log_weights_rows")
-    })([0.5, 1.0, 2.0]),
+    "held_custom_law": _LeaningAtOddCounts(),
     "held_dirichlet_simplex_and_log_weights": _HeldPolya([1.0, 3.0]),
     "held_dirichlet_reversed": ReversedDirichlet([0.5, 1.0, 2.0]),
 }
@@ -140,7 +146,7 @@ LAWS = {
 ENVS = {
     "sample_wraps_held_dirichlet": _Reversed(DirichletEnv([1.0, 3.0])),
     "sample_wraps_held_polynomial": _Reversed(PolynomialDirichletEnv(**POLY_LINEAR_2D)),
-    "two_levels": _ReversedTwice(DirichletEnv([1.0, 3.0])),
+    "held_custom_environment": _ReversedTwice(DirichletEnv([1.0, 3.0])),
 }
 
 
@@ -171,18 +177,24 @@ def _reversed_simplex(self, c):
     return ReinforcementLaw._simplex(self, c)[::-1]
 
 
+class _Mixin:
+    """A plain class that a law or environment may not place before its base."""
+
+
+def _refused(bases, body, base):
+    with pytest.raises(TypeError, match=rf"^Own must subclass {base.__name__} directly: hold "):
+        type("Own", bases, body)
+
+
 @pytest.mark.parametrize("cls", list(BUILTINS), ids=lambda cls: cls.__name__)
 # with its own _simplex, a DirichletLaw([1, 3]) subclass once walked with weights
 # (0.75, 0.25) at (0, 0), while its log_weights and log_weights_batch gave (0.25, 0.75)
 @pytest.mark.parametrize("body", [{}, {"_simplex": _reversed_simplex}],
                          ids=["empty", "own_simplex"])
 def test_a_built_in_family_refuses_a_subclass(cls, body):
-    base = BUILTINS[cls].__name__
-    with pytest.raises(TypeError, match=rf"^{cls.__name__} is final: subclass {base} "):
-        type("Own", (cls,), body)
+    _refused((cls,), body, BUILTINS[cls])
     # a custom class between does not hide it
-    with pytest.raises(TypeError, match=rf"^{cls.__name__} is final"):
-        type("Mixed", (type("Own", (BUILTINS[cls],), {}), cls), body)
+    _refused((type("Mixed", (BUILTINS[cls],), {}), cls), body, BUILTINS[cls])
 
 
 class _HeldEnv(VertexEnvLaw):
@@ -205,24 +217,37 @@ class _HeldEnv(VertexEnvLaw):
         return self.env._draw(rng)
 
 
-@pytest.mark.parametrize("parent, formula, inherited", [
-    (ReversedDirichlet, "_log_weights", "ReversedDirichlet._simplex"),
-    (ReversedDirichlet, "log_weights", "ReversedDirichlet._log_weights"),
-    (_HeldPolya, "_log_weights", "_HeldPolya._simplex"),
-    (_HeldEnv, "sample", "_HeldEnv._draw"),
-    (_HeldEnv, "log_mixed_moment", "_HeldEnv.log_mixed_moments"),
-])
-def test_a_custom_class_that_redefines_a_formula_must_override_its_parents_forms(
-        parent, formula, inherited):
-    # the inherited form reads the parent's formula; a child of ReversedDirichlet with
-    # only its own _log_weights would walk, and be scanned, with the parent's rows
-    with pytest.raises(TypeError, match=rf"^Child defines its own formula but inherits {inherited}:"):
-        type("Child", (parent,), {formula: getattr(parent, formula)})
-    # a child that defines no formula keeps the parent's forms, which read one formula
-    type("Child", (parent,), {"__repr__": object.__repr__})
+@pytest.mark.parametrize("parent, body", [
+    # a child with only its own _log_weights would walk, and be scanned, with the
+    # parent's _simplex and _log_weights_rows: the parent's formula
+    (ReversedDirichlet, {"_log_weights": ReversedDirichlet._log_weights}),
+    (ReversedDirichlet, {"log_weights": ReversedDirichlet.log_weights}),
+    (_HeldPolya, {"_log_weights": _HeldPolya._log_weights}),
+    (_HeldEnv, {"sample": _HeldEnv.sample}),
+    (_HeldEnv, {"log_mixed_moment": _HeldEnv.log_mixed_moment}),
+    # children whose forms would all read one formula: refused all the same
+    (ReversedDirichlet, {}),
+    (ReversedDirichlet, {k: vars(ReversedDirichlet)[k]
+                         for k in ("_simplex", "_log_weights", "_log_weights_rows")}),
+    (_Leaning, {"_log_weights": _LeaningAtOddCounts._log_weights}),
+    (_Reversed, {}),
+], ids=lambda v: v.__name__ if isinstance(v, type) else "+".join(v) or "empty")
+def test_a_custom_class_refuses_a_subclass(parent, body):
+    base = ReinforcementLaw if issubclass(parent, ReinforcementLaw) else VertexEnvLaw
+    _refused((parent,), body, base)
 
 
-def test_a_two_level_custom_hierarchy_reads_the_formula_of_its_last_level():
+@pytest.mark.parametrize("base, body", [
+    (ReinforcementLaw, {"dimension": 2, "_log_weights": _Leaning._log_weights}),
+    (VertexEnvLaw, {"log_mixed_moment": _Reversed.log_mixed_moment, "sample": _Reversed.sample}),
+], ids=["law", "environment"])
+def test_a_mixin_before_the_base_is_refused(base, body):
+    _refused((_Mixin, base), body, base)
+    # after the base, the base's forms come first
+    type("Own", (base, _Mixin), body)
+
+
+def test_a_class_holding_a_custom_one_reads_its_own_formula():
     law = _LeaningAtOddCounts()
     assert law.log_weights((1, 0)).tobytes() == _LEANING[::-1].tobytes()
     assert law.weights((1, 0)).weights == tuple(np.exp(_LEANING[::-1]).tolist())

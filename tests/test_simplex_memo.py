@@ -106,7 +106,10 @@ def test_a_rejecting_table_raises_on_every_trajectory_that_leaves_its_box():
 
 
 def test_an_evaluation_error_is_not_memoised():
-    class PartialLaw(CountingLaw):
+    class PartialLaw(ReinforcementLaw):
+        dimension = 2
+        __init__ = CountingLaw.__init__
+
         def log_weights(self, counts):
             c = self._check_counts(counts)
             self.calls[c] += 1
