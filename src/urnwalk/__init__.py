@@ -8,8 +8,9 @@ environment-averaged (annealed) walk have the same law.
 
 Extending: subclass :class:`ReinforcementLaw` and define ``_log_weights``
 (of validated counts) or ``log_weights``, or subclass :class:`VertexEnvLaw`
-and define ``log_mixed_moment`` and ``sample``.  Every law and environment
-class subclasses its base directly: hold an instance to reuse its formula.
+and define ``log_mixed_moment`` and ``sample``: walks read a custom
+environment through ``sample`` only.  Every law and environment class
+subclasses its base directly: hold an instance to reuse its formula.
 """
 
 from .admissibility import (

@@ -76,7 +76,7 @@ from .config import (
     load_config,
     resolve_per_vertex,
 )
-from .environment import law_from_env
+from .environment import ENVIRONMENT_DRAWS, law_from_env
 from .equivalence import (
     DEFAULT_MAX_PATHS,
     POOL_EXPECTED,
@@ -464,7 +464,7 @@ def _quenched_assignment(cfg: Mapping, op: Mapping, graph) -> Callable[[], tuple
         assignment = sample_environment(graph, envs, make_stream(env_seed, ENVIRONMENT_STREAM))
         frozen = {str(x): list(p.weights) for x, p in sorted(assignment.items())}
         return assignment, {"assignment_source": "sampled", "env_seed": env_seed,
-                            "assignment": frozen}
+                            "env_draws": ENVIRONMENT_DRAWS, "assignment": frozen}
 
     return freeze
 
@@ -501,7 +501,7 @@ def plan_simulate(cfg: dict, args: argparse.Namespace) -> Callable[[], Result]:
     else:
         key, reader = ("laws", law_from_spec) if mode == "reinforced" else ("envs", env_from_spec)
         maps = resolve_per_vertex(graph, _section(cfg, key, "simulate"), reader, key)
-        environment = lambda: (maps, {})
+        environment = lambda: (maps, {"env_draws": ENVIRONMENT_DRAWS} if mode == "annealed" else {})
 
     def run() -> Result:
         maps, extra = environment()

@@ -3,10 +3,11 @@
 An environment law is a probability measure on the open simplex of a
 vertex's move probabilities.  The module provides exact mixed moments
 ``E[prod_i omega_i^{k_i}]`` for each built-in family, memoised per count
-vector on the environment, seeded sampling, and the forward map from an
-environment law to the reinforcement law it induces (ratio of consecutive
-mixed moments).  The induced law and the annealed walk's exact enumeration
-read the same moment memo, so a compare of the two evaluates each once.
+vector on the environment, seeded sampling (a block's environments in one
+:func:`draw_environments` call), and the forward map from an environment law
+to the reinforcement law it induces (ratio of consecutive mixed moments).
+The induced law and the annealed walk's exact enumeration read the same
+moment memo, so a compare of the two evaluates each once.
 
 Families
 --------
@@ -21,9 +22,11 @@ Families
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from functools import reduce
+from itertools import accumulate
 from operator import add
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -44,52 +47,92 @@ from .laws import (
     draw_index,
     log_sum_exp,
     log_sum_exp_rows,
+    math_each,
     row_sums,
-    sum_as_numpy,
 )
 
-#: The least positive float, which stands for a gamma draw that rounded to 0.
-_LEAST_FLOAT = math.ulp(0.0)
+#: The order of a stream's environment draws, recorded by the outputs that draw environments.
+ENVIRONMENT_DRAWS = "random(picks) standard_gamma(dirichlet coordinates) random(boosts) sample(others)"
 
 
-def _dirichlet_draw(alpha: tuple[float, ...], rng: np.random.Generator) -> tuple[float, ...]:
-    """One Dirichlet(alpha) draw, unchecked (see :meth:`VertexEnvLaw._draw`), from gamma draws.
+def _dirichlet_draw(alphas: np.ndarray, gammas: np.ndarray, boosted: list, degrees: list) -> np.ndarray:
+    """Dirichlet points of ``[n, K]`` draws, row i trajectory i's for vertices of ``degrees``.
 
-    Coordinate i takes ``log(standard_gamma(alpha_i))``, or for
-    ``alpha_i < 1``, where a gamma draw can underflow, Marsaglia and
-    Tsang's (2000) boost ``log G + log(1 - U) / alpha_i`` with ``G`` a
-    ``Gamma(alpha_i + 1)`` draw and then ``U`` a uniform.  The point is
-    their exponentials shifted by the largest log and normalised.  A
-    weight below :data:`~urnwalk.laws.MIN_WEIGHT` is raised to it: its
-    true value is below 1e-300, which no 53-bit uniform tells apart.
-    When every boosted log overflows to -inf, which takes alpha near the
-    least float, the coordinate with the least ``-log(1 - U_i) / alpha_i``
-    (exponentials of rates alpha_i), compared in logs, is the largest of
-    the true draw: it takes weight 1 and the others ``MIN_WEIGHT``.
+    Coordinate j takes ``log G + log(1 - U) / alpha_j``, with ``G`` a
+    ``Gamma(alpha_j + 1)`` draw and ``U`` the next uniform of ``boosted`` where
+    ``alpha_j < 1`` (Marsaglia and Tsang's (2000) boost, as a gamma draw there
+    can underflow), else a ``Gamma(alpha_j)`` draw and 0; a ``G`` of 0 counts as
+    the least float.  A point is the exponentials of its logs less the largest,
+    over their sum left to right, each raised to ``MIN_WEIGHT`` (no 53-bit
+    uniform tells values below it apart).  Where every log is -inf (the boosts
+    of alpha near the least float), the least ``-log(1 - U_j) / alpha_j``, in
+    logs, is the largest weight of the true draw and takes 1.  Logs and exps are
+    ``math``'s (libm); numpy only adds, subtracts, divides and takes maxima, in
+    a ``[n, vertices, width]`` grid, so no bit depends on its SIMD loops.
     """
-    # one scalar call per coordinate, as an array shape costs numpy an
-    # argument check that takes longer than the draws; a gamma draw of shape 1
-    # (an exponential) can round to 0, and counts as the least positive float
-    gamma = rng.standard_gamma
-    logs = []
-    boosts = []  # log(1 - U) of each boosted coordinate
-    for a in alpha:
-        if a < 1.0:
-            g = math.log(gamma(a + 1.0) or _LEAST_FLOAT)
-            boosts.append(math.log(1.0 - rng.random()))
-            logs.append(g + boosts[-1] / a)
-        else:
-            logs.append(math.log(gamma(a) or _LEAST_FLOAT))
-    top = max(logs)
-    if top == -math.inf:
-        # an unboosted log is finite, so every coordinate is boosted here,
-        # and no boost is 0, so each log(-b) is finite
-        keys = [math.log(-b) - math.log(a) for b, a in zip(boosts, alpha)]
-        win = keys.index(min(keys))
-        return tuple([1.0 if i == win else MIN_WEIGHT for i in range(len(keys))])
-    shifted = [math.exp(v - top) for v in logs]
-    total = sum_as_numpy(shifted)
-    return tuple([MIN_WEIGHT if (q := w / total) < MIN_WEIGHT else q for w in shifted])
+    n, width, starts = len(alphas), max(degrees, default=1), np.array([0, *accumulate(degrees)])
+    shape, vertex = (n, len(degrees), width), np.repeat(np.arange(len(degrees)), degrees)
+    padded = np.arange(alphas.shape[1]) + vertex * width - starts[vertex]
+    boosts = np.zeros_like(alphas)
+    if boosted:
+        boosts[alphas < 1.0] = math_each(math.log, 1.0 - np.concatenate(boosted))
+    grid = np.full((n, len(degrees) * width), -math.inf)
+    with np.errstate(over="ignore", invalid="ignore"):  # -inf - -inf at the points of the last rule
+        grid[:, padded] = logs = math_each(math.log, np.maximum(gammas, math.ulp(0.0))) + boosts / alphas
+        top = grid.reshape(shape).max(axis=2)
+        shifted = math_each(math.exp, logs - top.take(vertex, axis=1))
+    grid[:] = 0.0
+    grid[:, padded] = shifted
+    out = np.maximum(shifted / row_sums(grid.reshape(shape)).take(vertex, axis=1), MIN_WEIGHT)
+    for r, x in np.argwhere(top == -math.inf).tolist():  # every coordinate is boosted, no boost 0
+        point = slice(starts[x], starts[x + 1])
+        keys = [math.log(-b) - math.log(a) for b, a in zip(boosts[r, point], alphas[r, point])]
+        out[r, point] = MIN_WEIGHT
+        out[r, starts[x] + keys.index(min(keys))] = 1.0
+    return out
+
+
+def draw_environments(envs: Sequence[VertexEnvLaw], streams: Iterable[np.random.Generator],
+                      uniforms: np.ndarray = np.empty((1, 0))) -> np.ndarray:
+    """The ``[n, moves]`` environments of ``n = len(uniforms)`` trajectories, of the next n ``streams``.
+
+    Row i holds trajectory i's weights, vertex after vertex.  Its stream gives
+    ``random(p)`` to pick a monomial of each of its p :class:`PolynomialDirichletEnv`
+    (:func:`~urnwalk.laws.draw_index`'s rule, by bisection of the running sums),
+    one ``standard_gamma`` over every Dirichlet coordinate, ``random(b)`` for its
+    b boosts, each other vertex's ``sample`` in turn, then ``uniforms[i]``.  The
+    points, :func:`_dirichlet_draw`'s, are not checked on the simplex; a sample
+    of a wrong dimension raises.
+    """
+    n, dims = len(uniforms), [env.dimension for env in envs]
+    starts = list(accumulate(dims, initial=0))
+    density = [x for x, env in enumerate(envs) if type(env) in (DirichletEnv, PolynomialDirichletEnv)]
+    others = sorted(set(range(len(envs))).difference(density))
+    picks = [j for j, x in enumerate(density) if type(envs[x]) is PolynomialDirichletEnv]
+    chosen = [envs[x].alpha for x in density]
+    sums = {j: list(accumulate(envs[density[j]]._mixture_probs[:-1])) for j in picks}
+    out, alphas = np.empty((n, starts[-1])), np.empty((n, len(sum(chosen, ()))))
+    gammas, boosted = np.empty_like(alphas), []
+    for row, rng in zip(range(n), streams):
+        for j, u in zip(picks, rng.random(len(picks)).tolist() if picks else ()):
+            chosen[j] = envs[density[j]]._components[bisect_right(sums[j], u)]
+        if picks or not row:
+            alpha = np.array(sum(chosen, ()))
+            shape, b = alpha + (alpha < 1.0), np.count_nonzero(alpha < 1.0)
+        alphas[row] = alpha
+        if density:
+            gammas[row] = rng.standard_gamma(shape)
+            boosted += [rng.random(b)] if b else []
+        for x in others:
+            point = envs[x].sample(rng).weights
+            if len(point) != dims[x]:
+                raise DimensionMismatchError(
+                    f"assignment at vertex {x} has dimension {len(point)}, degree is {dims[x]}")
+            out[row, starts[x] : starts[x + 1]] = point
+        rng.random(out=uniforms[row])
+    placed = [j for x in density for j in range(starts[x], starts[x + 1])]
+    out[:, placed] = _dirichlet_draw(alphas, gammas, boosted, [dims[x] for x in density])
+    return out
 
 
 class VertexEnvLaw:
@@ -130,15 +173,9 @@ class VertexEnvLaw:
         return math.exp(self.log_mixed_moment(counts))
 
     def sample(self, rng: np.random.Generator) -> SimplexPoint:
-        """One draw of the vertex's transition vector: the built-in families
-        return a point of their own draw or a point they hold."""
+        """One draw of the vertex's transition vector, :func:`draw_environments`'s
+        for the density families; it reads every other family through this alone."""
         raise NotImplementedError
-
-    def _draw(self, rng: np.random.Generator) -> tuple[float, ...]:
-        """:meth:`sample`'s weights as builtin floats, from the same draws of
-        ``rng`` in the same order, to the same bits, but not checked on the
-        simplex: ``walk.run_many_annealed`` checks its rows in blocks."""
-        return self.sample(rng).weights
 
 
 class DirichletEnv(VertexEnvLaw):
@@ -168,10 +205,7 @@ class DirichletEnv(VertexEnvLaw):
         return row_sums(logs[:, :-1]) - logs[:, -1]
 
     def sample(self, rng: np.random.Generator) -> SimplexPoint:
-        return SimplexPoint(self._draw(rng))
-
-    def _draw(self, rng: np.random.Generator) -> tuple[float, ...]:
-        return _dirichlet_draw(self.alpha, rng)
+        return SimplexPoint(tuple(draw_environments([self], [rng])[0].tolist()))
 
     def __repr__(self) -> str:
         return f"DirichletEnv(alpha={self.alpha})"
@@ -243,11 +277,7 @@ class PolynomialDirichletEnv(VertexEnvLaw):
         )
 
     def sample(self, rng: np.random.Generator) -> SimplexPoint:
-        return SimplexPoint(self._draw(rng))
-
-    def _draw(self, rng: np.random.Generator) -> tuple[float, ...]:
-        """A monomial's Dirichlet component by one uniform, then a draw from it."""
-        return _dirichlet_draw(self._components[draw_index(self._mixture_probs, rng.random())], rng)
+        return SimplexPoint(tuple(draw_environments([self], [rng])[0].tolist()))
 
     def __repr__(self) -> str:
         return (

@@ -857,9 +857,9 @@ def warm_log_weights(law: ReinforcementLaw, blocks: Iterable[list[Counts]]) -> N
             memo[key] = row
 
 
-def math_logs(values: np.ndarray) -> np.ndarray:
-    """``math.log`` of each entry, as an array of the same shape."""
-    return np.array(list(map(math.log, values.ravel().tolist()))).reshape(values.shape)
+def math_each(f, values: np.ndarray) -> np.ndarray:
+    """libm's ``f`` (``math.log``, ``math.exp``) of each entry, as an array of the same shape."""
+    return np.fromiter(map(f, values.ravel().tolist()), float, values.size).reshape(values.shape)
 
 
 class UniformLaw(ReinforcementLaw):
@@ -929,7 +929,7 @@ class DirichletLaw(ReinforcementLaw):
 
     def _log_weights_rows(self, c: np.ndarray) -> np.ndarray:
         shifted, total = self._shifted_rows(c)
-        return np.log(shifted) - math_logs(total)[:, None]
+        return np.log(shifted) - math_each(math.log, total)[:, None]
 
     def __repr__(self) -> str:
         return f"DirichletLaw(alpha={self.alpha})"
@@ -986,8 +986,8 @@ class PolynomialDirichletLaw(ReinforcementLaw):
         # the rows, then the rows bumped along each axis
         stack = (c[None] + np.eye(d + 1, d, -1, dtype=np.int64)[:, None]).reshape(-1, d)
         log_poly = self._poly.log_values(stack).reshape(d + 1, n)
-        total = math_logs(self._alpha_total + c.sum(axis=1) + self.degree)[:, None]
-        return math_logs(self._alpha_arr + c) - total + log_poly[1:].T - log_poly[0][:, None]
+        total = math_each(math.log, self._alpha_total + c.sum(axis=1) + self.degree)[:, None]
+        return math_each(math.log, self._alpha_arr + c) - total + log_poly[1:].T - log_poly[0][:, None]
 
     def __repr__(self) -> str:
         return (

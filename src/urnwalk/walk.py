@@ -20,9 +20,9 @@ counter in turn.  Each step uses one uniform variate and inverse CDF over
 the ordered neighbor list.  A run draws its step uniforms from its stream in
 blocks of :data:`UNIFORM_BLOCK`, or, in lock-step blocks of many short
 reinforced or quenched walks, computes them from the counters
-(:func:`philox_uniforms`; an annealed walk's environment draws take a
-varying number of words first): the numbers of one-at-a-time draws, so runs
-are reproducible bit-for-bit for a fixed seed.  A reinforced step asks the
+(:func:`philox_uniforms`; an annealed walk's gamma draws take a varying
+number of words first): the numbers of one-at-a-time draws, so runs are
+reproducible bit-for-bit for a fixed seed.  A reinforced step asks the
 vertex's law for its weights at the current counts; the laws memoise those
 per count vector (see :class:`urnwalk.laws.ReinforcementLaw`), so
 trajectories that revisit a count vector evaluate it once.
@@ -40,10 +40,11 @@ that are at most ``u``, clipped at the last move, which is
 bit.  A reinforced block reads its weights from one padded table of
 Dirichlet and uniform laws (:func:`_padded_tables`), or else asks each
 vertex's law for the rows at the group of counts there (its
-:meth:`~urnwalk.laws.ReinforcementLaw._simplex_rows`).  An annealed block
-takes its weight rows from the environments' ``_draw``, which builds no
-point, and checks them on the simplex once per vertex.  The per-stream
-``run_*`` and ``step_*`` stay the single-trajectory API and the oracle.
+:meth:`~urnwalk.laws.ReinforcementLaw._simplex_rows`).  An annealed block,
+like one stream, draws its environments in one call of
+:func:`~urnwalk.environment.draw_environments` and checks them on the
+simplex once per vertex.  The per-stream ``run_*`` and ``step_*`` stay the
+single-trajectory API and the oracle.
 
 A lock-step step makes a fixed number of numpy calls, per block and, in a
 reinforced walk without the table, per vertex group, however few
@@ -58,11 +59,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, partial
+from itertools import islice
 from typing import Iterator, Mapping
 
 import numpy as np
 
-from .environment import VertexEnvLaw
+from .environment import VertexEnvLaw, draw_environments
 from .errors import DimensionMismatchError
 from .laws import (MIN_WEIGHT, PAIRWISE_SUM_MIN, DirichletLaw, ReinforcementLaw, SimplexPoint,
                    UniformLaw, check_simplex_rows, draw_index, row_sums)
@@ -313,8 +315,10 @@ def sample_environment(
     envs: Mapping[int, VertexEnvLaw],
     rng: np.random.Generator,
 ) -> dict[int, SimplexPoint]:
-    """Draw one transition vector per vertex, independently across vertices."""
-    return {x: env.sample(rng) for x, env in enumerate(_checked_envs(graph, envs))}
+    """One transition vector per vertex, drawn by :func:`~urnwalk.environment.draw_environments`."""
+    checked = _checked_envs(graph, envs)
+    row = iter(draw_environments(checked, [rng])[0].tolist())
+    return {x: SimplexPoint(tuple(islice(row, env.dimension))) for x, env in enumerate(checked)}
 
 
 def _checked_envs(graph: Graph, envs: Mapping[int, VertexEnvLaw]) -> list[VertexEnvLaw]:
@@ -375,7 +379,6 @@ class _Layout:
         self.degrees = [len(targets) for targets in graph.neighbors]
         self.vertices = len(self.degrees)
         self.width = max(self.degrees)
-        self.moves = sum(self.degrees)
 
     @cached_property
     def last(self) -> np.ndarray:
@@ -425,13 +428,13 @@ class _Layout:
 #: (counts, environments), or the graph's padded neighbor table.
 LOCKSTEP_ELEMENTS = 1 << 16
 
-#: Fewest trajectories a lock-step block holds for lock step to pay.  A
-#: lock-step step makes a fixed number of numpy calls however few
-#: trajectories the block holds, where a per-stream step is a few Python
-#: operations.  On 20- and 200-vertex cycles (2 cores, numpy 2.4.6) a
-#: quenched or annealed block of 32 trajectories ran up to 1.7x slower than
-#: per stream, one of 64 about 2x faster, and a single 10^5-step
-#: trajectory 20-35x slower.
+#: Fewest trajectories a lock-step block holds for lock step to pay, a
+#: quarter of it in an annealed block, whose per-stream draws cost most.  Per
+#: stream / lock step, 100 steps, best of 9 (2 cores, numpy 2.4.6): annealed
+#: cycle-20 at 16 / 32 / 64 / 128 trajectories 2.9 / 1.5, 5.7 / 1.9, 11.5 /
+#: 2.7, 23.6 / 4.5 ms, grid 3x4 2.8 / 1.6, 5.5 / 2.2, 11.0 / 3.2, 22.2 / 5.6
+#: ms; quenched cycle-20 at 16 / 32 0.72 / 0.95, 1.43 / 1.02 ms; a reinforced
+#: table of Dirichlet laws on the 200-cycle, 5 steps, at 32 0.31 / 0.45 ms.
 LOCKSTEP_MIN_BLOCK = 64
 
 #: Fewest trajectories per vertex within reach that a reinforced block
@@ -452,8 +455,8 @@ def lockstep_pays(
     ``mode`` is ``"reinforced"``, ``"quenched"`` or ``"annealed"``, and
     ``maps`` the laws, assignment or environments of that run.  Lock step
     needs the graph's padded tables within :data:`LOCKSTEP_ELEMENTS` and a
-    block of at least :data:`LOCKSTEP_MIN_BLOCK` trajectories; reinforced
-    laws that fit :func:`_padded_tables` need no more.  Other reinforced
+    block of :data:`LOCKSTEP_MIN_BLOCK` trajectories (annealed: a quarter);
+    reinforced laws that fit :func:`_padded_tables` need no more.  Other reinforced
     blocks need :data:`LOCKSTEP_PER_VERTEX` trajectories per vertex a walk
     can reach within ``steps`` moves.  A law whose ``_simplex_rows`` is
     the generic one (:class:`~urnwalk.laws.ReinforcementLaw`) evaluates
@@ -483,7 +486,7 @@ def lockstep_pays(
     if layout.vertices * layout.width > LOCKSTEP_ELEMENTS:
         return False
     block = layout.block_size(mode, steps, count)
-    if block < LOCKSTEP_MIN_BLOCK:
+    if block < (LOCKSTEP_MIN_BLOCK // 4 if mode == "annealed" else LOCKSTEP_MIN_BLOCK):
         return False
     if mode == "reinforced":
         laws = [maps.get(x) for x in range(layout.vertices)]
@@ -668,29 +671,20 @@ def run_many_annealed(
 ) -> Iterator[Trajectory]:
     """``run_annealed`` on the streams ``(seed, i)`` for ``i < count``, in lock step.
 
-    The environments are checked against the degrees once.  Each
-    trajectory's row of the block's weight table comes from its vertices'
-    :meth:`~urnwalk.environment.VertexEnvLaw._draw`, the draws and bits of
-    ``sample``, before its uniforms; ``sample``'s simplex check runs once
-    per vertex and block on the vertex's columns
-    (:func:`~urnwalk.laws.check_simplex_rows`), so a point off the simplex
-    may be reported at another trajectory than per stream.
+    The environments are checked against the degrees once, and a block's
+    weights and uniforms come from one :func:`~urnwalk.environment.draw_environments`
+    call; the simplex check runs once per vertex and block on the vertex's
+    columns (:func:`~urnwalk.laws.check_simplex_rows`), so a point off the
+    simplex may be reported at another trajectory than per stream.
     """
     _check_start(graph, x0)
     layout = _Layout(graph)
-    draws = [env._draw for env in _checked_envs(graph, envs)]
+    checked = _checked_envs(graph, envs)
     size = layout.block_size("annealed", steps, count)
     streams = stream_generators(seed, count)
     for start in range(0, count, size):
         uniforms = np.empty((min(size, count - start), steps))
-        weights = np.empty((len(uniforms), layout.moves))
-        for row, env_row, rng in zip(uniforms, weights, streams):
-            points = [draw(rng) for draw in draws]
-            if list(map(len, points)) != layout.degrees:
-                for x, point in enumerate(points):
-                    _check_degree(graph, x, len(point), "assignment")
-            env_row[:] = [w for point in points for w in point]
-            rng.random(out=row)
+        weights = draw_environments(checked, streams, uniforms)
         for lo, d in zip(layout.offsets, layout.degrees):
             check_simplex_rows(weights[:, lo : lo + d])
         base = np.arange(len(uniforms), dtype=np.int64) * layout.vertices

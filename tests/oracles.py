@@ -3,8 +3,9 @@ lattice enumeration by filtering the cube, the quadrature oracle for mixed
 moments, rising factorials, rising-factorial polynomials and multinomials
 through scipy's log-gamma, independent of the package's summed logs, the
 move counts a trajectory implies, the log probability of a move sequence
-under a law, and the exact path law of edge-reinforced random walk, in
-fractions and sharing no code with the package.  Also three laws of the
+under a law, the exact path law of edge-reinforced random walk, in
+fractions and sharing no code with the package, and one stream's environment
+draws in scalars.  Also three laws of the
 tests' own: one that leaves the simplex mid-walk, one that is not closed
 and one that reverses a Dirichlet law's moves."""
 
@@ -21,7 +22,7 @@ from scipy.special import gammaln, logsumexp
 
 from urnwalk.environment import DirichletEnv, PolynomialDirichletEnv, VertexEnvLaw
 from urnwalk.errors import DimensionMismatchError, EvaluationError
-from urnwalk.laws import Counts, DirichletLaw, ReinforcementLaw, as_counts
+from urnwalk.laws import MIN_WEIGHT, Counts, DirichletLaw, ReinforcementLaw, as_counts
 from urnwalk.walk import Graph
 
 
@@ -74,6 +75,51 @@ class ReversedDirichlet(ReinforcementLaw):
 
     def _log_weights_rows(self, c):
         return self.polya._log_weights_rows(c)[:, ::-1]
+
+
+def environment_by_scalars(envs: Sequence[VertexEnvLaw], rng: np.random.Generator) -> list[float]:
+    """One stream's environment weights, vertex after vertex, in Python scalars.
+
+    The declared order of draws: one uniform per polynomial vertex to pick its
+    monomial (by the running sum of its mixture weights), one gamma draw per
+    Dirichlet coordinate (shape alpha + 1 below 1), one uniform per such boost,
+    then every other vertex's ``sample``.  A Dirichlet point takes
+    ``math.log`` of each gamma draw (0 counted as the least float) plus
+    ``log(1 - U) / alpha`` where boosted, ``math.exp`` of each less the
+    largest, a sum left to right, a division and the floor at ``MIN_WEIGHT``;
+    where every log is -inf, the least ``log(-log(1 - U)) - log(alpha)`` takes 1.
+    """
+    density = [x for x, env in enumerate(envs) if isinstance(env, (DirichletEnv, PolynomialDirichletEnv))]
+    alphas = {x: envs[x].alpha for x in density}
+    polynomial = [x for x in density if isinstance(envs[x], PolynomialDirichletEnv)]
+    for x, u in zip(polynomial, rng.random(len(polynomial)).tolist()):
+        acc, probs = 0.0, envs[x]._mixture_probs
+        pick = next((i for i, w in enumerate(probs) if u < (acc := acc + w)), len(probs) - 1)
+        alphas[x] = envs[x]._components[pick]
+    gammas = [rng.standard_gamma(a + 1.0 if a < 1.0 else a) for x in density for a in alphas[x]]
+    boosts = iter(rng.random(sum(a < 1.0 for x in density for a in alphas[x])).tolist())
+    points, gammas = {}, iter(gammas)
+    for x in density:
+        logs, keys = [], []
+        for a in alphas[x]:
+            log = math.log(next(gammas) or math.ulp(0.0))
+            if a < 1.0:
+                boost = math.log(1.0 - next(boosts))
+                log += boost / a
+                keys.append(math.log(-boost) - math.log(a) if boost else math.inf)
+            logs.append(log)
+        top = max(logs)
+        if top == -math.inf:
+            win = keys.index(min(keys))
+            points[x] = [1.0 if i == win else MIN_WEIGHT for i in range(len(logs))]
+            continue
+        shifted = [math.exp(v - top) for v in logs]
+        total = reduce(add, shifted)
+        points[x] = [max(w / total, MIN_WEIGHT) for w in shifted]
+    for x, env in enumerate(envs):
+        if x not in points:
+            points[x] = list(env.sample(rng).weights)
+    return [w for x in range(len(envs)) for w in points[x]]
 
 
 def transition_counts(graph: Graph, trajectory: Sequence[int]) -> dict[int, Counts]:

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from urnwalk import cli
 from urnwalk.cli import main
-from urnwalk.environment import DirichletEnv
+from urnwalk.environment import ENVIRONMENT_DRAWS, DirichletEnv
 from urnwalk.equivalence import DEFAULT_MAX_PATHS
 from urnwalk.errors import EvaluationError
 from urnwalk.laws import RisingPolynomial
@@ -472,6 +472,21 @@ class TestSimulate:
         assert main([command, "--config", cfg]) == 0
         meta = json.loads((tmp_path / "t.json").read_text())
         assert meta["rng_layout"] == "philox4x64-10 key=seed counter=(block, 0, stream, 0)"
+
+    @pytest.mark.parametrize("payload, draws", [
+        ({"laws": STAR_LAWS, "operation": {"mode": "reinforced", "steps": 2}}, False),
+        ({"envs": STAR_ENVS, "operation": {"mode": "annealed", "steps": 2}}, True),
+        ({"envs": STAR_ENVS, "operation": {"mode": "quenched", "steps": 2, "env_seed": 4}}, True),
+        ({"assignment": {"0": [0.5, 0.5], "1": [1.0], "2": [1.0]},
+          "operation": {"mode": "quenched", "steps": 2}}, False),
+    ], ids=["reinforced", "annealed", "quenched_sampled", "quenched_inline"])
+    def test_outputs_that_draw_environments_record_the_order_of_the_draws(self, tmp_path,
+                                                                         payload, draws):
+        cfg = write_config(tmp_path, {"graph": STAR_GRAPH, "seed": 2, **payload,
+                                      "output": {"path": str(tmp_path / "t.json")}})
+        assert main(["simulate", "--config", cfg]) == 0
+        meta = json.loads((tmp_path / "t.json").read_text())
+        assert meta.get("env_draws") == (ENVIRONMENT_DRAWS if draws else None)
 
     def test_quenched_without_assignment_or_envs(self, tmp_path):
         cfg = write_config(
@@ -1123,21 +1138,21 @@ GOLDEN_COMMAND_DIGESTS = {
         "simulate.csv":
             "080bc43fdad947d134e3dbdbdc2fb71b33706305e6785ca3dd40587966fd1126",
         "simulate.csv.meta.json":
-            "e3802b2c78c0d239a41302c8f48a3daaaaed8397987b5e61c74053300ac46f7b",
+            "da5e5770001caabab6cdd6f22b370ad01fde3617609e2a29298e86f900b93454",
     },
     ("simulate_annealed", "json"): {
         "simulate.json":
-            "5a549853a32142ec672d8daf2f43fa1236787997ebbd1beb938db86cbd695758",
+            "b1eced917c09d089b8400363e08441f56d7882c317acc348f0a0cb75bea73411",
     },
     ("simulate_quenched", "csv"): {
         "simulate.csv":
             "3101cc4bff7eb063374596e136475f9043ddd40f95546d851059e0b4a83684da",
         "simulate.csv.meta.json":
-            "185a5df764e52548981d41278e750f0d43bcb195ed760df454412f7286f24c30",
+            "d9fddc447eac611fd185371b6d6362af87f1e81280c9c02fda7f43630b86fefd",
     },
     ("simulate_quenched", "json"): {
         "simulate.json":
-            "71098a1641462fff646ba7dc412b8af9e55c08290179ee278872fb9e29d0026d",
+            "802e9ce9b190f2765e81e9b0db2f6ae3c76f97ac7b98a198c1234a98dbdc8f21",
     },
     ("simulate_reinforced", "csv"): {
         "simulate.csv":

@@ -1,5 +1,6 @@
 """Environment laws: exact mixed moments, quadrature oracle, sampling."""
 
+import hashlib
 import math
 import sys
 from collections import Counter
@@ -22,9 +23,11 @@ from urnwalk import (
     SimplexPoint,
     law_from_env,
 )
+from urnwalk import walk
 from urnwalk.catalog import POLY_QUADRATIC_3D
+from urnwalk.environment import draw_environments
 from urnwalk.laws import MIN_WEIGHT, LogRisingTable, RisingPolynomial, draw_index, log_sum_exp
-from urnwalk.walk import make_stream
+from urnwalk.walk import Graph, make_stream
 
 
 class TestMixedMoments:
@@ -250,8 +253,8 @@ def test_a_polynomial_draw_is_a_draw_of_its_monomial_component(case, seed):
     old, drawn, sampled = make_stream(seed), make_stream(seed), make_stream(seed)
     for _ in range(3):
         k = poly.exponents[draw_index(mixture, old.random())]
-        want = [w.hex() for w in DirichletEnv(poly.alpha + k)._draw(old)]
-        assert [w.hex() for w in env._draw(drawn)] == want
+        want = [w.hex() for w in DirichletEnv(poly.alpha + k).sample(old).weights]
+        assert [w.hex() for w in draw_environments([env], [drawn])[0].tolist()] == want
         assert [w.hex() for w in env.sample(sampled).weights] == want
     assert old.random() == drawn.random() == sampled.random()
 
@@ -284,3 +287,61 @@ def test_env_moment_law_round_trip_at_low_order(env_map):
             assert table.value(k) == pytest.approx(
                 env.mixed_moment(k), rel=1e-11
             ), name
+
+
+# --- one draw for a block of trajectories ---------------------------------------------
+
+#: A vertex with alpha 0.01, 0.5 and 1, one with 2.5 and 30, and a polynomial one.
+_DRAW_GRAPH = Graph(((1, 2, 0), (0, 2), (0, 1, 2)))
+_DRAW_ENVS = {
+    0: DirichletEnv([0.01, 0.5, 1.0]),
+    1: DirichletEnv([2.5, 30.0]),
+    2: PolynomialDirichletEnv(**POLY_QUADRATIC_3D),
+}
+
+
+def _block_rows(monkeypatch, seed, count):
+    """The environment rows ``run_many_annealed`` walks in, as it draws them."""
+    rows = []
+
+    def recording(*args):
+        rows.append(draw_environments(*args))
+        return rows[-1]
+
+    monkeypatch.setattr(walk, "draw_environments", recording)
+    assert len(list(walk.run_many_annealed(_DRAW_GRAPH, _DRAW_ENVS, 0, 1, seed, count))) == count
+    return np.concatenate(rows)
+
+
+def test_block_draws_meet_the_mixed_moments(monkeypatch):
+    # means, second moments and mixed (1, 1) moments of every vertex within 5 sigma,
+    # read per stream through sample_environment and from the lock-step block rows
+    seed, count = 20261021, 3000
+    points = (walk.sample_environment(_DRAW_GRAPH, _DRAW_ENVS, rng)
+              for rng in walk.stream_generators(seed, count))
+    per_stream = np.array([[w for x in range(3) for w in p[x].weights] for p in points])
+    assert _block_rows(monkeypatch, seed, count).tobytes() == per_stream.tobytes()
+    lo = 0
+    for x, env in _DRAW_ENVS.items():
+        d = env.dimension
+        draws = per_stream[:, lo : lo + d]
+        lo += d
+        units = np.eye(d, dtype=int)
+        for k in [*units, *(2 * units), *(units[i] + units[j] for i in range(d) for j in range(i))]:
+            values = np.prod(draws ** k, axis=1)
+            m, m2 = env.mixed_moment(k), env.mixed_moment(2 * k)
+            sigma = math.sqrt((m2 - m * m) / count)
+            assert abs(values.mean() - m) <= 5 * sigma, (x, k.tolist())
+
+
+#: SHA-256 of the weights and step uniforms of one block: 40 streams of seed 7, 3 steps each.
+_PINNED_BLOCK = "230526ff2a98ae306a50fa21669b17577d4d6269a1862a1f3e9739336f1b3817"
+
+
+def test_a_fixed_block_of_draws_has_pinned_bits():
+    # logs and exps come from libm and numpy only adds, divides and takes maxima,
+    # so these bits hold with numpy's AVX-512 loops on and off
+    envs = list(_DRAW_ENVS.values())
+    uniforms = np.empty((40, 3))
+    weights = draw_environments(envs, walk.stream_generators(7, 40), uniforms)
+    assert hashlib.sha256(weights.tobytes() + uniforms.tobytes()).hexdigest() == _PINNED_BLOCK

@@ -9,14 +9,15 @@ import json
 import math
 import sys
 import tracemalloc
-from itertools import product
+from itertools import accumulate, product
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import DriftingLaw, ReversedDirichlet, Tilted
+from oracles import DriftingLaw, ReversedDirichlet, Tilted, environment_by_scalars
 from urnwalk import cli, walk
 from urnwalk.catalog import POLY_LINEAR_2D, POLY_QUADRATIC_3D
 from urnwalk.environment import (
@@ -26,6 +27,7 @@ from urnwalk.environment import (
     PointMassEnv,
     PolynomialDirichletEnv,
     VertexEnvLaw,
+    draw_environments,
 )
 from urnwalk.errors import DimensionMismatchError, TableDomainError
 from urnwalk.laws import (
@@ -231,8 +233,8 @@ _EMPIRICAL = EmpiricalEnv([(0.25, (0.2, 0.8)), (0.75, (0.6, 0.4))])
 
 
 class _SampleOnlyEnv(VertexEnvLaw):
-    """An environment that defines only ``sample``, as a library subclass may: the
-    lock-step runner reads it through the default ``VertexEnvLaw._draw``."""
+    """An environment that defines only ``sample``, as a library subclass may: both
+    runners read it through ``sample``, from ``draw_environments``."""
 
     dimension = 2
 
@@ -297,6 +299,11 @@ ANNEALED = {
         _CYCLE, {x: _SampleOnlyEnv() if x % 2 else DirichletEnv([0.3, 1.7]) for x in range(5)},
     ),
     "point_mass_segment": (_SEGMENT, _by_degree(_SEGMENT, lambda d: PointMassEnv([0.3, 0.7][:d] if d == 2 else (1.0,)))),
+    # every family on one graph (degrees 2, 3, 2, 2, 3, 2), alpha below and above 1
+    "mixed_grid": (_GRID, {
+        0: DirichletEnv([0.3, 1.7]), 1: PolynomialDirichletEnv(**POLY_QUADRATIC_3D), 2: _SampleOnlyEnv(),
+        3: _EMPIRICAL, 4: DirichletEnv([2.5, 0.01, 1.0]), 5: PointMassEnv((0.3, 0.7)),
+    }),
 }
 
 QUENCHED = {
@@ -370,27 +377,31 @@ def test_tiny_alpha_environments_run_on_every_seed(seed):
 
 def test_environments_whose_every_boost_overflows_draw_in_lock_step():
     # alpha near the least float: every boosted log is -inf, and the least
-    # exponential takes weight 1 (DirichletEnv._draw's last branch)
+    # exponential takes weight 1 (the last rule of environment._dirichlet_draw)
     env = DirichletEnv([1e-320, 1e-320])
     envs = {0: env, **_leaves(star_graph(2), PointMassEnv((1.0,)))}
     count = 80
     assert walk.lockstep_pays("annealed", star_graph(2), envs, 0, 6, count)
-    points = {env._draw(rng) for rng in stream_generators(2, count)}
-    assert points == {(1.0, MIN_WEIGHT), (MIN_WEIGHT, 1.0)}
+    rows = draw_environments([env], stream_generators(2, count), np.empty((count, 0)))
+    assert set(map(tuple, rows.tolist())) == {(1.0, MIN_WEIGHT), (MIN_WEIGHT, 1.0)}
     want = per_stream(run_annealed, star_graph(2), envs, 0, 6, 2, count)
     assert list(run_many_annealed(star_graph(2), envs, 0, 6, 2, count)) == want
 
 
-def test_an_environment_off_the_simplex_stops_the_lock_step_run():
-    # a _draw is not checked; the runner checks every weight row it walks in
+def test_an_environment_off_the_simplex_stops_the_run():
+    # draw_environments checks no row; per stream the points it builds, and in
+    # lock step the runner's rows, are checked on the simplex
     class OffSimplex(VertexEnvLaw):
         dimension = 2
 
-        def _draw(self, rng):
-            return (0.5, 0.5 + rng.random())
+        def sample(self, rng):
+            return SimpleNamespace(weights=(0.5, 0.5 + rng.random()))
 
     envs = {x: DirichletEnv([1.0, 2.0]) for x in range(5)}
     envs[3] = OffSimplex()
+    assert draw_environments([envs[3]], [make_stream(1)]).sum() > 1.0
+    with pytest.raises(ValueError, match="sum"):
+        per_stream(run_annealed, _CYCLE, envs, 0, 4, 1, 70)
     with pytest.raises(ValueError, match="sum"):
         list(run_many_annealed(_CYCLE, envs, 0, 4, 1, 70))
 
@@ -436,16 +447,21 @@ def _builtin_envs(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(_builtin_envs(), st.integers(0, 2**64 - 1))
-def test_a_draw_is_the_sampled_point_bit_for_bit(env, seed):
-    # two copies of one stream: the same draws in the same order, to the same bits
-    first, second = make_stream(seed), make_stream(seed)
+@given(st.lists(_builtin_envs(), min_size=1, max_size=3), st.integers(0, 2**64 - 1))
+def test_a_draw_is_the_sampled_point_bit_for_bit(envs, seed):
+    # copies of one stream: the same draws in the same order, to the same bits, in
+    # a block, by the scalar oracle of the declared order and, for one environment,
+    # by its sample
+    block, scalars, sampled = make_stream(seed), make_stream(seed), make_stream(seed)
+    ends = list(accumulate([0] + [env.dimension for env in envs]))
     for _ in range(3):
-        row = env._draw(first)
-        assert type(row) is tuple and all(type(w) is float for w in row)
-        assert [w.hex() for w in row] == [w.hex() for w in env.sample(second).weights]
-        assert check_simplex(row) is row
-    assert first.random() == second.random()
+        row = draw_environments(envs, [block])[0].tolist()
+        assert [w.hex() for w in row] == [w.hex() for w in environment_by_scalars(envs, scalars)]
+        for lo, hi in zip(ends, ends[1:]):
+            check_simplex(tuple(row[lo:hi]))
+        if len(envs) == 1:
+            assert [w.hex() for w in row] == [w.hex() for w in envs[0].sample(sampled).weights]
+    assert block.random() == scalars.random()
 
 
 def test_a_law_is_checked_when_a_walk_reaches_its_vertex():
@@ -715,9 +731,12 @@ def test_a_law_with_only_its_own_log_weights_walks_with_them():
     ("quenched", _CYCLE, QUENCHED["frozen_cycle"][1], 10**5, 1, False),
     ("quenched", _CYCLE, QUENCHED["frozen_cycle"][1], 100, 63, False),
     ("quenched", _CYCLE, QUENCHED["frozen_cycle"][1], 100, 64, True),
+    # an annealed block pays from a quarter of it
+    ("annealed", _CYCLE, ANNEALED["dirichlet_cycle"][1], 100, 15, False),
+    ("annealed", _CYCLE, ANNEALED["dirichlet_cycle"][1], 100, 16, True),
     ("annealed", _CYCLE, ANNEALED["dirichlet_cycle"][1], 100, 400, True),
-    # 400 trajectories of 3,000 steps: blocks of 21
-    ("annealed", _CYCLE, ANNEALED["dirichlet_cycle"][1], 3000, 400, False),
+    # 400 trajectories of 5,000 steps: blocks of 13
+    ("annealed", _CYCLE, ANNEALED["dirichlet_cycle"][1], 5000, 400, False),
     ("reinforced", _STAR_3, REINFORCED["uniform_star"][1], 5, 4000, True),
     ("reinforced", _STAR_3, REINFORCED["uniform_star"][1], 10**5, 1, False),
     # Dirichlet and uniform laws read padded tables, whose step costs the same
@@ -840,8 +859,9 @@ def test_simulate_leaves_a_reject_table_in_lock_step(tmp_path, monkeypatch, caps
         per_stream(run_reinforced, cycle_graph(4), laws, 0, 5, 9, 250)
 
 
-@pytest.mark.parametrize("mode", ["quenched", "annealed"])
-@pytest.mark.parametrize("count, per_stream_runs", [(63, 63), (64, 0)])
+@pytest.mark.parametrize("mode, count, per_stream_runs", [
+    ("quenched", 63, 63), ("quenched", 64, 0), ("annealed", 15, 15), ("annealed", 16, 0),
+])
 def test_simulate_chooses_the_fixed_environment_runner(tmp_path, monkeypatch, mode, count,
                                                       per_stream_runs):
     calls = _counting(monkeypatch, f"run_{mode}")

@@ -26,6 +26,7 @@ from urnwalk.environment import (
     PointMassEnv,
     PolynomialDirichletEnv,
     VertexEnvLaw,
+    draw_environments,
 )
 from urnwalk.laws import (
     DirichletLaw,
@@ -213,9 +214,6 @@ class _HeldEnv(VertexEnvLaw):
     def sample(self, rng):
         return self.env.sample(rng)
 
-    def _draw(self, rng):
-        return self.env._draw(rng)
-
 
 @pytest.mark.parametrize("parent, body", [
     # a child with only its own _log_weights would walk, and be scanned, with the
@@ -255,7 +253,8 @@ def test_a_class_holding_a_custom_one_reads_its_own_formula():
     env, held = _ReversedTwice(DirichletEnv([1.0, 3.0])), DirichletEnv([1.0, 3.0])
     for c in product(range(3), repeat=2):
         assert env.log_mixed_moment(c) == held.log_mixed_moment(c)
-    assert env._draw(np.random.default_rng(5)) == held._draw(np.random.default_rng(5))
+    drawn = draw_environments([env], [np.random.default_rng(5)])[0].tolist()
+    assert drawn == list(held.sample(np.random.default_rng(5)).weights)
 
 
 @pytest.mark.parametrize("name", sorted(LAWS))
@@ -271,7 +270,7 @@ def test_every_form_of_a_custom_environment_reads_its_formula(name):
     assert env.log_mixed_moments(counts).tobytes() == np.array(want).tobytes()
     for seed in range(5):
         point = env.sample(np.random.default_rng(seed)).weights
-        assert env._draw(np.random.default_rng(seed)) == point
+        assert draw_environments([env], [np.random.default_rng(seed)])[0].tolist() == list(point)
     _check_law_forms(EnvMomentLaw(env))
     graph, envs = cycle_graph(5), dict.fromkeys(range(5), env)
     per_stream = [run_annealed(graph, envs, 0, 10, rng) for rng in stream_generators(7, 200)]
