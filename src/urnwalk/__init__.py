@@ -18,7 +18,6 @@ from .admissibility import (
     SquareViolation,
     check_admissible,
 )
-from .catalog import builtin_environments, builtin_laws, tabulated_witness
 from .environment import (
     DirichletEnv,
     EmpiricalEnv,
@@ -55,13 +54,11 @@ from .laws import (
     SimplexPoint,
     TabulatedLaw,
     UniformLaw,
-    log_rising_factorial,
 )
 from .moments import (
     HSReport,
     MomentTable,
     build_moment_table,
-    finite_difference,
     hildebrandt_schoenberg_check,
     multinomial,
     simplex_defect,

@@ -37,7 +37,8 @@ come from :func:`stirling_correction`.
 The same correction gives the regularised incomplete gamma ratios
 (:func:`regularised_gamma`, and :func:`log_lower_gamma` for a lower tail
 below the floats), from which ``compare`` takes the chi-square tail
-probability of its empirical mode, using only ``math``.
+probability of its empirical mode, using only ``math``: the power series
+below ``x = a + 1``, the finite sum of the upper tail from there on.
 """
 
 from __future__ import annotations
@@ -377,27 +378,14 @@ class LogRisingTable:
         return out
 
 
-def log_rising_factorial(y: float, k: int) -> float:
-    """``log (y)_k = log y (y+1) ... (y+k-1)``, exactly 0 at k=0.
-
-    The entry of a one-row :class:`LogRisingTable`: a sum of logs below
-    :data:`RISING_TABLE_CAP`, a difference of Stirling forms from it on
-    (of log-gammas for ``y`` below :data:`STIRLING_SERIES_MIN`).
-    """
-    if k < 0:
-        raise ValueError("k must be non-negative")
-    if y <= 0:
-        raise ValueError("y must be positive")
-    return LogRisingTable((y,)).at((k,))[0]
-
-
 # --- the regularised incomplete gamma ratios -----------------------------------
 #
 # P(a, x) = gamma(a, x) / Gamma(a) and Q(a, x) = 1 - P(a, x), for ``a`` a
-# positive multiple of 1/2 (half a chi-square's degrees of freedom), after
-# DiDonato & Morris (1986), "Computation of the incomplete gamma function
-# ratios and their inverse", ACM TOMS 12(4).  Both ratios are a prefactor
-# ``x^a e^-x / Gamma(a)`` times a sum that keeps its relative digits.
+# positive multiple of 1/2 (half a chi-square's degrees of freedom).  One
+# method: below ``x = a + 1`` the power series of ``P``, from there on the
+# finite sum of ``Q`` (Abramowitz & Stegun 26.4.4-26.4.5), each a prefactor
+# ``x^a e^-x / Gamma(a)`` times a sum that keeps its relative digits; the
+# other ratio is the complement.
 
 _EPS = 2.0 ** -53
 
@@ -456,49 +444,24 @@ def _lower_series(a: float, x: float) -> float:
     return math.fsum(terms)
 
 
-def _upper_fraction(a: float, x: float) -> float:
-    """Legendre's continued fraction for ``Q(a, x) / prefactor``, for ``x >= a + 1``.
-
-    ``1 / (x + 1 - a - 1 (1 - a) / (x + 3 - a - 2 (2 - a) / (x + 5 - a - ...)))``.
-    The modified Lentz recurrence runs forward only to find the depth at
-    which the fraction has converged; it is then evaluated from that depth
-    back up, which rounds once per level instead of compounding the
-    rounding of every forward ratio (about 1 ulp against up to 9).
-    """
-    tiny = 1e-300
-    b = x + 1.0 - a
-    c, d = 1.0 / tiny, 1.0 / b
-    depth = 0
-    while True:
-        depth += 1
-        an = -depth * (depth - a)
-        b += 2.0
-        d = an * d + b
-        d = 1.0 / (d if d != 0.0 else tiny)
-        c = b + an / c
-        if c == 0.0:
-            c = tiny
-        if abs(d * c - 1.0) <= 2.0 * _EPS:
-            break
-    tail = b
-    for j in range(depth, 0, -1):
-        b -= 2.0
-        tail = b - j * (j - a) / tail
-    return 1.0 / tail
-
-
 def _upper_sum(a: float, x: float, prefactor: float) -> float:
-    """``Q(a, x)`` for a multiple of 1/2 below :data:`STIRLING_SERIES_MIN`, as a finite sum.
+    """``Q(a, x)`` for ``x >= a + 1`` and ``a`` a multiple of 1/2, as a finite sum.
 
     ``Q(b + 1, x) = Q(b, x) + x^b e^-x / Gamma(b + 1)`` steps down from ``a``
     to ``Q(1, x) = e^-x`` (the last term of the sum) or to
-    ``Q(1/2, x) = erfc(sqrt x)``.  The terms are positive and taken from
-    the prefactor down, ``prefactor / x`` times ``(a - 1) ... (a - j) / x^j``.
+    ``Q(1/2, x) = erfc(sqrt x)`` (Abramowitz & Stegun 26.4.4-26.4.5).  The
+    terms are positive and taken from the prefactor down, ``prefactor / x``
+    times ``(a - 1) ... (a - j) / x^j``.  The sum stops before a term ``t``
+    once ``t x / (x - b)`` is below a quarter of the total's ulp: the terms
+    fall by ``b / x`` or faster, so that bounds ``t`` and every term after
+    it, erfc's included, and adding them could not change a bit.
     """
     total = 0.0
     term = prefactor / x
     b = a - 1.0
     while b >= a % 1.0:
+        if term * x <= _EPS / 4 * total * (x - b):
+            return total
         total += term
         term *= b / x
         b -= 1.0
@@ -511,19 +474,15 @@ def regularised_gamma(a: float, x: float) -> tuple[float, float]:
     """``(P(a, x), Q(a, x))`` for ``x > 0`` and ``a`` a positive multiple of 1/2.
 
     For ``x < a + 1`` ``P`` is the power series and ``Q = 1 - P``; from
-    there on ``Q`` is the continued fraction (from
-    :data:`STIRLING_SERIES_MIN` on) or the finite sum of
-    :func:`_upper_sum` (below), and ``P = 1 - Q``.  The one computed
-    directly keeps a few ulps; the complement keeps absolute digits.
+    there on ``Q`` is the finite sum of :func:`_upper_sum` and ``P = 1 - Q``.
+    The one computed directly keeps a few ulps; the complement keeps
+    absolute digits.
     """
     prefactor = _gamma_prefactor(a, x)
     if x < a + 1.0:
         p = prefactor / a * _lower_series(a, x)
         return p, 1.0 - p
-    if a >= STIRLING_SERIES_MIN:
-        q = prefactor * _upper_fraction(a, x)
-    else:
-        q = _upper_sum(a, x, prefactor)
+    q = _upper_sum(a, x, prefactor)
     return 1.0 - q, q
 
 

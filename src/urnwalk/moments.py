@@ -221,25 +221,6 @@ def _difference_terms(
     return math.fsum(terms), math.fsum(map(abs, terms))
 
 
-def finite_difference(table: MomentTable, h: Sequence[int], k: Sequence[int]) -> float:
-    """``Delta^h(v)(k)`` by inclusion-exclusion summed by ``math.fsum``.
-
-    The one-step operators commute, so the expansion
-    ``sum_{0<=m<=h} (-1)^{|h|-|m|} C(h,m) v_{k+m}`` is order-independent.
-    Requires ``|h| + |k| <= order``.
-    """
-    hc = as_counts(h)
-    kc = as_counts(k)
-    if len(hc) != table.dimension or len(kc) != table.dimension:
-        raise MomentOrderError("h and k must match the table dimension")
-    if sum(hc) + sum(kc) > table.order:
-        raise MomentOrderError(
-            f"|h| + |k| = {sum(hc) + sum(kc)} exceeds table order {table.order}"
-        )
-    value, _ = _difference_terms(table, hc, kc)
-    return value
-
-
 def _scan_pairs(
     table: MomentTable, pairs: Iterable[tuple[Counts, Counts]]
 ) -> tuple[float, tuple[Counts, Counts]]:

@@ -428,14 +428,16 @@ class _Layout:
 #: (counts, environments), or the graph's padded neighbor table.
 LOCKSTEP_ELEMENTS = 1 << 16
 
-#: Fewest trajectories a lock-step block holds for lock step to pay, a
-#: quarter of it in an annealed block, whose per-stream draws cost most.  Per
-#: stream / lock step, 100 steps, best of 9 (2 cores, numpy 2.4.6): annealed
-#: cycle-20 at 16 / 32 / 64 / 128 trajectories 2.9 / 1.5, 5.7 / 1.9, 11.5 /
-#: 2.7, 23.6 / 4.5 ms, grid 3x4 2.8 / 1.6, 5.5 / 2.2, 11.0 / 3.2, 22.2 / 5.6
-#: ms; quenched cycle-20 at 16 / 32 0.72 / 0.95, 1.43 / 1.02 ms; a reinforced
-#: table of Dirichlet laws on the 200-cycle, 5 steps, at 32 0.31 / 0.45 ms.
-LOCKSTEP_MIN_BLOCK = 64
+#: Fewest trajectories a lock-step block holds for lock step to pay, by
+#: mode: fewest where per-stream runs cost most.  Per stream / lock step,
+#: best of 9 (2 cores, numpy 2.4.6): annealed, 100 steps, cycle-20 at 16 /
+#: 32 / 64 / 128 trajectories 2.9 / 1.5, 5.7 / 1.9, 11.5 / 2.7, 23.6 / 4.5
+#: ms, grid 3x4 2.8 / 1.6, 5.5 / 2.2, 11.0 / 3.2, 22.2 / 5.6 ms; quenched at
+#: 32, 5 / 24 / 100 steps, cycle-20 0.30 / 0.16, 0.52 / 0.32, 1.36 / 0.97
+#: ms, cycle-200 1.50 / 0.38, 1.76 / 0.55, 2.61 / 1.28 ms, and at 16 on
+#: cycle-20, 100 steps, 0.65 / 0.90 ms; a reinforced table of Dirichlet
+#: laws on the 200-cycle, 5 steps, at 32 0.31 / 0.45 ms.
+LOCKSTEP_MIN_BLOCK = {"reinforced": 64, "quenched": 32, "annealed": 16}
 
 #: Fewest trajectories per vertex within reach that a reinforced block
 #: holds for lock step to pay without :func:`_padded_tables`: it asks each
@@ -455,7 +457,7 @@ def lockstep_pays(
     ``mode`` is ``"reinforced"``, ``"quenched"`` or ``"annealed"``, and
     ``maps`` the laws, assignment or environments of that run.  Lock step
     needs the graph's padded tables within :data:`LOCKSTEP_ELEMENTS` and a
-    block of :data:`LOCKSTEP_MIN_BLOCK` trajectories (annealed: a quarter);
+    block of the mode's :data:`LOCKSTEP_MIN_BLOCK` trajectories;
     reinforced laws that fit :func:`_padded_tables` need no more.  Other reinforced
     blocks need :data:`LOCKSTEP_PER_VERTEX` trajectories per vertex a walk
     can reach within ``steps`` moves.  A law whose ``_simplex_rows`` is
@@ -486,7 +488,7 @@ def lockstep_pays(
     if layout.vertices * layout.width > LOCKSTEP_ELEMENTS:
         return False
     block = layout.block_size(mode, steps, count)
-    if block < (LOCKSTEP_MIN_BLOCK // 4 if mode == "annealed" else LOCKSTEP_MIN_BLOCK):
+    if block < LOCKSTEP_MIN_BLOCK[mode]:
         return False
     if mode == "reinforced":
         laws = [maps.get(x) for x in range(layout.vertices)]

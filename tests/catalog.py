@@ -1,4 +1,4 @@
-"""Named built-in laws and environments used by tests and the docs.
+"""Named built-in laws and environments that the tests share.
 
 Every environment here induces an admissible reinforcement law, and each
 has a closed-form counterpart in :func:`builtin_laws` (matching family and
@@ -8,9 +8,7 @@ table whose elementary square at the origin fails the closedness relation
 with log defect ln(0.05) - ln(0.25) = ln(0.2).
 """
 
-from __future__ import annotations
-
-from .environment import (
+from urnwalk.environment import (
     DirichletEnv,
     EmpiricalEnv,
     PointMassEnv,
@@ -18,7 +16,7 @@ from .environment import (
     VertexEnvLaw,
     law_from_env,
 )
-from .laws import (
+from urnwalk.laws import (
     DirichletLaw,
     PolynomialDirichletLaw,
     ReinforcementLaw,

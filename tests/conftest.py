@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from urnwalk import builtin_environments, builtin_laws
+from catalog import builtin_environments, builtin_laws
 
 
 @pytest.fixture(scope="session")

@@ -1,5 +1,6 @@
 """Reference helpers that only the tests use: square defects, monotone paths,
-lattice enumeration by filtering the cube, the quadrature oracle for mixed
+lattice enumeration by filtering the cube, finite differences of a moment
+table by inclusion-exclusion, the quadrature oracle for mixed
 moments, rising factorials, rising-factorial polynomials and multinomials
 through scipy's log-gamma, independent of the package's summed logs, the
 move counts a trajectory implies, the log probability of a move sequence
@@ -21,8 +22,9 @@ import numpy as np
 from scipy.special import gammaln, logsumexp
 
 from urnwalk.environment import DirichletEnv, PolynomialDirichletEnv, VertexEnvLaw
-from urnwalk.errors import DimensionMismatchError, EvaluationError
+from urnwalk.errors import DimensionMismatchError, EvaluationError, MomentOrderError
 from urnwalk.laws import MIN_WEIGHT, Counts, DirichletLaw, ReinforcementLaw, as_counts
+from urnwalk.moments import MomentTable
 from urnwalk.walk import Graph
 
 
@@ -275,6 +277,24 @@ def cube_ball(dimension: int, order: int) -> list[Counts]:
     out = [k for k in product(range(order + 1), repeat=dimension) if sum(k) <= order]
     out.sort(key=lambda k: (sum(k), k))
     return out
+
+
+def finite_difference(table: MomentTable, h: Sequence[int], k: Sequence[int]) -> float:
+    """``Delta^h(v)(k) = sum_{0<=m<=h} (-1)^{|h|-|m|} C(h,m) v_{k+m}``, summed by ``math.fsum``.
+
+    The tests' own inclusion-exclusion, apart from the package's scan; the
+    one-step operators commute, so the expansion is order-independent.
+    Requires ``|h| + |k| <= order``.
+    """
+    if len(h) != table.dimension or len(k) != table.dimension:
+        raise MomentOrderError("h and k must match the table dimension")
+    if sum(h) + sum(k) > table.order:
+        raise MomentOrderError(f"|h| + |k| = {sum(h) + sum(k)} exceeds table order {table.order}")
+    terms = []
+    for m in product(*(range(hi + 1) for hi in h)):
+        coeff = (-1) ** (sum(h) - sum(m)) * math.prod(map(math.comb, h, m))
+        terms.append(coeff * table.value([a + b for a, b in zip(k, m)]))
+    return math.fsum(terms)
 
 
 def _monomial_value(

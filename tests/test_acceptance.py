@@ -15,6 +15,7 @@ import pytest
 from scipy.stats import chi2
 
 import urnwalk as uw
+from catalog import tabulated_witness
 from oracles import path_product, quadrature_moment, random_monotone_path
 from urnwalk.cli import main as cli_main
 from urnwalk.moments import ball_indices
@@ -258,7 +259,7 @@ def test_criterion_08_sampler_calibration():
 
 
 def test_criterion_09_negative_controls():
-    witness = uw.tabulated_witness()
+    witness = tabulated_witness()
     report = uw.check_admissible(witness, 1, ADMISSIBILITY_TOL)
     documented_gap = math.log(0.05 / 0.25)
     gap_ok = (

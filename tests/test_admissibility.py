@@ -8,13 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from catalog import tabulated_witness
 from oracles import path_endpoint, path_product, random_monotone_path, square_defect
 from urnwalk import (
     DirichletLaw,
     PolynomialDirichletLaw,
     UniformLaw,
     check_admissible,
-    tabulated_witness,
 )
 
 WITNESS_GAP = math.log(0.05) - math.log(0.25)

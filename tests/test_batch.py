@@ -18,8 +18,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from catalog import tabulated_witness
 from urnwalk.admissibility import DEFAULT_TOLERANCE, check_admissible
-from urnwalk.catalog import tabulated_witness
 from urnwalk.config import law_from_spec
 from urnwalk.environment import (
     DirichletEnv,

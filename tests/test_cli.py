@@ -20,7 +20,7 @@ from urnwalk.cli import main
 from urnwalk.environment import ENVIRONMENT_DRAWS, DirichletEnv
 from urnwalk.equivalence import DEFAULT_MAX_PATHS
 from urnwalk.errors import EvaluationError
-from urnwalk.laws import RisingPolynomial
+from urnwalk.laws import RisingPolynomial, regularised_gamma
 
 try:
     import mpmath
@@ -1816,6 +1816,25 @@ class TestChiSquareThreshold:
         )
         assert done.stdout.split() == ["0", "False"]
         assert json.loads((tmp_path / "c.json").read_text())["passed"] is True
+
+
+def upper_tail_cases() -> list[tuple[int, float]]:
+    """(dof, x) with ``x >= dof / 2 + 1`` over dof 20..20,000, seeded, and one half-integer
+    ``a = 10.5`` near ``a + 1``, where erfc's term is about 5e-6 of ``Q``."""
+    rng = random.Random(20261021)
+    cases = [(21, 11.5)]
+    for _ in range(200):
+        dof = rng.randint(20, 20_000)
+        cases.append((dof, dof / 2 + 1 + rng.uniform(0, 30) * math.sqrt(dof / 2)))
+    return cases
+
+
+@needs_mpmath
+def test_the_upper_tail_agrees_with_mpmath_from_a_plus_one():
+    for dof, x in upper_tail_cases():
+        with mpmath.workdps(50):
+            want = float(mpmath.gammainc(mpmath.mpf(dof) / 2, x, mpmath.inf, regularized=True))
+        assert math.isclose(regularised_gamma(dof / 2, x)[1], want, rel_tol=1e-12), (dof, x)
 
 
 class TestVertexIdKeys:

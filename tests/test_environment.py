@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from catalog import POLY_QUADRATIC_3D
 from oracles import quadrature_moment, rising_factorial
 from urnwalk import (
     DimensionMismatchError,
@@ -24,7 +25,6 @@ from urnwalk import (
     law_from_env,
 )
 from urnwalk import walk
-from urnwalk.catalog import POLY_QUADRATIC_3D
 from urnwalk.environment import draw_environments
 from urnwalk.laws import MIN_WEIGHT, LogRisingTable, RisingPolynomial, draw_index, log_sum_exp
 from urnwalk.walk import Graph, make_stream

@@ -32,8 +32,8 @@ from urnwalk import (
     recover_env_moments,
     segment_graph,
     star_graph,
-    tabulated_witness,
 )
+from catalog import tabulated_witness
 from oracles import errw_paths, errw_step
 from urnwalk import equivalence
 from urnwalk.laws import log_sum_exp

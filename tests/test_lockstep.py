@@ -17,9 +17,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from catalog import POLY_LINEAR_2D, POLY_QUADRATIC_3D
 from oracles import DriftingLaw, ReversedDirichlet, Tilted, environment_by_scalars
 from urnwalk import cli, walk
-from urnwalk.catalog import POLY_LINEAR_2D, POLY_QUADRATIC_3D
 from urnwalk.environment import (
     DirichletEnv,
     EmpiricalEnv,
@@ -727,11 +727,11 @@ def test_a_law_with_only_its_own_log_weights_walks_with_them():
 
 
 @pytest.mark.parametrize("mode, graph, maps, steps, count, pays", [
-    # a block needs LOCKSTEP_MIN_BLOCK trajectories: one long trajectory runs per stream
+    # a block needs its mode's LOCKSTEP_MIN_BLOCK trajectories: one long trajectory
+    # runs per stream
     ("quenched", _CYCLE, QUENCHED["frozen_cycle"][1], 10**5, 1, False),
-    ("quenched", _CYCLE, QUENCHED["frozen_cycle"][1], 100, 63, False),
-    ("quenched", _CYCLE, QUENCHED["frozen_cycle"][1], 100, 64, True),
-    # an annealed block pays from a quarter of it
+    ("quenched", _CYCLE, QUENCHED["frozen_cycle"][1], 100, 31, False),
+    ("quenched", _CYCLE, QUENCHED["frozen_cycle"][1], 100, 32, True),
     ("annealed", _CYCLE, ANNEALED["dirichlet_cycle"][1], 100, 15, False),
     ("annealed", _CYCLE, ANNEALED["dirichlet_cycle"][1], 100, 16, True),
     ("annealed", _CYCLE, ANNEALED["dirichlet_cycle"][1], 100, 400, True),
@@ -740,7 +740,7 @@ def test_a_law_with_only_its_own_log_weights_walks_with_them():
     ("reinforced", _STAR_3, REINFORCED["uniform_star"][1], 5, 4000, True),
     ("reinforced", _STAR_3, REINFORCED["uniform_star"][1], 10**5, 1, False),
     # Dirichlet and uniform laws read padded tables, whose step costs the same
-    # however many vertices the walks reach: a block of LOCKSTEP_MIN_BLOCK pays
+    # however many vertices the walks reach: a reinforced block of 64 pays
     ("reinforced", cycle_graph(20), _DIRICHLET_CYCLE, 2, 250, True),
     ("reinforced", cycle_graph(20), _DIRICHLET_CYCLE, 30, 250, True),
     ("reinforced", cycle_graph(20), _DIRICHLET_CYCLE, 30, 1000, True),
@@ -783,7 +783,8 @@ def test_a_law_with_only_its_own_log_weights_walks_with_them():
     ("reinforced", _STAR_3, {x: REINFORCED["uniform_star"][1][x] for x in range(3)}, 5, 4000, False),
 ])
 def test_lock_step_runs_where_it_pays(mode, graph, maps, steps, count, pays):
-    assert walk.LOCKSTEP_MIN_BLOCK == 64 and walk.LOCKSTEP_PER_VERTEX == 50
+    assert walk.LOCKSTEP_MIN_BLOCK == {"reinforced": 64, "quenched": 32, "annealed": 16}
+    assert walk.LOCKSTEP_PER_VERTEX == 50
     assert walk.lockstep_pays(mode, graph, maps, 0, steps, count) is pays
 
 
@@ -860,7 +861,7 @@ def test_simulate_leaves_a_reject_table_in_lock_step(tmp_path, monkeypatch, caps
 
 
 @pytest.mark.parametrize("mode, count, per_stream_runs", [
-    ("quenched", 63, 63), ("quenched", 64, 0), ("annealed", 15, 15), ("annealed", 16, 0),
+    ("quenched", 31, 31), ("quenched", 32, 0), ("annealed", 15, 15), ("annealed", 16, 0),
 ])
 def test_simulate_chooses_the_fixed_environment_runner(tmp_path, monkeypatch, mode, count,
                                                       per_stream_runs):

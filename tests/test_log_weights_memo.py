@@ -11,16 +11,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from catalog import POLY_QUADRATIC_3D, tabulated_witness
 from oracles import Tilted, path_product
 from urnwalk import (
     check_admissible,
     compare_distributions,
     enumerate_annealed,
     enumerate_reinforced,
-    tabulated_witness,
 )
 from urnwalk import cli, laws
-from urnwalk.catalog import POLY_QUADRATIC_3D
 from urnwalk.environment import (
     DirichletEnv,
     EnvMomentLaw,

@@ -9,20 +9,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import cube_ball, cube_slice, log_multinomial
+from catalog import builtin_laws, tabulated_witness
+from oracles import cube_ball, cube_slice, finite_difference, log_multinomial
 from urnwalk import (
     DirichletEnv,
     DirichletLaw,
     MomentOrderError,
     NotAdmissibleError,
     build_moment_table,
-    builtin_laws,
-    finite_difference,
     hildebrandt_schoenberg_check,
     multinomial,
     simplex_defect,
     simplex_mass,
-    tabulated_witness,
 )
 from urnwalk.moments import MomentTable, ball_indices, slice_indices
 

@@ -16,9 +16,9 @@ from itertools import product
 import numpy as np
 import pytest
 
+from catalog import POLY_LINEAR_2D
 from oracles import ReversedDirichlet
 from urnwalk import walk
-from urnwalk.catalog import POLY_LINEAR_2D
 from urnwalk.environment import (
     DirichletEnv,
     EmpiricalEnv,

@@ -25,8 +25,8 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
+from catalog import POLY_QUADRATIC_3D
 from oracles import log_multinomial
-from urnwalk.catalog import POLY_QUADRATIC_3D
 from urnwalk.environment import DirichletEnv, PointMassEnv, PolynomialDirichletEnv
 from urnwalk.walk import run_many_annealed, star_graph
 
