@@ -129,7 +129,8 @@ EXIT_GUARD = 4
 #: recorded in the ``meta`` of simulate and empirical compare), a frozen
 #: environment draws from its own stream, and Dirichlet environments are drawn
 #: from the logs of their gamma draws (:meth:`~urnwalk.environment.DirichletEnv.sample`).
-NUMERICS = 5
+#: 6: the chi-square upper tail past ``a + 1`` is a finite sum (:func:`~urnwalk.laws.regularised_gamma`).
+NUMERICS = 6
 
 #: Most lattice points a command reads (box corners, table entries or count
 #: vectors), the default ``max_paths`` of exact compare.

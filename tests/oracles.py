@@ -3,12 +3,13 @@ lattice enumeration by filtering the cube, finite differences of a moment
 table by inclusion-exclusion, the quadrature oracle for mixed
 moments, rising factorials, rising-factorial polynomials and multinomials
 through scipy's log-gamma, independent of the package's summed logs, the
-move counts a trajectory implies, the log probability of a move sequence
-under a law, the exact path law of edge-reinforced random walk, in
-fractions and sharing no code with the package, and one stream's environment
-draws in scalars.  Also three laws of the
-tests' own: one that leaves the simplex mid-walk, one that is not closed
-and one that reverses a Dirichlet law's moves."""
+package's own ``log (y)_k`` for the tests to check against them, the move
+counts a trajectory implies, the log probability of a move sequence under a
+law, the exact path law of edge-reinforced random walk, in fractions and
+sharing no code with the package, and one stream's environment draws in
+scalars.  Also three laws of the tests' own: one that leaves the simplex
+mid-walk, one that is not closed and one that reverses a Dirichlet law's
+moves."""
 
 import math
 from collections import Counter
@@ -23,7 +24,14 @@ from scipy.special import gammaln, logsumexp
 
 from urnwalk.environment import DirichletEnv, PolynomialDirichletEnv, VertexEnvLaw
 from urnwalk.errors import DimensionMismatchError, EvaluationError, MomentOrderError
-from urnwalk.laws import MIN_WEIGHT, Counts, DirichletLaw, ReinforcementLaw, as_counts
+from urnwalk.laws import (
+    MIN_WEIGHT,
+    Counts,
+    DirichletLaw,
+    LogRisingTable,
+    ReinforcementLaw,
+    as_counts,
+)
 from urnwalk.moments import MomentTable
 from urnwalk.walk import Graph
 
@@ -167,6 +175,11 @@ def rising_factorial(y: float, k: int) -> float:
 def gammaln_rising_factorial(y: float, k: int) -> float:
     """``log (y)_k`` as a difference of scipy log-gammas: the oracle for the package's summed logs."""
     return float(gammaln(y + k) - gammaln(y))
+
+
+def log_rising_factorial(y: float, k: int) -> float:
+    """The package's ``log (y)_k``: the entry of a one-row :class:`LogRisingTable`."""
+    return LogRisingTable((y,)).at((k,))[0]
 
 
 def per_term_log_rising_polynomial(coefficients: Mapping[Counts, float], y: Sequence[float],

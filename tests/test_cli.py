@@ -1000,22 +1000,22 @@ GOLDEN_DERIVE_ENVS = {
 
 #: SHA-256 of every file derive-law writes under numerics 2 (summed-log moments,
 #: normalised induced weights), taken from the per-point evaluation (Python 3.11,
-#: numpy 2.4.6); the files holding the meta re-pinned for ``"numerics": 3``, ``4``
-#: and then ``5``, each time the bytes of the previous version with its number replaced.
+#: numpy 2.4.6); the files holding the meta re-pinned for ``"numerics": 3``, ``4``,
+#: ``5`` and then ``6``, each time the bytes of the previous version with its number replaced.
 GOLDEN_DERIVE_DIGESTS = {
     ("dirichlet_d4_box8", "csv"): {
         "law.csv": "6daf4c33cb529725f3682a7795acb226ce87c3b6c56b03abc4499c65b0c45850",
-        "law.csv.meta.json": "41a0a52c85474b01ba17231eaaeecfc21c9a840576d6e148097d3c64f79e5a1e",
+        "law.csv.meta.json": "2745407c71a03d19c8082dd95ae7a30f11460237fea8f3d08efa0409f42ee4dd",
     },
     ("dirichlet_d4_box8", "json"): {
-        "law.json": "735089c29a6ec6afde1d890e25420d21968a52f6d762ae7657258c6267e7e537",
+        "law.json": "0ee581e5239954e088e48b79741bea388cb0a67a8f6e1753653e860c3b5e1a5b",
     },
     ("polynomial_d3_box10", "csv"): {
         "law.csv": "0711447450fbdadcbb6dc5a8da2297960849e032e34232ac0fb4a52cd849a159",
-        "law.csv.meta.json": "b551c4b135ebaab4508014bfec4b040e3721e2dc2e85bd319f4c4992f144fffb",
+        "law.csv.meta.json": "ce8abcba4107b1f9c2b543d161a5c9e62704fc4761c80bc80591361f2687a585",
     },
     ("polynomial_d3_box10", "json"): {
-        "law.json": "3f4c2faf8a22cab2ed29a7bc4ef411e4951a0f4e6628a9061b1e6ad5b64f6b42",
+        "law.json": "5545e26cc8232c92c0981eaeeb16372851ff3b6251f2a087ff87866301a60352",
     },
 }
 
@@ -1024,7 +1024,8 @@ GOLDEN_DERIVE_DIGESTS = {
 #: body writer replaced ``json.dump``: name -> (command, config, extra argv, exit code).
 #: Re-pinned for ``"numerics": 5``: the unsampled outputs are the previous bytes
 #: with the number replaced; simulate and empirical compare draw from Philox
-#: streams and record their layout.
+#: streams and record their layout.  Re-pinned for ``"numerics": 6``: the
+#: previous bytes with the number replaced (no case's chi-square tail moved).
 GOLDEN_COMMAND_CASES = {
     "admissibility_witness": ("check-admissibility",
                               {"law": WITNESS_LAW, "operation": {"box": 1}}, (), 1),
@@ -1078,121 +1079,121 @@ GOLDEN_COMMAND_DIGESTS = {
         "check-admissibility.csv":
             "2a8b0d39696618e367295578db6ddba3dd6ff23490407f0dba8d625216a278c9",
         "check-admissibility.csv.meta.json":
-            "868ae8eb750efb874a9072ca7107e793ad0482be03b30f2c8fcb1fbade1c6f90",
+            "f8f65fd255c0ea15e69d9ed8fa25dd91a96fb49528496a70d39d06bee24bc27c",
     },
     ("admissibility_empty", "json"): {
         "check-admissibility.json":
-            "3602bbbdafebd234f72329a1354d4e594c916cfd412fbf9e28ac94197822dd7c",
+            "67286656abff71f43b9915168890aaca2bf960d30bd9175e9f426b3718108f1b",
     },
     ("admissibility_witness", "csv"): {
         "check-admissibility.csv":
             "442d7ca5269a95be75ddd007071ee22711523aacf737dd340deb9ff22e88bbf7",
         "check-admissibility.csv.meta.json":
-            "15fc43b3ef2f7b0e6cf2bc9e1f12012bb56c68c3c4203d8b18c81bb0cd9f99a2",
+            "d8bb948829a8e99235bc6ff2a3429ff504f57a3b78e6fc5bdf8eb3cddaa4cf58",
     },
     ("admissibility_witness", "json"): {
         "check-admissibility.json":
-            "352b4ee99e570736c630a3b6328dfa2d0a4f555d2f1e8d8ee1dbfa1a049395db",
+            "246d57c182dd0660aeaf62c5f4273807bed3de0549e004a73102c32b43ca2a1d",
     },
     ("compare_empirical", "csv"): {
         "compare.csv":
             "32cc650f9ef0fe55e0140eafc103e04989bf4e80b1af6297e08bb971a5d2bbdc",
         "compare.csv.meta.json":
-            "7e1501572a86e9c29b448e1bdc0b8817de23204707036a6a3f8e885b48dab291",
+            "10fdda93a3225a1a0ed7eb00c2d38a2713dd8b2f6bae950b09b647c8f2e33869",
     },
     ("compare_empirical", "json"): {
         "compare.json":
-            "cb0fa74a263c4de2b1a88bf66225ba4bc9923049f2e416fd1f94cbe0e8737438",
+            "5ba14845838960caddae849ba1c00602fa7a45211048b3df3aec51d60190b554",
     },
     ("compare_exact", "csv"): {
         "compare.csv":
             "ed6231bc052a67dabc4252ee94bdc21c4937b23f1717208205eb0637cf93b86a",
         "compare.csv.meta.json":
-            "c4e96b2f4981a8d877f32b0661f79469a11d69e2915a1826980f984e99f8df95",
+            "d80e7565865776065d10fbd93f3b3cd228d8631278e00320549bf1062f6514fe",
     },
     ("compare_exact", "json"): {
         "compare.json":
-            "a41bd086e80b8785291c0b034e78d5d289a428e701d015567ffca8bf10e89b06",
+            "f5a837ecef43a425be7305bbee45a0fbb57a3c0bd4b90eed9b19f7e61a9c79bd",
     },
     ("derive_law", "csv"): {
         "derive-law.csv":
             "ca6d78528dd4b1a9eedb225e610e801f37facbcd37d418df795a3c640c36a19b",
         "derive-law.csv.meta.json":
-            "928ca24c7ddcc9a8455c8992c1098fbef52faec2ae69f5de21f81b026c624677",
+            "a52b03c2812664c2e899d1f88f337083008b06f2864d3380564ade4748fc1f5b",
     },
     ("derive_law", "json"): {
         "derive-law.json":
-            "0127336279ebeda1ceb36f22c3a079f40313fb4bef267446b15e02237142d85b",
+            "d93766baf4c62ece7190e293f7ec7799f86eff99270d90ff521cbf0769c98d47",
     },
     ("recover_moments", "csv"): {
         "recover-moments.csv":
             "e23b269b041ebd38a02026edb1c67dc24d1ef2c301f3fe8d5f02bff80f834f3d",
         "recover-moments.csv.meta.json":
-            "e9b799ac781c9dd6ce814a363746b58df8801093cef4d0e349da8fedd3081b34",
+            "7803dc40b2c5d1ffbdcedaa3fed140a643b60b277db87d3748dc5c13878d4891",
     },
     ("recover_moments", "json"): {
         "recover-moments.json":
-            "d6934bbc278dce12e352f45218db50fad5309b6c2e5daaf04fa88da9e5806a3e",
+            "8d4c6bea859be666d675c1082e88e03d55c714c73db0e52841cf605f0150af09",
     },
     ("simulate_annealed", "csv"): {
         "simulate.csv":
             "080bc43fdad947d134e3dbdbdc2fb71b33706305e6785ca3dd40587966fd1126",
         "simulate.csv.meta.json":
-            "da5e5770001caabab6cdd6f22b370ad01fde3617609e2a29298e86f900b93454",
+            "f7f5d67496cf806383fd7d3e1cdc199cbd6c12274dde76b79cf9891fe49d98d1",
     },
     ("simulate_annealed", "json"): {
         "simulate.json":
-            "b1eced917c09d089b8400363e08441f56d7882c317acc348f0a0cb75bea73411",
+            "d5c3b07ff2dcfdedb240163074a3317b31bb45c6555fbc264fabb675a0a20545",
     },
     ("simulate_quenched", "csv"): {
         "simulate.csv":
             "3101cc4bff7eb063374596e136475f9043ddd40f95546d851059e0b4a83684da",
         "simulate.csv.meta.json":
-            "d9fddc447eac611fd185371b6d6362af87f1e81280c9c02fda7f43630b86fefd",
+            "a6a4c7c807c7ffd2699e46041ff6f95ad56cbd5e6101842a8592ef6b25ce8fda",
     },
     ("simulate_quenched", "json"): {
         "simulate.json":
-            "802e9ce9b190f2765e81e9b0db2f6ae3c76f97ac7b98a198c1234a98dbdc8f21",
+            "974459cb3609c95ae70ae321cac71ecdc5a4626f6cb802156723352ad477c4c2",
     },
     ("simulate_reinforced", "csv"): {
         "simulate.csv":
             "1048ee38c5b9341d503e6365d2fdef0678690d25457f7e641fe50112aeeaeb19",
         "simulate.csv.meta.json":
-            "91ea9298c002cc4577b36d1ccb0e0d80398845baeec7df2dacea7bce3621520c",
+            "6ef30c666a86b544f6037c29dd91d020725c301831a212160c09d1c3e7b89477",
     },
     ("simulate_reinforced", "json"): {
         "simulate.json":
-            "1fa4d7c1555098da5eb047c1bcb96563da4093ca898abd15ad71ff5003d6921d",
+            "6c2ff71ac2806beefe7ae055f56547a47f82c0db208838bddf5f9cc51f3b48c3",
     },
     ("simulate_zero_steps", "csv"): {
         "simulate.csv":
             "14161326360ab8f6c4b87314bf58a5cc68687501d9f65b3001fe17f1ea09c1e9",
         "simulate.csv.meta.json":
-            "ae3d58753aa9565c31f620b546bd0068a1a6c9ac7f9eb5e791c77bb1f5d02251",
+            "f80bc2c8a2db41899cb053341577c3571e2438e5e3c51124b8b02b814bef9506",
     },
     ("simulate_zero_steps", "json"): {
         "simulate.json":
-            "84be29b8806a246464bc2c3bec460285617b83bcdf6b48caf8e2028e16d278c8",
+            "5ba23d2d6d91958df79d27756bbd93817a946a7db5ce0ac339ee3b31975449e8",
     },
     ("verify_moments", "csv"): {
         "verify-moments.csv":
             "e23b269b041ebd38a02026edb1c67dc24d1ef2c301f3fe8d5f02bff80f834f3d",
         "verify-moments.csv.meta.json":
-            "c2f6927870e64ca88d80126fa34143599bc09e196ffc1c1a8624f93df2e2d269",
+            "d54e5ab93a89f0337ad414ade771d76b94150c20896c0509502495fb820a971a",
     },
     ("verify_moments", "json"): {
         "verify-moments.json":
-            "bb4a4368cb35c89144eb2498cddd68edcf3473c32a2993b104ad7e1afbec9e98",
+            "3665de0db475e32a65b522bdafc1f3ce6abe5f79d870aee051c04799bd342aa0",
     },
     ("verify_moments_corrupt", "csv"): {
         "verify-moments.csv":
             "c851ec368c6484cbb472eac907e915f5238efbb109bc42c7952334c3e55e703f",
         "verify-moments.csv.meta.json":
-            "67cb03a40f240efc077dfe566bce9b3a9c56fb8ef8824c23309ea62231e2a574",
+            "93b04a5a02a6b07e9b9bf1c6758323d7ebb38c5b61d317bfe1e707177c59ebc5",
     },
     ("verify_moments_corrupt", "json"): {
         "verify-moments.json":
-            "ecbffc9e43962a210079739818dcaaa60283939016e77ab5793ee617c588bb4e",
+            "907f4d67222b961bbd0a62ab17bf9371e2453a967c40e791ecd1c4f6031f9ff4",
     },
 }
 
@@ -1660,7 +1661,7 @@ def test_every_command_records_its_numerics_version(tmp_path, monkeypatch, name)
     path = tmp_path / "c.json"
     path.write_text(json.dumps(payload), encoding="utf-8")
     assert main([LEAF_CONFIGS[name][0], "--config", str(path)]) == 0
-    assert json.loads((tmp_path / "o.json").read_text())["numerics"] == 5
+    assert json.loads((tmp_path / "o.json").read_text())["numerics"] == 6
 
 
 def mp_chi2_cdf(statistic: float, dof: int):

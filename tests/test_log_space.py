@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 from scipy.special import logsumexp as scipy_logsumexp
 
 from catalog import POLY_LINEAR_2D, POLY_QUADRATIC_3D
-from oracles import per_term_log_rising_polynomial
+from oracles import log_rising_factorial, per_term_log_rising_polynomial
 from urnwalk import laws
 from urnwalk.environment import (
     DirichletEnv,
@@ -44,7 +44,6 @@ from urnwalk.laws import (
     MIN_WEIGHT,
     SIMPLEX_MEMO_LIMIT,
     DirichletLaw,
-    LogRisingTable,
     PolynomialDirichletLaw,
     RisingPolynomial,
     SimplexPoint,
@@ -121,11 +120,6 @@ class TestLogSumExp:
 
 
 # --- tabulated rising-factorial polynomial against the per-term formulation ----
-
-
-def log_rising_factorial(y: float, k: int) -> float:
-    """The package's ``log (y)_k``: the entry of a one-row :class:`LogRisingTable`."""
-    return LogRisingTable((y,)).at((k,))[0]
 
 
 def summed_log_polynomial(coefficients, y) -> float:

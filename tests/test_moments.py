@@ -22,7 +22,7 @@ from urnwalk import (
     simplex_defect,
     simplex_mass,
 )
-from urnwalk.moments import MomentTable, ball_indices, slice_indices
+from urnwalk.moments import MomentTable, _difference_terms, ball_indices, slice_indices
 
 
 @pytest.mark.parametrize("d", range(1, 6))
@@ -45,6 +45,11 @@ def iterated_difference(table, h, k):
                 table, lower, k
             )
     return table.value(k)
+
+
+def package_difference(table, h, k):
+    """``Delta^h(v)(k)`` by the package's inclusion-exclusion, the sum the positivity scan signs."""
+    return _difference_terms(table, tuple(h), tuple(k))[0]
 
 
 @pytest.fixture(scope="module")
@@ -90,18 +95,22 @@ class TestBuildMomentTable:
 
 class TestFiniteDifference:
     def test_zero_difference_returns_the_value(self, uniform_urn_table):
-        assert finite_difference(uniform_urn_table, (0, 0), (2, 1)) == pytest.approx(
-            uniform_urn_table.value((2, 1))
-        )
+        oracle = finite_difference(uniform_urn_table, (0, 0), (2, 1))
+        assert oracle == pytest.approx(uniform_urn_table.value((2, 1)))
+        assert package_difference(uniform_urn_table, (0, 0), (2, 1)) == pytest.approx(oracle)
 
     def test_one_step(self, uniform_urn_table):
-        assert finite_difference(uniform_urn_table, (1, 0), (0, 0)) == pytest.approx(
-            -0.5, rel=1e-13
+        oracle = finite_difference(uniform_urn_table, (1, 0), (0, 0))
+        assert oracle == pytest.approx(-0.5, rel=1e-13)
+        assert package_difference(uniform_urn_table, (1, 0), (0, 0)) == pytest.approx(
+            oracle, rel=1e-13
         )
 
     def test_mixed_second_difference(self, uniform_urn_table):
-        assert finite_difference(uniform_urn_table, (1, 1), (0, 0)) == pytest.approx(
-            1 / 6, rel=1e-12
+        oracle = finite_difference(uniform_urn_table, (1, 1), (0, 0))
+        assert oracle == pytest.approx(1 / 6, rel=1e-12)
+        assert package_difference(uniform_urn_table, (1, 1), (0, 0)) == pytest.approx(
+            oracle, rel=1e-12
         )
 
     def test_out_of_order_request(self, uniform_urn_table):
@@ -121,6 +130,8 @@ class TestFiniteDifference:
         expansion = finite_difference(uniform_urn_table, (h1, h2), (k1, k2))
         iterated = iterated_difference(uniform_urn_table, (h1, h2), (k1, k2))
         assert expansion == pytest.approx(iterated, abs=1e-12)
+        package = package_difference(uniform_urn_table, (h1, h2), (k1, k2))
+        assert package == pytest.approx(expansion, abs=1e-12)
 
     def test_one_step_difference_equals_minus_neighbor_sum(self, law_map):
         # when the law's weights sum to 1, -Delta^{e_i} v(k) = sum_{j != i} v_{k+e_j}
@@ -129,13 +140,17 @@ class TestFiniteDifference:
             d = law.dimension
             for k in ball_indices(d, 3):
                 for i in range(d):
-                    lhs = -finite_difference(table, tuple(int(a == i) for a in range(d)), k)
+                    e_i = tuple(int(a == i) for a in range(d))
+                    lhs = -finite_difference(table, e_i, k)
                     rhs = math.fsum(
                         table.value(k[:j] + (k[j] + 1,) + k[j + 1 :])
                         for j in range(d)
                         if j != i
                     )
                     assert lhs == pytest.approx(rhs, abs=1e-12), name
+                    assert -package_difference(table, e_i, k) == pytest.approx(
+                        lhs, abs=1e-12
+                    ), name
 
 
 class TestPositivityScan:
@@ -153,7 +168,9 @@ class TestPositivityScan:
         report = hildebrandt_schoenberg_check(corrupted)
         assert not report.passed
         # the overwritten entry breaks monotonicity: -(v(1,0) - v(0,0)) = -0.5
-        assert finite_difference(corrupted, (1, 0), (0, 0)) == pytest.approx(0.5)
+        oracle = finite_difference(corrupted, (1, 0), (0, 0))
+        assert oracle == pytest.approx(0.5)
+        assert package_difference(corrupted, (1, 0), (0, 0)) == pytest.approx(oracle)
         assert report.max_negativity <= -0.5
 
     @pytest.mark.parametrize("tolerance", [math.nan, math.inf, -math.inf, -1.0])

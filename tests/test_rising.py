@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import log_rising_factorial
 from urnwalk.cli import main
 from urnwalk.environment import DirichletEnv, law_from_env
 from urnwalk.laws import RISING_TABLE_CAP, LogRisingTable
@@ -30,11 +31,6 @@ except ImportError:  # an optional test dependency; the scipy oracle still runs
 
 CAP = RISING_TABLE_CAP
 needs_mpmath = pytest.mark.skipif(mpmath is None, reason="mpmath is not installed")
-
-
-def log_rising_factorial(y: float, k: int) -> float:
-    """The package's ``log (y)_k``: the entry of a one-row :class:`LogRisingTable`."""
-    return LogRisingTable((y,)).at((k,))[0]
 
 
 def mp_log_rising(y: float, k: int) -> float:
