@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from functools import reduce
-from itertools import accumulate
+from itertools import accumulate, pairwise
 from operator import add
 from typing import Iterable, Mapping, Sequence
 
@@ -66,30 +66,25 @@ def _dirichlet_draw(alphas: np.ndarray, gammas: np.ndarray, boosted: list, degre
     over their sum left to right, each raised to ``MIN_WEIGHT`` (no 53-bit
     uniform tells values below it apart).  Where every log is -inf (the boosts
     of alpha near the least float), the least ``-log(1 - U_j) / alpha_j``, in
-    logs, is the largest weight of the true draw and takes 1.  Logs and exps are
-    ``math``'s (libm); numpy only adds, subtracts, divides and takes maxima, in
-    a ``[n, vertices, width]`` grid, so no bit depends on its SIMD loops.
+    logs, is the largest weight of the true draw and takes 1.  Each vertex's
+    columns are normalised in turn, with libm's logs and exps (``math``);
+    numpy only adds, subtracts, divides and takes maxima, so no bit depends
+    on its SIMD loops.
     """
-    n, width, starts = len(alphas), max(degrees, default=1), np.array([0, *accumulate(degrees)])
-    shape, vertex = (n, len(degrees), width), np.repeat(np.arange(len(degrees)), degrees)
-    padded = np.arange(alphas.shape[1]) + vertex * width - starts[vertex]
-    boosts = np.zeros_like(alphas)
+    boosts, out = np.zeros_like(alphas), np.empty_like(alphas)
     if boosted:
         boosts[alphas < 1.0] = math_each(math.log, 1.0 - np.concatenate(boosted))
-    grid = np.full((n, len(degrees) * width), -math.inf)
     with np.errstate(over="ignore", invalid="ignore"):  # -inf - -inf at the points of the last rule
-        grid[:, padded] = logs = math_each(math.log, np.maximum(gammas, math.ulp(0.0))) + boosts / alphas
-        top = grid.reshape(shape).max(axis=2)
-        shifted = math_each(math.exp, logs - top.take(vertex, axis=1))
-    grid[:] = 0.0
-    grid[:, padded] = shifted
-    out = np.maximum(shifted / row_sums(grid.reshape(shape)).take(vertex, axis=1), MIN_WEIGHT)
-    for r, x in np.argwhere(top == -math.inf).tolist():  # every coordinate is boosted, no boost 0
-        point = slice(starts[x], starts[x + 1])
-        keys = [math.log(-b) - math.log(a) for b, a in zip(boosts[r, point], alphas[r, point])]
-        out[r, point] = MIN_WEIGHT
-        out[r, starts[x] + keys.index(min(keys))] = 1.0
-    return out
+        logs = math_each(math.log, np.maximum(gammas, math.ulp(0.0))) + boosts / alphas
+        for lo, hi in pairwise(accumulate(degrees, initial=0)):
+            top = logs[:, lo:hi].max(axis=1, keepdims=True)
+            shifted = math_each(math.exp, logs[:, lo:hi] - top)
+            out[:, lo:hi] = shifted / row_sums(shifted)[:, None]
+            for r in np.flatnonzero(top == -math.inf).tolist():  # every coordinate boosted, none 0
+                keys = [math.log(-b) - math.log(a) for b, a in zip(boosts[r, lo:hi], alphas[r, lo:hi])]
+                out[r, lo:hi] = MIN_WEIGHT
+                out[r, lo + keys.index(min(keys))] = 1.0
+    return np.maximum(out, MIN_WEIGHT)
 
 
 def draw_environments(envs: Sequence[VertexEnvLaw], streams: Iterable[np.random.Generator],
@@ -101,8 +96,8 @@ def draw_environments(envs: Sequence[VertexEnvLaw], streams: Iterable[np.random.
     (:func:`~urnwalk.laws.draw_index`'s rule, by bisection of the running sums),
     one ``standard_gamma`` over every Dirichlet coordinate, ``random(b)`` for its
     b boosts, each other vertex's ``sample`` in turn, then ``uniforms[i]``.  The
-    points, :func:`_dirichlet_draw`'s, are not checked on the simplex; a sample
-    of a wrong dimension raises.
+    density points (:func:`_dirichlet_draw`, one vertex at a time) are not
+    checked on the simplex; a sample of a wrong dimension raises.
     """
     n, dims = len(uniforms), [env.dimension for env in envs]
     starts = list(accumulate(dims, initial=0))

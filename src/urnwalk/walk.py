@@ -59,7 +59,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from itertools import islice
+from itertools import accumulate, islice, pairwise
 from typing import Iterator, Mapping
 
 import numpy as np
@@ -368,7 +368,7 @@ def lockstep_moves(cumulative: np.ndarray, u: np.ndarray, last: np.ndarray | int
 
 
 class _Layout:
-    """A graph's moves as arrays: neighbor table padded to the largest degree, and offsets.
+    """A graph's moves as arrays: the neighbor table, padded to the largest degree.
 
     The padded tables hold ``vertices * width`` elements; :func:`lockstep_pays`
     keeps graphs where that exceeds :data:`LOCKSTEP_ELEMENTS` out of lock step.
@@ -383,10 +383,6 @@ class _Layout:
     @cached_property
     def last(self) -> np.ndarray:
         return np.array(self.degrees, dtype=np.int64) - 1
-
-    @cached_property
-    def offsets(self) -> list[int]:
-        return np.cumsum([0] + self.degrees[:-1]).tolist()
 
     @cached_property
     def neighbors(self) -> np.ndarray:
@@ -687,8 +683,8 @@ def run_many_annealed(
     for start in range(0, count, size):
         uniforms = np.empty((min(size, count - start), steps))
         weights = draw_environments(checked, streams, uniforms)
-        for lo, d in zip(layout.offsets, layout.degrees):
-            check_simplex_rows(weights[:, lo : lo + d])
+        for lo, hi in pairwise(accumulate(layout.degrees, initial=0)):
+            check_simplex_rows(weights[:, lo:hi])
         base = np.arange(len(uniforms), dtype=np.int64) * layout.vertices
         paths = _advance(layout, layout.cumulative(weights), base, x0, uniforms)
         yield from map(tuple, paths.tolist())

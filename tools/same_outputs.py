@@ -66,9 +66,16 @@ def failures() -> list[tuple]:
     (per stream before them); a 7-star with a Dirichlet centre and uniform
     leaves, 80x6, which reads those tables; a Dirichlet 8-star, 80x6, too
     wide for them; and a 4-cycle whose alpha 1e-320 gives a weight below
-    ``MIN_WEIGHT``, 80x4, exit 3.  The lattice guards of check-admissibility,
-    verify-moments and recover-moments are left out: under ``--against``, an
-    older tree without them would run such a config in full."""
+    ``MIN_WEIGHT``, 80x4, exit 3.  Then two sampled walks, exit 0, below
+    their mode's ``walk.LOCKSTEP_MIN_BLOCK``, so that ``walk.lockstep_pays``
+    sends them per stream (``run_annealed``, and ``run_quenched`` with
+    ``step_quenched``), which no workload operation reaches: an annealed walk
+    of 15x6 on the 4-cycle with boosted Dirichlet (alpha 0.3, 1.7),
+    polynomial and empirical vertices, and a quenched walk of 31x6 on the
+    3-star whose ``env_seed`` differs from its ``seed``.  The lattice guards
+    of check-admissibility, verify-moments and recover-moments are left out:
+    under ``--against``, an older tree without them would run such a config
+    in full."""
     from workloads import WITNESS_LAW
 
     open_squares = json.loads((ROOT / "tests" / "open_squares_law.json")
@@ -156,6 +163,22 @@ def failures() -> list[tuple]:
          {"graph": {"generator": "cycle", "length": 4}, "seed": 8,
           "laws": {"default": {"family": "dirichlet", "alpha": [1e-320, 1.0]}},
           "operation": {"mode": "reinforced", "steps": 4, "trajectories": 80}}),
+        ("mixed environments on the 4-cycle per stream, 15x6", "simulate",
+         {"graph": {"generator": "cycle", "length": 4}, "seed": 9,
+          "envs": {"default": {"family": "dirichlet", "alpha": [0.3, 1.7]},
+                   "per_vertex": {
+                       "1": {"family": "polynomial_dirichlet", "alpha": [0.6, 2.0], "degree": 1,
+                             "coefficients": [{"index": [1, 0], "value": 1.0},
+                                              {"index": [0, 1], "value": 2.0}]},
+                       "2": {"family": "empirical",
+                             "atoms": [{"weight": 0.25, "weights": [0.2, 0.8]},
+                                       {"weight": 0.75, "weights": [0.6, 0.4]}]}}},
+          "operation": {"mode": "annealed", "steps": 6, "trajectories": 15}}),
+        ("sampled quenched star-3 per stream, 31x6", "simulate",
+         {"graph": {"generator": "star", "leaves": 3}, "seed": 10,
+          "envs": {"default": {"family": "point_mass", "weights": [1.0]},
+                   "per_vertex": {"0": {"family": "dirichlet", "alpha": [0.5, 1.0, 2.0]}}},
+          "operation": {"mode": "quenched", "steps": 6, "trajectories": 31, "env_seed": 11}}),
     ]
 
 
