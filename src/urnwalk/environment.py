@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from functools import reduce
-from itertools import accumulate, pairwise
+from itertools import accumulate, chain
 from operator import add
 from typing import Iterable, Mapping, Sequence
 
@@ -66,24 +66,24 @@ def _dirichlet_draw(alphas: np.ndarray, gammas: np.ndarray, boosted: list, degre
     over their sum left to right, each raised to ``MIN_WEIGHT`` (no 53-bit
     uniform tells values below it apart).  Where every log is -inf (the boosts
     of alpha near the least float), the least ``-log(1 - U_j) / alpha_j``, in
-    logs, is the largest weight of the true draw and takes 1.  Each vertex's
-    columns are normalised in turn, with libm's logs and exps (``math``);
-    numpy only adds, subtracts, divides and takes maxima, so no bit depends
-    on its SIMD loops.
+    logs, is the largest weight of the true draw and takes 1.  The vertices of
+    one degree are normalised together.  Logs and exps are libm's (``math``);
+    numpy only adds, subtracts, divides and takes maxima, so no bit depends on SIMD.
     """
-    boosts, out = np.zeros_like(alphas), np.empty_like(alphas)
+    boosts, out, starts = np.zeros_like(alphas), np.empty_like(alphas), np.array([0, *accumulate(degrees)])
     if boosted:
         boosts[alphas < 1.0] = math_each(math.log, 1.0 - np.concatenate(boosted))
     with np.errstate(over="ignore", invalid="ignore"):  # -inf - -inf at the points of the last rule
         logs = math_each(math.log, np.maximum(gammas, math.ulp(0.0))) + boosts / alphas
-        for lo, hi in pairwise(accumulate(degrees, initial=0)):
-            top = logs[:, lo:hi].max(axis=1, keepdims=True)
-            shifted = math_each(math.exp, logs[:, lo:hi] - top)
-            out[:, lo:hi] = shifted / row_sums(shifted)[:, None]
-            for r in np.flatnonzero(top == -math.inf).tolist():  # every coordinate boosted, none 0
-                keys = [math.log(-b) - math.log(a) for b, a in zip(boosts[r, lo:hi], alphas[r, lo:hi])]
-                out[r, lo:hi] = MIN_WEIGHT
-                out[r, lo + keys.index(min(keys))] = 1.0
+        for d in sorted(set(degrees)):  # the [n, k, d] columns of the k vertices of degree d
+            cols = starts[:-1][np.equal(degrees, d), None] + np.arange(d)
+            top = logs[:, cols].max(axis=2, keepdims=True)
+            shifted = math_each(math.exp, logs[:, cols] - top)
+            out[:, cols] = shifted / row_sums(shifted)[..., None]
+            for r, v in np.argwhere(top[..., 0] == -math.inf).tolist():  # every coordinate boosted, none 0
+                keys = [math.log(-b) - math.log(a) for b, a in zip(boosts[r, cols[v]], alphas[r, cols[v]])]
+                out[r, cols[v]] = MIN_WEIGHT
+                out[r, cols[v][keys.index(min(keys))]] = 1.0
     return np.maximum(out, MIN_WEIGHT)
 
 
@@ -96,7 +96,7 @@ def draw_environments(envs: Sequence[VertexEnvLaw], streams: Iterable[np.random.
     (:func:`~urnwalk.laws.draw_index`'s rule, by bisection of the running sums),
     one ``standard_gamma`` over every Dirichlet coordinate, ``random(b)`` for its
     b boosts, each other vertex's ``sample`` in turn, then ``uniforms[i]``.  The
-    density points (:func:`_dirichlet_draw`, one vertex at a time) are not
+    density points (:func:`_dirichlet_draw`, a degree at a time) are not
     checked on the simplex; a sample of a wrong dimension raises.
     """
     n, dims = len(uniforms), [env.dimension for env in envs]
@@ -106,13 +106,13 @@ def draw_environments(envs: Sequence[VertexEnvLaw], streams: Iterable[np.random.
     picks = [j for j, x in enumerate(density) if type(envs[x]) is PolynomialDirichletEnv]
     chosen = [envs[x].alpha for x in density]
     sums = {j: list(accumulate(envs[density[j]]._mixture_probs[:-1])) for j in picks}
-    out, alphas = np.empty((n, starts[-1])), np.empty((n, len(sum(chosen, ()))))
+    out, alphas = np.empty((n, starts[-1])), np.empty((n, sum(map(len, chosen))))
     gammas, boosted = np.empty_like(alphas), []
     for row, rng in zip(range(n), streams):
         for j, u in zip(picks, rng.random(len(picks)).tolist() if picks else ()):
             chosen[j] = envs[density[j]]._components[bisect_right(sums[j], u)]
         if picks or not row:
-            alpha = np.array(sum(chosen, ()))
+            alpha = np.fromiter(chain.from_iterable(chosen), float)
             shape, b = alpha + (alpha < 1.0), np.count_nonzero(alpha < 1.0)
         alphas[row] = alpha
         if density:
